@@ -146,11 +146,6 @@ class CostModel:
     scan_entry_ms: float = 0.0008
 
     # --- distributed query execution (pushdown) -------------------------
-    #: Execute scan fragments (pushed predicates, projection, partial
-    #: aggregation, partition pruning) on the storage nodes instead of
-    #: shipping every row to the entry node.  Off = the ablation
-    #: baseline where network cost scales with table size.
-    pushdown_enabled: bool = True
     #: Per-entry cost of evaluating pushed predicates / projecting
     #: columns during a scan chunk.
     pushed_filter_entry_ms: float = 0.0001
@@ -162,11 +157,6 @@ class CostModel:
     row_overhead_bytes: int = 24
 
     # --- vectorized columnar scan execution -------------------------------
-    #: Execute scan fragments over columnar chunk batches with
-    #: compile-once predicate/projection/aggregation closures instead of
-    #: per-row AST interpretation.  Results are bit-identical either
-    #: way; off = the interpreted ablation baseline.
-    vectorized_enabled: bool = True
     #: Per-entry cost of a columnar batch sweep (replaces
     #: ``scan_entry_ms`` on vectorized non-indexed scans: sequential
     #: column reads amortize per-entry dispatch).
@@ -192,10 +182,6 @@ class CostModel:
     column_bytes: int = 12
 
     # --- secondary indexes ------------------------------------------------
-    #: Let scan fragments use secondary indexes when the cost-based
-    #: chooser prices an index access path below the full scan.  Off =
-    #: the ablation baseline (indexes are still maintained, never read).
-    index_enabled: bool = True
     #: Fixed cost of one index probe (hash-bucket lookup or sorted-run
     #: bisection) against one partition's index structure.
     index_probe_ms: float = 0.01
@@ -209,10 +195,6 @@ class CostModel:
     index_maintain_entry_ms: float = 0.0004
 
     # --- approximate query answering (sketches) ---------------------------
-    #: Let ``APPROX`` aggregates answer from sketches when the
-    #: cost-based chooser prices the sketch path below index probes and
-    #: pruned scans.  Off = exact fallback (sketches still maintained).
-    sketch_enabled: bool = True
     #: Fixed cost of reading one partition's sketch (O(1) counter reads
     #: for count-min, O(registers) merge for HLL, O(capacity) for a
     #: reservoir — all independent of partition size).
@@ -223,11 +205,6 @@ class CostModel:
     sketch_maintain_entry_ms: float = 0.0005
 
     # --- distributed joins -------------------------------------------------
-    #: Execute JOIN steps with distributed strategies (co-partitioned,
-    #: broadcast, shuffle-hash, index-nested-loop) chosen per step by
-    #: the cost chooser.  Off = ship every joined table to the entry
-    #: node and join centrally (the PR-3 baseline).
-    distributed_joins_enabled: bool = True
     #: Inserting one row into a hash-join build table.
     join_build_entry_ms: float = 0.0004
     #: Probing the build table with one probe-side row (also the
@@ -274,12 +251,6 @@ class CostModel:
     #: Subscriber-side cost of consuming one batch (the ack delay that
     #: drives the flow-control window).
     subscriber_consume_ms: float = 0.02
-    #: Collapse structurally identical standing plans (after residual
-    #: extraction) into ONE shared maintained instance fanned out by the
-    #: subscription router.  Off = the ablation baseline where every
-    #: subscription maintains a private StandingQuery, so maintenance
-    #: cost scales linearly with subscribers.
-    shared_plans_enabled: bool = True
     #: Applying one captured state update to a standing plan's
     #: maintained result — charged once per update *per shared plan*,
     #: however many subscribers read it.

@@ -24,10 +24,9 @@ Glues the subsystem together:
 * replays a consistent rollback notification to every live subscriber
   after node-failure recovery (the push analogue of Fig. 5c).
 
-``shared_plans=False`` (or ``CostModel.shared_plans_enabled = False``)
-is the ablation baseline: every subscription gets a private plan with
-no residual extraction — exactly the pre-dedup per-subscriber
-maintenance, with bit-identical delivered results.
+``shared_plans=False`` is the ablation baseline: every subscription
+gets a private plan with no residual extraction — exactly the pre-dedup
+per-subscriber maintenance, with bit-identical delivered results.
 
 Usage goes through :meth:`repro.query.service.QueryService.subscribe`,
 which lazily creates one ``ContinuousQueryService`` per environment at
@@ -71,19 +70,16 @@ class ContinuousQueryService:
     """Standing SQL subscriptions over one environment's state store."""
 
     def __init__(self, env, query_service=None,
-                 shared_plans: bool | None = None) -> None:
+                 shared_plans: bool = True) -> None:
         self.env = env
         self.sim = env.sim
         self.cluster = env.cluster
         self.store = env.store
         self.costs = env.costs
         self._query_service = query_service
-        #: Plan-dedup gate; ``None`` defers to the cost model.  Off is
-        #: the per-subscription ablation baseline.
-        self.shared_plans = (
-            env.costs.shared_plans_enabled
-            if shared_plans is None else shared_plans
-        )
+        #: Plan-dedup gate; off is the per-subscription ablation
+        #: baseline.
+        self.shared_plans = shared_plans
         self.recorder = ChangeRecorder(
             clock=lambda: env.sim.now,
             node_count=len(env.cluster.nodes),

@@ -85,13 +85,12 @@ class StateStore:
             return self._maps[name].add_index(definition)
         if name in self._snapshot_tables:
             table = self._snapshot_tables[name]
-            add = getattr(table, "add_index", None)
-            if add is None:
+            if not table.supports_indexes:
                 raise StoreError(
                     f"snapshot table {name!r} backend does not support "
                     "secondary indexes"
                 )
-            created = add(definition)
+            created = table.add_index(definition)
             for ssid in self._available_ssids:
                 table.freeze_index(ssid)
             return created
@@ -106,7 +105,7 @@ class StateStore:
             if registry is not None:
                 total += registry.maintenance_ops
         for table in self._snapshot_tables.values():
-            total += getattr(table, "index_maintenance_ops", 0)
+            total += table.index_maintenance_ops
         return total
 
     # -- sketches ----------------------------------------------------------
@@ -130,13 +129,12 @@ class StateStore:
             return self._maps[name].add_sketch(definition)
         if name in self._snapshot_tables:
             table = self._snapshot_tables[name]
-            add = getattr(table, "add_sketch", None)
-            if add is None:
+            if not table.supports_sketches:
                 raise StoreError(
                     f"snapshot table {name!r} backend does not support "
                     "sketches"
                 )
-            created = add(definition)
+            created = table.add_sketch(definition)
             for ssid in self._available_ssids:
                 table.freeze_sketch(ssid)
             return created
@@ -151,7 +149,7 @@ class StateStore:
             if registry is not None:
                 total += registry.maintenance_ops
         for table in self._snapshot_tables.values():
-            total += getattr(table, "sketch_maintenance_ops", 0)
+            total += table.sketch_maintenance_ops
         return total
 
     # -- snapshot tables --------------------------------------------------
@@ -159,9 +157,8 @@ class StateStore:
     def register_snapshot_table(self, name: str, table: object) -> None:
         """Register an operator's snapshot table (Table II structure).
 
-        ``table`` must provide ``rows_for_snapshot(ssid)``,
-        ``entries_on_node(node_id, ssid)`` and ``on_node_failure(node_id)``
-        (see :mod:`repro.state.snapshots`).
+        ``table`` is a :class:`repro.state.base.SnapshotTableBase`
+        backend (see :mod:`repro.state.snapshots`).
         """
         if name in self._snapshot_tables:
             raise StoreError(f"snapshot table {name!r} already registered")
@@ -246,12 +243,8 @@ class StateStore:
         # in-progress version builds fresh registries), so index probes
         # rely on exactly the immutability zone-map pruning relies on.
         for table in self._snapshot_tables.values():
-            freeze = getattr(table, "freeze_index", None)
-            if freeze is not None:
-                freeze(ssid)
-            freeze_sketch = getattr(table, "freeze_sketch", None)
-            if freeze_sketch is not None:
-                freeze_sketch(ssid)
+            table.freeze_index(ssid)
+            table.freeze_sketch(ssid)
         for listener in self._commit_listeners:
             listener(ssid)
 

@@ -56,6 +56,7 @@ from ..sql.ast import Binary, Column, Literal, Select
 from ..sql.batch import compile_probe_key, run_broadcast_probe, run_fragment_batches
 from ..sql.executor import (
     EvalContext,
+    _eval,
     bind_row,
     build_join_index,
     collect_right_columns,
@@ -110,10 +111,6 @@ class JoinPlan:
 # -- strategy selection ------------------------------------------------------
 
 
-def _table_args(kind: str, snapshot_id) -> tuple:
-    return () if kind == "live" else (snapshot_id,)
-
-
 def _pushed_equality(conjunct) -> "tuple[str, object] | None":
     """``col = literal`` (either side) → ``(column name, value)``."""
     if not isinstance(conjunct, Binary) or conjunct.op != "=":
@@ -126,19 +123,11 @@ def _pushed_equality(conjunct) -> "tuple[str, object] | None":
     return None
 
 
-def _estimate_rows(service, table, fragment, args) -> tuple[int, str]:
+def _estimate_rows(service, view, fragment) -> tuple[int, str]:
     """Estimated post-pushdown rows of one side, with its source."""
-    nodes = service.cluster.surviving_node_ids()
-    partitions: list[int] = []
-    entries = 0
-    if hasattr(table, "partition_entry_count"):
-        for node_id in nodes:
-            for partition in table.partitions_on_node(node_id):
-                partitions.append(partition)
-                entries += table.partition_entry_count(partition, *args)
-    else:
-        entries = sum(table.entries_on_node(node_id, *args)
-                      for node_id in nodes)
+    partitions, entries = view.partitions_and_entries(
+        service.cluster.surviving_node_ids()
+    )
     if fragment is not None and isinstance(fragment.key_filter, KeySet):
         return min(entries, len(fragment.key_filter.keys)), "zone-map"
     if (
@@ -146,18 +135,17 @@ def _estimate_rows(service, table, fragment, args) -> tuple[int, str]:
         and fragment.pushed
         and partitions
         and service.sketch_enabled
-        and hasattr(table, "approx_estimate")
-        and table.sketch_ready(*args)
+        and view.sketch_ready()
     ):
         for conjunct in fragment.pushed:
             equality = _pushed_equality(conjunct)
             if equality is None:
                 continue
             column, value = equality
-            if not table.has_sketch(column, "countmin"):
+            if not view.has_sketch(column, "countmin"):
                 continue
-            answer = table.approx_estimate(
-                partitions, "count_eq", column, value, *args
+            answer = view.approx_estimate(
+                partitions, "count_eq", column, value
             )
             if answer is not None:
                 estimate = max(0, int(round(answer[0])))
@@ -172,7 +160,7 @@ def _row_width_bytes(costs, fragment) -> int:
     return costs.row_bytes
 
 
-def _index_kind_for(service, step: JoinFragment, table, args) -> str | None:
+def _index_kind_for(service, step: JoinFragment, view) -> str | None:
     """Index kind on the build column, for index-nested-loop pricing."""
     if not service.index_enabled:
         return None
@@ -184,49 +172,43 @@ def _index_kind_for(service, step: JoinFragment, table, args) -> str | None:
         column = None
     if column is None:
         return None
-    ready = getattr(table, "index_ready", None)
-    if ready is None or not ready(*args):
+    if not view.index_ready():
         return None
-    return table.index_columns().get(column)
+    return view.index_columns().get(column)
 
 
-def choose_join_strategies(service, select: Select, plan, table_kinds,
-                           snapshot_id):
+def choose_join_strategies(service, select: Select, plan, views):
     """Per-step strategy choices, or ``None`` when the statement must
-    run its joins centrally.  Shared by execution and ``explain``."""
+    run its joins centrally (all-versions reads always do: they have no
+    distributed plan).  ``views`` binds every table to the version it
+    reads.  Shared by execution and ``explain``."""
     if not service.distributed_joins_enabled:
         return None
     if plan is None or plan.partial is not None:
         return None
-    if isinstance(snapshot_id, list):
-        return None
     steps = join_fragments(select)
     if steps is None:
         return None
-    kinds = dict(table_kinds)
     nodes = service.cluster.surviving_node_ids()
     costs = service.costs
     base_name = select.table.name
     base_binding = select.table.binding
     base_fragment = plan.fragments.get(base_name)
-    base_args = _table_args(kinds[base_name], snapshot_id)
-    base_table = service._table_for(base_name, kinds[base_name])
-    left_rows, _ = _estimate_rows(service, base_table, base_fragment,
-                                  base_args)
+    base_view = views[base_name]
+    left_rows, _ = _estimate_rows(service, base_view, base_fragment)
     left_bytes = _row_width_bytes(costs, base_fragment)
     #: bindings whose rows still sit where their partition key placed
     #: them (base initially; a co-partitioned step keeps its right side
     #: aligned too, a shuffle step invalidates everything).
     aligned = {base_binding}
-    binding_table = {base_binding: (base_table, base_name)}
+    binding_table = {base_binding: (base_view, base_name)}
     left_native = True
     paths: list[JoinPath] = []
     for step in steps:
-        args = _table_args(kinds[step.table], snapshot_id)
-        right_table = service._table_for(step.table, kinds[step.table])
+        right_view = views[step.table]
         fragment = plan.fragments.get(step.table)
-        right_rows, source = _estimate_rows(service, right_table,
-                                            fragment, args)
+        right_rows, source = _estimate_rows(service, right_view,
+                                            fragment)
         aligned_binding = partition_aligned_binding(step)
         probe_binding = (base_binding if aligned_binding == ""
                          else aligned_binding)
@@ -236,7 +218,7 @@ def choose_join_strategies(service, select: Select, plan, table_kinds,
         if partition_key_join:
             left_ref = binding_table.get(probe_binding)
             copartitioned = left_ref is not None and copartitioned_tables(
-                left_ref[0], right_table, nodes
+                left_ref[0], right_view, nodes
             )
         candidate = JoinCandidate(
             table=step.table,
@@ -249,14 +231,14 @@ def choose_join_strategies(service, select: Select, plan, table_kinds,
             partition_key_join=partition_key_join,
             copartitioned=copartitioned,
             left_native=left_native,
-            index_kind=_index_kind_for(service, step, right_table, args),
+            index_kind=_index_kind_for(service, step, right_view),
             estimate_source=source,
         )
         path = choose_join_path(candidate, costs)
         paths.append(path)
         if path.strategy == "copartitioned":
             aligned.add(step.binding)
-            binding_table[step.binding] = (right_table, step.table)
+            binding_table[step.binding] = (right_view, step.table)
         elif path.strategy == "shuffle":
             left_native = False
             aligned.clear()
@@ -274,8 +256,7 @@ def plan_distributed_joins(service, record) -> JoinPlan | None:
     if not execution.materialize:
         return None
     chosen = choose_join_strategies(
-        service, select, record.plan, record.table_kinds,
-        record.snapshot_id,
+        service, select, record.plan, record.views
     )
     if chosen is None or any(
         path.strategy == "central" for path in chosen[1]
@@ -314,21 +295,16 @@ def plan_distributed_joins(service, record) -> JoinPlan | None:
 
 
 def explain_join_lines(service, select: Select, plan,
-                       table_kinds) -> list[str]:
+                       views) -> list[str]:
     """Per-step strategy lines for ``QueryService.explain``."""
     if not isinstance(select, Select) or not select.joins:
         return []
     if not service.distributed_joins_enabled:
         return ["  joins: central (distributed joins disabled)"]
-    kinds = dict(table_kinds)
-    snapshot_id = None
-    if any(kind == "snapshot" for kind in kinds.values()):
-        snapshot_id = service.store.committed_ssid
-        if snapshot_id is None:
-            return ["  joins: central (no committed snapshot to price "
-                    "against)"]
-    chosen = choose_join_strategies(service, select, plan, table_kinds,
-                                    snapshot_id)
+    if any(view.versions == () for view in views.values()):
+        return ["  joins: central (no committed snapshot to price "
+                "against)"]
+    chosen = choose_join_strategies(service, select, plan, views)
     if chosen is None:
         return ["  joins: central (statement not eligible for "
                 "distributed join execution)"]
@@ -384,26 +360,10 @@ def _join_redispatch(service, record, token: int) -> None:
     join = record.join
     if execution.done or join.attempt != token:
         return
-    alive = service.cluster.surviving_node_ids()
-    if not alive:
+    if not service.cluster.surviving_node_ids():
         service._abort(execution, QueryAbortedError("no surviving nodes"))
         return
-    state = record.state
-    shards: list[tuple[str, str, int]] = []
-    for stripe, (table_name, kind) in enumerate(record.table_kinds):
-        if table_name in join.excluded:
-            continue
-        state["stripe"][table_name] = stripe * max(1, len(alive))
-        targets = service._scan_targets(record, table_name, kind)
-        state["nodes"][table_name] = set(targets)
-        shards.extend((table_name, kind, n) for n in targets)
-    state["pending"] = len(shards)
-    if not shards:
-        start_join_pipeline(service, record)
-        return
-    for table_name, kind, node_id in shards:
-        service._scan_shard(record, table_name, kind, node_id,
-                            state["attempt"][table_name])
+    service._dispatch_scans(record, service._restripe(record))
 
 
 # -- the stage pipeline ------------------------------------------------------
@@ -819,9 +779,7 @@ class _PipelineRunner:
         service = self.service
         execution = self.execution
         costs = self.costs
-        kind = self.state["kinds"][step.table]
-        table = service._table_for(step.table, kind)
-        args = _table_args(kind, self.record.snapshot_id)
+        view = self.record.views[step.table]
         column = step.using[0] if step.using else step.build.name
         keys: list = []
         seen: set = set()
@@ -852,9 +810,8 @@ class _PipelineRunner:
 
         countdown = _Countdown(len(nodes), fetched_all)
         for node_id in nodes:
-            partitions = table.partitions_on_node(node_id)
-            candidates = table.index_rows(partitions, column, probe,
-                                          *args)
+            partitions = view.partitions_on_node(node_id)
+            candidates = view.index_rows(partitions, column, probe)
             execution.index_probes += len(partitions)
             execution.index_rows_read += len(candidates)
             if fragment is not None:
@@ -877,7 +834,7 @@ class _PipelineRunner:
                            lock_rows: list = lock_rows) -> None:
                 if not self._live():
                     return
-                if service.repeatable_read and kind == "live":
+                if service.repeatable_read and not view.immutable:
                     service._lock_rows(execution, step.table, lock_rows,
                                        countdown.one)
                 else:
@@ -986,8 +943,6 @@ def _shuffle_key(step: JoinFragment, row: dict, context: EvalContext,
         return key
     expr = step.probe if probe else step.build
     try:
-        from ..sql.executor import _eval
-
         key = _eval(expr, row, context, None)
     except Exception:  # noqa: BLE001 — surfaced by the worker's probe
         return _SKIP

@@ -66,6 +66,7 @@ from ..sql.fragments import (
 )
 from ..sql.planner import DictCatalog, ListTable, split_conjuncts
 from ..state.isolation import IsolationLevel, isolation_of_query
+from ..state.view import TableView
 from .joins import (
     JoinPlan,
     _JoinLocalAck,
@@ -260,7 +261,7 @@ class _SketchAnswer:
 class _InFlight:
     """Service-side bookkeeping for one running query."""
 
-    __slots__ = ("execution", "select", "table_kinds", "snapshot_id",
+    __slots__ = ("execution", "select", "table_kinds", "views",
                  "state", "plan", "sketch", "join")
 
     def __init__(self, execution: QueryExecution, select: Select,
@@ -268,8 +269,9 @@ class _InFlight:
         self.execution = execution
         self.select = select
         self.table_kinds = table_kinds
-        #: Resolved snapshot target (int, list for all-versions, None).
-        self.snapshot_id: int | list[int] | None = None
+        #: table -> its view, bound to the resolved snapshot version(s)
+        #: when scans are dispatched.
+        self.views: dict[str, TableView] = {}
         #: Scan-phase state; ``None`` until scans are dispatched.
         self.state: dict | None = None
         #: Distributed plan (scan fragments + final fragment); ``None``
@@ -289,38 +291,31 @@ class QueryService:
     def __init__(self, env, repeatable_read: bool = False,
                  ha_mode: bool = False,
                  retry_policy: QueryRetryPolicy | None = None,
-                 pushdown: bool | None = None,
-                 indexes: bool | None = None,
-                 sketches: bool | None = None,
-                 vectorized: bool | None = None,
-                 shared_plans: bool | None = None,
-                 distributed_joins: bool | None = None) -> None:
+                 pushdown: bool = True,
+                 indexes: bool = True,
+                 sketches: bool = True,
+                 vectorized: bool = True,
+                 shared_plans: bool = True,
+                 distributed_joins: bool = True) -> None:
         """``repeatable_read`` holds key locks for whole live queries;
         ``ha_mode`` declares that the job runs with active replication
         (§VII-B), upgrading live queries to read committed — state they
         observe is never rolled back.  ``retry_policy`` governs how
-        in-flight queries react to node failures.  ``pushdown`` forces
-        distributed predicate/projection pushdown on or off (``None``
-        defers to ``CostModel.pushdown_enabled``); off is the ablation
-        baseline that ships every raw row to the entry node.
-        ``indexes`` forces index-backed scans on or off the same way
-        (``None`` defers to ``CostModel.index_enabled``); off keeps
-        indexes maintained but never read.  ``sketches`` forces
-        sketch-answered APPROX aggregates on or off (``None`` defers to
-        ``CostModel.sketch_enabled``); off keeps sketches maintained but
-        falls back to the exact paths.  ``vectorized`` forces columnar
-        batch execution of scan fragments on or off (``None`` defers to
-        ``CostModel.vectorized_enabled``); off is the interpreted
-        per-row ablation baseline with bit-identical results.
-        ``shared_plans`` forces continuous-query plan deduplication on
-        or off (``None`` defers to ``CostModel.shared_plans_enabled``);
-        off gives every subscription a private standing plan — the
-        fan-out ablation baseline with bit-identical delivered
-        results.  ``distributed_joins`` forces the distributed join
-        pipeline on or off (``None`` defers to
-        ``CostModel.distributed_joins_enabled``); off is the central
-        ablation baseline that ships every joined table's rows to the
-        entry node, with bit-identical results."""
+        in-flight queries react to node failures.  The six gates each
+        switch one optimisation off for its ablation baseline, with
+        bit-identical results: ``pushdown=False`` ships every raw row
+        to the entry node instead of executing scan fragments (pushed
+        predicates, projection, partial aggregation, partition pruning)
+        on the storage nodes; ``indexes=False`` keeps secondary indexes
+        maintained but never reads them; ``sketches=False`` keeps
+        sketches maintained but answers APPROX aggregates on the exact
+        paths; ``vectorized=False`` interprets scan fragments per row
+        instead of sweeping columnar batches through compile-once
+        closures; ``shared_plans=False`` gives every subscription a
+        private standing plan instead of one shared, router-fanned
+        instance per canonical plan; ``distributed_joins=False`` ships
+        every joined table's rows to the entry node and joins
+        centrally."""
         self.env = env
         self.sim = env.sim
         self.cluster = env.cluster
@@ -330,27 +325,12 @@ class QueryService:
         self.ha_mode = ha_mode
         self.retry_policy = retry_policy or QueryRetryPolicy()
         self.retry_policy.validate()
-        self.pushdown_enabled = (
-            self.costs.pushdown_enabled if pushdown is None else pushdown
-        )
-        self.index_enabled = (
-            self.costs.index_enabled if indexes is None else indexes
-        )
-        self.sketch_enabled = (
-            self.costs.sketch_enabled if sketches is None else sketches
-        )
-        self.vectorized_enabled = (
-            self.costs.vectorized_enabled if vectorized is None
-            else vectorized
-        )
-        self.shared_plans_enabled = (
-            self.costs.shared_plans_enabled if shared_plans is None
-            else shared_plans
-        )
-        self.distributed_joins_enabled = (
-            self.costs.distributed_joins_enabled
-            if distributed_joins is None else distributed_joins
-        )
+        self.pushdown_enabled = pushdown
+        self.index_enabled = indexes
+        self.sketch_enabled = sketches
+        self.vectorized_enabled = vectorized
+        self.shared_plans_enabled = shared_plans
+        self.distributed_joins_enabled = distributed_joins
         self._entry_rotation = 0
         self.queries_executed = 0
         #: Rows shipped to entry nodes across all finished queries.
@@ -499,6 +479,11 @@ class QueryService:
 
         select = parse(sql)
         table_kinds = self._classify_tables(select)
+        # Priced as of now: live tables as they are, snapshot tables at
+        # the latest committed snapshot (no version before the first).
+        committed = self.store.committed_ssid
+        views = self._bind(table_kinds,
+                           () if committed is None else (committed,))
         lines: list[str] = []
         if (
             not isinstance(select, Union)
@@ -508,9 +493,9 @@ class QueryService:
             keys = _extract_key_filter(select.where,
                                        select.table.binding or "")
             if keys is not NO_POINT_KEY:
+                view = views[select.table.name]
                 owners = sorted({
-                    self._table_for(*table_kinds[0]).owner_node_of(key)
-                    for key in keys
+                    view.owner_node_of(key) for key in keys
                 })
                 lines.append(
                     f"point lookup: {len(keys)} key(s) on "
@@ -526,7 +511,7 @@ class QueryService:
             lines.append("distributed: ship all rows "
                          "(pushdown disabled)")
             lines.append(scan_mode)
-            lines.extend(self._explain_approx(select, table_kinds))
+            lines.extend(self._explain_approx(select, table_kinds, views))
             return "\n".join(lines)
         if isinstance(select, Union):
             lines.append("distributed: ship all rows "
@@ -537,22 +522,17 @@ class QueryService:
         lines.append("distributed: pushdown")
         lines.append(scan_mode)
         lines.extend(render_distributed(select, plan))
-        lines.extend(self._explain_access_paths(plan, table_kinds))
-        lines.extend(explain_join_lines(self, select, plan, table_kinds))
-        lines.extend(self._explain_approx(select, table_kinds))
+        lines.extend(self._explain_access_paths(plan, views))
+        lines.extend(explain_join_lines(self, select, plan, views))
+        lines.extend(self._explain_approx(select, table_kinds, views))
         return "\n".join(lines)
 
     def _explain_access_paths(self, plan: DistributedPlan,
-                              table_kinds: list[tuple[str, str]]
-                              ) -> list[str]:
+                              views: dict[str, TableView]) -> list[str]:
         """One line per filtered fragment: how its shards would be read
         right now (live indexes, or the latest committed snapshot)."""
         lines: list[str] = []
-        seen: list[str] = []
-        for table_name, kind in table_kinds:
-            if table_name in seen:
-                continue
-            seen.append(table_name)
+        for table_name, view in views.items():
             fragment = plan.fragments.get(table_name)
             if fragment is None or fragment.is_passthrough \
                     or not fragment.pushed:
@@ -561,34 +541,22 @@ class QueryService:
             if not self.index_enabled:
                 lines.append(prefix + "full scan (indexes disabled)")
                 continue
-            table = self._table_for(table_name, kind)
-            if kind == "live":
-                args: tuple = ()
-            else:
-                committed = self.store.committed_ssid
-                if committed is None:
-                    lines.append(
-                        prefix + "full scan (no committed snapshot)"
-                    )
-                    continue
-                args = (committed,)
-            ready = getattr(table, "index_ready", None)
-            if ready is None or not ready(*args):
+            if view.versions == ():
+                lines.append(
+                    prefix + "full scan (no committed snapshot)"
+                )
+                continue
+            if not view.index_ready():
                 lines.append(prefix + "full scan (no usable index)")
                 continue
-            partitions: list[int] = []
-            entries = 0
-            for node_id in self.cluster.surviving_node_ids():
-                for partition in table.partitions_on_node(node_id):
-                    partitions.append(partition)
-                    entries += table.partition_entry_count(
-                        partition, *args
-                    )
+            partitions, entries = view.partitions_and_entries(
+                self.cluster.surviving_node_ids()
+            )
             surcharge = self.costs.pushed_filter_entry_ms
             if fragment.partial is not None:
                 surcharge += self.costs.partial_agg_entry_ms
             choice = choose_access_path(
-                fragment, table, args, partitions, entries, self.costs,
+                fragment, view, partitions, entries, self.costs,
                 surcharge,
             )
             lines.append(prefix + choice.describe())
@@ -596,38 +564,21 @@ class QueryService:
                          for reason in choice.rejected)
         return lines
 
-    def _explain_approx(self, select,
-                        table_kinds: list[tuple[str, str]]) -> list[str]:
+    def _explain_approx(self, select, table_kinds: list[tuple[str, str]],
+                        views: dict[str, TableView]) -> list[str]:
         """How an APPROX aggregate would (or would not) be answered
         from sketches right now, including why every losing access-path
         candidate was rejected."""
         if not isinstance(select, Select) or not select.approx:
             return []
-        if not self.sketch_enabled:
-            return ["  approx: exact fallback (sketches disabled)"]
-        if len(table_kinds) != 1 or select.joins:
-            return ["  approx: exact fallback (multi-table queries are "
-                    "not sketch-answerable)"]
-        aggregate = analyze_approx_select(select)
-        if aggregate is None:
-            return ["  approx: exact fallback (shape not "
-                    "sketch-answerable)"]
-        table_name, kind = table_kinds[0]
-        if kind == "live":
-            snapshot_id = None
-        else:
-            snapshot_id = _extract_ssid_filter(select.where)
-            if snapshot_id is None:
-                snapshot_id = self.store.committed_ssid
-            if snapshot_id is None:
-                return ["  approx: exact fallback (no committed "
-                        "snapshot)"]
-        priced = self._price_sketch(select, table_name, kind,
-                                    snapshot_id, aggregate)
+        snapshot_id = _extract_ssid_filter(select.where)
+        if snapshot_id is not None:
+            views = self._bind(table_kinds, (snapshot_id,))
+        priced = self._price_sketch(select, views)
         if isinstance(priced, str):
             return [f"  approx: exact fallback ({priced})"]
         choice, _answer, _output = priced
-        prefix = f"  approx [{table_name}]: "
+        prefix = f"  approx [{select.table.name}]: "
         if choice.kind == "sketch":
             lines = [prefix + choice.describe()]
         else:
@@ -831,12 +782,8 @@ class QueryService:
             # consumes the re-dispatch token as the single new shard
             self._point_attempt(record, attempt)
             return
-        kind = state["kinds"][table]
-        targets = self._scan_targets(record, table, kind)
-        state["pending"] += len(targets) - 1
-        state["nodes"][table] = set(targets)
-        for node_id in targets:
-            self._scan_shard(record, table, kind, node_id, attempt)
+        state["pending"] -= 1  # the re-dispatch token becomes shards
+        self._dispatch_scans(record, [table])
 
     # -- plan / snapshot-id resolution ----------------------------------
 
@@ -845,11 +792,10 @@ class QueryService:
         execution = record.execution
         if execution.done:
             return
-        needs_snapshot = any(
-            kind == "snapshot" for _, kind in record.table_kinds
-        )
-        if not needs_snapshot:
-            self._start_scans(record, None)
+        if not execution.isolation.at_least(IsolationLevel.SNAPSHOT):
+            # Only queries that read a snapshot table run at snapshot
+            # isolation (``isolation_of_query``): live tables only.
+            self._start_scans(record, ())
             return
         if execution.all_versions:
             versions = self.store.available_ssids()
@@ -859,7 +805,8 @@ class QueryService:
                     NoCommittedSnapshotError("no committed snapshot yet"),
                 )
                 return
-            self._start_scans(record, versions)
+            execution.snapshot_versions = versions
+            self._start_scans(record, tuple(versions))
             return
         if snapshot_id is not None:
             self._validate_and_scan(record, snapshot_id)
@@ -881,7 +828,8 @@ class QueryService:
                 NoCommittedSnapshotError("no committed snapshot yet"),
             )
             return
-        self._start_scans(record, committed)
+        execution.snapshot_id = committed
+        self._start_scans(record, (committed,))
 
     def _validate_and_scan(self, record: _InFlight,
                            snapshot_id: int) -> None:
@@ -890,19 +838,17 @@ class QueryService:
                 record.execution, None, SnapshotNotFoundError(snapshot_id)
             )
             return
-        self._start_scans(record, snapshot_id)
+        record.execution.snapshot_id = snapshot_id
+        self._start_scans(record, (snapshot_id,))
 
     # -- scan phase ---------------------------------------------------------
 
     def _start_scans(self, record: _InFlight,
-                     snapshot_id: int | list[int] | None) -> None:
+                     versions: tuple[int, ...]) -> None:
+        """Bind every table to the resolved snapshot ``versions`` (live
+        tables ignore them) and dispatch the first scan attempt."""
         execution = record.execution
-        record.snapshot_id = snapshot_id
-        if isinstance(snapshot_id, list):
-            execution.snapshot_versions = list(snapshot_id)
-        else:
-            execution.snapshot_id = snapshot_id
-        nodes = self.cluster.surviving_node_ids()
+        record.views = self._bind(record.table_kinds, versions)
         state = {
             "pending": 0,
             #: table -> node -> shipped payload.  Per-node buckets keep
@@ -915,16 +861,12 @@ class QueryService:
             "attempt": {name: 0 for name, _ in record.table_kinds},
             #: table -> nodes with an in-flight shard or result.
             "nodes": {name: set() for name, _ in record.table_kinds},
-            "kinds": dict(record.table_kinds),
             #: table -> store-partition stripe base for chunk spreading.
             "stripe": {},
             "point": False,
         }
         record.state = state
-        if (
-            execution.point_keys is not None
-            and not isinstance(snapshot_id, list)
-        ):
+        if execution.point_keys is not None:
             state["point"] = True
             state["pending"] = 1
             self._point_attempt(record, attempt=0)
@@ -932,36 +874,59 @@ class QueryService:
         record.sketch = self._sketch_plan(record)
         if record.sketch is None:
             record.join = plan_distributed_joins(self, record)
-        seen: set[str] = set()
-        shards: list[tuple[str, str, int]] = []
-        for stripe, (table_name, kind) in enumerate(record.table_kinds):
-            if table_name in seen:  # self-join scans once per node anyway
-                continue
-            seen.add(table_name)
+        self._dispatch_scans(record, self._restripe(record))
+
+    def _restripe(self, record: _InFlight) -> list[str]:
+        """The tables a (re)started query scans, in FROM order, each
+        given its chunk-stripe base over the current survivors."""
+        state = record.state
+        width = max(1, len(self.cluster.surviving_node_ids()))
+        tables: list[str] = []
+        for stripe, (table_name, _) in enumerate(record.table_kinds):
+            if table_name in tables:
+                continue  # self-join scans once per node anyway
             if record.join is not None and \
                     table_name in record.join.excluded:
                 continue  # index-nested-loop build side: never scanned
-            state["stripe"][table_name] = stripe * max(1, len(nodes))
-            targets = self._scan_targets(record, table_name, kind)
-            for node_id in nodes:
+            state["stripe"][table_name] = stripe * width
+            tables.append(table_name)
+        return tables
+
+    def _dispatch_scans(self, record: _InFlight,
+                        tables: list[str]) -> None:
+        """Dispatch one shard per target node of every table in
+        ``tables`` under the table's current attempt token; with
+        nothing to scan the query moves straight on."""
+        execution = record.execution
+        state = record.state
+        alive = self.cluster.surviving_node_ids()
+        shards: list[tuple[str, int]] = []
+        for table_name in tables:
+            targets = self._scan_targets(record, table_name)
+            state["nodes"][table_name] = set(targets)
+            shards.extend((table_name, node_id) for node_id in targets)
+            if state["attempt"][table_name]:
+                continue
+            # Node-level pruning, counted on a table's first dispatch
+            # only (a re-dispatch skips the same shards again): none of
+            # the pinned keys live on these nodes, so every partition
+            # of the shard is skipped.
+            view = record.views[table_name]
+            for node_id in alive:
                 if node_id not in targets:
-                    # Node-level pruning: none of the pinned keys live
-                    # here, so the whole shard (every partition) skips.
-                    execution.partitions_pruned += \
-                        self._node_partition_count(table_name, kind,
-                                                   node_id)
-                    continue
-                shards.append((table_name, kind, node_id))
-                state["nodes"][table_name].add(node_id)
-        state["pending"] = len(shards)
+                    execution.partitions_pruned += len(
+                        view.partitions_on_node(node_id)
+                    )
+        state["pending"] += len(shards)
         if not shards:
             if record.join is not None:
                 start_join_pipeline(self, record)
             else:
                 self._merge(record)
             return
-        for table_name, kind, node_id in shards:
-            self._scan_shard(record, table_name, kind, node_id, attempt=0)
+        for table_name, node_id in shards:
+            self._scan_shard(record, table_name, node_id,
+                             state["attempt"][table_name])
 
     def _point_attempt(self, record: _InFlight, attempt: int) -> None:
         """Fetch the pinned key(s) from their owner nodes (point path).
@@ -971,20 +936,18 @@ class QueryService:
         owner, each billed per key fetched."""
         execution = record.execution
         state = record.state
-        table_name, kind = record.table_kinds[0]
-        table = (self.store.get_live_table(table_name) if kind == "live"
-                 else self.store.get_snapshot_table(table_name))
+        table_name, _ = record.table_kinds[0]
+        view = record.views[table_name]
         nodes = self.cluster.surviving_node_ids()
         owners: dict[int, list] = {}
         for key in execution.point_keys:
-            owner = table.owner_node_of(key)
+            owner = view.owner_node_of(key)
             if owner not in nodes:
                 owner = nodes[0]  # placement mid-recovery: any survivor
             owners.setdefault(owner, []).append(key)
         state["nodes"][table_name] = set(owners)
         # The caller budgeted one shard; account for the fan-out.
         state["pending"] += len(owners) - 1
-        snapshot_id = record.snapshot_id
 
         for owner in sorted(owners):
             owner_keys = owners[owner]
@@ -1000,16 +963,13 @@ class QueryService:
                 rows: list[dict] = []
                 try:
                     for key in owner_keys:
-                        if kind == "live":
-                            rows.extend(table.point_rows(key))
-                        else:
-                            rows.extend(table.point_rows(key, snapshot_id))
+                        rows.extend(view.point_rows(key))
                 except SnapshotNotFoundError as exc:
                     self._finish_execution(execution, None, exc)
                     return
                 state["scanned"] += len(owner_keys)
-                self._ship_when_locked(record, table_name, kind, owner,
-                                       rows, attempt)
+                self._ship_when_locked(record, table_name, owner, rows,
+                                       attempt)
 
             server.submit(duration, finish)
 
@@ -1020,24 +980,12 @@ class QueryService:
         query must run on an exact path (the fallback is always sound:
         anything a sketch cannot answer within its declared bound runs
         as a normal scan/index query)."""
-        if not self.sketch_enabled:
-            return None
-        execution = record.execution
         select = record.select
-        if not execution.materialize:
+        if not record.execution.materialize:
             return None  # pure-load runs exercise the scan path
         if not isinstance(select, Select) or not select.approx:
             return None
-        if isinstance(record.snapshot_id, list):
-            return None  # all-versions scans stay exact
-        if len(record.table_kinds) != 1 or select.joins:
-            return None
-        aggregate = analyze_approx_select(select)
-        if aggregate is None:
-            return None
-        table_name, kind = record.table_kinds[0]
-        priced = self._price_sketch(select, table_name, kind,
-                                    record.snapshot_id, aggregate)
+        priced = self._price_sketch(select, record.views)
         if isinstance(priced, str):
             return None
         choice, answer, output = priced
@@ -1045,47 +993,51 @@ class QueryService:
             return None  # an exact path priced cheaper
         estimate, bound, confidence = answer
         return _SketchAnswer(
-            table=table_name,
+            table=select.table.name,
             description=choice.describe(),
             columns=(output, "error_bound", "confidence"),
             row={output: estimate, "error_bound": bound,
                  "confidence": confidence},
         )
 
-    def _price_sketch(self, select: Select, table_name: str, kind: str,
-                      snapshot_id, aggregate):
-        """Validate and price one sketch read.
+    def _price_sketch(self, select: Select, views: dict[str, TableView]):
+        """Validate and price answering an APPROX ``select`` from
+        sketches.
 
         Returns a rejection reason (str) when the sketch cannot answer,
         or ``(access path, (estimate, bound, confidence), output column
         name)`` with the sketch priced against the exact paths."""
-        table = self._table_for(table_name, kind)
-        if not hasattr(table, "approx_estimate"):
+        if not self.sketch_enabled:
+            return "sketches disabled"
+        if len(views) != 1 or select.joins:
+            return "multi-table queries are not sketch-answerable"
+        aggregate = analyze_approx_select(select)
+        if aggregate is None:
+            return "shape not sketch-answerable"
+        table_name = select.table.name
+        view = views[table_name]
+        if view.versions == ():
+            return "no committed snapshot"
+        if not view.supports_sketches:
+            # backend without sketches, or an all-versions read
             return "table backend has no sketch support"
-        if kind == "live":
-            if aggregate.ssid_eq is not None:
-                return "ssid filter on a live table"
-            args: tuple = ()
-        else:
-            if aggregate.ssid_eq is not None \
-                    and aggregate.ssid_eq != snapshot_id:
+        if aggregate.ssid_eq is not None \
+                and (aggregate.ssid_eq,) != view.versions:
+            if view.immutable:
                 return "ssid filter does not match the resolved snapshot"
-            args = (snapshot_id,)
-        if not table.sketch_ready(*args):
+            return "ssid filter on a live table"
+        if not view.sketch_ready():
             return ("no sketches (or the version's sketches are not "
                     "frozen)")
-        if not table.has_sketch(aggregate.column, aggregate.kind):
+        if not view.has_sketch(aggregate.column, aggregate.kind):
             return (f"no {aggregate.kind} sketch on "
                     f"{aggregate.column!r}")
-        partitions: list[int] = []
-        entries = 0
-        for node_id in self.cluster.surviving_node_ids():
-            for partition in table.partitions_on_node(node_id):
-                partitions.append(partition)
-                entries += table.partition_entry_count(partition, *args)
-        answer = table.approx_estimate(
+        partitions, entries = view.partitions_and_entries(
+            self.cluster.surviving_node_ids()
+        )
+        answer = view.approx_estimate(
             partitions, aggregate.mode, aggregate.column,
-            aggregate.value, *args,
+            aggregate.value,
         )
         if answer is None:
             return "sketch cannot answer soundly (degraded partitions)"
@@ -1105,21 +1057,20 @@ class QueryService:
             probes=len(partitions),
         )
         choice = choose_access_path(
-            fragment, table, args, partitions, entries, self.costs,
+            fragment, view, partitions, entries, self.costs,
             surcharge, sketch=candidate, indexes=self.index_enabled,
         )
         output = output_column_name(select.items[0], 0)
         return choice, answer, output
 
     def _sketch_shard(self, record: _InFlight, table_name: str,
-                      kind: str, node_id: int, attempt: int) -> None:
+                      node_id: int, attempt: int) -> None:
         """One node's share of a sketch-answered query: probe the local
         partition summaries (one probe each, no row touches) and ship a
         marker through the normal retry-aware result path."""
         execution = record.execution
         state = record.state
-        table = self._table_for(table_name, kind)
-        partitions = table.partitions_on_node(node_id)
+        partitions = record.views[table_name].partitions_on_node(node_id)
         execution.sketch_probes += len(partitions)
         node = self.cluster.node(node_id)
         server = node.store_server(
@@ -1131,23 +1082,20 @@ class QueryService:
             if execution.done or state["attempt"][table_name] != attempt:
                 return
             payload = [{"sketch": table_name, "node": node_id}]
-            self._ship_when_locked(record, table_name, kind, node_id,
-                                   payload, attempt, lock_rows=[])
+            self._ship_when_locked(record, table_name, node_id, payload,
+                                   attempt, lock_rows=[])
 
         server.submit(duration, finish)
 
-    def _scan_shard(self, record: _InFlight, table_name: str, kind: str,
+    def _scan_shard(self, record: _InFlight, table_name: str,
                     node_id: int, attempt: int) -> None:
         execution = record.execution
         state = record.state
         if record.sketch is not None:
-            self._sketch_shard(record, table_name, kind, node_id,
-                               attempt)
+            self._sketch_shard(record, table_name, node_id, attempt)
             return
         try:
-            shard = self._scan_selection(
-                record, table_name, kind, node_id
-            )
+            shard = self._scan_selection(record, table_name, node_id)
         except SnapshotNotFoundError as exc:
             self._finish_execution(execution, None, exc)
             return
@@ -1165,8 +1113,8 @@ class QueryService:
             # filter that eliminated every candidate partition) must not
             # occupy a store server or bill a chunk: complete it
             # immediately instead of submitting a zero-entry chunk.
-            self._shard_scanned(record, table_name, kind, node_id,
-                                entries, attempt, fetch, fragment, None)
+            self._shard_scanned(record, table_name, node_id, entries,
+                                attempt, fetch, fragment, None)
             return
         vectorized = self.vectorized_enabled
         # Pushed predicate / projection / partial-agg work happens while
@@ -1208,7 +1156,7 @@ class QueryService:
             if execution.done or state["attempt"][table_name] != attempt:
                 return  # query finished, or this shard's node died
             if remaining == 0:
-                self._shard_scanned(record, table_name, kind, node_id,
+                self._shard_scanned(record, table_name, node_id,
                                     entries, attempt, fetch, fragment,
                                     compiled)
                 return
@@ -1237,13 +1185,22 @@ class QueryService:
 
     # -- scan pruning (partition selection) --------------------------------
 
-    def _table_for(self, table_name: str, kind: str):
-        if kind == "live":
-            return self.store.get_live_table(table_name)
-        return self.store.get_snapshot_table(table_name)
+    def _bind(self, table_kinds: list[tuple[str, str]],
+              versions: tuple[int, ...]) -> dict[str, TableView]:
+        """The views a query holds onto its tables: live state, or the
+        snapshot ``versions`` it reads (which live tables ignore)."""
+        views: dict[str, TableView] = {}
+        for name, kind in table_kinds:
+            if kind == "live":
+                views[name] = TableView(self.store.get_live_table(name))
+            else:
+                views[name] = TableView(
+                    self.store.get_snapshot_table(name), versions
+                )
+        return views
 
-    def _scan_targets(self, record: _InFlight, table_name: str,
-                      kind: str) -> list[int]:
+    def _scan_targets(self, record: _InFlight,
+                      table_name: str) -> list[int]:
         """Nodes whose shards a table scan must visit.
 
         With an exact key-set filter and every owner node alive, only
@@ -1257,24 +1214,16 @@ class QueryService:
         fragment = plan.fragments.get(table_name)
         if fragment is None or not isinstance(fragment.key_filter, KeySet):
             return list(alive)
-        table = self._table_for(table_name, kind)
+        view = record.views[table_name]
         owners = sorted({
-            table.owner_node_of(key) for key in fragment.key_filter.keys
+            view.owner_node_of(key) for key in fragment.key_filter.keys
         })
         if owners and all(owner in alive for owner in owners):
             return owners
         return list(alive)
 
-    def _node_partition_count(self, table_name: str, kind: str,
-                              node_id: int) -> int:
-        table = self._table_for(table_name, kind)
-        partitions = getattr(table, "partitions_on_node", None)
-        if partitions is None:
-            return 0
-        return len(partitions(node_id))
-
     def _scan_selection(self, record: _InFlight, table_name: str,
-                        kind: str, node_id: int) -> _ShardPlan:
+                        node_id: int) -> _ShardPlan:
         """Decide how one node's shard of one table is read.
 
         When the fragment pins a key filter, the scan visits only the
@@ -1284,6 +1233,7 @@ class QueryService:
         materialises exactly the chosen rows at scan-completion time."""
         state = record.state
         execution = record.execution
+        view = record.views[table_name]
         fragment = None
         if record.plan is not None and not state["point"] \
                 and execution.materialize:
@@ -1294,52 +1244,44 @@ class QueryService:
         selection = None
         if fragment is not None and fragment.key_filter is not None:
             selection = self._select_partitions(
-                table_name, kind, node_id, record.snapshot_id,
-                fragment.key_filter,
+                view, node_id, fragment.key_filter
             )
         if selection is not None:
             entries, fetch, pruned, selected = selection
         else:
-            entries = self._entries_on_node(table_name, kind, node_id,
-                                            record.snapshot_id)
-            fetch = self._full_shard_fetch(record, table_name, kind,
-                                           node_id)
+            entries = view.entries_on_node(node_id)
+
+            def fetch() -> list[dict]:
+                return list(view.rows_on_node(node_id))
+
             pruned = 0
         if fragment is not None and fragment.pushed:
-            indexed = self._index_plan(record, table_name, kind, node_id,
-                                       fragment, selected, entries)
+            indexed = self._index_plan(view, node_id, fragment, selected,
+                                       entries)
             if indexed is not None:
                 indexed.pruned = pruned
                 return indexed
         return _ShardPlan(entries=entries, fetch=fetch, pruned=pruned,
                           fragment=fragment)
 
-    def _index_plan(self, record: _InFlight, table_name: str, kind: str,
-                    node_id: int, fragment: ScanFragment,
-                    selected: list[int] | None,
+    def _index_plan(self, view: TableView, node_id: int,
+                    fragment: ScanFragment, selected: list[int] | None,
                     scan_entries: int) -> _ShardPlan | None:
         """Index-backed shard plan, or ``None`` when no index beats the
         (pruned) full scan under the cost model."""
         if not self.index_enabled:
             return None
-        snapshot_id = record.snapshot_id
-        if isinstance(snapshot_id, list):
-            return None  # all-versions scans stay on the legacy path
-        table = self._table_for(table_name, kind)
-        if not hasattr(table, "index_probe_count"):
-            return None  # backend without secondary-index support
-        args: tuple = () if kind == "live" else (snapshot_id,)
-        if not table.index_ready(*args):
-            return None  # no indexes, or the version is not frozen yet
+        if not view.index_ready():
+            # backend (or all-versions view) without index support, no
+            # indexes, or the version is not frozen yet
+            return None
         if selected is None:
-            if not hasattr(table, "partitions_on_node"):
-                return None
-            selected = table.partitions_on_node(node_id)
+            selected = view.partitions_on_node(node_id)
         surcharge = self.costs.pushed_filter_entry_ms
         if fragment.partial is not None:
             surcharge += self.costs.partial_agg_entry_ms
         choice = choose_access_path(
-            fragment, table, args, selected, scan_entries, self.costs,
+            fragment, view, selected, scan_entries, self.costs,
             surcharge,
         )
         if choice.kind == "scan":
@@ -1349,7 +1291,7 @@ class QueryService:
         probe = choice.probe
 
         def fetch() -> list[dict]:
-            return table.index_rows(partitions, column, probe, *args)
+            return view.index_rows(partitions, column, probe)
 
         return _ShardPlan(
             entries=choice.candidates,
@@ -1360,35 +1302,28 @@ class QueryService:
             indexed=True,
         )
 
-    def _select_partitions(self, table_name: str, kind: str, node_id: int,
-                           snapshot_id, key_filter):
-        """Partition-level pruning; ``None`` when the table or filter
+    def _select_partitions(self, view: TableView, node_id: int,
+                           key_filter):
+        """Partition-level pruning; ``None`` when the view or filter
         shape does not support it (whole-shard scan instead)."""
-        if kind == "live":
-            table = self.store.get_live_table(table_name)
-            args: tuple = ()
-        else:
-            if isinstance(snapshot_id, list):
-                return None  # all-versions scans stay on the legacy path
-            table = self.store.get_snapshot_table(table_name)
-            args = (snapshot_id,)
-        if not hasattr(table, "rows_in_partition"):
-            return None  # incremental/LSM backends: no partition rows
-        partitions = table.partitions_on_node(node_id)
+        if not view.supports_partition_rows:
+            # incremental/LSM backends and all-versions reads
+            return None
+        partitions = view.partitions_on_node(node_id)
         if isinstance(key_filter, KeySet):
             # Exact key pinning is placement-stable: a key inserted
             # mid-scan still hashes into a selected partition.
             target = {
-                table.partition_of_key(key) for key in key_filter.keys
+                view.partition_of_key(key) for key in key_filter.keys
             }
             selected = [p for p in partitions if p in target]
-        elif kind == "snapshot":
+        elif view.immutable:
             # Zone-map range pruning: committed snapshots are immutable,
             # so per-partition (min, max) key bounds computed at scan
             # start stay valid for the whole scan.
             selected = []
             for partition in partitions:
-                bounds = table.partition_key_bounds(partition, *args)
+                bounds = view.partition_key_bounds(partition)
                 if bounds is None or key_filter.overlaps(*bounds):
                     selected.append(partition)
         else:
@@ -1396,43 +1331,19 @@ class QueryService:
             # now could hide rows inserted later, so ranges don't prune.
             return None
         entries = sum(
-            table.partition_entry_count(partition, *args)
+            view.partition_entry_count(partition)
             for partition in selected
         )
 
         def fetch() -> list[dict]:
             rows: list[dict] = []
             for partition in selected:
-                rows.extend(table.rows_in_partition(partition, *args))
+                rows.extend(view.rows_in_partition(partition))
             return rows
 
         return entries, fetch, len(partitions) - len(selected), selected
 
-    def _full_shard_fetch(self, record: _InFlight, table_name: str,
-                          kind: str, node_id: int):
-        snapshot_id = record.snapshot_id
-        if kind == "live":
-            live = self.store.get_live_table(table_name)
-            return lambda: list(live.rows_on_node(node_id))
-        table = self.store.get_snapshot_table(table_name)
-        if isinstance(snapshot_id, list):
-            return lambda: list(
-                table.rows_all_versions_on_node(node_id, snapshot_id)
-            )
-        return lambda: list(table.rows_on_node(node_id, snapshot_id))
-
-    def _entries_on_node(self, table_name: str, kind: str, node_id: int,
-                         snapshot_id: int | list[int] | None) -> int:
-        if kind == "live":
-            return self.store.get_live_table(table_name).entries_on_node(
-                node_id
-            )
-        table = self.store.get_snapshot_table(table_name)
-        if isinstance(snapshot_id, list):
-            return table.entries_all_versions_on_node(node_id, snapshot_id)
-        return table.entries_on_node(node_id, snapshot_id)
-
-    def _shard_scanned(self, record: _InFlight, table_name: str, kind: str,
+    def _shard_scanned(self, record: _InFlight, table_name: str,
                        node_id: int, entries: int, attempt: int,
                        fetch, fragment, compiled=None) -> None:
         """Materialise this shard's rows *now*, run the pushed fragment
@@ -1445,9 +1356,7 @@ class QueryService:
         lock_rows: list[dict] | None = None
         if not execution.materialize:
             payload: list[dict] | int | PartialGroups | _ShardError = (
-                self._row_count(
-                    table_name, kind, node_id, record.snapshot_id
-                )
+                record.views[table_name].row_count_on_node(node_id)
             )
         else:
             raws = fetch()
@@ -1475,12 +1384,12 @@ class QueryService:
             # Join input that stays node-local: the rows are held for a
             # later stage and only a framed ack ships to the entry node.
             payload = _JoinLocalAck(node_id, payload)
-        self._ship_when_locked(record, table_name, kind, node_id, payload,
+        self._ship_when_locked(record, table_name, node_id, payload,
                                attempt, lock_rows)
 
     def _ship_when_locked(self, record: _InFlight, table_name: str,
-                          kind: str, node_id: int, payload,
-                          attempt: int, lock_rows=None) -> None:
+                          node_id: int, payload, attempt: int,
+                          lock_rows=None) -> None:
         """Ship a shard's payload, acquiring repeatable-read locks first.
 
         ``lock_rows`` are the raw rows to lock when they differ from the
@@ -1492,7 +1401,8 @@ class QueryService:
         rows_to_lock = payload if lock_rows is None else lock_rows
         if (
             self.repeatable_read
-            and kind == "live"
+            # key locks guard live state; committed versions are immutable
+            and not record.views[table_name].immutable
             and isinstance(rows_to_lock, list)
         ):
             self._lock_rows(record.execution, table_name, rows_to_lock,
@@ -1549,19 +1459,6 @@ class QueryService:
             nbytes=nbytes,
             channel=channel,
         )
-
-    def _row_count(self, table_name: str, kind: str, node_id: int,
-                   snapshot_id: int | list[int] | None) -> int:
-        if kind == "live":
-            return self.store.get_live_table(table_name).row_count_on_node(
-                node_id
-            )
-        table = self.store.get_snapshot_table(table_name)
-        if isinstance(snapshot_id, list):
-            return table.rows_all_versions_count_on_node(
-                node_id, snapshot_id
-            )
-        return table.row_count_on_node(node_id, snapshot_id)
 
     def _lock_rows(self, execution: QueryExecution, table_name: str,
                    rows: list[dict], then: Callable[[], None]) -> None:

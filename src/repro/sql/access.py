@@ -138,16 +138,16 @@ def _candidate_label(path: AccessPath) -> str:
     return f"index on {path.column!r}"
 
 
-def choose_access_path(fragment: ScanFragment, view, view_args: tuple,
+def choose_access_path(fragment: ScanFragment, view,
                        partitions: list[int], scan_entries: int,
                        costs, surcharge_ms: float = 0.0,
                        sketch: SketchCandidate | None = None,
                        indexes: bool = True) -> AccessPath:
     """Pick the cheapest way to read ``partitions`` of ``view``.
 
-    ``view`` is a live or snapshot table exposing ``index_columns()``
-    and ``index_probe_count(partition, column, probe, *view_args)``
-    (``view_args`` carries the snapshot id for snapshot tables).  The
+    ``view`` is a :class:`~repro.state.view.TableView` (anything
+    exposing ``index_columns()`` and ``index_probe_count(partition,
+    column, probe)``), already bound to the version it reads.  The
     full scan is the baseline; an index or sketch path must be strictly
     cheaper to win.  ``sketch`` is an already-validated sketch read the
     caller wants priced against the exact paths; ``indexes=False``
@@ -180,9 +180,7 @@ def choose_access_path(fragment: ScanFragment, view, view_args: tuple,
         candidates = 0
         unsound: int | None = None
         for partition in partitions:
-            counted = view.index_probe_count(
-                partition, column, probe, *view_args
-            )
+            counted = view.index_probe_count(partition, column, probe)
             if counted is None:
                 unsound = partition
                 break

@@ -1,0 +1,142 @@
+"""What every snapshot-table backend shares.
+
+A snapshot table stores one operator's keyed state per snapshot id,
+partitioned by operator instance.  The three backends differ only in
+*how a version of one instance is stored and reconstructed* (full
+copies, backward delta chains, LSM runs); placement, the node-local
+read methods and the "this backend has no indexes/sketches" defaults
+are the same for all of them and live here once.
+
+A backend implements :meth:`materialize_instance`, ``has_snapshot``,
+``write_instance`` and ``drop_snapshot``, and declares what else it can
+do through the ``supports_*`` class attributes — readers
+(:class:`~repro.state.view.TableView`) consult those instead of probing
+for methods.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Hashable, Iterable, Iterator
+
+from ..cluster.partition import stable_hash
+from .rows import snapshot_row
+
+
+class SnapshotTableBase:
+    """Placement, node-local reads and capability defaults of one
+    operator's snapshot table."""
+
+    #: Per-partition row access (``partition_entry_count`` /
+    #: ``rows_in_partition`` / ``partition_key_bounds``), the basis of
+    #: partition-level scan pruning.
+    supports_partition_rows = False
+    #: Secondary indexes (``add_index`` / ``index_*``).
+    supports_indexes = False
+    #: Probabilistic sketches (``add_sketch`` / ``sketch_*`` /
+    #: ``approx_estimate``).
+    supports_sketches = False
+
+    #: Defaults of a backend without indexes/sketches: nothing to
+    #: maintain, bill or freeze.
+    index_count = 0
+    sketch_count = 0
+    index_maintenance_ops = 0
+    sketch_maintenance_ops = 0
+
+    def __init__(self, name: str, parallelism: int,
+                 node_of_instance: Callable[[int], int]) -> None:
+        self.name = name
+        self.parallelism = parallelism
+        self._node_of_instance = node_of_instance
+
+    def freeze_index(self, ssid: int) -> None:
+        """Commit time: nothing to freeze without indexes."""
+
+    def freeze_sketch(self, ssid: int) -> None:
+        """Commit time: nothing to freeze without sketches."""
+
+    # -- placement ---------------------------------------------------------
+    #
+    # Snapshot partitions coincide with operator instances.
+
+    def partition_of_key(self, key: Hashable) -> int:
+        return stable_hash(key) % self.parallelism
+
+    def owner_node_of(self, key: Hashable) -> int:
+        """Node holding ``key``'s instance partition (point lookups)."""
+        return self._node_of_instance(self.partition_of_key(key))
+
+    def partitions_on_node(self, node_id: int) -> list[int]:
+        """Instance partitions a node hosts (node-level scan pruning)."""
+        return [
+            instance for instance in range(self.parallelism)
+            if self._node_of_instance(instance) == node_id
+        ]
+
+    # -- reads -------------------------------------------------------------
+
+    def materialize_instance(self, ssid: int,
+                             instance: int) -> tuple[dict, int]:
+        """One instance's state at ``ssid`` and the stored entries a
+        scan visits to produce it; raises
+        :class:`~repro.errors.SnapshotNotFoundError` for an unknown id.
+        Readers must not mutate the returned state."""
+        raise NotImplementedError
+
+    def _instances_at(self, ssid: int) -> Iterable[int]:
+        """Instances a scan of ``ssid`` visits, in scan order."""
+        del ssid
+        return range(self.parallelism)
+
+    def _on_node(self, node_id: int,
+                 ssid: int) -> Iterator[tuple[dict, int]]:
+        for instance in self._instances_at(ssid):
+            if self._node_of_instance(instance) == node_id:
+                yield self.materialize_instance(ssid, instance)
+
+    def instance_state(self, ssid: int, instance: int) -> dict:
+        return dict(self.materialize_instance(ssid, instance)[0])
+
+    def materialize(self, ssid: int) -> tuple[dict, int]:
+        """The complete operator state at ``ssid``, with its scan cost."""
+        merged: dict[Hashable, object] = {}
+        scanned = 0
+        for instance in self._instances_at(ssid):
+            state, visited = self.materialize_instance(ssid, instance)
+            merged.update(state)
+            scanned += visited
+        return merged, scanned
+
+    def rows_for_snapshot(self, ssid: int) -> Iterator[dict]:
+        state, _ = self.materialize(ssid)
+        for key, value in state.items():
+            yield snapshot_row(key, ssid, value)
+
+    def rows_on_node(self, node_id: int, ssid: int) -> Iterator[dict]:
+        for state, _ in self._on_node(node_id, ssid):
+            for key, value in state.items():
+                yield snapshot_row(key, ssid, value)
+
+    def entries_on_node(self, node_id: int, ssid: int) -> int:
+        """Stored entries a node-local scan of ``ssid`` must visit."""
+        return sum(visited for _, visited in self._on_node(node_id, ssid))
+
+    def row_count_on_node(self, node_id: int, ssid: int) -> int:
+        """Result rows a node-local scan produces (== entries for full
+        snapshots; reconstructing backends visit more entries than
+        rows)."""
+        return sum(len(state) for state, _ in self._on_node(node_id, ssid))
+
+    def point_rows(self, key: Hashable, ssid: int) -> list[dict]:
+        """The single (key, ssid) row, or empty (point lookup)."""
+        state, _ = self.materialize_instance(
+            ssid, self.partition_of_key(key)
+        )
+        if key not in state:
+            return []
+        return [snapshot_row(key, ssid, state[key])]
+
+    # -- failure handling --------------------------------------------------
+
+    def on_node_failure(self, node_id: int) -> None:
+        """Committed snapshots survive via synchronous replicas."""

@@ -21,10 +21,10 @@ trading background work for query latency and space.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable
 
 from ..errors import SnapshotNotFoundError
-from .rows import snapshot_row
+from .base import SnapshotTableBase
 
 
 class _Tombstone:
@@ -53,15 +53,16 @@ class _InstanceChain:
         self.coverage: dict[int, int] = {}
 
 
-class IncrementalSnapshotTable:
-    """Snapshot state of one operator, incremental mode."""
+class IncrementalSnapshotTable(SnapshotTableBase):
+    """Snapshot state of one operator, incremental mode.
+
+    Chain reconstruction has no per-partition row API, so partition-
+    level pruning falls back to whole-node scans here."""
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int],
                  prune_chain_length: int = 8) -> None:
-        self.name = name
-        self.parallelism = parallelism
-        self._node_of_instance = node_of_instance
+        super().__init__(name, parallelism, node_of_instance)
         self._prune_chain_length = prune_chain_length
         self._chains: dict[int, _InstanceChain] = {}
         self._ssids: list[int] = []
@@ -162,99 +163,6 @@ class IncrementalSnapshotTable:
                 break
         return best
 
-    def materialize(self, ssid: int) -> tuple[dict, int]:
-        """Reconstruct the complete operator state at ``ssid``."""
-        merged: dict[Hashable, object] = {}
-        scanned = 0
-        for instance in range(self.parallelism):
-            state, visited = self.materialize_instance(ssid, instance)
-            merged.update(state)
-            scanned += visited
-        return merged, scanned
-
-    def rows_for_snapshot(self, ssid: int) -> Iterator[dict]:
-        state, _ = self.materialize(ssid)
-        for key, value in state.items():
-            yield snapshot_row(key, ssid, value)
-
-    def rows_on_node(self, node_id: int, ssid: int) -> Iterator[dict]:
-        for instance in range(self.parallelism):
-            if self._node_of_instance(instance) != node_id:
-                continue
-            state, _ = self.materialize_instance(ssid, instance)
-            for key, value in state.items():
-                yield snapshot_row(key, ssid, value)
-
-    def entries_on_node(self, node_id: int, ssid: int) -> int:
-        """Backward-walk cost of a node-local scan at ``ssid``."""
-        scanned = 0
-        for instance in range(self.parallelism):
-            if self._node_of_instance(instance) != node_id:
-                continue
-            _, visited = self.materialize_instance(ssid, instance)
-            scanned += visited
-        return scanned
-
-    def row_count_on_node(self, node_id: int, ssid: int) -> int:
-        """Result rows of a node-local scan (distinct live keys)."""
-        rows = 0
-        for instance in range(self.parallelism):
-            if self._node_of_instance(instance) != node_id:
-                continue
-            state, _ = self.materialize_instance(ssid, instance)
-            rows += len(state)
-        return rows
-
-    def instance_state(self, ssid: int, instance: int) -> dict:
-        state, _ = self.materialize_instance(ssid, instance)
-        return state
-
-    def owner_node_of(self, key: Hashable) -> int:
-        """Node holding ``key``'s instance partition (point lookups)."""
-        from ..cluster.partition import stable_hash
-
-        return self._node_of_instance(stable_hash(key) % self.parallelism)
-
-    def partitions_on_node(self, node_id: int) -> list[int]:
-        """Instance partitions a node hosts (node-level scan pruning;
-        chain reconstruction has no per-partition row API, so partition-
-        level pruning falls back to whole-node scans here)."""
-        return [
-            instance for instance in range(self.parallelism)
-            if self._node_of_instance(instance) == node_id
-        ]
-
-    def partition_of_key(self, key: Hashable) -> int:
-        from ..cluster.partition import stable_hash
-
-        return stable_hash(key) % self.parallelism
-
-    def point_rows(self, key: Hashable, ssid: int) -> list[dict]:
-        """The single (key, ssid) row, or empty (point lookup)."""
-        from ..cluster.partition import stable_hash
-
-        instance = stable_hash(key) % self.parallelism
-        state = self.instance_state(ssid, instance)
-        if key not in state:
-            return []
-        return [snapshot_row(key, ssid, state[key])]
-
-    def rows_all_versions_on_node(self, node_id: int,
-                                  ssids: list[int]) -> Iterator[dict]:
-        """Multi-version rows (§VI-A), reconstructed per version."""
-        for ssid in ssids:
-            yield from self.rows_on_node(node_id, ssid)
-
-    def entries_all_versions_on_node(self, node_id: int,
-                                     ssids: list[int]) -> int:
-        return sum(self.entries_on_node(node_id, ssid) for ssid in ssids)
-
-    def rows_all_versions_count_on_node(self, node_id: int,
-                                        ssids: list[int]) -> int:
-        return sum(
-            self.row_count_on_node(node_id, ssid) for ssid in ssids
-        )
-
     # -- pruning -----------------------------------------------------------
 
     def chain_length(self, instance: int) -> int:
@@ -319,8 +227,3 @@ class IncrementalSnapshotTable:
             for chain in self._chains.values()
             for delta in chain.deltas.values()
         )
-
-    # -- failure handling ----------------------------------------------------
-
-    def on_node_failure(self, node_id: int) -> None:
-        """Committed snapshot deltas survive via synchronous replicas."""

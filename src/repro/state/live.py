@@ -20,6 +20,12 @@ _MISSING = object()
 class LiveStateTable:
     """Queryable view over an operator's live IMap."""
 
+    #: Declared capabilities, read by :class:`~repro.state.view.TableView`
+    #: (same names as on the snapshot backends).
+    supports_partition_rows = True
+    supports_indexes = True
+    supports_sketches = True
+
     def __init__(self, imap: IMap) -> None:
         self._imap = imap
         #: Continuous-query change capture (None = capture disabled; the

@@ -17,24 +17,26 @@ passed.  ``benchmarks/bench_ablation_lsm.py`` measures the effect.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable
 
 from ..errors import SnapshotNotFoundError
 from ..lsm import LsmStore
+from .base import SnapshotTableBase
 from .rows import snapshot_row
 
 
-class LsmSnapshotTable:
+class LsmSnapshotTable(SnapshotTableBase):
     """Snapshot state of one operator, stored in per-instance LSM
-    stores with MVCC versions keyed by snapshot id."""
+    stores with MVCC versions keyed by snapshot id.
+
+    LSM reconstruction has no per-partition row API, so partition-level
+    pruning falls back to whole-node scans here."""
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int],
                  memtable_limit: int = 100_000,
                  l0_compaction_threshold: int = 4) -> None:
-        self.name = name
-        self.parallelism = parallelism
-        self._node_of_instance = node_of_instance
+        super().__init__(name, parallelism, node_of_instance)
         self._stores = [
             LsmStore(memtable_limit=memtable_limit,
                      l0_compaction_threshold=l0_compaction_threshold)
@@ -99,32 +101,6 @@ class LsmSnapshotTable:
         self._cache[(instance, ssid)] = (dict(state), scanned)
         return state, scanned
 
-    def instance_state(self, ssid: int, instance: int) -> dict:
-        state, _ = self.materialize_instance(ssid, instance)
-        return state
-
-    def materialize(self, ssid: int) -> tuple[dict, int]:
-        merged: dict[Hashable, object] = {}
-        scanned = 0
-        for instance in range(self.parallelism):
-            state, visited = self.materialize_instance(ssid, instance)
-            merged.update(state)
-            scanned += visited
-        return merged, scanned
-
-    def rows_for_snapshot(self, ssid: int) -> Iterator[dict]:
-        state, _ = self.materialize(ssid)
-        for key, value in state.items():
-            yield snapshot_row(key, ssid, value)
-
-    def rows_on_node(self, node_id: int, ssid: int) -> Iterator[dict]:
-        for instance in range(self.parallelism):
-            if self._node_of_instance(instance) != node_id:
-                continue
-            state, _ = self.materialize_instance(ssid, instance)
-            for key, value in state.items():
-                yield snapshot_row(key, ssid, value)
-
     def entries_on_node(self, node_id: int, ssid: int) -> int:
         """Reconstruction cost: stored versions a scan touches (bounded
         by compaction — the §VI-B read-amplification argument)."""
@@ -136,63 +112,15 @@ class LsmSnapshotTable:
             if self._node_of_instance(instance) == node_id
         )
 
-    def row_count_on_node(self, node_id: int, ssid: int) -> int:
-        rows = 0
-        for instance in range(self.parallelism):
-            if self._node_of_instance(instance) != node_id:
-                continue
-            state, _ = self.materialize_instance(ssid, instance)
-            rows += len(state)
-        return rows
-
-    def owner_node_of(self, key: Hashable) -> int:
-        """Node holding ``key``'s instance partition (point lookups)."""
-        from ..cluster.partition import stable_hash
-
-        return self._node_of_instance(stable_hash(key) % self.parallelism)
-
-    def partitions_on_node(self, node_id: int) -> list[int]:
-        """Instance partitions a node hosts (node-level scan pruning;
-        LSM reconstruction has no per-partition row API, so partition-
-        level pruning falls back to whole-node scans here)."""
-        return [
-            instance for instance in range(self.parallelism)
-            if self._node_of_instance(instance) == node_id
-        ]
-
-    def partition_of_key(self, key: Hashable) -> int:
-        from ..cluster.partition import stable_hash
-
-        return stable_hash(key) % self.parallelism
-
     def point_rows(self, key: Hashable, ssid: int) -> list[dict]:
         """A true MVCC point get against the instance's LSM store."""
         if ssid not in self._ssids:
             raise SnapshotNotFoundError(ssid)
-        from ..cluster.partition import stable_hash
-
-        instance = stable_hash(key) % self.parallelism
+        instance = self.partition_of_key(key)
         value = self._stores[instance].get(key, ssid=ssid)
         if value is None:
             return []
         return [snapshot_row(key, ssid, value)]
-
-    # -- multi-version API (§VI-A) ---------------------------------------
-
-    def rows_all_versions_on_node(self, node_id: int,
-                                  ssids: list[int]) -> Iterator[dict]:
-        for ssid in ssids:
-            yield from self.rows_on_node(node_id, ssid)
-
-    def entries_all_versions_on_node(self, node_id: int,
-                                     ssids: list[int]) -> int:
-        return sum(self.entries_on_node(node_id, ssid) for ssid in ssids)
-
-    def rows_all_versions_count_on_node(self, node_id: int,
-                                        ssids: list[int]) -> int:
-        return sum(
-            self.row_count_on_node(node_id, ssid) for ssid in ssids
-        )
 
     # -- maintenance ---------------------------------------------------------
 
@@ -218,8 +146,3 @@ class LsmSnapshotTable:
 
     def store_of(self, instance: int) -> LsmStore:
         return self._stores[instance]
-
-    # -- failure handling -----------------------------------------------------
-
-    def on_node_failure(self, node_id: int) -> None:
-        """Committed snapshot data survives via synchronous replicas."""

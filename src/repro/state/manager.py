@@ -25,6 +25,7 @@ from ..config import SQueryConfig
 from ..errors import StateError
 from ..dataflow.backend import VanillaBackend, submit_chunked_write
 from ..kvstore import InstancePlacement, StateStore
+from .base import SnapshotTableBase
 from .incremental import IncrementalSnapshotTable
 from .live import LiveStateTable
 from .rows import sanitize_table_name, snapshot_table_name
@@ -41,7 +42,7 @@ class SQueryBackend(VanillaBackend):
         self.config = config or SQueryConfig()
         self.config.validate()
         self.live_tables: dict[str, LiveStateTable] = {}
-        self.snapshot_tables: dict[str, object] = {}
+        self.snapshot_tables: dict[str, SnapshotTableBase] = {}
         self._vertex_table: dict[str, str] = {}
         self._node_of: dict[str, Callable[[int], int]] = {}
         self._parallelism: dict[str, int] = {}
@@ -88,7 +89,7 @@ class SQueryBackend(VanillaBackend):
         if self.config.snapshot_state:
             snap_name = snapshot_table_name(vertex_name)
             if not self.config.incremental:
-                table: object = FullSnapshotTable(
+                table: SnapshotTableBase = FullSnapshotTable(
                     snap_name, parallelism, node_of_instance
                 )
             elif self.config.incremental_backend == "lsm":
@@ -211,12 +212,8 @@ class SQueryBackend(VanillaBackend):
             # up front; the LSM backend amortises it into background
             # compaction instead (append-only writes).
             per_entry += costs.incremental_entry_overhead_ms
-        per_entry += costs.index_maintain_entry_ms * getattr(
-            table, "index_count", 0
-        )
-        per_entry += costs.sketch_maintain_entry_ms * getattr(
-            table, "sketch_count", 0
-        )
+        per_entry += costs.index_maintain_entry_ms * table.index_count
+        per_entry += costs.sketch_maintain_entry_ms * table.sketch_count
         server = self._cluster.node(node_id).store_server(instance)
 
         def finish() -> None:

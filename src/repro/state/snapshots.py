@@ -10,22 +10,25 @@ during the 2PC, so they survive node failures.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from ..approx.registry import SketchDef, SketchRegistry
 from ..errors import SnapshotNotFoundError
 from ..kvstore.indexes import IndexDef, IndexRegistry
+from .base import SnapshotTableBase
 from .rows import snapshot_row
 
 
-class FullSnapshotTable:
+class FullSnapshotTable(SnapshotTableBase):
     """Snapshot state of one operator, full-copy mode."""
+
+    supports_partition_rows = True
+    supports_indexes = True
+    supports_sketches = True
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int]) -> None:
-        self.name = name
-        self.parallelism = parallelism
-        self._node_of_instance = node_of_instance
+        super().__init__(name, parallelism, node_of_instance)
         #: ssid -> instance -> {key: state object}
         self._by_ssid: dict[int, dict[int, dict[Hashable, object]]] = {}
         #: Secondary index definitions, shared by every version; each
@@ -137,9 +140,7 @@ class FullSnapshotTable:
     def index_rows(self, partitions: list[int], column: str, probe,
                    ssid: int) -> list[dict]:
         """Candidate rows of an index probe (same order as a scan)."""
-        snapshot = self._by_ssid.get(ssid)
-        if snapshot is None:
-            raise SnapshotNotFoundError(ssid)
+        snapshot = self._version(ssid)
         registry = self._indexes.get(ssid)
         rows: list[dict] = []
         for partition in partitions:
@@ -267,19 +268,20 @@ class FullSnapshotTable:
     def has_snapshot(self, ssid: int) -> bool:
         return ssid in self._by_ssid
 
-    def instance_state(self, ssid: int, instance: int) -> dict:
+    def _version(self, ssid: int) -> dict[int, dict[Hashable, object]]:
         snapshot = self._by_ssid.get(ssid)
         if snapshot is None:
             raise SnapshotNotFoundError(ssid)
-        return dict(snapshot.get(instance, {}))
+        return snapshot
 
-    def rows_for_snapshot(self, ssid: int) -> Iterator[dict]:
-        snapshot = self._by_ssid.get(ssid)
-        if snapshot is None:
-            raise SnapshotNotFoundError(ssid)
-        for instance_state in snapshot.values():
-            for key, value in instance_state.items():
-                yield snapshot_row(key, ssid, value)
+    def _instances_at(self, ssid: int) -> Iterable[int]:
+        # Instances in the order their checkpoint writes landed.
+        return self._version(ssid)
+
+    def materialize_instance(self, ssid: int,
+                             instance: int) -> tuple[dict, int]:
+        state = self._version(ssid).get(instance, {})
+        return state, len(state)
 
     def rows_all_versions(self) -> Iterator[dict]:
         """Rows across every retained version, each tagged with its
@@ -287,90 +289,26 @@ class FullSnapshotTable:
         for ssid in sorted(self._by_ssid):
             yield from self.rows_for_snapshot(ssid)
 
-    def rows_all_versions_on_node(self, node_id: int,
-                                  ssids: list[int]) -> Iterator[dict]:
-        for ssid in ssids:
-            yield from self.rows_on_node(node_id, ssid)
-
-    def entries_all_versions_on_node(self, node_id: int,
-                                     ssids: list[int]) -> int:
-        return sum(self.entries_on_node(node_id, ssid) for ssid in ssids)
-
-    def rows_all_versions_count_on_node(self, node_id: int,
-                                        ssids: list[int]) -> int:
-        return sum(
-            self.row_count_on_node(node_id, ssid) for ssid in ssids
-        )
-
-    def rows_on_node(self, node_id: int, ssid: int) -> Iterator[dict]:
-        snapshot = self._by_ssid.get(ssid)
-        if snapshot is None:
-            raise SnapshotNotFoundError(ssid)
-        for instance, instance_state in snapshot.items():
-            if self._node_of_instance(instance) != node_id:
-                continue
-            for key, value in instance_state.items():
-                yield snapshot_row(key, ssid, value)
-
-    def entries_on_node(self, node_id: int, ssid: int) -> int:
-        """Raw entries a node-local scan of ``ssid`` must visit."""
-        snapshot = self._by_ssid.get(ssid)
-        if snapshot is None:
-            raise SnapshotNotFoundError(ssid)
-        return sum(
-            len(instance_state)
-            for instance, instance_state in snapshot.items()
-            if self._node_of_instance(instance) == node_id
-        )
-
-    def row_count_on_node(self, node_id: int, ssid: int) -> int:
-        """Result rows a node-local scan produces (== entries for full
-        snapshots; incremental tables visit more entries than rows)."""
-        return self.entries_on_node(node_id, ssid)
-
-    def owner_node_of(self, key: Hashable) -> int:
-        """Node holding ``key``'s instance partition (point lookups)."""
-        from ..cluster.partition import stable_hash
-
-        return self._node_of_instance(stable_hash(key) % self.parallelism)
-
     # -- partition-granular access (distributed scan pruning) --------------
     #
-    # Snapshot partitions coincide with operator instances; because a
-    # committed snapshot is immutable, partition selections and zone
-    # maps computed at scan start stay valid for the whole scan.
-
-    def partitions_on_node(self, node_id: int) -> list[int]:
-        return [
-            instance for instance in range(self.parallelism)
-            if self._node_of_instance(instance) == node_id
-        ]
-
-    def partition_of_key(self, key: Hashable) -> int:
-        from ..cluster.partition import stable_hash
-
-        return stable_hash(key) % self.parallelism
+    # Because a committed snapshot is immutable, partition selections
+    # and zone maps computed at scan start stay valid for the whole
+    # scan.
 
     def partition_entry_count(self, partition: int, ssid: int) -> int:
-        snapshot = self._by_ssid.get(ssid)
-        if snapshot is None:
-            raise SnapshotNotFoundError(ssid)
+        snapshot = self._version(ssid)
         return len(snapshot.get(partition, {}))
 
     def rows_in_partition(self, partition: int,
                           ssid: int) -> Iterator[dict]:
-        snapshot = self._by_ssid.get(ssid)
-        if snapshot is None:
-            raise SnapshotNotFoundError(ssid)
+        snapshot = self._version(ssid)
         for key, value in snapshot.get(partition, {}).items():
             yield snapshot_row(key, ssid, value)
 
     def partition_key_bounds(
         self, partition: int, ssid: int
     ) -> tuple[object, object] | None:
-        snapshot = self._by_ssid.get(ssid)
-        if snapshot is None:
-            raise SnapshotNotFoundError(ssid)
+        snapshot = self._version(ssid)
         keys = list(snapshot.get(partition, {}))
         if not keys:
             return None
@@ -379,20 +317,8 @@ class FullSnapshotTable:
         except TypeError:
             return None
 
-    def point_rows(self, key: Hashable, ssid: int) -> list[dict]:
-        """The single (key, ssid) row, or empty (point lookup)."""
-        from ..cluster.partition import stable_hash
-
-        instance = stable_hash(key) % self.parallelism
-        state = self.instance_state(ssid, instance)
-        if key not in state:
-            return []
-        return [snapshot_row(key, ssid, state[key])]
-
     def snapshot_size(self, ssid: int) -> int:
-        snapshot = self._by_ssid.get(ssid)
-        if snapshot is None:
-            raise SnapshotNotFoundError(ssid)
+        snapshot = self._version(ssid)
         return sum(len(state) for state in snapshot.values())
 
     def total_entries(self) -> int:
@@ -402,8 +328,3 @@ class FullSnapshotTable:
             for snapshot in self._by_ssid.values()
             for state in snapshot.values()
         )
-
-    # -- failure handling ------------------------------------------------
-
-    def on_node_failure(self, node_id: int) -> None:
-        """Committed snapshots survive via synchronous replicas."""

@@ -1,0 +1,155 @@
+"""One read interface over live and snapshot state.
+
+The paper's point is that live state (Table I), snapshot state
+(Table II) and multi-version result sets (§VI-A) are read through the
+same SQL interface.  A :class:`TableView` is that interface inside the
+engine: one table bound — once per query — to the version(s) the query
+reads.  Readers call the same methods whatever is behind the view and
+consult its *declared* capabilities instead of asking which table
+family or backend they hold.
+"""
+
+from __future__ import annotations
+
+from typing import Hashable, Iterator
+
+
+class TableView:
+    """A state table bound to live state, one snapshot id, or several.
+
+    ``versions`` is ``None`` for a live table and a tuple of snapshot
+    ids otherwise.  Row reads and counts span every bound version
+    (version-major, the §VI-A multi-version order); partition-granular
+    access, indexes and sketches exist only on single-version views of
+    backends that declare them, so all-versions reads always take the
+    whole-shard scan path.
+    """
+
+    __slots__ = ("table", "versions", "_args", "immutable",
+                 "supports_partition_rows", "supports_indexes",
+                 "supports_sketches")
+
+    def __init__(self, table, versions: tuple[int, ...] | None = None
+                 ) -> None:
+        self.table = table
+        self.versions = versions
+        #: Per bound version, the positional version argument of the
+        #: table's read methods (live tables take none).
+        self._args: tuple[tuple, ...] = (
+            ((),) if versions is None
+            else tuple((ssid,) for ssid in versions)
+        )
+        #: Committed snapshot versions never change under a reader; live
+        #: state does.
+        self.immutable = versions is not None
+        single = len(self._args) == 1
+        self.supports_partition_rows = (
+            single and table.supports_partition_rows
+        )
+        self.supports_indexes = single and table.supports_indexes
+        self.supports_sketches = single and table.supports_sketches
+
+    @property
+    def _version(self) -> tuple:
+        """Version argument of the single-version methods."""
+        (args,) = self._args
+        return args
+
+    # -- placement ---------------------------------------------------------
+
+    def owner_node_of(self, key: Hashable) -> int:
+        return self.table.owner_node_of(key)
+
+    def partition_of_key(self, key: Hashable) -> int:
+        return self.table.partition_of_key(key)
+
+    def partitions_on_node(self, node_id: int) -> list[int]:
+        return self.table.partitions_on_node(node_id)
+
+    # -- node-local reads (every bound version) ----------------------------
+
+    def rows_on_node(self, node_id: int) -> Iterator[dict]:
+        for args in self._args:
+            yield from self.table.rows_on_node(node_id, *args)
+
+    def entries_on_node(self, node_id: int) -> int:
+        """Stored entries a node-local scan must visit."""
+        return sum(self.table.entries_on_node(node_id, *args)
+                   for args in self._args)
+
+    def row_count_on_node(self, node_id: int) -> int:
+        """Result rows a node-local scan produces."""
+        return sum(self.table.row_count_on_node(node_id, *args)
+                   for args in self._args)
+
+    def point_rows(self, key: Hashable) -> list[dict]:
+        rows: list[dict] = []
+        for args in self._args:
+            rows.extend(self.table.point_rows(key, *args))
+        return rows
+
+    # -- partition-granular access (``supports_partition_rows``) -----------
+
+    def partition_entry_count(self, partition: int) -> int:
+        return self.table.partition_entry_count(partition, *self._version)
+
+    def rows_in_partition(self, partition: int) -> Iterator[dict]:
+        return self.table.rows_in_partition(partition, *self._version)
+
+    def partition_key_bounds(
+        self, partition: int
+    ) -> tuple[object, object] | None:
+        return self.table.partition_key_bounds(partition, *self._version)
+
+    def partitions_and_entries(self, nodes: list[int]
+                               ) -> tuple[list[int], int]:
+        """Every partition hosted on ``nodes`` and the entries a scan of
+        all of them visits (what access-path and join pricing read)."""
+        partitions: list[int] = []
+        entries = 0
+        for node_id in nodes:
+            on_node = self.partitions_on_node(node_id)
+            partitions.extend(on_node)
+            if self.supports_partition_rows:
+                for partition in on_node:
+                    entries += self.partition_entry_count(partition)
+            else:
+                entries += self.entries_on_node(node_id)
+        return partitions, entries
+
+    # -- secondary indexes (``supports_indexes``) --------------------------
+
+    def index_ready(self) -> bool:
+        return self.supports_indexes and \
+            self.table.index_ready(*self._version)
+
+    def index_columns(self) -> dict[str, str]:
+        return self.table.index_columns()
+
+    def index_probe_count(self, partition: int, column: str,
+                          probe) -> tuple[int, int] | None:
+        return self.table.index_probe_count(
+            partition, column, probe, *self._version
+        )
+
+    def index_rows(self, partitions: list[int], column: str,
+                   probe) -> list[dict]:
+        return self.table.index_rows(
+            partitions, column, probe, *self._version
+        )
+
+    # -- sketches (``supports_sketches``) ----------------------------------
+
+    def sketch_ready(self) -> bool:
+        return self.supports_sketches and \
+            self.table.sketch_ready(*self._version)
+
+    def has_sketch(self, column: str, kind: str) -> bool:
+        return self.table.has_sketch(column, kind)
+
+    def approx_estimate(self, partitions: list[int], mode: str,
+                        column: str, value: object
+                        ) -> tuple[object, float, float] | None:
+        return self.table.approx_estimate(
+            partitions, mode, column, value, *self._version
+        )

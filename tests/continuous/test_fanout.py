@@ -25,7 +25,7 @@ SQL = 'SELECT COUNT(*) AS n, SUM(count) AS events FROM "average"'
 STAR = 'SELECT * FROM "average"'
 
 
-def start(env, rate=2000, shared_plans=None, **job_kwargs):
+def start(env, rate=2000, shared_plans=True, **job_kwargs):
     backend = make_squery_backend(env)
     job = build_average_job(env, backend=backend, rate=rate, **job_kwargs)
     service = QueryService(env, shared_plans=shared_plans)

@@ -4,6 +4,7 @@ pointer protocol."""
 import pytest
 
 from repro.errors import MapNotFoundError, StoreError
+from repro.state.base import SnapshotTableBase
 
 
 def test_create_map_idempotent(env):
@@ -86,15 +87,14 @@ def test_retire_noop_when_under_limit(env):
 def test_retire_notifies_snapshot_tables(env):
     dropped = []
 
-    class FakeTable:
+    class FakeTable(SnapshotTableBase):
         def drop_snapshot(self, ssid):
             dropped.append(ssid)
 
-        def on_node_failure(self, node_id):
-            pass
-
     store = env.store
-    store.register_snapshot_table("snapshot_x", FakeTable())
+    store.register_snapshot_table(
+        "snapshot_x", FakeTable("snapshot_x", 1, lambda instance: 0)
+    )
     for ssid in (1, 2, 3):
         store.begin_snapshot(ssid)
         store.commit_snapshot(ssid)

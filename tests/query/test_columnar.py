@@ -9,7 +9,7 @@ both scan paths).
 
 import pytest
 
-from repro.config import ClusterConfig, CostModel
+from repro.config import ClusterConfig
 from repro.env import Environment
 from repro.errors import SqlExecutionError
 from repro.observability import collect_report, format_report
@@ -19,10 +19,9 @@ from repro.state.live import LiveStateTable
 NODES = 3
 
 
-def build_env(keys=120, costs=None):
+def build_env(keys=120):
     env = Environment(
         ClusterConfig(nodes=NODES, processing_workers_per_node=1),
-        costs=costs,
     )
     imap = env.store.create_map("data")
     env.store.register_live_table("data", LiveStateTable(imap))
@@ -45,10 +44,6 @@ def test_gate_defaults_to_cost_model():
     env = build_env()
     assert QueryService(env).vectorized_enabled is True
     assert QueryService(env, vectorized=False).vectorized_enabled is False
-    off_costs = CostModel(vectorized_enabled=False)
-    env2 = build_env(costs=off_costs)
-    assert QueryService(env2).vectorized_enabled is False
-    assert QueryService(env2, vectorized=True).vectorized_enabled is True
 
 
 def test_explain_names_the_scan_mode():

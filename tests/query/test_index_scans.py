@@ -9,7 +9,7 @@ rows for selective predicates.
 import pytest
 
 from repro import Environment
-from repro.config import ClusterConfig, CostModel, IndexSpec
+from repro.config import ClusterConfig, IndexSpec
 from repro.observability import collect_report, format_report
 from repro.query import QueryService
 from repro.state.live import LiveStateTable
@@ -206,11 +206,6 @@ def test_cost_model_flag_controls_default(indexed_env):
     assert QueryService(indexed_env).index_enabled is True
     assert QueryService(indexed_env,
                         indexes=False).index_enabled is False
-    frugal = Environment(
-        ClusterConfig(nodes=2, processing_workers_per_node=1),
-        costs=CostModel(index_enabled=False),
-    )
-    assert QueryService(frugal).index_enabled is False
 
 
 # -- snapshot tables ---------------------------------------------------------

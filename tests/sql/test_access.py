@@ -183,7 +183,7 @@ def fragment_of(sql: str):
 def test_selective_equality_chooses_index_eq():
     fragment = fragment_of('SELECT * FROM "t" WHERE v = 5')
     view = FakeView({"v": "hash"}, {(0, "v"): (1, 3), (1, "v"): (1, 2)})
-    choice = choose_access_path(fragment, view, (), [0, 1], 1000, COSTS)
+    choice = choose_access_path(fragment, view, [0, 1], 1000, COSTS)
     assert choice.kind == "index-eq"
     assert choice.column == "v"
     assert choice.probes == 2
@@ -195,7 +195,7 @@ def test_selective_equality_chooses_index_eq():
 def test_selective_range_chooses_index_range():
     fragment = fragment_of('SELECT * FROM "t" WHERE v BETWEEN 2 AND 4')
     view = FakeView({"v": "sorted"}, {(0, "v"): (1, 10)})
-    choice = choose_access_path(fragment, view, (), [0], 1000, COSTS)
+    choice = choose_access_path(fragment, view, [0], 1000, COSTS)
     assert choice.kind == "index-range"
     assert "index range on 'v'" in choice.describe()
 
@@ -204,7 +204,7 @@ def test_non_selective_predicate_keeps_full_scan():
     fragment = fragment_of('SELECT * FROM "t" WHERE v = 5')
     # The index resolves nearly every row: probing cannot win.
     view = FakeView({"v": "hash"}, {(0, "v"): (1, 1000)})
-    choice = choose_access_path(fragment, view, (), [0], 1000, COSTS)
+    choice = choose_access_path(fragment, view, [0], 1000, COSTS)
     assert choice.kind == "scan"
     assert choice.candidates == choice.scan_entries == 1000
     assert "full scan" in choice.describe()
@@ -213,21 +213,21 @@ def test_non_selective_predicate_keeps_full_scan():
 def test_hash_index_rejects_range_probes():
     fragment = fragment_of('SELECT * FROM "t" WHERE v > 5')
     view = FakeView({"v": "hash"}, {(0, "v"): (1, 0)})
-    choice = choose_access_path(fragment, view, (), [0], 1000, COSTS)
+    choice = choose_access_path(fragment, view, [0], 1000, COSTS)
     assert choice.kind == "scan"
 
 
 def test_unprobeable_partition_vetoes_the_index_path():
     fragment = fragment_of('SELECT * FROM "t" WHERE v = 5')
     view = FakeView({"v": "hash"}, {(0, "v"): (1, 1)})  # 1 missing
-    choice = choose_access_path(fragment, view, (), [0, 1], 1000, COSTS)
+    choice = choose_access_path(fragment, view, [0, 1], 1000, COSTS)
     assert choice.kind == "scan"
 
 
 def test_unrestricted_index_column_is_skipped():
     fragment = fragment_of('SELECT * FROM "t" WHERE other = 1')
     view = FakeView({"v": "hash"}, {(0, "v"): (1, 0)})
-    choice = choose_access_path(fragment, view, (), [0], 1000, COSTS)
+    choice = choose_access_path(fragment, view, [0], 1000, COSTS)
     assert choice.kind == "scan"
 
 
@@ -237,7 +237,7 @@ def test_cheapest_index_wins_across_columns():
         {"v": "hash", "w": "hash"},
         {(0, "v"): (1, 200), (0, "w"): (1, 4)},
     )
-    choice = choose_access_path(fragment, view, (), [0], 1000, COSTS)
+    choice = choose_access_path(fragment, view, [0], 1000, COSTS)
     assert choice.kind == "index-eq"
     assert choice.column == "w"
 
@@ -245,8 +245,8 @@ def test_cheapest_index_wins_across_columns():
 def test_surcharge_prices_both_paths():
     fragment = fragment_of('SELECT * FROM "t" WHERE v = 5')
     view = FakeView({"v": "hash"}, {(0, "v"): (1, 100)})
-    flat = choose_access_path(fragment, view, (), [0], 1000, COSTS)
-    taxed = choose_access_path(fragment, view, (), [0], 1000, COSTS,
+    flat = choose_access_path(fragment, view, [0], 1000, COSTS)
+    taxed = choose_access_path(fragment, view, [0], 1000, COSTS,
                                surcharge_ms=0.01)
     assert taxed.cost_ms > flat.cost_ms
     assert taxed.scan_cost_ms > flat.scan_cost_ms

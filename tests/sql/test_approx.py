@@ -133,7 +133,7 @@ class TestAccessPathPricing:
 
     def test_sketch_wins_on_large_scans(self):
         choice = choose_access_path(
-            self.fragment(), _SketchlessView(), (), list(range(16)),
+            self.fragment(), _SketchlessView(), list(range(16)),
             scan_entries=50_000, costs=self.COSTS,
             sketch=SketchCandidate("countmin('v')", probes=16),
         )
@@ -144,7 +144,7 @@ class TestAccessPathPricing:
 
     def test_scan_wins_on_tiny_tables(self):
         choice = choose_access_path(
-            self.fragment(), _SketchlessView(), (), list(range(16)),
+            self.fragment(), _SketchlessView(), list(range(16)),
             scan_entries=10, costs=self.COSTS,
             sketch=SketchCandidate("countmin('v')", probes=16),
         )
@@ -153,7 +153,7 @@ class TestAccessPathPricing:
     def test_rejection_reasons_for_losing_candidates(self):
         # Sketch loses: the reason names it with both estimates.
         choice = choose_access_path(
-            self.fragment(), _SketchlessView(), (), list(range(16)),
+            self.fragment(), _SketchlessView(), list(range(16)),
             scan_entries=10, costs=self.COSTS,
             sketch=SketchCandidate("countmin('v')", probes=16),
         )
@@ -163,7 +163,7 @@ class TestAccessPathPricing:
         )
         # Sketch wins: the full scan's displacement is recorded.
         choice = choose_access_path(
-            self.fragment(), _SketchlessView(), (), list(range(16)),
+            self.fragment(), _SketchlessView(), list(range(16)),
             scan_entries=50_000, costs=self.COSTS,
             sketch=SketchCandidate("countmin('v')", probes=16),
         )
@@ -183,7 +183,7 @@ class TestAccessPathPricing:
             index_probe_count = index_columns
 
         choice = choose_access_path(
-            self.fragment(), _ExplodingView(), (), list(range(16)),
+            self.fragment(), _ExplodingView(), list(range(16)),
             scan_entries=50_000, costs=self.COSTS,
             sketch=SketchCandidate("countmin('v')", probes=16),
             indexes=False,
@@ -192,7 +192,7 @@ class TestAccessPathPricing:
 
     def test_no_sketch_candidate_means_no_sketch_path(self):
         choice = choose_access_path(
-            self.fragment(), _SketchlessView(), (), list(range(16)),
+            self.fragment(), _SketchlessView(), list(range(16)),
             scan_entries=50_000, costs=self.COSTS,
         )
         assert choice.kind == "scan"

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SnapshotNotFoundError
 from repro.state.lsm_backend import LsmSnapshotTable
+from repro.state.view import TableView
 
 from ..conftest import build_average_job, make_squery_backend
 
@@ -98,7 +99,7 @@ def test_multi_version_rows():
     table = make_table()
     table.write_instance(1, 0, {"a": 1})
     table.write_instance(2, 0, {"a": 2})
-    rows = list(table.rows_all_versions_on_node(0, [1, 2]))
+    rows = list(TableView(table, (1, 2)).rows_on_node(0))
     assert [(r["ssid"], r["value"]) for r in rows] == [(1, 1), (2, 2)]
 
 
