@@ -132,11 +132,7 @@ def copartitioned_tables(left_table, right_table,
     up as differing per-node sets.
     """
     for node_id in node_ids:
-        try:
-            left = set(left_table.partitions_on_node(node_id))
-            right = set(right_table.partitions_on_node(node_id))
-        except (AttributeError, TypeError):
-            return False
-        if left != right:
+        if set(left_table.partitions_on_node(node_id)) != \
+                set(right_table.partitions_on_node(node_id)):
             return False
     return True

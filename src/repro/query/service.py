@@ -261,17 +261,16 @@ class _SketchAnswer:
 class _InFlight:
     """Service-side bookkeeping for one running query."""
 
-    __slots__ = ("execution", "select", "table_kinds", "views",
-                 "state", "plan", "sketch", "join")
+    __slots__ = ("execution", "select", "views", "state", "plan",
+                 "sketch", "join")
 
     def __init__(self, execution: QueryExecution, select: Select,
-                 table_kinds: list[tuple[str, str]]) -> None:
+                 views: dict[str, TableView]) -> None:
         self.execution = execution
         self.select = select
-        self.table_kinds = table_kinds
-        #: table -> its view, bound to the resolved snapshot version(s)
-        #: when scans are dispatched.
-        self.views: dict[str, TableView] = {}
+        #: table -> its view (FROM order); snapshot tables are rebound
+        #: to the resolved version(s) when scans are dispatched.
+        self.views = views
         #: Scan-phase state; ``None`` until scans are dispatched.
         self.state: dict | None = None
         #: Distributed plan (scan fragments + final fragment); ``None``
@@ -396,10 +395,8 @@ class QueryService:
         tests keep the default and check real results.
         """
         select = parse(sql)
-        table_kinds = self._classify_tables(select)
-        targets_snapshot = any(
-            kind == "snapshot" for _, kind in table_kinds
-        )
+        views = self._bind(select, ())
+        targets_snapshot = any(view.immutable for view in views.values())
         isolation = isolation_of_query(
             targets_snapshot, self.repeatable_read,
             assume_no_failures=self.ha_mode,
@@ -414,7 +411,7 @@ class QueryService:
         if (
             not isinstance(select, Union)
             and not all_versions
-            and len(table_kinds) == 1
+            and len(views) == 1
             and not select.joins
         ):
             # Point-lookup pushdown: a single-table query pinned to one
@@ -428,7 +425,7 @@ class QueryService:
                 if len(keys) == 1:
                     execution.point_key = keys[0]
         execution.entry_node = self._next_entry_node()
-        record = _InFlight(execution, select, table_kinds)
+        record = _InFlight(execution, select, views)
         if (
             self.pushdown_enabled
             and materialize
@@ -478,16 +475,15 @@ class QueryService:
         from ..sql.explain import render_distributed
 
         select = parse(sql)
-        table_kinds = self._classify_tables(select)
         # Priced as of now: live tables as they are, snapshot tables at
         # the latest committed snapshot (no version before the first).
         committed = self.store.committed_ssid
-        views = self._bind(table_kinds,
+        views = self._bind(select,
                            () if committed is None else (committed,))
         lines: list[str] = []
         if (
             not isinstance(select, Union)
-            and len(table_kinds) == 1
+            and len(views) == 1
             and not select.joins
         ):
             keys = _extract_key_filter(select.where,
@@ -511,7 +507,7 @@ class QueryService:
             lines.append("distributed: ship all rows "
                          "(pushdown disabled)")
             lines.append(scan_mode)
-            lines.extend(self._explain_approx(select, table_kinds, views))
+            lines.extend(self._explain_approx(select, views))
             return "\n".join(lines)
         if isinstance(select, Union):
             lines.append("distributed: ship all rows "
@@ -524,7 +520,7 @@ class QueryService:
         lines.extend(render_distributed(select, plan))
         lines.extend(self._explain_access_paths(plan, views))
         lines.extend(explain_join_lines(self, select, plan, views))
-        lines.extend(self._explain_approx(select, table_kinds, views))
+        lines.extend(self._explain_approx(select, views))
         return "\n".join(lines)
 
     def _explain_access_paths(self, plan: DistributedPlan,
@@ -564,7 +560,7 @@ class QueryService:
                          for reason in choice.rejected)
         return lines
 
-    def _explain_approx(self, select, table_kinds: list[tuple[str, str]],
+    def _explain_approx(self, select,
                         views: dict[str, TableView]) -> list[str]:
         """How an APPROX aggregate would (or would not) be answered
         from sketches right now, including why every losing access-path
@@ -573,7 +569,7 @@ class QueryService:
             return []
         snapshot_id = _extract_ssid_filter(select.where)
         if snapshot_id is not None:
-            views = self._bind(table_kinds, (snapshot_id,))
+            views = self._bind(select, (snapshot_id,))
         priced = self._price_sketch(select, views)
         if isinstance(priced, str):
             return [f"  approx: exact fallback ({priced})"]
@@ -623,16 +619,22 @@ class QueryService:
 
     # -- internals ------------------------------------------------------
 
-    def _classify_tables(self, select: Select) -> list[tuple[str, str]]:
-        kinds: list[tuple[str, str]] = []
+    def _bind(self, select,
+              versions: tuple[int, ...]) -> dict[str, TableView]:
+        """The views a statement holds onto its tables, in FROM order:
+        live state, or the snapshot ``versions`` it reads (which live
+        tables ignore)."""
+        views: dict[str, TableView] = {}
         for name in select.table_names():
             if self.store.has_snapshot_table(name):
-                kinds.append((name, "snapshot"))
+                views[name] = TableView(
+                    self.store.get_snapshot_table(name), versions
+                )
             elif self.store.has_live_table(name):
-                kinds.append((name, "live"))
+                views[name] = TableView(self.store.get_live_table(name))
             else:
                 raise QueryError(f"unknown state table {name!r}")
-        return kinds
+        return views
 
     def _next_entry_node(self) -> int:
         alive = self.cluster.surviving_node_ids()
@@ -792,10 +794,8 @@ class QueryService:
         execution = record.execution
         if execution.done:
             return
-        if not execution.isolation.at_least(IsolationLevel.SNAPSHOT):
-            # Only queries that read a snapshot table run at snapshot
-            # isolation (``isolation_of_query``): live tables only.
-            self._start_scans(record, ())
+        if not any(view.immutable for view in record.views.values()):
+            self._start_scans(record, ())  # live tables only
             return
         if execution.all_versions:
             versions = self.store.available_ssids()
@@ -845,22 +845,23 @@ class QueryService:
 
     def _start_scans(self, record: _InFlight,
                      versions: tuple[int, ...]) -> None:
-        """Bind every table to the resolved snapshot ``versions`` (live
-        tables ignore them) and dispatch the first scan attempt."""
+        """Bind the snapshot tables to the resolved ``versions`` and
+        dispatch the first scan attempt."""
         execution = record.execution
-        record.views = self._bind(record.table_kinds, versions)
+        if versions:  # live-only queries keep their submit-time views
+            record.views = self._bind(record.select, versions)
         state = {
             "pending": 0,
             #: table -> node -> shipped payload.  Per-node buckets keep
             #: the merge order canonical (sorted by node id) regardless
             #: of network arrival order, so pushdown on/off and retry
             #: interleavings all produce identical results.
-            "rows": {name: {} for name, _ in record.table_kinds},
+            "rows": {name: {} for name in record.views},
             "scanned": 0,
             #: table -> current attempt; bumped to invalidate lost work.
-            "attempt": {name: 0 for name, _ in record.table_kinds},
+            "attempt": {name: 0 for name in record.views},
             #: table -> nodes with an in-flight shard or result.
-            "nodes": {name: set() for name, _ in record.table_kinds},
+            "nodes": {name: set() for name in record.views},
             #: table -> store-partition stripe base for chunk spreading.
             "stripe": {},
             "point": False,
@@ -882,7 +883,7 @@ class QueryService:
         state = record.state
         width = max(1, len(self.cluster.surviving_node_ids()))
         tables: list[str] = []
-        for stripe, (table_name, _) in enumerate(record.table_kinds):
+        for stripe, table_name in enumerate(record.select.table_names()):
             if table_name in tables:
                 continue  # self-join scans once per node anyway
             if record.join is not None and \
@@ -936,8 +937,7 @@ class QueryService:
         owner, each billed per key fetched."""
         execution = record.execution
         state = record.state
-        table_name, _ = record.table_kinds[0]
-        view = record.views[table_name]
+        (table_name, view), = record.views.items()
         nodes = self.cluster.surviving_node_ids()
         owners: dict[int, list] = {}
         for key in execution.point_keys:
@@ -1184,20 +1184,6 @@ class QueryService:
         run_chunk(chunks)
 
     # -- scan pruning (partition selection) --------------------------------
-
-    def _bind(self, table_kinds: list[tuple[str, str]],
-              versions: tuple[int, ...]) -> dict[str, TableView]:
-        """The views a query holds onto its tables: live state, or the
-        snapshot ``versions`` it reads (which live tables ignore)."""
-        views: dict[str, TableView] = {}
-        for name, kind in table_kinds:
-            if kind == "live":
-                views[name] = TableView(self.store.get_live_table(name))
-            else:
-                views[name] = TableView(
-                    self.store.get_snapshot_table(name), versions
-                )
-        return views
 
     def _scan_targets(self, record: _InFlight,
                       table_name: str) -> list[int]:
@@ -1599,7 +1585,7 @@ class QueryService:
         central evaluation of the canonical row stream would hit —
         independent of shard completion timing."""
         state = record.state
-        for table_name, _ in record.table_kinds:
+        for table_name in record.views:
             per_node = state["rows"].get(table_name, {})
             for node_id in sorted(per_node):
                 payload = per_node[node_id]

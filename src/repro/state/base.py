@@ -1,17 +1,11 @@
 """What every snapshot-table backend shares.
 
-A snapshot table stores one operator's keyed state per snapshot id,
-partitioned by operator instance.  The three backends differ only in
-*how a version of one instance is stored and reconstructed* (full
-copies, backward delta chains, LSM runs); placement, the node-local
-read methods and the "this backend has no indexes/sketches" defaults
-are the same for all of them and live here once.
-
-A backend implements :meth:`materialize_instance`, ``has_snapshot``,
-``write_instance`` and ``drop_snapshot``, and declares what else it can
-do through the ``supports_*`` class attributes — readers
-(:class:`~repro.state.view.TableView`) consult those instead of probing
-for methods.
+The three backends differ only in how a version of one operator
+instance is stored and reconstructed (full copies, backward delta
+chains, LSM runs).  Placement, the node-local reads on top of
+:meth:`~SnapshotTableBase.materialize_instance` and the defaults of a
+backend without indexes or sketches live here once; what else a
+backend can do it declares through the ``supports_*`` attributes.
 """
 
 from __future__ import annotations
@@ -85,7 +79,6 @@ class SnapshotTableBase:
 
     def _instances_at(self, ssid: int) -> Iterable[int]:
         """Instances a scan of ``ssid`` visits, in scan order."""
-        del ssid
         return range(self.parallelism)
 
     def _on_node(self, node_id: int,

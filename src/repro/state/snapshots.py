@@ -283,12 +283,6 @@ class FullSnapshotTable(SnapshotTableBase):
         state = self._version(ssid).get(instance, {})
         return state, len(state)
 
-    def rows_all_versions(self) -> Iterator[dict]:
-        """Rows across every retained version, each tagged with its
-        ssid — the multi-version result sets of §VI-A."""
-        for ssid in sorted(self._by_ssid):
-            yield from self.rows_for_snapshot(ssid)
-
     # -- partition-granular access (distributed scan pruning) --------------
     #
     # Because a committed snapshot is immutable, partition selections

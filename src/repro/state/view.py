@@ -1,12 +1,8 @@
-"""One read interface over live and snapshot state.
-
-The paper's point is that live state (Table I), snapshot state
-(Table II) and multi-version result sets (§VI-A) are read through the
-same SQL interface.  A :class:`TableView` is that interface inside the
-engine: one table bound — once per query — to the version(s) the query
-reads.  Readers call the same methods whatever is behind the view and
-consult its *declared* capabilities instead of asking which table
-family or backend they hold.
+"""One read interface over live state (Table I), snapshot state
+(Table II) and multi-version result sets (§VI-A): readers call the same
+methods whatever is behind a :class:`TableView` and consult its
+declared capabilities instead of asking which table family or backend
+they hold.
 """
 
 from __future__ import annotations
@@ -18,14 +14,15 @@ class TableView:
     """A state table bound to live state, one snapshot id, or several.
 
     ``versions`` is ``None`` for a live table and a tuple of snapshot
-    ids otherwise.  Row reads and counts span every bound version
-    (version-major, the §VI-A multi-version order); partition-granular
-    access, indexes and sketches exist only on single-version views of
-    backends that declare them, so all-versions reads always take the
-    whole-shard scan path.
+    ids otherwise (empty when nothing is committed yet: placement still
+    answers, reads are empty).  Row reads and counts span every bound
+    version (version-major, the §VI-A multi-version order); partition-
+    granular access, indexes and sketches exist only on single-version
+    views of backends that declare them, so all-versions reads always
+    take the whole-shard scan path.
     """
 
-    __slots__ = ("table", "versions", "_args", "immutable",
+    __slots__ = ("table", "versions", "_args", "_version", "immutable",
                  "supports_partition_rows", "supports_indexes",
                  "supports_sketches")
 
@@ -43,17 +40,11 @@ class TableView:
         #: state does.
         self.immutable = versions is not None
         single = len(self._args) == 1
-        self.supports_partition_rows = (
-            single and table.supports_partition_rows
-        )
+        #: Version argument of the single-version methods.
+        self._version = self._args[0] if single else None
+        self.supports_partition_rows = single and table.supports_partition_rows
         self.supports_indexes = single and table.supports_indexes
         self.supports_sketches = single and table.supports_sketches
-
-    @property
-    def _version(self) -> tuple:
-        """Version argument of the single-version methods."""
-        (args,) = self._args
-        return args
 
     # -- placement ---------------------------------------------------------
 
@@ -108,13 +99,8 @@ class TableView:
         partitions: list[int] = []
         entries = 0
         for node_id in nodes:
-            on_node = self.partitions_on_node(node_id)
-            partitions.extend(on_node)
-            if self.supports_partition_rows:
-                for partition in on_node:
-                    entries += self.partition_entry_count(partition)
-            else:
-                entries += self.entries_on_node(node_id)
+            partitions.extend(self.partitions_on_node(node_id))
+            entries += self.entries_on_node(node_id)
         return partitions, entries
 
     # -- secondary indexes (``supports_indexes``) --------------------------

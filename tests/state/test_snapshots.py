@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SnapshotNotFoundError
 from repro.state import FullSnapshotTable
+from repro.state.view import TableView
 
 
 def make_table(parallelism=2, nodes=2):
@@ -42,8 +43,8 @@ def test_rows_all_versions_tagged():
     table = make_table()
     table.write_instance(1, 0, {"a": 1})
     table.write_instance(2, 0, {"a": 2})
-    ssids = sorted(row["ssid"] for row in table.rows_all_versions())
-    assert ssids == [1, 2]
+    view = TableView(table, tuple(table.available_ssids()))
+    assert [row["ssid"] for row in view.rows_on_node(0)] == [1, 2]
 
 
 def test_missing_snapshot_raises():
