@@ -112,13 +112,19 @@ class SnapshotTableBase:
 
     def entries_on_node(self, node_id: int, ssid: int) -> int:
         """Stored entries a node-local scan of ``ssid`` must visit."""
-        return sum(visited for _, visited in self._on_node(node_id, ssid))
+        entries = 0
+        for _, visited in self._on_node(node_id, ssid):
+            entries += visited
+        return entries
 
     def row_count_on_node(self, node_id: int, ssid: int) -> int:
         """Result rows a node-local scan produces (== entries for full
         snapshots; reconstructing backends visit more entries than
         rows)."""
-        return sum(len(state) for state, _ in self._on_node(node_id, ssid))
+        rows = 0
+        for state, _ in self._on_node(node_id, ssid):
+            rows += len(state)
+        return rows
 
     def point_rows(self, key: Hashable, ssid: int) -> list[dict]:
         """The single (key, ssid) row, or empty (point lookup)."""

@@ -65,13 +65,17 @@ class TableView:
 
     def entries_on_node(self, node_id: int) -> int:
         """Stored entries a node-local scan must visit."""
-        return sum(self.table.entries_on_node(node_id, *args)
-                   for args in self._args)
+        entries = 0
+        for args in self._args:
+            entries += self.table.entries_on_node(node_id, *args)
+        return entries
 
     def row_count_on_node(self, node_id: int) -> int:
         """Result rows a node-local scan produces."""
-        return sum(self.table.row_count_on_node(node_id, *args)
-                   for args in self._args)
+        rows = 0
+        for args in self._args:
+            rows += self.table.row_count_on_node(node_id, *args)
+        return rows
 
     def point_rows(self, key: Hashable) -> list[dict]:
         rows: list[dict] = []
