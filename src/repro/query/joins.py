@@ -53,7 +53,12 @@ from ..errors import QueryAbortedError
 from ..kvstore.indexes import EqProbe
 from ..sql.access import JoinCandidate, JoinPath, choose_join_path
 from ..sql.ast import Binary, Column, Literal, Select
-from ..sql.batch import compile_probe_key, run_broadcast_probe, run_fragment_batches
+from ..sql.batch import (
+    compile_fragment,
+    compile_probe_key,
+    run_broadcast_probe,
+    run_fragment_batches,
+)
 from ..sql.executor import (
     EvalContext,
     _eval,
@@ -799,7 +804,9 @@ class _PipelineRunner:
             fragment = None
         compiled = None
         if fragment is not None and service.vectorized_enabled:
-            compiled, _hit = fragment.compiled_form()
+            compiled, _hit = compile_fragment(
+                fragment, service.compiled_fragments
+            )
         nodes = sorted(service.cluster.surviving_node_ids())
         surviving: dict[int, list] = {}
 

@@ -47,7 +47,7 @@ from ..errors import (
 )
 from ..sql import EvalContext, parse
 from ..sql.ast import Binary, Column, Expr, Literal, Select, Union
-from ..sql.batch import run_fragment_batches
+from ..sql.batch import compile_fragment, run_fragment_batches
 from ..sql.executor import (
     QueryResult,
     execute_grouped_select,
@@ -64,6 +64,7 @@ from ..sql.fragments import (
     merge_partial_groups,
     split_select,
 )
+from ..sql.lru import LruCache
 from ..sql.planner import DictCatalog, ListTable, split_conjuncts
 from ..state.isolation import IsolationLevel, isolation_of_query
 from ..state.view import TableView
@@ -136,7 +137,7 @@ class QueryExecution:
         self.predicates_compiled = 0
         #: Scan chunks evaluated as columnar batches.
         self.batches_evaluated = 0
-        #: Fragment compilations served by the process-wide cache.
+        #: Fragment compilations served by the service's compile cache.
         self.compile_cache_hits = 0
         #: Per-strategy counts of distributed join steps (a join that
         #: runs centrally counts every step under ``joins_central``).
@@ -330,6 +331,9 @@ class QueryService:
         self.vectorized_enabled = vectorized
         self.shared_plans_enabled = shared_plans
         self.distributed_joins_enabled = distributed_joins
+        #: Compiled scan fragments, per service: a fresh environment
+        #: always bills its first compilation of a fragment shape.
+        self.compiled_fragments: LruCache = LruCache(256)
         self._entry_rotation = 0
         self.queries_executed = 0
         #: Rows shipped to entry nodes across all finished queries.
@@ -1136,7 +1140,9 @@ class QueryService:
                 per_entry_ms += self.costs.vectorized_filter_entry_ms
                 if fragment.partial is not None:
                     per_entry_ms += self.costs.vectorized_partial_agg_entry_ms
-                compiled, cache_hit = fragment.compiled_form()
+                compiled, cache_hit = compile_fragment(
+                    fragment, self.compiled_fragments
+                )
                 if cache_hit:
                     execution.compile_cache_hits += 1
                 else:

@@ -10,9 +10,11 @@ surviving rows in the same order, the same partial-group insertion order
 and accumulator states, and — when a pushed expression fails — the same
 first error the row-major interpreted sweep would have raised.
 
-Compiled fragments are cached process-wide in an LRU keyed by the frozen
-fragment itself, so a query shape recurring across shards, retries, and
-submissions compiles exactly once.
+Compiled fragments are cached in an LRU keyed by the frozen fragment
+itself, so a query shape recurring across shards, retries, and
+submissions compiles exactly once.  The cache belongs to the caller
+(each ``QueryService`` owns one): whether a compilation is billed must
+not depend on what another environment in the same process ran before.
 """
 
 from __future__ import annotations
@@ -66,27 +68,19 @@ class CompiledFragment:
         return len(self.predicates)
 
 
-#: Process-wide compiled-fragment cache; frozen fragments hash by value,
-#: so structurally identical fragments share one compilation.
-# lint: allow(shared-state) bounded LRU of idempotent compile results;
-# reads and writes are order-independent and the whole simulation runs
-# on one event-loop thread, so no lock is needed.
-_FRAGMENT_CACHE: LruCache[ScanFragment, CompiledFragment] = LruCache(256)
-
-
-def compile_fragment(fragment: ScanFragment) -> tuple[CompiledFragment, bool]:
-    """The fragment's compiled form and whether it was a cache hit."""
-    compiled = _FRAGMENT_CACHE.get(fragment)
+def compile_fragment(
+    fragment: ScanFragment,
+    cache: LruCache[ScanFragment, CompiledFragment],
+) -> tuple[CompiledFragment, bool]:
+    """The fragment's compiled form (compiled into ``cache`` on a miss)
+    and whether it was a cache hit.  Frozen fragments hash by value, so
+    structurally identical fragments share one compilation."""
+    compiled = cache.get(fragment)
     if compiled is not None:
         return compiled, True
     compiled = CompiledFragment(fragment)
-    _FRAGMENT_CACHE.put(fragment, compiled)
+    cache.put(fragment, compiled)
     return compiled, False
-
-
-def fragment_cache_stats() -> tuple[int, int]:
-    """Process-wide ``(hits, misses)`` of the compiled-fragment cache."""
-    return _FRAGMENT_CACHE.hits, _FRAGMENT_CACHE.misses
 
 
 class BatchAccumulator:

@@ -377,14 +377,6 @@ class ScanFragment:
             and self.partial is None
         )
 
-    def compiled_form(self):
-        """This fragment compiled to batch closures, plus whether the
-        process-wide compile cache already held it — see
-        :func:`repro.sql.batch.compile_fragment`."""
-        from .batch import compile_fragment
-
-        return compile_fragment(self)
-
 
 @dataclass(frozen=True)
 class DistributedPlan:

@@ -1,0 +1,54 @@
+"""Virtual time must not depend on what ran earlier in the process.
+
+A fresh environment has to bill its first fragment compilation whether
+or not another environment compiled the same fragment shape before it:
+the compiled-fragment cache (and with it ``predicate_compile_ms`` and
+the ``predicates_compiled`` / ``compile_cache_hits`` counters) belongs
+to the query service, not to the process.
+"""
+
+import random
+
+from repro import Environment
+from repro.config import ClusterConfig
+from repro.query import QueryService
+from repro.state.live import LiveStateTable
+
+SQL = ('SELECT l.partitionKey, r.b FROM "l" AS l '
+       'JOIN "r" AS r ON l.fk = r.rk WHERE l.a < 10 '
+       "ORDER BY l.partitionKey, r.partitionKey")
+
+
+def run_shuffle_join():
+    env = Environment(ClusterConfig(nodes=4,
+                                    processing_workers_per_node=1),
+                      seed=7)
+    rng = random.Random(11)
+    left = env.store.create_map("l")
+    env.store.register_live_table("l", LiveStateTable(left))
+    right = env.store.create_map("r")
+    env.store.register_live_table("r", LiveStateTable(right))
+    for k in range(400):
+        left.put(k, {"fk": rng.randrange(0, 350),
+                     "a": rng.randrange(0, 100)})
+    for k in range(500):
+        right.put(k, {"rk": k % 350, "b": rng.randrange(0, 100)})
+    service = QueryService(env)
+    first = service.execute(SQL)
+    again = service.execute(SQL)
+    assert first.join_strategies == ["shuffle"]
+    return [
+        (execution.latency_ms, execution.predicates_compiled,
+         execution.compile_cache_hits, execution.result.rows)
+        for execution in (first, again)
+    ]
+
+
+def test_same_seeded_run_twice_in_one_process_is_identical():
+    once = run_shuffle_join()
+    twice = run_shuffle_join()
+    assert once == twice
+    # The cache still works inside one service: the first execution
+    # compiled, the repeat was served from the cache.
+    (_, compiled, hits, _), (_, recompiled, rehits, _) = once
+    assert compiled > 0 and hits < rehits and recompiled == 0

@@ -12,8 +12,8 @@ from repro.errors import SqlExecutionError
 from repro.sql import EvalContext, parse
 from repro.sql.batch import (
     BatchAccumulator,
+    CompiledFragment,
     compile_fragment,
-    fragment_cache_stats,
     run_fragment_batches,
 )
 from repro.sql.executor import execute_grouped_select
@@ -23,6 +23,7 @@ from repro.sql.fragments import (
     merge_partial_groups,
     split_select,
 )
+from repro.sql.lru import LruCache
 
 CTX = EvalContext(now_ms=0.0)
 
@@ -54,7 +55,7 @@ def test_projection_fragment_matches_interpreted(chunk):
     plan, fragment = fragment_of(
         'SELECT key, value FROM "t" WHERE value < 3 AND key > 2'
     )
-    compiled, _ = compile_fragment(fragment)
+    compiled = CompiledFragment(fragment)
     lock_rows, payload, batches = run_fragment_batches(
         fragment, compiled, ROWS, CTX, chunk
     )
@@ -70,7 +71,7 @@ def test_partial_aggregate_fragment_matches_interpreted(chunk):
            'MIN(value) AS lo FROM "t" WHERE value <> 1 '
            "GROUP BY weight ORDER BY weight")
     plan, fragment = fragment_of(sql)
-    compiled, _ = compile_fragment(fragment)
+    compiled = CompiledFragment(fragment)
     lock_rows, payload, _ = run_fragment_batches(
         fragment, compiled, ROWS, CTX, chunk
     )
@@ -89,7 +90,7 @@ def test_null_heavy_group_keys_match():
     sql = ('SELECT tag, COUNT(*) AS c FROM "t" GROUP BY tag '
            "ORDER BY c")
     plan, fragment = fragment_of(sql)
-    compiled, _ = compile_fragment(fragment)
+    compiled = CompiledFragment(fragment)
     _, payload, _ = run_fragment_batches(fragment, compiled, ROWS, CTX, 5)
     _, expected = interpreted_run(fragment, ROWS)
     assert [entry[0] for entry in payload.entries] == \
@@ -118,7 +119,7 @@ def error_rows():
 @pytest.mark.parametrize("chunk", [1, 4, 100])
 def test_first_error_matches_interpreted_sweep(chunk):
     _, fragment = fragment_of('SELECT key FROM "t" WHERE value < 3')
-    compiled, _ = compile_fragment(fragment)
+    compiled = CompiledFragment(fragment)
     rows = error_rows()
     with pytest.raises(SqlExecutionError) as interpreted_error:
         interpreted_run(fragment, rows)
@@ -132,7 +133,7 @@ def test_error_in_aggregate_feed_matches_interpreted():
     _, fragment = fragment_of(
         'SELECT weight, SUM(value) AS s FROM "t" GROUP BY weight'
     )
-    compiled, _ = compile_fragment(fragment)
+    compiled = CompiledFragment(fragment)
     rows = [dict(raw) for raw in ROWS]
     del rows[7]["value"]  # unknown column mid-chunk
     with pytest.raises(SqlExecutionError) as interpreted_error:
@@ -149,7 +150,7 @@ def test_eliminated_rows_never_error():
     _, fragment = fragment_of(
         'SELECT key FROM "t" WHERE value < 2 AND pad / value > 0'
     )
-    compiled, _ = compile_fragment(fragment)
+    compiled = CompiledFragment(fragment)
     rows = [
         {"key": 0, "partitionKey": 0, "value": 0, "pad": 10},  # v<2, /0!
         {"key": 1, "partitionKey": 1, "value": 9, "pad": 10},  # killed
@@ -166,17 +167,20 @@ def test_eliminated_rows_never_error():
 def test_fragment_cache_hits_on_identical_shape():
     _, fragment = fragment_of('SELECT key FROM "t" WHERE value < 4')
     _, plan_fragment = fragment_of('SELECT key FROM "t" WHERE value < 4')
-    first, first_hit = compile_fragment(fragment)
-    again, again_hit = compile_fragment(plan_fragment)
+    cache = LruCache(4)
+    first, first_hit = compile_fragment(fragment, cache)
+    again, again_hit = compile_fragment(plan_fragment, cache)
     assert again is first  # frozen fragments hash by value
-    assert again_hit is True
-    hits, misses = fragment_cache_stats()
-    assert hits >= 1 and misses >= 1
+    assert (first_hit, again_hit) == (False, True)
+    assert (cache.hits, cache.misses) == (1, 1)
+    # Another cache (another query service) compiles for itself.
+    other, other_hit = compile_fragment(fragment, LruCache(4))
+    assert other is not first and other_hit is False
 
 
 def test_batch_accumulator_survivor_order_is_row_order():
     _, fragment = fragment_of('SELECT key FROM "t" WHERE value >= 0')
-    compiled, _ = compile_fragment(fragment)
+    compiled = CompiledFragment(fragment)
     acc = BatchAccumulator(compiled, CTX)
     survivors = acc.add_batch(list(reversed(ROWS)))
     assert [row["key"] for row in survivors] == \
