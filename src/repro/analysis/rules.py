@@ -457,71 +457,6 @@ class AttemptTokenRule:
                 )
 
 
-#: Interpreter entry points that re-walk the expression AST per call.
-_INTERPRETED_EVAL_FUNCS = {"eval_predicate", "eval_expr"}
-
-
-class CompiledScanRule:
-    """Scan-path chunk loops must use compiled predicates, not the
-    per-row AST interpreter.
-
-    The vectorized scan path compiles each fragment's pushed WHERE
-    conjuncts once (``repro.sql.compiled``) and evaluates whole batches
-    through the closures.  Calling ``eval_predicate`` / ``eval_expr``
-    inside a loop on the scan path re-walks the expression tree for
-    every row, silently reverting the optimisation this rule guards.
-    Flags any call to those entry points lexically inside a ``for`` /
-    ``while`` loop or a comprehension, in scan-path files — anything
-    under ``repro/query/`` or ``repro/sql/``, plus files named
-    ``scanpath_*.py``.
-
-    The interpreted ablation baseline is deliberate; its call sites
-    carry an inline ``# lint: allow(compiled-scan)``.  Central (non
-    scan-path) execution in ``repro/continuous/`` or the merge layer is
-    out of scope: per-row evaluation is its normal operating mode.
-    """
-
-    name = "compiled-scan"
-
-    _LOOP_NODES = (ast.For, ast.AsyncFor, ast.While, ast.ListComp,
-                   ast.SetComp, ast.GeneratorExp, ast.DictComp)
-
-    def _in_scope(self, path: str) -> bool:
-        posix = path.replace("\\", "/")
-        if "repro/query/" in posix or "repro/sql/" in posix:
-            return True
-        basename = posix.rsplit("/", 1)[-1]
-        return basename.startswith("scanpath_")
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        if not self._in_scope(context.path):
-            return
-        seen: set[int] = set()
-        for node in ast.walk(context.tree):
-            if not isinstance(node, self._LOOP_NODES):
-                continue
-            for sub in ast.walk(node):
-                if id(sub) in seen:
-                    continue  # nested loops walk shared subtrees
-                if not isinstance(sub, ast.Call):
-                    continue
-                func = sub.func
-                name = None
-                if isinstance(func, ast.Name):
-                    name = func.id
-                elif isinstance(func, ast.Attribute):
-                    name = func.attr
-                if name in _INTERPRETED_EVAL_FUNCS:
-                    seen.add(id(sub))
-                    yield Violation(
-                        self.name, context.path, sub.lineno,
-                        f"per-row {name}() inside a scan-path loop "
-                        "re-walks the expression AST for every row; "
-                        "compile the fragment once "
-                        "(repro.sql.compiled) and evaluate batches",
-                    )
-
-
 class LockOrderRule:
     """No cycles in the whole-program acquired-while-holding graph.
 
@@ -689,7 +624,6 @@ ALL_RULES = (
     LockPairingRule(),
     BillingRule(),
     AttemptTokenRule(),
-    CompiledScanRule(),
     LockOrderRule(),
     BlockingUnderLockRule(),
     SharedStateAuditRule(),

@@ -39,8 +39,8 @@ from typing import Callable
 
 from ..errors import QueryError
 from ..sql import parse
-from ..sql.compiled import compile_predicate
-from ..sql.executor import EvalContext, hashable_key
+from ..sql.compiled import EvalContext, compile_predicate
+from ..sql.executor import hashable_key
 from .arrangements import Arrangement
 from .changelog import ChangeRecorder
 from .delivery import (

@@ -13,8 +13,10 @@ At registration it is *classified* into one of three maintenance paths:
   re-evaluated from scratch on each flush, exactly like a polled query.
 
 ``explain()`` reports which path was chosen and why, mirroring the SQL
-layer's EXPLAIN.  Incremental paths reuse the executor's own binding,
-evaluation, naming, and hashing helpers so a standing result is always
+layer's EXPLAIN.  Incremental paths compile their expressions once, at
+plan construction, with the SQL layer's one evaluator
+(:mod:`repro.sql.compiled`, reading raw stored rows) and reuse the
+executor's naming and hashing helpers, so a standing result is always
 bit-identical to what a fresh batch execution would return.
 """
 
@@ -40,12 +42,10 @@ from ..sql.ast import (
     Union,
     contains_aggregate,
 )
+from ..sql.compiled import EvalContext, compile_expr, compile_predicate
 from ..sql.executor import (
-    EvalContext,
-    bind_row,
-    eval_expr,
-    eval_having,
-    eval_predicate,
+    compile_agg_feeds,
+    compile_group_key,
     hashable_key,
     output_column_name,
 )
@@ -308,8 +308,8 @@ class _Group:
 
     def __init__(self, representative: dict,
                  accs: list[_RetractableAggregate]) -> None:
-        #: Any member's bound row — group-key expressions evaluate to
-        #: the same values on every member, so staleness is harmless.
+        #: Any member's row — group-key expressions evaluate to the
+        #: same values on every member, so staleness is harmless.
         self.representative = representative
         self.accs = accs
         #: row key -> the aggregate argument values that were added,
@@ -339,13 +339,28 @@ class StandingQuery:
         self.needs_rebuild = False  # set after a rollback event
         if self.path in INCREMENTAL_PATHS:
             select: Select = statement
-            self._binding = select.table.binding
+            binding = select.table.binding
             self._unique_aggs = _collect_unique_aggregates(select)
             self._columns = [
                 output_column_name(item, position)
                 for position, item in enumerate(select.items)
             ]
             self._groups: dict[tuple, _Group] = {}
+            # Every expression compiles here, once, against raw rows of
+            # the table; deltas only call the closures.
+            self._where = (
+                compile_predicate(select.where, binding)
+                if select.where is not None else None
+            )
+            self._items = [
+                compile_expr(item.expr, binding) for item in select.items
+            ]
+            self._group_key = compile_group_key(select.group_by, binding)
+            self._feeds = compile_agg_feeds(self._unique_aggs, binding)
+            self._having = (
+                compile_predicate(select.having, binding)
+                if select.having is not None else None
+            )
 
     # -- seeding / rebuild -------------------------------------------------
 
@@ -389,6 +404,9 @@ class StandingQuery:
     def _context(self) -> EvalContext:
         return EvalContext(now_ms=self._now())
 
+    def _passes(self, row: dict, context: EvalContext) -> bool:
+        return self._where is None or self._where(row, context)
+
     def _apply(self, key: Hashable, old_row: dict | None,
                new_row: dict | None) -> list[dict]:
         context = self._context()
@@ -402,14 +420,7 @@ class StandingQuery:
                               context: EvalContext) -> list[dict]:
         select: Select = self.statement
         out_key = hashable_key(key)
-        if new_row is not None:
-            bound = bind_row(new_row, self._binding)
-            passes = select.where is None or eval_predicate(
-                select.where, bound, context
-            )
-        else:
-            passes = False
-        if not passes:
+        if new_row is None or not self._passes(new_row, context):
             if out_key in self.published:
                 del self.published[out_key]
                 return [{"action": "delete", "key": out_key, "row": None}]
@@ -418,8 +429,8 @@ class StandingQuery:
             projected = dict(new_row)
         else:
             projected = {
-                name: eval_expr(item.expr, bound, context)
-                for name, item in zip(self._columns, select.items)
+                name: item(new_row, context)
+                for name, item in zip(self._columns, self._items)
             }
         previous = self.published.get(out_key)
         if previous == projected:
@@ -430,56 +441,39 @@ class StandingQuery:
 
     # -- grouped aggregate path ---------------------------------------------
 
-    def _group_key(self, bound: dict, context: EvalContext) -> tuple:
-        return tuple(
-            hashable_key(eval_expr(expr, bound, context))
-            for expr in self.statement.group_by
-        )
-
     def _apply_aggregate(self, key: Hashable, old_row: dict | None,
                          new_row: dict | None,
                          context: EvalContext) -> list[dict]:
-        select: Select = self.statement
         row_key = hashable_key(key)
         affected: list[tuple] = []
 
-        if old_row is not None:
-            bound_old = bind_row(old_row, self._binding)
-            if select.where is None or eval_predicate(
-                select.where, bound_old, context
-            ):
-                group_key = self._group_key(bound_old, context)
-                group = self._groups.get(group_key)
-                if group is not None and row_key in group.contributions:
-                    values = group.contributions.pop(row_key)
-                    for acc, value in zip(group.accs, values):
-                        acc.retract(value)
-                    affected.append(group_key)
-
-        if new_row is not None:
-            bound_new = bind_row(new_row, self._binding)
-            if select.where is None or eval_predicate(
-                select.where, bound_new, context
-            ):
-                group_key = self._group_key(bound_new, context)
-                group = self._groups.get(group_key)
-                if group is None:
-                    group = _Group(bound_new, [
-                        _make_retractable(call)
-                        for call in self._unique_aggs
-                    ])
-                    self._groups[group_key] = group
-                values = [
-                    eval_expr(call.args[0], bound_new, context)
-                    if call.args and not isinstance(call.args[0], Star)
-                    else 1
-                    for call in self._unique_aggs
-                ]
-                group.contributions[row_key] = values
+        if old_row is not None and self._passes(old_row, context):
+            group_key = self._group_key(old_row, context)
+            group = self._groups.get(group_key)
+            if group is not None and row_key in group.contributions:
+                values = group.contributions.pop(row_key)
                 for acc, value in zip(group.accs, values):
-                    acc.add(value)
-                if group_key not in affected:
-                    affected.append(group_key)
+                    acc.retract(value)
+                affected.append(group_key)
+
+        if new_row is not None and self._passes(new_row, context):
+            group_key = self._group_key(new_row, context)
+            group = self._groups.get(group_key)
+            if group is None:
+                group = _Group(dict(new_row), [
+                    _make_retractable(call)
+                    for call in self._unique_aggs
+                ])
+                self._groups[group_key] = group
+            values = [
+                1 if feed is None else feed(new_row, context)
+                for feed in self._feeds
+            ]
+            group.contributions[row_key] = values
+            for acc, value in zip(group.accs, values):
+                acc.add(value)
+            if group_key not in affected:
+                affected.append(group_key)
 
         entries: list[dict] = []
         for group_key in affected:
@@ -512,16 +506,17 @@ class StandingQuery:
                 call: acc.result()
                 for call, acc in zip(self._unique_aggs, group.accs)
             }
-        if select.having is not None and not eval_having(
-            select.having, representative, context, agg_values
-        ):
+        # Compiled aggregate calls read their result from the row,
+        # under the call node, next to the representative's columns.
+        env = {**representative, **agg_values}
+        if self._having is not None and not self._having(env, context):
             if group_key in self.published:
                 del self.published[group_key]
                 return [{"action": "delete", "key": group_key, "row": None}]
             return []
         row = {
-            name: eval_expr(item.expr, representative, context, agg_values)
-            for name, item in zip(self._columns, select.items)
+            name: item(env, context)
+            for name, item in zip(self._columns, self._items)
         }
         if self.published.get(group_key) == row:
             return []

@@ -23,7 +23,7 @@ class Environment:
         self.store = StateStore(self.cluster)
         # The compiled-LIKE pattern cache is process-wide; the newest
         # environment's configured bound applies.
-        from .sql.executor import set_like_cache_capacity
+        from .sql.compiled import set_like_cache_capacity
         set_like_cache_capacity(self.costs.like_cache_max_patterns)
         #: Lazily-created ContinuousQueryService (first ``subscribe``).
         self.continuous = None

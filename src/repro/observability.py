@@ -196,7 +196,7 @@ def collect_report(env: Environment) -> ClusterReport:
         report.plan_maintenance_cost = continuous.plan_maintenance_ms
     # Process-wide cache (shared across environments), documented as
     # such: the counters are cumulative for the process.
-    from .sql.executor import like_cache_stats
+    from .sql.compiled import like_cache_stats
 
     like_hits, like_misses = like_cache_stats()
     report.like_cache_hits = like_hits

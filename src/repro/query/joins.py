@@ -11,9 +11,7 @@ candidates:
   joins its local shards and no join input crosses the network;
 * **broadcast hash join** — the build side is estimated small (sketch /
   zone-map estimates feed the chooser), built once and replicated to
-  every node holding probe rows, which probe locally — during the
-  vectorized sweep via compiled key closures when the probe side is
-  the base table's scan payload;
+  every node holding probe rows, which probe locally;
 * **shuffle-hash join** — the general fallback: both sides repartition
   by join key across the surviving nodes, which build and probe their
   slice in parallel;
@@ -53,18 +51,13 @@ from ..errors import QueryAbortedError
 from ..kvstore.indexes import EqProbe
 from ..sql.access import JoinCandidate, JoinPath, choose_join_path
 from ..sql.ast import Binary, Column, Literal, Select
-from ..sql.batch import (
-    compile_fragment,
-    compile_probe_key,
-    run_broadcast_probe,
-    run_fragment_batches,
-)
+from ..sql import EvalContext
+from ..sql.batch import compile_fragment, run_fragment_batches
 from ..sql.executor import (
-    EvalContext,
-    _eval,
     bind_row,
     build_join_index,
     collect_right_columns,
+    compile_join_key,
     execute_joined_select,
     probe_join_index,
     validate_joined_select,
@@ -423,9 +416,6 @@ class _PipelineRunner:
         self.context = EvalContext(now_ms=service.sim.now)
         #: holder node -> [(tag, bound row), ...] in tag order.
         self.left: dict[int, list] = {}
-        #: holder node -> projected raw payload (base table only; feeds
-        #: the vectorized broadcast probe of step 0, then dropped).
-        self.raw_left: "dict[int, list] | None" = None
         self.scanned = 0
 
     # -- plumbing -------------------------------------------------------
@@ -487,7 +477,6 @@ class _PipelineRunner:
 
     def run(self) -> None:
         base_rows = self._payload_rows(self.join.base_table)
-        self.raw_left = {n: base_rows[n] for n in sorted(base_rows)}
         binding = self.join.base_binding
         for node_id in sorted(base_rows):
             self.left[node_id] = [
@@ -561,7 +550,6 @@ class _PipelineRunner:
             self._fail(probe_error[1])
             return
         self.left = results
-        self.raw_left = None
         self._step(index + 1)
 
     # -- co-partitioned -------------------------------------------------
@@ -611,13 +599,6 @@ class _PipelineRunner:
             for node_id in raw_by_node
         )
         entry = execution.entry_node
-        compiled_probe = None
-        sweep = (index == 0 and self.raw_left is not None
-                 and service.vectorized_enabled)
-        if sweep and step.probe is not None:
-            compiled_probe = compile_probe_key(
-                step.probe, self.join.base_binding
-            )
         results: dict[int, list] = {}
         errors: list = []
 
@@ -645,8 +626,7 @@ class _PipelineRunner:
                 self._send(entry, node_id, "join-bcast", index,
                            build_bytes, self._broadcast_arrived, index,
                            step, node_id, build_index, right_columns,
-                           sweep, compiled_probe, results, errors,
-                           countdown)
+                           results, errors, countdown)
 
         # The build side reached the entry node through the normal scan
         # shipment; it is built once there, then replicated.
@@ -656,9 +636,8 @@ class _PipelineRunner:
 
     def _broadcast_arrived(self, index: int, step: JoinFragment,
                            node_id: int, build_index: dict,
-                           right_columns: set, sweep: bool,
-                           compiled_probe, results: dict, errors: list,
-                           countdown: _Countdown) -> None:
+                           right_columns: set, results: dict,
+                           errors: list, countdown: _Countdown) -> None:
         if not self._live():
             return
         lefts = self.left.get(node_id, [])
@@ -667,17 +646,10 @@ class _PipelineRunner:
         def probe() -> None:
             if not self._live():
                 return
-            if sweep:
-                rows, error = run_broadcast_probe(
-                    self.raw_left[node_id], (node_id,),
-                    self.join.base_binding, step.using, compiled_probe,
-                    step.kind, build_index, right_columns, self.context,
-                )
-            else:
-                rows, error = probe_join_index(
-                    lefts, build_index, step.using, step.probe,
-                    step.kind, right_columns, self.context,
-                )
+            rows, error = probe_join_index(
+                lefts, build_index, step.using, step.probe,
+                step.kind, right_columns, self.context,
+            )
             if rows:
                 results[node_id] = rows
             if error is not None:
@@ -707,6 +679,8 @@ class _PipelineRunner:
         def worker_of(key) -> int:
             return workers[stable_hash(key) % count]
 
+        build_key = compile_join_key(step.using, step.build)
+        probe_key = compile_join_key(step.using, step.probe)
         # Route the build side: one slice per worker, keyed exactly
         # like the index (NULL keys never ship — they cannot match).
         transfer: dict[tuple[int, int], int] = {}
@@ -716,8 +690,8 @@ class _PipelineRunner:
             for raw in raw_by_node[node_id]:
                 _tag, row = rights[position]
                 position += 1
-                key = _shuffle_key(step, row, self.context)
-                if key is _SKIP:
+                key = _shuffle_key(build_key, row, self.context)
+                if key is None:
                     continue
                 worker = worker_of(key)
                 nbytes = (costs.row_overhead_bytes
@@ -732,8 +706,8 @@ class _PipelineRunner:
         probe_counts: dict[int, int] = {}
         for node_id in sorted(self.left):
             for tag, row in self.left[node_id]:
-                key = _shuffle_key(step, row, self.context, probe=True)
-                worker = workers[0] if key is _SKIP else worker_of(key)
+                key = _shuffle_key(probe_key, row, self.context)
+                worker = workers[0] if key is None else worker_of(key)
                 lefts_by_worker.setdefault(worker, []).append((tag, row))
                 probe_counts[worker] = probe_counts.get(worker, 0) + 1
                 transfer[node_id, worker] = (
@@ -786,12 +760,13 @@ class _PipelineRunner:
         costs = self.costs
         view = self.record.views[step.table]
         column = step.using[0] if step.using else step.build.name
+        probe_key = compile_join_key(step.using, step.probe)
         keys: list = []
         seen: set = set()
         for node_id in sorted(self.left):
             for _tag, row in self.left[node_id]:
-                key = _shuffle_key(step, row, self.context, probe=True)
-                if key is _SKIP:
+                key = _shuffle_key(probe_key, row, self.context)
+                if key is None:
                     continue  # NULL / erroring keys cannot match
                 if step.using:
                     key = key[0]
@@ -802,8 +777,7 @@ class _PipelineRunner:
         fragment = self.record.plan.fragments.get(step.table)
         if fragment is not None and fragment.is_passthrough:
             fragment = None
-        compiled = None
-        if fragment is not None and service.vectorized_enabled:
+        if fragment is not None:
             compiled, _hit = compile_fragment(
                 fragment, service.compiled_fragments
             )
@@ -824,7 +798,7 @@ class _PipelineRunner:
             if fragment is not None:
                 try:
                     lock_rows, payload, _batches = run_fragment_batches(
-                        fragment, compiled, candidates, self.context,
+                        compiled, candidates, self.context,
                         costs.scan_chunk_entries,
                     )
                 except Exception as exc:  # noqa: BLE001 — ship as the error
@@ -931,26 +905,11 @@ class _PipelineRunner:
         self.service._finish_execution(self.execution, result, None)
 
 
-class _Skip:
-    __slots__ = ()
-
-
-_SKIP = _Skip()
-
-
-def _shuffle_key(step: JoinFragment, row: dict, context: EvalContext,
-                 probe: bool = False):
-    """A row's join key for routing — ``_SKIP`` for NULL components or
+def _shuffle_key(key_of, row: dict, context: EvalContext):
+    """A row's join key for routing — ``None`` for NULL components or
     evaluation errors (the worker-side probe re-raises those with the
     right tag, so routing never has to)."""
-    if step.using:
-        key = tuple(row.get(col) for col in step.using)
-        if any(part is None for part in key):
-            return _SKIP
-        return key
-    expr = step.probe if probe else step.build
     try:
-        key = _eval(expr, row, context, None)
+        return key_of(row, context)
     except Exception:  # noqa: BLE001 — surfaced by the worker's probe
-        return _SKIP
-    return _SKIP if key is None else key
+        return None

@@ -47,7 +47,11 @@ from ..errors import (
 )
 from ..sql import EvalContext, parse
 from ..sql.ast import Binary, Column, Expr, Literal, Select, Union
-from ..sql.batch import compile_fragment, run_fragment_batches
+from ..sql.batch import (
+    CompiledFragment,
+    compile_fragment,
+    run_fragment_batches,
+)
 from ..sql.executor import (
     QueryResult,
     execute_grouped_select,
@@ -309,9 +313,10 @@ class QueryService:
         on the storage nodes; ``indexes=False`` keeps secondary indexes
         maintained but never reads them; ``sketches=False`` keeps
         sketches maintained but answers APPROX aggregates on the exact
-        paths; ``vectorized=False`` interprets scan fragments per row
-        instead of sweeping columnar batches through compile-once
-        closures; ``shared_plans=False`` gives every subscription a
+        paths; ``vectorized=False`` bills scan fragments as interpreted
+        per row instead of as columnar batches swept through
+        compile-once closures (a cost-model switch: the host code is
+        the same either way); ``shared_plans=False`` gives every subscription a
         private standing plan instead of one shared, router-fanned
         instance per canonical plan; ``distributed_joins=False`` ships
         every joined table's rows to the entry node and joins
@@ -505,7 +510,8 @@ class QueryService:
             "scan execution: vectorized (columnar batches, "
             "compile-once predicates)"
             if self.vectorized_enabled
-            else "scan execution: interpreted per-row (ablation baseline)"
+            else "scan execution: billed as interpreted per-row "
+            "(ablation baseline)"
         )
         if not self.pushdown_enabled:
             lines.append("distributed: ship all rows "
@@ -1116,9 +1122,13 @@ class QueryService:
             # A provably-empty shard (zero stored entries, or a key
             # filter that eliminated every candidate partition) must not
             # occupy a store server or bill a chunk: complete it
-            # immediately instead of submitting a zero-entry chunk.
-            self._shard_scanned(record, table_name, node_id, entries,
-                                attempt, fetch, fragment, None)
+            # immediately instead of submitting a zero-entry chunk.  Its
+            # fragment compiles outside the service's cache: what that
+            # cache holds decides what later shards are billed.
+            self._shard_scanned(
+                record, table_name, node_id, entries, attempt, fetch,
+                None if fragment is None else CompiledFragment(fragment),
+            )
             return
         vectorized = self.vectorized_enabled
         # Pushed predicate / projection / partial-agg work happens while
@@ -1136,13 +1146,13 @@ class QueryService:
         compiled = None
         compile_ms = 0.0
         if fragment is not None:
+            compiled, cache_hit = compile_fragment(
+                fragment, self.compiled_fragments
+            )
             if vectorized:
                 per_entry_ms += self.costs.vectorized_filter_entry_ms
                 if fragment.partial is not None:
                     per_entry_ms += self.costs.vectorized_partial_agg_entry_ms
-                compiled, cache_hit = compile_fragment(
-                    fragment, self.compiled_fragments
-                )
                 if cache_hit:
                     execution.compile_cache_hits += 1
                 else:
@@ -1163,8 +1173,7 @@ class QueryService:
                 return  # query finished, or this shard's node died
             if remaining == 0:
                 self._shard_scanned(record, table_name, node_id,
-                                    entries, attempt, fetch, fragment,
-                                    compiled)
+                                    entries, attempt, fetch, compiled)
                 return
             # The final chunk is partial: bill only the entries left.
             done_entries = (chunks - remaining) * chunk
@@ -1337,12 +1346,12 @@ class QueryService:
 
     def _shard_scanned(self, record: _InFlight, table_name: str,
                        node_id: int, entries: int, attempt: int,
-                       fetch, fragment, compiled=None) -> None:
+                       fetch, compiled: CompiledFragment | None) -> None:
         """Materialise this shard's rows *now*, run the pushed fragment
         against them, and ship only what survives.
 
-        ``compiled`` is the fragment's compiled closure form on the
-        vectorized path (``None`` runs the interpreted baseline)."""
+        ``compiled`` is the shard's fragment in compiled form (``None``
+        when nothing is pushed: every row ships as stored)."""
         execution = record.execution
         state = record.state
         lock_rows: list[dict] | None = None
@@ -1352,12 +1361,12 @@ class QueryService:
             )
         else:
             raws = fetch()
-            if fragment is not None:
+            if compiled is not None:
                 try:
                     # Repeatable read locks exactly the rows the query
                     # observes: the survivors of the pushed predicates.
                     lock_rows, payload, _batches = run_fragment_batches(
-                        fragment, compiled, raws,
+                        compiled, raws,
                         EvalContext(now_ms=self.sim.now),
                         self.costs.scan_chunk_entries,
                     )

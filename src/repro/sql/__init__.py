@@ -13,7 +13,8 @@ The engine is pure: it parses SQL into an AST, plans it against a
 """
 
 from .ast import Select, Union
-from .executor import EvalContext, QueryResult, execute_select
+from .compiled import EvalContext
+from .executor import QueryResult, execute_select
 from .explain import explain
 from .parser import parse
 from .planner import Catalog, TableSource

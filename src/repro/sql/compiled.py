@@ -1,26 +1,39 @@
-"""Compile-once expression evaluation for scan fragments.
+"""The SQL expression evaluator: compile once, call per row.
 
-:func:`compile_expr` turns one AST expression into a specialized Python
-closure ``fn(raw, context) -> value`` that evaluates the expression
-against a *raw* stored row exactly as the interpreted executor evaluates
-it against ``bind_row(raw, binding)`` — the same three-valued logic,
-short-circuiting, error messages, and column resolution — without
-re-walking the AST or building the bound-row copy per evaluation.  The
-scan hot path compiles each fragment's pushed conjuncts once (see
-:mod:`repro.sql.batch`) and then evaluates whole chunks through the
-closures; results are bit-identical to the interpreted path, which stays
-available as the ``vectorized=False`` ablation baseline.
+What a SQL expression evaluates to — three-valued logic, short-circuit
+order, column resolution, error text — is decided here and nowhere
+else.  :func:`compile_expr` turns one AST expression into a specialized
+Python closure ``fn(row, context) -> value``; every consumer (scan
+fragments in :mod:`repro.sql.batch`, the central executor's WHERE /
+projection / GROUP BY / HAVING / ORDER BY / join loops, the distributed
+join coordinator, standing queries) compiles once per operator and then
+calls the closure per row, so nothing re-walks the AST.
 
-Column resolution mirrors ``bind_row``'s key layout precisely: the bound
-row is ``dict(raw)`` overlaid with ``{binding}.{column}`` aliases, so a
-``binding``-qualified reference prefers the unqualified raw value (the
-overlay overwrites any literal ``"binding.column"`` raw key), and a
-reference qualified with any other table only ever sees literal
-dotted raw keys.
+Columns resolve in one of two modes, chosen by ``binding``:
+
+* **bound rows** (``binding=None``): the row already went through
+  ``bind_row`` (and possibly a join merge), so a reference is looked up
+  as is — ``table.column`` when qualified, ``column`` otherwise.
+* **raw rows** (``binding="t"``): the row is a stored row of the table
+  bound as ``t`` and the closure yields exactly what bound-row
+  resolution yields on ``bind_row(raw, "t")`` without building that
+  copy.  The bound row is ``dict(raw)`` overlaid with
+  ``{binding}.{column}`` aliases, so a ``binding``-qualified reference
+  prefers the unqualified raw value (the overlay overwrites any literal
+  ``"binding.column"`` raw key), and a reference qualified with any
+  other table only ever sees literal dotted raw keys.
+
+Aggregate calls read their finished result from the row under the call
+node itself (the executor merges ``{call: result}`` into a group's
+representative row before evaluating HAVING / select items / ORDER BY);
+on any other row they fail as "used outside aggregation".
 """
 
 from __future__ import annotations
 
+import operator
+import re
+from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import SqlExecutionError
@@ -40,16 +53,22 @@ from .ast import (
     Star,
     Unary,
 )
-from .executor import (
-    EvalContext,
-    compare_values,
-    like_regex,
-    match_like,
-    truthy,
-)
 from .functions import SCALAR_FUNCTIONS
+from .lru import LruCache
 
-#: A compiled expression: evaluate against a raw stored row.
+
+@dataclass
+class EvalContext:
+    """Runtime context for expression evaluation.
+
+    ``now_ms`` backs ``LOCALTIMESTAMP``; timestamps in this reproduction
+    are virtual milliseconds.
+    """
+
+    now_ms: float = 0.0
+
+
+#: A compiled expression: evaluate against one row.
 CompiledExpr = Callable[[dict, EvalContext], object]
 
 #: Sentinel distinguishing "key absent" from a stored ``None`` (SQL NULL).
@@ -57,9 +76,45 @@ _MISSING = object()
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
+_ARITHMETIC = {
+    "+": operator.add, "-": operator.sub, "*": operator.mul,
+    "/": operator.truediv, "%": operator.mod,
+}
+_ZERO_DIVISOR = {"/": "division by zero", "%": "modulo by zero"}
 
-def compile_predicate(expr: Expr, binding: str) -> CompiledExpr:
-    """Compile a WHERE conjunct; the closure returns the ``eval_predicate``
+
+def truthy(value: object) -> bool:
+    """SQL WHERE semantics: only TRUE passes (NULL does not)."""
+    return value is True or (
+        isinstance(value, (int, float)) and not isinstance(value, bool)
+        and value != 0
+    )
+
+
+def compare(op: str, left: object, right: object) -> bool:
+    """SQL comparison of two non-NULL values; incomparable types are a
+    typed :class:`SqlExecutionError`, never a raw ``TypeError``."""
+    try:
+        if op == "=":
+            return left == right
+        if op == "<>":
+            return left != right
+        if op == "<":
+            return left < right
+        if op == "<=":
+            return left <= right
+        if op == ">":
+            return left > right
+        return left >= right
+    except TypeError:
+        raise SqlExecutionError(
+            f"cannot compare {type(left).__name__} with "
+            f"{type(right).__name__}"
+        ) from None
+
+
+def compile_predicate(expr: Expr, binding: str | None = None) -> CompiledExpr:
+    """Compile a WHERE / ON / HAVING condition; the closure returns its
     truth value (only TRUE passes, NULL does not)."""
     fn = compile_expr(expr, binding)
 
@@ -71,7 +126,7 @@ def compile_predicate(expr: Expr, binding: str) -> CompiledExpr:
 
 def compile_projection(columns: tuple[str, ...] | None) -> Callable[[dict], dict]:
     """Compile a fragment projection: returns the shipped row for one raw
-    row, matching ``FragmentAccumulator``'s column strip exactly."""
+    row (the listed columns the row actually has, in row order)."""
     if columns is None:
         return lambda raw: raw
     keep = frozenset(columns)
@@ -82,8 +137,11 @@ def compile_projection(columns: tuple[str, ...] | None) -> Callable[[dict], dict
     return project
 
 
-def compile_expr(expr: Expr, binding: str) -> CompiledExpr:
-    """Compile one expression into a closure over ``(raw, context)``."""
+def compile_expr(expr: Expr, binding: str | None = None) -> CompiledExpr:
+    """Compile one expression into a closure over ``(row, context)``.
+
+    ``binding=None`` reads bound rows; a binding name reads raw stored
+    rows of the table bound under it (see the module docstring)."""
     if isinstance(expr, Literal):
         value = expr.value
         return lambda raw, context: value
@@ -122,19 +180,11 @@ def _raiser(message: str) -> CompiledExpr:
     return fail
 
 
-def _compile_column(column: Column, binding: str) -> CompiledExpr:
+def _compile_column(column: Column, binding: str | None) -> CompiledExpr:
     name = column.name
     message = f"unknown column {column.display()!r}"
-    if column.table is None:
-        def unqualified(raw: dict, context: EvalContext) -> object:
-            value = raw.get(name, _MISSING)
-            if value is _MISSING:
-                raise SqlExecutionError(message)
-            return value
-
-        return unqualified
-    dotted = f"{column.table}.{name}"
-    if column.table == binding:
+    dotted = None if column.table is None else f"{column.table}.{name}"
+    if dotted is not None and column.table == binding:
         # The bind_row overlay writes binding-qualified aliases after
         # dict(raw), so the unqualified raw value shadows any literal
         # dotted raw key of the same name.
@@ -147,22 +197,33 @@ def _compile_column(column: Column, binding: str) -> CompiledExpr:
             return value
 
         return qualified
+    # Every other reference is one key looked up as is: an unqualified
+    # name, a qualified one on a bound row, or (on a raw row) another
+    # table's qualifier, which only a literal dotted raw key satisfies.
+    key = name if dotted is None else dotted
 
-    def foreign(raw: dict, context: EvalContext) -> object:
-        value = raw.get(dotted, _MISSING)
+    def as_is(raw: dict, context: EvalContext) -> object:
+        value = raw.get(key, _MISSING)
         if value is _MISSING:
             raise SqlExecutionError(message)
         return value
 
-    return foreign
+    return as_is
 
 
-def _compile_call(call: FuncCall, binding: str) -> CompiledExpr:
-    # Scan fragments never carry aggregates (split_select keeps them in
-    # the merge half), but the compiled form must still fail with the
-    # interpreted path's message if one slips through.
+def _compile_call(call: FuncCall, binding: str | None) -> CompiledExpr:
     if call.name in AGGREGATE_FUNCTIONS:
-        return _raiser(f"aggregate {call.name} used outside aggregation")
+        # A finished aggregate is looked up like a column, under the
+        # call node: only a group's representative row carries it.
+        message = f"aggregate {call.name} used outside aggregation"
+
+        def aggregate(raw: dict, context: EvalContext) -> object:
+            value = raw.get(call, _MISSING)
+            if value is _MISSING:
+                raise SqlExecutionError(message)
+            return value
+
+        return aggregate
     func = SCALAR_FUNCTIONS.get(call.name)
     if func is None:
         return _raiser(f"unknown function {call.name}")
@@ -174,7 +235,7 @@ def _compile_call(call: FuncCall, binding: str) -> CompiledExpr:
     return scalar
 
 
-def _compile_unary(expr: Unary, binding: str) -> CompiledExpr:
+def _compile_unary(expr: Unary, binding: str | None) -> CompiledExpr:
     operand = compile_expr(expr.operand, binding)
     if expr.op == "NOT":
         def negate(raw: dict, context: EvalContext) -> object:
@@ -184,25 +245,23 @@ def _compile_unary(expr: Unary, binding: str) -> CompiledExpr:
             return not truthy(value)
 
         return negate
-    if expr.op == "-":
-        def minus(raw: dict, context: EvalContext) -> object:
-            value = operand(raw, context)
-            if value is None:
-                return None
-            return -value
+    op = expr.op
 
-        return minus
-
-    def plus(raw: dict, context: EvalContext) -> object:
+    def sign(raw: dict, context: EvalContext) -> object:
         value = operand(raw, context)
         if value is None:
             return None
-        return +value
+        try:
+            return -value if op == "-" else +value
+        except TypeError:
+            raise SqlExecutionError(
+                f"cannot apply {op} to {type(value).__name__}"
+            ) from None
 
-    return plus
+    return sign
 
 
-def _compile_binary(expr: Binary, binding: str) -> CompiledExpr:
+def _compile_binary(expr: Binary, binding: str | None) -> CompiledExpr:
     op = expr.op
     left = compile_expr(expr.left, binding)
     right = compile_expr(expr.right, binding)
@@ -238,38 +297,32 @@ def _compile_binary(expr: Binary, binding: str) -> CompiledExpr:
             rhs = right(raw, context)
             if lhs is None or rhs is None:
                 return None
-            return compare_values(op, lhs, rhs)
+            return compare(op, lhs, rhs)
 
         return comparison
-    if op in ("+", "-", "*"):
+    apply = _ARITHMETIC.get(op)
+    if apply is not None:
+        zero_message = _ZERO_DIVISOR.get(op)
+
         def arithmetic(raw: dict, context: EvalContext) -> object:
             lhs = left(raw, context)
             rhs = right(raw, context)
             if lhs is None or rhs is None:
                 return None
-            if op == "+":
-                return lhs + rhs
-            if op == "-":
-                return lhs - rhs
-            return lhs * rhs
+            if zero_message is not None and rhs == 0:
+                raise SqlExecutionError(zero_message)
+            try:
+                return apply(lhs, rhs)
+            except TypeError:
+                raise SqlExecutionError(
+                    f"cannot apply {op} to {type(lhs).__name__} and "
+                    f"{type(rhs).__name__}"
+                ) from None
 
         return arithmetic
-    if op in ("/", "%"):
-        message = "division by zero" if op == "/" else "modulo by zero"
 
-        def division(raw: dict, context: EvalContext) -> object:
-            lhs = left(raw, context)
-            rhs = right(raw, context)
-            if lhs is None or rhs is None:
-                return None
-            if rhs == 0:
-                raise SqlExecutionError(message)
-            return lhs / rhs if op == "/" else lhs % rhs
-
-        return division
-
-    # The interpreted path evaluates both operands (surfacing their
-    # errors first) and NULL-propagates before rejecting the operator.
+    # Both operands evaluate (surfacing their errors first) and
+    # NULL-propagate before the operator is rejected.
     def unknown_operator(raw: dict, context: EvalContext) -> object:
         lhs = left(raw, context)
         rhs = right(raw, context)
@@ -280,7 +333,7 @@ def _compile_binary(expr: Binary, binding: str) -> CompiledExpr:
     return unknown_operator
 
 
-def _compile_in(expr: InList, binding: str) -> CompiledExpr:
+def _compile_in(expr: InList, binding: str | None) -> CompiledExpr:
     operand = compile_expr(expr.operand, binding)
     items = tuple(compile_expr(item, binding) for item in expr.items)
     negated = expr.negated
@@ -303,7 +356,7 @@ def _compile_in(expr: InList, binding: str) -> CompiledExpr:
     return in_list
 
 
-def _compile_between(expr: Between, binding: str) -> CompiledExpr:
+def _compile_between(expr: Between, binding: str | None) -> CompiledExpr:
     operand = compile_expr(expr.operand, binding)
     low = compile_expr(expr.low, binding)
     high = compile_expr(expr.high, binding)
@@ -315,19 +368,21 @@ def _compile_between(expr: Between, binding: str) -> CompiledExpr:
         high_value = high(raw, context)
         if value is None or low_value is None or high_value is None:
             return None
-        result = low_value <= value <= high_value
+        result = compare("<=", low_value, value) and compare(
+            "<=", value, high_value
+        )
         return (not result) if negated else result
 
     return between
 
 
-def _compile_like(expr: Like, binding: str) -> CompiledExpr:
+def _compile_like(expr: Like, binding: str | None) -> CompiledExpr:
     operand = compile_expr(expr.operand, binding)
     negated = expr.negated
     if isinstance(expr.pattern, Literal) and isinstance(expr.pattern.value, str):
         # The common case: a literal pattern compiles to a regex once,
         # here, instead of a cache lookup per row.
-        regex = like_regex(expr.pattern.value)
+        regex = _like_regex(expr.pattern.value)
 
         def like_literal(raw: dict, context: EvalContext) -> object:
             value = operand(raw, context)
@@ -344,13 +399,13 @@ def _compile_like(expr: Like, binding: str) -> CompiledExpr:
         pattern_value = pattern(raw, context)
         if value is None or pattern_value is None:
             return None
-        result = match_like(str(value), str(pattern_value))
+        result = _like_match(str(value), str(pattern_value))
         return (not result) if negated else result
 
     return like_dynamic
 
 
-def _compile_case(expr: CaseWhen, binding: str) -> CompiledExpr:
+def _compile_case(expr: CaseWhen, binding: str | None) -> CompiledExpr:
     branches = tuple(
         (compile_expr(condition, binding), compile_expr(result, binding))
         for condition, result in expr.branches
@@ -369,3 +424,70 @@ def _compile_case(expr: CaseWhen, binding: str) -> CompiledExpr:
         return None
 
     return case_when
+
+
+# -- LIKE patterns -----------------------------------------------------------
+
+
+#: Compiled LIKE patterns keyed by the raw pattern string, each with its
+#: literal prefix (the characters before the first wildcard — what the
+#: planner turns into a sorted-index range probe).  Patterns are almost
+#: always literals, so the same handful recurs for every row of a scan;
+#: the LRU bound guards against unbounded growth from data-derived
+#: patterns (``x LIKE y``) while keeping the hot patterns resident —
+#: the capacity follows ``CostModel.like_cache_max_patterns`` (applied
+#: by :class:`~repro.env.Environment`), and hit/miss counts roll into
+#: :class:`~repro.observability.ClusterReport`.
+# lint: allow(shared-state) bounded LRU of idempotent compiled LIKE
+# patterns; order-independent and single event-loop thread, no lock
+# needed (hit/miss counters are cumulative by design, see above).
+_LIKE_CACHE: LruCache[str, tuple["re.Pattern[str]", str]] = LruCache(1024)
+
+
+def set_like_cache_capacity(capacity: int) -> None:
+    """Apply the configured LIKE-cache bound (process-wide)."""
+    _LIKE_CACHE.set_capacity(capacity)
+
+
+def like_cache_stats() -> tuple[int, int]:
+    """Process-wide ``(hits, misses)`` of the compiled-LIKE cache."""
+    return _LIKE_CACHE.hits, _LIKE_CACHE.misses
+
+
+def _compiled_like(pattern: str) -> tuple["re.Pattern[str]", str]:
+    compiled = _LIKE_CACHE.get(pattern)
+    if compiled is None:
+        regex_parts = []
+        prefix_len = len(pattern)
+        for position, ch in enumerate(pattern):
+            if ch == "%":
+                regex_parts.append(".*")
+                prefix_len = min(prefix_len, position)
+            elif ch == "_":
+                regex_parts.append(".")
+                prefix_len = min(prefix_len, position)
+            else:
+                regex_parts.append(re.escape(ch))
+        compiled = (
+            re.compile("".join(regex_parts)), pattern[:prefix_len]
+        )
+        _LIKE_CACHE.put(pattern, compiled)
+    return compiled
+
+
+def _like_regex(pattern: str) -> "re.Pattern[str]":
+    return _compiled_like(pattern)[0]
+
+
+def like_literal_prefix(pattern: str) -> str | None:
+    """The literal prefix every LIKE match must start with, or ``None``
+    when the pattern starts with a wildcard (no usable prefix).  A
+    prefix equal to the whole pattern means wildcard-free: the pattern
+    is an exact string match."""
+    prefix = _compiled_like(pattern)[1]
+    return prefix if prefix else None
+
+
+def _like_match(text: str, pattern: str) -> bool:
+    """SQL LIKE with ``%`` and ``_`` wildcards (no escapes)."""
+    return _like_regex(pattern).fullmatch(text) is not None

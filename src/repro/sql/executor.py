@@ -2,15 +2,12 @@
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ..errors import SqlExecutionError, SqlPlanError
 from .ast import (
-    AGGREGATE_FUNCTIONS,
     Between,
     Binary,
-    CaseWhen,
     Column,
     Expr,
     FuncCall,
@@ -27,20 +24,14 @@ from .ast import (
     collect_aggregates,
     contains_aggregate,
 )
-from .functions import SCALAR_FUNCTIONS, make_aggregate
-from .lru import LruCache
+from .compiled import (
+    CompiledExpr,
+    EvalContext,
+    compile_expr,
+    compile_predicate,
+)
+from .functions import make_aggregate
 from .planner import Catalog, JoinStep, Plan, plan_select
-
-
-@dataclass
-class EvalContext:
-    """Runtime context for expression evaluation.
-
-    ``now_ms`` backs ``LOCALTIMESTAMP``; timestamps in this reproduction
-    are virtual milliseconds.
-    """
-
-    now_ms: float = 0.0
 
 
 @dataclass
@@ -123,14 +114,19 @@ def execute_plan(plan: Plan, context: EvalContext) -> QueryResult:
     for step in plan.joins:
         rows, step_scanned = _execute_join(rows, step, context)
         scanned += step_scanned
+    return _execute_post_join(select, rows, plan.is_aggregate, context,
+                              scanned)
 
+
+def _execute_post_join(select: Select, rows: list[dict], is_aggregate: bool,
+                       context: EvalContext, scanned: int) -> QueryResult:
+    """Everything after the joins, over merged bound rows: residual
+    WHERE, aggregation or projection, and output shaping."""
     if select.where is not None:
-        rows = [
-            row for row in rows
-            if _truthy(_eval(select.where, row, context, None))
-        ]
+        where = compile_predicate(select.where)
+        rows = [row for row in rows if where(row, context)]
 
-    if plan.is_aggregate:
+    if is_aggregate:
         out_rows, columns = _execute_aggregate(select, rows, context)
     else:
         out_rows, columns = _execute_projection(select, rows, context)
@@ -213,10 +209,8 @@ def _execute_join(left_rows: list[dict], step: JoinStep,
     for row in right_rows:
         right_columns.update(row.keys())
 
-    if step.using:
-        result = _hash_join_using(left_rows, right_rows, step, right_columns)
-    elif step.hash_on is not None:
-        result = _hash_join_on(
+    if step.using or step.hash_on is not None:
+        result = _hash_join(
             left_rows, right_rows, step, right_columns, context
         )
     else:
@@ -241,41 +235,37 @@ def _merge(left: dict, right: dict) -> dict:
     return merged
 
 
-def _hash_join_using(left_rows: list[dict], right_rows: list[dict],
-                     step: JoinStep,
-                     right_columns: set[str]) -> list[dict]:
-    index: dict[tuple, list[dict]] = {}
-    for row in right_rows:
-        key = tuple(row.get(col) for col in step.using)
-        if any(part is None for part in key):
-            continue
-        index.setdefault(key, []).append(row)
-    result = []
-    for left in left_rows:
-        key = tuple(left.get(col) for col in step.using)
-        matches = index.get(key, []) if not any(
-            part is None for part in key
-        ) else []
-        if matches:
-            result.extend(_merge(left, right) for right in matches)
-        elif step.kind == "LEFT":
-            result.append(_null_extend(left, right_columns))
-    return result
+def compile_join_key(using: "tuple[str, ...]",
+                     expr: "Expr | None") -> CompiledExpr:
+    """One side's hash-join key over bound rows: the ``USING`` column
+    tuple, or the value of that side of an equi-``ON``.  ``None`` means
+    the row cannot match (a NULL key, or any NULL ``USING`` component).
+    """
+    if not using:
+        return compile_expr(expr)
+
+    def using_key(row: dict, context: EvalContext) -> object:
+        key = tuple(row.get(col) for col in using)
+        return None if any(part is None for part in key) else key
+
+    return using_key
 
 
-def _hash_join_on(left_rows: list[dict], right_rows: list[dict],
-                  step: JoinStep, right_columns: set[str],
-                  context: EvalContext) -> list[dict]:
-    probe_expr, build_expr = step.hash_on
+def _hash_join(left_rows: list[dict], right_rows: list[dict],
+               step: JoinStep, right_columns: set[str],
+               context: EvalContext) -> list[dict]:
+    probe_expr, build_expr = step.hash_on or (None, None)
+    build_key = compile_join_key(step.using, build_expr)
+    probe_key = compile_join_key(step.using, probe_expr)
     index: dict[object, list[dict]] = {}
     for row in right_rows:
-        key = _eval(build_expr, row, context, None)
+        key = build_key(row, context)
         if key is None:
             continue
         index.setdefault(key, []).append(row)
     result = []
     for left in left_rows:
-        key = _eval(probe_expr, left, context, None)
+        key = probe_key(left, context)
         matches = index.get(key, []) if key is not None else []
         if matches:
             result.extend(_merge(left, right) for right in matches)
@@ -287,14 +277,13 @@ def _hash_join_on(left_rows: list[dict], right_rows: list[dict],
 def _nested_loop_join(left_rows: list[dict], right_rows: list[dict],
                       step: JoinStep, right_columns: set[str],
                       context: EvalContext) -> list[dict]:
+    on = compile_predicate(step.on) if step.on is not None else None
     result = []
     for left in left_rows:
         matched = False
         for right in right_rows:
             merged = _merge(left, right)
-            if step.on is None or _truthy(
-                _eval(step.on, merged, context, None)
-            ):
+            if on is None or on(merged, context):
                 result.append(merged)
                 matched = True
         if not matched and step.kind == "LEFT":
@@ -337,28 +326,24 @@ def build_join_index(
 ) -> "tuple[dict, tuple[tuple, Exception] | None]":
     """The hash-join build phase over tagged bound rows.
 
-    Mirrors ``_hash_join_using``/``_hash_join_on``: NULL keys (any
-    NULL component for USING) never enter the index.  Instead of
-    raising on a key-evaluation error it records the first one with
-    its row tag — the coordinator surfaces the minimum tag across
-    nodes, which is the row central would have raised on first.
+    Mirrors ``_hash_join``: NULL keys (any NULL component for USING)
+    never enter the index.  Instead of raising on a key-evaluation
+    error it records the first one with its row tag — the coordinator
+    surfaces the minimum tag across nodes, which is the row central
+    would have raised on first.
     """
+    build_key = compile_join_key(using, build_expr)
     index: dict = {}
     error: "tuple[tuple, Exception] | None" = None
     for tag, row in tagged_rows:
-        if using:
-            key = tuple(row.get(col) for col in using)
-            if any(part is None for part in key):
-                continue
-        else:
-            try:
-                key = _eval(build_expr, row, context, None)
-            except Exception as exc:  # noqa: BLE001 - mirrors central raise
-                if error is None:
-                    error = (tag, exc)
-                continue
-            if key is None:
-                continue
+        try:
+            key = build_key(row, context)
+        except Exception as exc:  # noqa: BLE001 - mirrors central raise
+            if error is None:
+                error = (tag, exc)
+            continue
+        if key is None:
+            continue
         index.setdefault(key, []).append((tag, row))
     return index, error
 
@@ -379,22 +364,17 @@ def probe_join_index(
     any real match but only ever compares against tags of the same
     left row (a row cannot both match and pad).
     """
+    probe_key = compile_join_key(using, probe_expr)
     result: "list[tuple[tuple, dict]]" = []
     error: "tuple[tuple, Exception] | None" = None
     for tag, left in tagged_left:
-        if using:
-            key = tuple(left.get(col) for col in using)
-            matches = index.get(key, []) if not any(
-                part is None for part in key
-            ) else []
-        else:
-            try:
-                key = _eval(probe_expr, left, context, None)
-            except Exception as exc:  # noqa: BLE001 - mirrors central raise
-                if error is None:
-                    error = (tag, exc)
-                continue
-            matches = index.get(key, []) if key is not None else []
+        try:
+            key = probe_key(left, context)
+        except Exception as exc:  # noqa: BLE001 - mirrors central raise
+            if error is None:
+                error = (tag, exc)
+            continue
+        matches = index.get(key, []) if key is not None else []
         if matches:
             result.extend(
                 (tag + (right_tag,), _merge(left, right))
@@ -403,17 +383,6 @@ def probe_join_index(
         elif kind == "LEFT":
             result.append((tag + ((),), _null_extend(left, right_columns)))
     return result, error
-
-
-def merge_join_rows(left: dict, right: dict) -> dict:
-    """Public alias of the join merge (left wins unqualified collisions)
-    for the vectorized broadcast-probe sweep."""
-    return _merge(left, right)
-
-
-def null_extend_row(left: dict, right_columns: set[str]) -> dict:
-    """Public alias of LEFT-join NULL padding for the sweep probe."""
-    return _null_extend(left, right_columns)
 
 
 def validate_joined_select(select: Select) -> bool:
@@ -446,23 +415,10 @@ def execute_joined_select(select: Select, rows: list[dict],
     coordinator sorts by tag before calling).  Re-binding them against
     a table would re-resolve unqualified collisions and corrupt the
     left-wins semantics baked in by the join merge, so this runs
-    ``execute_plan``'s post-join stages directly: residual WHERE,
-    aggregation or projection, and output shaping.
+    ``execute_plan``'s post-join stages directly.
     """
     is_aggregate = validate_joined_select(select)
-    if select.where is not None:
-        rows = [
-            row for row in rows
-            if _truthy(_eval(select.where, row, context, None))
-        ]
-    if is_aggregate:
-        out_rows, columns = _execute_aggregate(select, rows, context)
-    else:
-        out_rows, columns = _execute_projection(select, rows, context)
-    final = _shape_output(select, out_rows, columns, context)
-    if select.approx:
-        columns, final = _approx_exact_output(columns, final)
-    return QueryResult(columns=columns, rows=final, scanned=scanned)
+    return _execute_post_join(select, rows, is_aggregate, context, scanned)
 
 
 # -- projection and aggregation ---------------------------------------------
@@ -494,11 +450,12 @@ def _execute_projection(select: Select, rows: list[dict],
         _output_name(item, position)
         for position, item in enumerate(select.items)
     ]
+    items = [compile_expr(item.expr) for item in select.items]
     out = []
     for row in rows:
         projected = {}
-        for name, item in zip(columns, select.items):
-            projected[name] = _eval(item.expr, row, context, None)
+        for name, item in zip(columns, items):
+            projected[name] = item(row, context)
         projected["__env__"] = row
         out.append(projected)
     return out, columns
@@ -551,36 +508,47 @@ def new_group_accs(unique: list[FuncCall]) -> list:
     ]
 
 
-def accumulate_group_row(unique: list[FuncCall], accs: list, row: dict,
-                         context: EvalContext) -> None:
-    """Feed one bound row into a group's accumulators."""
-    for call, acc in zip(unique, accs):
-        if call.args and not isinstance(call.args[0], Star):
-            acc.add(_eval(call.args[0], row, context, None))
-        else:
-            acc.add(1)
-
-
-def group_key(select: Select, row: dict, context: EvalContext) -> tuple:
-    """The hashable GROUP BY key of one bound row."""
+def compile_agg_feeds(
+    unique: "list[FuncCall] | tuple[FuncCall, ...]",
+    binding: str | None = None,
+) -> "tuple[CompiledExpr | None, ...]":
+    """One feed per aggregate call, aligned with ``unique``: the call's
+    compiled argument, or ``None`` for COUNT(*)-style calls, which
+    accumulate 1 per row."""
     return tuple(
-        _hashable(_eval(expr, row, context, None))
-        for expr in select.group_by
+        compile_expr(call.args[0], binding)
+        if call.args and not isinstance(call.args[0], Star)
+        else None
+        for call in unique
     )
+
+
+def compile_group_key(group_by: "tuple[Expr, ...]",
+                      binding: str | None = None) -> CompiledExpr:
+    """A closure yielding the hashable GROUP BY key of one row."""
+    parts = tuple(compile_expr(expr, binding) for expr in group_by)
+
+    def group_key(row: dict, context: EvalContext) -> tuple:
+        return tuple(_hashable(part(row, context)) for part in parts)
+
+    return group_key
 
 
 def _execute_aggregate(select: Select, rows: list[dict],
                        context: EvalContext) -> tuple[list[dict], list[str]]:
     unique = unique_aggregates(select)
+    group_key = compile_group_key(select.group_by)
+    feeds = compile_agg_feeds(unique)
 
     groups: dict[tuple, dict] = {}
     for row in rows:
-        key = group_key(select, row, context)
+        key = group_key(row, context)
         group = groups.get(key)
         if group is None:
             group = {"row": row, "accs": new_group_accs(unique)}
             groups[key] = group
-        accumulate_group_row(unique, group["accs"], row, context)
+        for feed, acc in zip(feeds, group["accs"]):
+            acc.add(1 if feed is None else feed(row, context))
 
     return _finalize_groups(select, unique, groups, context)
 
@@ -597,26 +565,24 @@ def _finalize_groups(select: Select, unique: list[FuncCall],
         _output_name(item, position)
         for position, item in enumerate(select.items)
     ]
+    having = (
+        compile_predicate(select.having)
+        if select.having is not None else None
+    )
+    items = [compile_expr(item.expr) for item in select.items]
     out = []
     for group in groups.values():
-        agg_values = {
-            call: acc.result()
-            for call, acc in zip(unique, group["accs"])
-        }
-        representative = group["row"]
-        if select.having is not None:
-            keep = _truthy(
-                _eval(select.having, representative, context, agg_values)
-            )
-            if not keep:
-                continue
+        # Compiled aggregate calls read their result from the row,
+        # under the call node, next to the representative's columns.
+        env = dict(group["row"])
+        for call, acc in zip(unique, group["accs"]):
+            env[call] = acc.result()
+        if having is not None and not having(env, context):
+            continue
         projected = {}
-        for name, item in zip(columns, select.items):
-            projected[name] = _eval(
-                item.expr, representative, context, agg_values
-            )
-        projected["__env__"] = representative
-        projected["__aggs__"] = agg_values
+        for name, item in zip(columns, items):
+            projected[name] = item(env, context)
+        projected["__env__"] = env
         out.append(projected)
     return out, columns
 
@@ -635,15 +601,16 @@ def _distinct(rows: list[dict], columns: list[str]) -> list[dict]:
 
 def _execute_order(select: Select, rows: list[dict],
                    context: EvalContext) -> list[dict]:
+    keys = [compile_expr(order.expr) for order in select.order_by]
+
     def sort_key(row: dict) -> tuple:
         env = dict(row.get("__env__", {}))
         for key, value in row.items():
             if not key.startswith("__"):
                 env[key] = value
-        aggs = row.get("__aggs__")
         parts = []
-        for order in select.order_by:
-            value = _eval(order.expr, env, context, aggs)
+        for order, order_key in zip(select.order_by, keys):
+            value = order_key(env, context)
             # NULLs sort last regardless of direction.
             null_rank = 1 if value is None else 0
             if order.descending:
@@ -685,308 +652,17 @@ def _hashable(value: object) -> object:
     return value
 
 
-# -- expression evaluation -----------------------------------------------------
-
-
-def _truthy(value: object) -> bool:
-    """SQL WHERE semantics: only TRUE passes (NULL does not)."""
-    return value is True or (
-        isinstance(value, (int, float)) and not isinstance(value, bool)
-        and value != 0
-    )
-
-
-def _eval(expr: Expr, row: dict, context: EvalContext,
-          agg_values: dict | None) -> object:
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, LocalTimestamp):
-        return context.now_ms
-    if isinstance(expr, Column):
-        return _resolve_column(expr, row)
-    if isinstance(expr, FuncCall):
-        return _eval_call(expr, row, context, agg_values)
-    if isinstance(expr, Unary):
-        return _eval_unary(expr, row, context, agg_values)
-    if isinstance(expr, Binary):
-        return _eval_binary(expr, row, context, agg_values)
-    if isinstance(expr, InList):
-        return _eval_in(expr, row, context, agg_values)
-    if isinstance(expr, Between):
-        return _eval_between(expr, row, context, agg_values)
-    if isinstance(expr, Like):
-        return _eval_like(expr, row, context, agg_values)
-    if isinstance(expr, IsNull):
-        value = _eval(expr.operand, row, context, agg_values)
-        return (value is not None) if expr.negated else (value is None)
-    if isinstance(expr, CaseWhen):
-        for condition, result in expr.branches:
-            if _truthy(_eval(condition, row, context, agg_values)):
-                return _eval(result, row, context, agg_values)
-        if expr.default is not None:
-            return _eval(expr.default, row, context, agg_values)
-        return None
-    if isinstance(expr, Star):
-        raise SqlExecutionError("* is only valid in COUNT(*) or SELECT *")
-    raise SqlExecutionError(f"cannot evaluate {type(expr).__name__}")
-
-
-def _resolve_column(column: Column, row: dict) -> object:
-    key = f"{column.table}.{column.name}" if column.table else column.name
-    if key in row:
-        return row[key]
-    raise SqlExecutionError(f"unknown column {column.display()!r}")
-
-
-def _eval_call(call: FuncCall, row: dict, context: EvalContext,
-               agg_values: dict | None) -> object:
-    if call.name in AGGREGATE_FUNCTIONS:
-        if agg_values is None or call not in agg_values:
-            raise SqlExecutionError(
-                f"aggregate {call.name} used outside aggregation"
-            )
-        return agg_values[call]
-    func = SCALAR_FUNCTIONS.get(call.name)
-    if func is None:
-        raise SqlExecutionError(f"unknown function {call.name}")
-    args = [_eval(arg, row, context, agg_values) for arg in call.args]
-    return func(args)
-
-
-def _eval_unary(expr: Unary, row: dict, context: EvalContext,
-                agg_values: dict | None) -> object:
-    value = _eval(expr.operand, row, context, agg_values)
-    if expr.op == "NOT":
-        if value is None:
-            return None
-        return not _truthy(value)
-    if value is None:
-        return None
-    if expr.op == "-":
-        return -value
-    return +value
-
-
-_COMPARISONS = {"=", "<>", "<", "<=", ">", ">="}
-
-
-def _eval_binary(expr: Binary, row: dict, context: EvalContext,
-                 agg_values: dict | None) -> object:
-    if expr.op == "AND":
-        left = _eval(expr.left, row, context, agg_values)
-        if left is False or (left is not None and not _truthy(left)):
-            return False
-        right = _eval(expr.right, row, context, agg_values)
-        if right is False or (right is not None and not _truthy(right)):
-            return False
-        if left is None or right is None:
-            return None
-        return True
-    if expr.op == "OR":
-        left = _eval(expr.left, row, context, agg_values)
-        if left is not None and _truthy(left):
-            return True
-        right = _eval(expr.right, row, context, agg_values)
-        if right is not None and _truthy(right):
-            return True
-        if left is None or right is None:
-            return None
-        return False
-
-    left = _eval(expr.left, row, context, agg_values)
-    right = _eval(expr.right, row, context, agg_values)
-    if left is None or right is None:
-        return None
-    if expr.op in _COMPARISONS:
-        return _compare(expr.op, left, right)
-    if expr.op == "+":
-        return left + right
-    if expr.op == "-":
-        return left - right
-    if expr.op == "*":
-        return left * right
-    if expr.op == "/":
-        if right == 0:
-            raise SqlExecutionError("division by zero")
-        return left / right
-    if expr.op == "%":
-        if right == 0:
-            raise SqlExecutionError("modulo by zero")
-        return left % right
-    raise SqlExecutionError(f"unknown operator {expr.op}")
-
-
-def _compare(op: str, left: object, right: object) -> bool:
-    try:
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
-    except TypeError:
-        raise SqlExecutionError(
-            f"cannot compare {type(left).__name__} with "
-            f"{type(right).__name__}"
-        ) from None
-
-
-def _eval_in(expr: InList, row: dict, context: EvalContext,
-             agg_values: dict | None) -> object:
-    value = _eval(expr.operand, row, context, agg_values)
-    if value is None:
-        return None
-    saw_null = False
-    for item in expr.items:
-        candidate = _eval(item, row, context, agg_values)
-        if candidate is None:
-            saw_null = True
-        elif candidate == value:
-            return not expr.negated
-    if saw_null:
-        return None
-    return expr.negated
-
-
-def _eval_between(expr: Between, row: dict, context: EvalContext,
-                  agg_values: dict | None) -> object:
-    value = _eval(expr.operand, row, context, agg_values)
-    low = _eval(expr.low, row, context, agg_values)
-    high = _eval(expr.high, row, context, agg_values)
-    if value is None or low is None or high is None:
-        return None
-    result = low <= value <= high
-    return (not result) if expr.negated else result
-
-
-def _eval_like(expr: Like, row: dict, context: EvalContext,
-               agg_values: dict | None) -> object:
-    value = _eval(expr.operand, row, context, agg_values)
-    pattern = _eval(expr.pattern, row, context, agg_values)
-    if value is None or pattern is None:
-        return None
-    result = _like_match(str(value), str(pattern))
-    return (not result) if expr.negated else result
-
-
-#: Compiled LIKE patterns keyed by the raw pattern string, each with its
-#: literal prefix (the characters before the first wildcard — what the
-#: planner turns into a sorted-index range probe).  Patterns are almost
-#: always literals, so the same handful recurs for every row of a scan;
-#: the LRU bound guards against unbounded growth from data-derived
-#: patterns (``x LIKE y``) while keeping the hot patterns resident —
-#: the capacity follows ``CostModel.like_cache_max_patterns`` (applied
-#: by :class:`~repro.env.Environment`), and hit/miss counts roll into
-#: :class:`~repro.observability.ClusterReport`.
-# lint: allow(shared-state) bounded LRU of idempotent compiled LIKE
-# patterns; order-independent and single event-loop thread, no lock
-# needed (hit/miss counters are cumulative by design, see above).
-_LIKE_CACHE: LruCache[str, tuple["re.Pattern[str]", str]] = LruCache(1024)
-
-
-def set_like_cache_capacity(capacity: int) -> None:
-    """Apply the configured LIKE-cache bound (process-wide)."""
-    _LIKE_CACHE.set_capacity(capacity)
-
-
-def like_cache_stats() -> tuple[int, int]:
-    """Process-wide ``(hits, misses)`` of the compiled-LIKE cache."""
-    return _LIKE_CACHE.hits, _LIKE_CACHE.misses
-
-
-def _compiled_like(pattern: str) -> tuple["re.Pattern[str]", str]:
-    compiled = _LIKE_CACHE.get(pattern)
-    if compiled is None:
-        regex_parts = []
-        prefix_len = len(pattern)
-        for position, ch in enumerate(pattern):
-            if ch == "%":
-                regex_parts.append(".*")
-                prefix_len = min(prefix_len, position)
-            elif ch == "_":
-                regex_parts.append(".")
-                prefix_len = min(prefix_len, position)
-            else:
-                regex_parts.append(re.escape(ch))
-        compiled = (
-            re.compile("".join(regex_parts)), pattern[:prefix_len]
-        )
-        _LIKE_CACHE.put(pattern, compiled)
-    return compiled
-
-
-def _like_regex(pattern: str) -> "re.Pattern[str]":
-    return _compiled_like(pattern)[0]
-
-
-def like_literal_prefix(pattern: str) -> str | None:
-    """The literal prefix every LIKE match must start with, or ``None``
-    when the pattern starts with a wildcard (no usable prefix).  A
-    prefix equal to the whole pattern means wildcard-free: the pattern
-    is an exact string match."""
-    prefix = _compiled_like(pattern)[1]
-    return prefix if prefix else None
-
-
-def _like_match(text: str, pattern: str) -> bool:
-    """SQL LIKE with ``%`` and ``_`` wildcards (no escapes)."""
-    return _like_regex(pattern).fullmatch(text) is not None
-
-
 # -- stable entry points for incremental consumers ---------------------------
 #
 # The continuous-query subsystem maintains results per-delta and needs
-# the exact row-binding, evaluation, naming, and hashing semantics of
-# this executor — exposed here so it never re-implements (and drifts
-# from) batch execution.
+# the exact row-binding, naming, and hashing semantics of this executor
+# — exposed here so it never re-implements (and drifts from) batch
+# execution.  (Expression evaluation is :mod:`repro.sql.compiled`.)
 
 
 def bind_row(raw: dict, binding: str) -> dict:
     """Public form of the scan-time row binding."""
     return _bind_row(raw, binding)
-
-
-def eval_expr(expr: Expr, row: dict, context: EvalContext,
-              agg_values: dict | None = None) -> object:
-    """Evaluate one expression exactly as the executor would."""
-    return _eval(expr, row, context, agg_values)
-
-
-def eval_predicate(expr: Expr, row: dict, context: EvalContext) -> bool:
-    """WHERE semantics: only TRUE passes (NULL does not)."""
-    return _truthy(_eval(expr, row, context, None))
-
-
-def eval_having(expr: Expr, row: dict, context: EvalContext,
-                agg_values: dict) -> bool:
-    """HAVING semantics over a group's aggregate values."""
-    return _truthy(_eval(expr, row, context, agg_values))
-
-
-def truthy(value: object) -> bool:
-    """WHERE truth of an evaluated value (only TRUE passes)."""
-    return _truthy(value)
-
-
-def compare_values(op: str, left: object, right: object) -> bool:
-    """SQL comparison of two non-NULL values, with the executor's
-    mixed-type :class:`SqlExecutionError`."""
-    return _compare(op, left, right)
-
-
-def match_like(text: str, pattern: str) -> bool:
-    """SQL LIKE matching through the compiled-pattern cache."""
-    return _like_match(text, pattern)
-
-
-def like_regex(pattern: str) -> "re.Pattern[str]":
-    """The compiled regex of a LIKE pattern (cached)."""
-    return _like_regex(pattern)
 
 
 def hashable_key(value: object) -> object:

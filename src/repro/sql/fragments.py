@@ -47,17 +47,8 @@ from .ast import (
     Unary,
     contains_aggregate,
 )
-from .executor import (
-    EvalContext,
-    accumulate_group_row,
-    bind_row,
-    eval_expr,
-    eval_predicate,
-    hashable_key,
-    like_literal_prefix,
-    new_group_accs,
-    unique_aggregates,
-)
+from .compiled import like_literal_prefix
+from .executor import bind_row, new_group_accs, unique_aggregates
 from .planner import (
     collect_columns,
     conjoin,
@@ -725,81 +716,6 @@ class PartialGroups:
             return 0
         key, rep, accs = self.entries[0]
         return len(key) + len(accs) + len(rep)
-
-
-class FragmentAccumulator:
-    """Per-(table, node, attempt) scan-side state.
-
-    Rows are fed raw (as stored); the accumulator binds, filters,
-    projects, and — in partial mode — folds them into group states.
-    """
-
-    def __init__(self, fragment: ScanFragment,
-                 context: EvalContext) -> None:
-        self.fragment = fragment
-        self.context = context
-        self.rows: list[dict] = []
-        self.groups: dict[tuple, list] = {}
-        self._calls = (
-            list(fragment.partial.calls)
-            if fragment.partial is not None else []
-        )
-        self._keep = (
-            set(fragment.projection)
-            if fragment.projection is not None else None
-        )
-        self.survived = 0
-
-    def add(self, raw: dict) -> bool:
-        """Feed one raw row; returns True iff the row survived."""
-        fragment = self.fragment
-        bound = None
-        if fragment.pushed:
-            bound = bind_row(raw, fragment.binding)
-            for conjunct in fragment.pushed:
-                # Interpreted ablation baseline for the vectorized path.
-                if not eval_predicate(conjunct, bound, self.context):  # lint: allow(compiled-scan)
-                    return False
-        self.survived += 1
-        partial = fragment.partial
-        if partial is not None:
-            if bound is None:
-                bound = bind_row(raw, fragment.binding)
-            key = tuple(
-                hashable_key(eval_expr(expr, bound, self.context))  # lint: allow(compiled-scan)
-                for expr in partial.group_by
-            )
-            group = self.groups.get(key)
-            if group is None:
-                rep = {
-                    name: raw[name]
-                    for name in partial.rep_columns
-                    if name in raw
-                }
-                group = [rep, new_group_accs(self._calls)]
-                self.groups[key] = group
-            accumulate_group_row(
-                self._calls, group[1], bound, self.context
-            )
-            return True
-        if self._keep is None:
-            self.rows.append(raw)
-        else:
-            keep = self._keep
-            self.rows.append(
-                {k: v for k, v in raw.items() if k in keep}
-            )
-        return True
-
-    def payload(self) -> "list[dict] | PartialGroups":
-        if self.fragment.partial is not None:
-            return PartialGroups(
-                entries=[
-                    (key, rep, accs)
-                    for key, (rep, accs) in self.groups.items()
-                ]
-            )
-        return self.rows
 
 
 def merge_partial_groups(payloads: list[PartialGroups],

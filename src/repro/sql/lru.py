@@ -1,8 +1,9 @@
 """A small deterministic LRU cache used by the SQL layer.
 
 Both compile-once caches — the LIKE-pattern regex cache in
-:mod:`repro.sql.executor` and the fragment-closure cache in
-:mod:`repro.sql.batch` — need the same thing: a bounded mapping that
+:mod:`repro.sql.compiled` and the fragment-closure cache each
+``QueryService`` hands to :func:`repro.sql.batch.compile_fragment` —
+need the same thing: a bounded mapping that
 evicts the least-recently-used entry instead of flushing wholesale, and
 that counts hits/misses for :class:`~repro.observability.ClusterReport`.
 Eviction order is the ``OrderedDict`` recency order, a pure function of

@@ -87,27 +87,6 @@ def test_attempt_token_clean_fixture_passes():
     assert lint_fixture("attempt_clean.py", "attempt-token") == []
 
 
-# -- compiled scan --------------------------------------------------------
-
-
-def test_compiled_scan_flags_per_row_eval_in_loops():
-    violations = lint_fixture("scanpath_bad.py", "compiled-scan")
-    assert len(violations) == 3
-    assert all("re-walks the expression AST" in v.message
-               for v in violations)
-
-
-def test_compiled_scan_clean_fixture_passes():
-    # scanpath_ok.py includes one deliberate interpreted-baseline call
-    # suppressed with an inline ``# lint: allow(compiled-scan)``.
-    assert lint_fixture("scanpath_ok.py", "compiled-scan") == []
-
-
-def test_compiled_scan_ignores_off_path_files():
-    # Same per-row eval code, but the file is not on the scan path.
-    assert lint_fixture("offpath_eval.py", "compiled-scan") == []
-
-
 # -- rule registry --------------------------------------------------------
 
 
@@ -117,4 +96,4 @@ def test_unknown_rule_name_raises():
 
 
 def test_all_rules_selected_by_default():
-    assert len(rules_by_name(None)) == 8
+    assert len(rules_by_name(None)) == 7

@@ -1,0 +1,93 @@
+"""Type errors inside SQL expressions are typed SQL errors.
+
+``v < 5`` over a string ``v`` always raised ``SqlExecutionError``, but
+``BETWEEN``, arithmetic and the unary sign used to leak a raw Python
+``TypeError`` onto ``execution.error``.  With one evaluator the fix is
+one fix: every path that evaluates the expression — the central
+executor, a pushed scan fragment under either ``vectorized`` gate
+value, a standing query — reports the same ``SqlExecutionError`` with
+the same message.
+"""
+
+import pytest
+
+from repro.config import ClusterConfig
+from repro.continuous.standing import PATH_FILTER_PROJECT, StandingQuery
+from repro.env import Environment
+from repro.errors import SqlExecutionError
+from repro.query.service import QueryService
+from repro.sql import EvalContext, execute_select, parse
+from repro.sql.planner import DictCatalog, ListTable
+from repro.state.live import LiveStateTable
+from repro.state.rows import live_row
+
+#: One row is enough: ``v`` is text where the statements want a number.
+VALUE = {"v": "x", "n": 1}
+
+#: Statements whose WHERE is pushed to the scan fragment.
+PUSHED = [
+    ('SELECT n FROM "data" WHERE v BETWEEN 1 AND 5',
+     "cannot compare int with str"),
+    ('SELECT n FROM "data" WHERE n + v > 0',
+     "cannot apply + to int and str"),
+    ('SELECT n FROM "data" WHERE -v < 0', "cannot apply - to str"),
+]
+#: Statements whose failing expression only ever runs at the entry node.
+CENTRAL_ONLY = [
+    ('SELECT n + v AS x FROM "data"', "cannot apply + to int and str"),
+    ('SELECT -v AS x FROM "data"', "cannot apply - to str"),
+    ('SELECT n FROM "data" ORDER BY v + 1',
+     "cannot apply + to str and int"),
+]
+
+
+def service_error(sql, **gates):
+    env = Environment(ClusterConfig(nodes=2, processing_workers_per_node=1))
+    imap = env.store.create_map("data")
+    env.store.register_live_table("data", LiveStateTable(imap))
+    imap.put(1, VALUE)
+    with pytest.raises(SqlExecutionError) as excinfo:
+        QueryService(env, **gates).execute(sql)
+    return str(excinfo.value)
+
+
+def central_error(sql):
+    catalog = DictCatalog()
+    catalog.add(ListTable("data", (live_row(1, VALUE),)))
+    with pytest.raises(SqlExecutionError) as excinfo:
+        execute_select(parse(sql), catalog, EvalContext())
+    return str(excinfo.value)
+
+
+class LiveOnly:
+    def has_live_table(self, name):
+        return True
+
+
+def standing_error(sql):
+    standing = StandingQuery(sql, parse(sql), LiveOnly(), now=lambda: 0.0)
+    assert standing.path == PATH_FILTER_PROJECT
+    with pytest.raises(SqlExecutionError) as excinfo:
+        standing.on_delta(1, None, live_row(1, VALUE))
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("sql,message", PUSHED)
+def test_pushed_expression_type_error_is_typed_on_every_path(sql, message):
+    assert central_error(sql) == message
+    assert service_error(sql, pushdown=False) == message
+    assert service_error(sql, vectorized=True) == message
+    assert service_error(sql, vectorized=False) == message
+    assert standing_error(sql) == message
+
+
+@pytest.mark.parametrize("sql,message", CENTRAL_ONLY)
+def test_central_expression_type_error_is_typed(sql, message):
+    assert central_error(sql) == message
+    assert service_error(sql) == message
+    assert service_error(sql, vectorized=False) == message
+
+
+def test_projection_type_error_is_typed_in_a_standing_query():
+    for sql, message in CENTRAL_ONLY[:2]:
+        assert standing_error(sql) == message

@@ -4,7 +4,7 @@ from repro.config import CostModel
 from repro.kvstore.indexes import EqProbe, RangeProbe
 from repro.sql import parse
 from repro.sql.access import choose_access_path, probe_for
-from repro.sql.executor import like_literal_prefix
+from repro.sql.compiled import like_literal_prefix
 from repro.sql.fragments import (
     KeyRange,
     KeySet,

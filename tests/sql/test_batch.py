@@ -1,9 +1,11 @@
 """Tests for columnar batch execution (repro.sql.batch).
 
-The batch path must be bit-identical to the interpreted
-``FragmentAccumulator``: same survivors in the same order, same
-partial-group contents, and the same first error when a pushed
-expression fails.
+Whatever the chunk size, the batch path must produce what a row-major
+sweep (row by row, conjunct by conjunct) produces: same survivors in
+the same order, same partial-group contents, and the same first error
+when a pushed expression fails.  Expectations are recomputed from
+``ROWS`` with plain comprehensions or spelled literally, so they share
+no code with the evaluator under test.
 """
 
 import pytest
@@ -18,7 +20,6 @@ from repro.sql.batch import (
 )
 from repro.sql.executor import execute_grouped_select
 from repro.sql.fragments import (
-    FragmentAccumulator,
     PartialGroups,
     merge_partial_groups,
     split_select,
@@ -39,10 +40,8 @@ def fragment_of(sql: str):
     return plan, plan.fragment("t")
 
 
-def interpreted_run(fragment, raws):
-    acc = FragmentAccumulator(fragment, CTX)
-    lock_rows = [raw for raw in raws if acc.add(raw)]
-    return lock_rows, acc.payload()
+def first_seen(values):
+    return list(dict.fromkeys(values))
 
 
 def groups_as_rows(plan, payload):
@@ -57,11 +56,17 @@ def test_projection_fragment_matches_interpreted(chunk):
     )
     compiled = CompiledFragment(fragment)
     lock_rows, payload, batches = run_fragment_batches(
-        fragment, compiled, ROWS, CTX, chunk
+        compiled, ROWS, CTX, chunk
     )
-    expected_locks, expected_payload = interpreted_run(fragment, ROWS)
+    expected_locks = [
+        raw for raw in ROWS if raw["value"] < 3 and raw["key"] > 2
+    ]
     assert lock_rows == expected_locks
-    assert payload == expected_payload
+    assert all(got is raw for got, raw in zip(lock_rows, expected_locks))
+    assert payload == [
+        {"key": raw["key"], "value": raw["value"]}
+        for raw in expected_locks
+    ]
     assert batches == (len(ROWS) + chunk - 1) // chunk
 
 
@@ -73,17 +78,27 @@ def test_partial_aggregate_fragment_matches_interpreted(chunk):
     plan, fragment = fragment_of(sql)
     compiled = CompiledFragment(fragment)
     lock_rows, payload, _ = run_fragment_batches(
-        fragment, compiled, ROWS, CTX, chunk
+        compiled, ROWS, CTX, chunk
     )
-    expected_locks, expected_payload = interpreted_run(fragment, ROWS)
-    assert lock_rows == expected_locks
+    survivors = [raw for raw in ROWS if raw["value"] != 1]
+    assert lock_rows == survivors
     assert isinstance(payload, PartialGroups)
-    # Group insertion order and representative rows match exactly...
+    # Groups appear in first-seen order, each represented by the
+    # columns the finalize stage reads outside aggregate arguments...
+    weights = first_seen(raw["weight"] for raw in survivors)
     assert [(key, rep) for key, rep, _ in payload.entries] == \
-        [(key, rep) for key, rep, _ in expected_payload.entries]
-    # ...and the merged final result is identical.
-    assert groups_as_rows(plan, payload) == \
-        groups_as_rows(plan, expected_payload)
+        [((weight,), {"weight": weight}) for weight in weights]
+    # ...and the merged final result carries the accumulator states.
+    members = {
+        weight: [raw["value"] for raw in survivors
+                 if raw["weight"] == weight]
+        for weight in weights
+    }
+    assert groups_as_rows(plan, payload) == [
+        {"weight": weight, "s": sum(members[weight]),
+         "c": len(members[weight]), "lo": min(members[weight])}
+        for weight in sorted(weights)
+    ]
 
 
 def test_null_heavy_group_keys_match():
@@ -91,22 +106,15 @@ def test_null_heavy_group_keys_match():
            "ORDER BY c")
     plan, fragment = fragment_of(sql)
     compiled = CompiledFragment(fragment)
-    _, payload, _ = run_fragment_batches(fragment, compiled, ROWS, CTX, 5)
-    _, expected = interpreted_run(fragment, ROWS)
+    _, payload, _ = run_fragment_batches(compiled, ROWS, CTX, 5)
+    # NULL is a group key like any other, in first-seen position.
     assert [entry[0] for entry in payload.entries] == \
-        [entry[0] for entry in expected.entries]
-    assert groups_as_rows(plan, payload) == groups_as_rows(plan, expected)
-
-
-def test_interpreted_fallback_when_not_compiled():
-    plan, fragment = fragment_of('SELECT key FROM "t" WHERE value = 0')
-    lock_rows, payload, batches = run_fragment_batches(
-        fragment, None, ROWS, CTX, 4
-    )
-    expected_locks, expected_payload = interpreted_run(fragment, ROWS)
-    assert lock_rows == expected_locks
-    assert payload == expected_payload
-    assert batches == 0
+        [("alpha",), ("beta",), (None,)]
+    # ORDER BY c is stable: alpha and beta tie at 8 in group order.
+    assert groups_as_rows(plan, payload) == [
+        {"tag": None, "c": 7}, {"tag": "alpha", "c": 8},
+        {"tag": "beta", "c": 8},
+    ]
 
 
 def error_rows():
@@ -121,12 +129,10 @@ def test_first_error_matches_interpreted_sweep(chunk):
     _, fragment = fragment_of('SELECT key FROM "t" WHERE value < 3')
     compiled = CompiledFragment(fragment)
     rows = error_rows()
-    with pytest.raises(SqlExecutionError) as interpreted_error:
-        interpreted_run(fragment, rows)
     with pytest.raises(SqlExecutionError) as batch_error:
-        run_fragment_batches(fragment, compiled, rows, CTX, chunk)
-    assert str(batch_error.value) == str(interpreted_error.value)
-    assert "cannot compare str with int" in str(batch_error.value)
+        run_fragment_batches(compiled, rows, CTX, chunk)
+    # Row 9's error, never row 15's ("cannot compare object with int").
+    assert str(batch_error.value) == "cannot compare str with int"
 
 
 def test_error_in_aggregate_feed_matches_interpreted():
@@ -136,16 +142,14 @@ def test_error_in_aggregate_feed_matches_interpreted():
     compiled = CompiledFragment(fragment)
     rows = [dict(raw) for raw in ROWS]
     del rows[7]["value"]  # unknown column mid-chunk
-    with pytest.raises(SqlExecutionError) as interpreted_error:
-        interpreted_run(fragment, rows)
     with pytest.raises(SqlExecutionError) as batch_error:
-        run_fragment_batches(fragment, compiled, rows, CTX, 10)
-    assert str(batch_error.value) == str(interpreted_error.value)
+        run_fragment_batches(compiled, rows, CTX, 10)
+    assert str(batch_error.value) == "unknown column 'value'"
 
 
 def test_eliminated_rows_never_error():
     # A row killed by an earlier conjunct must not surface errors from
-    # later conjuncts — conjunct-major order preserves the interpreted
+    # later conjuncts — conjunct-major order preserves the row-major
     # early-exit exactly.
     _, fragment = fragment_of(
         'SELECT key FROM "t" WHERE value < 2 AND pad / value > 0'
@@ -156,12 +160,14 @@ def test_eliminated_rows_never_error():
         {"key": 1, "partitionKey": 1, "value": 9, "pad": 10},  # killed
         {"key": 2, "partitionKey": 2, "value": 1, "pad": 10},
     ]
-    with pytest.raises(SqlExecutionError) as interpreted_error:
-        interpreted_run(fragment, rows)
     with pytest.raises(SqlExecutionError) as batch_error:
-        run_fragment_batches(fragment, compiled, rows, CTX, 10)
-    assert str(batch_error.value) == str(interpreted_error.value)
-    assert "division by zero" in str(batch_error.value)
+        run_fragment_batches(compiled, rows, CTX, 10)
+    assert str(batch_error.value) == "division by zero"
+    # Without the erroring row, the killed row is silently dropped.
+    lock_rows, payload, _ = run_fragment_batches(
+        compiled, rows[1:], CTX, 10
+    )
+    assert lock_rows == [rows[2]] and payload == [{"key": 2}]
 
 
 def test_fragment_cache_hits_on_identical_shape():

@@ -1,9 +1,9 @@
 """Tests for distributed plan splitting (repro.sql.fragments)."""
 
 from repro.sql import EvalContext, parse
-from repro.sql.executor import _LIKE_CACHE, _like_regex
+from repro.sql.batch import CompiledFragment, run_fragment_batches
+from repro.sql.compiled import _LIKE_CACHE, _like_regex
 from repro.sql.fragments import (
-    FragmentAccumulator,
     KeyRange,
     KeySet,
     PartialGroups,
@@ -178,16 +178,26 @@ ROWS = [
 ]
 
 
+def scan(fragment, rows, context):
+    """One node's scan-side run: ``(surviving raws, shipped payload)``."""
+    survivors, payload, _batches = run_fragment_batches(
+        CompiledFragment(fragment), rows, context, 5
+    )
+    return survivors, payload
+
+
 def test_fragment_accumulator_filters_and_projects():
     plan = split_select(parse(
         'SELECT key, value FROM "t" WHERE value = 1'
     ))
-    acc = FragmentAccumulator(plan.fragment("t"), EvalContext(now_ms=0))
-    survivors = [raw for raw in ROWS if acc.add(raw)]
+    survivors, payload = scan(
+        plan.fragment("t"), ROWS, EvalContext(now_ms=0)
+    )
     assert [row["key"] for row in survivors] == [1, 5, 9]
-    payload = acc.payload()
-    assert all("pad" not in row for row in payload)
-    assert all(set(row) == {"key", "value"} for row in payload)
+    assert payload == [
+        {"key": 1, "value": 1}, {"key": 5, "value": 1},
+        {"key": 9, "value": 1},
+    ]
 
 
 def test_partial_groups_merge_matches_central_execution():
@@ -201,10 +211,7 @@ def test_partial_groups_merge_matches_central_execution():
     # Two "nodes", each scanning half the rows.
     payloads = []
     for shard in (ROWS[:6], ROWS[6:]):
-        acc = FragmentAccumulator(plan.fragment("t"), context)
-        for raw in shard:
-            acc.add(raw)
-        payloads.append(acc.payload())
+        payloads.append(scan(plan.fragment("t"), shard, context)[1])
     assert all(isinstance(p, PartialGroups) for p in payloads)
     groups = merge_partial_groups(payloads, plan.partial, "t")
 
@@ -214,8 +221,13 @@ def test_partial_groups_merge_matches_central_execution():
     catalog = DictCatalog()
     catalog.add(ListTable("t", tuple(ROWS)))
     central = execute_select(parse(sql), catalog, context)
-    assert distributed.columns == central.columns
-    assert distributed.rows == central.rows
+    assert distributed.columns == central.columns == ["weight", "s", "c"]
+    assert distributed.rows == central.rows == [
+        {"weight": weight,
+         "s": sum(r["value"] for r in ROWS if r["weight"] == weight),
+         "c": sum(1 for r in ROWS if r["weight"] == weight)}
+        for weight in (0, 1)
+    ]
 
 
 def test_merge_is_idempotent_for_repeated_merges_of_fresh_state():
@@ -225,16 +237,15 @@ def test_merge_is_idempotent_for_repeated_merges_of_fresh_state():
     sql = 'SELECT SUM(value) AS s, COUNT(*) AS c FROM "t"'
     plan = split_select(parse(sql))
     context = EvalContext(now_ms=0)
-    acc = FragmentAccumulator(plan.fragment("t"), context)
-    for raw in ROWS:
-        acc.add(raw)
-    payloads = [acc.payload()]
+    payloads = [scan(plan.fragment("t"), ROWS, context)[1]]
     first = merge_partial_groups(payloads, plan.partial, "t")
     second = merge_partial_groups(payloads, plan.partial, "t")
     from repro.sql.executor import execute_grouped_select
     one = execute_grouped_select(plan.final_select, first, context)
     two = execute_grouped_select(plan.final_select, second, context)
-    assert one.rows == two.rows
+    assert one.rows == two.rows == [
+        {"s": sum(r["value"] for r in ROWS), "c": len(ROWS)}
+    ]
 
 
 # -- LIKE regex cache --------------------------------------------------------

@@ -13,10 +13,10 @@ import pytest
 from repro.config import ClusterConfig, CostModel
 from repro.env import Environment
 from repro.errors import ConfigurationError
-from repro.sql.executor import (
+from repro.sql.compiled import (
     _LIKE_CACHE,
+    _like_match as match_like,
     like_cache_stats,
-    match_like,
     set_like_cache_capacity,
 )
 from repro.sql.lru import LruCache
