@@ -496,19 +496,15 @@ class StandingQuery:
                 return []
             # Global aggregate over empty input: one row (COUNT = 0).
             representative: dict = {}
-            agg_values = {
-                call: _make_retractable(call).result()
-                for call in self._unique_aggs
-            }
+            accs = [_make_retractable(call) for call in self._unique_aggs]
         else:
             representative = group.representative
-            agg_values = {
-                call: acc.result()
-                for call, acc in zip(self._unique_aggs, group.accs)
-            }
+            accs = group.accs
         # Compiled aggregate calls read their result from the row,
         # under the call node, next to the representative's columns.
-        env = {**representative, **agg_values}
+        env = dict(representative)
+        for call, acc in zip(self._unique_aggs, accs):
+            env[call] = acc.result()
         if self._having is not None and not self._having(env, context):
             if group_key in self.published:
                 del self.published[group_key]

@@ -49,9 +49,9 @@ from dataclasses import dataclass
 from ..cluster.partition import copartitioned_tables, stable_hash
 from ..errors import QueryAbortedError
 from ..kvstore.indexes import EqProbe
+from ..sql import EvalContext
 from ..sql.access import JoinCandidate, JoinPath, choose_join_path
 from ..sql.ast import Binary, Column, Literal, Select
-from ..sql import EvalContext
 from ..sql.batch import compile_fragment, run_fragment_batches
 from ..sql.executor import (
     bind_row,

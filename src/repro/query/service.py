@@ -316,9 +316,9 @@ class QueryService:
         paths; ``vectorized=False`` bills scan fragments as interpreted
         per row instead of as columnar batches swept through
         compile-once closures (a cost-model switch: the host code is
-        the same either way); ``shared_plans=False`` gives every subscription a
-        private standing plan instead of one shared, router-fanned
-        instance per canonical plan; ``distributed_joins=False`` ships
+        the same either way); ``shared_plans=False`` gives every
+        subscription a private standing plan instead of one shared,
+        router-fanned instance per canonical plan; ``distributed_joins=False`` ships
         every joined table's rows to the entry node and joins
         centrally."""
         self.env = env

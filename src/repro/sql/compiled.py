@@ -246,13 +246,14 @@ def _compile_unary(expr: Unary, binding: str | None) -> CompiledExpr:
 
         return negate
     op = expr.op
+    apply = operator.neg if op == "-" else operator.pos
 
     def sign(raw: dict, context: EvalContext) -> object:
         value = operand(raw, context)
         if value is None:
             return None
         try:
-            return -value if op == "-" else +value
+            return apply(value)
         except TypeError:
             raise SqlExecutionError(
                 f"cannot apply {op} to {type(value).__name__}"
