@@ -1,8 +1,9 @@
 """Distributed pushdown ablation: shipped bytes and latency, on vs off.
 
-Three query shapes over a 5-node cluster, each run with the distributed
-plan enabled (predicate/projection pushdown + scan-side partial
-aggregation) and disabled (ship every raw row to the entry node):
+Four query shapes over a 5-node cluster, each run with the distributed
+plan enabled (predicate/projection pushdown, scan-side partial
+aggregation and top-k) and disabled (ship every raw row to the entry
+node):
 
 - **selective scan** — a ~1%-selectivity ``WHERE`` over wide rows; the
   pushed predicate drops 99% of rows on the scanning nodes.
@@ -10,6 +11,8 @@ aggregation) and disabled (ship every raw row to the entry node):
   column (plus row identity) ships.
 - **group by** — a two-aggregate ``GROUP BY`` collapsing 20K rows into
   seven groups; each node ships one fixed-width state per group.
+- **top-k** — ``ORDER BY ... DESC LIMIT 20`` over all 20K rows; each
+  node ships its own first 20 and the entry node sorts 100 rows.
 
 Values are integers so partial-aggregate merge order cannot introduce
 float rounding: results must be identical on and off, byte for byte.
@@ -37,6 +40,8 @@ SCENARIOS = (
     ("group by",
      'SELECT weight, SUM(value) AS s, COUNT(*) AS c FROM "metrics" '
      'GROUP BY weight ORDER BY weight'),
+    ("top-k",
+     'SELECT key, pad2 FROM "metrics" ORDER BY pad2 DESC LIMIT 20'),
 )
 
 
@@ -92,6 +97,7 @@ def run_bench():
         ])
         metrics[label] = {
             "bytes_ratio": ratio,
+            "rows_on": on.rows_shipped,
             "latency_on": on.latency_ms,
             "latency_off": off.latency_ms,
             "scan_ratio": scan_ratio,
@@ -118,6 +124,11 @@ def check(metrics) -> None:
     group = metrics["group by"]
     assert group["bytes_ratio"] >= 5.0, metrics
     assert group["latency_on"] < group["latency_off"], metrics
+    # A pushed ORDER BY / LIMIT ships k rows per node, not the table.
+    top_k = metrics["top-k"]
+    assert top_k["bytes_ratio"] >= 100.0, metrics
+    assert top_k["rows_on"] <= NODES * 20, metrics
+    assert top_k["latency_on"] < top_k["latency_off"], metrics
     # The vectorized scan path must halve billed scan time everywhere.
     for label, stats in metrics.items():
         assert stats["scan_ratio"] >= 2.0, (label, stats)

@@ -2,12 +2,13 @@
 
 The scan path compiles a :class:`~repro.sql.fragments.ScanFragment`
 once into :class:`CompiledFragment` — specialized closures for its pushed
-conjuncts, group keys, aggregate feeds, and projection — and then streams
-whole scan chunks through :class:`BatchAccumulator`.  Results are what
-a row-major sweep (row by row, conjunct by conjunct) produces: the same
-surviving rows in the same order, the same partial-group insertion order
-and accumulator states, and — when a pushed expression fails — the same
-first error, whatever the chunk size.
+conjuncts, group keys, aggregate feeds, order key, and projection — and
+then streams whole scan chunks through :class:`BatchAccumulator`.
+Results are what a row-major sweep (row by row, conjunct by conjunct)
+produces: the same surviving rows in the same order, the same
+partial-group insertion order and accumulator states, the same first
+rows under a pushed ORDER BY, and — when a pushed expression fails — the
+same first error, whatever the chunk size.
 
 Compiled fragments are cached in an LRU keyed by the frozen fragment
 itself, so a query shape recurring across shards, retries, and
@@ -19,7 +20,13 @@ not depend on what another environment in the same process ran before.
 from __future__ import annotations
 
 from .compiled import CompiledExpr, EvalContext, compile_predicate, compile_projection
-from .executor import compile_agg_feeds, compile_group_key, new_group_accs
+from .executor import (
+    compile_agg_feeds,
+    compile_group_key,
+    compile_order_key,
+    new_group_accs,
+    order_keyed,
+)
 from .fragments import PartialGroups, ScanFragment
 from .lru import LruCache
 
@@ -29,7 +36,7 @@ class CompiledFragment:
 
     __slots__ = (
         "fragment", "predicates", "group_key", "agg_feeds", "calls",
-        "rep_columns", "project",
+        "rep_columns", "order_key", "project",
     )
 
     def __init__(self, fragment: ScanFragment) -> None:
@@ -52,6 +59,10 @@ class CompiledFragment:
             self.agg_feeds = ()
             self.calls = []
             self.rep_columns = ()
+        self.order_key: CompiledExpr | None = (
+            compile_order_key(fragment.top_k.order_by, binding)
+            if fragment.top_k is not None else None
+        )
         self.project = compile_projection(fragment.projection)
 
     @property
@@ -74,6 +85,10 @@ def compile_fragment(
     return compiled, False
 
 
+class _TopKAbandoned(Exception):
+    """An order key failed to evaluate or compare on this shard."""
+
+
 class BatchAccumulator:
     """Per-(table, node, attempt) scan-side state, fed whole chunks.
 
@@ -84,13 +99,22 @@ class BatchAccumulator:
     compiled expressions are collected per row and the minimal-row
     error is re-raised at the end of the chunk — the error a row-major
     sweep would surface first.
+
+    With ``keep`` the fragment's top-k stage runs: of the survivors only
+    the first ``keep`` in ORDER BY order are held, re-selected after
+    every chunk from the held rows followed by the chunk's survivors —
+    held rows first, so rows that tie stay in scan order and the held
+    set does not depend on the chunk size.
     """
 
-    def __init__(self, compiled: CompiledFragment,
-                 context: EvalContext) -> None:
+    def __init__(self, compiled: CompiledFragment, context: EvalContext,
+                 keep: int | None = None) -> None:
         self.compiled = compiled
         self.context = context
+        self.keep = keep
         self.rows: list[dict] = []
+        #: top-k stage: ``(order key, raw row)`` of the held rows.
+        self.top: list[tuple[tuple, dict]] = []
         self.groups: dict[tuple, list] = {}
         self.survived = 0
 
@@ -116,12 +140,12 @@ class BatchAccumulator:
         if compiled.fragment.partial is not None:
             self._fold_groups(raws, survivors, errors, surviving_raws)
         else:
-            project = compiled.project
-            for index in survivors:
-                raw = raws[index]
-                self.rows.append(project(raw))
-                surviving_raws.append(raw)
-                self.survived += 1
+            surviving_raws = [raws[index] for index in survivors]
+            self.survived += len(surviving_raws)
+            if self.keep is None:
+                self.rows.extend(map(compiled.project, surviving_raws))
+            else:
+                self._keep_top(surviving_raws)
         if errors:
             # A row-major sweep stops at the first erroring row; the
             # batch reproduces exactly that error.
@@ -158,6 +182,20 @@ class BatchAccumulator:
             surviving_raws.append(raw)
             self.survived += 1
 
+    def _keep_top(self, surviving_raws: list[dict]) -> None:
+        compiled = self.compiled
+        context = self.context
+        order_key = compiled.order_key
+        try:
+            keyed = self.top + [
+                (order_key(raw, context), raw) for raw in surviving_raws
+            ]
+            self.top = order_keyed(
+                compiled.fragment.top_k.order_by, keyed, self.keep
+            )
+        except Exception:  # noqa: BLE001 — the final ORDER BY raises it
+            raise _TopKAbandoned from None
+
     def payload(self) -> "list[dict] | PartialGroups":
         if self.compiled.fragment.partial is not None:
             return PartialGroups(
@@ -166,6 +204,9 @@ class BatchAccumulator:
                     for key, (rep, accs) in self.groups.items()
                 ]
             )
+        if self.keep is not None:
+            project = self.compiled.project
+            return [project(raw) for _key, raw in self.top]
         return self.rows
 
 
@@ -174,17 +215,29 @@ def run_fragment_batches(
     raws: list[dict],
     context: EvalContext,
     chunk_entries: int,
+    keep: int | None = None,
 ) -> tuple[list[dict], "list[dict] | PartialGroups", int]:
     """Run a whole shard's rows through the fragment, streamed through
     :class:`BatchAccumulator` in ``chunk_entries``-sized chunks.
 
+    ``keep`` runs the fragment's top-k stage.  The stage never
+    originates an error: a shard whose order keys fail to evaluate or
+    compare is swept again without it and ships every survivor, so the
+    final ORDER BY raises what it raises without pushdown — after any
+    WHERE error, as there.
+
     Returns ``(surviving_raws, payload, batches)``.
     """
-    accumulator = BatchAccumulator(compiled, context)
+    accumulator = BatchAccumulator(compiled, context, keep)
     lock_rows: list[dict] = []
     chunk = max(1, chunk_entries)
     batches = 0
-    for start in range(0, len(raws), chunk):
-        lock_rows.extend(accumulator.add_batch(raws[start:start + chunk]))
-        batches += 1
+    try:
+        for start in range(0, len(raws), chunk):
+            lock_rows.extend(
+                accumulator.add_batch(raws[start:start + chunk])
+            )
+            batches += 1
+    except _TopKAbandoned:
+        return run_fragment_batches(compiled, raws, context, chunk_entries)
     return lock_rows, accumulator.payload(), batches

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 
 from ..errors import SqlExecutionError, SqlPlanError
 from .ast import (
@@ -16,6 +18,7 @@ from .ast import (
     Like,
     Literal,
     LocalTimestamp,
+    OrderItem,
     Select,
     SelectItem,
     Star,
@@ -599,51 +602,107 @@ def _distinct(rows: list[dict], columns: list[str]) -> list[dict]:
     return out
 
 
+def compile_order_key(order_by: "tuple[OrderItem, ...]",
+                      binding: str | None = None) -> CompiledExpr:
+    """A closure yielding one row's ORDER BY key: a flat native tuple
+    ``(flag, value, flag, value, ...)``, one pair per term, which
+    :func:`order_keyed` sorts with C comparisons.  The flag ranks NULLs
+    last in the term's direction (``value is None`` ascending, ``value
+    is not None`` for a descending term, whose pass runs reversed), so
+    a NULL is never compared with a value."""
+    terms = tuple(
+        (compile_expr(order.expr, binding), order.descending)
+        for order in order_by
+    )
+
+    def order_key(row: dict, context: EvalContext) -> tuple:
+        key: list = []
+        for term, descending in terms:
+            value = term(row, context)
+            key.append((value is None) != descending)
+            key.append(value)
+        return tuple(key)
+
+    return order_key
+
+
+_KEY = itemgetter(0)
+
+
+def order_keyed(order_by: "tuple[OrderItem, ...]",
+                keyed: "list[tuple[tuple, object]]",
+                limit: int | None = None) -> "list[tuple[tuple, object]]":
+    """``(order key, row)`` pairs in ORDER BY order — only the first
+    ``limit`` of them when given — keys from :func:`compile_order_key`.
+
+    The order is the stable one: rows whose keys tie keep their input
+    order.  Terms of one direction compare as one flat key, and a
+    limit below the input size makes it a bounded selection
+    (``heapq.nsmallest`` / ``nlargest`` are documented as equivalent to
+    ``sorted(...)[:n]``, stability included, and fall back to exactly
+    that otherwise).  Mixed directions take one stable pass per term,
+    last term first.  Values that do not compare raise
+    :class:`SqlExecutionError`, as they do in a WHERE.
+    """
+    if limit is None:
+        limit = len(keyed)
+    descending = order_by[0].descending
+    try:
+        if all(order.descending == descending for order in order_by):
+            first = heapq.nlargest if descending else heapq.nsmallest
+            return first(limit, keyed, key=_KEY)
+        keyed = list(keyed)
+        for position in reversed(range(len(order_by))):
+            term = itemgetter(2 * position, 2 * position + 1)
+            keyed.sort(
+                key=lambda pair: term(pair[0]),
+                reverse=order_by[position].descending,
+            )
+    except TypeError:
+        raise _incomparable(order_by, keyed) from None
+    return keyed[:limit]
+
+
+def _incomparable(order_by: "tuple[OrderItem, ...]",
+                  keyed: "list[tuple[tuple, object]]") -> SqlExecutionError:
+    """The typed error of a sort that hit incomparable values: the
+    first term holding two types that do not order, named in sorted
+    order so the text does not depend on which comparison tripped."""
+    for position in range(len(order_by)):
+        samples: dict[str, object] = {}
+        for key, _row in keyed:
+            value = key[2 * position + 1]
+            if value is not None:
+                samples.setdefault(type(value).__name__, value)
+        names = sorted(samples)
+        for index, first in enumerate(names):
+            for second in names[index:]:
+                try:
+                    samples[first] < samples[second]
+                except TypeError:
+                    return SqlExecutionError(
+                        f"cannot compare {first} with {second}"
+                    )
+    return SqlExecutionError("cannot compare ORDER BY values")
+
+
 def _execute_order(select: Select, rows: list[dict],
                    context: EvalContext) -> list[dict]:
-    keys = [compile_expr(order.expr) for order in select.order_by]
-
-    def sort_key(row: dict) -> tuple:
-        env = dict(row.get("__env__", {}))
-        for key, value in row.items():
-            if not key.startswith("__"):
-                env[key] = value
-        parts = []
-        for order, order_key in zip(select.order_by, keys):
-            value = order_key(env, context)
-            # NULLs sort last regardless of direction.
-            null_rank = 1 if value is None else 0
-            if order.descending:
-                parts.append((null_rank, _Reversed(value)))
-            else:
-                parts.append((null_rank, _Sortable(value)))
-        return tuple(parts)
-
-    return sorted(rows, key=sort_key)
-
-
-class _Sortable:
-    """Comparison wrapper tolerating None (already ranked separately)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: object) -> None:
-        self.value = value
-
-    def __lt__(self, other: "_Sortable") -> bool:
-        if self.value is None or other.value is None:
-            return False
-        return self.value < other.value
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, _Sortable) and self.value == other.value
-
-
-class _Reversed(_Sortable):
-    def __lt__(self, other: "_Sortable") -> bool:
-        if self.value is None or other.value is None:
-            return False
-        return other.value < self.value
+    """ORDER BY over projected rows, cut to the rows OFFSET / LIMIT can
+    still reach.  A term sees the output columns over the row the item
+    expressions saw."""
+    order_key = compile_order_key(select.order_by)
+    keyed = []
+    for row in rows:
+        env = dict(row["__env__"])
+        for name, value in row.items():
+            if not name.startswith("__"):
+                env[name] = value
+        keyed.append((order_key(env, context), row))
+    limit = None
+    if select.limit is not None:
+        limit = select.limit + (select.offset or 0)
+    return [row for _key, row in order_keyed(select.order_by, keyed, limit)]
 
 
 def _hashable(value: object) -> object:

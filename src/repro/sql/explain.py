@@ -35,10 +35,7 @@ def _render_plan(plan: Plan) -> list[str]:
     lines: list[str] = []
     lines.append(_render_output(select, plan))
     if select.order_by:
-        keys = ", ".join(
-            render_expr(item.expr) + (" DESC" if item.descending else "")
-            for item in select.order_by
-        )
+        keys = _render_order_keys(select)
         lines.append(f"  sort: {keys}"
                      + (f"  limit {select.limit}"
                         if select.limit is not None else ""))
@@ -61,6 +58,13 @@ def _render_plan(plan: Plan) -> list[str]:
                     if plan.base_binding != plan.base_source.name
                     else ""))
     return lines
+
+
+def _render_order_keys(select: Select) -> str:
+    return ", ".join(
+        render_expr(item.expr) + (" DESC" if item.descending else "")
+        for item in select.order_by
+    )
 
 
 def _render_output(select: Select, plan: Plan) -> str:
@@ -95,6 +99,8 @@ def render_distributed(select: Select, plan: DistributedPlan) -> list[str]:
             lines.append(f"    group by: {keys}")
     elif plan.residual is not None or final.joins:
         lines.append("  final: join/filter shipped rows")
+    elif plan.fragments[select.table.name].top_k is not None:
+        lines.append("  final: merge top-k (sort shipped rows, cut)")
     else:
         lines.append("  final: concatenate shipped rows")
     if final.having is not None:
@@ -102,11 +108,11 @@ def render_distributed(select: Select, plan: DistributedPlan) -> list[str]:
     if plan.residual is not None:
         lines.append(f"  residual filter: {render_expr(plan.residual)}")
     for name in sorted(plan.fragments):
-        lines.extend(_render_fragment(plan.fragments[name]))
+        lines.extend(_render_fragment(plan.fragments[name], select))
     return lines
 
 
-def _render_fragment(fragment: ScanFragment) -> list[str]:
+def _render_fragment(fragment: ScanFragment, select: Select) -> list[str]:
     lines = [f"  scan: {fragment.table}"
              + (f" AS {fragment.binding}"
                 if fragment.binding != fragment.table else "")]
@@ -126,6 +132,13 @@ def _render_fragment(fragment: ScanFragment) -> list[str]:
                      + ", ".join(fragment.projection))
     else:
         lines.append("    projection: * (all columns)")
+    if fragment.top_k is not None:
+        offset = f" OFFSET {select.offset}" if select.offset else ""
+        lines.append(
+            f"    top-k: ORDER BY {_render_order_keys(select)} "
+            f"LIMIT {select.limit}{offset} "
+            f"(≤ {fragment.top_k.keep} rows per shard)"
+        )
     key_filter = fragment.key_filter
     if isinstance(key_filter, KeySet):
         lines.append(f"    key filter: {len(key_filter.keys)} pinned "

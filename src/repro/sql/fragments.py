@@ -3,8 +3,9 @@
 The query service executes a SELECT in two tiers.  Each storage node
 runs a :class:`ScanFragment` — the pushable WHERE conjuncts, the
 required-column projection, and (when the whole query decomposes) a
-partial-aggregation stage — and ships only the surviving projected rows
-or per-group partial states to the entry node.  The entry node then
+partial-aggregation or top-k stage — and ships only the surviving
+projected rows, per-group partial states, or each shard's first rows
+under the ORDER BY to the entry node.  The entry node then
 runs the *final* fragment: residual predicates, joins, merge/finalize
 of partials, HAVING, ORDER BY and LIMIT, reusing the central executor
 so both tiers share one set of SQL semantics.
@@ -26,6 +27,10 @@ Splitting rules (all safety-first; anything unclear stays central):
   pushed (no residual), uses only decomposable aggregates
   (COUNT/SUM/AVG/MIN/MAX without DISTINCT), and group keys are
   clock-free.
+* ``ORDER BY ... LIMIT`` cuts each shard to its first ``LIMIT + OFFSET``
+  rows when the query is single-table, fully pushed, neither aggregate
+  nor DISTINCT nor ``SELECT *``, and every term reads stored columns
+  only (see :func:`_top_k_for`); the final fragment sorts what ships.
 """
 
 from __future__ import annotations
@@ -43,12 +48,18 @@ from .ast import (
     IsNull,
     Like,
     Literal,
+    OrderItem,
     Select,
     Unary,
     contains_aggregate,
 )
 from .compiled import like_literal_prefix
-from .executor import bind_row, new_group_accs, unique_aggregates
+from .executor import (
+    bind_row,
+    new_group_accs,
+    output_column_name,
+    unique_aggregates,
+)
 from .planner import (
     collect_columns,
     conjoin,
@@ -347,6 +358,17 @@ class PartialAggregate:
 
 
 @dataclass(frozen=True)
+class TopK:
+    """Scan-side stage of a pushed ``ORDER BY ... LIMIT``: a shard ships
+    only its first ``keep`` surviving rows in ORDER BY order."""
+
+    #: the statement's ORDER BY, evaluated on the scanned row.
+    order_by: tuple[OrderItem, ...]
+    #: ``LIMIT + OFFSET``: no later row of a shard can reach the answer.
+    keep: int
+
+
+@dataclass(frozen=True)
 class ScanFragment:
     """What one storage node executes against one table's shards."""
 
@@ -359,6 +381,7 @@ class ScanFragment:
     partial: PartialAggregate | None = None
     #: key restriction implied by ``pushed`` (drives partition pruning).
     key_filter: KeyFilter | None = None
+    top_k: TopK | None = None
 
     @property
     def is_passthrough(self) -> bool:
@@ -366,7 +389,15 @@ class ScanFragment:
             not self.pushed
             and self.projection is None
             and self.partial is None
+            and self.top_k is None
         )
+
+    def top_k_keep(self, entries: int) -> int | None:
+        """Rows a shard of ``entries`` entries keeps, or ``None`` when
+        it runs no top-k stage: there is none, or nothing to cut."""
+        if self.top_k is None or entries <= self.top_k.keep:
+            return None
+        return self.top_k.keep
 
 
 @dataclass(frozen=True)
@@ -510,6 +541,52 @@ def _partial_aggregate_for(select: Select, pushed: list[Expr],
     )
 
 
+def _top_k_for(select: Select, residual: Expr | None) -> TopK | None:
+    """Decide the scan-side top-k stage of a single-table SELECT.
+
+    A shard may cut to ``LIMIT + OFFSET`` rows only when the rows it
+    ships are the rows the final ORDER BY ranks (no join, aggregation,
+    DISTINCT or residual filter in between; ``SELECT *`` derives its
+    columns from every shipped row) and each term evaluates on the
+    scanned row to what it evaluates to centrally: clock- and
+    aggregate-free, and every name it reads is the stored column — an
+    output column of that name must be that column unrenamed.
+    """
+    if (
+        select.limit is None or not select.order_by or select.joins
+        or residual is not None or select.group_by or select.distinct
+        or select.select_star
+        or any(contains_aggregate(item.expr) for item in select.items)
+    ):
+        return None
+    binding = select.table.binding
+    outputs = {
+        output_column_name(item, position): item.expr
+        for position, item in enumerate(select.items)
+    }
+    for order in select.order_by:
+        if contains_local_timestamp(order.expr) or contains_aggregate(
+            order.expr
+        ):
+            return None
+        columns: list[Column] = []
+        collect_columns(order.expr, columns)
+        for column in columns:
+            if column.table not in (None, binding):
+                return None
+            shadow = outputs.get(column.display())
+            if shadow is not None and not (
+                isinstance(shadow, Column)
+                and shadow.name == column.name
+                and shadow.table in (None, binding)
+            ):
+                return None
+    return TopK(
+        order_by=select.order_by,
+        keep=select.limit + (select.offset or 0),
+    )
+
+
 def split_select(select: Select) -> DistributedPlan:
     """Split one SELECT into scan fragments and a final fragment."""
     base_binding = select.table.binding
@@ -562,6 +639,8 @@ def split_select(select: Select) -> DistributedPlan:
         select, pushed_by_table.get(select.table.name, []), residual
     )
 
+    top_k = _top_k_for(select, residual)
+
     referenced = _referenced_columns(
         select, residual, joins_central=bool(select.joins)
     )
@@ -582,6 +661,7 @@ def split_select(select: Select) -> DistributedPlan:
             ),
             partial=partial if name == select.table.name else None,
             key_filter=key_filter,
+            top_k=top_k if name == select.table.name else None,
         )
 
     final_select = replace(select, where=residual)

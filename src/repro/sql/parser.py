@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from ..errors import SqlParseError
+from ..errors import SqlExecutionError, SqlParseError
 from .ast import (
     Between,
     Binary,
@@ -30,6 +30,29 @@ from .lexer import Token, tokenize
 def parse(sql: str) -> Select | Union:
     """Parse one statement: a SELECT or a UNION [ALL] chain."""
     return _Parser(tokenize(sql)).parse_statement()
+
+
+def _resolve_ordinal(order: OrderItem, items: list[SelectItem],
+                     select_star: bool) -> OrderItem:
+    """``ORDER BY 2`` names the second select item.  Resolved here, so
+    everything downstream of the parser (fragment splitting, the order
+    key) only ever sees the term it stands for: the item's alias, or
+    its expression when it has none."""
+    position = order.expr
+    if not isinstance(position, Literal) or type(position.value) is not int:
+        return order
+    if select_star:
+        raise SqlExecutionError(
+            f"ORDER BY {position.value} cannot be used with SELECT *"
+        )
+    if not 1 <= position.value <= len(items):
+        raise SqlExecutionError(
+            f"ORDER BY {position.value} is not in the select list "
+            f"(1..{len(items)})"
+        )
+    item = items[position.value - 1]
+    expr = Column(item.alias) if item.alias else item.expr
+    return OrderItem(expr, order.descending)
 
 
 class _Parser:
@@ -140,7 +163,10 @@ class _Parser:
         order_by: tuple[OrderItem, ...] = ()
         if self._match_keyword("ORDER"):
             self._expect_keyword("BY")
-            order_by = tuple(self._parse_order_list())
+            order_by = tuple(
+                _resolve_ordinal(order, items, select_star)
+                for order in self._parse_order_list()
+            )
         limit = offset = None
         if self._match_keyword("LIMIT"):
             limit = self._parse_int("LIMIT")

@@ -23,6 +23,7 @@ from repro.state.rows import live_row
 
 #: One row is enough: ``v`` is text where the statements want a number.
 VALUE = {"v": "x", "n": 1}
+ONE_ROW = {1: VALUE}
 
 #: Statements whose WHERE is pushed to the scan fragment.
 PUSHED = [
@@ -41,19 +42,29 @@ CENTRAL_ONLY = [
 ]
 
 
-def service_error(sql, **gates):
+#: ``v`` is a number on some rows and text on others, several of each
+#: on both nodes: sorting by it has to compare the two.
+MIXED = {key: {"v": key if key % 3 else f"x{key}", "n": key}
+         for key in range(1, 25)}
+
+
+def service_error(sql, values=ONE_ROW, **gates):
     env = Environment(ClusterConfig(nodes=2, processing_workers_per_node=1))
     imap = env.store.create_map("data")
     env.store.register_live_table("data", LiveStateTable(imap))
-    imap.put(1, VALUE)
+    for key, value in values.items():
+        imap.put(key, value)
     with pytest.raises(SqlExecutionError) as excinfo:
         QueryService(env, **gates).execute(sql)
+    assert env.store.locks.held_count == 0
     return str(excinfo.value)
 
 
-def central_error(sql):
+def central_error(sql, values=ONE_ROW):
     catalog = DictCatalog()
-    catalog.add(ListTable("data", (live_row(1, VALUE),)))
+    catalog.add(ListTable("data", tuple(
+        live_row(key, value) for key, value in values.items()
+    )))
     with pytest.raises(SqlExecutionError) as excinfo:
         execute_select(parse(sql), catalog, EvalContext())
     return str(excinfo.value)
@@ -91,3 +102,20 @@ def test_central_expression_type_error_is_typed(sql, message):
 def test_projection_type_error_is_typed_in_a_standing_query():
     for sql, message in CENTRAL_ONLY[:2]:
         assert standing_error(sql) == message
+
+
+@pytest.mark.parametrize("tail", ["", " DESC", " LIMIT 3", " DESC LIMIT 30",
+                                  " LIMIT 2 OFFSET 1"])
+def test_order_by_over_mixed_types_is_typed_on_every_path(tail):
+    # Used to leak "TypeError: '<' not supported between instances of
+    # 'str' and 'int'" — with the names in whichever order the sort
+    # happened to compare them first.  With a LIMIT the sort is pushed:
+    # a shard that cannot rank its rows ships them all, and the entry
+    # node raises what it raises without pushdown.
+    sql = f'SELECT n FROM "data" ORDER BY v{tail}'
+    message = "cannot compare int with str"
+    assert central_error(sql, MIXED) == message
+    assert service_error(sql, MIXED, pushdown=False) == message
+    assert service_error(sql, MIXED, vectorized=True) == message
+    assert service_error(sql, MIXED, vectorized=False) == message
+    assert service_error(sql, MIXED, repeatable_read=True) == message

@@ -8,6 +8,8 @@ when a pushed expression fails.  Expectations are recomputed from
 no code with the evaluator under test.
 """
 
+import functools
+
 import pytest
 
 from repro.errors import SqlExecutionError
@@ -192,3 +194,95 @@ def test_batch_accumulator_survivor_order_is_row_order():
     assert [row["key"] for row in survivors] == \
         [raw["key"] for raw in reversed(ROWS)]
     assert acc.survived == len(ROWS)
+
+
+# -- top-k stage ---------------------------------------------------------------
+
+#: Heavy ties (value has 5 distinct values, tag 2 and NULL): which rows
+#: of a tie group are held is decided by scan order alone.  Each case
+#: is ``(sql, survives, [(column, descending), ...])``.
+TOP_K_CASES = [
+    ('SELECT key FROM "t" ORDER BY value LIMIT 4',
+     lambda raw: True, [("value", False)]),
+    ('SELECT key FROM "t" ORDER BY value DESC LIMIT 7',
+     lambda raw: True, [("value", True)]),
+    ('SELECT key FROM "t" ORDER BY tag, value DESC LIMIT 6',
+     lambda raw: True, [("tag", False), ("value", True)]),
+    ('SELECT key FROM "t" ORDER BY tag DESC, weight DESC LIMIT 9 OFFSET 2',
+     lambda raw: True, [("tag", True), ("weight", True)]),
+    ('SELECT key FROM "t" WHERE pad > 40 ORDER BY weight LIMIT 3',
+     lambda raw: raw["pad"] > 40, [("weight", False)]),
+]
+
+
+def ranked(rows, terms):
+    """``rows`` in ORDER BY order by pairwise comparison: NULLs last in
+    either direction, ties left in input order (``sorted`` is stable)."""
+
+    def compare(left, right):
+        for column, descending in terms:
+            a, b = left[column], right[column]
+            if a is None or b is None:
+                if (a is None) != (b is None):
+                    return 1 if a is None else -1
+            elif a != b:
+                return -1 if (a < b) != descending else 1
+        return 0
+
+    return sorted(rows, key=functools.cmp_to_key(compare))
+
+
+@pytest.mark.parametrize("sql,survives,terms", TOP_K_CASES)
+def test_top_k_holds_the_first_rows_of_the_stable_order(sql, survives,
+                                                        terms):
+    _, fragment = fragment_of(sql)
+    compiled = CompiledFragment(fragment)
+    keep = fragment.top_k.keep
+    survivors = [raw for raw in ROWS if survives(raw)]
+    assert len(survivors) > keep
+    expected = [raw["key"] for raw in ranked(survivors, terms)[:keep]]
+    for chunk in (1, 7, 256):
+        lock_rows, payload, batches = run_fragment_batches(
+            compiled, ROWS, CTX, chunk, keep
+        )
+        # The held rows — and their order — never depend on the
+        # chunking; the lock set stays every survivor.
+        assert [row["key"] for row in payload] == expected, chunk
+        assert lock_rows == survivors
+        assert batches == (len(ROWS) + chunk - 1) // chunk
+    # Without the stage every survivor ships, in scan order.
+    _, payload, _ = run_fragment_batches(compiled, ROWS, CTX, 7)
+    assert [row["key"] for row in payload] == \
+        [raw["key"] for raw in survivors]
+
+
+def test_top_k_never_originates_an_error():
+    _, fragment = fragment_of(
+        'SELECT key FROM "t" WHERE key <> 3 ORDER BY value LIMIT 2'
+    )
+    compiled = CompiledFragment(fragment)
+    rows = [dict(raw) for raw in ROWS]
+    rows[20]["value"] = "text"  # cannot be ranked against the ints
+    for chunk in (1, 7, 256):
+        lock_rows, payload, _ = run_fragment_batches(
+            compiled, rows, CTX, chunk, 2
+        )
+        # The shard ships every survivor, untruncated and in scan order:
+        # the error is the final ORDER BY's to raise.
+        assert [row["key"] for row in payload] == \
+            [raw["key"] for raw in rows if raw["key"] != 3]
+        assert lock_rows == [raw for raw in rows if raw["key"] != 3]
+    # A key that fails to evaluate abandons the stage the same way...
+    del rows[20]["value"]
+    _, payload, _ = run_fragment_batches(compiled, rows, CTX, 7, 2)
+    assert len(payload) == len(rows) - 1
+    # ...and a WHERE error still wins, wherever the two rows sit.
+    rows[22]["key"] = "k"
+    _, where_fragment = fragment_of(
+        'SELECT key FROM "t" WHERE key < 100 ORDER BY value LIMIT 2'
+    )
+    with pytest.raises(SqlExecutionError) as error:
+        run_fragment_batches(
+            CompiledFragment(where_fragment), rows, CTX, 7, 2
+        )
+    assert str(error.value) == "cannot compare str with int"

@@ -291,6 +291,73 @@ def test_order_by_aggregate():
     assert result.column("person") == [3, 9, 1]
 
 
+def test_order_by_is_stable_across_terms_and_directions():
+    # Ties on every term keep arrival order; NULLs sort last in both
+    # directions; a LIMIT / OFFSET cuts the same order a full sort gives.
+    rows = [{"id": i, "a": a, "b": b} for i, (a, b) in enumerate([
+        (1, "x"), (0, "y"), (1, "x"), (None, "x"), (0, None), (1, "y"),
+        (0, "y"), (None, None),
+    ])]
+    cat = catalog(t=rows)
+    expected = {
+        "a, b": [1, 6, 4, 0, 2, 5, 3, 7],
+        "a DESC, b DESC": [5, 0, 2, 1, 6, 4, 3, 7],
+        "a, b DESC": [1, 6, 4, 5, 0, 2, 3, 7],
+        "a DESC, b": [0, 2, 5, 1, 6, 4, 3, 7],
+    }
+    for order, ids in expected.items():
+        sql = f"SELECT id FROM t ORDER BY {order}"
+        assert run(sql, cat).column("id") == ids, order
+        for limit in range(len(rows) + 2):
+            cut = run(f"{sql} LIMIT {limit} OFFSET 2", cat)
+            assert cut.column("id") == ids[2:2 + limit], (order, limit)
+
+
+def test_order_by_ordinal_names_the_select_item():
+    cat = catalog(t=[{"k": 1, "v": 30}, {"k": 2, "v": 10},
+                     {"k": 3, "v": 20}])
+    assert run("SELECT k, v FROM t ORDER BY 2", cat).column("k") == \
+        [2, 3, 1]
+    assert run("SELECT k, v FROM t ORDER BY 2 DESC, 1", cat).column("k") \
+        == [1, 3, 2]
+    # An unaliased expression, and an aggregate.
+    assert run("SELECT k, 0 - v FROM t ORDER BY 2", cat).column("k") == \
+        [1, 3, 2]
+    result = run("SELECT person, COUNT(*) AS n FROM orders "
+                 "GROUP BY person ORDER BY 2 DESC, 1", catalog(orders=ORDERS))
+    assert result.column("person") == [1, 3, 9]
+
+
+def test_order_by_ordinal_is_the_output_column_not_a_shadowed_name():
+    cat = catalog(t=[{"k": 1, "v": 30}, {"k": 2, "v": 10},
+                     {"k": 3, "v": 20}])
+    result = run("SELECT v AS k, k AS v FROM t ORDER BY 1", cat)
+    assert result.column("k") == [10, 20, 30]
+
+
+@pytest.mark.parametrize("sql,message", [
+    ("SELECT k, v FROM t ORDER BY 3",
+     "ORDER BY 3 is not in the select list (1..2)"),
+    ("SELECT k, v FROM t ORDER BY 0",
+     "ORDER BY 0 is not in the select list (1..2)"),
+    ("SELECT * FROM t ORDER BY 1",
+     "ORDER BY 1 cannot be used with SELECT *"),
+])
+def test_order_by_ordinal_out_of_range_or_with_star(sql, message):
+    with pytest.raises(SqlExecutionError) as excinfo:
+        run(sql, catalog(t=[{"k": 1, "v": 2}]))
+    assert str(excinfo.value) == message
+
+
+def test_order_by_mixed_types_is_a_typed_error():
+    cat = catalog(t=[{"k": 1, "v": 3}, {"k": 2, "v": "x"},
+                     {"k": 3, "v": None}])
+    for tail in ("", " DESC", " LIMIT 1", " LIMIT 5", ", k DESC"):
+        with pytest.raises(SqlExecutionError) as excinfo:
+            run(f"SELECT k FROM t ORDER BY v{tail}", cat)
+        assert str(excinfo.value) == "cannot compare int with str", tail
+
+
 def test_limit_offset():
     cat = catalog(t=[{"a": i} for i in range(10)])
     result = run("SELECT a FROM t ORDER BY a LIMIT 3 OFFSET 4", cat)

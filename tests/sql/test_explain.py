@@ -70,3 +70,28 @@ def test_union_plan():
 def test_distinct_shown():
     text = explain("SELECT DISTINCT x FROM a", catalog())
     assert "select distinct" in text
+
+
+def test_distributed_plan_shows_the_top_k_stage():
+    from repro.sql import parse
+    from repro.sql.explain import render_distributed
+    from repro.sql.fragments import split_select
+
+    def rendered(sql):
+        select = parse(sql)
+        return render_distributed(select, split_select(select))
+
+    lines = rendered(
+        'SELECT key, pad2 FROM "metrics" ORDER BY pad2 DESC LIMIT 20'
+    )
+    assert "  final: merge top-k (sort shipped rows, cut)" in lines
+    assert "    top-k: ORDER BY pad2 DESC LIMIT 20 " \
+        "(≤ 20 rows per shard)" in lines
+    lines = rendered('SELECT key FROM "metrics" WHERE pad1 > 3 '
+                     "ORDER BY pad2, key DESC LIMIT 20 OFFSET 5")
+    assert "    top-k: ORDER BY pad2, key DESC LIMIT 20 OFFSET 5 " \
+        "(≤ 25 rows per shard)" in lines
+    # Without a LIMIT the sort stays where it was.
+    lines = rendered('SELECT key FROM "metrics" ORDER BY pad2')
+    assert "  final: concatenate shipped rows" in lines
+    assert not any("top-k" in line for line in lines)

@@ -7,6 +7,7 @@ from repro.sql.fragments import (
     KeyRange,
     KeySet,
     PartialGroups,
+    TopK,
     extract_key_filter,
     merge_partial_groups,
     split_select,
@@ -166,6 +167,69 @@ def test_no_partial_aggregate_with_distinct_or_residual():
         "SELECT LOCALTIMESTAMP, COUNT(*) FROM \"t\" "
         "GROUP BY LOCALTIMESTAMP"
     )).partial is None
+
+
+# -- top-k stage ---------------------------------------------------------------
+
+
+def top_k_of(sql: str):
+    return split_select(parse(sql)).fragment("t").top_k
+
+
+def test_order_by_limit_pushes_a_top_k_stage():
+    select = parse(
+        'SELECT key, pad FROM "t" ORDER BY pad DESC, key LIMIT 20 OFFSET 5'
+    )
+    fragment = split_select(select).fragment("t")
+    # A shard keeps what LIMIT + OFFSET can still reach...
+    assert fragment.top_k == TopK(order_by=select.order_by, keep=25)
+    assert not fragment.is_passthrough
+    # ...and runs no stage at all when it holds no more than that.
+    assert fragment.top_k_keep(26) == 25
+    assert fragment.top_k_keep(25) is None
+    # Pushed WHERE conjuncts, qualified names, expressions over stored
+    # columns, unrenamed output columns and ordinals all qualify.
+    for sql in (
+        'SELECT key FROM "t" WHERE value < 3 ORDER BY pad LIMIT 4',
+        'SELECT key FROM "t" ORDER BY t.pad LIMIT 4',
+        'SELECT key FROM "t" x ORDER BY x.pad, value LIMIT 4',
+        'SELECT key FROM "t" ORDER BY pad * 2 + value DESC LIMIT 4',
+        'SELECT pad AS weight, key FROM "t" ORDER BY pad LIMIT 4',
+        'SELECT key, pad FROM "t" ORDER BY 2 DESC LIMIT 3',
+        'SELECT key FROM "t" ORDER BY pad LIMIT 0',
+    ):
+        assert top_k_of(sql) is not None, sql
+
+
+def test_anything_else_sorts_centrally():
+    for sql, why in (
+        ('SELECT key FROM "t" ORDER BY pad', "no LIMIT"),
+        ('SELECT key FROM "t" LIMIT 3', "no ORDER BY"),
+        ('SELECT t.key FROM "t" JOIN "u" USING (key) '
+         "ORDER BY t.key LIMIT 3", "join output is ranked, not a scan"),
+        ('SELECT weight, COUNT(*) AS c FROM "t" GROUP BY weight '
+         "ORDER BY c LIMIT 3", "groups are ranked, not rows"),
+        ('SELECT COUNT(*) AS c FROM "t" ORDER BY c LIMIT 3', "aggregate"),
+        ('SELECT DISTINCT value FROM "t" ORDER BY value LIMIT 3',
+         "DISTINCT runs before the cut"),
+        ('SELECT * FROM "t" ORDER BY pad LIMIT 3',
+         "SELECT * derives its columns from every shipped row"),
+        ('SELECT key FROM "t" WHERE ts < LOCALTIMESTAMP '
+         "ORDER BY pad LIMIT 3", "a residual filter runs after shipping"),
+        ('SELECT key FROM "t" ORDER BY ts - LOCALTIMESTAMP LIMIT 3',
+         "the term reads the entry node's clock"),
+        ('SELECT key FROM "t" ORDER BY SUM(pad) LIMIT 3',
+         "aggregate in a term"),
+        ('SELECT value AS pad, key FROM "t" ORDER BY pad LIMIT 3',
+         "the name is an output column of another expression"),
+        ('SELECT pad * 2 AS score FROM "t" ORDER BY score LIMIT 3',
+         "alias of a computed item"),
+        ('SELECT key, pad * 2 AS score FROM "t" ORDER BY 2 LIMIT 3',
+         "ordinal of an aliased computed item"),
+        ('SELECT key FROM "t" ORDER BY u.pad LIMIT 3',
+         "another table's qualifier"),
+    ):
+        assert top_k_of(sql) is None, why
 
 
 # -- scan-side execution -----------------------------------------------------
