@@ -98,8 +98,8 @@ NO_POINT_KEY = _NoPointKey()
 #: What a scan-side top-k stage is billed per entry, as a share of the
 #: partial-aggregate rate (either ``vectorized`` value): both update one
 #: bounded state per surviving entry.  Measured on the host over a
-#: 4,000-row shard, the stage alone costs 0.35-0.45 us/row against
-#: 1.2-1.4 us/row for a two-aggregate GROUP BY fold.
+#: 4,000-row shard, the stage alone costs 0.40 us/row against 1.36
+#: us/row for a two-aggregate GROUP BY fold (docs/ARCHITECTURE.md).
 TOP_K_ENTRY_SHARE = 0.3
 
 
