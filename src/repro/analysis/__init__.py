@@ -3,8 +3,8 @@
 S-QUERY's correctness claims rest on invariants the rest of the code
 only enforces by convention: the simulation must stay bit-deterministic,
 key locks must be released on every exit path, every network shipment
-must be billed to the cost model, snapshot versions must stay immutable
-after commit, and retry paths must respect the per-table attempt tokens.
+must be billed to the cost model, and snapshot versions must stay
+immutable after commit.
 This package checks those invariants mechanically:
 
 * :mod:`repro.analysis.lint` + :mod:`repro.analysis.rules` — an

@@ -6,7 +6,7 @@ each rule's docstring states exactly what it matches and what it
 cannot see — but every pattern they flag has either caused a real bug
 in this codebase or is one code review is known to miss (unreleased
 locks on early returns, unbilled network sends, wall-clock reads that
-break bit-determinism, retry paths ignoring attempt tokens).
+break bit-determinism).
 """
 
 from __future__ import annotations
@@ -364,99 +364,6 @@ class BillingRule:
                 )
 
 
-def _subscript_indices(node: ast.expr) -> set[str]:
-    """String constants indexing any Subscript in ``node``'s chain."""
-    indices: set[str] = set()
-    while isinstance(node, ast.Subscript):
-        if isinstance(node.slice, ast.Constant) \
-                and isinstance(node.slice.value, str):
-            indices.add(node.slice.value)
-        node = node.value
-    return indices
-
-
-class AttemptTokenRule:
-    """Retry paths that collect partials must check the attempt token.
-
-    After a node failure the query service bumps a per-table attempt
-    counter; any callback that then merges scan results, bumps scanned
-    counters, or ships payloads for a *previous* attempt would
-    double-count rows across the retry (the chaos property tests exist
-    to catch exactly that).  This rule flags any function that writes
-    partial-collection state —
-
-    * assignment into ``state["rows"][...]``,
-    * ``state["scanned"] += ...``,
-    * ``rows_shipped`` / ``bytes_shipped`` / ``entries_billed``
-      increments —
-
-    without either comparing against ``state["attempt"]`` (or a name
-    ``attempt``) or receiving the token as an ``attempt`` parameter to
-    forward to a guarded callee.
-    """
-
-    name = "attempt-token"
-
-    _COUNTER_ATTRS = {"rows_shipped", "bytes_shipped", "entries_billed"}
-
-    def check(self, context: FileContext) -> Iterator[Violation]:
-        for node in ast.walk(context.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                yield from self._check_function(context, node)
-
-    def _own_statements(self, func: ast.FunctionDef) -> Iterator[ast.AST]:
-        """Walk ``func``'s body excluding nested function bodies."""
-        stack: list[ast.AST] = list(func.body)
-        while stack:
-            node = stack.pop()
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                 ast.ClassDef)):
-                continue
-            yield node
-            stack.extend(ast.iter_child_nodes(node))
-
-    def _check_function(self, context: FileContext,
-                        func: ast.FunctionDef) -> Iterator[Violation]:
-        collect_lines: list[int] = []
-        checks_token = False
-        args = func.args
-        params = {a.arg for a in args.args + args.posonlyargs
-                  + args.kwonlyargs}
-        if "attempt" in params:
-            checks_token = True
-        for node in self._own_statements(func):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets
-                           if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if "rows" in _subscript_indices(target):
-                        collect_lines.append(node.lineno)
-                    elif isinstance(node, ast.AugAssign) and (
-                        "scanned" in _subscript_indices(target)
-                        or (isinstance(target, ast.Attribute)
-                            and target.attr in self._COUNTER_ATTRS)
-                    ):
-                        collect_lines.append(node.lineno)
-            if isinstance(node, ast.Compare):
-                names = {n.id for n in ast.walk(node)
-                         if isinstance(n, ast.Name)}
-                indices: set[str] = set()
-                for sub in ast.walk(node):
-                    if isinstance(sub, ast.Subscript):
-                        indices |= _subscript_indices(sub)
-                if "attempt" in names or "attempt" in indices:
-                    checks_token = True
-        if collect_lines and not checks_token:
-            for line in sorted(set(collect_lines)):
-                yield Violation(
-                    self.name, context.path, line,
-                    f"{func.name}() collects partial results without "
-                    "checking the per-table attempt token; a retry can "
-                    "double-count this write",
-                )
-
-
 class LockOrderRule:
     """No cycles in the whole-program acquired-while-holding graph.
 
@@ -623,7 +530,6 @@ ALL_RULES = (
     DeterminismRule(),
     LockPairingRule(),
     BillingRule(),
-    AttemptTokenRule(),
     LockOrderRule(),
     BlockingUnderLockRule(),
     SharedStateAuditRule(),

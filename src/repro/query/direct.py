@@ -67,10 +67,7 @@ class DirectObjectInterface:
         )
         node = self._next_entry_node()
         pool = self.cluster.node(node).query_pool
-        pool.submit(
-            ("direct", id(query)), duration,
-            self._complete, query, snapshot_id,
-        )
+        pool.submit(None, duration, self._complete, query, snapshot_id)
         return query
 
     def _next_entry_node(self) -> int:

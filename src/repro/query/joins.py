@@ -34,10 +34,10 @@ the first build-key error (minimum right tag), which outranks the
 first probe-key error (minimum left tag); residual/projection errors
 surface naturally from the sorted merged rows.
 
-Failures restart the whole join: any relevant node death bumps the
-join attempt token together with every table's scan attempt, voiding
-in-flight stages and shipments, and re-dispatches all scans onto the
-survivors after the retry backoff — build/probe stages are never
+Every stage bills, ships and fans in through the query's attempt
+(``service._Attempt``), so failure handling is the query service's: the
+death of a node the attempt touched voids scans and stages alike and
+the query starts over on the survivors — build/probe stages are never
 resumed half-way, because a stage's inputs may have lived on the dead
 node.
 """
@@ -47,7 +47,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..cluster.partition import copartitioned_tables, stable_hash
-from ..errors import QueryAbortedError
 from ..kvstore.indexes import EqProbe
 from ..sql import EvalContext
 from ..sql.access import JoinCandidate, JoinPath, choose_join_path
@@ -73,7 +72,7 @@ class _JoinLocalAck:
     node's shard output is a *join input kept local*, not a result
     shipped to the entry node.  ``__len__`` is 0 so the generic arrival
     path counts no shipped rows; the held rows are discarded with the
-    payload buffer when a retry voids the table.
+    payload buffer when a retry voids the attempt.
     """
 
     __slots__ = ("node_id", "rows")
@@ -99,11 +98,6 @@ class JoinPlan:
     local: frozenset
     #: index-nested-loop build tables — never scanned at all.
     excluded: frozenset
-    #: bumped (with every table attempt) to void in-flight stages.
-    attempt: int = 0
-    #: True while build/probe stages are running — any node death is
-    #: then relevant, because stage inputs live across the cluster.
-    stage_active: bool = False
 
 
 # -- strategy selection ------------------------------------------------------
@@ -318,101 +312,33 @@ def explain_join_lines(service, select: Select, plan,
     return lines
 
 
-# -- failure handling --------------------------------------------------------
-
-
-def join_failure_relevant(record, node_id: int) -> bool:
-    """Whether a node death must restart this join-mode query."""
-    join = record.join
-    if join.stage_active:
-        return True  # stage inputs/outputs live across the cluster
-    return any(
-        node_id in nodes for nodes in record.state["nodes"].values()
-    )
-
-
-def restart_join(service, record) -> None:
-    """Void every in-flight scan and stage; re-dispatch after backoff.
-
-    Stages are never resumed: a build index or probe slice may have
-    lived on the dead node, so the only faithful recovery is to re-scan
-    everything on the survivors and re-run the pipeline.
-    """
-    join = record.join
-    state = record.state
-    join.attempt += 1
-    join.stage_active = False
-    for table in state["rows"]:
-        state["attempt"][table] += 1
-        state["nodes"][table] = set()
-        state["rows"][table].clear()
-    state["pending"] = 0
-    service.sim.schedule(
-        service.retry_policy.retry_backoff_ms,
-        _join_redispatch, service, record, join.attempt,
-    )
-
-
-def _join_redispatch(service, record, token: int) -> None:
-    execution = record.execution
-    join = record.join
-    if execution.done or join.attempt != token:
-        return
-    if not service.cluster.surviving_node_ids():
-        service._abort(execution, QueryAbortedError("no surviving nodes"))
-        return
-    service._dispatch_scans(record, service._restripe(record))
-
-
 # -- the stage pipeline ------------------------------------------------------
 
 
-class _Countdown:
-    """Run ``done`` after ``n`` completions (immediately when n == 0)."""
-
-    __slots__ = ("remaining", "done")
-
-    def __init__(self, remaining: int, done) -> None:
-        self.remaining = remaining
-        self.done = done
-        if remaining == 0:
-            done()
-
-    def one(self, *_args) -> None:
-        self.remaining -= 1
-        if self.remaining == 0:
-            self.done()
-
-
 def start_join_pipeline(service, record) -> None:
-    """All scans landed: surface canonical scan errors, validate the
+    """All scans landed without a scan-side error: validate the
     statement shape, then run the per-step stages."""
-    execution = record.execution
-    shard_error = service._first_shard_error(record)
-    if shard_error is not None:
-        service._finish_execution(execution, None, shard_error)
-        return
-    join = record.join
     try:
-        validate_joined_select(join.final_select)
+        validate_joined_select(record.join.final_select)
     except Exception as exc:  # same errors central plan_select raises
-        service._finish_execution(execution, None, exc)
+        record.attempt.finish(None, exc)
         return
-    join.stage_active = True
     _PipelineRunner(service, record).run()
 
 
 class _PipelineRunner:
-    """Executes one query's join stages; one instance per (re)start."""
+    """Executes one query's join stages; one instance per (re)start.
+
+    Stages run as continuations of the attempt's ``bill`` / ``send`` /
+    ``pool`` / ``gather``, so none of them outlives the attempt."""
 
     def __init__(self, service, record) -> None:
         self.service = service
         self.record = record
         self.join = record.join
         self.execution = record.execution
-        self.state = record.state
+        self.attempt = record.attempt
         self.costs = service.costs
-        self.token = self.join.attempt
         self.context = EvalContext(now_ms=service.sim.now)
         #: holder node -> [(tag, bound row), ...] in tag order.
         self.left: dict[int, list] = {}
@@ -420,21 +346,8 @@ class _PipelineRunner:
 
     # -- plumbing -------------------------------------------------------
 
-    def _live(self) -> bool:
-        return (not self.execution.done
-                and self.join.attempt == self.token)
-
-    def _fail(self, error: Exception) -> None:
-        if self._live():
-            self.service._finish_execution(self.execution, None, error)
-
-    def _store_bill(self, node_id: int, stripe: int, duration: float,
-                    then, *args) -> None:
-        server = self.service.cluster.node(node_id).store_server(stripe)
-        server.submit(duration, then, *args)
-
     def _payload_rows(self, table: str) -> dict[int, list]:
-        per_node = self.state["rows"][table]
+        per_node = self.attempt.rows[table]
         return {
             node_id: (payload.rows
                       if isinstance(payload, _JoinLocalAck) else payload)
@@ -455,15 +368,6 @@ class _PipelineRunner:
             width = sum(1 for name in row if "." not in name)
             total += costs.row_overhead_bytes + width * costs.column_bytes
         return total
-
-    def _send(self, src: int, dst: int, label: str, step_index: int,
-              nbytes: int, then, *args) -> None:
-        channel = (label, self.execution.qid, step_index, src, dst,
-                   self.token)
-        self.execution.channels.add(channel)
-        self.service.cluster.network.send(
-            src, dst, then, *args, nbytes=nbytes, channel=channel,
-        )
 
     def _tagged_rights(self, step: JoinFragment,
                        raw_by_node: dict[int, list]) -> list:
@@ -487,8 +391,6 @@ class _PipelineRunner:
         self._step(0)
 
     def _step(self, index: int) -> None:
-        if not self._live():
-            return
         if index >= len(self.join.steps):
             self._final_ship()
             return
@@ -544,10 +446,8 @@ class _PipelineRunner:
 
     def _advance(self, index: int, results: dict[int, list],
                  probe_error) -> None:
-        if not self._live():
-            return
         if probe_error is not None:
-            self._fail(probe_error[1])
+            self.attempt.finish(None, probe_error[1])
             return
         self.left = results
         self._step(index + 1)
@@ -564,17 +464,15 @@ class _PipelineRunner:
         holders = sorted(set(self.left) | set(raw_by_node))
 
         def stages_done() -> None:
-            if not self._live():
-                return
             if build_error is not None:
-                self._fail(build_error[1])
+                self.attempt.finish(None, build_error[1])
                 return
             results, probe_error = self._probe_all(
                 step, build_index, right_columns, self.left
             )
             self._advance(index, results, probe_error)
 
-        countdown = _Countdown(len(holders), stages_done)
+        staged = self.attempt.gather(len(holders), stages_done)
         for node_id in holders:
             duration = (
                 len(raw_by_node.get(node_id, ()))
@@ -582,8 +480,7 @@ class _PipelineRunner:
                 + len(self.left.get(node_id, ()))
                 * costs.join_probe_entry_ms
             )
-            self._store_bill(node_id, node_id + index, duration,
-                             countdown.one)
+            self.attempt.bill(node_id, node_id + index, duration, staged)
 
     # -- broadcast ------------------------------------------------------
 
@@ -591,20 +488,15 @@ class _PipelineRunner:
                        raw_by_node: dict, build_index: dict,
                        build_error, right_columns: set,
                        build_rows: int) -> None:
-        costs = self.costs
         execution = self.execution
-        service = self.service
         build_bytes = sum(
             self._raw_bytes(raw_by_node[node_id])
             for node_id in raw_by_node
         )
-        entry = execution.entry_node
         results: dict[int, list] = {}
         errors: list = []
 
         def probes_done() -> None:
-            if not self._live():
-                return
             probe_error = None
             for error in errors:
                 if probe_error is None or error[0] < probe_error[0]:
@@ -612,40 +504,34 @@ class _PipelineRunner:
             self._advance(index, results, probe_error)
 
         def built() -> None:
-            attempt = self.token
-            if execution.done or self.join.attempt != attempt:
-                return  # a retry voided this stage while we were billed
             if build_error is not None:
-                self._fail(build_error[1])
+                self.attempt.finish(None, build_error[1])
                 return
             holders = sorted(self.left)
-            countdown = _Countdown(len(holders), probes_done)
+            probed = self.attempt.gather(len(holders), probes_done)
             for node_id in holders:
                 execution.join_bytes_broadcast += build_bytes
                 execution.bytes_shipped += build_bytes
-                self._send(entry, node_id, "join-bcast", index,
-                           build_bytes, self._broadcast_arrived, index,
-                           step, node_id, build_index, right_columns,
-                           results, errors, countdown)
+                self.attempt.send(
+                    execution.entry_node, node_id, ("join-bcast", index),
+                    build_bytes, self._broadcast_arrived, index, step,
+                    node_id, build_index, right_columns, results, errors,
+                    probed,
+                )
 
         # The build side reached the entry node through the normal scan
         # shipment; it is built once there, then replicated.
-        pool = service.cluster.node(entry).query_pool
-        pool.submit(("query", execution.qid),
-                    build_rows * costs.join_build_entry_ms, built)
+        self.attempt.pool(build_rows * self.costs.join_build_entry_ms,
+                          built)
 
     def _broadcast_arrived(self, index: int, step: JoinFragment,
                            node_id: int, build_index: dict,
                            right_columns: set, results: dict,
-                           errors: list, countdown: _Countdown) -> None:
-        if not self._live():
-            return
+                           errors: list, probed) -> None:
         lefts = self.left.get(node_id, [])
         duration = len(lefts) * self.costs.join_probe_entry_ms
 
         def probe() -> None:
-            if not self._live():
-                return
             rows, error = probe_join_index(
                 lefts, build_index, step.using, step.probe,
                 step.kind, right_columns, self.context,
@@ -654,22 +540,19 @@ class _PipelineRunner:
                 results[node_id] = rows
             if error is not None:
                 errors.append(error)
-            countdown.one()
+            probed()
 
-        self._store_bill(node_id, node_id + index, duration, probe)
+        self.attempt.bill(node_id, node_id + index, duration, probe)
 
     # -- shuffle-hash ---------------------------------------------------
 
     def _run_shuffle(self, index: int, step: JoinFragment,
                      raw_by_node: dict, rights: list, build_index: dict,
                      build_error, right_columns: set) -> None:
-        attempt = self.token
-        if self.execution.done or self.join.attempt != attempt:
-            return  # a retry voided this stage before it started
         if build_error is not None:
             # Central raises while building, before anything probes —
             # and before this step would have shipped anything.
-            self._fail(build_error[1])
+            self.attempt.finish(None, build_error[1])
             return
         costs = self.costs
         execution = self.execution
@@ -716,8 +599,6 @@ class _PipelineRunner:
                 )
 
         def workers_done() -> None:
-            if not self._live():
-                return
             results, probe_error = self._probe_all(
                 step, build_index, right_columns,
                 {w: sorted(lefts_by_worker[w]) for w in lefts_by_worker},
@@ -725,10 +606,8 @@ class _PipelineRunner:
             self._advance(index, results, probe_error)
 
         def all_arrived() -> None:
-            if not self._live():
-                return
             busy = sorted(set(build_counts) | set(probe_counts))
-            countdown = _Countdown(len(busy), workers_done)
+            worked = self.attempt.gather(len(busy), workers_done)
             for worker in busy:
                 duration = (
                     build_counts.get(worker, 0)
@@ -736,17 +615,17 @@ class _PipelineRunner:
                     + probe_counts.get(worker, 0)
                     * costs.join_probe_entry_ms
                 )
-                self._store_bill(worker, worker + index, duration,
-                                 countdown.one)
+                self.attempt.bill(worker, worker + index, duration,
+                                  worked)
 
         pairs = sorted(transfer)
-        arrivals = _Countdown(len(pairs), all_arrived)
+        arrived = self.attempt.gather(len(pairs), all_arrived)
         for sender, worker in pairs:
             nbytes = transfer[sender, worker]
             execution.join_bytes_shuffled += nbytes
             execution.bytes_shipped += nbytes
-            self._send(sender, worker, "join-shuffle", index, nbytes,
-                       arrivals.one)
+            self.attempt.send(sender, worker, ("join-shuffle", index),
+                              nbytes, arrived)
 
     # -- index-nested-loop ----------------------------------------------
 
@@ -783,13 +662,10 @@ class _PipelineRunner:
             )
         nodes = sorted(service.cluster.surviving_node_ids())
         surviving: dict[int, list] = {}
-
-        def fetched_all() -> None:
-            if not self._live():
-                return
-            self._index_build_and_broadcast(index, step, surviving)
-
-        countdown = _Countdown(len(nodes), fetched_all)
+        fetched = self.attempt.gather(
+            len(nodes), self._index_build_and_broadcast, index, step,
+            surviving,
+        )
         for node_id in nodes:
             partitions = view.partitions_on_node(node_id)
             candidates = view.index_rows(partitions, column, probe)
@@ -802,7 +678,7 @@ class _PipelineRunner:
                         costs.scan_chunk_entries,
                     )
                 except Exception as exc:  # noqa: BLE001 — ship as the error
-                    self._fail(exc)
+                    self.attempt.finish(None, exc)
                     return
             else:
                 lock_rows, payload = candidates, candidates
@@ -811,30 +687,21 @@ class _PipelineRunner:
             duration = (len(partitions) * costs.index_probe_ms
                         + len(candidates) * costs.index_entry_ms)
 
-            def after_bill(node_id: int = node_id,
-                           lock_rows: list = lock_rows) -> None:
-                if not self._live():
-                    return
-                if service.repeatable_read and not view.immutable:
-                    service._lock_rows(execution, step.table, lock_rows,
-                                       countdown.one)
-                else:
-                    countdown.one()
-
-            self._store_bill(node_id, node_id + index, duration,
-                             after_bill)
+            if service.repeatable_read and not view.immutable:
+                self.attempt.bill(
+                    node_id, node_id + index, duration,
+                    service._lock_rows, execution, step.table, lock_rows,
+                    fetched,
+                )
+            else:
+                self.attempt.bill(node_id, node_id + index, duration,
+                                  fetched)
 
     def _index_build_and_broadcast(self, index: int, step: JoinFragment,
                                    surviving: dict[int, list]) -> None:
         execution = self.execution
-        attempt = self.token
-        if execution.done or self.join.attempt != attempt:
-            return  # a retry voided this stage mid-index-fetch
-        entry = execution.entry_node
 
         def assembled() -> None:
-            if not self._live():
-                return
             rights = self._tagged_rights(step, surviving)
             self.scanned += len(rights)
             execution.join_build_rows += len(rights)
@@ -848,49 +715,32 @@ class _PipelineRunner:
                                 build_error, right_columns, len(rights))
 
         senders = sorted(surviving)
-        arrivals = _Countdown(len(senders), assembled)
+        arrived = self.attempt.gather(len(senders), assembled)
         for node_id in senders:
             nbytes = self._raw_bytes(surviving[node_id])
             execution.bytes_shipped += nbytes
-            self._send(node_id, entry, "join-inlj", index, nbytes,
-                       arrivals.one)
+            self.attempt.send(node_id, execution.entry_node,
+                              ("join-inlj", index), nbytes, arrived)
 
     # -- finalization ---------------------------------------------------
 
     def _final_ship(self) -> None:
         execution = self.execution
-        attempt = self.token
-        if execution.done or self.join.attempt != attempt:
-            return  # a retry voided the pipeline before the final ship
-        service = self.service
-        entry = execution.entry_node
         holders = sorted(self.left)
         shipped: list = []
-
-        def merge() -> None:
-            if not self._live():
-                return
-            execution.entries_scanned = self.state["scanned"]
-            duration = (execution.rows_shipped
-                        * self.costs.merge_row_ms)
-            pool = service.cluster.node(entry).query_pool
-            pool.submit(("query", execution.qid), duration,
-                        self._finalize, shipped)
-
-        arrivals = _Countdown(len(holders), merge)
+        arrived = self.attempt.gather(
+            len(holders), self.attempt.merge, self._finalize, shipped
+        )
         for node_id in holders:
             rows = self.left[node_id]
             nbytes = self._bound_bytes(rows)
             execution.rows_shipped += len(rows)
             execution.bytes_shipped += nbytes
-            self._send(node_id, entry, "join-result", -1, nbytes,
-                       arrivals.one)
+            self.attempt.send(node_id, execution.entry_node,
+                              "join-result", nbytes, arrived)
             shipped.extend(rows)
 
     def _finalize(self, shipped: list) -> None:
-        if not self._live():
-            return
-        self.join.stage_active = False
         shipped.sort(key=lambda item: item[0])
         rows = [row for _tag, row in shipped]
         context = EvalContext(now_ms=self.service.sim.now)
@@ -900,9 +750,9 @@ class _PipelineRunner:
                 scanned=self.scanned,
             )
         except Exception as exc:  # surface SQL errors on the handle
-            self.service._finish_execution(self.execution, None, exc)
+            self.attempt.finish(None, exc)
             return
-        self.service._finish_execution(self.execution, result, None)
+        self.attempt.finish(result, None)
 
 
 def _shuffle_key(key_of, row: dict, context: EvalContext):

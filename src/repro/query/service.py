@@ -19,10 +19,12 @@ they are consistent regardless of timing (§VII).
 
 The whole workflow is **failure-aware** (§IV interplay): the service
 registers a cluster failure listener and tracks which nodes every
-in-flight execution depends on.  Work pending on a node that dies is
-lost — scan chunks and result shipments carry per-table attempt tokens
-that a failure invalidates — and either re-dispatched onto survivors
-after ``QueryRetryPolicy.retry_backoff_ms`` (live tables re-scan the
+in-flight execution depends on.  Every deferred piece of a query's
+work is scheduled through its one :class:`_Attempt`; the death of a node
+the attempt dispatched to, before its results are all at the entry
+node, voids the attempt — none of its callbacks runs any more — and the
+whole query is either re-dispatched onto the survivors after
+``QueryRetryPolicy.retry_backoff_ms`` (live tables re-scan the
 reassigned partitions, snapshot tables re-read from the promoted
 replicas) or aborted with :class:`~repro.errors.QueryAbortedError` when
 the entry node itself died or the retry budget ran out.  A watchdog
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from ..approx.planning import analyze_approx_select
@@ -76,9 +79,7 @@ from .joins import (
     JoinPlan,
     _JoinLocalAck,
     explain_join_lines,
-    join_failure_relevant,
     plan_distributed_joins,
-    restart_join,
     start_join_pipeline,
 )
 
@@ -241,7 +242,7 @@ class _ShardError:
     (mixed-type comparison, division by zero, ...).  Instead of blowing
     up the storage node's simulated server callback — which would leak
     locks and crash the driver — the error ships through the normal
-    result path (attempt-token guarded, retry-compatible) and the merge
+    result path (on the attempt, so retry-compatible) and the merge
     surfaces the error of the minimal ``(table, node id)``.  That choice
     is timing-independent, and because the central executor sees rows in
     canonical node-id-sorted order, it is the same first error a fully
@@ -261,7 +262,7 @@ class _SketchAnswer:
     isolation a live scan already gives — and snapshot sketches are
     frozen at commit, so computing the merged estimate once up front is
     sound; the per-node shards then only bill probe costs and ship a
-    marker payload through the normal retry-aware scan machinery.
+    marker payload through the normal scan machinery.
     """
 
     table: str
@@ -270,21 +271,153 @@ class _SketchAnswer:
     row: dict
 
 
+class _Attempt:
+    """A query's try at its distributed work, and its only door to the
+    cluster.
+
+    Every store-server job (:meth:`bill`), entry-pool job (:meth:`pool`)
+    and network message (:meth:`send`) of a query is scheduled here, and
+    every fan-in is a :meth:`gather`.  Each runs its continuation
+    through :meth:`_run`, which drops it once the execution is done or
+    the attempt was voided — so no callback of a lost attempt can
+    collect, count or ship anything, whoever wrote it.
+
+    A query has one attempt object; :meth:`void` bumps its ``token``
+    and drops what it collected, after which the query starts over on
+    the survivors under the new token (``QueryService._restart``).
+    """
+
+    __slots__ = ("service", "execution", "token", "rows", "scanned",
+                 "stripe", "targets", "arrived", "landed")
+
+    def __init__(self, service: "QueryService",
+                 execution: QueryExecution, tables) -> None:
+        self.service = service
+        self.execution = execution
+        #: The value that detects lost work: callbacks scheduled under
+        #: an older token never run.
+        self.token = 0
+        #: table -> node -> shipped payload.  Per-node buckets keep the
+        #: merge order canonical (sorted by node id) regardless of
+        #: network arrival order, so pushdown on/off and retry
+        #: interleavings all produce identical results.
+        self.rows: dict[str, dict] = {name: {} for name in tables}
+        #: Entries scanned, over all attempts.
+        self.scanned = 0
+        #: table -> store-partition stripe base for chunk spreading.
+        self.stripe: dict[str, int] = {}
+        #: Nodes the current dispatch billed or shipped between.  A node
+        #: stays a target after its work arrived: its death re-homes its
+        #: partitions, and shards still running elsewhere read placement
+        #: when they fetch — they would deliver its rows a second time.
+        self.targets: set[int] = set()
+        #: Scan-phase fan-in: every arriving shard reports here.
+        self.arrived: Callable[[], None] | None = None
+        #: True once everything the attempt produced is at the entry
+        #: node; from then on no other node's death matters.
+        self.landed = False
+
+    def _run(self, token: int, then: Callable[..., None], *args) -> None:
+        if self.execution.done or token != self.token:
+            return  # the query finished, or a node death voided the work
+        then(*args)
+
+    def guard(self, then: Callable[..., None],
+              *args) -> Callable[[], None]:
+        """``then(*args)`` as a callable that only runs while this
+        attempt stands — for continuations something other than the
+        attempt defers (lock grants, timers)."""
+        return partial(self._run, self.token, then, *args)
+
+    def bill(self, node_id: int, stripe: int, duration: float,
+             then: Callable[..., None], *args) -> None:
+        """Occupy ``node_id``'s store server for partition ``stripe``
+        for ``duration`` ms, then run ``then(*args)``."""
+        self.targets.add(node_id)
+        server = self.service.cluster.node(node_id).store_server(stripe)
+        server.submit(duration, self._run, self.token, then, *args)
+
+    def pool(self, duration: float, then: Callable[..., None],
+             *args) -> None:
+        """Occupy an entry-node query worker for ``duration`` ms, then
+        run ``then(*args)``.  A query's pool jobs each start at the
+        previous one's completion, so they need no ordering key."""
+        pool = self.service.cluster.node(
+            self.execution.entry_node
+        ).query_pool
+        pool.submit(None, duration, self._run, self.token, then, *args)
+
+    def send(self, src: int, dst: int, label, nbytes: int,
+             then: Callable[..., None], *args) -> None:
+        """Ship ``nbytes`` from ``src`` to ``dst``, then run
+        ``then(*args)`` there.  ``label`` names what the stream carries;
+        with the query, the endpoints and the token it is the FIFO
+        channel, closed when the query finishes."""
+        execution = self.execution
+        channel = (label, execution.qid, src, dst, self.token)
+        execution.channels.add(channel)
+        self.targets.add(src)
+        self.targets.add(dst)
+        self.service.cluster.network.send(
+            src, dst, self._run, self.token, then, *args,
+            nbytes=nbytes, channel=channel,
+        )
+
+    def gather(self, count: int, done: Callable[..., None],
+               *args) -> Callable[[], None] | None:
+        """A fan-in over ``count`` completions: returns what each one
+        calls; the last runs ``done(*args)`` (at once when there is
+        nothing to wait for)."""
+        if count == 0:
+            done(*args)
+            return None
+
+        def one() -> None:
+            nonlocal count
+            count -= 1
+            if count == 0:
+                done(*args)
+
+        return self.guard(one)
+
+    def merge(self, finalize: Callable[..., None], *args) -> None:
+        """Everything is at the entry node: bill merging the shipped
+        rows on its pool, then run ``finalize(*args)``."""
+        execution = self.execution
+        self.landed = True
+        execution.entries_scanned = self.scanned
+        self.pool(
+            execution.rows_shipped * self.service.costs.merge_row_ms,
+            finalize, *args,
+        )
+
+    def finish(self, result: QueryResult | None,
+               error: Exception | None) -> None:
+        """Complete the query with ``result`` or ``error``."""
+        self.service._finish_execution(self.execution, result, error)
+
+    def void(self) -> None:
+        """Lose everything in flight and everything collected."""
+        self.token += 1
+        for per_node in self.rows.values():
+            per_node.clear()
+
+
 class _InFlight:
     """Service-side bookkeeping for one running query."""
 
-    __slots__ = ("execution", "select", "views", "state", "plan",
+    __slots__ = ("execution", "select", "views", "attempt", "plan",
                  "sketch", "join")
 
     def __init__(self, execution: QueryExecution, select: Select,
-                 views: dict[str, TableView]) -> None:
+                 views: dict[str, TableView],
+                 attempt: _Attempt) -> None:
         self.execution = execution
         self.select = select
         #: table -> its view (FROM order); snapshot tables are rebound
         #: to the resolved version(s) when scans are dispatched.
         self.views = views
-        #: Scan-phase state; ``None`` until scans are dispatched.
-        self.state: dict | None = None
+        self.attempt = attempt
         #: Distributed plan (scan fragments + final fragment); ``None``
         #: when pushdown is disabled or the statement is not eligible.
         self.plan: DistributedPlan | None = None
@@ -441,22 +574,23 @@ class QueryService:
                 if len(keys) == 1:
                     execution.point_key = keys[0]
         execution.entry_node = self._next_entry_node()
-        record = _InFlight(execution, select, views)
+        attempt = _Attempt(self, execution, views)
+        record = _InFlight(execution, select, views, attempt)
         if (
             self.pushdown_enabled
             and materialize
             and not isinstance(select, Union)
             and not all_versions
+            # Point lookups ship complete rows; the full statement (with
+            # the key predicate) runs centrally.
+            and execution.point_keys is None
         ):
             record.plan = split_select(select)
         self._inflight[execution.qid] = record
         self.sim.schedule(self.retry_policy.query_timeout_ms,
                           self._watchdog, execution)
-        pool = self.cluster.node(execution.entry_node).query_pool
-        pool.submit(
-            ("query", execution.qid), self.costs.sql_fixed_ms,
-            self._after_plan, record, snapshot_id,
-        )
+        attempt.pool(self.costs.sql_fixed_ms, self._after_plan, record,
+                     snapshot_id)
         return execution
 
     def subscribe(self, sql: str, **kwargs):
@@ -731,29 +865,11 @@ class QueryService:
                     "flight"
                 ))
                 continue
-            if record.state is None:
-                continue  # plan/ssid phase: runs on the entry node only
-            if record.join is not None:
-                # Join mode restarts wholesale: a build index or probe
-                # slice may have lived on the dead node, so per-table
-                # requeueing cannot recover a half-run stage.
-                if not join_failure_relevant(record, node_id):
-                    continue
-                if execution.retries >= self.retry_policy.max_retries:
-                    self._abort(execution, QueryAbortedError(
-                        f"node {node_id} died and the retry budget "
-                        f"({self.retry_policy.max_retries}) is exhausted"
-                    ))
-                    continue
-                execution.retries += 1
-                self.query_retries += 1
-                restart_join(self, record)
-                continue
-            affected = [
-                table for table, nodes in record.state["nodes"].items()
-                if node_id in nodes
-            ]
-            if not affected:
+            attempt = record.attempt
+            if attempt.landed or node_id not in attempt.targets:
+                # Nothing of this attempt is, or was, on the dead node
+                # (planning and the snapshot-id read run on the entry
+                # node only), or all of it already reached the entry.
                 continue
             if execution.retries >= self.retry_policy.max_retries:
                 self._abort(execution, QueryAbortedError(
@@ -763,54 +879,26 @@ class QueryService:
                 continue
             execution.retries += 1
             self.query_retries += 1
-            for table in affected:
-                self._requeue_table(record, table)
+            self._restart(record)
 
-    def _requeue_table(self, record: _InFlight, table: str) -> None:
-        """Void a table's in-flight shards and schedule a re-dispatch.
-
-        The attempt token invalidates the lost attempt's scan chunks and
-        result shipments; collected rows for the table are discarded so
-        the re-scan (over the reassigned partitions / promoted replicas)
-        is the single source of that table's rows.
-        """
-        state = record.state
-        state["attempt"][table] += 1
-        lost = state["nodes"][table]
-        state["nodes"][table] = set()
-        # Lost shards leave the pending count; one re-dispatch token
-        # takes their place so the merge can't trigger early.
-        state["pending"] -= len(lost) - 1
-        state["rows"][table].clear()
-        self.sim.schedule(
-            self.retry_policy.retry_backoff_ms,
-            self._redispatch_table, record, table, state["attempt"][table],
-        )
-
-    def _redispatch_table(self, record: _InFlight, table: str,
-                          attempt: int) -> None:
-        execution = record.execution
-        state = record.state
-        if execution.done or state["attempt"][table] != attempt:
-            return  # aborted meanwhile, or a later failure superseded us
-        alive = self.cluster.surviving_node_ids()
-        if not alive:
-            self._abort(execution, QueryAbortedError("no surviving nodes"))
-            return
-        if state["point"]:
-            # consumes the re-dispatch token as the single new shard
-            self._point_attempt(record, attempt)
-            return
-        state["pending"] -= 1  # the re-dispatch token becomes shards
-        self._dispatch_scans(record, [table])
+    def _restart(self, record: _InFlight) -> None:
+        """Start the query over: void the attempt — scan chunks, join
+        stages and shipments in flight are lost, collected rows dropped
+        — and dispatch everything again onto the survivors after the
+        retry backoff.  Nothing is resumed or patched: what arrived may
+        describe partitions that have since moved.  Until the
+        re-dispatch the old targets stand, so a further death among
+        them voids (and counts) again."""
+        attempt = record.attempt
+        attempt.void()
+        self.sim.schedule(self.retry_policy.retry_backoff_ms,
+                          attempt.guard(self._dispatch, record))
 
     # -- plan / snapshot-id resolution ----------------------------------
 
     def _after_plan(self, record: _InFlight,
                     snapshot_id: int | None) -> None:
         execution = record.execution
-        if execution.done:
-            return
         if not any(view.immutable for view in record.views.values()):
             self._start_scans(record, ())  # live tables only
             return
@@ -829,15 +917,13 @@ class QueryService:
             self._validate_and_scan(record, snapshot_id)
             return
         # Atomic read of the committed-snapshot pointer.
-        server = self.cluster.node(execution.entry_node).store_server(0)
-        server.submit(
-            self.costs.snapshot_id_read_ms, self._after_ssid_read, record
+        record.attempt.bill(
+            execution.entry_node, 0, self.costs.snapshot_id_read_ms,
+            self._after_ssid_read, record,
         )
 
     def _after_ssid_read(self, record: _InFlight) -> None:
         execution = record.execution
-        if execution.done:
-            return
         committed = self.store.committed_ssid
         if committed is None:
             self._finish_execution(
@@ -862,133 +948,96 @@ class QueryService:
 
     def _start_scans(self, record: _InFlight,
                      versions: tuple[int, ...]) -> None:
-        """Bind the snapshot tables to the resolved ``versions`` and
-        dispatch the first scan attempt."""
-        execution = record.execution
+        """Bind the snapshot tables to the resolved ``versions``, choose
+        how the statement runs, and dispatch its first attempt."""
         if versions:  # live-only queries keep their submit-time views
             record.views = self._bind(record.select, versions)
-        state = {
-            "pending": 0,
-            #: table -> node -> shipped payload.  Per-node buckets keep
-            #: the merge order canonical (sorted by node id) regardless
-            #: of network arrival order, so pushdown on/off and retry
-            #: interleavings all produce identical results.
-            "rows": {name: {} for name in record.views},
-            "scanned": 0,
-            #: table -> current attempt; bumped to invalidate lost work.
-            "attempt": {name: 0 for name in record.views},
-            #: table -> nodes with an in-flight shard or result.
-            "nodes": {name: set() for name in record.views},
-            #: table -> store-partition stripe base for chunk spreading.
-            "stripe": {},
-            "point": False,
-        }
-        record.state = state
-        if execution.point_keys is not None:
-            state["point"] = True
-            state["pending"] = 1
-            self._point_attempt(record, attempt=0)
-            return
-        record.sketch = self._sketch_plan(record)
-        if record.sketch is None:
-            record.join = plan_distributed_joins(self, record)
-        self._dispatch_scans(record, self._restripe(record))
+        if record.execution.point_keys is None:
+            record.sketch = self._sketch_plan(record)
+            if record.sketch is None:
+                record.join = plan_distributed_joins(self, record)
+        self._dispatch(record)
 
-    def _restripe(self, record: _InFlight) -> list[str]:
-        """The tables a (re)started query scans, in FROM order, each
-        given its chunk-stripe base over the current survivors."""
-        state = record.state
-        width = max(1, len(self.cluster.surviving_node_ids()))
+    def _dispatch(self, record: _InFlight) -> None:
+        """Dispatch the query's distributed work onto the current
+        survivors under the attempt's current token: the point gets, or
+        one shard per target node of every scanned table (FROM order,
+        each table on its own chunk stripe); with nothing to scan the
+        query moves straight on."""
+        execution = record.execution
+        attempt = record.attempt
+        attempt.targets.clear()
+        if execution.point_keys is not None:
+            self._point_gets(record)
+            return
+        alive = self.cluster.surviving_node_ids()
+        width = max(1, len(alive))
         tables: list[str] = []
+        shards: list[tuple[str, int]] = []
         for stripe, table_name in enumerate(record.select.table_names()):
             if table_name in tables:
                 continue  # self-join scans once per node anyway
             if record.join is not None and \
                     table_name in record.join.excluded:
                 continue  # index-nested-loop build side: never scanned
-            state["stripe"][table_name] = stripe * width
             tables.append(table_name)
-        return tables
-
-    def _dispatch_scans(self, record: _InFlight,
-                        tables: list[str]) -> None:
-        """Dispatch one shard per target node of every table in
-        ``tables`` under the table's current attempt token; with
-        nothing to scan the query moves straight on."""
-        execution = record.execution
-        state = record.state
-        alive = self.cluster.surviving_node_ids()
-        shards: list[tuple[str, int]] = []
-        for table_name in tables:
+            attempt.stripe[table_name] = stripe * width
             targets = self._scan_targets(record, table_name)
-            state["nodes"][table_name] = set(targets)
             shards.extend((table_name, node_id) for node_id in targets)
-            if state["attempt"][table_name]:
+            if attempt.token:
                 continue
-            # Node-level pruning, counted on a table's first dispatch
-            # only (a re-dispatch skips the same shards again): none of
-            # the pinned keys live on these nodes, so every partition
-            # of the shard is skipped.
+            # Node-level pruning, counted on the first dispatch only (a
+            # re-dispatch skips the same shards again): none of the
+            # pinned keys live on these nodes, so every partition of
+            # the shard is skipped.
             view = record.views[table_name]
             for node_id in alive:
                 if node_id not in targets:
                     execution.partitions_pruned += len(
                         view.partitions_on_node(node_id)
                     )
-        state["pending"] += len(shards)
-        if not shards:
-            if record.join is not None:
-                start_join_pipeline(self, record)
-            else:
-                self._merge(record)
-            return
+        attempt.arrived = attempt.gather(len(shards), self._scans_landed,
+                                         record)
         for table_name, node_id in shards:
-            self._scan_shard(record, table_name, node_id,
-                             state["attempt"][table_name])
+            self._scan_shard(record, table_name, node_id)
 
-    def _point_attempt(self, record: _InFlight, attempt: int) -> None:
+    def _point_gets(self, record: _InFlight) -> None:
         """Fetch the pinned key(s) from their owner nodes (point path).
 
         A single-key lookup touches exactly one node; ``key IN (...)``
         and OR-of-equality queries fan out one multi-get per distinct
         owner, each billed per key fetched."""
-        execution = record.execution
-        state = record.state
+        attempt = record.attempt
         (table_name, view), = record.views.items()
         nodes = self.cluster.surviving_node_ids()
         owners: dict[int, list] = {}
-        for key in execution.point_keys:
+        for key in record.execution.point_keys:
             owner = view.owner_node_of(key)
             if owner not in nodes:
                 owner = nodes[0]  # placement mid-recovery: any survivor
             owners.setdefault(owner, []).append(key)
-        state["nodes"][table_name] = set(owners)
-        # The caller budgeted one shard; account for the fan-out.
-        state["pending"] += len(owners) - 1
-
+        attempt.arrived = attempt.gather(len(owners), self._scans_landed,
+                                         record)
         for owner in sorted(owners):
-            owner_keys = owners[owner]
-            server = self.cluster.node(owner).store_server(0)
+            keys = owners[owner]
             # Index seek + entry read per key: a handful of store ops.
-            duration = 4 * self.costs.store_entry_ms * len(owner_keys)
+            attempt.bill(
+                owner, 0, 4 * self.costs.store_entry_ms * len(keys),
+                self._point_fetched, record, table_name, owner, keys,
+            )
 
-            def finish(owner: int = owner,
-                       owner_keys: list = owner_keys) -> None:
-                if execution.done or \
-                        state["attempt"][table_name] != attempt:
-                    return
-                rows: list[dict] = []
-                try:
-                    for key in owner_keys:
-                        rows.extend(view.point_rows(key))
-                except SnapshotNotFoundError as exc:
-                    self._finish_execution(execution, None, exc)
-                    return
-                state["scanned"] += len(owner_keys)
-                self._ship_when_locked(record, table_name, owner, rows,
-                                       attempt)
-
-            server.submit(duration, finish)
+    def _point_fetched(self, record: _InFlight, table_name: str,
+                       owner: int, keys: list) -> None:
+        view = record.views[table_name]
+        rows: list[dict] = []
+        try:
+            for key in keys:
+                rows.extend(view.point_rows(key))
+        except SnapshotNotFoundError as exc:
+            self._finish_execution(record.execution, None, exc)
+            return
+        record.attempt.scanned += len(keys)
+        self._ship_when_locked(record, table_name, owner, rows)
 
     # -- approximate (sketch) answering -------------------------------------
 
@@ -1081,35 +1130,26 @@ class QueryService:
         return choice, answer, output
 
     def _sketch_shard(self, record: _InFlight, table_name: str,
-                      node_id: int, attempt: int) -> None:
+                      node_id: int) -> None:
         """One node's share of a sketch-answered query: probe the local
         partition summaries (one probe each, no row touches) and ship a
-        marker through the normal retry-aware result path."""
-        execution = record.execution
-        state = record.state
+        marker through the normal result path."""
+        attempt = record.attempt
         partitions = record.views[table_name].partitions_on_node(node_id)
-        execution.sketch_probes += len(partitions)
-        node = self.cluster.node(node_id)
-        server = node.store_server(
-            state["stripe"].get(table_name, 0) + node_id
+        record.execution.sketch_probes += len(partitions)
+        attempt.bill(
+            node_id, attempt.stripe[table_name] + node_id,
+            len(partitions) * self.costs.sketch_probe_ms,
+            self._ship_when_locked, record, table_name, node_id,
+            [{"sketch": table_name, "node": node_id}], [],
         )
-        duration = len(partitions) * self.costs.sketch_probe_ms
-
-        def finish() -> None:
-            if execution.done or state["attempt"][table_name] != attempt:
-                return
-            payload = [{"sketch": table_name, "node": node_id}]
-            self._ship_when_locked(record, table_name, node_id, payload,
-                                   attempt, lock_rows=[])
-
-        server.submit(duration, finish)
 
     def _scan_shard(self, record: _InFlight, table_name: str,
-                    node_id: int, attempt: int) -> None:
+                    node_id: int) -> None:
         execution = record.execution
-        state = record.state
+        attempt = record.attempt
         if record.sketch is not None:
-            self._sketch_shard(record, table_name, node_id, attempt)
+            self._sketch_shard(record, table_name, node_id)
             return
         try:
             shard = self._scan_selection(record, table_name, node_id)
@@ -1133,7 +1173,7 @@ class QueryService:
             # fragment compiles outside the service's cache: what that
             # cache holds decides what later shards are billed.
             self._shard_scanned(
-                record, table_name, node_id, entries, attempt, fetch,
+                record, table_name, node_id, entries, fetch,
                 None if fragment is None else CompiledFragment(fragment),
             )
             return
@@ -1175,15 +1215,12 @@ class QueryService:
         chunk_fixed_ms = self.costs.batch_fixed_ms if vectorized else 0.0
         chunk = self.costs.scan_chunk_entries
         chunks = max(1, -(-entries // chunk))
-        node = self.cluster.node(node_id)
-        stripe = state["stripe"].get(table_name, 0) + node_id
+        stripe = attempt.stripe[table_name] + node_id
 
         def run_chunk(remaining: int) -> None:
-            if execution.done or state["attempt"][table_name] != attempt:
-                return  # query finished, or this shard's node died
             if remaining == 0:
                 self._shard_scanned(record, table_name, node_id,
-                                    entries, attempt, fetch, compiled)
+                                    entries, fetch, compiled)
                 return
             # The final chunk is partial: bill only the entries left.
             done_entries = (chunks - remaining) * chunk
@@ -1203,8 +1240,8 @@ class QueryService:
             execution.scan_ms_billed += duration
             # Successive chunks visit successive store partitions, so a
             # scan spreads over (and contends on) all partition threads.
-            server = node.store_server(stripe + remaining)
-            server.submit(duration, run_chunk, remaining - 1)
+            attempt.bill(node_id, stripe + remaining, duration,
+                         run_chunk, remaining - 1)
 
         run_chunk(chunks)
 
@@ -1242,12 +1279,9 @@ class QueryService:
         prices below sweeping the surviving partitions, the shard
         resolves candidates through the index instead.  ``fetch``
         materialises exactly the chosen rows at scan-completion time."""
-        state = record.state
-        execution = record.execution
         view = record.views[table_name]
         fragment = None
-        if record.plan is not None and not state["point"] \
-                and execution.materialize:
+        if record.plan is not None and record.execution.materialize:
             fragment = record.plan.fragments.get(table_name)
             if fragment is not None and fragment.is_passthrough:
                 fragment = None
@@ -1355,15 +1389,14 @@ class QueryService:
         return entries, fetch, len(partitions) - len(selected), selected
 
     def _shard_scanned(self, record: _InFlight, table_name: str,
-                       node_id: int, entries: int, attempt: int,
-                       fetch, compiled: CompiledFragment | None) -> None:
+                       node_id: int, entries: int, fetch,
+                       compiled: CompiledFragment | None) -> None:
         """Materialise this shard's rows *now*, run the pushed fragment
         against them, and ship only what survives.
 
         ``compiled`` is the shard's fragment in compiled form (``None``
         when nothing is pushed: every row ships as stored)."""
         execution = record.execution
-        state = record.state
         lock_rows: list[dict] | None = None
         if not execution.materialize:
             payload: list[dict] | int | PartialGroups | _ShardError = (
@@ -1389,7 +1422,7 @@ class QueryService:
             else:
                 payload = raws
                 lock_rows = raws
-        state["scanned"] += entries
+        record.attempt.scanned += entries
         if (
             record.join is not None
             and table_name in record.join.local
@@ -1399,19 +1432,14 @@ class QueryService:
             # later stage and only a framed ack ships to the entry node.
             payload = _JoinLocalAck(node_id, payload)
         self._ship_when_locked(record, table_name, node_id, payload,
-                               attempt, lock_rows)
+                               lock_rows)
 
     def _ship_when_locked(self, record: _InFlight, table_name: str,
-                          node_id: int, payload, attempt: int,
-                          lock_rows=None) -> None:
+                          node_id: int, payload, lock_rows=None) -> None:
         """Ship a shard's payload, acquiring repeatable-read locks first.
 
         ``lock_rows`` are the raw rows to lock when they differ from the
         shipped payload (projected rows / partial-aggregate states)."""
-
-        def ship() -> None:
-            self._ship(record, table_name, node_id, payload, attempt)
-
         rows_to_lock = payload if lock_rows is None else lock_rows
         if (
             self.repeatable_read
@@ -1419,10 +1447,13 @@ class QueryService:
             and not record.views[table_name].immutable
             and isinstance(rows_to_lock, list)
         ):
-            self._lock_rows(record.execution, table_name, rows_to_lock,
-                            ship)
+            self._lock_rows(
+                record.execution, table_name, rows_to_lock,
+                record.attempt.guard(self._ship, record, table_name,
+                                     node_id, payload),
+            )
         else:
-            ship()
+            self._ship(record, table_name, node_id, payload)
 
     def _payload_nbytes(self, record: _InFlight, table_name: str,
                         payload) -> int:
@@ -1447,9 +1478,7 @@ class QueryService:
             per_group = (costs.row_overhead_bytes
                          + payload.width() * costs.column_bytes)
             return len(payload) * per_group
-        state = record.state
-        pushdown = record.plan is not None and not state["point"]
-        if pushdown:
+        if record.plan is not None:
             fragment = record.plan.fragments.get(table_name)
             if fragment is not None and not fragment.is_passthrough:
                 return sum(
@@ -1460,18 +1489,13 @@ class QueryService:
         return len(payload) * costs.row_bytes
 
     def _ship(self, record: _InFlight, table_name: str, node_id: int,
-              payload, attempt: int) -> None:
-        execution = record.execution
+              payload) -> None:
         nbytes = self._payload_nbytes(record, table_name, payload)
-        channel = ("query-result", execution.qid, table_name, node_id,
-                   attempt)
-        execution.channels.add(channel)
-        self.cluster.network.send(
-            node_id, execution.entry_node,
+        record.attempt.send(
+            node_id, record.execution.entry_node,
+            ("query-result", table_name), nbytes,
             self._shard_arrived, record, table_name, node_id, payload,
-            attempt, nbytes,
-            nbytes=nbytes,
-            channel=channel,
+            nbytes,
         )
 
     def _lock_rows(self, execution: QueryExecution, table_name: str,
@@ -1515,42 +1539,34 @@ class QueryService:
         granted_one()  # release the sentinel
 
     def _shard_arrived(self, record: _InFlight, table_name: str,
-                       node_id: int, payload, attempt: int,
-                       nbytes: int) -> None:
+                       node_id: int, payload, nbytes: int) -> None:
         execution = record.execution
-        state = record.state
-        if execution.done or state["attempt"][table_name] != attempt:
-            return  # stale shipment from a node that died mid-query
+        attempt = record.attempt
         if isinstance(payload, int):
             execution.rows_shipped += payload
         else:
-            state["rows"][table_name][node_id] = payload
+            attempt.rows[table_name][node_id] = payload
             if not isinstance(payload, _ShardError):
                 execution.rows_shipped += len(payload)
         execution.bytes_shipped += nbytes
-        state["nodes"][table_name].discard(node_id)
-        state["pending"] -= 1
-        if state["pending"] == 0:
-            if record.join is not None:
-                start_join_pipeline(self, record)
-            else:
-                self._merge(record)
+        attempt.arrived()
+
+    def _scans_landed(self, record: _InFlight) -> None:
+        """Every shard's payload is at the entry node: merge there, or
+        run the join stages over the rows held on the nodes."""
+        if record.join is None:
+            record.attempt.merge(self._finish, record)
+            return
+        shard_error = self._first_shard_error(record)
+        if shard_error is not None:
+            self._finish_execution(record.execution, None, shard_error)
+            return
+        start_join_pipeline(self, record)
 
     # -- merge phase ---------------------------------------------------------
 
-    def _merge(self, record: _InFlight) -> None:
-        execution = record.execution
-        execution.entries_scanned = record.state["scanned"]
-        duration = execution.rows_shipped * self.costs.merge_row_ms
-        pool = self.cluster.node(execution.entry_node).query_pool
-        pool.submit(
-            ("query", execution.qid), duration, self._finish, record
-        )
-
     def _finish(self, record: _InFlight) -> None:
         execution = record.execution
-        if execution.done:
-            return  # aborted while the merge sat in the entry pool
         if not execution.materialize:
             self._finish_execution(execution, None, None)
             return
@@ -1566,14 +1582,12 @@ class QueryService:
             )
             self._finish_execution(execution, result, None)
             return
-        state = record.state
         shard_error = self._first_shard_error(record)
         if shard_error is not None:
             self._finish_execution(execution, None, shard_error)
             return
-        # Point lookups ship complete rows; the full statement (with the
-        # key predicate) runs centrally as before.
-        plan = record.plan if not state["point"] else None
+        plan = record.plan
+        collected = record.attempt.rows
         context = EvalContext(now_ms=self.sim.now)
         try:
             if plan is not None and plan.partial is not None:
@@ -1581,7 +1595,7 @@ class QueryService:
                 # states (sorted by node id for determinism), then
                 # finalise HAVING / ORDER BY / LIMIT centrally.
                 table_name = plan.select.table.name
-                per_node = state["rows"][table_name]
+                per_node = collected[table_name]
                 payloads = [per_node[n] for n in sorted(per_node)]
                 groups = merge_partial_groups(
                     payloads, plan.partial, plan.select.table.binding
@@ -1592,7 +1606,7 @@ class QueryService:
                 )
             else:
                 catalog = DictCatalog()
-                for name, per_node in state["rows"].items():
+                for name, per_node in collected.items():
                     rows: list[dict] = []
                     for n in sorted(per_node):
                         rows.extend(per_node[n])
@@ -1612,9 +1626,7 @@ class QueryService:
         concatenates rows in, so the surfaced error is the first one a
         central evaluation of the canonical row stream would hit —
         independent of shard completion timing."""
-        state = record.state
-        for table_name in record.views:
-            per_node = state["rows"].get(table_name, {})
+        for per_node in record.attempt.rows.values():
             for node_id in sorted(per_node):
                 payload = per_node[node_id]
                 if isinstance(payload, _ShardError):

@@ -109,9 +109,14 @@ class WorkerPool:
     def total_wait_ms(self) -> float:
         return self._wait_time
 
-    def submit(self, key: Hashable, duration: float,
+    def submit(self, key: Hashable | None, duration: float,
                on_complete: Callback | None = None, *args: Any) -> float:
-        """Queue a job for ``key``; returns its completion time."""
+        """Queue a job for ``key``; returns its completion time.
+
+        ``key=None`` asks for no ordering: the job takes the earliest
+        free worker and leaves no per-key entry behind — for submitters
+        that never have two jobs queued at once (a query's steps on its
+        entry pool each start at the previous one's completion)."""
         if duration < 0:
             raise SimulationError("job duration must be non-negative")
         now = self._sim.now
@@ -119,14 +124,13 @@ class WorkerPool:
             range(len(self._worker_busy_until)),
             key=self._worker_busy_until.__getitem__,
         )
-        earliest = max(
-            now,
-            self._worker_busy_until[worker],
-            self._key_busy_until.get(key, 0.0),
-        )
+        earliest = max(now, self._worker_busy_until[worker])
+        if key is not None:
+            earliest = max(earliest, self._key_busy_until.get(key, 0.0))
         finish = earliest + duration
         self._worker_busy_until[worker] = finish
-        self._key_busy_until[key] = finish
+        if key is not None:
+            self._key_busy_until[key] = finish
         self._jobs += 1
         self._busy_time += duration
         self._wait_time += earliest - now

@@ -74,19 +74,6 @@ def test_billing_clean_fixture_passes():
     assert lint_fixture("billing_clean.py", "billing") == []
 
 
-# -- attempt token --------------------------------------------------------
-
-
-def test_attempt_token_flags_unguarded_collection():
-    violations = lint_fixture("attempt_bad.py", "attempt-token")
-    assert len(violations) == 3
-    assert all("attempt token" in v.message for v in violations)
-
-
-def test_attempt_token_clean_fixture_passes():
-    assert lint_fixture("attempt_clean.py", "attempt-token") == []
-
-
 # -- rule registry --------------------------------------------------------
 
 
@@ -96,4 +83,4 @@ def test_unknown_rule_name_raises():
 
 
 def test_all_rules_selected_by_default():
-    assert len(rules_by_name(None)) == 7
+    assert len(rules_by_name(None)) == 6

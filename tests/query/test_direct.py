@@ -3,7 +3,8 @@
 import pytest
 
 from repro.errors import QueryError, SnapshotNotFoundError
-from repro.query import DirectObjectInterface
+from repro.query import DirectObjectInterface, QueryService
+from repro.state.live import LiveStateTable
 
 from ..conftest import build_average_job, make_squery_backend
 
@@ -93,3 +94,28 @@ def test_on_done_callback(env, running):
     env.run_for(100)
     assert len(seen) == 1
     assert seen[0].done
+
+
+def test_query_pools_keep_no_per_query_key(env):
+    """Neither SQL point queries nor direct gets leave an ordering key
+    per query in the entry nodes' pools (they used to: one entry per
+    query id, never dropped)."""
+    table = env.store.create_map("kv")
+    env.store.register_live_table("kv", LiveStateTable(table))
+    for key in range(50):
+        table.put(key, {"v": key})
+    service = QueryService(env)
+    doi = DirectObjectInterface(env)
+    handles = []
+    for i in range(500):
+        handles.append(service.submit(
+            f'SELECT v FROM "kv" WHERE key = {i % 50}'
+        ))
+        handles.append(doi.submit_get("kv", [i % 50]))
+        env.run_for(1.0)
+    env.run_for(100)
+    assert all(handle.done and handle.error is None for handle in handles)
+    assert service.queries_executed == doi.queries_executed == 500
+    for node in env.cluster.nodes:
+        assert node.query_pool.jobs_served > 0
+        assert node.query_pool._key_busy_until == {}

@@ -6,6 +6,8 @@ death of the entry node aborts immediately, and a watchdog timeout
 backstops everything else.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from repro import Environment
@@ -20,6 +22,7 @@ from repro.query import QueryService
 from repro.query.service import QueryExecution
 
 from ..conftest import build_average_job, make_squery_backend
+from .test_kill_sweep import SLOW_JOINS, skewed_env
 
 #: Slow per-entry scans: a 250-key table takes several virtual ms per
 #: node, giving failure injection a wide mid-scan window to land in.
@@ -323,3 +326,93 @@ def test_query_channels_close_at_completion(env):
     # Every query closed its per-shard result channels on completion;
     # the floor table does not grow with the number of queries ever run.
     assert env.cluster.network.open_channels <= baseline
+
+
+# -- what a death voids: the whole attempt, once, while it matters ---------
+
+
+def _skewed_query(sql, costs=SLOW_JOINS, **service_kwargs):
+    """``sql`` submitted on the kill sweep's skewed four-node data:
+    node 3's ``orders`` shard scans for ~9 ms, the others for ~1.5."""
+    env = skewed_env(costs)
+    service = QueryService(env, **service_kwargs)
+    return env, service, service.submit(sql)
+
+
+def _drain(env, execution):
+    while not execution.done:
+        assert env.sim.step()
+    assert execution.error is None
+    return execution.result.rows
+
+
+LATE_KILL_CASES = {
+    "scan": ('SELECT partitionKey, amount FROM "orders" '
+             "ORDER BY partitionKey", {}),
+    "distributed-join": (
+        'SELECT o.partitionKey, s.status FROM "orders" AS o '
+        'JOIN "states" AS s USING (partitionKey) ORDER BY o.partitionKey',
+        {"distributed_joins": True},
+    ),
+    "central-join": (
+        'SELECT o.partitionKey, s.status FROM "orders" AS o '
+        'JOIN "states" AS s USING (partitionKey) ORDER BY o.partitionKey',
+        {"distributed_joins": False},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATE_KILL_CASES))
+def test_late_kill_of_a_delivered_node_retries_once(case):
+    """Node 2's shard has arrived, node 3's is still scanning: node 2's
+    death re-homes its partitions under node 3's pending fetch, so what
+    node 2 delivered can no longer be kept — one retry, same rows."""
+    sql, gates = LATE_KILL_CASES[case]
+    env, _, undisturbed = _skewed_query(sql, **gates)
+    expected = _drain(env, undisturbed)
+
+    env, service, execution = _skewed_query(sql, **gates)
+    env.run_for(5.0)
+    assert not execution.done
+    env.cluster.fail_node(2)
+    assert _drain(env, execution) == expected
+    assert execution.retries == 1
+    assert service.query_retries == 1
+
+
+def test_kill_during_the_entry_node_merge_costs_no_retry():
+    slow_merge = replace(SLOW_JOINS, merge_row_ms=0.1)  # 27 ms merge
+    sql = 'SELECT partitionKey, amount FROM "orders" ORDER BY partitionKey'
+    env, _, undisturbed = _skewed_query(sql, slow_merge)
+    expected = _drain(env, undisturbed)
+
+    env, service, execution = _skewed_query(sql, slow_merge)
+    env.run_for(undisturbed.latency_ms - 1.0)  # every shard has landed
+    assert not execution.done
+    env.cluster.fail_node(3)
+    assert _drain(env, execution) == expected
+    assert execution.retries == 0
+    assert execution.latency_ms == undisturbed.latency_ms
+    assert service.query_retries == 0
+
+
+def test_second_kill_during_the_backoff_consumes_a_second_retry():
+    sql = 'SELECT partitionKey, amount FROM "orders" ORDER BY partitionKey'
+    env, _, undisturbed = _skewed_query(sql)
+    expected = _drain(env, undisturbed)
+
+    env, service, execution = _skewed_query(
+        sql, retry_policy=QueryRetryPolicy(retry_backoff_ms=50.0),
+    )
+    env.run_for(5.0)
+    env.cluster.fail_node(2)
+    assert execution.retries == 1
+    env.run_for(10.0)  # still waiting out the first backoff
+    env.cluster.fail_node(3)
+    assert execution.retries == 2
+    assert _drain(env, execution) == expected
+    # the first re-dispatch (due at 55 ms) was superseded: the answer
+    # comes from the one after the second backoff
+    assert execution.latency_ms > 15.0 + 50.0
+    assert service.query_retries == 2
+    assert service.inflight_queries == 0

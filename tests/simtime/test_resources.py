@@ -75,6 +75,21 @@ def test_pool_serialises_same_key():
     assert f2 == 6.0  # same key: must wait despite free workers
 
 
+def test_pool_unkeyed_jobs_are_unordered_and_leave_no_key_behind():
+    sim = Simulator()
+    pool = WorkerPool(sim, workers=2)
+    f1 = pool.submit(None, 5.0)
+    f2 = pool.submit(None, 1.0)
+    assert (f1, f2) == (5.0, 1.0)  # no key to wait behind
+    assert pool.submit(None, 1.0) == 2.0  # earliest free worker
+    assert pool._key_busy_until == {}
+    assert pool.jobs_served == 3
+    # a keyed submit is still ordered, and is the only entry kept
+    assert pool.submit("a", 4.0) == 6.0
+    assert pool.submit("a", 1.0) == 7.0
+    assert list(pool._key_busy_until) == ["a"]
+
+
 def test_pool_queues_when_all_workers_busy():
     sim = Simulator()
     pool = WorkerPool(sim, workers=2)
