@@ -312,9 +312,10 @@ class CostModel:
 class QueryRetryPolicy:
     """Failure handling for in-flight SQL queries (§IV interplay).
 
-    When a node carrying one of a query's scan shards (or a point
-    lookup's owner) dies, the query service re-dispatches the lost work
-    onto survivors after ``retry_backoff_ms``, up to ``max_retries``
+    When a node that a query's current attempt touched (a scan shard, a
+    point lookup's owner, a join stage) dies before the results are all
+    at the entry node, the query service starts the query over on the
+    survivors after ``retry_backoff_ms``, up to ``max_retries``
     failure events per query.  Queries whose entry node dies, or that
     exhaust the budget, abort with :class:`~repro.errors.QueryAbortedError`;
     ``query_timeout_ms`` is the watchdog backstop guaranteeing that no

@@ -35,11 +35,11 @@ first probe-key error (minimum left tag); residual/projection errors
 surface naturally from the sorted merged rows.
 
 Every stage bills, ships and fans in through the query's attempt
-(``service._Attempt``), so failure handling is the query service's: the
-death of a node the attempt touched voids scans and stages alike and
-the query starts over on the survivors — build/probe stages are never
-resumed half-way, because a stage's inputs may have lived on the dead
-node.
+(``_Attempt`` in ``service.py``), so failure handling is the query
+service's: the death of a node the attempt touched voids scans and
+stages alike and the query starts over on the survivors — build/probe
+stages are never resumed half-way, because a stage's inputs may have
+lived on the dead node.
 """
 
 from __future__ import annotations

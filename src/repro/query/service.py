@@ -287,13 +287,14 @@ class _Attempt:
     the survivors under the new token (``QueryService._restart``).
     """
 
-    __slots__ = ("service", "execution", "token", "rows", "scanned",
-                 "stripe", "targets", "arrived", "landed")
+    __slots__ = ("service", "execution", "nodes", "token", "rows",
+                 "scanned", "stripe", "targets", "arrived", "landed")
 
     def __init__(self, service: "QueryService",
                  execution: QueryExecution, tables) -> None:
         self.service = service
         self.execution = execution
+        self.nodes = service.cluster.nodes  # indexed by node id
         #: The value that detects lost work: callbacks scheduled under
         #: an older token never run.
         self.token = 0
@@ -318,8 +319,10 @@ class _Attempt:
         self.landed = False
 
     def _run(self, token: int, then: Callable[..., None], *args) -> None:
-        if self.execution.done or token != self.token:
-            return  # the query finished, or a node death voided the work
+        # On every deferred event of every query: ``completed_ms`` is
+        # ``execution.done`` without the property call.
+        if token != self.token or self.execution.completed_ms is not None:
+            return  # a node death voided the work, or the query finished
         then(*args)
 
     def guard(self, then: Callable[..., None],
@@ -334,7 +337,7 @@ class _Attempt:
         """Occupy ``node_id``'s store server for partition ``stripe``
         for ``duration`` ms, then run ``then(*args)``."""
         self.targets.add(node_id)
-        server = self.service.cluster.node(node_id).store_server(stripe)
+        server = self.nodes[node_id].store_server(stripe)
         server.submit(duration, self._run, self.token, then, *args)
 
     def pool(self, duration: float, then: Callable[..., None],
@@ -342,9 +345,7 @@ class _Attempt:
         """Occupy an entry-node query worker for ``duration`` ms, then
         run ``then(*args)``.  A query's pool jobs each start at the
         previous one's completion, so they need no ordering key."""
-        pool = self.service.cluster.node(
-            self.execution.entry_node
-        ).query_pool
+        pool = self.nodes[self.execution.entry_node].query_pool
         pool.submit(None, duration, self._run, self.token, then, *args)
 
     def send(self, src: int, dst: int, label, nbytes: int,
@@ -515,7 +516,7 @@ class QueryService:
         self.join_bytes_broadcast_total = 0
         #: Shuffle repartition bytes, all finished queries.
         self.join_bytes_shuffled_total = 0
-        #: Shards rescheduled onto survivors after a node death.
+        #: Node deaths that started a query over on the survivors.
         self.query_retries = 0
         #: Queries failed fast (entry-node death, retry exhaustion,
         #: timeout) instead of completing.
