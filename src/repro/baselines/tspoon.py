@@ -83,7 +83,7 @@ class TSpoonSystem:
         )
         node = self._next_entry_node()
         pool = self.cluster.node(node).query_pool
-        pool.submit(("tspoon", id(query)), duration, self._complete, query)
+        pool.submit(None, duration, self._complete, query)
         return query
 
     def _next_entry_node(self) -> int:

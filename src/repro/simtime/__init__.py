@@ -12,13 +12,12 @@ throughput measurements are deterministic.  The public pieces are:
   streams.
 """
 
-from .events import Event, EventHandle
+from .events import EventHandle
 from .rng import RngStreams
 from .resources import Server, WorkerPool
 from .simulator import Simulator
 
 __all__ = [
-    "Event",
     "EventHandle",
     "RngStreams",
     "Server",

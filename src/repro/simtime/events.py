@@ -1,81 +1,88 @@
-"""Event objects and the time-ordered event queue."""
+"""Queue entries, cancellation handles and the time-ordered event queue.
+
+A scheduled callback is one plain list ``[time, seq, callback, args]``.
+``heapq`` orders lists with C comparisons, and ``seq`` is unique, so a
+comparison is decided by ``(time, seq)`` and never reaches the callback
+slot or any Python-level ``__lt__``.  The sequence number breaks ties
+in scheduling order, which keeps simulations reproducible even when
+many events share a timestamp.  A callback slot of ``None`` marks an
+entry that is no longer scheduled: cancelled, or already fired.
+"""
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from ..errors import SimulationError
 
 
-@dataclass(order=True)
-class Event:
-    """A scheduled callback.
-
-    Events are ordered by ``(time, seq)``: the sequence number breaks
-    ties deterministically in scheduling order, which keeps simulations
-    reproducible even when many events share a timestamp.
-    """
-
-    time: float
-    seq: int
-    callback: Callable[..., None] = field(compare=False)
-    args: tuple[Any, ...] = field(compare=False, default=())
-    cancelled: bool = field(compare=False, default=False)
-
-
 class EventHandle:
     """Opaque handle returned by ``schedule``; supports cancellation."""
 
-    __slots__ = ("_event",)
+    __slots__ = ("_entry", "_queue")
 
-    def __init__(self, event: Event) -> None:
-        self._event = event
+    def __init__(self, entry: list, queue: EventQueue) -> None:
+        self._entry = entry
+        self._queue = queue
 
     @property
     def time(self) -> float:
-        return self._event.time
+        return self._entry[0]
 
     @property
     def active(self) -> bool:
-        return not self._event.cancelled
+        """Still scheduled: neither fired nor cancelled."""
+        return self._entry[2] is not None
 
     def cancel(self) -> None:
-        self._event.cancelled = True
+        """Unschedule the event; a no-op once it has fired or been
+        cancelled, so the queue's live count moves at most once."""
+        entry = self._entry
+        if entry[2] is not None:
+            entry[2] = None
+            self._queue.dead += 1
 
 
 class EventQueue:
-    """Binary-heap event queue with lazy deletion of cancelled events."""
+    """Binary-heap event queue with lazy deletion of cancelled events.
+
+    ``heap`` and ``dead`` (cancelled entries still on the heap) are what
+    ``Simulator._drain`` works on directly, with no frame per event;
+    ``pop`` and ``peek_time`` are the same steps for callers that drive
+    a queue by hand.
+    """
 
     def __init__(self) -> None:
-        self._heap: list[Event] = []
+        self.heap: list[list] = []
+        self.dead = 0
         self._seq = 0
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return len(self.heap) - self.dead
 
     def push(self, time: float, callback: Callable[..., None],
              args: tuple[Any, ...]) -> EventHandle:
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
-        event = Event(time=time, seq=self._seq, callback=callback, args=args)
+        entry = [time, self._seq, callback, args]
         self._seq += 1
-        heapq.heappush(self._heap, event)
-        return EventHandle(event)
-
-    def pop(self) -> Event | None:
-        """Remove and return the earliest live event, or ``None``."""
-        while self._heap:
-            event = heapq.heappop(self._heap)
-            if not event.cancelled:
-                return event
-        return None
+        heapq.heappush(self.heap, entry)
+        return EventHandle(entry, self)
 
     def peek_time(self) -> float | None:
-        """Timestamp of the earliest live event without removing it."""
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
-        if not self._heap:
+        """Timestamp of the earliest live entry without removing it."""
+        heap = self.heap
+        while heap and heap[0][2] is None:
+            heapq.heappop(heap)
+            self.dead -= 1
+        return heap[0][0] if heap else None
+
+    def pop(self) -> tuple[float, Callable[..., None], tuple] | None:
+        """Remove the earliest live entry and return its ``(time,
+        callback, args)``, or ``None`` when no live entry remains."""
+        if self.peek_time() is None:
             return None
-        return self._heap[0].time
+        entry = heapq.heappop(self.heap)
+        callback, entry[2] = entry[2], None
+        return entry[0], callback, entry[3]

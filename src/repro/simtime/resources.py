@@ -54,12 +54,15 @@ class Server:
         """Queue a job; returns its completion time (virtual ms)."""
         if duration < 0:
             raise SimulationError("job duration must be non-negative")
-        start = max(self._sim.now, self._busy_until)
+        now = self._sim.now
+        start = self._busy_until
+        if start < now:
+            start = now
         finish = start + duration
         self._busy_until = finish
         self._jobs += 1
         self._busy_time += duration
-        self._wait_time += start - self._sim.now
+        self._wait_time += start - now
         if on_complete is not None:
             self._sim.schedule_at(finish, on_complete, *args)
         return finish
@@ -120,17 +123,19 @@ class WorkerPool:
         if duration < 0:
             raise SimulationError("job duration must be non-negative")
         now = self._sim.now
-        worker = min(
-            range(len(self._worker_busy_until)),
-            key=self._worker_busy_until.__getitem__,
-        )
-        earliest = max(now, self._worker_busy_until[worker])
-        if key is not None:
-            earliest = max(earliest, self._key_busy_until.get(key, 0.0))
-        finish = earliest + duration
-        self._worker_busy_until[worker] = finish
-        if key is not None:
-            self._key_busy_until[key] = finish
+        busy = self._worker_busy_until
+        earliest = min(busy)
+        worker = busy.index(earliest)  # ties: the lowest-numbered worker
+        if earliest < now:
+            earliest = now
+        if key is None:
+            finish = earliest + duration
+        else:
+            key_free = self._key_busy_until.get(key, 0.0)
+            if earliest < key_free:
+                earliest = key_free
+            finish = self._key_busy_until[key] = earliest + duration
+        busy[worker] = finish
         self._jobs += 1
         self._busy_time += duration
         self._wait_time += earliest - now

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+from heapq import heappop
 from typing import Any, Callable
 
 from ..errors import SimulationError
 from .events import EventHandle, EventQueue
 from .rng import RngStreams
+
+_INF = float("inf")
 
 
 class Simulator:
@@ -56,15 +59,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event.  Returns ``False`` when none remain."""
-        event = self._queue.pop()
-        if event is None:
-            return False
-        if event.time < self._now:
-            raise SimulationError("event queue produced a past event")
-        self._now = event.time
-        self._processed += 1
-        event.callback(*event.args)
-        return True
+        return self._drain(_INF, 1) == 1
 
     def run_until(self, time: float) -> None:
         """Run all events with timestamps ``<= time``, then set now=time.
@@ -74,30 +69,52 @@ class Simulator:
         """
         if time < self._now:
             raise SimulationError("run_until target is in the past")
-        if self._running:
-            raise SimulationError("simulator re-entered while running")
-        self._running = True
-        try:
-            while True:
-                next_time = self._queue.peek_time()
-                if next_time is None or next_time > time:
-                    break
-                self.step()
-            self._now = max(self._now, time)
-        finally:
-            self._running = False
+        self._drain(time, _INF, exclusive=True)
+        if time > self._now:
+            self._now = time
 
     def run(self, max_events: int | None = None) -> int:
         """Run until the queue drains (or ``max_events``); returns count."""
-        if self._running:
-            raise SimulationError("simulator re-entered while running")
-        self._running = True
-        executed = 0
+        return self._drain(
+            _INF, _INF if max_events is None else max_events, exclusive=True)
+
+    def _drain(self, horizon: float, limit: float,
+               exclusive: bool = False) -> int:
+        """The one event loop: fire up to ``limit`` live events with
+        timestamps ``<= horizon`` in ``(time, seq)`` order; returns how
+        many fired.  ``exclusive`` callers (``run``, ``run_until``) may
+        not nest; ``step`` may be called from anywhere.
+
+        Works on the queue's heap directly (entry layout in
+        :mod:`.events`) so that an event costs no Python frame besides
+        its callback's own.
+        """
+        if exclusive:
+            if self._running:
+                raise SimulationError("simulator re-entered while running")
+            self._running = True
+        queue = self._queue
+        heap = queue.heap
+        fired = 0
         try:
-            while max_events is None or executed < max_events:
-                if not self.step():
+            while heap and fired < limit:
+                entry = heap[0]
+                time = entry[0]
+                if time > horizon:
                     break
-                executed += 1
+                heappop(heap)
+                callback = entry[2]
+                if callback is None:  # cancelled
+                    queue.dead -= 1
+                    continue
+                if time < self._now:
+                    raise SimulationError("event queue produced a past event")
+                entry[2] = None  # fired: the handle goes inactive
+                self._now = time
+                self._processed += 1
+                fired += 1
+                callback(*entry[3])
         finally:
-            self._running = False
-        return executed
+            if exclusive:
+                self._running = False
+        return fired

@@ -71,3 +71,20 @@ def test_build_vanilla_backend(env):
     backend = build_vanilla_backend(env.cluster)
     assert isinstance(backend, VanillaBackend)
     assert backend.incremental is False
+
+
+def test_tspoon_leaves_no_ordering_key_in_the_query_pools(env, running):
+    """A read-only transaction is one pool job; it used to be keyed on
+    ``id(query)``, one map entry per query, never dropped."""
+    tspoon = TSpoonSystem(env)
+    queries = []
+    for burst in range(125):
+        queries += [tspoon.submit_get("average", [key])
+                    for key in range(burst % 13, burst % 13 + 8)]
+        env.run_for(1.0)
+    env.run_for(100)
+    assert all(query.done for query in queries)
+    assert tspoon.queries_executed == 1000
+    for node in env.cluster.nodes:
+        assert node.query_pool.jobs_served > 0
+        assert node.query_pool._key_busy_until == {}

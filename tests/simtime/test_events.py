@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
-from repro.simtime.events import Event, EventQueue
+from repro.simtime.events import EventQueue
 
 
 def test_pop_in_time_order():
@@ -12,21 +12,18 @@ def test_pop_in_time_order():
         queue.push(time, lambda: None, ())
     times = []
     while True:
-        event = queue.pop()
-        if event is None:
+        popped = queue.pop()
+        if popped is None:
             break
-        times.append(event.time)
+        times.append(popped[0])
     assert times == [1.0, 2.0, 3.0]
 
 
 def test_ties_broken_by_insertion_order():
     queue = EventQueue()
-    first = queue.push(1.0, lambda: None, ())
-    second = queue.push(1.0, lambda: None, ())
-    del first, second
-    a = queue.pop()
-    b = queue.pop()
-    assert a.seq < b.seq
+    queue.push(1.0, "first", ())
+    queue.push(1.0, "second", ())
+    assert [queue.pop()[1], queue.pop()[1]] == ["first", "second"]
 
 
 def test_cancelled_events_skipped_by_pop():
@@ -34,8 +31,8 @@ def test_cancelled_events_skipped_by_pop():
     handle = queue.push(1.0, lambda: None, ())
     queue.push(2.0, lambda: None, ())
     handle.cancel()
-    event = queue.pop()
-    assert event.time == 2.0
+    assert queue.pop()[0] == 2.0
+    assert queue.pop() is None
 
 
 def test_len_excludes_cancelled():
@@ -69,10 +66,13 @@ def test_nan_time_rejected():
         EventQueue().push(float("nan"), lambda: None, ())
 
 
-def test_event_ordering_dataclass():
-    early = Event(1.0, 0, lambda: None)
-    late = Event(2.0, 0, lambda: None)
-    assert early < late
+def test_entries_order_without_comparing_callbacks():
+    # Lambdas are unorderable: a comparison that got past (time, seq)
+    # would raise TypeError inside heapq.
+    queue = EventQueue()
+    for time in (2.0, 1.0, 2.0, 1.0, 1.0):
+        queue.push(time, lambda: None, (object(),))
+    assert [queue.pop()[0] for _ in range(5)] == [1.0, 1.0, 1.0, 2.0, 2.0]
 
 
 def test_handle_time_property():
@@ -80,3 +80,24 @@ def test_handle_time_property():
     handle = queue.push(7.5, lambda: None, ())
     assert handle.time == 7.5
     assert handle.active
+
+
+def test_handle_inactive_once_popped_and_late_cancel_is_a_noop():
+    queue = EventQueue()
+    handle = queue.push(1.0, lambda: None, ())
+    queue.push(2.0, lambda: None, ())
+    assert queue.pop()[0] == 1.0
+    assert not handle.active
+    handle.cancel()
+    assert len(queue) == 1
+
+
+def test_double_cancel_decrements_once():
+    queue = EventQueue()
+    handle = queue.push(1.0, lambda: None, ())
+    queue.push(2.0, lambda: None, ())
+    handle.cancel()
+    handle.cancel()
+    assert len(queue) == 1
+    assert queue.peek_time() == 2.0
+    assert len(queue) == 1

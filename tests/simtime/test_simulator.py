@@ -128,3 +128,75 @@ def test_time_never_goes_backwards():
         sim.schedule(delay, lambda: times.append(sim.now))
     sim.run()
     assert times == sorted(times)
+
+
+def test_handle_inactive_after_firing_and_late_cancel_is_a_noop():
+    sim = Simulator()
+    seen = []
+    handle = sim.schedule(1.0, lambda: seen.append(handle.active))
+    sim.schedule(2.0, lambda: None)
+    sim.run_until(1.0)
+    assert seen == [False]  # fired counts from the callback on
+    assert not handle.active
+    handle.cancel()
+    handle.cancel()
+    assert sim.pending_events == 1
+    assert sim.run() == 1
+
+
+def test_run_with_zero_max_events_runs_nothing():
+    sim = Simulator()
+    fired = []
+    sim.schedule(1.0, fired.append, 1)
+    assert sim.run(max_events=0) == 0
+    assert fired == [] and sim.now == 0.0 and sim.pending_events == 1
+
+
+@pytest.mark.parametrize("reenter", [
+    lambda sim: sim.run(),
+    lambda sim: sim.run(max_events=1),
+    lambda sim: sim.run_until(sim.now + 1.0),
+], ids=["run", "run_one", "run_until"])
+@pytest.mark.parametrize("drive", [
+    lambda sim: sim.run(),
+    lambda sim: sim.run_until(5.0),
+], ids=["run", "run_until"])
+def test_reentry_from_a_callback_is_rejected(drive, reenter):
+    sim = Simulator()
+    sim.schedule(1.0, reenter, sim)
+    sim.schedule(2.0, lambda: None)
+    with pytest.raises(SimulationError, match="re-entered"):
+        drive(sim)
+    # The guard is released on the way out: the simulator is usable.
+    assert sim.run() == 1
+
+
+def test_step_from_a_callback_runs_the_next_event():
+    sim = Simulator()
+    order = []
+    sim.schedule(1.0, lambda: (order.append("outer"), sim.step()))
+    sim.schedule(2.0, order.append, "inner")
+    sim.schedule(3.0, order.append, "last")
+    assert sim.run(max_events=1) == 1
+    assert order == ["outer", "inner"]
+    assert sim.now == 2.0 and sim.processed_events == 2
+    assert sim.pending_events == 1
+
+
+def test_nan_times_rejected():
+    sim = Simulator()
+    nan = float("nan")
+    with pytest.raises(SimulationError):
+        sim.schedule(nan, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(nan, lambda: None)
+    assert sim.pending_events == 0
+
+
+def test_past_event_on_the_heap_is_rejected():
+    sim = Simulator()
+    sim.run_until(5.0)
+    sim._queue.push(4.0, lambda: None, ())  # behind schedule_at's back
+    with pytest.raises(SimulationError, match="past event"):
+        sim.step()
+    assert sim.now == 5.0
