@@ -29,7 +29,7 @@ from ..errors import StoreError
 from ..kvstore.indexes import (
     MISSING,
     RESERVED_COLUMNS,
-    extract_index_value,
+    new_column_reader,
 )
 from .hashing import DEFAULT_SEED, HashFamily, is_sketchable
 from .sketches import (
@@ -129,6 +129,7 @@ class SketchRegistry:
                  entries_of_partition: Callable[[int], Iterable]) -> None:
         self.partition_count = partition_count
         self._entries_of = entries_of_partition
+        self._column_of = new_column_reader().get
         self._defs: dict[tuple[str, str], SketchDef] = {}
         self._families: dict[tuple[str, str], HashFamily] = {}
         self._partitions: dict[tuple[str, str],
@@ -202,7 +203,7 @@ class SketchRegistry:
 
     def _apply(self, state: _PartitionSketch, definition: SketchDef,
                value: object, insert: bool) -> None:
-        extracted = extract_index_value(value, definition.column)
+        extracted = self._column_of(value, definition.column)
         delta = 1 if insert else -1
         if extracted is MISSING:
             state.absent += delta
@@ -228,8 +229,8 @@ class SketchRegistry:
         for def_key, definition in self._defs.items():
             state = self._partitions[def_key][partition]
             if old is not MISSING:
-                old_v = extract_index_value(old, definition.column)
-                new_v = extract_index_value(new, definition.column)
+                old_v = self._column_of(old, definition.column)
+                new_v = self._column_of(new, definition.column)
                 if type(old_v) is type(new_v) and old_v == new_v:
                     continue  # column untouched by this overwrite
                 self._apply(state, definition, old, insert=False)
@@ -361,7 +362,7 @@ class SketchRegistry:
     def _column_values(self, partition: int,
                        definition: SketchDef) -> Iterable[float]:
         for _key, value in self._entries_of(partition):
-            extracted = extract_index_value(value, definition.column)
+            extracted = self._column_of(value, definition.column)
             if extracted is MISSING or extracted is None:
                 continue
             if _is_numeric(extracted):

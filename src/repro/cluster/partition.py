@@ -9,6 +9,7 @@ object handed to both.
 from __future__ import annotations
 
 import zlib
+from bisect import insort
 from typing import Hashable
 
 from ..errors import ConfigurationError
@@ -43,6 +44,12 @@ class Partitioner:
         self.backup_count = backup_count
         # Round-robin partition table, as IMDG does after rebalancing.
         self._owner = [p % node_count for p in range(partition_count)]
+        #: Per node, the partitions it owns (ascending); kept in step
+        #: with ``_owner`` by its only other writer, ``reassign_node``.
+        self._owned = [
+            list(range(node, partition_count, node_count))
+            for node in range(node_count)
+        ]
 
     def partition_of(self, key: Hashable) -> int:
         return stable_hash(key) % self.partition_count
@@ -62,7 +69,7 @@ class Partitioner:
         ]
 
     def partitions_owned_by(self, node: int) -> list[int]:
-        return [p for p, owner in enumerate(self._owner) if owner == node]
+        return list(self._owned[node])
 
     def reassign_node(self, dead_node: int,
                       alive: list[int] | None = None) -> dict[int, int]:
@@ -85,9 +92,7 @@ class Partitioner:
             else set(alive).__contains__
         )
         moved: dict[int, int] = {}
-        for partition in range(self.partition_count):
-            if self._owner[partition] != dead_node:
-                continue
+        for partition in self.partitions_owned_by(dead_node):
             backups = self.backups_of_partition(partition)
             candidates = [n for n in backups if is_alive(n)]
             if not candidates and self.backup_count > 0:
@@ -99,6 +104,8 @@ class Partitioner:
                     f"partition {partition} has no surviving replica"
                 )
             self._owner[partition] = candidates[0]
+            self._owned[dead_node].remove(partition)
+            insort(self._owned[candidates[0]], partition)
             moved[partition] = candidates[0]
         return moved
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 from typing import Callable, Hashable
 
-from ..state.rows import live_row
 from .changelog import ChangeEvent, ROLLBACK
 
 #: A reader callback: ``(key, old_row, new_row)`` where rows are shaped
@@ -31,7 +30,8 @@ class Arrangement:
         self.name = table.name
         #: key -> shaped live row, maintained from the change stream.
         self.rows: dict[Hashable, dict] = {
-            key: live_row(key, value) for key, value in table.imap.entries()
+            key: table.column_reader.row(key, value)
+            for key, value in table.imap.entries()
         }
         self._readers: list[Reader] = []
         self._rollback_readers: list[Callable[[ChangeEvent], None]] = []
@@ -78,7 +78,9 @@ class Arrangement:
             self.rows.pop(event.key, None)
             new_row = None
         else:
-            new_row = live_row(event.key, event.new_value)
+            new_row = self.table.column_reader.row(
+                event.key, event.new_value
+            )
             self.rows[event.key] = new_row
         self._charge(event.node_id, event.partition,
                      self.env.costs.arrangement_update_ms)
@@ -96,7 +98,7 @@ class Arrangement:
             del self.rows[key]
         restored: dict = event.new_value or {}
         for key, value in restored.items():
-            self.rows[key] = live_row(key, value)
+            self.rows[key] = self.table.column_reader.row(key, value)
         self.rollbacks_applied += 1
         self._charge(event.node_id, event.partition,
                      len(restored) * self.env.costs.store_entry_ms)

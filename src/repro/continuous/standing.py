@@ -49,6 +49,7 @@ from ..sql.executor import (
     hashable_key,
     output_column_name,
 )
+from ..sql.functions import MaxAggregate, MinAggregate, mixed_types
 
 PATH_FILTER_PROJECT = "incremental-filter-project"
 PATH_GROUPED_AGGREGATE = "incremental-grouped-aggregate"
@@ -221,13 +222,18 @@ class _CountAcc(_RetractableAggregate):
 
 
 class _SumAcc(_RetractableAggregate):
+    name = "SUM"
+
     def __init__(self) -> None:
         self._total: float | int = 0
         self._n = 0
 
     def add(self, value: object) -> None:
         if value is not None:
-            self._total += value
+            try:
+                self._total += value
+            except TypeError:
+                raise mixed_types(self.name, self._total, value) from None
             self._n += 1
 
     def retract(self, value: object) -> None:
@@ -239,20 +245,12 @@ class _SumAcc(_RetractableAggregate):
         return self._total if self._n else None
 
 
-class _AvgAcc(_RetractableAggregate):
+class _AvgAcc(_SumAcc):
+    name = "AVG"
+
     def __init__(self) -> None:
+        super().__init__()
         self._total = 0.0
-        self._n = 0
-
-    def add(self, value: object) -> None:
-        if value is not None:
-            self._total += value
-            self._n += 1
-
-    def retract(self, value: object) -> None:
-        if value is not None:
-            self._total -= value
-            self._n -= 1
 
     def result(self) -> object:
         return self._total / self._n if self._n else None
@@ -285,7 +283,15 @@ class _MinMaxAcc(_RetractableAggregate):
     def result(self) -> object:
         if not self._counts:
             return None
-        return min(self._counts) if self._is_min else max(self._counts)
+        try:
+            return min(self._counts) if self._is_min else max(self._counts)
+        except TypeError:
+            # Values that do not order: the one-shot accumulator makes
+            # the same comparisons and raises the typed error.
+            best = MinAggregate() if self._is_min else MaxAggregate()
+            for value in self._counts:
+                best.add(value)
+            raise
 
 
 def _make_retractable(call: FuncCall) -> _RetractableAggregate:

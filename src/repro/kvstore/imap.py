@@ -37,6 +37,13 @@ class Placement:
     def owner_of(self, key: Hashable) -> int:
         return self.owner_of_partition(self.partition_of(key))
 
+    def partitions_on_node(self, node_id: int) -> list[int]:
+        """Partitions ``node_id`` owns, ascending."""
+        return [
+            partition for partition in range(self.partition_count)
+            if self.owner_of_partition(partition) == node_id
+        ]
+
     def backup_of_partition(self, partition: int) -> int | None:
         """Node holding the backup replica, or ``None`` if none."""
         raise NotImplementedError
@@ -57,6 +64,9 @@ class HashPlacement(Placement):
 
     def owner_of_partition(self, partition: int) -> int:
         return self._partitioner.owner_of_partition(partition)
+
+    def partitions_on_node(self, node_id: int) -> list[int]:
+        return self._partitioner.partitions_owned_by(node_id)
 
     def backup_of_partition(self, partition: int) -> int | None:
         backups = self._partitioner.backups_of_partition(partition)
@@ -159,10 +169,10 @@ class IMap:
     def sketch_defs(self) -> list:
         return [] if self._sketches is None else self._sketches.defs()
 
-    def partition_get(self, partition: int, key: Hashable,
-                      default: object = None) -> object:
-        """Read a key known to live in ``partition`` (index fetches)."""
-        return self._partitions[partition].get(key, default)
+    def partition_state(self, partition: int) -> dict[Hashable, object]:
+        """One partition's ``{key: value}`` as stored (scans read it in
+        place; readers must not mutate it)."""
+        return self._partitions[partition]
 
     # -- single-key operations -------------------------------------------
 
@@ -233,16 +243,11 @@ class IMap:
     def entries_on_node(
         self, node_id: int
     ) -> Iterator[tuple[Hashable, object]]:
-        for partition in range(self.placement.partition_count):
-            if self.placement.owner_of_partition(partition) == node_id:
-                yield from self._partitions[partition].items()
+        for partition in self.placement.partitions_on_node(node_id):
+            yield from self._partitions[partition].items()
 
     def partitions_on_node(self, node_id: int) -> list[int]:
-        return [
-            partition
-            for partition in range(self.placement.partition_count)
-            if self.placement.owner_of_partition(partition) == node_id
-        ]
+        return self.placement.partitions_on_node(node_id)
 
     def clear(self) -> None:
         for index, partition in enumerate(self._partitions):

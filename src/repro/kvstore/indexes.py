@@ -51,26 +51,14 @@ RESERVED_COLUMNS = ("key", "partitionKey", "ssid")
 _VALUE = itemgetter(0)
 
 
-def extract_index_value(value: object, column: str) -> object:
-    """The indexed column of one state object, or :data:`MISSING`.
+def new_column_reader():
+    """A fresh :class:`~repro.state.rows.ColumnReader`: an index (or
+    sketch) covers exactly the column SQL row shaping produces, so it
+    reads values through the same definition.  Imported on use — the
+    state package builds on this one."""
+    from ..state.rows import ColumnReader
 
-    Mirrors :func:`repro.state.rows.value_to_columns` exactly — the
-    index must see the same columns the SQL row shaping produces.
-    """
-    import dataclasses
-
-    if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        try:
-            return getattr(value, column)
-        except AttributeError:
-            return MISSING
-    if isinstance(value, dict):
-        return value.get(column, MISSING)
-    if hasattr(value, "_asdict"):  # namedtuple
-        return value._asdict().get(column, MISSING)
-    if column == "value":
-        return value
-    return MISSING
+    return ColumnReader()
 
 
 @dataclass(frozen=True)
@@ -412,6 +400,7 @@ class IndexRegistry:
                  entries_of_partition: Callable[[int], Iterable]) -> None:
         self.partition_count = partition_count
         self._entries_of = entries_of_partition
+        self._column_of = new_column_reader().get
         self._defs: dict[str, IndexDef] = {}
         #: column -> one structure per partition.
         self._columns: dict[str, list] = {}
@@ -465,7 +454,7 @@ class IndexRegistry:
             index = per_partition[partition]
             for key, value in self._entries_of(partition):
                 index.insert(
-                    extract_index_value(value, definition.column), key
+                    self._column_of(value, definition.column), key
                 )
                 self.maintenance_ops += 1
         self._defs[definition.column] = definition
@@ -497,8 +486,8 @@ class IndexRegistry:
         for column, per_partition in self._columns.items():
             index = per_partition[partition]
             if old is not MISSING:
-                index.remove(extract_index_value(old, column), key)
-            index.insert(extract_index_value(new, column), key)
+                index.remove(self._column_of(old, column), key)
+            index.insert(self._column_of(new, column), key)
             self.maintenance_ops += 1
 
     def on_remove(self, partition: int, key: Hashable,
@@ -507,7 +496,7 @@ class IndexRegistry:
         self._order[partition].pop(key, None)
         for column, per_partition in self._columns.items():
             per_partition[partition].remove(
-                extract_index_value(old, column), key
+                self._column_of(old, column), key
             )
             self.maintenance_ops += 1
 
@@ -525,7 +514,7 @@ class IndexRegistry:
             order[key] = self._seq
             for column, per_partition in self._columns.items():
                 per_partition[partition].insert(
-                    extract_index_value(value, column), key
+                    self._column_of(value, column), key
                 )
                 self.maintenance_ops += 1
         self._order[partition] = order
@@ -581,7 +570,7 @@ class IndexRegistry:
             for column in sorted(self._columns):
                 index = self._columns[column][partition]
                 expected = [
-                    (key, extract_index_value(value, column))
+                    (key, self._column_of(value, column))
                     for key, value in stored
                 ]
                 errors.extend(

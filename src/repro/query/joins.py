@@ -668,12 +668,12 @@ class _PipelineRunner:
         )
         for node_id in nodes:
             partitions = view.partitions_on_node(node_id)
-            candidates = view.index_rows(partitions, column, probe)
+            candidates = view.index_scan(partitions, column, probe)
             execution.index_probes += len(partitions)
             execution.index_rows_read += len(candidates)
             if fragment is not None:
                 try:
-                    lock_rows, payload, _batches = run_fragment_batches(
+                    lock_keys, payload, _batches = run_fragment_batches(
                         compiled, candidates, self.context,
                         costs.scan_chunk_entries,
                     )
@@ -681,7 +681,7 @@ class _PipelineRunner:
                     self.attempt.finish(None, exc)
                     return
             else:
-                lock_rows, payload = candidates, candidates
+                lock_keys, payload = candidates.keys, candidates.rows()
             if payload:
                 surviving[node_id] = payload
             duration = (len(partitions) * costs.index_probe_ms
@@ -690,7 +690,7 @@ class _PipelineRunner:
             if service.repeatable_read and not view.immutable:
                 self.attempt.bill(
                     node_id, node_id + index, duration,
-                    service._lock_rows, execution, step.table, lock_rows,
+                    service._lock_rows, execution, step.table, lock_keys,
                     fetched,
                 )
             else:

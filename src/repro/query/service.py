@@ -74,6 +74,7 @@ from ..sql.fragments import (
 from ..sql.lru import LruCache
 from ..sql.planner import DictCatalog, ListTable, split_conjuncts
 from ..state.isolation import IsolationLevel, isolation_of_query
+from ..state.rows import ColumnBatch
 from ..state.view import TableView
 from .joins import (
     JoinPlan,
@@ -1038,7 +1039,8 @@ class QueryService:
             self._finish_execution(record.execution, None, exc)
             return
         record.attempt.scanned += len(keys)
-        self._ship_when_locked(record, table_name, owner, rows)
+        self._ship_when_locked(record, table_name, owner, rows,
+                               [row["partitionKey"] for row in rows])
 
     # -- approximate (sketch) answering -------------------------------------
 
@@ -1279,7 +1281,7 @@ class QueryService:
         partitions that can hold matching keys; when a secondary index
         prices below sweeping the surviving partitions, the shard
         resolves candidates through the index instead.  ``fetch``
-        materialises exactly the chosen rows at scan-completion time."""
+        reads exactly the chosen entries at scan-completion time."""
         view = record.views[table_name]
         fragment = None
         if record.plan is not None and record.execution.materialize:
@@ -1297,8 +1299,8 @@ class QueryService:
         else:
             entries = view.entries_on_node(node_id)
 
-            def fetch() -> list[dict]:
-                return list(view.rows_on_node(node_id))
+            def fetch() -> ColumnBatch:
+                return view.scan_on_node(node_id)
 
             pruned = 0
         if fragment is not None and fragment.pushed:
@@ -1336,8 +1338,8 @@ class QueryService:
         column = choice.column
         probe = choice.probe
 
-        def fetch() -> list[dict]:
-            return view.index_rows(partitions, column, probe)
+        def fetch() -> ColumnBatch:
+            return view.index_scan(partitions, column, probe)
 
         return _ShardPlan(
             entries=choice.candidates,
@@ -1381,48 +1383,45 @@ class QueryService:
             for partition in selected
         )
 
-        def fetch() -> list[dict]:
-            rows: list[dict] = []
-            for partition in selected:
-                rows.extend(view.rows_in_partition(partition))
-            return rows
+        def fetch() -> ColumnBatch:
+            return view.scan_partitions(selected)
 
         return entries, fetch, len(partitions) - len(selected), selected
 
     def _shard_scanned(self, record: _InFlight, table_name: str,
                        node_id: int, entries: int, fetch,
                        compiled: CompiledFragment | None) -> None:
-        """Materialise this shard's rows *now*, run the pushed fragment
-        against them, and ship only what survives.
+        """Read this shard's entries *now*, run the pushed fragment
+        over their columns, and ship only what survives.
 
         ``compiled`` is the shard's fragment in compiled form (``None``
-        when nothing is pushed: every row ships as stored)."""
+        when nothing is pushed: every entry ships as its whole row)."""
         execution = record.execution
-        lock_rows: list[dict] | None = None
+        lock_keys: list | None = None
         if not execution.materialize:
             payload: list[dict] | int | PartialGroups | _ShardError = (
                 record.views[table_name].row_count_on_node(node_id)
             )
         else:
-            raws = fetch()
+            batch = fetch()
             if compiled is not None:
                 try:
                     # Repeatable read locks exactly the rows the query
                     # observes: the survivors of the pushed predicates
                     # (all of them — a row a top-k stage cuts still
                     # decided the answer).
-                    lock_rows, payload, _batches = run_fragment_batches(
-                        compiled, raws,
+                    lock_keys, payload, _batches = run_fragment_batches(
+                        compiled, batch,
                         EvalContext(now_ms=self.sim.now),
                         self.costs.scan_chunk_entries,
                         compiled.fragment.top_k_keep(entries),
                     )
                 except Exception as exc:  # ship the error, don't crash
                     payload = _ShardError(exc)
-                    lock_rows = []
+                    lock_keys = []
             else:
-                payload = raws
-                lock_rows = raws
+                payload = batch.rows()
+                lock_keys = batch.keys
         record.attempt.scanned += entries
         if (
             record.join is not None
@@ -1433,23 +1432,23 @@ class QueryService:
             # later stage and only a framed ack ships to the entry node.
             payload = _JoinLocalAck(node_id, payload)
         self._ship_when_locked(record, table_name, node_id, payload,
-                               lock_rows)
+                               lock_keys)
 
     def _ship_when_locked(self, record: _InFlight, table_name: str,
-                          node_id: int, payload, lock_rows=None) -> None:
+                          node_id: int, payload,
+                          lock_keys: list | None) -> None:
         """Ship a shard's payload, acquiring repeatable-read locks first.
 
-        ``lock_rows`` are the raw rows to lock when they differ from the
-        shipped payload (projected rows / partial-aggregate states)."""
-        rows_to_lock = payload if lock_rows is None else lock_rows
+        ``lock_keys`` are the keys of the rows the shard observed
+        (``None``: it read none)."""
         if (
             self.repeatable_read
             # key locks guard live state; committed versions are immutable
             and not record.views[table_name].immutable
-            and isinstance(rows_to_lock, list)
+            and lock_keys is not None
         ):
             self._lock_rows(
-                record.execution, table_name, rows_to_lock,
+                record.execution, table_name, lock_keys,
                 record.attempt.guard(self._ship, record, table_name,
                                      node_id, payload),
             )
@@ -1500,8 +1499,9 @@ class QueryService:
         )
 
     def _lock_rows(self, execution: QueryExecution, table_name: str,
-                   rows: list[dict], then: Callable[[], None]) -> None:
-        """Repeatable read: hold every read key's lock until the end.
+                   keys: list, then: Callable[[], None]) -> None:
+        """Repeatable read: hold the lock of every read row's key until
+        the end.
 
         Contended keys *block* — the request queues FIFO behind the
         holder and ``then`` runs once every key is granted — instead of
@@ -1527,8 +1527,8 @@ class QueryService:
                 then()
 
         requested: set = set()
-        for row in rows:
-            key = (table_name, row["partitionKey"])
+        for key in keys:
+            key = (table_name, key)
             if key in requested or locks.holder_of(key) is execution:
                 continue  # already held from an earlier attempt/shard
             requested.add(key)

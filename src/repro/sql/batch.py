@@ -1,9 +1,16 @@
 """Columnar batch execution of scan fragments.
 
 The scan path compiles a :class:`~repro.sql.fragments.ScanFragment`
-once into :class:`CompiledFragment` — specialized closures for its pushed
-conjuncts, group keys, aggregate feeds, order key, and projection — and
-then streams whole scan chunks through :class:`BatchAccumulator`.
+once into :class:`CompiledFragment` — the columns it reads and one
+term per group key, aggregate feed and order key — and then streams a
+shard's :class:`~repro.state.rows.ColumnBatch` through
+:class:`BatchAccumulator` chunk by chunk.  A chunk is a struct of
+arrays: one value list per declared column.  A term that is a bare
+column reference reads its list; every other expression (the pushed
+conjuncts included) is its :func:`~repro.sql.compiled.compile_expr`
+closure called on a row holding the declared columns only, so there is
+still one evaluator.  Whole rows exist only for what ships.
+
 Results are what a row-major sweep (row by row, conjunct by conjunct)
 produces: the same surviving rows in the same order, the same
 partial-group insertion order and accumulator states, the same first
@@ -19,51 +26,93 @@ not depend on what another environment in the same process ran before.
 
 from __future__ import annotations
 
-from .compiled import CompiledExpr, EvalContext, compile_predicate, compile_projection
+from itertools import repeat
+
+from ..kvstore.indexes import MISSING
+from ..state.rows import ColumnBatch, ColumnReader
+from .ast import Column, Expr
+from .compiled import (
+    CompiledExpr,
+    EvalContext,
+    column_reads,
+    compile_expr,
+    compile_predicate,
+)
 from .executor import (
-    compile_agg_feeds,
-    compile_group_key,
-    compile_order_key,
+    agg_feed_exprs,
+    group_keys,
     new_group_accs,
     order_keyed,
+    order_keys,
 )
 from .fragments import PartialGroups, ScanFragment
 from .lru import LruCache
+from .planner import collect_columns
+
+
+class _Term:
+    """One per-row value a fold or a top-k selection reads."""
+
+    __slots__ = ("expr", "fn", "column")
+
+    def __init__(self, expr: Expr, binding: str) -> None:
+        self.expr = expr
+        self.fn: CompiledExpr = compile_expr(expr, binding)
+        #: Set for a bare column reference: the column whose list is
+        #: the term's values wherever every row has it.
+        self.column: str | None = (
+            column_reads(expr, binding)[0]
+            if isinstance(expr, Column) else None
+        )
 
 
 class CompiledFragment:
     """A scan fragment's closures, compiled once and reused per chunk."""
 
     __slots__ = (
-        "fragment", "predicates", "group_key", "agg_feeds", "calls",
-        "rep_columns", "order_key", "project",
+        "fragment", "columns", "predicates", "group_terms", "feed_terms",
+        "calls", "rep_columns", "order_terms",
     )
 
     def __init__(self, fragment: ScanFragment) -> None:
         binding = fragment.binding
+        partial = fragment.partial
+        top_k = fragment.top_k
+
+        def terms(exprs) -> "tuple[_Term | None, ...]":
+            return tuple(
+                None if expr is None else _Term(expr, binding)
+                for expr in exprs
+            )
+
         self.fragment = fragment
         self.predicates: tuple[CompiledExpr, ...] = tuple(
             compile_predicate(conjunct, binding)
             for conjunct in fragment.pushed
         )
-        partial = fragment.partial
-        if partial is not None:
-            self.group_key: CompiledExpr | None = compile_group_key(
-                partial.group_by, binding
-            )
-            self.agg_feeds = compile_agg_feeds(partial.calls, binding)
-            self.calls = list(partial.calls)
-            self.rep_columns = partial.rep_columns
-        else:
-            self.group_key = None
-            self.agg_feeds = ()
-            self.calls = []
-            self.rep_columns = ()
-        self.order_key: CompiledExpr | None = (
-            compile_order_key(fragment.top_k.order_by, binding)
-            if fragment.top_k is not None else None
+        self.group_terms = terms(partial.group_by if partial else ())
+        #: One per aggregate call; ``None`` feeds 1 per row (COUNT(*)).
+        self.feed_terms = terms(
+            agg_feed_exprs(partial.calls) if partial else ()
         )
-        self.project = compile_projection(fragment.projection)
+        self.calls = list(partial.calls) if partial else []
+        self.rep_columns = partial.rep_columns if partial else ()
+        self.order_terms = terms(
+            order.expr for order in (top_k.order_by if top_k else ())
+        )
+        references: list[Column] = []
+        for expr in fragment.pushed:
+            collect_columns(expr, references)
+        for term in self.group_terms + self.feed_terms + self.order_terms:
+            if term is not None:
+                collect_columns(term.expr, references)
+        #: The stored columns a chunk's sweep reads, one list each (the
+        #: projection is read per shipped row, not per scanned one).
+        self.columns: tuple[str, ...] = tuple(dict.fromkeys(
+            [name for column in references
+             for name in column_reads(column, binding)]
+            + list(self.rep_columns)
+        ))
 
     @property
     def predicate_count(self) -> int:
@@ -89,22 +138,99 @@ class _TopKAbandoned(Exception):
     """An order key failed to evaluate or compare on this shard."""
 
 
+class _Sweep:
+    """One chunk under evaluation: its column lists, the rows closures
+    see, and the rows still in play.
+
+    ``survivors`` are chunk-relative row indexes in row order.  The
+    chunk raises its minimum-row error, so a term that fails at a row
+    takes that row and every later one out of play (``failed`` keeps
+    the row, the term and the error): terms evaluated afterwards only
+    see the rows before it.
+    """
+
+    __slots__ = ("columns", "count", "context", "survivors", "dense",
+                 "failed", "_rows")
+
+    def __init__(self, columns: dict[str, list], count: int,
+                 context: EvalContext) -> None:
+        self.columns = columns
+        self.count = count
+        self.context = context
+        self.survivors = list(range(count))
+        #: ``survivors`` is still ``range(len(survivors))``.
+        self.dense = True
+        self.failed: tuple[int, _Term, Exception] | None = None
+        self._rows: list[dict] | None = None
+
+    @property
+    def rows(self) -> list[dict]:
+        """The chunk's rows as closures read them: the declared columns
+        only, ``MISSING`` where a row lacks one (that reads as absent)."""
+        rows = self._rows
+        if rows is None:
+            rows = self._rows = [{} for _ in range(self.count)]
+            for name, values in self.columns.items():
+                for row, value in zip(rows, values):
+                    row[name] = value
+        return rows
+
+    def keep(self, predicate: CompiledExpr,
+             errors: dict[int, Exception]) -> None:
+        """Drop the rows ``predicate`` does not pass; a row it fails on
+        is dropped with its error recorded."""
+        rows = self.rows
+        context = self.context
+        passed = []
+        for index in self.survivors:
+            try:
+                if predicate(rows[index], context):
+                    passed.append(index)
+            except Exception as exc:  # noqa: BLE001 — re-raised by caller
+                errors[index] = exc
+        self.survivors = passed
+        self.dense = False
+
+    def values(self, term: "_Term | None") -> list:
+        """``term`` over the rows in play, in row order."""
+        survivors = self.survivors
+        if term is None:
+            return [1] * len(survivors)
+        if term.column is not None:
+            values = self.columns[term.column]
+            values = (values[:len(survivors)] if self.dense
+                      else [values[index] for index in survivors])
+            if MISSING not in values:
+                return values
+        fn = term.fn
+        rows = self.rows
+        context = self.context
+        values = []
+        try:
+            for index in survivors:
+                values.append(fn(rows[index], context))
+        except Exception as exc:  # noqa: BLE001 — re-raised by caller
+            self.failed = (survivors[len(values)], term, exc)
+            del survivors[len(values):]
+        return values
+
+
 class BatchAccumulator:
     """Per-(table, node, attempt) scan-side state, fed whole chunks.
 
     Predicates run conjunct-major over the chunk (each conjunct only
     over the survivors of the previous one, so a row eliminated early
     never evaluates — or errors in — a later conjunct), then survivors
-    fold into groups or projected rows in row order.  Errors raised by
-    compiled expressions are collected per row and the minimal-row
-    error is re-raised at the end of the chunk — the error a row-major
-    sweep would surface first.
+    fold into groups or projected rows in row order, term by term.
+    Errors raised by compiled expressions are collected per row and the
+    minimal-row error is re-raised at the end of the chunk — the error
+    a row-major sweep would surface first.
 
     With ``keep`` the fragment's top-k stage runs: of the survivors only
     the first ``keep`` in ORDER BY order are held, re-selected after
-    every chunk from the held rows followed by the chunk's survivors —
-    held rows first, so rows that tie stay in scan order and the held
-    set does not depend on the chunk size.
+    every chunk from the held rows followed by the chunk's own first
+    ``keep`` — held rows first, so rows that tie stay in scan order and
+    the held set does not depend on the chunk size.
     """
 
     def __init__(self, compiled: CompiledFragment, context: EvalContext,
@@ -113,86 +239,126 @@ class BatchAccumulator:
         self.context = context
         self.keep = keep
         self.rows: list[dict] = []
-        #: top-k stage: ``(order key, raw row)`` of the held rows.
+        #: top-k stage: ``(order key, projected row)`` of the held rows.
         self.top: list[tuple[tuple, dict]] = []
         self.groups: dict[tuple, list] = {}
         self.survived = 0
 
-    def add_batch(self, raws: list[dict]) -> list[dict]:
-        """Feed one chunk of raw rows; returns the surviving raws (in
-        row order, for repeatable-read lock acquisition)."""
+    def add_batch(self, batch: "ColumnBatch | list[dict]", start: int = 0,
+                  stop: int | None = None) -> list:
+        """Feed entries ``[start, stop)`` of ``batch`` (a list is taken
+        as rows already shaped); returns what names the survivors, in
+        row order: their keys, for repeatable-read lock acquisition."""
+        if isinstance(batch, list):
+            batch = ColumnBatch(ColumnReader(), batch)
+        if stop is None:
+            stop = len(batch)
         compiled = self.compiled
-        context = self.context
+        sweep = _Sweep(
+            {name: batch.column(name, start, stop)
+             for name in compiled.columns},
+            stop - start, self.context,
+        )
         errors: dict[int, Exception] = {}
-        survivors = list(range(len(raws)))
         for predicate in compiled.predicates:
-            if not survivors:
+            if not sweep.survivors:
                 break
-            passed = []
-            for index in survivors:
-                try:
-                    if predicate(raws[index], context):
-                        passed.append(index)
-                except Exception as exc:  # noqa: BLE001 — re-raised below
-                    errors[index] = exc
-            survivors = passed
-        surviving_raws: list[dict] = []
+            sweep.keep(predicate, errors)
         if compiled.fragment.partial is not None:
-            self._fold_groups(raws, survivors, errors, surviving_raws)
+            self._fold_groups(sweep, errors)
+        elif self.keep is not None:
+            self._keep_top(sweep, batch, start)
         else:
-            surviving_raws = [raws[index] for index in survivors]
-            self.survived += len(surviving_raws)
-            if self.keep is None:
-                self.rows.extend(map(compiled.project, surviving_raws))
-            else:
-                self._keep_top(surviving_raws)
+            project = batch.projector(compiled.fragment.projection)
+            self.rows.extend(
+                [project(start + index) for index in sweep.survivors]
+            )
         if errors:
             # A row-major sweep stops at the first erroring row; the
             # batch reproduces exactly that error.
             raise errors[min(errors)]
-        return surviving_raws
+        self.survived += len(sweep.survivors)
+        ids = batch.ids
+        return [ids[start + index] for index in sweep.survivors]
 
-    def _fold_groups(self, raws: list[dict], survivors: list[int],
-                     errors: dict[int, Exception],
-                     surviving_raws: list[dict]) -> None:
+    def _new_group(self, sweep: _Sweep, key: tuple, index: int) -> list:
+        columns = sweep.columns
+        rep = {
+            name: columns[name][index]
+            for name in self.compiled.rep_columns
+            if columns[name][index] is not MISSING
+        }
+        group = self.groups[key] = [rep, new_group_accs(self.compiled.calls)]
+        return group
+
+    def _fold_groups(self, sweep: _Sweep,
+                     errors: dict[int, Exception]) -> None:
         compiled = self.compiled
-        context = self.context
-        group_key = compiled.group_key
-        agg_feeds = compiled.agg_feeds
-        rep_columns = compiled.rep_columns
+        key_lists = [sweep.values(term) for term in compiled.group_terms]
+        feed_lists = [sweep.values(term) for term in compiled.feed_terms]
+        survivors = sweep.survivors
+        count = len(survivors)
+        keys = group_keys(key_lists, count)
         groups = self.groups
-        for index in survivors:
-            raw = raws[index]
-            try:
-                key = group_key(raw, context)
+        position = 0
+        try:
+            for position, (key, values) in enumerate(zip(
+                keys, zip(*feed_lists) if feed_lists else repeat(()),
+            )):
                 group = groups.get(key)
                 if group is None:
-                    rep = {
-                        name: raw[name]
-                        for name in rep_columns
-                        if name in raw
-                    }
-                    group = [rep, new_group_accs(compiled.calls)]
-                    groups[key] = group
-                for feed, acc in zip(agg_feeds, group[1]):
-                    acc.add(1 if feed is None else feed(raw, context))
-            except Exception as exc:  # noqa: BLE001 — re-raised by caller
-                errors[index] = exc
-                continue
-            surviving_raws.append(raw)
-            self.survived += 1
+                    group = self._new_group(sweep, key, survivors[position])
+                for acc, value in zip(group[1], values):
+                    acc.add(value)
+        except Exception as exc:  # noqa: BLE001 — re-raised by caller
+            errors[survivors[position]] = exc
+            return
+        if sweep.failed is None:
+            return
+        index, term, exc = sweep.failed
+        if term in compiled.feed_terms:
+            # A feed failed: the row's group lookup and the adds of the
+            # feeds before it came first, and what they raise wins.
+            try:
+                key, = group_keys(
+                    [values[count:count + 1] for values in key_lists], 1
+                )
+                group = groups.get(key) or self._new_group(sweep, key, index)
+                for acc, values in zip(
+                    group[1],
+                    feed_lists[:compiled.feed_terms.index(term)],
+                ):
+                    acc.add(values[count])
+            except Exception as earlier:  # noqa: BLE001
+                exc = earlier
+        errors[index] = exc
 
-    def _keep_top(self, surviving_raws: list[dict]) -> None:
+    def _keep_top(self, sweep: _Sweep, batch: ColumnBatch,
+                  start: int) -> None:
         compiled = self.compiled
-        context = self.context
-        order_key = compiled.order_key
+        order_by = compiled.fragment.top_k.order_by
         try:
-            keyed = self.top + [
-                (order_key(raw, context), raw) for raw in surviving_raws
-            ]
-            self.top = order_keyed(
-                compiled.fragment.top_k.order_by, keyed, self.keep
+            keys = order_keys(
+                order_by,
+                [sweep.values(term) for term in compiled.order_terms],
             )
+            if sweep.failed is not None:
+                raise sweep.failed[2]
+            # The chunk's own first rows (still row indexes) against the
+            # held ones; only a row that is then held is ever shaped.
+            top = order_keyed(
+                order_by,
+                self.top + order_keyed(
+                    order_by, list(zip(keys, sweep.survivors)), self.keep
+                ),
+                self.keep,
+            )
+            project = batch.projector(compiled.fragment.projection)
+            self.top = [
+                (key, project(start + held) if isinstance(held, int)
+                 else held)
+                for key, held in top
+            ]
         except Exception:  # noqa: BLE001 — the final ORDER BY raises it
             raise _TopKAbandoned from None
 
@@ -205,20 +371,19 @@ class BatchAccumulator:
                 ]
             )
         if self.keep is not None:
-            project = self.compiled.project
-            return [project(raw) for _key, raw in self.top]
+            return [row for _key, row in self.top]
         return self.rows
 
 
 def run_fragment_batches(
     compiled: CompiledFragment,
-    raws: list[dict],
+    batch: "ColumnBatch | list[dict]",
     context: EvalContext,
     chunk_entries: int,
     keep: int | None = None,
-) -> tuple[list[dict], "list[dict] | PartialGroups", int]:
-    """Run a whole shard's rows through the fragment, streamed through
-    :class:`BatchAccumulator` in ``chunk_entries``-sized chunks.
+) -> "tuple[list, list[dict] | PartialGroups, int]":
+    """Run a whole shard's entries through the fragment, streamed
+    through :class:`BatchAccumulator` in ``chunk_entries``-sized chunks.
 
     ``keep`` runs the fragment's top-k stage.  The stage never
     originates an error: a shard whose order keys fail to evaluate or
@@ -226,18 +391,19 @@ def run_fragment_batches(
     final ORDER BY raises what it raises without pushdown — after any
     WHERE error, as there.
 
-    Returns ``(surviving_raws, payload, batches)``.
+    Returns ``(survivors, payload, batches)``; see
+    :meth:`BatchAccumulator.add_batch` for what names a survivor.
     """
     accumulator = BatchAccumulator(compiled, context, keep)
-    lock_rows: list[dict] = []
+    survivors: list = []
     chunk = max(1, chunk_entries)
     batches = 0
     try:
-        for start in range(0, len(raws), chunk):
-            lock_rows.extend(
-                accumulator.add_batch(raws[start:start + chunk])
-            )
+        for start in range(0, len(batch), chunk):
+            survivors.extend(accumulator.add_batch(
+                batch, start, min(start + chunk, len(batch))
+            ))
             batches += 1
     except _TopKAbandoned:
-        return run_fragment_batches(compiled, raws, context, chunk_entries)
-    return lock_rows, accumulator.payload(), batches
+        return run_fragment_batches(compiled, batch, context, chunk_entries)
+    return survivors, accumulator.payload(), batches

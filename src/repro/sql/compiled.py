@@ -23,6 +23,10 @@ Columns resolve in one of two modes, chosen by ``binding``:
   ``"binding.column"`` raw key), and a reference qualified with any
   other table only ever sees literal dotted raw keys.
 
+A raw row may carry :data:`~repro.kvstore.indexes.MISSING` under a
+name: that reads as the key being absent (``unknown column``), which
+lets a scan hand closures rows zipped straight from column lists.
+
 Aggregate calls read their finished result from the row under the call
 node itself (the executor merges ``{call: result}`` into a group's
 representative row before evaluating HAVING / select items / ORDER BY);
@@ -37,6 +41,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from ..errors import SqlExecutionError
+from ..kvstore.indexes import MISSING as _MISSING
 from .ast import (
     AGGREGATE_FUNCTIONS,
     Between,
@@ -70,9 +75,6 @@ class EvalContext:
 
 #: A compiled expression: evaluate against one row.
 CompiledExpr = Callable[[dict, EvalContext], object]
-
-#: Sentinel distinguishing "key absent" from a stored ``None`` (SQL NULL).
-_MISSING = object()
 
 _COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
 
@@ -124,19 +126,6 @@ def compile_predicate(expr: Expr, binding: str | None = None) -> CompiledExpr:
     return predicate
 
 
-def compile_projection(columns: tuple[str, ...] | None) -> Callable[[dict], dict]:
-    """Compile a fragment projection: returns the shipped row for one raw
-    row (the listed columns the row actually has, in row order)."""
-    if columns is None:
-        return lambda raw: raw
-    keep = frozenset(columns)
-
-    def project(raw: dict) -> dict:
-        return {key: value for key, value in raw.items() if key in keep}
-
-    return project
-
-
 def compile_expr(expr: Expr, binding: str | None = None) -> CompiledExpr:
     """Compile one expression into a closure over ``(row, context)``.
 
@@ -180,35 +169,36 @@ def _raiser(message: str) -> CompiledExpr:
     return fail
 
 
-def _compile_column(column: Column, binding: str | None) -> CompiledExpr:
-    name = column.name
-    message = f"unknown column {column.display()!r}"
-    dotted = None if column.table is None else f"{column.table}.{name}"
-    if dotted is not None and column.table == binding:
+def column_reads(column: Column, binding: str | None) -> tuple[str, ...]:
+    """The row keys a compiled reference to ``column`` looks up, in
+    order; the first one present is its value."""
+    if column.table is None:
+        return (column.name,)
+    dotted = f"{column.table}.{column.name}"
+    if column.table == binding:
         # The bind_row overlay writes binding-qualified aliases after
         # dict(raw), so the unqualified raw value shadows any literal
         # dotted raw key of the same name.
-        def qualified(raw: dict, context: EvalContext) -> object:
-            value = raw.get(name, _MISSING)
-            if value is _MISSING:
-                value = raw.get(dotted, _MISSING)
-            if value is _MISSING:
-                raise SqlExecutionError(message)
-            return value
-
-        return qualified
-    # Every other reference is one key looked up as is: an unqualified
-    # name, a qualified one on a bound row, or (on a raw row) another
+        return (column.name, dotted)
+    # A qualified name on a bound row, or (on a raw row) another
     # table's qualifier, which only a literal dotted raw key satisfies.
-    key = name if dotted is None else dotted
+    return (dotted,)
 
-    def as_is(raw: dict, context: EvalContext) -> object:
+
+def _compile_column(column: Column, binding: str | None) -> CompiledExpr:
+    message = f"unknown column {column.display()!r}"
+    key, *fallback = column_reads(column, binding)
+
+    def read(raw: dict, context: EvalContext) -> object:
         value = raw.get(key, _MISSING)
         if value is _MISSING:
-            raise SqlExecutionError(message)
+            for other in fallback:
+                value = raw.get(other, _MISSING)
+            if value is _MISSING:
+                raise SqlExecutionError(message)
         return value
 
-    return as_is
+    return read
 
 
 def _compile_call(call: FuncCall, binding: str | None) -> CompiledExpr:

@@ -511,18 +511,27 @@ def new_group_accs(unique: list[FuncCall]) -> list:
     ]
 
 
+def agg_feed_exprs(
+    unique: "list[FuncCall] | tuple[FuncCall, ...]",
+) -> "tuple[Expr | None, ...]":
+    """One feed per aggregate call, aligned with ``unique``: the call's
+    argument, or ``None`` for COUNT(*)-style calls, which accumulate 1
+    per row."""
+    return tuple(
+        call.args[0]
+        if call.args and not isinstance(call.args[0], Star) else None
+        for call in unique
+    )
+
+
 def compile_agg_feeds(
     unique: "list[FuncCall] | tuple[FuncCall, ...]",
     binding: str | None = None,
 ) -> "tuple[CompiledExpr | None, ...]":
-    """One feed per aggregate call, aligned with ``unique``: the call's
-    compiled argument, or ``None`` for COUNT(*)-style calls, which
-    accumulate 1 per row."""
+    """:func:`agg_feed_exprs`, each argument compiled."""
     return tuple(
-        compile_expr(call.args[0], binding)
-        if call.args and not isinstance(call.args[0], Star)
-        else None
-        for call in unique
+        None if feed is None else compile_expr(feed, binding)
+        for feed in agg_feed_exprs(unique)
     )
 
 
@@ -535,6 +544,20 @@ def compile_group_key(group_by: "tuple[Expr, ...]",
         return tuple(_hashable(part(row, context)) for part in parts)
 
     return group_key
+
+
+def group_keys(columns: "list[list]", count: int) -> "list[tuple]":
+    """Column-wise :func:`compile_group_key`: the GROUP BY keys of
+    ``count`` rows from one value list per GROUP BY expression."""
+    if not columns:
+        return [()] * count
+    parts = []
+    for values in columns:
+        kinds = set(map(type, values))
+        if any(issubclass(kind, (list, dict, set)) for kind in kinds):
+            values = [_hashable(value) for value in values]
+        parts.append(values)
+    return list(zip(*parts))
 
 
 def _execute_aggregate(select: Select, rows: list[dict],
@@ -602,17 +625,15 @@ def _distinct(rows: list[dict], columns: list[str]) -> list[dict]:
     return out
 
 
-def compile_order_key(order_by: "tuple[OrderItem, ...]",
-                      binding: str | None = None) -> CompiledExpr:
-    """A closure yielding one row's ORDER BY key: a flat native tuple
-    ``(flag, value, flag, value, ...)``, one pair per term, which
+def compile_order_key(order_by: "tuple[OrderItem, ...]") -> CompiledExpr:
+    """A closure yielding one bound row's ORDER BY key: a flat native
+    tuple ``(flag, value, flag, value, ...)``, one pair per term, which
     :func:`order_keyed` sorts with C comparisons.  The flag ranks NULLs
     last in the term's direction (``value is None`` ascending, ``value
     is not None`` for a descending term, whose pass runs reversed), so
     a NULL is never compared with a value."""
     terms = tuple(
-        (compile_expr(order.expr, binding), order.descending)
-        for order in order_by
+        (compile_expr(order.expr), order.descending) for order in order_by
     )
 
     def order_key(row: dict, context: EvalContext) -> tuple:
@@ -624,6 +645,18 @@ def compile_order_key(order_by: "tuple[OrderItem, ...]",
         return tuple(key)
 
     return order_key
+
+
+def order_keys(order_by: "tuple[OrderItem, ...]",
+               columns: "list[list]") -> "list[tuple]":
+    """Column-wise :func:`compile_order_key`: the rows' ORDER BY keys
+    from one value list per term."""
+    flat = []
+    for order, values in zip(order_by, columns):
+        descending = order.descending
+        flat.append([(value is None) != descending for value in values])
+        flat.append(values)
+    return list(zip(*flat))
 
 
 _KEY = itemgetter(0)

@@ -90,6 +90,15 @@ SCALAR_FUNCTIONS: dict[str, Callable[[list[object]], object]] = {
 }
 
 
+def mixed_types(name: str, held: object, value: object) -> SqlExecutionError:
+    """The typed error of an accumulator whose held state and next
+    value do not combine (``SUM`` over an int and a string)."""
+    return SqlExecutionError(
+        f"cannot apply {name} to {type(held).__name__} and "
+        f"{type(value).__name__}"
+    )
+
+
 class Aggregate:
     """Base incremental aggregate accumulator.
 
@@ -150,7 +159,12 @@ class SumAggregate(Aggregate):
             if value in self._seen:
                 return
             self._seen.add(value)
-        self._total = value if self._total is None else self._total + value
+        try:
+            self._total = (
+                value if self._total is None else self._total + value
+            )
+        except TypeError:
+            raise mixed_types("SUM", self._total, value) from None
 
     def result(self) -> object:
         return self._total
@@ -163,11 +177,8 @@ class SumAggregate(Aggregate):
                 self._total = (
                     value if self._total is None else self._total + value
                 )
-        elif other._total is not None:
-            self._total = (
-                other._total if self._total is None
-                else self._total + other._total
-            )
+        else:
+            self.add(other._total)
 
 
 class AvgAggregate(Aggregate):
@@ -183,7 +194,10 @@ class AvgAggregate(Aggregate):
             if value in self._seen:
                 return
             self._seen.add(value)
-        self._total += value
+        try:
+            self._total += value
+        except TypeError:
+            raise mixed_types("AVG", self._total, value) from None
         self._count += 1
 
     def result(self) -> object:
@@ -208,8 +222,11 @@ class MinAggregate(Aggregate):
     def add(self, value: object) -> None:
         if value is None:
             return
-        if self._best is None or value < self._best:
-            self._best = value
+        try:
+            if self._best is None or value < self._best:
+                self._best = value
+        except TypeError:
+            raise mixed_types("MIN", self._best, value) from None
 
     def result(self) -> object:
         return self._best
@@ -225,8 +242,11 @@ class MaxAggregate(Aggregate):
     def add(self, value: object) -> None:
         if value is None:
             return
-        if self._best is None or value > self._best:
-            self._best = value
+        try:
+            if self._best is None or value > self._best:
+                self._best = value
+        except TypeError:
+            raise mixed_types("MAX", self._best, value) from None
 
     def result(self) -> object:
         return self._best

@@ -13,7 +13,7 @@ from __future__ import annotations
 from typing import Callable, Hashable, Iterable, Iterator
 
 from ..cluster.partition import stable_hash
-from .rows import snapshot_row
+from .rows import ColumnBatch, ColumnReader
 
 
 class SnapshotTableBase:
@@ -42,6 +42,8 @@ class SnapshotTableBase:
         self.name = name
         self.parallelism = parallelism
         self._node_of_instance = node_of_instance
+        #: The table's definition of "what are this object's columns".
+        self.column_reader = ColumnReader()
 
     def freeze_index(self, ssid: int) -> None:
         """Commit time: nothing to freeze without indexes."""
@@ -102,13 +104,17 @@ class SnapshotTableBase:
 
     def rows_for_snapshot(self, ssid: int) -> Iterator[dict]:
         state, _ = self.materialize(ssid)
-        for key, value in state.items():
-            yield snapshot_row(key, ssid, value)
+        yield from ColumnBatch(self.column_reader).load(state, ssid).rows()
+
+    def scan_on_node(self, node_id: int, ssid: int) -> ColumnBatch:
+        """A node's entries of ``ssid`` in scan order, column-readable."""
+        batch = ColumnBatch(self.column_reader)
+        for state, _ in self._on_node(node_id, ssid):
+            batch.load(state, ssid)
+        return batch
 
     def rows_on_node(self, node_id: int, ssid: int) -> Iterator[dict]:
-        for state, _ in self._on_node(node_id, ssid):
-            for key, value in state.items():
-                yield snapshot_row(key, ssid, value)
+        yield from self.scan_on_node(node_id, ssid).rows()
 
     def entries_on_node(self, node_id: int, ssid: int) -> int:
         """Stored entries a node-local scan of ``ssid`` must visit."""
@@ -133,7 +139,7 @@ class SnapshotTableBase:
         )
         if key not in state:
             return []
-        return [snapshot_row(key, ssid, state[key])]
+        return [self.column_reader.row(key, state[key], ssid)]
 
     # -- failure handling --------------------------------------------------
 

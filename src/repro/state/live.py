@@ -12,7 +12,7 @@ from typing import Hashable, Iterator
 
 from ..kvstore import IMap
 from ..kvstore.indexes import IndexDef
-from .rows import live_row
+from .rows import ColumnBatch, ColumnReader
 
 _MISSING = object()
 
@@ -28,6 +28,8 @@ class LiveStateTable:
 
     def __init__(self, imap: IMap) -> None:
         self._imap = imap
+        #: The table's definition of "what are this object's columns".
+        self.column_reader = ColumnReader()
         #: Continuous-query change capture (None = capture disabled; the
         #: mutation fast path then stays exactly as before).
         self._capture = None
@@ -48,12 +50,22 @@ class LiveStateTable:
         return len(self._imap)
 
     def rows(self) -> Iterator[dict]:
+        row = self.column_reader.row
         for key, value in self._imap.entries():
-            yield live_row(key, value)
+            yield row(key, value)
+
+    def scan_partitions(self, partitions: list[int]) -> ColumnBatch:
+        """The entries of ``partitions``, in that order, column-readable."""
+        batch = ColumnBatch(self.column_reader)
+        for partition in partitions:
+            batch.load(self._imap.partition_state(partition))
+        return batch
+
+    def scan_on_node(self, node_id: int) -> ColumnBatch:
+        return self.scan_partitions(self._imap.partitions_on_node(node_id))
 
     def rows_on_node(self, node_id: int) -> Iterator[dict]:
-        for key, value in self._imap.entries_on_node(node_id):
-            yield live_row(key, value)
+        yield from self.scan_on_node(node_id).rows()
 
     def entries_on_node(self, node_id: int) -> int:
         return sum(
@@ -79,8 +91,7 @@ class LiveStateTable:
         return self._imap.placement.partition_of(key)
 
     def rows_in_partition(self, partition: int) -> Iterator[dict]:
-        for key, value in self._imap.partition_entries(partition):
-            yield live_row(key, value)
+        yield from self.scan_partitions([partition]).rows()
 
     def partition_key_bounds(
         self, partition: int
@@ -135,28 +146,24 @@ class LiveStateTable:
             return None
         return registry.probe_count(partition, column, probe)
 
-    def index_rows(self, partitions: list[int], column: str,
-                   probe) -> list[dict]:
-        """Candidate rows of an index probe over ``partitions``.
+    def index_scan(self, partitions: list[int], column: str,
+                   probe) -> ColumnBatch:
+        """Candidate entries of an index probe over ``partitions``.
 
         A partition that can no longer be probed soundly (it degraded
-        after the access path was chosen) falls back to all of its rows
-        — a superset is safe because the pushed predicates re-filter
-        every candidate."""
+        after the access path was chosen) falls back to all of its
+        entries — a superset is safe because the pushed predicates
+        re-filter every candidate."""
         registry = self._imap.indexes
-        rows: list[dict] = []
+        batch = ColumnBatch(self.column_reader)
         for partition in partitions:
+            state = self._imap.partition_state(partition)
             keys = (None if registry is None
                     else registry.probe_keys(partition, column, probe))
-            if keys is None:
-                rows.extend(self.rows_in_partition(partition))
-                continue
-            for key in keys:
-                value = self._imap.partition_get(partition, key, _MISSING)
-                if value is _MISSING:
-                    continue
-                rows.append(live_row(key, value))
-        return rows
+            if keys is not None:
+                keys = [key for key in keys if key in state]
+            batch.load(state, keys=keys)
+        return batch
 
     @property
     def index_maintenance_ops(self) -> int:
@@ -172,7 +179,7 @@ class LiveStateTable:
         value = self._imap.get(key, _MISSING)
         if value is _MISSING:
             return []
-        return [live_row(key, value)]
+        return [self.column_reader.row(key, value)]
 
     # -- sketches (approximate query answering) ----------------------------
     #

@@ -22,7 +22,6 @@ from typing import Callable, Hashable
 from ..errors import SnapshotNotFoundError
 from ..lsm import LsmStore
 from .base import SnapshotTableBase
-from .rows import snapshot_row
 
 
 class LsmSnapshotTable(SnapshotTableBase):
@@ -120,7 +119,7 @@ class LsmSnapshotTable(SnapshotTableBase):
         value = self._stores[instance].get(key, ssid=ssid)
         if value is None:
             return []
-        return [snapshot_row(key, ssid, value)]
+        return [self.column_reader.row(key, value, ssid)]
 
     # -- maintenance ---------------------------------------------------------
 

@@ -16,7 +16,7 @@ from ..approx.registry import SketchDef, SketchRegistry
 from ..errors import SnapshotNotFoundError
 from ..kvstore.indexes import IndexDef, IndexRegistry
 from .base import SnapshotTableBase
-from .rows import snapshot_row
+from .rows import ColumnBatch
 
 
 class FullSnapshotTable(SnapshotTableBase):
@@ -137,23 +137,19 @@ class FullSnapshotTable(SnapshotTableBase):
             return None
         return registry.probe_count(partition, column, probe)
 
-    def index_rows(self, partitions: list[int], column: str, probe,
-                   ssid: int) -> list[dict]:
-        """Candidate rows of an index probe (same order as a scan)."""
+    def index_scan(self, partitions: list[int], column: str, probe,
+                   ssid: int) -> ColumnBatch:
+        """Candidate entries of an index probe (same order as a scan)."""
         snapshot = self._version(ssid)
         registry = self._indexes.get(ssid)
-        rows: list[dict] = []
+        batch = ColumnBatch(self.column_reader)
         for partition in partitions:
-            keys = (None if registry is None
-                    else registry.probe_keys(partition, column, probe))
-            state = snapshot.get(partition, {})
-            if keys is None:
-                for key, value in state.items():
-                    rows.append(snapshot_row(key, ssid, value))
-                continue
-            for key in keys:
-                rows.append(snapshot_row(key, ssid, state[key]))
-        return rows
+            batch.load(
+                snapshot.get(partition, {}), ssid,
+                None if registry is None
+                else registry.probe_keys(partition, column, probe),
+            )
+        return batch
 
     @property
     def index_maintenance_ops(self) -> int:
@@ -293,11 +289,18 @@ class FullSnapshotTable(SnapshotTableBase):
         snapshot = self._version(ssid)
         return len(snapshot.get(partition, {}))
 
+    def scan_partitions(self, partitions: list[int],
+                        ssid: int) -> ColumnBatch:
+        """The entries of ``partitions``, in that order, column-readable."""
+        snapshot = self._version(ssid)
+        batch = ColumnBatch(self.column_reader)
+        for partition in partitions:
+            batch.load(snapshot.get(partition, {}), ssid)
+        return batch
+
     def rows_in_partition(self, partition: int,
                           ssid: int) -> Iterator[dict]:
-        snapshot = self._version(ssid)
-        for key, value in snapshot.get(partition, {}).items():
-            yield snapshot_row(key, ssid, value)
+        yield from self.scan_partitions([partition], ssid).rows()
 
     def partition_key_bounds(
         self, partition: int, ssid: int

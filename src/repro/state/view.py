@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import Hashable, Iterator
 
+from .rows import ColumnBatch
+
 
 class TableView:
     """A state table bound to live state, one snapshot id, or several.
@@ -59,9 +61,16 @@ class TableView:
 
     # -- node-local reads (every bound version) ----------------------------
 
-    def rows_on_node(self, node_id: int) -> Iterator[dict]:
+    def scan_on_node(self, node_id: int) -> ColumnBatch:
+        """A node's entries, column-readable through the table's
+        reader (what scan shards run their fragment over)."""
+        batch = ColumnBatch(self.table.column_reader)
         for args in self._args:
-            yield from self.table.rows_on_node(node_id, *args)
+            batch.extend(self.table.scan_on_node(node_id, *args))
+        return batch
+
+    def rows_on_node(self, node_id: int) -> Iterator[dict]:
+        yield from self.scan_on_node(node_id).rows()
 
     def entries_on_node(self, node_id: int) -> int:
         """Stored entries a node-local scan must visit."""
@@ -87,6 +96,9 @@ class TableView:
 
     def partition_entry_count(self, partition: int) -> int:
         return self.table.partition_entry_count(partition, *self._version)
+
+    def scan_partitions(self, partitions: list[int]) -> ColumnBatch:
+        return self.table.scan_partitions(partitions, *self._version)
 
     def rows_in_partition(self, partition: int) -> Iterator[dict]:
         return self.table.rows_in_partition(partition, *self._version)
@@ -122,9 +134,9 @@ class TableView:
             partition, column, probe, *self._version
         )
 
-    def index_rows(self, partitions: list[int], column: str,
-                   probe) -> list[dict]:
-        return self.table.index_rows(
+    def index_scan(self, partitions: list[int], column: str,
+                   probe) -> ColumnBatch:
+        return self.table.index_scan(
             partitions, column, probe, *self._version
         )
 

@@ -9,7 +9,6 @@ from repro.kvstore.indexes import (
     IndexDef,
     IndexRegistry,
     RangeProbe,
-    extract_index_value,
 )
 
 
@@ -41,25 +40,29 @@ def remove(registry, backing, partition, key):
 # -- value extraction --------------------------------------------------------
 
 
-def test_extract_index_value_shapes():
-    assert extract_index_value({"v": 3}, "v") == 3
-    assert extract_index_value({"v": 3}, "w") is MISSING
-    assert extract_index_value(42, "value") == 42
-    assert extract_index_value(42, "other") is MISSING
-
-    from collections import namedtuple
-    Row = namedtuple("Row", ["a"])
-    assert extract_index_value(Row(a=9), "a") == 9
-    assert extract_index_value(Row(a=9), "b") is MISSING
-
+def test_index_covers_columns_not_attributes():
+    # The index reads values through the row-shaping reader: only what
+    # is a column of the row can be indexed.  A @property (or any other
+    # non-field attribute) of a dataclass is no column; the hand-kept
+    # ``extract_index_value`` used getattr and indexed it anyway.
     from dataclasses import dataclass
 
     @dataclass
     class State:
         count: int
 
-    assert extract_index_value(State(count=5), "count") == 5
-    assert extract_index_value(State(count=5), "total") is MISSING
+        @property
+        def double(self):
+            return 2 * self.count
+
+    registry, backing = make_registry(
+        1, [IndexDef("count", "hash"), IndexDef("double", "hash")]
+    )
+    put(registry, backing, 0, "k", State(count=3))
+    assert registry.probe_keys(0, "count", EqProbe(values=(3,))) == ["k"]
+    # Rows lack the column, so the partition cannot be probed soundly.
+    assert registry.probe_keys(0, "double", EqProbe(values=(6,))) is None
+    assert registry.coherence_errors() == []
 
 
 # -- definitions -------------------------------------------------------------

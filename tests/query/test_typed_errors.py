@@ -12,7 +12,11 @@ the same message.
 import pytest
 
 from repro.config import ClusterConfig
-from repro.continuous.standing import PATH_FILTER_PROJECT, StandingQuery
+from repro.continuous.standing import (
+    PATH_FILTER_PROJECT,
+    PATH_GROUPED_AGGREGATE,
+    StandingQuery,
+)
 from repro.env import Environment
 from repro.errors import SqlExecutionError
 from repro.query.service import QueryService
@@ -119,3 +123,49 @@ def test_order_by_over_mixed_types_is_typed_on_every_path(tail):
     assert service_error(sql, MIXED, vectorized=True) == message
     assert service_error(sql, MIXED, vectorized=False) == message
     assert service_error(sql, MIXED, repeatable_read=True) == message
+
+
+#: Aggregates whose accumulator meets a number and then text (MIXED
+#: holds ints before the first string on either node, as does its
+#: canonical row order).
+AGGREGATES = [
+    ("SUM", "cannot apply SUM to int and str"),
+    ("AVG", "cannot apply AVG to float and str"),
+    ("MIN", "cannot apply MIN to int and str"),
+    ("MAX", "cannot apply MAX to int and str"),
+]
+
+
+def standing_aggregate_error(sql, values):
+    standing = StandingQuery(sql, parse(sql), LiveOnly(), now=lambda: 0.0)
+    assert standing.path == PATH_GROUPED_AGGREGATE
+    with pytest.raises(SqlExecutionError) as excinfo:
+        for key, value in values.items():
+            standing.on_delta(key, None, live_row(key, value))
+    return str(excinfo.value)
+
+
+@pytest.mark.parametrize("name,message", AGGREGATES)
+def test_aggregate_over_mixed_types_is_typed_on_every_path(name, message):
+    # Used to leak "TypeError: unsupported operand type(s) for +: 'int'
+    # and 'str'" (or "'<' not supported ...") from the accumulator.
+    sql = f'SELECT {name}(v) AS a FROM "data"'
+    assert central_error(sql, MIXED) == message
+    assert service_error(sql, MIXED, pushdown=False) == message
+    assert service_error(sql, MIXED) == message
+    assert service_error(sql, MIXED, repeatable_read=True) == message
+    assert standing_aggregate_error(sql, MIXED) == message
+    grouped = f'SELECT n % 2 AS g, {name}(v) AS a FROM "data" GROUP BY n % 2'
+    assert central_error(grouped, MIXED) == message
+    assert service_error(grouped, MIXED) == message
+
+
+def test_partial_states_that_do_not_merge_are_typed():
+    # Each node's shard folds cleanly (numbers on one, text on the
+    # other); the entry node's merge of the two partial states is where
+    # the types meet.
+    split = {key: {"v": key if key % 2 else f"x{key}"}
+             for key in range(1, 9)}
+    for name in ("SUM", "MIN", "MAX"):
+        message = service_error(f'SELECT {name}(v) AS a FROM "data"', split)
+        assert message == f"cannot apply {name} to str and int"

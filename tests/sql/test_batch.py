@@ -149,6 +149,37 @@ def test_error_in_aggregate_feed_matches_interpreted():
     assert str(batch_error.value) == "unknown column 'value'"
 
 
+@pytest.mark.parametrize("chunk", [1, 2, 100])
+def test_a_rows_first_error_is_the_first_in_evaluation_order(chunk):
+    # Row by row a group's key, then each aggregate's feed and add in
+    # turn: the terms are evaluated column by column, but when one row
+    # fails twice what raises is still what fails first in that order.
+    _, fragment = fragment_of(
+        'SELECT weight, SUM(value) AS s, MIN(pad) AS lo, MAX(tag) AS hi '
+        'FROM "t" GROUP BY weight'
+    )
+    compiled = CompiledFragment(fragment)
+    rows = [dict(raw) for raw in ROWS[:6]]
+    del rows[4]["pad"]         # MIN's feed cannot be read on row 4 ...
+    assert rows[1]["weight"] == rows[4]["weight"]
+    for expected, spoil in [
+        ("unknown column 'pad'", lambda: None),
+        # ... MAX's add fails there too, but MIN comes first ...
+        ("unknown column 'pad'", lambda: rows[4].update(tag=7)),
+        # ... and SUM's add before either.
+        ("cannot apply SUM to int and str",
+         lambda: rows[4].update(value="text")),
+        # An earlier row's later aggregate beats them all.
+        ("cannot apply MAX to str and int",
+         lambda: rows[3].update(tag=7, weight=rows[0]["weight"])),
+        ("unknown column 'weight'", lambda: rows[2].pop("weight")),
+    ]:
+        spoil()
+        with pytest.raises(SqlExecutionError) as error:
+            run_fragment_batches(compiled, rows, CTX, chunk)
+        assert str(error.value) == expected
+
+
 def test_eliminated_rows_never_error():
     # A row killed by an earlier conjunct must not surface errors from
     # later conjuncts — conjunct-major order preserves the row-major

@@ -30,7 +30,6 @@ from repro.sql.ast import (
 from repro.sql.compiled import (
     compile_expr,
     compile_predicate,
-    compile_projection,
 )
 from repro.sql.executor import bind_row
 from repro.sql.planner import DictCatalog, ListTable
@@ -393,15 +392,6 @@ def test_compile_predicate_matches_eval_predicate():
             assert raw_mode(raw, CTX) is passes, (sql, raw)
             assert bound_mode(bind_row(raw, BINDING), CTX) is passes, \
                 (sql, raw)
-
-
-def test_compile_projection_identity_and_strip():
-    raw = {"key": 1, "v": 2, "pad": 3}
-    assert compile_projection(None)(raw) is raw
-    projected = compile_projection(("key", "v"))(raw)
-    assert projected == {"key": 1, "v": 2}
-    # Missing projected columns are simply absent, never errors.
-    assert compile_projection(("key", "nope"))(raw) == {"key": 1}
 
 
 def test_predicate_null_is_not_true():
