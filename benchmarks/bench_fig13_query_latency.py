@@ -40,34 +40,6 @@ def run_figure13():
     return table, medians
 
 
-def test_fig13_vectorized_scan_ablation(benchmark):
-    """Columnar before/after on the Fig. 13 workload (10K keys).
-
-    Same snapshot-reconstruction query load, scan execution vectorized
-    vs interpreted: billed scan time must at least halve while query
-    results and counts stay equivalent.
-    """
-
-    def run_ablation():
-        results = {}
-        for vectorized in (True, False):
-            results[vectorized] = run_query_latency_experiment(
-                10_000, incremental=False, checkpoints=20,
-                vectorized=vectorized,
-            )
-        return results
-
-    results = benchmark.pedantic(run_ablation, rounds=1, iterations=1)
-    on, off = results[True], results[False]
-    assert on.queries > 0 and off.queries > 0
-    # Vectorized scans are at least 2x cheaper on the scan path...
-    assert off.scan_ms_median >= on.scan_ms_median * 2.0, (
-        on.scan_ms_median, off.scan_ms_median,
-    )
-    # ...which shows up end to end as strictly lower query latency.
-    assert on.latency.percentile(50) < off.latency.percentile(50)
-
-
 def test_fig13_query_latency(benchmark):
     table, medians = benchmark.pedantic(run_figure13, rounds=1,
                                         iterations=1)

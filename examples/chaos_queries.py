@@ -82,7 +82,7 @@ def main() -> None:
     # so the scripted kill below reliably lands mid-scan.
     env = Environment(
         ClusterConfig(nodes=4, processing_workers_per_node=2),
-        CostModel(scan_entry_ms=0.02, vectorized_scan_entry_ms=0.02),
+        CostModel(scan_entry_ms=0.02),
     )
     job = build_job(env)
     job.start()

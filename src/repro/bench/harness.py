@@ -440,7 +440,6 @@ def run_query_latency_experiment(paper_keys: int, incremental: bool,
                                  label: str | None = None,
                                  nodes: int = 7,
                                  incremental_backend: str = "chain",
-                                 vectorized: bool | None = None,
                                  seed: int = 7) -> QueryLatencyResult:
     """One series of Fig. 13: SQL query latency, full vs. incremental.
 
@@ -463,7 +462,7 @@ def run_query_latency_experiment(paper_keys: int, incremental: bool,
         seed=seed,
     )
     env, job = setup.env, setup.job
-    service = QueryService(env, vectorized=vectorized)
+    service = QueryService(env)
     sql = (
         'SELECT COUNT(*), MAX(value) FROM "snapshot_deltastate" '
         "WHERE value >= 0"

@@ -142,31 +142,22 @@ class CostModel:
     #: Scan chunk size: a query releases the partition between chunks so
     #: snapshot writes can interleave (bounds priority inversion).
     scan_chunk_entries: int = 256
-    #: Per-entry scan cost for query execution on the store.
-    scan_entry_ms: float = 0.0008
+    #: Per-entry cost of sweeping a store partition for a query: a
+    #: sequential read of the entry's columns into the chunk's batch.
+    #: (The per-entry scan rates below are read in ``repro.sql.access``
+    #: only, which prices estimates and bills alike.)
+    scan_entry_ms: float = 0.0003
 
     # --- distributed query execution (pushdown) -------------------------
-    #: Per-entry cost of evaluating pushed predicates / projecting
-    #: columns during a scan chunk.
-    pushed_filter_entry_ms: float = 0.0001
-    #: Additional per-entry cost of folding a row into scan-side
-    #: partial-aggregate state.
-    partial_agg_entry_ms: float = 0.0001
+    #: Per-entry cost of evaluating the compiled pushed predicates /
+    #: projecting columns over a scan chunk's batch.
+    pushed_filter_entry_ms: float = 0.00002
+    #: Additional per-entry cost of folding a batch's survivors into
+    #: scan-side partial-aggregate state.
+    partial_agg_entry_ms: float = 0.00003
     #: Fixed serialisation overhead per shipped row/group under
     #: pushdown (header, key, framing).
     row_overhead_bytes: int = 24
-
-    # --- vectorized columnar scan execution -------------------------------
-    #: Per-entry cost of a columnar batch sweep (replaces
-    #: ``scan_entry_ms`` on vectorized non-indexed scans: sequential
-    #: column reads amortize per-entry dispatch).
-    vectorized_scan_entry_ms: float = 0.0003
-    #: Per-entry cost of evaluating compiled predicates / projecting
-    #: columns over a batch (replaces ``pushed_filter_entry_ms``).
-    vectorized_filter_entry_ms: float = 0.00002
-    #: Additional per-entry cost of folding batch survivors into
-    #: partial-aggregate state (replaces ``partial_agg_entry_ms``).
-    vectorized_partial_agg_entry_ms: float = 0.00003
     #: Fixed cost per scan chunk of assembling its column batch.
     batch_fixed_ms: float = 0.002
     #: One-time cost of compiling a fragment's pushed conjuncts into
@@ -186,7 +177,7 @@ class CostModel:
     #: bisection) against one partition's index structure.
     index_probe_ms: float = 0.01
     #: Per-candidate-row cost of an index-backed fetch (point read of
-    #: the stored entry; slightly above ``scan_entry_ms`` because the
+    #: the stored entry; four times ``scan_entry_ms`` because the
     #: access is not a sequential partition sweep).
     index_entry_ms: float = 0.0012
     #: Per-entry write-path cost of incrementally maintaining one
@@ -207,8 +198,7 @@ class CostModel:
     # --- distributed joins -------------------------------------------------
     #: Inserting one row into a hash-join build table.
     join_build_entry_ms: float = 0.0004
-    #: Probing the build table with one probe-side row (also the
-    #: per-entry surcharge when the probe rides the vectorized sweep).
+    #: Probing the build table with one probe-side row.
     #: Calibrated to ``merge_row_ms``: one hash probe costs about one
     #: entry-node row merge, so the distributed win comes from running
     #: probes on every node in parallel, not from a cheaper per-row op.

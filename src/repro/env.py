@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 from .cluster import Cluster
 from .config import ClusterConfig, CostModel, SanitizerConfig
 from .kvstore import StateStore
@@ -31,6 +33,10 @@ class Environment:
         #: itself here, so rollback recovery can flag in-flight live
         #: queries and observability can sum retry/abort counters.
         self.query_services: list = []
+        #: Ids of the queries those services run.  Per environment, not
+        #: per service: two services of one environment share network
+        #: channels, which are keyed by query id.
+        self.query_ids = itertools.count(1)
         #: The armed SanitizerRuntime, or ``None``.  An explicit
         #: ``sanitizers=SanitizerConfig(enabled=True)`` arms the runtime
         #: invariant detectors; with no argument the process-wide default

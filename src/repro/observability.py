@@ -61,7 +61,7 @@ class ClusterReport:
     approx_queries_answered: int = 0
     sketch_maintenance_ops: int = 0
     sketch_maintenance_cost: float = 0.0
-    # vectorized columnar scan execution (compile-once fragments)
+    # columnar scan execution (compile-once fragments)
     predicates_compiled: int = 0
     batches_evaluated: int = 0
     compile_cache_hits: int = 0

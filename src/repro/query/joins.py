@@ -49,7 +49,14 @@ from dataclasses import dataclass
 from ..cluster.partition import copartitioned_tables, stable_hash
 from ..kvstore.indexes import EqProbe
 from ..sql import EvalContext
-from ..sql.access import JoinCandidate, JoinPath, choose_join_path
+from ..sql.access import (
+    JoinCandidate,
+    JoinPath,
+    choose_join_path,
+    join_stage_ms,
+    pushed_stage,
+    shard_read_ms,
+)
 from ..sql.ast import Binary, Column, Literal, Select
 from ..sql.batch import compile_fragment, run_fragment_batches
 from ..sql.executor import (
@@ -460,7 +467,6 @@ class _PipelineRunner:
         # Build and probe are local to every node; matching rows are
         # co-located by the partition key, so probing the global index
         # returns exactly the local matches.  Nothing crosses the wire.
-        costs = self.costs
         holders = sorted(set(self.left) | set(raw_by_node))
 
         def stages_done() -> None:
@@ -474,11 +480,9 @@ class _PipelineRunner:
 
         staged = self.attempt.gather(len(holders), stages_done)
         for node_id in holders:
-            duration = (
-                len(raw_by_node.get(node_id, ()))
-                * costs.join_build_entry_ms
-                + len(self.left.get(node_id, ()))
-                * costs.join_probe_entry_ms
+            duration = join_stage_ms(
+                self.costs, len(raw_by_node.get(node_id, ())),
+                len(self.left.get(node_id, ())),
             )
             self.attempt.bill(node_id, node_id + index, duration, staged)
 
@@ -521,15 +525,14 @@ class _PipelineRunner:
 
         # The build side reached the entry node through the normal scan
         # shipment; it is built once there, then replicated.
-        self.attempt.pool(build_rows * self.costs.join_build_entry_ms,
-                          built)
+        self.attempt.pool(join_stage_ms(self.costs, build_rows, 0), built)
 
     def _broadcast_arrived(self, index: int, step: JoinFragment,
                            node_id: int, build_index: dict,
                            right_columns: set, results: dict,
                            errors: list, probed) -> None:
         lefts = self.left.get(node_id, [])
-        duration = len(lefts) * self.costs.join_probe_entry_ms
+        duration = join_stage_ms(self.costs, 0, len(lefts))
 
         def probe() -> None:
             rows, error = probe_join_index(
@@ -609,11 +612,9 @@ class _PipelineRunner:
             busy = sorted(set(build_counts) | set(probe_counts))
             worked = self.attempt.gather(len(busy), workers_done)
             for worker in busy:
-                duration = (
-                    build_counts.get(worker, 0)
-                    * costs.join_build_entry_ms
-                    + probe_counts.get(worker, 0)
-                    * costs.join_probe_entry_ms
+                duration = join_stage_ms(
+                    costs, build_counts.get(worker, 0),
+                    probe_counts.get(worker, 0),
                 )
                 self.attempt.bill(worker, worker + index, duration,
                                   worked)
@@ -653,9 +654,7 @@ class _PipelineRunner:
                     seen.add(key)
                     keys.append(key)
         probe = EqProbe(values=tuple(keys))
-        fragment = self.record.plan.fragments.get(step.table)
-        if fragment is not None and fragment.is_passthrough:
-            fragment = None
+        fragment = self.record.fragment(step.table)
         if fragment is not None:
             compiled, _hit = compile_fragment(
                 fragment, service.compiled_fragments
@@ -684,8 +683,11 @@ class _PipelineRunner:
                 lock_keys, payload = candidates.keys, candidates.rows()
             if payload:
                 surviving[node_id] = payload
-            duration = (len(partitions) * costs.index_probe_ms
-                        + len(candidates) * costs.index_entry_ms)
+            duration = shard_read_ms(
+                costs, len(candidates),
+                pushed_stage(fragment, len(candidates)),
+                len(partitions), indexed=True,
+            )
 
             if service.repeatable_read and not view.immutable:
                 self.attempt.bill(

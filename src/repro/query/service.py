@@ -34,8 +34,7 @@ hangs regardless of the failure interleaving.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
 
@@ -61,7 +60,14 @@ from ..sql.executor import (
     execute_select,
     output_column_name,
 )
-from ..sql.access import SketchCandidate, choose_access_path
+from ..sql.access import (
+    AccessPath,
+    SketchCandidate,
+    choose_access_path,
+    pushed_stage,
+    shard_read_ms,
+    sketch_read_ms,
+)
 from ..sql.fragments import (
     DistributedPlan,
     KeySet,
@@ -97,25 +103,17 @@ class _NoPointKey:
 
 NO_POINT_KEY = _NoPointKey()
 
-#: What a scan-side top-k stage is billed per entry, as a share of the
-#: partial-aggregate rate (either ``vectorized`` value): both update one
-#: bounded state per surviving entry.  Measured on the host over a
-#: 4,000-row shard, the stage alone costs 0.40 us/row against 1.36
-#: us/row for a two-aggregate GROUP BY fold (docs/ARCHITECTURE.md).
-TOP_K_ENTRY_SHARE = 0.3
-
 
 class QueryExecution:
     """Handle for one in-flight or completed query."""
 
-    _qids = itertools.count(1)
-
     def __init__(self, sql: str, submitted_ms: float,
-                 isolation: IsolationLevel) -> None:
+                 isolation: IsolationLevel, qid: int) -> None:
         self.sql = sql
-        #: Service-unique id — unlike ``id(self)``, never recycled, so
-        #: network channels and pool keys can't collide across queries.
-        self.qid = next(QueryExecution._qids)
+        #: Unique in its environment — unlike ``id(self)``, never
+        #: recycled, so the network channels of two queries can't
+        #: collide, whichever of the environment's services ran them.
+        self.qid = qid
         self.submitted_ms = submitted_ms
         self.isolation = isolation
         self.snapshot_id: int | None = None
@@ -146,7 +144,7 @@ class QueryExecution:
         #: any rows.
         self.approx_answered = False
         #: Pushed conjuncts compiled into specialized closures for this
-        #: query (vectorized scan path, compile-cache misses only).
+        #: query (compile-cache misses only).
         self.predicates_compiled = 0
         #: Scan chunks evaluated as columnar batches.
         self.batches_evaluated = 0
@@ -169,8 +167,8 @@ class QueryExecution:
         #: ``["central", ...]`` when the statement runs centrally).
         self.join_strategies: list[str] = []
         #: Simulated milliseconds billed to store servers for this
-        #: query's scan chunks — the scan-path latency the vectorized
-        #: ablation benchmarks compare.
+        #: query's scan chunks — the scan-path latency the ablation
+        #: benchmarks compare.
         self.scan_ms_billed = 0.0
         self.entries_scanned = 0
         #: Entries billed to store scan servers (== entries_scanned for
@@ -219,20 +217,18 @@ class QueryExecution:
 class _ShardPlan:
     """How one node's shard of one table will be read.
 
-    ``entries`` is what the scan servers bill per entry (candidate rows
-    for an index path, surviving-partition entries otherwise);
+    ``path`` is the priced choice: the scan servers bill its
+    ``candidates`` (candidate rows for an index path,
+    surviving-partition entries otherwise) after its ``probes``;
     ``fetch`` materialises exactly those rows at scan-completion time.
     """
 
-    entries: int
-    fetch: Callable[[], list[dict]]
-    pruned: int = 0
-    fragment: ScanFragment | None = None
-    #: index probes issued before the fetch (indexed shards only).
-    probes: int = 0
-    #: rows the index proved away (scan entries minus candidates).
-    skipped: int = 0
-    indexed: bool = False
+    path: AccessPath
+    fetch: Callable[[], ColumnBatch]
+    pruned: int
+    fragment: ScanFragment | None
+    #: Why no index was priced against the scan (``None``: one was).
+    veto: str | None
 
 
 @dataclass
@@ -248,8 +244,7 @@ class _ShardError:
     is timing-independent, and because the central executor sees rows in
     canonical node-id-sorted order, it is the same first error a fully
     central evaluation of the pushed conjuncts would raise — so
-    vectorized on/off and pushdown on/off stay bit-identical on erroring
-    workloads too.
+    pushdown on/off stays bit-identical on erroring workloads too.
     """
 
     error: Exception
@@ -405,6 +400,16 @@ class _Attempt:
             per_node.clear()
 
 
+def _pushed_fragment(plan: DistributedPlan | None,
+                     table_name: str) -> ScanFragment | None:
+    """What ``plan`` pushes to ``table_name``'s shards (``None``:
+    nothing — they ship whole rows)."""
+    fragment = None if plan is None else plan.fragments.get(table_name)
+    if fragment is None or fragment.is_passthrough:
+        return None
+    return fragment
+
+
 class _InFlight:
     """Service-side bookkeeping for one running query."""
 
@@ -430,6 +435,13 @@ class _InFlight:
         #: when the statement's joins run centrally.
         self.join: "JoinPlan | None" = None
 
+    def fragment(self, table_name: str) -> ScanFragment | None:
+        """What this query's shards of ``table_name`` execute (pure-load
+        runs push nothing)."""
+        if not self.execution.materialize:
+            return None
+        return _pushed_fragment(self.plan, table_name)
+
 
 class QueryService:
     """Executes SQL against the state store of one environment."""
@@ -440,14 +452,13 @@ class QueryService:
                  pushdown: bool = True,
                  indexes: bool = True,
                  sketches: bool = True,
-                 vectorized: bool = True,
                  shared_plans: bool = True,
                  distributed_joins: bool = True) -> None:
         """``repeatable_read`` holds key locks for whole live queries;
         ``ha_mode`` declares that the job runs with active replication
         (§VII-B), upgrading live queries to read committed — state they
         observe is never rolled back.  ``retry_policy`` governs how
-        in-flight queries react to node failures.  The six gates each
+        in-flight queries react to node failures.  The five gates each
         switch one optimisation off for its ablation baseline, with
         bit-identical results: ``pushdown=False`` ships every raw row
         to the entry node instead of executing scan fragments (pushed
@@ -455,14 +466,10 @@ class QueryService:
         pruning) on the storage nodes; ``indexes=False`` keeps secondary
         indexes maintained but never reads them; ``sketches=False`` keeps
         sketches maintained but answers APPROX aggregates on the exact
-        paths; ``vectorized=False`` bills scan fragments as interpreted
-        per row instead of as columnar batches swept through
-        compile-once closures (a cost-model switch: the host code is
-        the same either way); ``shared_plans=False`` gives every
-        subscription a private standing plan instead of one shared,
-        router-fanned instance per canonical plan; ``distributed_joins=False`` ships
-        every joined table's rows to the entry node and joins
-        centrally."""
+        paths; ``shared_plans=False`` gives every subscription a private
+        standing plan instead of one shared, router-fanned instance per
+        canonical plan; ``distributed_joins=False`` ships every joined
+        table's rows to the entry node and joins centrally."""
         self.env = env
         self.sim = env.sim
         self.cluster = env.cluster
@@ -475,7 +482,6 @@ class QueryService:
         self.pushdown_enabled = pushdown
         self.index_enabled = indexes
         self.sketch_enabled = sketches
-        self.vectorized_enabled = vectorized
         self.shared_plans_enabled = shared_plans
         self.distributed_joins_enabled = distributed_joins
         #: Compiled scan fragments, per service: a fresh environment
@@ -552,7 +558,8 @@ class QueryService:
             targets_snapshot, self.repeatable_read,
             assume_no_failures=self.ha_mode,
         )
-        execution = QueryExecution(sql, self.sim.now, isolation)
+        execution = QueryExecution(sql, self.sim.now, isolation,
+                                   next(self.env.query_ids))
         execution.on_done = on_done
         execution.materialize = materialize
         execution.all_versions = all_versions
@@ -649,27 +656,17 @@ class QueryService:
                     f"point lookup: {len(keys)} key(s) on "
                     f"{len(owners)} owner node(s)"
                 )
-        scan_mode = (
-            "scan execution: vectorized (columnar batches, "
-            "compile-once predicates)"
-            if self.vectorized_enabled
-            else "scan execution: billed as interpreted per-row "
-            "(ablation baseline)"
-        )
         if not self.pushdown_enabled:
             lines.append("distributed: ship all rows "
                          "(pushdown disabled)")
-            lines.append(scan_mode)
             lines.extend(self._explain_approx(select, views))
             return "\n".join(lines)
         if isinstance(select, Union):
             lines.append("distributed: ship all rows "
                          "(UNION runs centrally)")
-            lines.append(scan_mode)
             return "\n".join(lines)
         plan = split_select(select)
         lines.append("distributed: pushdown")
-        lines.append(scan_mode)
         lines.extend(render_distributed(select, plan))
         lines.extend(self._explain_access_paths(plan, views))
         lines.extend(explain_join_lines(self, select, plan, views))
@@ -678,39 +675,36 @@ class QueryService:
 
     def _explain_access_paths(self, plan: DistributedPlan,
                               views: dict[str, TableView]) -> list[str]:
-        """One line per filtered fragment: how its shards would be read
-        right now (live indexes, or the latest committed snapshot)."""
+        """Per filtered fragment, how its shards would be read right
+        now (live indexes, or the latest committed snapshot): the
+        selection every shard runs when it executes, one line per
+        distinct choice with its numbers summed over the shards that
+        made it, and why the first of them rejected the alternatives."""
         lines: list[str] = []
         for table_name, view in views.items():
-            fragment = plan.fragments.get(table_name)
-            if fragment is None or fragment.is_passthrough \
-                    or not fragment.pushed:
+            fragment = _pushed_fragment(plan, table_name)
+            if fragment is None or not fragment.pushed:
                 continue
             prefix = f"  access path [{table_name}]: "
-            if not self.index_enabled:
-                lines.append(prefix + "full scan (indexes disabled)")
-                continue
-            if view.versions == ():
-                lines.append(
-                    prefix + "full scan (no committed snapshot)"
-                )
-                continue
-            if not view.index_ready():
-                lines.append(prefix + "full scan (no usable index)")
-                continue
-            partitions, entries = view.partitions_and_entries(
-                self.cluster.surviving_node_ids()
-            )
-            surcharge = self.costs.pushed_filter_entry_ms
-            if fragment.partial is not None:
-                surcharge += self.costs.partial_agg_entry_ms
-            choice = choose_access_path(
-                fragment, view, partitions, entries, self.costs,
-                surcharge,
-            )
-            lines.append(prefix + choice.describe())
-            lines.extend(f"    rejected {reason}"
-                         for reason in choice.rejected)
+            chosen: dict[tuple, list[AccessPath]] = {}
+            for node_id in self._scan_targets(view, fragment):
+                shard = self._scan_selection(view, fragment, node_id)
+                if shard.veto is not None:  # the same for every shard
+                    lines.append(prefix + f"full scan ({shard.veto})")
+                    break
+                path = shard.path
+                chosen.setdefault((path.kind, path.column),
+                                  []).append(path)
+            for paths in chosen.values():
+                total = replace(paths[0], **{
+                    name: sum(getattr(path, name) for path in paths)
+                    for name in ("probes", "candidates", "scan_entries",
+                                 "cost_ms", "scan_cost_ms")
+                })
+                lines.append(f"{prefix}{total.describe()} "
+                             f"on {len(paths)} shard(s)")
+                lines.extend(f"    rejected (first shard) {reason}"
+                             for reason in paths[0].rejected)
         return lines
 
     def _explain_approx(self, select,
@@ -984,7 +978,8 @@ class QueryService:
                 continue  # index-nested-loop build side: never scanned
             tables.append(table_name)
             attempt.stripe[table_name] = stripe * width
-            targets = self._scan_targets(record, table_name)
+            view = record.views[table_name]
+            targets = self._scan_targets(view, record.fragment(table_name))
             shards.extend((table_name, node_id) for node_id in targets)
             if attempt.token:
                 continue
@@ -992,7 +987,6 @@ class QueryService:
             # re-dispatch skips the same shards again): none of the
             # pinned keys live on these nodes, so every partition of
             # the shard is skipped.
-            view = record.views[table_name]
             for node_id in alive:
                 if node_id not in targets:
                     execution.partitions_pruned += len(
@@ -1110,24 +1104,16 @@ class QueryService:
         )
         if answer is None:
             return "sketch cannot answer soundly (degraded partitions)"
-        conjuncts = tuple(split_conjuncts(select.where))
-        fragment = ScanFragment(
-            table=table_name,
-            binding=select.table.binding,
-            pushed=conjuncts,
-        )
-        # The exact alternative pays the aggregation surcharge (and the
-        # pushed-filter surcharge when there is a predicate) per row.
-        surcharge = self.costs.partial_agg_entry_ms
-        if conjuncts:
-            surcharge += self.costs.pushed_filter_entry_ms
         candidate = SketchCandidate(
             label=f"{aggregate.kind}({aggregate.column!r})",
             probes=len(partitions),
         )
+        # The exact alternative is the statement's scan fragment (with
+        # pushdown off the scan is the same; what it ships is not priced).
         choice = choose_access_path(
-            fragment, view, partitions, entries, self.costs,
-            surcharge, sketch=candidate, indexes=self.index_enabled,
+            _pushed_fragment(split_select(select), table_name),
+            view, partitions, entries, self.costs,
+            sketch=candidate, indexes=self.index_enabled,
         )
         output = output_column_name(select.items[0], 0)
         return choice, answer, output
@@ -1142,7 +1128,7 @@ class QueryService:
         record.execution.sketch_probes += len(partitions)
         attempt.bill(
             node_id, attempt.stripe[table_name] + node_id,
-            len(partitions) * self.costs.sketch_probe_ms,
+            sketch_read_ms(self.costs, len(partitions)),
             self._ship_when_locked, record, table_name, node_id,
             [{"sketch": table_name, "node": node_id}], [],
         )
@@ -1155,20 +1141,24 @@ class QueryService:
             self._sketch_shard(record, table_name, node_id)
             return
         try:
-            shard = self._scan_selection(record, table_name, node_id)
+            shard = self._scan_selection(
+                record.views[table_name], record.fragment(table_name),
+                node_id,
+            )
         except SnapshotNotFoundError as exc:
             self._finish_execution(execution, None, exc)
             return
-        execution.partitions_pruned += shard.pruned
-        if shard.indexed:
-            execution.index_probes += shard.probes
-            execution.index_rows_read += shard.entries
-            execution.rows_skipped_by_index += shard.skipped
+        path = shard.path
         fragment = shard.fragment
-        entries = shard.entries
+        entries = path.candidates
         fetch = shard.fetch
-        probe_ms = shard.probes * self.costs.index_probe_ms
-        if entries == 0 and probe_ms == 0:
+        indexed = path.kind != "scan"
+        execution.partitions_pruned += shard.pruned
+        if indexed:
+            execution.index_probes += path.probes
+            execution.index_rows_read += entries
+            execution.rows_skipped_by_index += path.scan_entries - entries
+        if entries == 0 and path.probes == 0:
             # A provably-empty shard (zero stored entries, or a key
             # filter that eliminated every candidate partition) must not
             # occupy a store server or bill a chunk: complete it
@@ -1180,45 +1170,25 @@ class QueryService:
                 None if fragment is None else CompiledFragment(fragment),
             )
             return
-        vectorized = self.vectorized_enabled
-        # Pushed predicate / projection / partial-agg work happens while
-        # the scan walks the entries, at a small per-entry surcharge.
-        # Index-backed shards fetch candidates by key (index_entry_ms)
-        # instead of sweeping partitions; a vectorized sweep reads
-        # columns sequentially at the cheaper batch rate, with compiled
-        # closures cutting the per-entry fragment surcharge.
-        if shard.indexed:
-            per_entry_ms = self.costs.index_entry_ms
-        elif vectorized:
-            per_entry_ms = self.costs.vectorized_scan_entry_ms
-        else:
-            per_entry_ms = self.costs.scan_entry_ms
         compiled = None
-        compile_ms = 0.0
+        compiles = False
         if fragment is not None:
             compiled, cache_hit = compile_fragment(
                 fragment, self.compiled_fragments
             )
-            if vectorized:
-                filter_ms = self.costs.vectorized_filter_entry_ms
-                state_ms = self.costs.vectorized_partial_agg_entry_ms
-                if cache_hit:
-                    execution.compile_cache_hits += 1
-                else:
-                    execution.predicates_compiled += len(fragment.pushed)
-                    compile_ms = self.costs.predicate_compile_ms
+            if cache_hit:
+                execution.compile_cache_hits += 1
             else:
-                filter_ms = self.costs.pushed_filter_entry_ms
-                state_ms = self.costs.partial_agg_entry_ms
-            per_entry_ms += filter_ms
-            if fragment.partial is not None:
-                per_entry_ms += state_ms
-            elif fragment.top_k_keep(entries) is not None:
-                per_entry_ms += TOP_K_ENTRY_SHARE * state_ms
-        chunk_fixed_ms = self.costs.batch_fixed_ms if vectorized else 0.0
-        chunk = self.costs.scan_chunk_entries
+                execution.predicates_compiled += len(fragment.pushed)
+                compiles = True
+        stage = pushed_stage(fragment, entries)
+        costs = self.costs
+        chunk = costs.scan_chunk_entries
         chunks = max(1, -(-entries // chunk))
         stripe = attempt.stripe[table_name] + node_id
+        # Every full chunk after the first costs the same: price it once
+        # (a snapshot scan is hundreds of chunk events).
+        full_chunk_ms = shard_read_ms(costs, chunk, stage, indexed=indexed)
 
         def run_chunk(remaining: int) -> None:
             if remaining == 0:
@@ -1229,17 +1199,21 @@ class QueryService:
             done_entries = (chunks - remaining) * chunk
             entries_in_chunk = max(0, min(chunk, entries - done_entries))
             execution.entries_billed += entries_in_chunk
-            duration = entries_in_chunk * per_entry_ms
             if entries_in_chunk:
                 # Probe-only chunks (index probes with zero candidates)
-                # assemble no batch and bill no batch overhead.
-                duration += chunk_fixed_ms
-                if vectorized:
-                    execution.batches_evaluated += 1
-            if remaining == chunks:
-                # Index probes run before the first candidate fetch;
-                # fragment compilation (cache misses only) with them.
-                duration += probe_ms + compile_ms
+                # assemble no batch.
+                execution.batches_evaluated += 1
+            # Index probes run before the first candidate fetch;
+            # fragment compilation (cache misses only) with them.
+            first = remaining == chunks
+            if entries_in_chunk == chunk and not first:
+                duration = full_chunk_ms
+            else:
+                duration = shard_read_ms(
+                    costs, entries_in_chunk, stage,
+                    path.probes if first else 0, indexed,
+                    compiles and first,
+                )
             execution.scan_ms_billed += duration
             # Successive chunks visit successive store partitions, so a
             # scan spreads over (and contends on) all partition threads.
@@ -1250,22 +1224,17 @@ class QueryService:
 
     # -- scan pruning (partition selection) --------------------------------
 
-    def _scan_targets(self, record: _InFlight,
-                      table_name: str) -> list[int]:
-        """Nodes whose shards a table scan must visit.
+    def _scan_targets(self, view: TableView,
+                      fragment: ScanFragment | None) -> list[int]:
+        """Nodes whose shards a scan of ``view`` must visit.
 
         With an exact key-set filter and every owner node alive, only
         the owners are scanned; any doubt (range filters, dead owners
         mid-reassignment) falls back to all survivors — pruning must
         never lose rows, only skip provably-empty work."""
         alive = self.cluster.surviving_node_ids()
-        plan = record.plan
-        if plan is None or not record.execution.materialize:
-            return list(alive)
-        fragment = plan.fragments.get(table_name)
         if fragment is None or not isinstance(fragment.key_filter, KeySet):
             return list(alive)
-        view = record.views[table_name]
         owners = sorted({
             view.owner_node_of(key) for key in fragment.key_filter.keys
         })
@@ -1273,82 +1242,50 @@ class QueryService:
             return owners
         return list(alive)
 
-    def _scan_selection(self, record: _InFlight, table_name: str,
+    def _scan_selection(self, view: TableView,
+                        fragment: ScanFragment | None,
                         node_id: int) -> _ShardPlan:
-        """Decide how one node's shard of one table is read.
+        """Decide how one node's shard of ``view`` is read — when a
+        query executes, and when ``explain`` says how one would.
 
         When the fragment pins a key filter, the scan visits only the
         partitions that can hold matching keys; when a secondary index
         prices below sweeping the surviving partitions, the shard
         resolves candidates through the index instead.  ``fetch``
         reads exactly the chosen entries at scan-completion time."""
-        view = record.views[table_name]
-        fragment = None
-        if record.plan is not None and record.execution.materialize:
-            fragment = record.plan.fragments.get(table_name)
-            if fragment is not None and fragment.is_passthrough:
-                fragment = None
-        selected: list[int] | None = None
         selection = None
         if fragment is not None and fragment.key_filter is not None:
             selection = self._select_partitions(
                 view, node_id, fragment.key_filter
             )
         if selection is not None:
-            entries, fetch, pruned, selected = selection
+            entries, fetch, pruned, partitions = selection
         else:
             entries = view.entries_on_node(node_id)
-
-            def fetch() -> ColumnBatch:
-                return view.scan_on_node(node_id)
-
+            fetch = partial(view.scan_on_node, node_id)
             pruned = 0
-        if fragment is not None and fragment.pushed:
-            indexed = self._index_plan(view, node_id, fragment, selected,
-                                       entries)
-            if indexed is not None:
-                indexed.pruned = pruned
-                return indexed
-        return _ShardPlan(entries=entries, fetch=fetch, pruned=pruned,
-                          fragment=fragment)
-
-    def _index_plan(self, view: TableView, node_id: int,
-                    fragment: ScanFragment, selected: list[int] | None,
-                    scan_entries: int) -> _ShardPlan | None:
-        """Index-backed shard plan, or ``None`` when no index beats the
-        (pruned) full scan under the cost model."""
-        if not self.index_enabled:
-            return None
-        if not view.index_ready():
+            partitions = None
+        if fragment is None or not fragment.pushed:
+            veto = "no pushed predicate"
+        elif not self.index_enabled:
+            veto = "indexes disabled"
+        elif view.versions == ():
+            veto = "no committed snapshot"
+        elif not view.index_ready():
             # backend (or all-versions view) without index support, no
             # indexes, or the version is not frozen yet
-            return None
-        if selected is None:
-            selected = view.partitions_on_node(node_id)
-        surcharge = self.costs.pushed_filter_entry_ms
-        if fragment.partial is not None:
-            surcharge += self.costs.partial_agg_entry_ms
-        choice = choose_access_path(
-            fragment, view, selected, scan_entries, self.costs,
-            surcharge,
-        )
-        if choice.kind == "scan":
-            return None
-        partitions = list(selected)
-        column = choice.column
-        probe = choice.probe
-
-        def fetch() -> ColumnBatch:
-            return view.index_scan(partitions, column, probe)
-
-        return _ShardPlan(
-            entries=choice.candidates,
-            fetch=fetch,
-            fragment=fragment,
-            probes=choice.probes,
-            skipped=scan_entries - choice.candidates,
-            indexed=True,
-        )
+            veto = "no usable index"
+        else:
+            veto = None
+            if partitions is None:
+                partitions = view.partitions_on_node(node_id)
+        path = choose_access_path(fragment, view, partitions or (),
+                                  entries, self.costs,
+                                  indexes=veto is None)
+        if path.kind != "scan":
+            fetch = partial(view.index_scan, list(partitions),
+                            path.column, path.probe)
+        return _ShardPlan(path, fetch, pruned, fragment, veto)
 
     def _select_partitions(self, view: TableView, node_id: int,
                            key_filter):
@@ -1478,14 +1415,11 @@ class QueryService:
             per_group = (costs.row_overhead_bytes
                          + payload.width() * costs.column_bytes)
             return len(payload) * per_group
-        if record.plan is not None:
-            fragment = record.plan.fragments.get(table_name)
-            if fragment is not None and not fragment.is_passthrough:
-                return sum(
-                    costs.row_overhead_bytes
-                    + len(row) * costs.column_bytes
-                    for row in payload
-                )
+        if _pushed_fragment(record.plan, table_name) is not None:
+            return sum(
+                costs.row_overhead_bytes + len(row) * costs.column_bytes
+                for row in payload
+            )
         return len(payload) * costs.row_bytes
 
     def _ship(self, record: _InFlight, table_name: str, node_id: int,

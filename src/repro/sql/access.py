@@ -1,16 +1,23 @@
-"""Cost-based access-path selection for scan fragments.
+"""Pricing and cost-based access-path selection for scan fragments.
+
+Everything the query path charges a store server for, or estimates it
+will, is priced here and nowhere else: :func:`shard_read_ms` (a scan
+or index-backed shard read), :func:`sketch_read_ms` and
+:func:`join_stage_ms`.  ``QueryService._scan_shard`` bills each chunk
+with the function the chooser estimated the whole shard with, so what
+``explain`` prints is what a warm execution bills.
 
 For each scan fragment the query service must decide *how* to read the
 fragment's partitions: sweep them (the pruned full scan of PR 3),
 resolve candidates through a secondary index and fetch only those rows,
 or — for sketch-answerable ``APPROX`` aggregates — skip the rows
-entirely and read one probabilistic summary per partition.  The
-decision is priced with the :class:`~repro.config.CostModel`:
+entirely and read one probabilistic summary per partition:
 
 * full scan — every surviving partition entry pays the per-entry scan
-  cost plus the pushed-filter (and partial-aggregation) surcharge;
+  rate plus the fragment's pushed-filter and bounded-state surcharges,
+  every chunk its batch overhead;
 * index path — each per-partition probe pays ``index_probe_ms``, and
-  each *candidate* row pays ``index_entry_ms`` plus the same surcharge
+  each *candidate* row pays ``index_entry_ms`` plus the same surcharges
   (candidates still run the full pushed-conjunct filter, so index-on
   results stay bit-identical to index-off);
 * sketch path — one ``sketch_probe_ms`` per partition, independent of
@@ -41,6 +48,69 @@ from .fragments import (
     ScanFragment,
     extract_column_filter,
 )
+
+
+#: What a scan-side top-k stage is billed per entry, as a share of the
+#: partial-aggregate rate: both update one bounded state per surviving
+#: entry.  Measured on the host over a 4,000-row shard, the stage alone
+#: costs 0.40 us/row against 1.36 us/row for a two-aggregate GROUP BY
+#: fold (docs/ARCHITECTURE.md).
+TOP_K_ENTRY_SHARE = 0.3
+
+
+def pushed_stage(fragment: ScanFragment | None,
+                 entries: int) -> str | None:
+    """What a shard of ``entries`` entries runs per entry beside the
+    read: nothing (``None``: whole rows ship), the pushed ``"filter"``
+    and projection alone, or those plus one bounded state — the
+    ``"partial"`` aggregate fold, or the ``"top-k"`` stage when the
+    shard holds more rows than it keeps."""
+    if fragment is None:
+        return None
+    if fragment.partial is not None:
+        return "partial"
+    if fragment.top_k_keep(entries) is not None:
+        return "top-k"
+    return "filter"
+
+
+def shard_read_ms(costs, entries: int, stage: str | None = None,
+                  probes: int = 0, indexed: bool = False,
+                  compiles: bool = False) -> float:
+    """Store-server time of reading ``entries`` entries of one shard.
+
+    ``stage`` is the shard's :func:`pushed_stage`; ``indexed`` reads
+    fetch candidates by key after ``probes`` index probes instead of
+    sweeping partitions; ``compiles`` adds the one-off compilation of
+    the fragment (a compile-cache miss).  Every started chunk of
+    ``scan_chunk_entries`` assembles one column batch.  Called once for
+    a whole shard this is the chooser's estimate; called per chunk
+    (probes and compilation with the first) it is the bill."""
+    rate = costs.index_entry_ms if indexed else costs.scan_entry_ms
+    if stage is not None:
+        rate += costs.pushed_filter_entry_ms
+        if stage == "partial":
+            rate += costs.partial_agg_entry_ms
+        elif stage == "top-k":
+            rate += TOP_K_ENTRY_SHARE * costs.partial_agg_entry_ms
+    chunks = -(-entries // costs.scan_chunk_entries)
+    return (
+        entries * rate + chunks * costs.batch_fixed_ms
+        + (probes * costs.index_probe_ms
+           + (costs.predicate_compile_ms if compiles else 0.0))
+    )
+
+
+def sketch_read_ms(costs, probes: int) -> float:
+    """Store-server time of reading ``probes`` partition sketches."""
+    return probes * costs.sketch_probe_ms
+
+
+def join_stage_ms(costs, build_rows: int, probe_rows: int) -> float:
+    """Time one worker spends inserting ``build_rows`` into a hash-join
+    build table and probing it with ``probe_rows``."""
+    return (build_rows * costs.join_build_entry_ms
+            + probe_rows * costs.join_probe_entry_ms)
 
 
 @dataclass(frozen=True)
@@ -75,8 +145,8 @@ class AccessPath:
     def describe(self) -> str:
         if self.kind == "scan":
             return (
-                f"full scan ({self.scan_entries} rows, "
-                "no cheaper index)"
+                f"full scan ({self.scan_entries} rows, est. "
+                f"{self.cost_ms:.3f} ms; no cheaper index)"
             )
         if self.kind == "sketch":
             return (
@@ -138,10 +208,9 @@ def _candidate_label(path: AccessPath) -> str:
     return f"index on {path.column!r}"
 
 
-def choose_access_path(fragment: ScanFragment, view,
+def choose_access_path(fragment: ScanFragment | None, view,
                        partitions: list[int], scan_entries: int,
-                       costs, surcharge_ms: float = 0.0,
-                       sketch: SketchCandidate | None = None,
+                       costs, sketch: SketchCandidate | None = None,
                        indexes: bool = True) -> AccessPath:
     """Pick the cheapest way to read ``partitions`` of ``view``.
 
@@ -149,15 +218,37 @@ def choose_access_path(fragment: ScanFragment, view,
     exposing ``index_columns()`` and ``index_probe_count(partition,
     column, probe)``), already bound to the version it reads.  The
     full scan is the baseline; an index or sketch path must be strictly
-    cheaper to win.  ``sketch`` is an already-validated sketch read the
-    caller wants priced against the exact paths; ``indexes=False``
-    drops index candidates entirely (the service-level ablation knob —
-    a disabled index is not a legal exact path to price against).
+    cheaper to win.  ``fragment`` is what the shard runs over the
+    entries it reads (``None``: it ships whole rows, and nothing
+    restricts an index).  ``sketch`` is an already-validated sketch
+    read the caller wants priced against the exact paths;
+    ``indexes=False`` drops index candidates entirely (the
+    service-level ablation knob — a disabled index is not a legal exact
+    path to price against).
     """
     rejected: list[str] = []
-    scan_cost = scan_entries * (costs.scan_entry_ms + surcharge_ms)
+    scan_cost = shard_read_ms(costs, scan_entries,
+                              pushed_stage(fragment, scan_entries))
     best = _scan_path(scan_entries, scan_cost)
-    columns = view.index_columns() if indexes else {}
+
+    def offer(label: str, path: AccessPath) -> None:
+        """Take ``path`` if it beats the best so far; say why not."""
+        nonlocal best
+        if path.cost_ms < best.cost_ms:
+            if best.kind != "scan":
+                rejected.append(
+                    f"{_candidate_label(best)}: est. "
+                    f"{best.cost_ms:.3f} ms beaten by a cheaper path"
+                )
+            best = path
+        else:
+            rejected.append(
+                f"{label}: est. {path.cost_ms:.3f} ms >= "
+                f"best {best.cost_ms:.3f} ms"
+            )
+
+    columns = (view.index_columns()
+               if indexes and fragment is not None else {})
     for column, kind in columns.items():
         extracted = extract_column_filter(
             list(fragment.pushed), column, fragment.binding
@@ -192,57 +283,31 @@ def choose_access_path(fragment: ScanFragment, view,
                 "probeable (missing or mixed-type values)"
             )
             continue
-        cost = probes * costs.index_probe_ms + candidates * (
-            costs.index_entry_ms + surcharge_ms
-        )
-        if cost < best.cost_ms:
-            if best.kind != "scan":
-                rejected.append(
-                    f"{_candidate_label(best)}: est. "
-                    f"{best.cost_ms:.3f} ms beaten by a cheaper path"
-                )
-            best = AccessPath(
-                kind=(
-                    "index-eq" if isinstance(probe, EqProbe)
-                    else "index-range"
-                ),
-                column=column,
-                probe=probe,
-                probes=probes,
-                candidates=candidates,
-                scan_entries=scan_entries,
-                cost_ms=cost,
-                scan_cost_ms=scan_cost,
-            )
-        else:
-            rejected.append(
-                f"index {kind}({column!r}): est. {cost:.3f} ms >= "
-                f"best {best.cost_ms:.3f} ms"
-            )
+        offer(f"index {kind}({column!r})", AccessPath(
+            kind=("index-eq" if isinstance(probe, EqProbe)
+                  else "index-range"),
+            column=column,
+            probe=probe,
+            probes=probes,
+            candidates=candidates,
+            scan_entries=scan_entries,
+            cost_ms=shard_read_ms(costs, candidates,
+                                  pushed_stage(fragment, candidates),
+                                  probes, indexed=True),
+            scan_cost_ms=scan_cost,
+        ))
     if sketch is not None:
-        cost = sketch.probes * costs.sketch_probe_ms
-        if cost < best.cost_ms:
-            if best.kind != "scan":
-                rejected.append(
-                    f"{_candidate_label(best)}: est. "
-                    f"{best.cost_ms:.3f} ms beaten by a cheaper path"
-                )
-            best = AccessPath(
-                kind="sketch",
-                column=None,
-                probe=None,
-                probes=sketch.probes,
-                candidates=0,
-                scan_entries=scan_entries,
-                cost_ms=cost,
-                scan_cost_ms=scan_cost,
-                label=sketch.label,
-            )
-        else:
-            rejected.append(
-                f"sketch {sketch.label}: est. {cost:.3f} ms >= "
-                f"best {best.cost_ms:.3f} ms"
-            )
+        offer(f"sketch {sketch.label}", AccessPath(
+            kind="sketch",
+            column=None,
+            probe=None,
+            probes=sketch.probes,
+            candidates=0,
+            scan_entries=scan_entries,
+            cost_ms=sketch_read_ms(costs, sketch.probes),
+            scan_cost_ms=scan_cost,
+            label=sketch.label,
+        ))
     if best.kind != "scan":
         rejected.append(
             f"full scan: est. {scan_cost:.3f} ms >= chosen "
@@ -326,10 +391,8 @@ class JoinPath:
 def _join_compute_ms(candidate: JoinCandidate, costs,
                      parallel: bool) -> float:
     """Build + probe entry costs, spread across nodes when parallel."""
-    compute = (
-        candidate.right_rows * costs.join_build_entry_ms
-        + candidate.left_rows * costs.join_probe_entry_ms
-    )
+    compute = join_stage_ms(costs, candidate.right_rows,
+                            candidate.left_rows)
     if parallel:
         return compute / max(1, candidate.node_count)
     return compute
@@ -356,6 +419,22 @@ def choose_join_path(candidate: JoinCandidate, costs) -> JoinPath:
     best_strategy = "central"
     best_cost = central_cost
 
+    def offer(strategy: str, cost: float, label: str = "") -> None:
+        """Take ``strategy`` if it beats the best so far; say why not."""
+        nonlocal best_strategy, best_cost
+        if cost < best_cost:
+            if best_strategy != "central":
+                rejected.append(
+                    f"{best_strategy}: est. {best_cost:.3f} ms beaten "
+                    "by a cheaper strategy"
+                )
+            best_strategy, best_cost = strategy, cost
+        else:
+            rejected.append(
+                f"{label or strategy}: est. {cost:.3f} ms >= best "
+                f"{best_cost:.3f} ms"
+            )
+
     # co-partitioned: no row leaves its node; compute is fully parallel.
     if not candidate.partition_key_join:
         rejected.append(
@@ -372,14 +451,9 @@ def choose_join_path(candidate: JoinCandidate, costs) -> JoinPath:
             "co-partitioned: tables do not share partition placement"
         )
     else:
-        cost = _join_compute_ms(candidate, costs, parallel=True)
-        if cost < best_cost:
-            best_strategy, best_cost = "copartitioned", cost
-        else:
-            rejected.append(
-                f"co-partitioned: est. {cost:.3f} ms >= best "
-                f"{best_cost:.3f} ms"
-            )
+        offer("copartitioned",
+              _join_compute_ms(candidate, costs, parallel=True),
+              label="co-partitioned")
 
     # index-nested-loop: resolve build rows through the build-column
     # index instead of sweeping the build table.  Candidate rows are
@@ -397,65 +471,29 @@ def choose_join_path(candidate: JoinCandidate, costs) -> JoinPath:
         )
     else:
         probed = min(candidate.right_rows, candidate.left_rows)
-        cost = (
-            candidate.left_rows * costs.index_probe_ms
-            + probed * costs.index_entry_ms
+        offer("index-nested-loop", (
+            shard_read_ms(costs, probed, probes=candidate.left_rows,
+                          indexed=True)
             + probed * candidate.right_row_bytes * nodes
             * costs.join_broadcast_byte_ms
-            + (probed * costs.join_build_entry_ms * nodes
-               + candidate.left_rows * costs.join_probe_entry_ms)
+            + join_stage_ms(costs, probed * nodes, candidate.left_rows)
             / nodes
-        )
-        if cost < best_cost:
-            if best_strategy != "central":
-                rejected.append(
-                    f"{best_strategy}: est. {best_cost:.3f} ms beaten "
-                    "by a cheaper strategy"
-                )
-            best_strategy, best_cost = "index-nested-loop", cost
-        else:
-            rejected.append(
-                f"index-nested-loop: est. {cost:.3f} ms >= best "
-                f"{best_cost:.3f} ms"
-            )
+        ))
 
     # broadcast: replicate the build side to every probe fragment;
     # each node builds its own copy, probes stay local.
-    cost = (
+    offer("broadcast", (
         right_bytes * nodes * costs.join_broadcast_byte_ms
-        + candidate.right_rows * costs.join_build_entry_ms
-        + candidate.left_rows * costs.join_probe_entry_ms / nodes
-    )
-    if cost < best_cost:
-        if best_strategy != "central":
-            rejected.append(
-                f"{best_strategy}: est. {best_cost:.3f} ms beaten by "
-                "a cheaper strategy"
-            )
-        best_strategy, best_cost = "broadcast", cost
-    else:
-        rejected.append(
-            f"broadcast: est. {cost:.3f} ms >= best "
-            f"{best_cost:.3f} ms"
-        )
+        + join_stage_ms(costs, candidate.right_rows, 0)
+        + join_stage_ms(costs, 0, candidate.left_rows) / nodes
+    ))
 
     # shuffle-hash: repartition both sides by join key; the general
     # fallback — same bytes as central but parallel build/probe.
-    cost = (
+    offer("shuffle", (
         (left_bytes + right_bytes) * costs.join_shuffle_byte_ms
         + _join_compute_ms(candidate, costs, parallel=True)
-    )
-    if cost < best_cost:
-        if best_strategy != "central":
-            rejected.append(
-                f"{best_strategy}: est. {best_cost:.3f} ms beaten by "
-                "a cheaper strategy"
-            )
-        best_strategy, best_cost = "shuffle", cost
-    else:
-        rejected.append(
-            f"shuffle: est. {cost:.3f} ms >= best {best_cost:.3f} ms"
-        )
+    ))
 
     if best_strategy != "central":
         rejected.append(

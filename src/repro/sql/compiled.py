@@ -357,12 +357,19 @@ def _compile_between(expr: Between, binding: str | None) -> CompiledExpr:
         value = operand(raw, context)
         low_value = low(raw, context)
         high_value = high(raw, context)
-        if value is None or low_value is None or high_value is None:
+        # ``low <= value AND value <= high`` in three-valued logic, with
+        # AND's short circuit: a FALSE half decides, whatever is NULL
+        # (or incomparable, after a FALSE first half) in the other.
+        if value is None:
             return None
-        result = compare("<=", low_value, value) and compare(
-            "<=", value, high_value
-        )
-        return (not result) if negated else result
+        unknown = low_value is None
+        if not unknown and not compare("<=", low_value, value):
+            return negated
+        if high_value is None:
+            return None
+        if not compare("<=", value, high_value):
+            return negated
+        return None if unknown else not negated
 
     return between
 

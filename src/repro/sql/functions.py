@@ -13,6 +13,20 @@ def _require(condition: bool, message: str) -> None:
         raise SqlExecutionError(message)
 
 
+def _numeric(name: str, fn: Callable[..., object], value: object,
+             *extra: object) -> object:
+    """``fn(value, *extra)`` over a number: NULL stays NULL, any other
+    type is a typed error naming the function and the type it met."""
+    if value is None:
+        return None
+    try:
+        return fn(value, *extra)
+    except TypeError:
+        raise SqlExecutionError(
+            f"cannot apply {name} to {type(value).__name__}"
+        ) from None
+
+
 def _scalar_upper(args: list[object]) -> object:
     _require(len(args) == 1, "UPPER takes one argument")
     value = args[0]
@@ -33,29 +47,23 @@ def _scalar_length(args: list[object]) -> object:
 
 def _scalar_abs(args: list[object]) -> object:
     _require(len(args) == 1, "ABS takes one argument")
-    value = args[0]
-    return None if value is None else abs(value)
+    return _numeric("ABS", abs, args[0])
 
 
 def _scalar_round(args: list[object]) -> object:
     _require(len(args) in (1, 2), "ROUND takes one or two arguments")
-    value = args[0]
-    if value is None:
-        return None
     digits = args[1] if len(args) == 2 else 0
-    return round(value, int(digits))
+    return _numeric("ROUND", round, args[0], int(digits))
 
 
 def _scalar_floor(args: list[object]) -> object:
     _require(len(args) == 1, "FLOOR takes one argument")
-    value = args[0]
-    return None if value is None else math.floor(value)
+    return _numeric("FLOOR", math.floor, args[0])
 
 
 def _scalar_ceil(args: list[object]) -> object:
     _require(len(args) == 1, "CEIL takes one argument")
-    value = args[0]
-    return None if value is None else math.ceil(value)
+    return _numeric("CEIL", math.ceil, args[0])
 
 
 def _scalar_coalesce(args: list[object]) -> object:
@@ -72,8 +80,7 @@ def _scalar_nullif(args: list[object]) -> object:
 
 def _scalar_sqrt(args: list[object]) -> object:
     _require(len(args) == 1, "SQRT takes one argument")
-    value = args[0]
-    return None if value is None else math.sqrt(value)
+    return _numeric("SQRT", math.sqrt, args[0])
 
 
 SCALAR_FUNCTIONS: dict[str, Callable[[list[object]], object]] = {

@@ -193,8 +193,7 @@ def test_snapshot_answers_within_bound_and_pin_by_ssid():
 
 #: Slow scans widen the mid-scan failure window and make the sketch
 #: path a clear win, so chaos exercises sketch-answered queries.
-SLOW_SCANS = CostModel(scan_entry_ms=0.05,
-                       vectorized_scan_entry_ms=0.05)
+SLOW_SCANS = CostModel(scan_entry_ms=0.05)
 TIMEOUT_MS = 2_000.0
 
 

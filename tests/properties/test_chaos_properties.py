@@ -36,8 +36,7 @@ SQL_MIX = [
 def test_random_chaos_preserves_invariants(seed):
     env = Environment(
         ClusterConfig(nodes=4, processing_workers_per_node=2),
-        costs=CostModel(scan_entry_ms=0.02,
-                        vectorized_scan_entry_ms=0.02),
+        costs=CostModel(scan_entry_ms=0.02),
     )
     backend = make_squery_backend(env)
     job = build_average_job(env, backend=backend, rate=4000, keys=300,

@@ -1,12 +1,15 @@
-"""Property tests for the vectorized columnar scan path.
+"""Property tests for the columnar scan path.
 
-Vectorization is a pure execution-strategy change, so for any data and
-any supported query the ``vectorized=True`` and ``vectorized=False``
-results must be bit-identical — NULL-heavy, mixed-type, and LIKE-heavy
-workloads alike, composed with every other ablation gate (pushdown,
-indexes, sketches), on snapshot tables, and under seeded chaos kills.
-Errors count too: a pushed predicate that fails must surface the same
-message whichever scan path hit it.
+A shard sweeps its entries one ``scan_chunk_entries`` batch at a time
+and merges what the batches leave (survivors, partial groups, top-k
+state).  Where a batch ends is an execution detail, so for any data and
+any supported query a service sweeping 256-row batches (*on*) and one
+sweeping one row at a time (*off*: every row a batch of its own) must
+return bit-identical results — NULL-heavy, mixed-type, and LIKE-heavy
+workloads alike, composed with every ablation gate (pushdown, indexes,
+sketches), on snapshot tables, and under seeded chaos kills.  Errors
+count too: a pushed predicate that fails must surface the same message
+wherever the batch boundaries fall.
 
 Integer-only values keep aggregate merges exact: float SUM/AVG merge
 order could otherwise introduce rounding noise that has nothing to do
@@ -14,6 +17,7 @@ with correctness.
 """
 
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -70,6 +74,14 @@ def populate(env, seed, keys=600):
         })
 
 
+def row_at_a_time(service):
+    """``service`` with batching off: one entry per scan chunk.  (The
+    chunk size is the environment's; overriding the service's copy of
+    the cost model lets both services read one table.)"""
+    service.costs = replace(service.costs, scan_chunk_entries=1)
+    return service
+
+
 def assert_identical(on, off, sql):
     assert on.result.columns == off.result.columns, sql
     assert on.result.rows == off.result.rows, sql
@@ -82,8 +94,8 @@ def test_random_data_on_off_equivalence(seed, pushdown):
     env = Environment(ClusterConfig(nodes=4,
                                     processing_workers_per_node=1))
     populate(env, seed)
-    on = QueryService(env, pushdown=pushdown, vectorized=True)
-    off = QueryService(env, pushdown=pushdown, vectorized=False)
+    on = QueryService(env, pushdown=pushdown)
+    off = row_at_a_time(QueryService(env, pushdown=pushdown))
     for sql in QUERIES:
         assert_identical(on.execute(sql), off.execute(sql), sql)
 
@@ -97,8 +109,8 @@ def test_composed_with_index_gate(seed):
     env.store.create_index("data", "v", "hash")
     env.store.create_index("data", "s", "sorted")
     for indexes in (True, False):
-        on = QueryService(env, indexes=indexes, vectorized=True)
-        off = QueryService(env, indexes=indexes, vectorized=False)
+        on = QueryService(env, indexes=indexes)
+        off = row_at_a_time(QueryService(env, indexes=indexes))
         for sql in QUERIES:
             assert_identical(on.execute(sql), off.execute(sql),
                              (sql, indexes))
@@ -112,34 +124,36 @@ def test_composed_with_sketch_gate():
         'SELECT APPROX COUNT(*) AS n FROM "data" WHERE v = 17',
         'SELECT APPROX SUM(v) AS s FROM "data"',
     ):
-        on = QueryService(env, sketches=True, vectorized=True)
-        off = QueryService(env, sketches=True, vectorized=False)
-        lhs, rhs = on.execute(sql), off.execute(sql)
-        # Sketch answers are approximate but deterministic; the scan
-        # path feeding them must not change a single byte.
-        assert lhs.result.rows == rhs.result.rows, sql
+        for sketches in (True, False):
+            on = QueryService(env, sketches=sketches)
+            off = row_at_a_time(QueryService(env, sketches=sketches))
+            lhs, rhs = on.execute(sql), off.execute(sql)
+            # Sketch answers are approximate but deterministic, and the
+            # exact fallback sweeps batches like any other scan.
+            assert lhs.approx_answered == rhs.approx_answered
+            assert lhs.result.rows == rhs.result.rows, sql
 
 
 def test_mixed_type_errors_identical_across_paths_and_central():
     # A poisoned row makes the pushed conjunct raise mid-scan; the
     # message must be verbatim-identical however the scan executes.
-    def error_of(**service_kwargs):
-        env = Environment(ClusterConfig(nodes=4,
-                                        processing_workers_per_node=1))
-        populate(env, seed=7)
-        env.store.get_map("data").put(9999, {
-            "v": "poison", "g": 0, "s": "s-00", "tag": None, "p": "%",
-            "pad": 0,
-        })
-        service = QueryService(env, **service_kwargs)
+    env = Environment(ClusterConfig(nodes=4,
+                                    processing_workers_per_node=1))
+    populate(env, seed=7)
+    env.store.get_map("data").put(9999, {
+        "v": "poison", "g": 0, "s": "s-00", "tag": None, "p": "%",
+        "pad": 0,
+    })
+
+    def error_of(service):
         with pytest.raises(SqlExecutionError) as excinfo:
             service.execute('SELECT key FROM "data" WHERE v < 10')
         assert env.store.locks.held_count == 0
         return str(excinfo.value)
 
-    on = error_of(vectorized=True)
-    off = error_of(vectorized=False)
-    central = error_of(pushdown=False)
+    on = error_of(QueryService(env))
+    off = error_of(row_at_a_time(QueryService(env)))
+    central = error_of(QueryService(env, pushdown=False))
     assert on == off == central
     assert "cannot compare str with int" in on
 
@@ -163,16 +177,14 @@ def test_snapshot_tables_equivalent_across_scan_paths():
         'FROM "snapshot_average" WHERE total >= 0',
         'SELECT key, count, total FROM "average" ORDER BY key',
     ):
-        on = QueryService(env, vectorized=True).execute(sql)
-        off = QueryService(env, vectorized=False).execute(sql)
+        on = QueryService(env).execute(sql)
+        off = row_at_a_time(QueryService(env)).execute(sql)
         assert_identical(on, off, sql)
     assert_invariants(env)
 
 
-#: Slow scans widen the mid-scan window failure injection lands in
-#: (both scan paths, so the window is wide whichever gate is active).
-SLOW_SCANS = CostModel(scan_entry_ms=0.05,
-                       vectorized_scan_entry_ms=0.05)
+#: Slow scans widen the mid-scan window failure injection lands in.
+SLOW_SCANS = CostModel(scan_entry_ms=0.05)
 TIMEOUT_MS = 2_000.0
 
 
@@ -184,12 +196,11 @@ def test_chaos_kills_preserve_on_off_equivalence(seed):
     )
     populate(env, seed)
     services = {
-        True: QueryService(env, vectorized=True,
-                           retry_policy=QueryRetryPolicy(
-                               query_timeout_ms=TIMEOUT_MS)),
-        False: QueryService(env, vectorized=False,
-                            retry_policy=QueryRetryPolicy(
-                                query_timeout_ms=TIMEOUT_MS)),
+        True: QueryService(env, retry_policy=QueryRetryPolicy(
+            query_timeout_ms=TIMEOUT_MS)),
+        False: row_at_a_time(QueryService(
+            env, retry_policy=QueryRetryPolicy(
+                query_timeout_ms=TIMEOUT_MS))),
     }
     chaos = ChaosHarness(env, seed=seed)
     chaos.plan_random(horizon_ms=2_500.0, kills=2,
@@ -237,7 +248,7 @@ def test_mid_scan_kill_matches_unkilled_vectorized_result(kill_after_ms):
         costs=SLOW_SCANS,
     )
     populate(env, seed=9)
-    service = QueryService(env, vectorized=True)
+    service = QueryService(env)
     sql = ('SELECT g, SUM(v) AS s, COUNT(*) AS c FROM "data" '
            "WHERE v IS NOT NULL GROUP BY g ORDER BY g")
     expected = service.execute(sql).result.rows

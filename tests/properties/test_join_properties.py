@@ -187,10 +187,10 @@ def test_index_nested_loop_equivalence():
 
 
 @pytest.mark.parametrize("gates", [
-    dict(pushdown=True, vectorized=True),
-    dict(pushdown=True, vectorized=False),
-    dict(indexes=False, vectorized=True),
-    dict(indexes=False, vectorized=False, sketches=False),
+    dict(),
+    dict(indexes=False),
+    dict(sketches=False),
+    dict(indexes=False, sketches=False),
 ])
 def test_composed_gates_stay_bit_identical(gates):
     """Distributed joins compose with every other optimisation gate."""
@@ -206,7 +206,7 @@ def test_composed_gates_stay_bit_identical(gates):
 # -- chaos -------------------------------------------------------------------
 
 #: Slow scans and stages widen the windows failure injection lands in.
-SLOW_JOINS = CostModel(scan_entry_ms=0.05, vectorized_scan_entry_ms=0.05,
+SLOW_JOINS = CostModel(scan_entry_ms=0.05,
                        join_build_entry_ms=0.05, join_probe_entry_ms=0.05)
 TIMEOUT_MS = 4_000.0
 

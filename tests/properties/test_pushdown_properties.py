@@ -62,8 +62,7 @@ def test_random_data_on_off_equivalence(seed):
 
 #: Slow scans widen the mid-scan window failure injection lands in
 #: (both scan paths, so the window is wide whichever gate is active).
-SLOW_SCANS = CostModel(scan_entry_ms=0.05,
-                       vectorized_scan_entry_ms=0.05)
+SLOW_SCANS = CostModel(scan_entry_ms=0.05)
 TIMEOUT_MS = 2_000.0
 
 

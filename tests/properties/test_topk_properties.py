@@ -2,7 +2,7 @@
 
 A shard that ships only its first ``LIMIT + OFFSET`` rows must never
 change an answer: rows come back identical **in order**, ties included,
-whatever the gates (``pushdown`` / ``vectorized`` / ``repeatable_read``),
+whatever the gates (``pushdown`` / ``repeatable_read``),
 the table family (live state, one snapshot version, an ``ssid`` tuple),
 the node count, or a node dying mid-scan.  Values are drawn from tiny
 ranges so most rows tie on every term and only the stable arrival order
@@ -16,8 +16,8 @@ from repro import Environment
 from repro.config import ClusterConfig, CostModel
 from repro.errors import SqlExecutionError
 from repro.query import QueryService
-from repro.query.service import TOP_K_ENTRY_SHARE
 from repro.sql import parse
+from repro.sql.access import TOP_K_ENTRY_SHARE
 from repro.sql.fragments import split_select
 from repro.state.incremental import IncrementalSnapshotTable
 from repro.state.live import LiveStateTable
@@ -53,10 +53,8 @@ FILTERS = st.sampled_from([
      lambda row: row["b"] is not None and row["m"] >= 1),
 ])
 GATES = [
-    {"pushdown": pushdown, "vectorized": vectorized,
-     "repeatable_read": repeatable_read}
+    {"pushdown": pushdown, "repeatable_read": repeatable_read}
     for pushdown in (True, False)
-    for vectorized in (True, False)
     for repeatable_read in (True, False)
 ]
 
@@ -215,14 +213,14 @@ def test_shards_no_larger_than_k_run_and_bill_no_stage():
     # cut pays its share of the bounded-state rate on every entry.
     assert huge.scan_ms_billed == plain.scan_ms_billed
     surcharge = (TOP_K_ENTRY_SHARE
-                 * CostModel().vectorized_partial_agg_entry_ms)
+                 * CostModel().partial_agg_entry_ms)
     assert cut.scan_ms_billed == pytest.approx(
         plain.scan_ms_billed + 40 * surcharge
     )
 
 
 #: Slow scans widen the mid-scan window the kill lands in.
-SLOW_SCANS = CostModel(scan_entry_ms=0.05, vectorized_scan_entry_ms=0.05)
+SLOW_SCANS = CostModel(scan_entry_ms=0.05)
 
 
 @pytest.mark.parametrize("kill_after_ms", [2.0, 4.0, 6.0])

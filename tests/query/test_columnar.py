@@ -1,10 +1,9 @@
-"""Tests for the vectorized columnar scan path in the query service.
+"""Tests for the columnar scan path in the query service.
 
-Covers the ``vectorized=`` ablation gate, the new execution counters
-and their report rollup, the zero-entry shard fast path (which must
-neither bill a chunk nor occupy a store server), and scan-side error
-shipping (errors surface on the handle with every lock released, on
-both scan paths).
+Covers the execution counters and their report rollup, the zero-entry
+shard fast path (which must neither bill a chunk nor occupy a store
+server), and scan-side error shipping (errors surface on the handle
+with every lock released).
 """
 
 import pytest
@@ -37,30 +36,12 @@ def store_jobs_served(env) -> int:
                for server in node.store_servers)
 
 
-# -- the ablation gate -------------------------------------------------------
-
-
-def test_gate_defaults_to_cost_model():
-    env = build_env()
-    assert QueryService(env).vectorized_enabled is True
-    assert QueryService(env, vectorized=False).vectorized_enabled is False
-
-
-def test_explain_names_the_scan_mode():
-    env = build_env()
-    on = QueryService(env, vectorized=True)
-    off = QueryService(env, vectorized=False)
-    sql = 'SELECT v FROM "data" WHERE v < 3'
-    assert "vectorized" in on.explain(sql)
-    assert "interpreted" in off.explain(sql)
-
-
 # -- counters and report rollup ----------------------------------------------
 
 
 def test_vectorized_execution_counts_batches_and_compiles():
     env = build_env()
-    service = QueryService(env, vectorized=True)
+    service = QueryService(env)
     execution = service.execute(
         'SELECT g, COUNT(*) AS c FROM "data" WHERE v < 8 GROUP BY g'
     )
@@ -71,39 +52,13 @@ def test_vectorized_execution_counts_batches_and_compiles():
     assert service.batches_evaluated_total == execution.batches_evaluated
 
 
-def test_interpreted_execution_never_touches_the_compiled_path():
-    env = build_env()
-    service = QueryService(env, vectorized=False)
-    execution = service.execute('SELECT v FROM "data" WHERE v < 3')
-    assert execution.error is None
-    assert execution.batches_evaluated == 0
-    assert execution.predicates_compiled == 0
-    assert execution.compile_cache_hits == 0
-    assert execution.scan_ms_billed > 0  # interpreted scans still bill
-
-
 def test_report_rolls_up_columnar_counters():
     env = build_env()
-    service = QueryService(env, vectorized=True)
+    service = QueryService(env)
     service.execute('SELECT COUNT(*) AS c FROM "data" WHERE v < 9')
     report = collect_report(env)
     assert report.batches_evaluated >= service.batches_evaluated_total > 0
     assert "columnar:" in format_report(report)
-
-
-def test_vectorized_scan_bills_less_than_interpreted():
-    results = {}
-    for vectorized in (True, False):
-        env = build_env(keys=400)
-        service = QueryService(env, vectorized=vectorized)
-        execution = service.execute(
-            'SELECT COUNT(*) AS c FROM "data" WHERE v < 9'
-        )
-        results[vectorized] = execution
-    on, off = results[True], results[False]
-    assert on.result.rows == off.result.rows
-    assert off.scan_ms_billed >= on.scan_ms_billed * 2.0
-    assert on.latency_ms < off.latency_ms
 
 
 # -- zero-entry shards (regression) ------------------------------------------
@@ -142,32 +97,35 @@ def test_contradictory_key_filter_bills_nothing():
 
 
 def test_key_range_bills_identically_across_scan_paths():
-    # The billed-entry count is a pure function of shard candidate
-    # selection — identical whichever scan path executes the rest.
+    # A key range prunes nothing on a live table (rows move under the
+    # scan), so the pushed fragment is billed the entries the ship-all
+    # scan is billed.
     billed = {}
-    for vectorized in (True, False):
+    for pushdown in (True, False):
         env = build_env()
-        service = QueryService(env, vectorized=vectorized)
+        service = QueryService(env, pushdown=pushdown)
         execution = service.execute(
             'SELECT v FROM "data" WHERE key BETWEEN 0 AND 3 '
             "ORDER BY key"
         )
         assert execution.error is None
         assert [row["v"] for row in execution.result.rows] == [0, 1, 2, 3]
-        billed[vectorized] = execution.entries_billed
-    assert billed[True] == billed[False]
-    assert billed[True] > 0
+        billed[pushdown] = execution.entries_billed
+    assert billed[True] == billed[False] == 120
 
 
 # -- scan-side errors --------------------------------------------------------
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_pushed_predicate_error_surfaces_and_releases_locks(vectorized):
+@pytest.mark.parametrize("repeatable_read", [True, False])
+def test_pushed_predicate_error_surfaces_and_releases_locks(
+        repeatable_read):
+    # Under repeatable read the clean shards hold their rows' locks by
+    # the time the poisoned shard's error lands at the entry node.
     env = build_env()
     env.store.get_map("data").put(999, {"v": "poison", "g": 0,
                                         "s": "s-0"})
-    service = QueryService(env, vectorized=vectorized)
+    service = QueryService(env, repeatable_read=repeatable_read)
     execution = service.submit('SELECT v FROM "data" WHERE v < 3')
     env.run_for(5_000)
     assert execution.done
@@ -184,13 +142,11 @@ def error_of(env, sql, **service_kwargs):
 
 
 def test_error_message_identical_across_scan_paths_and_central():
-    envs = {v: build_env() for v in (True, False)}
-    for env in envs.values():
-        env.store.get_map("data").put(999, {"v": "poison", "g": 0,
-                                            "s": "s-0"})
+    env = build_env()
+    env.store.get_map("data").put(999, {"v": "poison", "g": 0,
+                                        "s": "s-0"})
     sql = 'SELECT v FROM "data" WHERE v < 3'
-    on = error_of(envs[True], sql, vectorized=True)
-    off = error_of(envs[False], sql, vectorized=False)
-    central = error_of(envs[False], sql, pushdown=False)
-    assert on == off == central
-    assert "cannot compare" in on
+    pushed = error_of(env, sql)
+    central = error_of(env, sql, pushdown=False)
+    assert pushed == central
+    assert "cannot compare" in pushed

@@ -4,7 +4,10 @@ A fresh environment has to bill its first fragment compilation whether
 or not another environment compiled the same fragment shape before it:
 the compiled-fragment cache (and with it ``predicate_compile_ms`` and
 the ``predicates_compiled`` / ``compile_cache_hits`` counters) belongs
-to the query service, not to the process.
+to the query service, not to the process.  Query ids belong to the
+environment: every run numbers its queries from 1, and two services of
+one environment never hand out the same id (their network channels are
+keyed by it).
 """
 
 import random
@@ -36,19 +39,32 @@ def run_shuffle_join():
     service = QueryService(env)
     first = service.execute(SQL)
     again = service.execute(SQL)
+    other = QueryService(env).execute(SQL)
     assert first.join_strategies == ["shuffle"]
-    return [
-        (execution.latency_ms, execution.predicates_compiled,
-         execution.compile_cache_hits, execution.result.rows)
-        for execution in (first, again)
+    # What ``perf``'s ``virt_digest`` hashes: virtual latencies, the
+    # clock, the event count, every pool's busy time and the counters.
+    pools = [
+        (node.query_pool.total_busy_ms,
+         sum(server.total_busy_ms for server in node.store_servers))
+        for node in env.cluster.nodes
     ]
+    return [
+        (execution.qid, execution.latency_ms, execution.scan_ms_billed,
+         execution.entries_scanned, execution.bytes_shipped,
+         execution.predicates_compiled, execution.compile_cache_hits,
+         execution.result.rows)
+        for execution in (first, again, other)
+    ], (env.sim.now, env.sim.processed_events, pools)
 
 
 def test_same_seeded_run_twice_in_one_process_is_identical():
     once = run_shuffle_join()
     twice = run_shuffle_join()
     assert once == twice
+    executions, _clock = once
+    # Ids restart with the environment and are shared by its services.
+    assert [execution[0] for execution in executions] == [1, 2, 3]
     # The cache still works inside one service: the first execution
     # compiled, the repeat was served from the cache.
-    (_, compiled, hits, _), (_, recompiled, rehits, _) = once
+    (*_, compiled, hits, _), (*_, recompiled, rehits, _), _ = executions
     assert compiled > 0 and hits < rehits and recompiled == 0

@@ -27,8 +27,7 @@ from .test_kill_sweep import SLOW_JOINS, skewed_env
 #: Slow per-entry scans: a 250-key table takes several virtual ms per
 #: node, giving failure injection a wide mid-scan window to land in.
 #: Both scan paths are slowed so the window holds under either gate.
-SLOW_SCANS = CostModel(scan_entry_ms=0.05,
-                       vectorized_scan_entry_ms=0.05)
+SLOW_SCANS = CostModel(scan_entry_ms=0.05)
 
 
 @pytest.fixture

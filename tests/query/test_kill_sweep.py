@@ -36,7 +36,7 @@ ENTRY_NODE = 0  # a fresh service's first query enters at node 0
 
 #: Slow scans and probes but a cheap build: the one-node build of a
 #: broadcast join stays cheaper than shuffling both sides.
-SLOW_PROBES = CostModel(scan_entry_ms=0.05, vectorized_scan_entry_ms=0.05,
+SLOW_PROBES = CostModel(scan_entry_ms=0.05,
                         join_probe_entry_ms=0.05)
 
 

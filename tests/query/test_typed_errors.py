@@ -4,9 +4,8 @@
 ``BETWEEN``, arithmetic and the unary sign used to leak a raw Python
 ``TypeError`` onto ``execution.error``.  With one evaluator the fix is
 one fix: every path that evaluates the expression — the central
-executor, a pushed scan fragment under either ``vectorized`` gate
-value, a standing query — reports the same ``SqlExecutionError`` with
-the same message.
+executor, a pushed scan fragment, a standing query — reports the same
+``SqlExecutionError`` with the same message.
 """
 
 import pytest
@@ -36,6 +35,15 @@ PUSHED = [
     ('SELECT n FROM "data" WHERE n + v > 0',
      "cannot apply + to int and str"),
     ('SELECT n FROM "data" WHERE -v < 0', "cannot apply - to str"),
+    # Scalar functions over a number used to leak the TypeError of the
+    # Python builtin behind them.
+    ('SELECT n FROM "data" WHERE ABS(v) > 0', "cannot apply ABS to str"),
+    ('SELECT n FROM "data" WHERE ROUND(v, 1) > 0',
+     "cannot apply ROUND to str"),
+    ('SELECT n FROM "data" WHERE FLOOR(v) > 0',
+     "cannot apply FLOOR to str"),
+    ('SELECT n FROM "data" WHERE CEIL(v) > 0', "cannot apply CEIL to str"),
+    ('SELECT n FROM "data" WHERE SQRT(v) > 0', "cannot apply SQRT to str"),
 ]
 #: Statements whose failing expression only ever runs at the entry node.
 CENTRAL_ONLY = [
@@ -43,6 +51,9 @@ CENTRAL_ONLY = [
     ('SELECT -v AS x FROM "data"', "cannot apply - to str"),
     ('SELECT n FROM "data" ORDER BY v + 1',
      "cannot apply + to str and int"),
+    ('SELECT ABS(v) AS x FROM "data"', "cannot apply ABS to str"),
+    ('SELECT n FROM "data" ORDER BY FLOOR(v)',
+     "cannot apply FLOOR to str"),
 ]
 
 
@@ -91,8 +102,7 @@ def standing_error(sql):
 def test_pushed_expression_type_error_is_typed_on_every_path(sql, message):
     assert central_error(sql) == message
     assert service_error(sql, pushdown=False) == message
-    assert service_error(sql, vectorized=True) == message
-    assert service_error(sql, vectorized=False) == message
+    assert service_error(sql) == message
     assert standing_error(sql) == message
 
 
@@ -100,7 +110,6 @@ def test_pushed_expression_type_error_is_typed_on_every_path(sql, message):
 def test_central_expression_type_error_is_typed(sql, message):
     assert central_error(sql) == message
     assert service_error(sql) == message
-    assert service_error(sql, vectorized=False) == message
 
 
 def test_projection_type_error_is_typed_in_a_standing_query():
@@ -120,8 +129,7 @@ def test_order_by_over_mixed_types_is_typed_on_every_path(tail):
     message = "cannot compare int with str"
     assert central_error(sql, MIXED) == message
     assert service_error(sql, MIXED, pushdown=False) == message
-    assert service_error(sql, MIXED, vectorized=True) == message
-    assert service_error(sql, MIXED, vectorized=False) == message
+    assert service_error(sql, MIXED) == message
     assert service_error(sql, MIXED, repeatable_read=True) == message
 
 

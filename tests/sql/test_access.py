@@ -243,11 +243,17 @@ def test_cheapest_index_wins_across_columns():
 
 
 def test_surcharge_prices_both_paths():
-    fragment = fragment_of('SELECT * FROM "t" WHERE v = 5')
+    # The fragment's bounded-state stage is a per-entry surcharge on
+    # whichever path reads the entries.
     view = FakeView({"v": "hash"}, {(0, "v"): (1, 100)})
-    flat = choose_access_path(fragment, view, [0], 1000, COSTS)
-    taxed = choose_access_path(fragment, view, [0], 1000, COSTS,
-                               surcharge_ms=0.01)
+    flat = choose_access_path(
+        fragment_of('SELECT w FROM "t" WHERE v = 5'),
+        view, [0], 1000, COSTS,
+    )
+    taxed = choose_access_path(
+        fragment_of('SELECT COUNT(*) FROM "t" WHERE v = 5'),
+        view, [0], 1000, COSTS,
+    )
     assert taxed.cost_ms > flat.cost_ms
     assert taxed.scan_cost_ms > flat.scan_cost_ms
     # The surcharge applies per candidate vs per scanned row, so the

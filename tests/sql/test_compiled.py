@@ -289,11 +289,22 @@ def test_between_and_negation():
                       {"v": 2}, val(True))
     assert_equivalent(Between(Column("v"), Literal(2), Literal(8)),
                       {"v": 8}, val(True))
-    # NULL bounds propagate; all three sub-expressions evaluate first.
-    assert_equivalent(
-        Between(Column("v"), Literal(None), Literal(8)), {"v": 5},
-        val(None),
-    )
+    # ``low <= v AND v <= high`` in three-valued logic: a NULL bound
+    # leaves the answer to the other half, and only a FALSE one decides.
+    for low, high, inside in [(None, 8, None), (2, None, None),
+                              (None, 3, False), (7, None, False),
+                              (None, None, None)]:
+        outside = None if inside is None else not inside
+        assert_equivalent(
+            Between(Column("v"), Literal(low), Literal(high)), {"v": 5},
+            val(inside),
+        )
+        assert_equivalent(
+            Between(Column("v"), Literal(low), Literal(high),
+                    negated=True),
+            {"v": 5}, val(outside),
+        )
+    # All three sub-expressions evaluate first.
     assert_equivalent(
         Between(Column("v"), Literal(2), Column("nope")), {"v": 5},
         err("unknown column 'nope'"),

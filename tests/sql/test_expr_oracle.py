@@ -30,9 +30,6 @@ DIALECT_SKIPS = {
     "cross-type-operands":
         "comparison, IN and BETWEEN across int and text: sqlite orders by "
         "storage class (every int < every text); we raise 'cannot compare'",
-    "null-between-bound":
-        "BETWEEN with a NULL bound: sqlite evaluates lo <= x AND x <= hi in "
-        "three-valued logic (a FALSE half wins); we return NULL outright",
     "non-ascii-text":
         "UPPER outside ASCII: sqlite's built-in folds ASCII only ('é' "
         "stays 'é'); str.upper folds Unicode ('É', and 'ß' becomes 'SS')",
@@ -101,9 +98,7 @@ def expression(draw, kind: str, depth: int = 3) -> str:
                                   min_size=1, max_size=3))
             return f"({operand} {draw(NEGATED)}IN ({', '.join(items)}))"
         if form == "between":
-            bound = LITERALS[other]
-            if "null-between-bound" not in DIALECT_SKIPS:
-                bound = expression(other, nested)
+            bound = expression(other, nested)
             return (f"({operand} {draw(NEGATED)}BETWEEN {draw(bound)} "
                     f"AND {draw(bound)})")
         if form == "like":

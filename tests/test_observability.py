@@ -126,8 +126,7 @@ def test_report_counts_query_fault_tolerance():
 
     slow = Environment(
         ClusterConfig(nodes=3, processing_workers_per_node=2),
-        costs=CostModel(scan_entry_ms=0.05,
-                        vectorized_scan_entry_ms=0.05),
+        costs=CostModel(scan_entry_ms=0.05),
     )
     backend = make_squery_backend(slow)
     job = build_average_job(slow, backend=backend, rate=4000, keys=250)
