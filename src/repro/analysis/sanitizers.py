@@ -26,14 +26,12 @@ detection:
   timing got lucky.  Edge and violation counts roll into
   :class:`~repro.observability.ClusterReport` as
   ``lock_order_edges_observed`` / ``lockdep_violations``;
-* **index coherence** — every secondary index must agree with its
-  backing partitions at verification time, committed snapshot versions
-  must have frozen index registries, and any mutation of a frozen
-  registry is reported the instant it is attempted;
-* **sketch coherence** — every probabilistic summary (count-min, HLL,
-  reservoir) must be rebuildable bit-identically from its backing
-  partitions, committed snapshot versions must have frozen sketch
-  registries, and any mutation of a frozen sketch registry is reported
+* **index / sketch coherence** — every derived structure
+  (:mod:`repro.kvstore.derived`) must agree with its backing
+  partitions at verification time — a secondary index entry for entry,
+  a probabilistic summary (count-min, HLL, reservoir) by being
+  rebuildable bit-identically — committed snapshot versions must have
+  frozen registries, and any mutation of a frozen registry is reported
   the instant it is attempted.
 
 Violations either raise :class:`~repro.errors.SanitizerError`
@@ -53,6 +51,7 @@ from typing import TYPE_CHECKING, Hashable
 
 from ..config import SanitizerConfig
 from ..errors import SanitizerError
+from ..kvstore.derived import FAMILIES, coherence_findings
 from ..state.isolation import IsolationLevel
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -179,16 +178,10 @@ class SanitizerRuntime:
         store = self.env.store
         original_write = getattr(table, "write_instance", None)
         original_drop = getattr(table, "drop_snapshot", None)
-        set_hook = getattr(table, "set_index_mutation_hook", None)
+        set_hook = getattr(table, "set_mutation_hook", None)
         if set_hook is not None:
-            set_hook(lambda message, name=name: self._record(
-                "frozen-index", f"snapshot table {name!r}: {message}"
-            ))
-        set_sketch_hook = getattr(table, "set_sketch_mutation_hook",
-                                  None)
-        if set_sketch_hook is not None:
-            set_sketch_hook(lambda message, name=name: self._record(
-                "frozen-sketch", f"snapshot table {name!r}: {message}"
+            set_hook(lambda family, message: self._record(
+                f"frozen-{family}", f"snapshot table {name!r}: {message}"
             ))
 
         if original_write is not None:
@@ -472,84 +465,22 @@ class SanitizerRuntime:
                         f"lock on {key!r} still held by finished "
                         f"query {getattr(holder, 'qid', holder)!r}",
                     )
-        if self.config.index_coherence:
-            self._check_index_coherence()
-        if self.config.sketch_coherence:
-            self._check_sketch_coherence()
+        # Every index and sketch must agree with (be rebuildable
+        # bit-identically from) its backing store, and committed
+        # snapshot versions must carry frozen registries.
+        checked = [family for family in FAMILIES
+                   if getattr(self.config, f"{family}_coherence")]
+        for family, subject, problem in coherence_findings(store, checked):
+            if problem is None:
+                self._record(
+                    f"frozen-{family}",
+                    f"{subject} committed but its {FAMILIES[family]} "
+                    "were never frozen",
+                )
+            else:
+                self._record(f"{family}-coherence",
+                             f"{subject}: {problem}")
         return list(self.violations)
-
-    def _check_index_coherence(self) -> None:
-        """Every secondary index must agree with its backing store, and
-        committed snapshot versions must have frozen indexes."""
-        store = self.env.store
-        for name in store.live_table_names():
-            table = store.get_live_table(name)
-            errors = getattr(table, "index_coherence_errors", None)
-            if errors is None:
-                continue
-            for problem in errors():
-                self._record(
-                    "index-coherence",
-                    f"live table {name!r}: {problem}",
-                )
-        available = store.available_ssids()
-        for name in store.snapshot_table_names():
-            table = store.get_snapshot_table(name)
-            if not getattr(table, "index_count", 0):
-                continue
-            for ssid in available:
-                if not table.has_snapshot(ssid):
-                    continue
-                if not table.index_ready(ssid):
-                    self._record(
-                        "frozen-index",
-                        f"snapshot table {name!r} ssid {ssid} committed "
-                        "but its indexes were never frozen",
-                    )
-                    continue
-                for problem in table.index_coherence_errors(ssid):
-                    self._record(
-                        "index-coherence",
-                        f"snapshot table {name!r} ssid {ssid}: "
-                        f"{problem}",
-                    )
-
-    def _check_sketch_coherence(self) -> None:
-        """Every sketch must be rebuildable bit-identically from its
-        backing store, and committed versions must have frozen
-        sketches."""
-        store = self.env.store
-        for name in store.live_table_names():
-            table = store.get_live_table(name)
-            errors = getattr(table, "sketch_coherence_errors", None)
-            if errors is None:
-                continue
-            for problem in errors():
-                self._record(
-                    "sketch-coherence",
-                    f"live table {name!r}: {problem}",
-                )
-        available = store.available_ssids()
-        for name in store.snapshot_table_names():
-            table = store.get_snapshot_table(name)
-            if not getattr(table, "sketch_count", 0):
-                continue
-            for ssid in available:
-                if not table.has_snapshot(ssid):
-                    continue
-                if not table.sketch_ready(ssid):
-                    self._record(
-                        "frozen-sketch",
-                        f"snapshot table {name!r} ssid {ssid} committed "
-                        "but its sketches were never frozen",
-                    )
-                    continue
-                for problem in table.sketch_coherence_errors(ssid):
-                    self._record(
-                        "sketch-coherence",
-                        f"snapshot table {name!r} ssid {ssid}: "
-                        f"{problem}",
-                    )
 
 
 class _ServiceRegistry(list):

@@ -26,11 +26,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..errors import StoreError
-from ..kvstore.indexes import (
-    MISSING,
-    RESERVED_COLUMNS,
-    new_column_reader,
-)
+from ..kvstore.derived import DerivedRegistry
+from ..kvstore.indexes import MISSING, RESERVED_COLUMNS
 from .hashing import DEFAULT_SEED, HashFamily, is_sketchable
 from .sketches import (
     CountMinSketch,
@@ -68,6 +65,11 @@ class SketchDef:
     @property
     def name(self) -> str:
         return f"{self.kind}({self.column})"
+
+    @property
+    def slot(self) -> tuple[str, str]:
+        """One sketch per column and kind."""
+        return self.column, self.kind
 
     def z_value(self) -> float:
         return Z_VALUES[self.confidence]
@@ -122,29 +124,17 @@ class _PartitionSketch:
         return self.absent == 0 and self.unsupported == 0
 
 
-class SketchRegistry:
+class SketchRegistry(DerivedRegistry):
     """All sketches of one backing table (live map or one snapshot)."""
+
+    family = "sketch"
 
     def __init__(self, partition_count: int,
                  entries_of_partition: Callable[[int], Iterable]) -> None:
-        self.partition_count = partition_count
-        self._entries_of = entries_of_partition
-        self._column_of = new_column_reader().get
-        self._defs: dict[tuple[str, str], SketchDef] = {}
+        super().__init__(partition_count, entries_of_partition)
         self._families: dict[tuple[str, str], HashFamily] = {}
         self._partitions: dict[tuple[str, str],
                                list[_PartitionSketch]] = {}
-        self.frozen = False
-        self.maintenance_ops = 0
-        #: Observer for mutation attempts on a frozen registry
-        #: (sanitizers); always followed by a StoreError.
-        self.on_frozen_mutation: Callable[[str], None] | None = None
-
-    def __len__(self) -> int:
-        return len(self._defs)
-
-    def defs(self) -> list[SketchDef]:
-        return [self._defs[key] for key in sorted(self._defs)]
 
     def has(self, column: str, kind: str) -> bool:
         return (column, kind) in self._defs
@@ -152,16 +142,10 @@ class SketchRegistry:
     # -- DDL ---------------------------------------------------------------
 
     def add_definition(self, definition: SketchDef) -> SketchDef:
-        definition.validate()
-        key = (definition.column, definition.kind)
-        existing = self._defs.get(key)
+        existing = self.declared(self._defs, definition)
         if existing is not None:
-            if existing != definition:
-                raise StoreError(
-                    f"sketch {definition.name} already exists "
-                    "with different parameters"
-                )
             return existing
+        key = definition.slot
         self._ensure_mutable(f"create sketch {definition.name}")
         family = HashFamily(definition.depth, definition.seed)
         states = [
@@ -187,19 +171,6 @@ class SketchRegistry:
         return ReservoirSample(definition.capacity, definition.seed)
 
     # -- write-path maintenance --------------------------------------------
-
-    def _ensure_mutable(self, operation: str) -> None:
-        if not self.frozen:
-            return
-        message = (
-            f"attempted {operation} on a frozen sketch registry: "
-            "committed snapshot versions (and their sketches) are "
-            "immutable"
-        )
-        hook = self.on_frozen_mutation
-        if hook is not None:
-            hook(message)
-        raise StoreError(message)
 
     def _apply(self, state: _PartitionSketch, definition: SketchDef,
                value: object, insert: bool) -> None:
@@ -263,9 +234,6 @@ class SketchRegistry:
                 self._apply(state, definition, value, insert=True)
                 self.maintenance_ops += 1
             self._partitions[def_key][partition] = state
-
-    def freeze(self) -> None:
-        self.frozen = True
 
     # -- estimation --------------------------------------------------------
 

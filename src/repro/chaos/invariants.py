@@ -11,14 +11,12 @@ out, once the simulation drains the system must be clean:
 * **snapshot determinism** — a committed snapshot query returns
   bit-identical rows before and after a kill/recovery, checked via
   :func:`snapshot_fingerprint`;
-* **index coherence** — whatever partitions were dropped, rebuilt, or
-  promoted along the way, every secondary index must agree with its
-  backing store, and committed snapshot versions must carry frozen
-  index registries;
-* **sketch coherence** — the same for the approximate-query sketches:
-  every count-min/HLL/reservoir summary must be rebuildable
-  bit-identically from its backing store, and committed snapshot
-  versions must carry frozen sketch registries.
+* **index / sketch coherence** — whatever partitions were dropped,
+  rebuilt, or promoted along the way, every derived structure
+  (:mod:`repro.kvstore.derived`) must agree with its backing store — a
+  secondary index entry for entry, a count-min/HLL/reservoir summary by
+  being rebuildable bit-identically — and committed snapshot versions
+  must carry frozen registries.
 """
 
 from __future__ import annotations
@@ -29,6 +27,7 @@ from typing import Iterable
 
 from ..env import Environment
 from ..errors import InvariantViolationError
+from ..kvstore.derived import FAMILIES, coherence_findings
 from ..query.service import QueryExecution
 from ..sql.executor import QueryResult
 
@@ -58,62 +57,13 @@ def check_invariants(
             f"lock table stranded {locks.waiting_count} waiters"
         )
 
-    store = env.store
-    for name in store.live_table_names():
-        table = store.get_live_table(name)
-        errors = getattr(table, "index_coherence_errors", None)
-        if errors is None:
-            continue
-        violations.extend(
-            f"live table {name!r} index incoherent: {problem}"
-            for problem in errors()
-        )
-    for name in store.live_table_names():
-        table = store.get_live_table(name)
-        errors = getattr(table, "sketch_coherence_errors", None)
-        if errors is None:
-            continue
-        violations.extend(
-            f"live table {name!r} sketch incoherent: {problem}"
-            for problem in errors()
-        )
-    available = store.available_ssids()
-    for name in store.snapshot_table_names():
-        table = store.get_snapshot_table(name)
-        if not getattr(table, "index_count", 0):
-            continue
-        for ssid in available:
-            if not table.has_snapshot(ssid):
-                continue
-            if not table.index_ready(ssid):
-                violations.append(
-                    f"snapshot table {name!r} ssid {ssid} committed "
-                    "with unfrozen indexes"
-                )
-                continue
-            violations.extend(
-                f"snapshot table {name!r} ssid {ssid} index "
-                f"incoherent: {problem}"
-                for problem in table.index_coherence_errors(ssid)
+    for family, subject, problem in coherence_findings(env.store):
+        if problem is None:
+            violations.append(
+                f"{subject} committed with unfrozen {FAMILIES[family]}"
             )
-    for name in store.snapshot_table_names():
-        table = store.get_snapshot_table(name)
-        if not getattr(table, "sketch_count", 0):
-            continue
-        for ssid in available:
-            if not table.has_snapshot(ssid):
-                continue
-            if not table.sketch_ready(ssid):
-                violations.append(
-                    f"snapshot table {name!r} ssid {ssid} committed "
-                    "with unfrozen sketches"
-                )
-                continue
-            violations.extend(
-                f"snapshot table {name!r} ssid {ssid} sketch "
-                f"incoherent: {problem}"
-                for problem in table.sketch_coherence_errors(ssid)
-            )
+        else:
+            violations.append(f"{subject} {family} incoherent: {problem}")
 
     for execution in executions:
         if not execution.done:

@@ -13,12 +13,12 @@ nodes by a :class:`Placement`.  Two placements exist:
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable, Iterable, Iterator
 
 from ..cluster.partition import Partitioner, stable_hash
 from ..errors import StoreError
+from .derived import DerivedRegistry
 from .indexes import MISSING as _NO_VALUE
-from .indexes import IndexDef, IndexRegistry
 
 
 class Placement:
@@ -123,51 +123,22 @@ class IMap:
         ]
         self._versions: dict[Hashable, int] = {}
         self._writes = 0
-        #: Secondary indexes (``None`` until the first ``add_index``;
-        #: the mutation fast path then stays exactly as before).
-        self._indexes: IndexRegistry | None = None
-        #: Probabilistic sketches, same lazy pattern as the indexes.
-        self._sketches = None
+        #: Derived-structure registries by family name (see
+        #: :mod:`~repro.kvstore.derived`), each created by its first
+        #: DDL; while empty, a mutation pays one truthiness test.
+        self.registries: dict[str, DerivedRegistry] = {}
 
-    # -- secondary indexes -------------------------------------------------
-
-    @property
-    def indexes(self) -> IndexRegistry | None:
-        return self._indexes
-
-    def add_index(self, definition: IndexDef) -> IndexDef:
-        """Create (or return the existing) index on one value column."""
-        if self._indexes is None:
-            self._indexes = IndexRegistry(
+    def add_definition(self, registry_class: type[DerivedRegistry],
+                       definition):
+        """Create (or return the existing) structure of
+        ``registry_class``'s family on one value column."""
+        family = registry_class.family
+        if family not in self.registries:
+            self.registries[family] = registry_class(
                 self.placement.partition_count,
                 lambda partition: self._partitions[partition].items(),
             )
-        return self._indexes.add_definition(definition)
-
-    def index_defs(self) -> list[IndexDef]:
-        return [] if self._indexes is None else self._indexes.defs()
-
-    # -- sketches ----------------------------------------------------------
-
-    @property
-    def sketches(self):
-        return self._sketches
-
-    def add_sketch(self, definition):
-        """Create (or return the existing) sketch on one value column."""
-        if self._sketches is None:
-            # Imported lazily: the approx package builds on kvstore, so
-            # a module-level import here would be circular.
-            from ..approx.registry import SketchRegistry
-
-            self._sketches = SketchRegistry(
-                self.placement.partition_count,
-                lambda partition: self._partitions[partition].items(),
-            )
-        return self._sketches.add_definition(definition)
-
-    def sketch_defs(self) -> list:
-        return [] if self._sketches is None else self._sketches.defs()
+        return self.registries[family].add_definition(definition)
 
     def partition_state(self, partition: int) -> dict[Hashable, object]:
         """One partition's ``{key: value}`` as stored (scans read it in
@@ -179,14 +150,10 @@ class IMap:
     def put(self, key: Hashable, value: object) -> None:
         partition = self.placement.partition_of(key)
         bucket = self._partitions[partition]
-        if self._indexes is not None:
-            self._indexes.on_put(
-                partition, key, bucket.get(key, _NO_VALUE), value
-            )
-        if self._sketches is not None:
-            self._sketches.on_put(
-                partition, key, bucket.get(key, _NO_VALUE), value
-            )
+        if self.registries:
+            old = bucket.get(key, _NO_VALUE)
+            for registry in self.registries.values():
+                registry.on_put(partition, key, old, value)
         bucket[key] = value
         self._versions[key] = self._versions.get(key, 0) + 1
         self._writes += 1
@@ -204,10 +171,9 @@ class IMap:
         removed = self._partitions[partition].pop(key, _MISSING)
         if removed is _MISSING:
             return False
-        if self._indexes is not None:
-            self._indexes.on_remove(partition, key, removed)
-        if self._sketches is not None:
-            self._sketches.on_remove(partition, key, removed)
+        if self.registries:
+            for registry in self.registries.values():
+                registry.on_remove(partition, key, removed)
         self._versions[key] = self._versions.get(key, 0) + 1
         self._writes += 1
         return True
@@ -250,14 +216,9 @@ class IMap:
         return self.placement.partitions_on_node(node_id)
 
     def clear(self) -> None:
-        for index, partition in enumerate(self._partitions):
-            partition.clear()
-            if self._indexes is not None:
-                self._indexes.rebuild_partition(index)
-            if self._sketches is not None:
-                self._sketches.rebuild_partition(index)
+        self.drop_partitions(range(len(self._partitions)))
 
-    def drop_partitions(self, partitions: list[int]) -> int:
+    def drop_partitions(self, partitions: Iterable[int]) -> int:
         """Discard the given partitions' entries; returns entries lost.
 
         Used when a node dies and a partition has no surviving replica
@@ -268,10 +229,8 @@ class IMap:
         for partition in partitions:
             lost += len(self._partitions[partition])
             self._partitions[partition].clear()
-            if self._indexes is not None:
-                self._indexes.rebuild_partition(partition)
-            if self._sketches is not None:
-                self._sketches.rebuild_partition(partition)
+            for registry in self.registries.values():
+                registry.rebuild_partition(partition)
         return lost
 
 

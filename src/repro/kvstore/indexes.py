@@ -24,9 +24,9 @@ record: a probe may return a superset-shaped candidate list only in
 the degraded fallback (whole partition), and the pushed predicates are
 always re-evaluated against every candidate.  Whenever the index cannot
 *prove* it sees the world exactly as a scan would — a partition holds
-mutually incomparable values, rows lacking the indexed column, or a
-string-semantics (LIKE) probe meets non-string values — the probe
-returns ``None`` and the caller falls back to scanning.
+mutually incomparable values (a NaN is one), rows lacking the indexed
+column, or a string-semantics (LIKE) probe meets non-string values —
+the probe returns ``None`` and the caller falls back to scanning.
 """
 
 from __future__ import annotations
@@ -37,6 +37,7 @@ from operator import itemgetter
 from typing import Callable, Hashable, Iterable
 
 from ..errors import StoreError
+from .derived import DerivedRegistry
 
 #: Sentinel for "this row has no value for the indexed column".
 MISSING = object()
@@ -51,16 +52,6 @@ RESERVED_COLUMNS = ("key", "partitionKey", "ssid")
 _VALUE = itemgetter(0)
 
 
-def new_column_reader():
-    """A fresh :class:`~repro.state.rows.ColumnReader`: an index (or
-    sketch) covers exactly the column SQL row shaping produces, so it
-    reads values through the same definition.  Imported on use — the
-    state package builds on this one."""
-    from ..state.rows import ColumnReader
-
-    return ColumnReader()
-
-
 @dataclass(frozen=True)
 class IndexDef:
     """One secondary index: a column and an index kind."""
@@ -71,6 +62,11 @@ class IndexDef:
     @property
     def name(self) -> str:
         return f"{self.kind}({self.column})"
+
+    @property
+    def slot(self) -> str:
+        """One index per column."""
+        return self.column
 
     def validate(self) -> None:
         if not self.column:
@@ -220,7 +216,7 @@ class _HashPartitionIndex:
             return problems
         for key, value in contents.items():
             got = indexed.get(key, MISSING)
-            if got is MISSING or got != value:
+            if got is not value and got != value:  # a NaN is itself
                 problems.append(
                     f"key {key!r} indexed under {got!r} but stored "
                     f"value maps to {value!r}"
@@ -253,6 +249,11 @@ class _SortedPartitionIndex:
             return
         if not isinstance(value, str):
             self.non_str += 1
+        if value != value:
+            # A NaN compares false with everything: inside the list it
+            # would silently break the order bisect relies on.
+            self.degraded = True
+            return
         try:
             insort(self.entries, (value, key), key=_VALUE)
         except TypeError:
@@ -284,6 +285,8 @@ class _SortedPartitionIndex:
         return not (probe.needs_str and self.non_str)
 
     def _range_span(self, probe: RangeProbe) -> tuple[int, int]:
+        if probe.low != probe.low or probe.high != probe.high:
+            return 0, 0  # no value lies on either side of a NaN
         if probe.low is None:
             lo = 0
         elif probe.low_inclusive:
@@ -299,6 +302,8 @@ class _SortedPartitionIndex:
         return lo, max(lo, hi)
 
     def _eq_span(self, value: object) -> tuple[int, int]:
+        if value != value:
+            return 0, 0  # nothing equals a NaN; bisect would span all
         lo = bisect_left(self.entries, value, key=_VALUE)
         hi = bisect_right(self.entries, value, key=_VALUE)
         return lo, hi
@@ -369,7 +374,7 @@ class _SortedPartitionIndex:
             return problems
         for key, value in contents.items():
             got = indexed.get(key, MISSING)
-            if got is MISSING or got != value:
+            if got is not value and got != value:  # a NaN is itself
                 problems.append(
                     f"key {key!r} indexed under {got!r} but stored "
                     f"value maps to {value!r}"
@@ -387,7 +392,7 @@ _STRUCTURES = {
 # -- the registry ------------------------------------------------------------
 
 
-class IndexRegistry:
+class IndexRegistry(DerivedRegistry):
     """Every secondary index of one partitioned table.
 
     ``entries_of_partition(partition)`` must yield the backing store's
@@ -396,12 +401,11 @@ class IndexRegistry:
     them incrementally maintained afterwards.
     """
 
+    family = "index"
+
     def __init__(self, partition_count: int,
                  entries_of_partition: Callable[[int], Iterable]) -> None:
-        self.partition_count = partition_count
-        self._entries_of = entries_of_partition
-        self._column_of = new_column_reader().get
-        self._defs: dict[str, IndexDef] = {}
+        super().__init__(partition_count, entries_of_partition)
         #: column -> one structure per partition.
         self._columns: dict[str, list] = {}
         #: per partition: key -> monotonically increasing insertion
@@ -411,12 +415,6 @@ class IndexRegistry:
         #: fresh one (dicts move such keys to the end).
         self._order: list[dict] = [{} for _ in range(partition_count)]
         self._seq = 0
-        self.frozen = False
-        #: index-entry touches on the write path (observability).
-        self.maintenance_ops = 0
-        #: called with a message when a frozen registry is mutated,
-        #: just before :class:`StoreError` is raised (sanitizer hook).
-        self.on_frozen_mutation: Callable[[str], None] | None = None
         for partition in range(partition_count):
             for key, _ in entries_of_partition(partition):
                 self._seq += 1
@@ -424,28 +422,15 @@ class IndexRegistry:
 
     # -- definitions ---------------------------------------------------------
 
-    def defs(self) -> list[IndexDef]:
-        return [self._defs[column] for column in sorted(self._defs)]
-
     def column_kinds(self) -> dict[str, str]:
         return {
             column: self._defs[column].kind
             for column in sorted(self._defs)
         }
 
-    def __len__(self) -> int:
-        return len(self._defs)
-
     def add_definition(self, definition: IndexDef) -> IndexDef:
-        definition.validate()
-        existing = self._defs.get(definition.column)
+        existing = self.declared(self._defs, definition)
         if existing is not None:
-            if existing.kind != definition.kind:
-                raise StoreError(
-                    f"column {definition.column!r} already has a "
-                    f"{existing.kind} index; drop it before creating a "
-                    f"{definition.kind} one"
-                )
             return existing
         self._ensure_mutable(f"create index {definition.name}")
         structure = _STRUCTURES[definition.kind]
@@ -462,17 +447,6 @@ class IndexRegistry:
         return definition
 
     # -- write-path maintenance ---------------------------------------------
-
-    def _ensure_mutable(self, operation: str) -> None:
-        if not self.frozen:
-            return
-        message = (
-            f"{operation} on a frozen index registry: committed "
-            "snapshot versions (and their indexes) are immutable"
-        )
-        if self.on_frozen_mutation is not None:
-            self.on_frozen_mutation(message)
-        raise StoreError(message)
 
     def on_put(self, partition: int, key: Hashable, old: object,
                new: object) -> None:
@@ -518,10 +492,6 @@ class IndexRegistry:
                 )
                 self.maintenance_ops += 1
         self._order[partition] = order
-
-    def freeze(self) -> None:
-        """Make the registry immutable (snapshot-commit time)."""
-        self.frozen = True
 
     # -- probes --------------------------------------------------------------
 

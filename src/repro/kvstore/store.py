@@ -14,8 +14,9 @@ from typing import Hashable
 
 from ..cluster import Cluster
 from ..errors import MapNotFoundError, StoreError
+from .derived import FAMILIES, DerivedRegistry
 from .imap import HashPlacement, IMap, Placement
-from .indexes import IndexDef
+from .indexes import IndexDef, IndexRegistry
 from .locks import LockManager
 
 
@@ -68,88 +69,71 @@ class StateStore:
     def map_names(self) -> list[str]:
         return sorted(self._maps)
 
-    # -- secondary indexes -------------------------------------------------
+    # -- derived structures: secondary indexes and sketches --------------
+    #
+    # One lifecycle (:mod:`repro.kvstore.derived`): live tables maintain
+    # the structure on their backing map from the write path; snapshot
+    # tables carry it on every retained version, and versions already
+    # committed are frozen immediately.  DDL is idempotent for an
+    # identical definition.
 
     def create_index(self, name: str, column: str,
                      kind: str = "hash") -> IndexDef:
-        """DDL: create a secondary index on a value column of ``name``.
+        """DDL: create a secondary index on a value column of ``name``."""
+        return self._create(
+            name, IndexRegistry, IndexDef(column=column, kind=kind)
+        )
 
-        Live tables index their backing map and stay incrementally
-        maintained from the write path; snapshot tables index every
-        retained version, and versions already committed are frozen
-        immediately.  Idempotent for an identical definition.
-        """
-        definition = IndexDef(column=column, kind=kind)
+    def create_sketch(self, name: str, column: str, kind: str,
+                      **params):
+        """DDL: create a probabilistic sketch on a value column of
+        ``name``."""
+        # Imported on use: the approx package builds on this one.
+        from ..approx.registry import SketchDef, SketchRegistry
+
+        return self._create(
+            name, SketchRegistry,
+            SketchDef(column=column, kind=kind, **params),
+        )
+
+    def _create(self, name: str, registry_class: type[DerivedRegistry],
+                definition):
         definition.validate()
         if name in self._maps:
-            return self._maps[name].add_index(definition)
+            return self._maps[name].add_definition(
+                registry_class, definition
+            )
         if name in self._snapshot_tables:
             table = self._snapshot_tables[name]
-            if not table.supports_indexes:
+            if not table.supports_derived:
                 raise StoreError(
                     f"snapshot table {name!r} backend does not support "
-                    "secondary indexes"
+                    f"{FAMILIES[registry_class.family]}"
                 )
-            created = table.add_index(definition)
+            created = table.add_definition(registry_class, definition)
             for ssid in self._available_ssids:
-                table.freeze_index(ssid)
+                table.freeze(ssid)
             return created
         raise MapNotFoundError(name)
 
     def index_maintenance_ops(self) -> int:
         """Index-entry write-path touches across every table
         (observability rollup)."""
-        total = 0
-        for imap in self._maps.values():
-            registry = imap.indexes
-            if registry is not None:
-                total += registry.maintenance_ops
-        for table in self._snapshot_tables.values():
-            total += table.index_maintenance_ops
-        return total
-
-    # -- sketches ----------------------------------------------------------
-
-    def create_sketch(self, name: str, column: str, kind: str,
-                      **params):
-        """DDL: create a probabilistic sketch on a value column of
-        ``name``.
-
-        Mirrors :meth:`create_index`: live tables sketch their backing
-        map and stay incrementally maintained from the write path;
-        snapshot tables sketch every retained version, and versions
-        already committed are frozen immediately.  Idempotent for an
-        identical definition.
-        """
-        from ..approx.registry import SketchDef
-
-        definition = SketchDef(column=column, kind=kind, **params)
-        definition.validate()
-        if name in self._maps:
-            return self._maps[name].add_sketch(definition)
-        if name in self._snapshot_tables:
-            table = self._snapshot_tables[name]
-            if not table.supports_sketches:
-                raise StoreError(
-                    f"snapshot table {name!r} backend does not support "
-                    "sketches"
-                )
-            created = table.add_sketch(definition)
-            for ssid in self._available_ssids:
-                table.freeze_sketch(ssid)
-            return created
-        raise MapNotFoundError(name)
+        return self._maintenance_ops("index")
 
     def sketch_maintenance_ops(self) -> int:
         """Sketch-entry write-path touches across every table
         (observability rollup)."""
+        return self._maintenance_ops("sketch")
+
+    def _maintenance_ops(self, family: str) -> int:
         total = 0
         for imap in self._maps.values():
-            registry = imap.sketches
+            registry = imap.registries.get(family)
             if registry is not None:
                 total += registry.maintenance_ops
         for table in self._snapshot_tables.values():
-            total += table.sketch_maintenance_ops
+            total += table.maintenance_ops(family)
         return total
 
     # -- snapshot tables --------------------------------------------------
@@ -239,12 +223,11 @@ class StateStore:
         self._committed_ssid = ssid
         self._available_ssids.append(ssid)
         # The committed version is immutable from this instant on: its
-        # secondary indexes freeze with it (copy-on-write — the next
-        # in-progress version builds fresh registries), so index probes
+        # indexes and sketches freeze with it (copy-on-write — the next
+        # in-progress version builds fresh registries), so their reads
         # rely on exactly the immutability zone-map pruning relies on.
         for table in self._snapshot_tables.values():
-            table.freeze_index(ssid)
-            table.freeze_sketch(ssid)
+            table.freeze(ssid)
         for listener in self._commit_listeners:
             listener(ssid)
 

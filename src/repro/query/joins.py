@@ -134,7 +134,7 @@ def _estimate_rows(service, view, fragment) -> tuple[int, str]:
         and fragment.pushed
         and partitions
         and service.sketch_enabled
-        and view.sketch_ready()
+        and view.ready("sketch")
     ):
         for conjunct in fragment.pushed:
             equality = _pushed_equality(conjunct)
@@ -171,7 +171,7 @@ def _index_kind_for(service, step: JoinFragment, view) -> str | None:
         column = None
     if column is None:
         return None
-    if not view.index_ready():
+    if not view.ready("index"):
         return None
     return view.index_columns().get(column)
 

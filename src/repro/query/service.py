@@ -1081,7 +1081,7 @@ class QueryService:
         view = views[table_name]
         if view.versions == ():
             return "no committed snapshot"
-        if not view.supports_sketches:
+        if not view.supports_derived:
             # backend without sketches, or an all-versions read
             return "table backend has no sketch support"
         if aggregate.ssid_eq is not None \
@@ -1089,7 +1089,7 @@ class QueryService:
             if view.immutable:
                 return "ssid filter does not match the resolved snapshot"
             return "ssid filter on a live table"
-        if not view.sketch_ready():
+        if not view.ready("sketch"):
             return ("no sketches (or the version's sketches are not "
                     "frozen)")
         if not view.has_sketch(aggregate.column, aggregate.kind):
@@ -1271,7 +1271,7 @@ class QueryService:
             veto = "indexes disabled"
         elif view.versions == ():
             veto = "no committed snapshot"
-        elif not view.index_ready():
+        elif not view.ready("index"):
             # backend (or all-versions view) without index support, no
             # indexes, or the version is not frozen yet
             veto = "no usable index"

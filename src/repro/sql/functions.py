@@ -16,7 +16,8 @@ def _require(condition: bool, message: str) -> None:
 def _numeric(name: str, fn: Callable[..., object], value: object,
              *extra: object) -> object:
     """``fn(value, *extra)`` over a number: NULL stays NULL, any other
-    type is a typed error naming the function and the type it met."""
+    type is a typed error naming the function and the type it met, a
+    number outside the function's domain one naming the number."""
     if value is None:
         return None
     try:
@@ -24,6 +25,10 @@ def _numeric(name: str, fn: Callable[..., object], value: object,
     except TypeError:
         raise SqlExecutionError(
             f"cannot apply {name} to {type(value).__name__}"
+        ) from None
+    except (ValueError, OverflowError):  # SQRT(-1), FLOOR(NaN / inf)
+        raise SqlExecutionError(
+            f"cannot apply {name} to {value!r}"
         ) from None
 
 
@@ -53,7 +58,15 @@ def _scalar_abs(args: list[object]) -> object:
 def _scalar_round(args: list[object]) -> object:
     _require(len(args) in (1, 2), "ROUND takes one or two arguments")
     digits = args[1] if len(args) == 2 else 0
-    return _numeric("ROUND", round, args[0], int(digits))
+    if digits is None:
+        return None
+    try:
+        digits = int(digits)
+    except (TypeError, ValueError, OverflowError):
+        raise SqlExecutionError(
+            f"cannot apply ROUND to digits {digits!r}"
+        ) from None
+    return _numeric("ROUND", round, args[0], digits)
 
 
 def _scalar_floor(args: list[object]) -> object:

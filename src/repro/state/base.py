@@ -4,15 +4,17 @@ The three backends differ only in how a version of one operator
 instance is stored and reconstructed (full copies, backward delta
 chains, LSM runs).  Placement, the node-local reads on top of
 :meth:`~SnapshotTableBase.materialize_instance` and the defaults of a
-backend without indexes or sketches live here once; what else a
+backend without derived structures live here once; what else a
 backend can do it declares through the ``supports_*`` attributes.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable, Hashable, Iterable, Iterator
 
 from ..cluster.partition import stable_hash
+from ..kvstore.derived import VersionedRegistries
 from .rows import ColumnBatch, ColumnReader
 
 
@@ -24,18 +26,10 @@ class SnapshotTableBase:
     #: ``rows_in_partition`` / ``partition_key_bounds``), the basis of
     #: partition-level scan pruning.
     supports_partition_rows = False
-    #: Secondary indexes (``add_index`` / ``index_*``).
-    supports_indexes = False
-    #: Probabilistic sketches (``add_sketch`` / ``sketch_*`` /
-    #: ``approx_estimate``).
-    supports_sketches = False
-
-    #: Defaults of a backend without indexes/sketches: nothing to
-    #: maintain, bill or freeze.
-    index_count = 0
-    sketch_count = 0
-    index_maintenance_ops = 0
-    sketch_maintenance_ops = 0
+    #: Derived structures — secondary indexes and sketches, one
+    #: lifecycle (:mod:`repro.kvstore.derived`): ``add_definition`` and
+    #: the ``index_*`` / ``has_sketch`` / ``approx_estimate`` reads.
+    supports_derived = False
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int]) -> None:
@@ -44,12 +38,37 @@ class SnapshotTableBase:
         self._node_of_instance = node_of_instance
         #: The table's definition of "what are this object's columns".
         self.column_reader = ColumnReader()
+        #: Family name -> the family's per-version registries; empty on
+        #: a backend without derived structures (nothing to maintain,
+        #: bill or freeze).
+        self.derived: dict[str, VersionedRegistries] = {}
 
-    def freeze_index(self, ssid: int) -> None:
-        """Commit time: nothing to freeze without indexes."""
+    # -- derived structures ------------------------------------------------
 
-    def freeze_sketch(self, ssid: int) -> None:
-        """Commit time: nothing to freeze without sketches."""
+    def freeze(self, ssid: int) -> None:
+        """Commit time: the version's registries become immutable."""
+        for holder in self.derived.values():
+            holder.freeze(ssid)
+
+    def definition_count(self, family: str) -> int:
+        return len(self.derived.get(family, ()))
+
+    def ready(self, family: str, ssid: int) -> bool:
+        """Reads only serve committed (frozen) versions."""
+        return family in self.derived and self.derived[family].ready(ssid)
+
+    def maintenance_ops(self, family: str) -> int:
+        holder = self.derived.get(family)
+        return 0 if holder is None else holder.maintenance_ops
+
+    def coherence_errors(self, family: str, ssid: int) -> list[str]:
+        return self.derived[family].coherence_errors(ssid)
+
+    def set_mutation_hook(self, hook: Callable[[str, str], None]) -> None:
+        """Observe frozen-registry mutation attempts as ``hook(family,
+        message)`` (sanitizers)."""
+        for family, holder in self.derived.items():
+            holder.set_mutation_hook(partial(hook, family))
 
     # -- placement ---------------------------------------------------------
     #

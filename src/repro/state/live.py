@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import Hashable, Iterator
 
 from ..kvstore import IMap
-from ..kvstore.indexes import IndexDef
 from .rows import ColumnBatch, ColumnReader
 
 _MISSING = object()
@@ -23,8 +22,7 @@ class LiveStateTable:
     #: Declared capabilities, read by :class:`~repro.state.view.TableView`
     #: (same names as on the snapshot backends).
     supports_partition_rows = True
-    supports_indexes = True
-    supports_sketches = True
+    supports_derived = True
 
     def __init__(self, imap: IMap) -> None:
         self._imap = imap
@@ -111,37 +109,40 @@ class LiveStateTable:
         """Node holding ``key`` (point-lookup routing)."""
         return self._imap.placement.owner_of(key)
 
-    # -- secondary indexes (index-backed scans) ----------------------------
+    # -- derived structures: secondary indexes and sketches ----------------
     #
-    # Live indexes are maintained synchronously inside the IMap write
-    # path (under the same key-level locks as the mirror writes), so a
-    # probe at any instant agrees with the partition dicts at that
-    # instant.  Probe results come back in partition iteration order —
-    # an index-backed fetch feeds the executor the same surviving rows,
-    # in the same order, as a full scan would.
+    # Both are maintained synchronously inside the IMap write path
+    # (under the same key-level locks as the mirror writes), so a probe
+    # or an estimate at any instant agrees with the partition dicts at
+    # that instant — exactly the read-uncommitted contract live queries
+    # already have.
 
-    def add_index(self, definition: IndexDef) -> IndexDef:
-        return self._imap.add_index(definition)
-
-    @property
-    def index_count(self) -> int:
-        registry = self._imap.indexes
+    def definition_count(self, family: str) -> int:
+        registry = self._imap.registries.get(family)
         return 0 if registry is None else len(registry)
 
-    def index_defs(self) -> list[IndexDef]:
-        return self._imap.index_defs()
+    def ready(self, family: str) -> bool:
+        """Live structures are usable as soon as they exist (no
+        freeze)."""
+        return self.definition_count(family) > 0
+
+    def coherence_errors(self, family: str) -> list[str]:
+        registry = self._imap.registries.get(family)
+        return [] if registry is None else registry.coherence_errors()
+
+    # -- secondary indexes (index-backed scans) ----------------------------
+    #
+    # Probe results come back in partition iteration order — an
+    # index-backed fetch feeds the executor the same surviving rows, in
+    # the same order, as a full scan would.
 
     def index_columns(self) -> dict[str, str]:
-        registry = self._imap.indexes
+        registry = self._imap.registries.get("index")
         return {} if registry is None else registry.column_kinds()
-
-    def index_ready(self) -> bool:
-        """Live indexes are usable as soon as they exist (no freeze)."""
-        return self.index_count > 0
 
     def index_probe_count(self, partition: int, column: str,
                           probe) -> tuple[int, int] | None:
-        registry = self._imap.indexes
+        registry = self._imap.registries.get("index")
         if registry is None:
             return None
         return registry.probe_count(partition, column, probe)
@@ -154,7 +155,7 @@ class LiveStateTable:
         after the access path was chosen) falls back to all of its
         entries — a superset is safe because the pushed predicates
         re-filter every candidate."""
-        registry = self._imap.indexes
+        registry = self._imap.registries.get("index")
         batch = ColumnBatch(self.column_reader)
         for partition in partitions:
             state = self._imap.partition_state(partition)
@@ -165,15 +166,6 @@ class LiveStateTable:
             batch.load(state, keys=keys)
         return batch
 
-    @property
-    def index_maintenance_ops(self) -> int:
-        registry = self._imap.indexes
-        return 0 if registry is None else registry.maintenance_ops
-
-    def index_coherence_errors(self) -> list[str]:
-        registry = self._imap.indexes
-        return [] if registry is None else registry.coherence_errors()
-
     def point_rows(self, key: Hashable) -> list[dict]:
         """The single row for ``key``, or empty (point lookup)."""
         value = self._imap.get(key, _MISSING)
@@ -182,29 +174,9 @@ class LiveStateTable:
         return [self.column_reader.row(key, value)]
 
     # -- sketches (approximate query answering) ----------------------------
-    #
-    # Like the live indexes, sketches are maintained synchronously on
-    # the IMap write path, so an estimate at any instant summarises the
-    # partition dicts at that instant — exactly the read-uncommitted
-    # contract live queries already have.
-
-    def add_sketch(self, definition):
-        return self._imap.add_sketch(definition)
-
-    @property
-    def sketch_count(self) -> int:
-        registry = self._imap.sketches
-        return 0 if registry is None else len(registry)
-
-    def sketch_defs(self) -> list:
-        return self._imap.sketch_defs()
-
-    def sketch_ready(self) -> bool:
-        """Live sketches are usable as soon as they exist (no freeze)."""
-        return self.sketch_count > 0
 
     def has_sketch(self, column: str, kind: str) -> bool:
-        registry = self._imap.sketches
+        registry = self._imap.registries.get("sketch")
         return registry is not None and registry.has(column, kind)
 
     def approx_estimate(self, partitions: list[int], mode: str,
@@ -212,19 +184,10 @@ class LiveStateTable:
                         ) -> tuple[object, float, float] | None:
         """Merged ``(estimate, bound, confidence)`` or ``None`` when no
         sound sketch answer exists (degraded or missing sketch)."""
-        registry = self._imap.sketches
+        registry = self._imap.registries.get("sketch")
         if registry is None:
             return None
         return registry.estimate(partitions, mode, column, value)
-
-    @property
-    def sketch_maintenance_ops(self) -> int:
-        registry = self._imap.sketches
-        return 0 if registry is None else registry.maintenance_ops
-
-    def sketch_coherence_errors(self) -> list[str]:
-        registry = self._imap.sketches
-        return [] if registry is None else registry.coherence_errors()
 
     # -- mutation (called by the S-QUERY backend) --------------------------
 

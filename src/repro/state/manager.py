@@ -21,10 +21,11 @@ from __future__ import annotations
 from typing import Callable, Hashable
 
 from ..cluster import Cluster
-from ..config import SQueryConfig
+from ..config import IndexSpec, SQueryConfig
 from ..errors import StateError
 from ..dataflow.backend import VanillaBackend, submit_chunked_write
 from ..kvstore import InstancePlacement, StateStore
+from ..kvstore.derived import FAMILIES
 from .base import SnapshotTableBase
 from .incremental import IncrementalSnapshotTable
 from .live import LiveStateTable
@@ -105,40 +106,37 @@ class SQueryBackend(VanillaBackend):
                 )
             self.snapshot_tables[vertex_name] = table
             self.store.register_snapshot_table(snap_name, table)
-        self._create_declared_indexes(vertex_name)
-        self._create_declared_sketches(vertex_name)
+        self._create_declared(vertex_name)
 
-    def _create_declared_indexes(self, vertex_name: str) -> None:
-        """Deploy-time DDL: apply ``config.indexes`` specs naming this
-        vertex (by vertex or sanitised table name)."""
+    def _create_declared(self, vertex_name: str) -> None:
+        """Deploy-time DDL: apply the ``config.indexes`` and
+        ``config.sketches`` specs naming this vertex (by vertex or
+        sanitised table name)."""
         table_name = self._vertex_table[vertex_name]
-        for spec in self.config.indexes:
+        for spec in self.config.indexes + self.config.sketches:
             if spec.vertex not in (vertex_name, table_name):
                 continue
+            create = (self.store.create_index
+                      if isinstance(spec, IndexSpec)
+                      else self.store.create_sketch)
             if spec.live and self.config.live_state:
-                self.store.create_index(table_name, spec.column, spec.kind)
+                create(table_name, spec.column, spec.kind)
             if spec.snapshots and self.config.snapshot_state \
                     and not self.config.incremental:
-                self.store.create_index(
-                    snapshot_table_name(vertex_name), spec.column, spec.kind
-                )
+                create(snapshot_table_name(vertex_name), spec.column,
+                       spec.kind)
 
-    def _create_declared_sketches(self, vertex_name: str) -> None:
-        """Deploy-time DDL: apply ``config.sketches`` specs naming this
-        vertex (by vertex or sanitised table name)."""
-        table_name = self._vertex_table[vertex_name]
-        for spec in self.config.sketches:
-            if spec.vertex not in (vertex_name, table_name):
-                continue
-            if spec.live and self.config.live_state:
-                self.store.create_sketch(table_name, spec.column,
-                                         spec.kind)
-            if spec.snapshots and self.config.snapshot_state \
-                    and not self.config.incremental:
-                self.store.create_sketch(
-                    snapshot_table_name(vertex_name), spec.column,
-                    spec.kind,
+    def _with_maintenance(self, per_entry: float, table) -> float:
+        """``per_entry`` plus what maintaining ``table``'s derived
+        structures adds to one entry's write: every index and sketch
+        rides that write, under the same key-level lock."""
+        for family in FAMILIES:
+            count = table.definition_count(family)
+            if count:
+                per_entry += count * getattr(
+                    self._costs, f"{family}_maintain_entry_ms"
                 )
+        return per_entry
 
     # -- live state ---------------------------------------------------------
 
@@ -153,15 +151,7 @@ class SQueryBackend(VanillaBackend):
         if self.config.active_replication:
             cost += self._costs.replication_sync_ms
         live = self.live_tables.get(vertex_name)
-        if live is not None and live.index_count:
-            # Incremental index maintenance rides the mirror write,
-            # under the same key-level lock.
-            cost += self._costs.index_maintain_entry_ms * live.index_count
-        if live is not None and live.sketch_count:
-            # Sketch maintenance rides the same write, same lock.
-            cost += self._costs.sketch_maintain_entry_ms * \
-                live.sketch_count
-        return cost
+        return cost if live is None else self._with_maintenance(cost, live)
 
     def on_state_update(self, vertex_name: str, key: Hashable,
                         value: object | None) -> None:
@@ -212,8 +202,7 @@ class SQueryBackend(VanillaBackend):
             # up front; the LSM backend amortises it into background
             # compaction instead (append-only writes).
             per_entry += costs.incremental_entry_overhead_ms
-        per_entry += costs.index_maintain_entry_ms * table.index_count
-        per_entry += costs.sketch_maintain_entry_ms * table.sketch_count
+        per_entry = self._with_maintenance(per_entry, table)
         server = self._cluster.node(node_id).store_server(instance)
 
         def finish() -> None:

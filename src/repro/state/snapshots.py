@@ -12,9 +12,10 @@ from __future__ import annotations
 
 from typing import Callable, Hashable, Iterable, Iterator
 
-from ..approx.registry import SketchDef, SketchRegistry
+from ..approx.registry import SketchRegistry
 from ..errors import SnapshotNotFoundError
-from ..kvstore.indexes import IndexDef, IndexRegistry
+from ..kvstore.derived import DerivedRegistry, VersionedRegistries
+from ..kvstore.indexes import IndexRegistry
 from .base import SnapshotTableBase
 from .rows import ColumnBatch
 
@@ -23,116 +24,54 @@ class FullSnapshotTable(SnapshotTableBase):
     """Snapshot state of one operator, full-copy mode."""
 
     supports_partition_rows = True
-    supports_indexes = True
-    supports_sketches = True
+    supports_derived = True
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int]) -> None:
         super().__init__(name, parallelism, node_of_instance)
         #: ssid -> instance -> {key: state object}
         self._by_ssid: dict[int, dict[int, dict[Hashable, object]]] = {}
-        #: Secondary index definitions, shared by every version; each
-        #: retained ssid carries its own copy-on-write registry, frozen
-        #: when the version commits.
-        self._index_defs: dict[str, IndexDef] = {}
-        self._indexes: dict[int, IndexRegistry] = {}
-        #: Maintenance ops of registries retired with their snapshots
-        #: (keeps the observability rollup monotonic).
-        self._dropped_index_ops = 0
-        self._index_hook: Callable[[str], None] | None = None
-        #: Sketch definitions and per-version registries, same
-        #: copy-on-write/freeze lifecycle as the indexes.
-        self._sketch_defs: dict[tuple[str, str], SketchDef] = {}
-        self._sketches: dict[int, SketchRegistry] = {}
-        self._dropped_sketch_ops = 0
-        self._sketch_hook: Callable[[str], None] | None = None
+        self.derived = {
+            registry_class.family: VersionedRegistries(
+                registry_class, parallelism, self._entries_of
+            )
+            for registry_class in (IndexRegistry, SketchRegistry)
+        }
+
+    def _entries_of(self, ssid: int, partition: int):
+        return self._by_ssid.get(ssid, {}).get(partition, {}).items()
 
     # -- writes ---------------------------------------------------------
 
     def write_instance(self, ssid: int, instance: int,
                        payload: dict[Hashable, object]) -> None:
         self._by_ssid.setdefault(ssid, {})[instance] = dict(payload)
-        if self._index_defs:
-            self._registry_for(ssid).rebuild_partition(instance)
-        if self._sketch_defs:
-            self._sketch_registry_for(ssid).rebuild_partition(instance)
+        for holder in self.derived.values():
+            holder.rebuild(ssid, instance)
 
     def drop_snapshot(self, ssid: int) -> None:
         self._by_ssid.pop(ssid, None)
-        registry = self._indexes.pop(ssid, None)
-        if registry is not None:
-            self._dropped_index_ops += registry.maintenance_ops
-        sketch_registry = self._sketches.pop(ssid, None)
-        if sketch_registry is not None:
-            self._dropped_sketch_ops += sketch_registry.maintenance_ops
+        for holder in self.derived.values():
+            holder.drop(ssid)
+
+    def add_definition(self, registry_class: type[DerivedRegistry],
+                       definition):
+        return self.derived[registry_class.family].add(
+            definition, sorted(self._by_ssid)
+        )
 
     # -- secondary indexes -----------------------------------------------
 
-    def _registry_for(self, ssid: int) -> IndexRegistry:
-        registry = self._indexes.get(ssid)
-        if registry is None:
-            registry = IndexRegistry(
-                self.parallelism,
-                lambda partition: self._by_ssid.get(ssid, {})
-                .get(partition, {}).items(),
-            )
-            registry.on_frozen_mutation = self._index_hook
-            for definition in self._index_defs.values():
-                registry.add_definition(definition)
-            self._indexes[ssid] = registry
-        return registry
-
-    def add_index(self, definition: IndexDef) -> IndexDef:
-        definition.validate()
-        existing = self._index_defs.get(definition.column)
-        if existing is not None:
-            if existing.kind != definition.kind:
-                from ..errors import StoreError
-
-                raise StoreError(
-                    f"column {definition.column!r} already has a "
-                    f"{existing.kind} index"
-                )
-            return existing
-        self._index_defs[definition.column] = definition
-        # Retained versions (committed ones are re-frozen by the store's
-        # DDL entry point) get the new index backfilled.
-        for ssid in sorted(self._by_ssid):
-            self._registry_for(ssid).add_definition(definition)
-        return definition
-
-    def freeze_index(self, ssid: int) -> None:
-        """Commit time: the version's registry becomes immutable."""
-        if not self._index_defs:
-            return
-        self._registry_for(ssid).freeze()
-
-    def index_ready(self, ssid: int) -> bool:
-        """Probes only serve committed (frozen) versions."""
-        if not self._index_defs:
-            return False
-        registry = self._indexes.get(ssid)
-        return registry is not None and registry.frozen
-
-    @property
-    def index_count(self) -> int:
-        return len(self._index_defs)
-
-    def index_defs(self) -> list[IndexDef]:
-        return [
-            self._index_defs[column]
-            for column in sorted(self._index_defs)
-        ]
-
     def index_columns(self) -> dict[str, str]:
+        definitions = self.derived["index"].definitions
         return {
-            column: self._index_defs[column].kind
-            for column in sorted(self._index_defs)
+            column: definitions[column].kind
+            for column in sorted(definitions)
         }
 
     def index_probe_count(self, partition: int, column: str, probe,
                           ssid: int) -> tuple[int, int] | None:
-        registry = self._indexes.get(ssid)
+        registry = self.derived["index"].versions.get(ssid)
         if registry is None:
             return None
         return registry.probe_count(partition, column, probe)
@@ -141,7 +80,7 @@ class FullSnapshotTable(SnapshotTableBase):
                    ssid: int) -> ColumnBatch:
         """Candidate entries of an index probe (same order as a scan)."""
         snapshot = self._version(ssid)
-        registry = self._indexes.get(ssid)
+        registry = self.derived["index"].versions.get(ssid)
         batch = ColumnBatch(self.column_reader)
         for partition in partitions:
             batch.load(
@@ -151,110 +90,18 @@ class FullSnapshotTable(SnapshotTableBase):
             )
         return batch
 
-    @property
-    def index_maintenance_ops(self) -> int:
-        return self._dropped_index_ops + sum(
-            registry.maintenance_ops
-            for registry in self._indexes.values()
-        )
-
-    def set_index_mutation_hook(
-        self, hook: Callable[[str], None] | None
-    ) -> None:
-        """Observe frozen-registry mutation attempts (sanitizers)."""
-        self._index_hook = hook
-        for registry in self._indexes.values():
-            registry.on_frozen_mutation = hook
-
-    def index_coherence_errors(self, ssid: int) -> list[str]:
-        registry = self._indexes.get(ssid)
-        return [] if registry is None else registry.coherence_errors()
-
     # -- sketches --------------------------------------------------------
 
-    def _sketch_registry_for(self, ssid: int) -> SketchRegistry:
-        registry = self._sketches.get(ssid)
-        if registry is None:
-            registry = SketchRegistry(
-                self.parallelism,
-                lambda partition: self._by_ssid.get(ssid, {})
-                .get(partition, {}).items(),
-            )
-            registry.on_frozen_mutation = self._sketch_hook
-            for definition in self._sketch_defs.values():
-                registry.add_definition(definition)
-            self._sketches[ssid] = registry
-        return registry
-
-    def add_sketch(self, definition: SketchDef) -> SketchDef:
-        definition.validate()
-        key = (definition.column, definition.kind)
-        existing = self._sketch_defs.get(key)
-        if existing is not None:
-            if existing != definition:
-                from ..errors import StoreError
-
-                raise StoreError(
-                    f"sketch {definition.name} already exists with "
-                    "different parameters"
-                )
-            return existing
-        self._sketch_defs[key] = definition
-        # Retained versions (committed ones are re-frozen by the
-        # store's DDL entry point) get the new sketch backfilled.
-        for ssid in sorted(self._by_ssid):
-            self._sketch_registry_for(ssid).add_definition(definition)
-        return definition
-
-    def freeze_sketch(self, ssid: int) -> None:
-        """Commit time: the version's sketches become immutable."""
-        if not self._sketch_defs:
-            return
-        self._sketch_registry_for(ssid).freeze()
-
-    def sketch_ready(self, ssid: int) -> bool:
-        """Estimates only serve committed (frozen) versions."""
-        if not self._sketch_defs:
-            return False
-        registry = self._sketches.get(ssid)
-        return registry is not None and registry.frozen
-
-    @property
-    def sketch_count(self) -> int:
-        return len(self._sketch_defs)
-
-    def sketch_defs(self) -> list[SketchDef]:
-        return [self._sketch_defs[key] for key in sorted(self._sketch_defs)]
-
     def has_sketch(self, column: str, kind: str) -> bool:
-        return (column, kind) in self._sketch_defs
+        return (column, kind) in self.derived["sketch"].definitions
 
     def approx_estimate(self, partitions: list[int], mode: str,
                         column: str, value: object, ssid: int
                         ) -> tuple[object, float, float] | None:
-        registry = self._sketches.get(ssid)
+        registry = self.derived["sketch"].versions.get(ssid)
         if registry is None:
             return None
         return registry.estimate(partitions, mode, column, value)
-
-    @property
-    def sketch_maintenance_ops(self) -> int:
-        return self._dropped_sketch_ops + sum(
-            registry.maintenance_ops
-            for registry in self._sketches.values()
-        )
-
-    def set_sketch_mutation_hook(
-        self, hook: Callable[[str], None] | None
-    ) -> None:
-        """Observe frozen-registry mutation attempts (sanitizers)."""
-        self._sketch_hook = hook
-        for registry in self._sketches.values():
-            registry.on_frozen_mutation = hook
-
-    def sketch_coherence_errors(self, ssid: int) -> list[str]:
-        registry = self._sketches.get(ssid)
-        return [] if registry is None else registry.coherence_errors()
 
     # -- reads ----------------------------------------------------------
 

@@ -19,14 +19,13 @@ class TableView:
     ids otherwise (empty when nothing is committed yet: placement still
     answers, reads are empty).  Row reads and counts span every bound
     version (version-major, the §VI-A multi-version order); partition-
-    granular access, indexes and sketches exist only on single-version
-    views of backends that declare them, so all-versions reads always
-    take the whole-shard scan path.
+    granular access and derived structures (indexes, sketches) exist
+    only on single-version views of backends that declare them, so
+    all-versions reads always take the whole-shard scan path.
     """
 
     __slots__ = ("table", "versions", "_args", "_version", "immutable",
-                 "supports_partition_rows", "supports_indexes",
-                 "supports_sketches")
+                 "supports_partition_rows", "supports_derived")
 
     def __init__(self, table, versions: tuple[int, ...] | None = None
                  ) -> None:
@@ -45,8 +44,7 @@ class TableView:
         #: Version argument of the single-version methods.
         self._version = self._args[0] if single else None
         self.supports_partition_rows = single and table.supports_partition_rows
-        self.supports_indexes = single and table.supports_indexes
-        self.supports_sketches = single and table.supports_sketches
+        self.supports_derived = single and table.supports_derived
 
     # -- placement ---------------------------------------------------------
 
@@ -119,11 +117,13 @@ class TableView:
             entries += self.entries_on_node(node_id)
         return partitions, entries
 
-    # -- secondary indexes (``supports_indexes``) --------------------------
+    # -- derived structures (``supports_derived``) -------------------------
 
-    def index_ready(self) -> bool:
-        return self.supports_indexes and \
-            self.table.index_ready(*self._version)
+    def ready(self, family: str) -> bool:
+        """Whether ``family`` ("index" / "sketch") can serve this view:
+        declared, and for a snapshot version frozen."""
+        return self.supports_derived and \
+            self.table.ready(family, *self._version)
 
     def index_columns(self) -> dict[str, str]:
         return self.table.index_columns()
@@ -139,12 +139,6 @@ class TableView:
         return self.table.index_scan(
             partitions, column, probe, *self._version
         )
-
-    # -- sketches (``supports_sketches``) ----------------------------------
-
-    def sketch_ready(self) -> bool:
-        return self.supports_sketches and \
-            self.table.sketch_ready(*self._version)
 
     def has_sketch(self, column: str, kind: str) -> bool:
         return self.table.has_sketch(column, kind)

@@ -119,13 +119,3 @@ def test_shared_state_needs_both_paths():
     assert lint([FIXTURES / "sharedstate_chaos_entry.py",
                  FIXTURES / "sharedstate_cache.py"],
                 "shared-state-audit") == []
-
-
-def test_repository_is_clean_under_the_concurrency_rules():
-    root = Path(__file__).resolve().parents[2]
-    paths = [root / p for p in
-             ("src/repro", "tests", "benchmarks", "examples")
-             if (root / p).exists()]
-    for rule in ("lock-order", "blocking-under-lock",
-                 "shared-state-audit"):
-        assert lint(paths, rule) == []

@@ -149,7 +149,7 @@ def test_mutations_keep_live_answers_within_bound():
         assert_within_bound(mode, lhs.result.rows[0], column,
                             rhs.result.rows[0][column], approx_sql)
     live = env.store.get_live_table("data")
-    assert live.sketch_coherence_errors() == []
+    assert live.coherence_errors("sketch") == []
 
 
 def test_snapshot_answers_within_bound_and_pin_by_ssid():
@@ -187,8 +187,8 @@ def test_snapshot_answers_within_bound_and_pin_by_ssid():
             assert_within_bound(mode, lhs.result.rows[0], column,
                                 rhs.result.rows[0][column], approx_sql)
     for ssid in (1, 2):
-        assert table.sketch_ready(ssid)
-        assert table.sketch_coherence_errors(ssid) == []
+        assert table.ready("sketch", ssid)
+        assert table.coherence_errors("sketch", ssid) == []
 
 
 #: Slow scans widen the mid-scan failure window and make the sketch
@@ -269,14 +269,14 @@ def test_rollback_recovery_keeps_sketches_coherent(kill_at_ms):
     # Recovery rewrote live partitions from the rolled-back snapshot;
     # the incremental sketch maintenance must have followed every step.
     live = env.store.get_live_table("average")
-    assert live.sketch_count == 2
-    assert live.sketch_coherence_errors() == []
+    assert live.definition_count("sketch") == 2
+    assert live.coherence_errors("sketch") == []
     snap = env.store.get_snapshot_table("snapshot_average")
     for ssid in env.store.available_ssids():
         if not snap.has_snapshot(ssid):
             continue
-        assert snap.sketch_ready(ssid)
-        assert snap.sketch_coherence_errors(ssid) == []
+        assert snap.ready("sketch", ssid)
+        assert snap.coherence_errors("sketch", ssid) == []
     assert_invariants(env)
 
     # The job is quiescent: the approximate SUM must cover the exact

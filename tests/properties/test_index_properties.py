@@ -7,9 +7,10 @@ under seeded chaos kills.  Rollback recovery rewrites live partitions
 wholesale, so the write path must keep every index coherent through
 failures too.
 
-Integer-only values keep aggregate merges exact: float SUM/AVG merge
-order could otherwise introduce rounding noise that has nothing to do
-with correctness.
+Integer-only aggregates keep merges exact: float SUM/AVG merge order
+could otherwise introduce rounding noise that has nothing to do with
+correctness.  The float column ``f`` — ints and floats mixed, with the
+occasional NaN and ±inf — is only filtered on, counted and listed.
 """
 
 import random
@@ -43,22 +44,40 @@ QUERIES = [
     "GROUP BY g ORDER BY g",
     'SELECT v FROM "data" WHERE key IN (1, 5, 9, 700)',
     'SELECT COUNT(*) AS n FROM "data" WHERE v = 17 AND g = 3',
+    'SELECT key FROM "data" WHERE f > 190 ORDER BY key',
+    'SELECT COUNT(*) AS n FROM "data" WHERE f BETWEEN 50 AND 53',
+    'SELECT key FROM "data" WHERE f = 17 OR f <= 0.5 ORDER BY key',
 ]
+
+NAN, INF = float("nan"), float("inf")
+
+
+def odd_number(rng):
+    """An int or a float in [0, 200), rarely NaN or ±inf: what a sorted
+    index must either order like a scan compares, or refuse to probe.
+    Rare enough that some partitions hold a NaN and others none."""
+    roll = rng.random()
+    if roll < 0.03:
+        return rng.choice((NAN, INF, -INF))
+    return rng.randrange(0, 200) if roll < 0.5 else rng.random() * 200
 
 
 def populate(env, seed, keys=900):
     imap = env.store.create_map("data")
     env.store.register_live_table("data", LiveStateTable(imap))
     rng = random.Random(seed)
+    odd = random.Random(seed + 1)  # its own stream: v/g/s/pad unchanged
     for key in range(keys):
         imap.put(key, {
             "v": rng.randrange(0, 200),
             "g": rng.randrange(0, 6),
             "s": f"s-{rng.randrange(0, 40):02d}",
             "pad": rng.randrange(0, 10**6),
+            "f": odd_number(odd),
         })
     env.store.create_index("data", "v", "hash")
     env.store.create_index("data", "s", "sorted")
+    env.store.create_index("data", "f", "sorted")
 
 
 def indexed_cluster():
@@ -116,12 +135,13 @@ def test_writes_between_queries_keep_results_equivalent():
                     "g": rng.randrange(0, 6),
                     "s": f"s-{rng.randrange(0, 40):02d}",
                     "pad": round_no,
+                    "f": odd_number(rng),
                 })
         sql = QUERIES[round_no % len(QUERIES)]
         assert on.execute(sql).result.rows == \
             off.execute(sql).result.rows, sql
     table = env.store.get_live_table("data")
-    assert table.index_coherence_errors() == []
+    assert table.coherence_errors("index") == []
 
 
 #: Slow scans widen the mid-scan window failure injection lands in —
@@ -204,13 +224,13 @@ def test_rollback_recovery_keeps_indexes_coherent(kill_at_ms):
     # Recovery rewrote live partitions from the rolled-back snapshot;
     # the incremental maintenance must have followed every step.
     live = env.store.get_live_table("average")
-    assert live.index_coherence_errors() == []
+    assert live.coherence_errors("index") == []
     snap = env.store.get_snapshot_table("snapshot_average")
     for ssid in env.store.available_ssids():
         if not snap.has_snapshot(ssid):
             continue
-        assert snap.index_ready(ssid)
-        assert snap.index_coherence_errors(ssid) == []
+        assert snap.ready("index", ssid)
+        assert snap.coherence_errors("index", ssid) == []
     assert_invariants(env)
 
     # The job is quiescent: index on/off equivalence on both families.

@@ -44,6 +44,12 @@ PUSHED = [
      "cannot apply FLOOR to str"),
     ('SELECT n FROM "data" WHERE CEIL(v) > 0', "cannot apply CEIL to str"),
     ('SELECT n FROM "data" WHERE SQRT(v) > 0', "cannot apply SQRT to str"),
+    # ... and the ValueError of a number outside the function's domain
+    # or of a digits argument that is no number.
+    ('SELECT n FROM "data" WHERE SQRT(n - 2) > 0',
+     "cannot apply SQRT to -1"),
+    ('SELECT n FROM "data" WHERE ROUND(n, v) > 0',
+     "cannot apply ROUND to digits 'x'"),
 ]
 #: Statements whose failing expression only ever runs at the entry node.
 CENTRAL_ONLY = [
@@ -54,6 +60,9 @@ CENTRAL_ONLY = [
     ('SELECT ABS(v) AS x FROM "data"', "cannot apply ABS to str"),
     ('SELECT n FROM "data" ORDER BY FLOOR(v)',
      "cannot apply FLOOR to str"),
+    ('SELECT SQRT(-n) AS x FROM "data"', "cannot apply SQRT to -1"),
+    ('SELECT ROUND(n, \'a\') AS x FROM "data"',
+     "cannot apply ROUND to digits 'a'"),
 ]
 
 

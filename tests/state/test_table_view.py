@@ -7,6 +7,7 @@ import pytest
 
 from repro import ClusterConfig, Environment
 from repro.errors import SnapshotNotFoundError
+from repro.kvstore.derived import FAMILIES
 from repro.state.incremental import IncrementalSnapshotTable
 from repro.state.live import LiveStateTable
 from repro.state.lsm_backend import LsmSnapshotTable
@@ -104,15 +105,14 @@ def test_declared_capabilities_match_the_backend(backend, versions):
     assert view.supports_partition_rows is (
         single and hasattr(table, "rows_in_partition")
     )
-    assert view.supports_indexes is (
+    # One capability covers both derived families: a backend has the
+    # index reads exactly when it has the sketch reads.
+    assert view.supports_derived is (
         single and hasattr(table, "index_probe_count")
-    )
-    assert view.supports_sketches is (
-        single and hasattr(table, "approx_estimate")
-    )
+    ) is (single and hasattr(table, "approx_estimate"))
     # Nothing was indexed or sketched, whatever the backend could do.
-    assert view.index_ready() is False
-    assert view.sketch_ready() is False
+    for family in FAMILIES:
+        assert view.ready(family) is False
     if not view.supports_partition_rows:
         return
     args = () if versions is None else versions
