@@ -38,7 +38,7 @@ from __future__ import annotations
 from typing import Callable
 
 from ..errors import QueryError
-from ..sql import parse
+from ..sql.statements import parse_cached
 from ..sql.compiled import EvalContext, compile_predicate
 from ..sql.executor import hashable_key
 from .arrangements import Arrangement
@@ -129,7 +129,7 @@ class ContinuousQueryService:
     def explain_subscription(self, sql: str) -> str:
         """Which maintenance path ``subscribe(sql)`` would choose, and
         the shared-plan decision it would make."""
-        statement = parse(sql)
+        statement = self._parse(sql)
         self._validate_tables(statement)
         path, reason = classify(statement, self.store)
         canonical = canonicalize(statement, self.store,
@@ -176,7 +176,7 @@ class ContinuousQueryService:
             raise QueryError(
                 f"unknown delivery tier {tier!r} (expected one of {TIERS})"
             )
-        statement = parse(sql)
+        statement = self._parse(sql)
         self._validate_tables(statement)
         canonical = canonicalize(statement, self.store,
                                  extract_residual=self.shared_plans)
@@ -243,6 +243,10 @@ class ContinuousQueryService:
                 self._schedule_flush(subscription, delay=0.0)
 
     # -- wiring ------------------------------------------------------------
+
+    def _parse(self, sql: str):
+        return parse_cached(sql,
+                            self._ensure_query_service().statement_cache)
 
     def _validate_tables(self, statement) -> None:
         for name in statement.table_names():

@@ -72,6 +72,8 @@ class DirectObjectInterface:
 
     def _next_entry_node(self) -> int:
         alive = self.cluster.surviving_node_ids()
+        if not alive:
+            raise QueryError("no surviving nodes")
         node = alive[self._entry_rotation % len(alive)]
         self._entry_rotation += 1
         return node
@@ -90,20 +92,20 @@ class DirectObjectInterface:
 
     def _fetch(self, query: DirectQuery,
                snapshot_id: int | None) -> dict[Hashable, object]:
+        out: dict[Hashable, object] = {}
         if snapshot_id is None:
             table = self.store.get_live_table(query.table)
-            return {
-                key: table.get(key)
-                for key in query.keys
-                if table.get(key) is not None
-            }
+            for key in query.keys:
+                value = table.get(key)
+                if value is not None:
+                    out[key] = value
+            return out
         if snapshot_id == -1:
             committed = self.store.committed_ssid
             if committed is None:
                 raise SnapshotNotFoundError(-1)
             snapshot_id = committed
         table = self.store.get_snapshot_table(query.table)
-        out: dict[Hashable, object] = {}
         for instance in range(table.parallelism):
             state = table.instance_state(snapshot_id, instance)
             for key in query.keys:

@@ -47,7 +47,8 @@ from ..errors import (
     QueryTimeoutError,
     SnapshotNotFoundError,
 )
-from ..sql import EvalContext, parse
+from ..simtime import EventHandle
+from ..sql import EvalContext
 from ..sql.ast import Binary, Column, Expr, Literal, Select, Union
 from ..sql.batch import (
     CompiledFragment,
@@ -79,6 +80,7 @@ from ..sql.fragments import (
 )
 from ..sql.lru import LruCache
 from ..sql.planner import DictCatalog, ListTable, split_conjuncts
+from ..sql.statements import parse_cached
 from ..state.isolation import IsolationLevel, isolation_of_query
 from ..state.rows import ColumnBatch
 from ..state.view import TableView
@@ -193,6 +195,9 @@ class QueryExecution:
         #: ``point_key`` stays the single-key convenience view.
         self.point_keys: tuple | None = None
         self.on_done: Callable[["QueryExecution"], None] | None = None
+        #: The timeout backstop, cancelled when the query finishes so
+        #: the event queue lets go of a finished execution.
+        self.watchdog: EventHandle | None = None
 
     @property
     def done(self) -> bool:
@@ -487,6 +492,9 @@ class QueryService:
         #: Compiled scan fragments, per service: a fresh environment
         #: always bills its first compilation of a fragment shape.
         self.compiled_fragments: LruCache = LruCache(256)
+        #: Parsed statement shapes (``repro.sql.statements``), per
+        #: service like the fragment cache; parsing is not billed.
+        self.statement_cache: LruCache = LruCache(256)
         self._entry_rotation = 0
         self.queries_executed = 0
         #: Rows shipped to entry nodes across all finished queries.
@@ -551,7 +559,7 @@ class QueryService:
         use this to drive sustained query load cheaply while functional
         tests keep the default and check real results.
         """
-        select = parse(sql)
+        select = parse_cached(sql, self.statement_cache)
         views = self._bind(select, ())
         targets_snapshot = any(view.immutable for view in views.values())
         isolation = isolation_of_query(
@@ -596,8 +604,8 @@ class QueryService:
         ):
             record.plan = split_select(select)
         self._inflight[execution.qid] = record
-        self.sim.schedule(self.retry_policy.query_timeout_ms,
-                          self._watchdog, execution)
+        execution.watchdog = self.sim.schedule(
+            self.retry_policy.query_timeout_ms, self._watchdog, execution)
         attempt.pool(self.costs.sql_fixed_ms, self._after_plan, record,
                      snapshot_id)
         return execution
@@ -633,7 +641,7 @@ class QueryService:
         baseline when pushdown cannot apply."""
         from ..sql.explain import render_distributed
 
-        select = parse(sql)
+        select = parse_cached(sql, self.statement_cache)
         # Priced as of now: live tables as they are, snapshot tables at
         # the latest committed snapshot (no version before the first).
         committed = self.store.committed_ssid
@@ -801,6 +809,8 @@ class QueryService:
         path, success or failure."""
         if execution.done:
             return
+        if execution.watchdog is not None:
+            execution.watchdog.cancel()
         self._release_locks(execution)
         network = self.cluster.network
         for channel in execution.channels:

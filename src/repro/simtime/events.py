@@ -37,10 +37,13 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Unschedule the event; a no-op once it has fired or been
-        cancelled, so the queue's live count moves at most once."""
+        cancelled, so the queue's live count moves at most once.  The
+        arguments are dropped at once: the entry stays on the heap
+        until its time comes, and must not keep them alive."""
         entry = self._entry
         if entry[2] is not None:
             entry[2] = None
+            entry[3] = ()
             self._queue.dead += 1
 
 

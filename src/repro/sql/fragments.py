@@ -263,10 +263,20 @@ def extract_key_filter(conjuncts: list[Expr], key_column: str,
     """The tightest key restriction implied by top-level conjuncts.
 
     Only conjuncts that will also be (re-)evaluated against the rows may
-    contribute — the filter is a pruning aid, never the only filter."""
+    contribute — the filter is a pruning aid, never the only filter.
+
+    A key set names the partitions to read by hashing its keys, and
+    ``stable_hash`` hashes by type: ``7.0`` and ``TRUE`` equal the key
+    ``7`` / ``1`` but land elsewhere.  So only ``int`` and ``str``
+    literals pin keys; any other equality scans.  Ranges compare and
+    keep every literal."""
     combined: KeyFilter | None = None
     for conjunct in conjuncts:
         part = _conjunct_key_filter(conjunct, key_column, binding)
+        if isinstance(part, KeySet) and not all(
+            type(key) is int or type(key) is str for key in part.keys
+        ):
+            continue
         if part is not None:
             combined = _intersect(combined, part)
     return combined

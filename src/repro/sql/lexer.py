@@ -1,8 +1,26 @@
-"""SQL tokenizer."""
+"""SQL tokenizer.
+
+The whole lexical grammar is one compiled master pattern
+(:func:`master_pattern`): every match is one token, preceded by the
+whitespace and ``--`` comments it skips.  :func:`tokenize` reads tokens
+from it, and the statement cache (:mod:`repro.sql.statements`) keys
+statements on the same pattern, so the two can never disagree about
+where a literal starts or ends.
+
+Character classes follow ``str`` predicates exactly: a number starts at
+a ``str.isdigit`` character (or a ``.`` before one), a word at a
+``str.isalpha`` character or ``_`` and continues over ``str.isalnum``
+characters and ``_``.  For ASCII text ``\\d`` / ``\\w`` already are
+those classes; the few non-ASCII characters where they differ (digits
+that are not decimal, such as ``²``, and numerals that are not letters)
+are listed in a second instance of the same pattern, built on first use.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
+from functools import cache
+from typing import NamedTuple
 
 from ..errors import SqlLexError
 
@@ -18,15 +36,21 @@ KEYWORDS = {
 OPERATORS = ["<>", "<=", ">=", "!=", "=", "<", ">", "+", "-", "*", "/",
              "%", "(", ")", ",", "."]
 
+#: Capturing groups of the master pattern, in order: a bare word, a
+#: NUMBER or STRING literal as written (quotes included), an operator,
+#: a quoted identifier's body, and any other character (a lex error).
+#: ``re.split`` returns them in this order after each match.
+GROUPS = ("word", "literal", "op", "ident", "error")
 
-@dataclass(frozen=True)
-class Token:
+
+class Token(NamedTuple):
     """One lexical token.
 
     ``kind`` is one of ``KEYWORD``, ``IDENT``, ``NUMBER``, ``STRING``,
     ``OP`` or ``EOF``.  ``value`` holds the uppercase keyword, the
     identifier (case preserved, unquoted), the parsed number, the string
-    body, or the operator text.
+    body, or the operator text; ``position`` is the offset the token
+    starts at.
     """
 
     kind: str
@@ -34,102 +58,94 @@ class Token:
     position: int
 
 
+def _build(digit: str, word_start: str) -> re.Pattern:
+    operators = "|".join(re.escape(op) for op in OPERATORS)
+    number = (rf"(?:{digit}+(?:\.{digit}*)?|\.{digit}+)"
+              rf"(?:[eE](?:[+-]{digit}*|{digit}+|\Z))?")
+    # A closing quote is one not followed by another: without the
+    # lookahead, an unterminated ``'a''`` would backtrack to ``'a'``.
+    return re.compile(
+        r"\s*(?:--[^\n]*\s*)*(?:"
+        rf"(?P<word>{word_start}\w*)"
+        rf"|(?P<literal>{number}|'(?:[^']|'')*'(?!'))"
+        rf"|(?P<op>{operators})"
+        r'|"(?P<ident>(?:[^"]|"")*)"(?!")'
+        r"|(?P<error>.)"
+        r"|\Z)",
+        re.DOTALL,
+    )
+
+
+#: Exact for ASCII text, where ``\d`` is ``isdigit`` and ``[^\W\d]`` is
+#: ``isalpha`` or ``_``.
+_ASCII = _build(r"\d", r"[^\W\d]")
+
+
+@cache
+def _unicode() -> re.Pattern:
+    """The master pattern with the classes spelled out for every code
+    point: ``\\w`` characters that are neither letters nor decimal
+    digits are left out of word starts, and those of them that are
+    digits join the digit class."""
+    text = "".join(map(chr, range(0x110000)))
+    odd = [ch for ch in re.findall(r"[^\W\d_]", text) if not ch.isalpha()]
+    digits = re.escape("".join(ch for ch in odd if ch.isdigit()))
+    return _build(rf"[\d{digits}]",
+                  rf"(?![{re.escape(''.join(odd))}])[^\W\d]")
+
+
+def master_pattern(sql: str) -> re.Pattern:
+    """The compiled lexical grammar for ``sql``."""
+    return _ASCII if sql.isascii() else _unicode()
+
+
+def literal_values(texts) -> list:
+    """Values of NUMBER / STRING literals as written: ``'it''s'`` is
+    ``"it's"``, a number with a ``.`` or an exponent is a float, any
+    other an int.  Raises ``ValueError`` for a malformed number."""
+    values = []
+    for text in texts:
+        if text[0] == "'":
+            values.append(text[1:-1].replace("''", "'"))
+        elif "." in text or "e" in text or "E" in text:
+            values.append(float(text))
+        else:
+            values.append(int(text))
+    return values
+
+
 def tokenize(sql: str) -> list[Token]:
     """Convert SQL text into tokens; raises :class:`SqlLexError`."""
     tokens: list[Token] = []
-    i = 0
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch.isspace():
-            i += 1
+    for match in master_pattern(sql).finditer(sql):
+        group = match.lastgroup
+        if group is None:  # trailing whitespace and comments
             continue
-        # Line comments.
-        if sql.startswith("--", i):
-            end = sql.find("\n", i)
-            i = n if end == -1 else end + 1
-            continue
-        # Quoted identifier: "name" (doubled quote escapes).
-        if ch == '"':
-            value, i = _read_quoted(sql, i, '"')
-            tokens.append(Token("IDENT", value, i))
-            continue
-        # String literal: 'text' (doubled quote escapes).
-        if ch == "'":
-            value, i = _read_quoted(sql, i, "'")
-            tokens.append(Token("STRING", value, i))
-            continue
-        if ch.isdigit() or (ch == "." and i + 1 < n and sql[i + 1].isdigit()):
-            value, i = _read_number(sql, i)
-            tokens.append(Token("NUMBER", value, i))
-            continue
-        if ch.isalpha() or ch == "_":
-            start = i
-            while i < n and (sql[i].isalnum() or sql[i] == "_"):
-                i += 1
-            word = sql[start:i]
-            upper = word.upper()
+        start = match.start(group)
+        text = match[group]
+        if group == "word":
+            upper = text.upper()
             if upper in KEYWORDS:
                 tokens.append(Token("KEYWORD", upper, start))
             else:
-                tokens.append(Token("IDENT", word, start))
-            continue
-        matched = False
-        for op in OPERATORS:
-            if sql.startswith(op, i):
-                tokens.append(Token("OP", op, i))
-                i += len(op)
-                matched = True
-                break
-        if not matched:
-            raise SqlLexError(f"unexpected character {ch!r} at offset {i}")
-    tokens.append(Token("EOF", None, n))
-    return tokens
-
-
-def _read_quoted(sql: str, start: int, quote: str) -> tuple[str, int]:
-    """Read a quoted region starting at ``start``; handles doubling."""
-    i = start + 1
-    parts: list[str] = []
-    n = len(sql)
-    while i < n:
-        ch = sql[i]
-        if ch == quote:
-            if i + 1 < n and sql[i + 1] == quote:
-                parts.append(quote)
-                i += 2
-                continue
-            return "".join(parts), i + 1
-        parts.append(ch)
-        i += 1
-    raise SqlLexError(f"unterminated {quote} starting at offset {start}")
-
-
-def _read_number(sql: str, start: int) -> tuple[float | int, int]:
-    i = start
-    n = len(sql)
-    seen_dot = False
-    seen_exp = False
-    while i < n:
-        ch = sql[i]
-        if ch.isdigit():
-            i += 1
-        elif ch == "." and not seen_dot and not seen_exp:
-            seen_dot = True
-            i += 1
-        elif ch in "eE" and not seen_exp and i > start:
-            nxt = sql[i + 1] if i + 1 < n else ""
-            if nxt.isdigit() or nxt in "+-":
-                seen_exp = True
-                i += 2 if nxt in "+-" else 1
-            else:
-                break
+                tokens.append(Token("IDENT", text, start))
+        elif group == "literal":
+            try:
+                [value] = literal_values((text,))
+            except ValueError:
+                raise SqlLexError(
+                    f"bad number {text!r} at offset {start}") from None
+            kind = "STRING" if text[0] == "'" else "NUMBER"
+            tokens.append(Token(kind, value, start))
+        elif group == "op":
+            tokens.append(Token("OP", text, start))
+        elif group == "ident":
+            tokens.append(Token("IDENT", text.replace('""', '"'), start))
+        elif text in "\"'":
+            raise SqlLexError(
+                f"unterminated {text} starting at offset {start}")
         else:
-            break
-    text = sql[start:i]
-    try:
-        if seen_dot or seen_exp:
-            return float(text), i
-        return int(text), i
-    except ValueError:
-        raise SqlLexError(f"bad number {text!r} at offset {start}") from None
+            raise SqlLexError(
+                f"unexpected character {text!r} at offset {start}")
+    tokens.append(Token("EOF", None, len(sql)))
+    return tokens

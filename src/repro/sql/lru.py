@@ -1,9 +1,11 @@
 """A small deterministic LRU cache used by the SQL layer.
 
-Both compile-once caches — the LIKE-pattern regex cache in
-:mod:`repro.sql.compiled` and the fragment-closure cache each
-``QueryService`` hands to :func:`repro.sql.batch.compile_fragment` —
-need the same thing: a bounded mapping that
+The compile-once caches — the LIKE-pattern regex cache in
+:mod:`repro.sql.compiled`, and the fragment-closure and statement-shape
+caches each ``QueryService`` hands to
+:func:`repro.sql.batch.compile_fragment` and
+:func:`repro.sql.statements.parse_cached` — need the same thing: a
+bounded mapping that
 evicts the least-recently-used entry instead of flushing wholesale, and
 that counts hits/misses for :class:`~repro.observability.ClusterReport`.
 Eviction order is the ``OrderedDict`` recency order, a pure function of

@@ -32,6 +32,15 @@ def parse(sql: str) -> Select | Union:
     return _Parser(tokenize(sql)).parse_statement()
 
 
+def parse_literals(sql: str) -> tuple[Select | Union, list[Token],
+                                      list[Literal | None]]:
+    """:func:`parse`, plus the tokens it read and, per NUMBER / STRING
+    token, the literal it became (``None``: read by the grammar)."""
+    tokens = tokenize(sql)
+    parser = _Parser(tokens)
+    return parser.parse_statement(), tokens, parser.literals
+
+
 def _resolve_ordinal(order: OrderItem, items: list[SelectItem],
                      select_star: bool) -> OrderItem:
     """``ORDER BY 2`` names the second select item.  Resolved here, so
@@ -59,6 +68,11 @@ class _Parser:
     def __init__(self, tokens: list[Token]) -> None:
         self._tokens = tokens
         self._pos = 0
+        #: One entry per NUMBER / STRING token consumed, in token order:
+        #: the :class:`Literal` it became, or ``None`` where the grammar
+        #: used its value itself (``LIMIT`` / ``OFFSET``).  The statement
+        #: cache reads it to find the literal slots of a statement.
+        self.literals: list[Literal | None] = []
 
     # -- token helpers ------------------------------------------------------
 
@@ -192,6 +206,7 @@ class _Parser:
         if token.kind != "NUMBER" or not isinstance(token.value, int):
             raise SqlParseError(f"{clause} expects an integer")
         self._advance()
+        self.literals.append(None)
         return token.value
 
     def _parse_select_list(self) -> tuple[list[SelectItem], bool]:
@@ -352,12 +367,11 @@ class _Parser:
 
     def _parse_primary(self) -> Expr:
         token = self._peek()
-        if token.kind == "NUMBER":
+        if token.kind == "NUMBER" or token.kind == "STRING":
             self._advance()
-            return Literal(token.value)
-        if token.kind == "STRING":
-            self._advance()
-            return Literal(token.value)
+            literal = Literal(token.value)
+            self.literals.append(literal)
+            return literal
         if self._match_keyword("NULL"):
             return Literal(None)
         if self._match_keyword("TRUE"):

@@ -41,6 +41,9 @@ def run_shuffle_join():
     again = service.execute(SQL)
     other = QueryService(env).execute(SQL)
     assert first.join_strategies == ["shuffle"]
+    # The repeat parsed through the service's statement cache, which
+    # (like the fragment cache) starts empty with every service.
+    assert service.statement_cache.hits == 1
     # What ``perf``'s ``virt_digest`` hashes: virtual latencies, the
     # clock, the event count, every pool's busy time and the counters.
     pools = [

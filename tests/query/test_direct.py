@@ -119,3 +119,28 @@ def test_query_pools_keep_no_per_query_key(env):
     for node in env.cluster.nodes:
         assert node.query_pool.jobs_served > 0
         assert node.query_pool._key_busy_until == {}
+
+
+def test_live_get_reads_each_key_once(env, running):
+    table = env.store.get_live_table("average")
+    reads = []
+    original = table.get
+
+    def counting_get(key, default=None):
+        reads.append(key)
+        return original(key, default)
+
+    table.get = counting_get
+    doi = DirectObjectInterface(env)
+    query = doi.submit_get("average", [0, 1, 12345])
+    env.run_for(100)
+    assert set(query.values) == {0, 1}
+    assert sorted(reads) == [0, 1, 12345]
+
+
+def test_no_surviving_nodes_raises_query_error(env, running):
+    for node in env.cluster.nodes:
+        node.alive = False
+    doi = DirectObjectInterface(env)
+    with pytest.raises(QueryError, match="no surviving nodes"):
+        doi.submit_get("average", [0])

@@ -1,0 +1,62 @@
+"""Count-based guard on what a statement-cache hit costs.
+
+Modelled on ``tests/query/test_scan_frame_budget.py``: a hit must not
+fall back to parsing.  It never enters ``tokenize`` or any ``_Parser``
+method, and spends a fixed number of Python frames plus one per literal
+slot (the ``Literal`` it builds).  Counting frames repeats exactly;
+timing would not.
+"""
+
+import sys
+from collections import Counter
+from functools import partial
+
+import pytest
+
+from repro.sql.lexer import tokenize
+from repro.sql.lru import LruCache
+from repro.sql.parser import _Parser
+from repro.sql.statements import parse_cached
+
+#: Frames of a hit besides one per slot: ``parse_cached``, the pattern
+#: choice, the cache lookup, the literal conversion and the ``__init__``
+#: of each rebuilt node on the spine (two for these statements).
+FIXED = 6
+
+POINT = 'SELECT * FROM "riderlocation" WHERE key = {}'
+IN_LIST = ('SELECT * FROM "riderlocation" WHERE key IN '
+           "({}, 1415, 92, 6535, 8979, 323, 8462, 6433, 83, 2795)")
+
+
+def python_calls(function):
+    """Code objects of the Python frames entered while ``function()``
+    runs."""
+    calls = Counter()
+
+    def profiler(frame, event, _arg):
+        if event == "call":
+            calls[frame.f_code] += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(profiler)
+    try:
+        function()
+    finally:
+        sys.setprofile(previous)
+    return calls
+
+
+PARSING = {tokenize.__code__} | {
+    member.__code__ for member in vars(_Parser).values()
+    if hasattr(member, "__code__")
+} | {_Parser._describe.__code__}
+
+
+@pytest.mark.parametrize("template, slots", [(POINT, 1), (IN_LIST, 10)])
+def test_hit_spends_fixed_frames_plus_one_per_slot(template, slots):
+    cache = LruCache(256)
+    parse_cached(template.format(4711), cache)
+    calls = python_calls(partial(parse_cached, template.format(3), cache))
+    assert cache.hits == 1
+    assert not PARSING & set(calls), "a hit re-entered the parser"
+    assert sum(calls.values()) <= FIXED + slots, calls
