@@ -78,9 +78,6 @@ class Subscription:
     #: The canonicalization decision
     #: (:class:`~repro.continuous.plans.CanonicalPlan`).
     canonical: object | None = None
-    #: Compiled residual predicate over ``(row, context)`` for
-    #: snapshot/digest filtering; ``None`` when there is no residual.
-    residual_predicate: Callable | None = None
 
     active: bool = True
     #: True once the service dropped this subscriber as a slow consumer.

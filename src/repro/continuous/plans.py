@@ -16,9 +16,10 @@ statement into a :class:`CanonicalPlan`:
 
 The maintenance cost of a shared plan is charged **once per state
 update per plan**, however many subscribers attached; the residual is
-applied by the subscription router with hash routing (the residual's
-column values index straight into the subscriber table) plus the PR 7
-compiled-predicate machinery for snapshot filtering.
+applied by the subscription router as a hash key: a delta's column
+values index straight into the subscriber table, and a snapshot reads
+the subscriber's bucket of the plan's published rows indexed by the
+same value tuple.  The residual expression itself is never evaluated.
 
 Extraction is deliberately conservative — it only fires when the
 residual provably commutes with the shared plan:
@@ -32,11 +33,18 @@ residual provably commutes with the shared plan:
   be evaluated against delta entries and any residual-relevant change
   is guaranteed to surface as a delta.
 
-Note the one observable difference vs. evaluating the original WHERE:
-AND conjuncts are re-ordered (residual last).  Three-valued AND is
-commutative over values, so results are identical; only the *error*
-behaviour of pathological predicates (e.g. an unknown column that the
-original short-circuited past) can differ.
+The documented differences vs. evaluating the original WHERE are in
+*errors* only:
+
+* AND conjuncts are re-ordered (residual last).  Three-valued AND is
+  commutative over values, so results are identical; only the error
+  behaviour of pathological predicates (e.g. an unknown column that the
+  original short-circuited past) can differ.
+* A published row without a residual column reads it as NULL and
+  matches no residual, where the original WHERE raises ``unknown
+  column``; deltas and snapshots agree, and nothing raises from a
+  scheduled flush.  (A list, dict or set value matches no residual,
+  exactly as SQL ``=`` against a scalar literal is false for it.)
 """
 
 from __future__ import annotations

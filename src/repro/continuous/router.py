@@ -14,36 +14,50 @@ subscribers:
   O(matching subscribers), not O(subscribers).  Dict lookup uses the
   same ``==`` the SQL executor's ``=`` comparison uses, so hash routing
   and predicate evaluation agree (``1``/``1.0``/``True`` coalesce into
-  one bucket exactly as ``_compare`` treats them as equal).
+  one bucket exactly as ``compare`` treats them as equal).
 
 Residual routing handles *moves*: when an update changes a row's
 residual column value, the subscribers who previously published it
 receive a synthesized delete while the new bucket receives the upsert —
 per subscriber the routed stream is exactly what its own private
 :class:`StandingQuery` over the original statement would have emitted.
-Snapshot-shaped payloads (seed/coalesce/rollback/digest) are instead
-filtered with the subscriber's compiled residual predicate
-(:mod:`repro.sql.compiled`) swept over the plan's published rows.
+Snapshot-shaped payloads (seed/coalesce/rollback/digest) read the same
+key from the other side: each residual group also indexes the plan's
+*published rows* by value tuple (one arrangement per plan and column
+set, shared by every subscriber in the group, rebuilt on the first read
+after ``published`` changed), so a snapshot costs one dict lookup plus
+one row copy per row in the subscriber's bucket.  The value tuple is
+the one membership rule for deltas and snapshots alike.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Hashable
+from typing import Callable, Iterable
 
-from ..sql.executor import hashable_key
 from .plans import CanonicalPlan
+
+#: Values ``hashable_key`` would rewrite to their ``repr``: residual
+#: literals are scalars, so a row holding one matches no residual.
+_UNMATCHABLE = (list, dict, set)
 
 
 class _ResidualGroup:
-    """Subscribers sharing one residual column set, indexed by value."""
+    """Subscribers sharing one residual column set, indexed by value,
+    and the plan's published rows indexed by the same value tuple."""
 
-    __slots__ = ("columns", "by_value", "total")
+    __slots__ = ("columns", "by_value", "total", "rows_by_value",
+                 "rows_version")
 
     def __init__(self, columns: tuple[str, ...]) -> None:
         self.columns = columns
         #: residual value tuple -> subscriptions registered for it.
         self.by_value: dict[tuple, list] = {}
         self.total = 0
+        #: residual value tuple -> ``(out_key, row)`` of the plan's
+        #: published rows, in published order.
+        self.rows_by_value: dict[tuple | None, list] = {}
+        #: ``StandingQuery.version`` the row index was built at.
+        self.rows_version = -1
 
     def bucket(self, values: tuple) -> list:
         return self.by_value.get(values, ())
@@ -61,11 +75,27 @@ class _ResidualGroup:
         if not bucket:
             del self.by_value[values]
 
-    def row_values(self, row: dict) -> tuple:
-        """The row's residual-column value tuple (the hash-route key)."""
-        return tuple(
-            hashable_key(row.get(column)) for column in self.columns
-        )
+    def row_values(self, row: dict) -> tuple | None:
+        """The row's residual-column value tuple (the hash-route key);
+        ``None``, matching no subscriber, when a value is unmatchable.
+        A missing column reads as NULL and so matches nothing either."""
+        values = tuple(map(row.get, self.columns))
+        for value in values:
+            if isinstance(value, _UNMATCHABLE):
+                return None
+        return values
+
+    def published_bucket(self, standing, values: tuple) -> list:
+        """``(out_key, row)`` of every row ``standing`` publishes under
+        residual ``values``, in published order."""
+        if self.rows_version != standing.version:
+            index: dict[tuple | None, list] = {}
+            for out_key, row in standing.published.items():
+                index.setdefault(self.row_values(row), []).append(
+                    (out_key, row))
+            self.rows_by_value = index
+            self.rows_version = standing.version
+        return self.rows_by_value.get(values, ())
 
 
 class SharedPlan:
@@ -98,6 +128,15 @@ class SharedPlan:
     @property
     def subscriber_count(self) -> int:
         return len(self.subscribers)
+
+    def published_rows(self, canonical: CanonicalPlan) -> Iterable:
+        """``(out_key, row)`` of the published rows a subscriber with
+        ``canonical`` sees: its residual bucket, else every row."""
+        if not canonical.has_residual:
+            return self.standing.published.items()
+        group = self.groups[canonical.residual_columns]
+        return group.published_bucket(self.standing,
+                                      canonical.residual_values)
 
 
 class SubscriptionRouter:

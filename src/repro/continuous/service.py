@@ -39,7 +39,6 @@ from typing import Callable
 
 from ..errors import QueryError
 from ..sql.statements import parse_cached
-from ..sql.compiled import EvalContext, compile_predicate
 from ..sql.executor import hashable_key
 from .arrangements import Arrangement
 from .changelog import ChangeRecorder
@@ -195,10 +194,6 @@ class ContinuousQueryService:
             consume_ms=consume_ms, on_batch=on_batch, tier=tier,
             plan=plan, canonical=canonical,
         )
-        if canonical.has_residual:
-            subscription.residual_predicate = compile_predicate(
-                canonical.residual, statement.table.binding
-            )
         self._next_id += 1
         self.subscriptions[subscription.id] = subscription
         subscription.refresh_on_commit = plan.refresh_on_commit
@@ -541,21 +536,10 @@ class ContinuousQueryService:
             self._schedule_flush(subscription)
 
     def _snapshot_entries(self, subscription: Subscription) -> list[dict]:
-        """The subscriber's full current result: the plan's published
-        rows swept through the compiled residual predicate (if any)."""
-        published = subscription.plan.standing.published
-        predicate = subscription.residual_predicate
-        if predicate is None:
-            return [
-                {"key": key, "row": dict(row)}
-                for key, row in published.items()
-            ]
-        context = EvalContext(now_ms=self.sim.now)
-        return [
-            {"key": key, "row": dict(row)}
-            for key, row in published.items()
-            if predicate(row, context)
-        ]
+        """The subscriber's full current result: its residual bucket of
+        the plan's published rows (every row when unfiltered)."""
+        rows = subscription.plan.published_rows(subscription.canonical)
+        return [{"key": key, "row": dict(row)} for key, row in rows]
 
     # -- slow-consumer eviction --------------------------------------------
 

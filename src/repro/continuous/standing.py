@@ -338,6 +338,9 @@ class StandingQuery:
         self.table_name = statement.table_names()[0]
         #: out_key -> currently published result row.
         self.published: dict[object, dict] = {}
+        #: Bumped whenever ``published`` changes, so readers that index
+        #: it (the router's residual buckets) know to rebuild.
+        self.version = 0
         self.deltas_applied = 0
         self.rescans = 0
         self.rows_emitted = 0
@@ -376,6 +379,7 @@ class StandingQuery:
             self.dirty = True
             return
         self.published.clear()
+        self.version += 1
         self._groups.clear()
         for key, row in rows.items():
             self._apply(key, None, row)
@@ -417,8 +421,13 @@ class StandingQuery:
                new_row: dict | None) -> list[dict]:
         context = self._context()
         if self.path == PATH_FILTER_PROJECT:
-            return self._apply_filter_project(key, new_row, context)
-        return self._apply_aggregate(key, old_row, new_row, context)
+            entries = self._apply_filter_project(key, new_row, context)
+        else:
+            entries = self._apply_aggregate(key, old_row, new_row, context)
+        if entries:
+            # Every change to ``published`` emits an entry.
+            self.version += 1
+        return entries
 
     # -- filter/project path -----------------------------------------------
 
@@ -533,6 +542,7 @@ class StandingQuery:
         self.published = {
             ("row", index): dict(row) for index, row in enumerate(rows)
         }
+        self.version += 1
         self.rows_emitted += len(rows)
         self.dirty = False
         self.needs_rebuild = False

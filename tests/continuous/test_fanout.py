@@ -9,6 +9,8 @@ its co-subscribers; and cancelling the last subscription tears the
 arrangement (and its change capture) down.
 """
 
+import pytest
+
 from repro import ClusterConfig, Environment
 from repro.config import CostModel
 from repro.continuous.delivery import (
@@ -17,7 +19,9 @@ from repro.continuous.delivery import (
     TIER_COALESCED,
     TIER_DIGEST,
 )
+from repro.errors import SqlExecutionError
 from repro.query import QueryService
+from repro.state.live import LiveStateTable
 
 from ..conftest import build_average_job, make_squery_backend
 
@@ -124,6 +128,31 @@ def test_residual_subscribers_share_plan_without_leakage(env):
             row for row in table.rows() if row["partitionKey"] == key
         ]
         assert sub.rows() == expected
+
+
+def test_row_without_residual_column_matches_nothing_and_never_raises():
+    env = Environment(ClusterConfig(nodes=2, processing_workers_per_node=1))
+    imap = env.store.create_map("t")
+    table = LiveStateTable(imap)
+    env.store.register_live_table("t", table)
+    imap.put(1, {"tag": "a"})
+    imap.put(2, {"other": 1})
+    service = QueryService(env)
+    tagged = service.subscribe("SELECT * FROM \"t\" WHERE tag = 'a'")
+    star = service.subscribe('SELECT * FROM "t"')
+    # The seed snapshot reads the row without ``tag`` as NULL — no
+    # match, exactly as delta routing does — instead of raising from
+    # the scheduled flush.
+    env.run_for(50)
+    assert [row["key"] for row in tagged.rows()] == [1]
+    table.apply_update(3, {"other": 2})
+    table.apply_update(1, {"other": 3})   # moves row 1 out of the bucket
+    env.run_for(50)
+    assert tagged.rows() == []
+    assert len(star.rows()) == 3
+    # The documented difference: the original WHERE raises.
+    with pytest.raises(SqlExecutionError, match="unknown column 'tag'"):
+        service.execute(tagged.sql)
 
 
 def test_mixed_residuals_join_the_unfiltered_plan(env):

@@ -145,6 +145,70 @@ def test_numeric_bucket_coalescing_matches_sql_equality():
     assert len(ints.received) == 1
 
 
+def test_list_dict_and_set_values_match_no_residual():
+    router, _ = make_router()
+    plan = make_plan()
+    # Each literal spells the repr of a non-scalar value below.
+    subs = [
+        attach(router, plan, i, f'SELECT * FROM "orders" WHERE zone = {sql}')[0]
+        for i, sql in enumerate(("'[1]'", "'{''a'': 1}'", "'{1}'"))
+    ]
+    for value in ([1], {"a": 1}, {1}):
+        router.route(plan, [upsert("k", {"zone": value})], prev_row=None)
+        router.route(plan, [delete("k")], prev_row={"zone": value})
+    # A move from a scalar into a list retracts; nothing else arrives.
+    router.route(plan, [upsert("k", {"zone": [1]})],
+                 prev_row={"zone": "[1]"})
+    assert subs[0].received == [delete("k")]
+    assert subs[1].received == subs[2].received == []
+
+
+def test_missing_residual_column_matches_nothing():
+    router, _ = make_router()
+    plan = make_plan()
+    north, _ = attach(router, plan, 1,
+                      'SELECT * FROM "orders" WHERE zone = \'n\'')
+    router.route(plan, [upsert("k", {"amount": 5})], prev_row=None)
+    assert north.received == []
+
+
+@dataclass
+class FakeStanding:
+    published: dict
+    version: int = 0
+
+
+def test_published_rows_read_the_residual_bucket_in_published_order():
+    router, _ = make_router()
+    standing = FakeStanding({
+        "a": {"zone": "n"}, "b": {"zone": "s"}, "c": {"zone": "n"},
+        "d": {"zone": ["n"]}, "e": {"amount": 1}, "f": {"zone": "n"},
+    })
+    canonical = canonicalize(parse('SELECT * FROM "orders"'), FakeStore())
+    plan = SharedPlan("p", canonical, 'SELECT * FROM "orders"', standing)
+    _, north = attach(router, plan, 1,
+                      'SELECT * FROM "orders" WHERE zone = \'n\'')
+    _, south = attach(router, plan, 2,
+                      'SELECT * FROM "orders" WHERE zone = \'s\'')
+    _, plain = attach(router, plan, 3, 'SELECT * FROM "orders"')
+
+    def keys(canonical):
+        return [key for key, _row in plan.published_rows(canonical)]
+
+    assert keys(north) == ["a", "c", "f"]
+    assert keys(south) == ["b"]
+    assert keys(plain) == ["a", "b", "c", "d", "e", "f"]
+    group = plan.groups[("zone",)]
+    built = group.rows_by_value
+    assert keys(north) == ["a", "c", "f"]
+    assert group.rows_by_value is built  # same version: not rebuilt
+    # A new version (any change to ``published``) rebuilds on read.
+    standing.published["b"] = {"zone": "n"}
+    standing.version += 1
+    assert keys(north) == ["a", "b", "c", "f"]
+    assert keys(south) == []
+
+
 def test_detach_removes_subscriber_and_empty_groups():
     router, _ = make_router()
     plan = make_plan()

@@ -10,6 +10,8 @@ subscriber's rows through a residual filter.
 Seeds are fixed so CI is deterministic and failures reproduce exactly.
 """
 
+import random
+
 import pytest
 
 from repro import Environment
@@ -17,6 +19,7 @@ from repro.chaos import ChaosHarness
 from repro.config import ClusterConfig
 from repro.continuous.delivery import TIER_COALESCED, TIER_DIGEST
 from repro.query import QueryService
+from repro.state.live import LiveStateTable
 
 from ..conftest import build_average_job, make_squery_backend
 
@@ -119,6 +122,56 @@ def test_shared_on_off_views_bit_identical():
     assert_views_match_table(env_off, subs_off)
     assert_no_leakage(delivered_on)
     assert_no_leakage(delivered_off)
+
+
+#: Residual literals spelling the ``repr`` of the non-scalar tags below.
+TAG_SUBSCRIPTIONS = {
+    "list": "SELECT * FROM \"tags\" WHERE tag = '[1]'",
+    "dict": "SELECT * FROM \"tags\" WHERE tag = '{''a'': 1}'",
+    "set": "SELECT * FROM \"tags\" WHERE tag = '{1}'",
+    "star": 'SELECT * FROM "tags"',
+}
+
+
+def run_tag_scenario(shared: bool, seed: int):
+    """Seeded writes moving rows among scalar tags and non-scalar tags
+    whose ``repr`` equals another subscriber's literal."""
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+    imap = env.store.create_map("tags")
+    table = LiveStateTable(imap)
+    env.store.register_live_table("tags", table)
+    rng = random.Random(seed)
+
+    def tag():
+        return rng.choice(("[1]", [1], "{'a': 1}", {"a": 1}, "{1}", {1},
+                           "x"))
+
+    for key in range(KEYS):
+        imap.put(key, {"tag": tag()})
+    service = QueryService(env, shared_plans=shared)
+    subs = {name: service.subscribe(sql)
+            for name, sql in TAG_SUBSCRIPTIONS.items()}
+    for _ in range(200):
+        table.apply_update(rng.randrange(KEYS), {"tag": tag()})
+        env.run_for(rng.choice((0.0, 1.0, 4.0)))
+    env.run_for(200)
+    return service, subs
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_shared_on_off_identical_for_non_scalar_residual_values(seed):
+    service_on, subs_on = run_tag_scenario(shared=True, seed=seed)
+    service_off, subs_off = run_tag_scenario(shared=False, seed=seed)
+    assert final_views(subs_on) == final_views(subs_off)
+
+    def unordered(rows):
+        return sorted(repr(sorted(row.items())) for row in rows)
+
+    for name, sub in subs_on.items():
+        fresh = service_on.execute(sub.sql).result.rows
+        assert unordered(sub.rows()) == unordered(fresh), name
+        if name != "star":
+            assert all(isinstance(row["tag"], str) for row in sub.rows())
 
 
 @pytest.mark.parametrize("seed", [5, 17])
