@@ -28,6 +28,13 @@ def stable_hash(key: Hashable) -> int:
     return zlib.crc32(data) & 0x7FFFFFFF
 
 
+def stable_hashes(keys: list) -> list:
+    """:func:`stable_hash` of each key, ``None`` for a ``None`` key."""
+    if set(map(type, keys)) <= {int}:
+        return [key & 0x7FFFFFFF for key in keys]
+    return [None if key is None else stable_hash(key) for key in keys]
+
+
 class Partitioner:
     """Maps keys → partitions → (owner node, backup nodes)."""
 

@@ -23,16 +23,22 @@ candidates:
 Correctness never depends on the strategy: the coordinator manipulates
 the actual rows in-process (the data plane) while the chosen strategy
 decides *where* simulated time and network bytes are billed (the
-billing plane) — the same split the scan machinery uses.  Every row
-carries an *order tag* (a tuple of per-step ``(node, position)``
-components; LEFT-join NULL padding appends ``()``), and the entry node
-sorts merged rows by tag before finalizing, which reproduces the
-central left-deep execution's row order bit for bit.  Error precedence
-also mirrors central execution: scan-fragment errors (table FROM
-order, node-sorted) outrank statement-shape validation, which outranks
-the first build-key error (minimum right tag), which outranks the
-first probe-key error (minimum left tag); residual/projection errors
-surface naturally from the sorted merged rows.
+billing plane) — the same split the scan machinery uses.
+
+Join inputs stay in the column batches their shards shipped.  Each
+table is one run of rows in canonical order (node id, then scan order),
+and a row is its *position* in that run.  A build maps join keys to
+positions and a probe emits *position tuples*, one position per table
+joined so far (LEFT-join NULL padding appends ``-1``).  A tuple is also
+the row's *order tag*: the entry node sorts the tags, which reproduces
+the central left-deep execution's row order bit for bit, and only then
+shapes each into one merged dict — the row central would have built,
+down to its key order.  Error precedence also mirrors central
+execution: scan-fragment errors (table FROM order, node-sorted) outrank
+statement-shape validation, which outranks the first build-key error
+(minimum right position), which outranks the first probe-key error
+(minimum left tag); residual/projection errors surface naturally from
+the sorted merged rows.
 
 Every stage bills, ships and fans in through the query's attempt
 (``_Attempt`` in ``service.py``), so failure handling is the query
@@ -44,10 +50,15 @@ lived on the dead node.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
+from itertools import repeat
+from operator import gt, itemgetter
 
-from ..cluster.partition import copartitioned_tables, stable_hash
-from ..kvstore.indexes import EqProbe
+from ..cluster.partition import copartitioned_tables, stable_hashes
+from ..errors import SqlExecutionError
+from ..kvstore.indexes import MISSING, EqProbe
 from ..sql import EvalContext
 from ..sql.access import (
     JoinCandidate,
@@ -59,37 +70,16 @@ from ..sql.access import (
 )
 from ..sql.ast import Binary, Column, Literal, Select
 from ..sql.batch import compile_fragment, run_fragment_batches
+from ..sql.compiled import column_reads
 from ..sql.executor import (
-    bind_row,
-    build_join_index,
-    collect_right_columns,
-    compile_join_key,
     execute_joined_select,
-    probe_join_index,
+    join_key,
+    join_keys,
+    using_keys,
     validate_joined_select,
 )
 from ..sql.fragments import JoinFragment, KeySet, join_fragments, partition_aligned_binding
-
-
-class _JoinLocalAck:
-    """Scan payload held on its node for a later join stage.
-
-    The rows travel in-process (data plane) but the shipment bills only
-    a framed control message (``row_overhead_bytes``): in join mode the
-    node's shard output is a *join input kept local*, not a result
-    shipped to the entry node.  ``__len__`` is 0 so the generic arrival
-    path counts no shipped rows; the held rows are discarded with the
-    payload buffer when a retry voids the attempt.
-    """
-
-    __slots__ = ("node_id", "rows")
-
-    def __init__(self, node_id: int, rows: list) -> None:
-        self.node_id = node_id
-        self.rows = rows
-
-    def __len__(self) -> int:
-        return 0
+from ..state.rows import ColumnBatch, ColumnReader
 
 
 @dataclass
@@ -333,6 +323,104 @@ def start_join_pipeline(service, record) -> None:
     _PipelineRunner(service, record).run()
 
 
+class _Side:
+    """One join input: the blocks its shards shipped, as one batch in
+    canonical order (node id, then scan order)."""
+
+    def __init__(self, binding: str, blocks: dict[int, ColumnBatch]) -> None:
+        self.binding = binding
+        self.rows = ColumnBatch(ColumnReader())
+        #: node id -> the positions of its block's rows.
+        self.spans: dict[int, range] = {}
+        for node_id in sorted(blocks):
+            start = len(self.rows)
+            self.rows.extend(blocks[node_id])
+            self.spans[node_id] = range(start, len(self.rows))
+        #: The columns of every row, in row order (``None``: rows differ).
+        self.layout = self.rows.layout()
+        #: A LEFT-join probe padded some left row with this side.
+        self.padded = False
+        self._columns: dict = {}
+        self._bound: tuple[list, list] | None = None
+        self._pad: dict | None = None
+
+    def column(self, name) -> list:
+        """A stored column, or (for a :class:`Column`) the column as the
+        rows' bound form reads it; :data:`MISSING` where a row has none."""
+        if name not in self._columns:
+            if isinstance(name, str):
+                self._columns[name] = self.rows.column(name)
+            else:  # the first of the names it reads that a row has
+                first, *fallback = column_reads(name, self.binding)
+                values = self.column(first)
+                if fallback and MISSING in values:
+                    values = [found if value is MISSING else value for
+                              value, found in zip(values,
+                                                  self.column(fallback[0]))]
+                self._columns[name] = values
+        return self._columns[name]
+
+    def bound(self) -> tuple[list, list]:
+        """Each row as ``dict(zip(names, values))`` binds it: its
+        columns, then the same qualified with the binding."""
+        if self._bound is None:
+            layouts, rows = self.rows.tuples()
+            self._bound = ([self.qualified(names) for names in layouts],
+                           [row + row for row in rows])
+        return self._bound
+
+    def qualified(self, names: tuple[str, ...]) -> tuple[str, ...]:
+        return names + tuple(f"{self.binding}.{name}" for name in names)
+
+    def pad(self) -> dict:
+        """LEFT-join NULL padding: every bound column, in the order the
+        central join's right-column set, built row by row, holds them."""
+        if self._pad is None:
+            columns: set = set()
+            for names in dict.fromkeys(self.bound()[0]):
+                columns.update(names)
+            self._pad = dict.fromkeys(columns)
+        return self._pad
+
+
+def _nbytes(costs, rows: int, columns: int) -> int:
+    return rows * costs.row_overhead_bytes + columns * costs.column_bytes
+
+
+def _step_keys(using: tuple[str, ...], expr: Column | None, read,
+               order) -> tuple[list, list, tuple | None]:
+    """One side of a join step, per row in ``order``: the routing key
+    (``None``: the row cannot match), the hash key, and the first key
+    error as ``((rank, tag), error)`` — an unknown column ranks 0, a
+    value no hash join can key its key column's place (from 1).
+    ``read`` reads a :class:`Column` of the rows; a ``USING`` column a
+    row lacks reads as NULL."""
+    if using:
+        parts = [[None if value is MISSING else value
+                  for value in read(Column(name))] for name in using]
+        routes = [None if None in key else key for key in zip(*parts)]
+    else:
+        parts = [read(expr)]
+        routes = parts[0]
+        if MISSING in routes:
+            error = SqlExecutionError(f"unknown column {expr.display()!r}")
+            tag = min(tag for tag, value in zip(order, routes)
+                      if value is MISSING)
+            return [None if value is MISSING else value for value in routes], \
+                [None] * len(routes), ((0, tag), error)
+    try:
+        return routes, using_keys(parts) if using else join_keys(parts[0]), \
+            None
+    except SqlExecutionError:
+        pass
+    for rank, values in enumerate(parts, start=1):
+        for tag, value in sorted(zip(order, values), key=itemgetter(0)):
+            try:
+                join_key(value)
+            except SqlExecutionError as exc:
+                return routes, [None] * len(routes), ((rank, tag), exc)
+
+
 class _PipelineRunner:
     """Executes one query's join stages; one instance per (re)start.
 
@@ -346,55 +434,63 @@ class _PipelineRunner:
         self.execution = record.execution
         self.attempt = record.attempt
         self.costs = service.costs
-        self.context = EvalContext(now_ms=service.sim.now)
-        #: holder node -> [(tag, bound row), ...] in tag order.
-        self.left: dict[int, list] = {}
+        #: The base table, then each step's right side; a left row's
+        #: order tag holds one position in each.
+        self.sides: list[_Side] = []
+        #: holder node -> order tags of the left rows it holds, in order.
+        self.left: dict[int, list[tuple]] = {}
         self.scanned = 0
 
     # -- plumbing -------------------------------------------------------
 
-    def _payload_rows(self, table: str) -> dict[int, list]:
-        per_node = self.attempt.rows[table]
-        return {
-            node_id: (payload.rows
-                      if isinstance(payload, _JoinLocalAck) else payload)
-            for node_id, payload in per_node.items()
-        }
+    def _side(self, binding: str, blocks: dict[int, ColumnBatch]) -> _Side:
+        side = _Side(binding, blocks)
+        self.sides.append(side)
+        self.scanned += len(side.rows)
+        return side
 
-    def _raw_bytes(self, raws) -> int:
-        costs = self.costs
-        return sum(
-            costs.row_overhead_bytes + len(raw) * costs.column_bytes
-            for raw in raws
-        )
+    def _left_values(self, tags: list, column: Column) -> list:
+        """``column`` as each left row's merged row reads it: from the
+        first side, left to right, whose row has it (a padded side has
+        every column it pads, as NULL); :data:`MISSING` where none has."""
+        values: list = []
+        for index, side in enumerate(self.sides[:len(tags[0])] if tags
+                                     else ()):
+            found = side.column(column)
+            if side.padded:  # position -1 reads the padding
+                found = found + [None if column_reads(column, None)[0]
+                                 in side.pad() else MISSING]
+            read = list(map(found.__getitem__, map(itemgetter(index), tags)))
+            values = read if not values else [
+                other if value is MISSING else value
+                for value, other in zip(values, read)
+            ]
+            if MISSING not in values:
+                break
+        return values
 
-    def _bound_bytes(self, tagged) -> int:
-        costs = self.costs
-        total = 0
-        for _tag, row in tagged:
-            width = sum(1 for name in row if "." not in name)
-            total += costs.row_overhead_bytes + width * costs.column_bytes
-        return total
+    def _probe_keys(self, step: JoinFragment, tags: list) -> tuple:
+        return _step_keys(step.using, step.probe,
+                          partial(self._left_values, tags), tags)
 
-    def _tagged_rights(self, step: JoinFragment,
-                       raw_by_node: dict[int, list]) -> list:
-        return [
-            ((node_id, position), bind_row(raw, step.binding))
-            for node_id in sorted(raw_by_node)
-            for position, raw in enumerate(raw_by_node[node_id])
-        ]
+    def _widths(self, tags: list) -> list[int]:
+        """Each left row's unqualified column count: the columns a
+        shipped merged row bills."""
+        sides = self.sides[:len(tags[0])] if tags else []
+        if all(side.layout is not None for side in sides):
+            names = {name for side in sides for name in side.layout
+                     if "." not in name}
+            return [len(names)] * len(tags)
+        return [sum("." not in name for name in self._merged(tag, len(tag)))
+                for tag in tags]
 
     # -- pipeline -------------------------------------------------------
 
     def run(self) -> None:
-        base_rows = self._payload_rows(self.join.base_table)
-        binding = self.join.base_binding
-        for node_id in sorted(base_rows):
-            self.left[node_id] = [
-                (((node_id, position),), bind_row(raw, binding))
-                for position, raw in enumerate(base_rows[node_id])
-            ]
-        self.scanned = sum(len(rows) for rows in base_rows.values())
+        base = self._side(self.join.base_binding,
+                          self.attempt.rows[self.join.base_table])
+        for node_id, span in base.spans.items():
+            self.left[node_id] = list(zip(span))
         self._step(0)
 
     def _step(self, index: int) -> None:
@@ -406,53 +502,69 @@ class _PipelineRunner:
         if strategy == "index-nested-loop":
             self._run_index_nested(index, step)
             return
-        raw_by_node = self._payload_rows(step.table)
-        rights = self._tagged_rights(step, raw_by_node)
-        self.scanned += len(rights)
-        self.execution.join_build_rows += len(rights)
-        right_columns = collect_right_columns(
-            [row for _tag, row in rights]
-        )
-        build_index, build_error = build_join_index(
-            rights, step.using, step.build, self.context
-        )
+        right = self._side(step.binding, self.attempt.rows[step.table])
+        routes, build, build_error = self._build(step, right)
         if strategy == "copartitioned":
-            self._run_copartitioned(index, step, raw_by_node,
-                                    build_index, build_error,
-                                    right_columns)
+            self._run_copartitioned(index, step, right, build,
+                                    build_error)
         elif strategy == "broadcast":
-            self._run_broadcast(index, step, raw_by_node, build_index,
-                                build_error, right_columns, len(rights))
+            self._run_broadcast(index, step, right, build, build_error)
         else:
-            self._run_shuffle(index, step, raw_by_node, rights,
-                              build_index, build_error, right_columns)
+            self._run_shuffle(index, step, right, routes, build,
+                              build_error)
+
+    def _build(self, step: JoinFragment, right: _Side) -> tuple:
+        """Each right row's routing key, the map from join key to row
+        positions (NULL keys cannot match and never enter), and the
+        first key error."""
+        self.execution.join_build_rows += len(right.rows)
+        routes, keys, error = _step_keys(
+            step.using, step.build, right.column, range(len(right.rows))
+        )
+        build: dict = {}
+        for position, key in enumerate(keys):
+            if key is not None:
+                build.setdefault(key, []).append((position,))
+        return routes, build, error
 
     # A build-key error outranks every probe error (central evaluates
     # the whole build side before probing), so stages check it after
     # their build billing and before any probe work.
 
-    def _probe_all(self, step: JoinFragment, build_index: dict,
-                   right_columns: set,
-                   lefts: dict[int, list]) -> tuple[dict, object]:
-        """Probe every holder's rows; returns (results per holder,
-        minimum-tag probe error)."""
+    def _match(self, index: int, step: JoinFragment, build: dict,
+               tags, keys) -> list:
+        """Each left row's tag extended with every matching position —
+        or, LEFT, with ``-1``, which sorts before any match but only ever
+        meets tags of the same left row."""
+        pad = ((-1,),) if step.kind == "LEFT" else ()
+        get = build.get
+        matched = [tag + position for tag, key in zip(tags, keys)
+                   for position in get(key) or pad]
+        if pad and any(tag[-1] < 0 for tag in matched):
+            self.sides[index + 1].padded = True
+        return matched
+
+    def _probe_all(self, index: int, step: JoinFragment, build: dict,
+                   keyed: dict | None = None) -> None:
+        """Probe every holder's rows — ``keyed`` holds them with their
+        keys when routing read those — then advance, or finish with the
+        minimum-tag probe error."""
         results: dict[int, list] = {}
         probe_error = None
-        for node_id in sorted(lefts):
-            rows, error = probe_join_index(
-                lefts[node_id], build_index, step.using, step.probe,
-                step.kind, right_columns, self.context,
-            )
-            if rows:
-                results[node_id] = rows
-            if error is not None and (
-                probe_error is None or error[0] < probe_error[0]
-            ):
-                probe_error = error
-        return results, probe_error
-
-    def _advance(self, index: int, results: dict[int, list],
-                 probe_error) -> None:
+        if keyed is None:
+            keyed = {node_id: (tags, None)
+                     for node_id, tags in self.left.items()}
+        for node_id in sorted(keyed):
+            tags, keys = keyed[node_id]
+            if keys is None:
+                _routes, keys, error = self._probe_keys(step, tags)
+                if error is not None and (
+                    probe_error is None or error[0] < probe_error[0]
+                ):
+                    probe_error = error
+            matched = self._match(index, step, build, tags, keys)
+            if matched:
+                results[node_id] = matched
         if probe_error is not None:
             self.attempt.finish(None, probe_error[1])
             return
@@ -462,26 +574,22 @@ class _PipelineRunner:
     # -- co-partitioned -------------------------------------------------
 
     def _run_copartitioned(self, index: int, step: JoinFragment,
-                           raw_by_node: dict, build_index: dict,
-                           build_error, right_columns: set) -> None:
+                           right: _Side, build: dict, build_error) -> None:
         # Build and probe are local to every node; matching rows are
-        # co-located by the partition key, so probing the global index
+        # co-located by the partition key, so probing the global map
         # returns exactly the local matches.  Nothing crosses the wire.
-        holders = sorted(set(self.left) | set(raw_by_node))
+        holders = sorted(set(self.left) | set(right.spans))
 
         def stages_done() -> None:
             if build_error is not None:
                 self.attempt.finish(None, build_error[1])
                 return
-            results, probe_error = self._probe_all(
-                step, build_index, right_columns, self.left
-            )
-            self._advance(index, results, probe_error)
+            self._probe_all(index, step, build)
 
         staged = self.attempt.gather(len(holders), stages_done)
         for node_id in holders:
             duration = join_stage_ms(
-                self.costs, len(raw_by_node.get(node_id, ())),
+                self.costs, len(right.spans.get(node_id, ())),
                 len(self.left.get(node_id, ())),
             )
             self.attempt.bill(node_id, node_id + index, duration, staged)
@@ -489,69 +597,37 @@ class _PipelineRunner:
     # -- broadcast ------------------------------------------------------
 
     def _run_broadcast(self, index: int, step: JoinFragment,
-                       raw_by_node: dict, build_index: dict,
-                       build_error, right_columns: set,
-                       build_rows: int) -> None:
+                       right: _Side, build: dict, build_error) -> None:
         execution = self.execution
-        build_bytes = sum(
-            self._raw_bytes(raw_by_node[node_id])
-            for node_id in raw_by_node
-        )
-        results: dict[int, list] = {}
-        errors: list = []
-
-        def probes_done() -> None:
-            probe_error = None
-            for error in errors:
-                if probe_error is None or error[0] < probe_error[0]:
-                    probe_error = error
-            self._advance(index, results, probe_error)
+        build_bytes = _nbytes(self.costs, len(right.rows), right.rows.width())
 
         def built() -> None:
             if build_error is not None:
                 self.attempt.finish(None, build_error[1])
                 return
             holders = sorted(self.left)
-            probed = self.attempt.gather(len(holders), probes_done)
+            probed = self.attempt.gather(len(holders), self._probe_all,
+                                         index, step, build)
             for node_id in holders:
                 execution.join_bytes_broadcast += build_bytes
                 execution.bytes_shipped += build_bytes
+                # Each holder probes its rows once the build arrives.
                 self.attempt.send(
                     execution.entry_node, node_id, ("join-bcast", index),
-                    build_bytes, self._broadcast_arrived, index, step,
-                    node_id, build_index, right_columns, results, errors,
+                    build_bytes, self.attempt.bill, node_id, node_id + index,
+                    join_stage_ms(self.costs, 0, len(self.left[node_id])),
                     probed,
                 )
 
         # The build side reached the entry node through the normal scan
         # shipment; it is built once there, then replicated.
-        self.attempt.pool(join_stage_ms(self.costs, build_rows, 0), built)
-
-    def _broadcast_arrived(self, index: int, step: JoinFragment,
-                           node_id: int, build_index: dict,
-                           right_columns: set, results: dict,
-                           errors: list, probed) -> None:
-        lefts = self.left.get(node_id, [])
-        duration = join_stage_ms(self.costs, 0, len(lefts))
-
-        def probe() -> None:
-            rows, error = probe_join_index(
-                lefts, build_index, step.using, step.probe,
-                step.kind, right_columns, self.context,
-            )
-            if rows:
-                results[node_id] = rows
-            if error is not None:
-                errors.append(error)
-            probed()
-
-        self.attempt.bill(node_id, node_id + index, duration, probe)
+        self.attempt.pool(join_stage_ms(self.costs, len(right.rows), 0),
+                          built)
 
     # -- shuffle-hash ---------------------------------------------------
 
-    def _run_shuffle(self, index: int, step: JoinFragment,
-                     raw_by_node: dict, rights: list, build_index: dict,
-                     build_error, right_columns: set) -> None:
+    def _run_shuffle(self, index: int, step: JoinFragment, right: _Side,
+                     routes: list, build: dict, build_error) -> None:
         if build_error is not None:
             # Central raises while building, before anything probes —
             # and before this step would have shipped anything.
@@ -561,61 +637,65 @@ class _PipelineRunner:
         execution = self.execution
         workers = sorted(self.service.cluster.surviving_node_ids())
         count = max(1, len(workers))
+        transfer: Counter = Counter()
+        counts = {"build": Counter(), "probe": Counter()}
 
-        def worker_of(key) -> int:
-            return workers[stable_hash(key) % count]
+        def route(sender: int, keys, widths, side: str,
+                  fallback: int | None) -> list:
+            """Each row's worker — its key's, ``fallback`` for a NULL
+            key — billing the trip of every row that goes somewhere."""
+            went = [fallback if hashed is None else workers[hashed % count]
+                    for hashed in stable_hashes(keys)]
+            tally = (Counter(zip(went, widths)) if len(set(widths)) > 1
+                     else {(worker, widths[0]): rows
+                           for worker, rows in Counter(went).items()})
+            for (worker, width), rows in tally.items():
+                if worker is not None:
+                    counts[side][worker] += rows
+                    transfer[sender, worker] += _nbytes(costs, rows,
+                                                        rows * width)
+            return went
 
-        build_key = compile_join_key(step.using, step.build)
-        probe_key = compile_join_key(step.using, step.probe)
-        # Route the build side: one slice per worker, keyed exactly
-        # like the index (NULL keys never ship — they cannot match).
-        transfer: dict[tuple[int, int], int] = {}
-        build_counts: dict[int, int] = {}
-        position = 0
-        for node_id in sorted(raw_by_node):
-            for raw in raw_by_node[node_id]:
-                _tag, row = rights[position]
-                position += 1
-                key = _shuffle_key(build_key, row, self.context)
-                if key is None:
-                    continue
-                worker = worker_of(key)
-                nbytes = (costs.row_overhead_bytes
-                          + len(raw) * costs.column_bytes)
-                transfer[node_id, worker] = (
-                    transfer.get((node_id, worker), 0) + nbytes
-                )
-                build_counts[worker] = build_counts.get(worker, 0) + 1
+        # Route the build side: one slice per worker, keyed exactly like
+        # the map (NULL keys never ship — they cannot match).
+        widths = ([len(right.layout)] * len(right.rows)
+                  if right.layout is not None
+                  else [len(names) // 2 for names in right.bound()[0]])
+        for node_id, span in right.spans.items():
+            route(node_id, routes[span.start:span.stop],
+                  widths[span.start:span.stop], "build", None)
         # Route the probe side; erroring/NULL keys go to the first
         # worker, where the probe re-raises or pads deterministically.
-        lefts_by_worker: dict[int, list] = {}
-        probe_counts: dict[int, int] = {}
+        held = {worker: ([], []) for worker in workers}  # tags, keys
+        errors = []
         for node_id in sorted(self.left):
-            for tag, row in self.left[node_id]:
-                key = _shuffle_key(probe_key, row, self.context)
-                worker = workers[0] if key is None else worker_of(key)
-                lefts_by_worker.setdefault(worker, []).append((tag, row))
-                probe_counts[worker] = probe_counts.get(worker, 0) + 1
-                transfer[node_id, worker] = (
-                    transfer.get((node_id, worker), 0)
-                    + self._bound_bytes([(tag, row)])
-                )
+            tags = self.left[node_id]
+            keyed, keys, error = self._probe_keys(step, tags)
+            errors += [error] if error is not None else []
+            went = route(node_id, keyed, self._widths(tags), "probe",
+                         workers[0])
+            for worker, tag, key in zip(went, tags, keys):
+                worker_tags, worker_keys = held[worker]
+                worker_tags.append(tag)
+                worker_keys.append(key)
 
         def workers_done() -> None:
-            results, probe_error = self._probe_all(
-                step, build_index, right_columns,
-                {w: sorted(lefts_by_worker[w]) for w in lefts_by_worker},
-            )
-            self._advance(index, results, probe_error)
+            if errors:
+                self.attempt.finish(None, min(errors, key=itemgetter(0))[1])
+                return
+            for worker, (tags, keys) in held.items():
+                if any(map(gt, tags, tags[1:])):  # into tag order
+                    order = sorted(range(len(tags)), key=tags.__getitem__)
+                    held[worker] = ([tags[i] for i in order],
+                                    [keys[i] for i in order])
+            self._probe_all(index, step, build, held)
 
         def all_arrived() -> None:
-            busy = sorted(set(build_counts) | set(probe_counts))
+            busy = sorted(set(counts["build"]) | set(counts["probe"]))
             worked = self.attempt.gather(len(busy), workers_done)
             for worker in busy:
-                duration = join_stage_ms(
-                    costs, build_counts.get(worker, 0),
-                    probe_counts.get(worker, 0),
-                )
+                duration = join_stage_ms(costs, counts["build"][worker],
+                                         counts["probe"][worker])
                 self.attempt.bill(worker, worker + index, duration,
                                   worked)
 
@@ -640,18 +720,22 @@ class _PipelineRunner:
         costs = self.costs
         view = self.record.views[step.table]
         column = step.using[0] if step.using else step.build.name
-        probe_key = compile_join_key(step.using, step.probe)
         keys: list = []
         seen: set = set()
         for node_id in sorted(self.left):
-            for _tag, row in self.left[node_id]:
-                key = _shuffle_key(probe_key, row, self.context)
+            routes, hashed, _error = self._probe_keys(
+                step, self.left[node_id]
+            )
+            for key, marker in zip(routes, hashed):
                 if key is None:
                     continue  # NULL / erroring keys cannot match
                 if step.using:
                     key = key[0]
-                if key not in seen:
-                    seen.add(key)
+                # A NaN equals nothing, itself included: dedupe it by
+                # identity, as a set of raw keys does.
+                marker = id(key) if marker is None else marker
+                if marker not in seen:
+                    seen.add(marker)
                     keys.append(key)
         probe = EqProbe(values=tuple(keys))
         fragment = self.record.fragment(step.table)
@@ -660,11 +744,12 @@ class _PipelineRunner:
                 fragment, service.compiled_fragments
             )
         nodes = sorted(service.cluster.surviving_node_ids())
-        surviving: dict[int, list] = {}
+        surviving: dict[int, ColumnBatch] = {}
         fetched = self.attempt.gather(
             len(nodes), self._index_build_and_broadcast, index, step,
             surviving,
         )
+        context = EvalContext(now_ms=service.sim.now)
         for node_id in nodes:
             partitions = view.partitions_on_node(node_id)
             candidates = view.index_scan(partitions, column, probe)
@@ -673,14 +758,14 @@ class _PipelineRunner:
             if fragment is not None:
                 try:
                     lock_keys, payload, _batches = run_fragment_batches(
-                        compiled, candidates, self.context,
+                        compiled, candidates, context,
                         costs.scan_chunk_entries,
                     )
                 except Exception as exc:  # noqa: BLE001 — ship as the error
                     self.attempt.finish(None, exc)
                     return
             else:
-                lock_keys, payload = candidates.keys, candidates.rows()
+                lock_keys, payload = candidates.keys, candidates
             if payload:
                 surviving[node_id] = payload
             duration = shard_read_ms(
@@ -688,38 +773,28 @@ class _PipelineRunner:
                 pushed_stage(fragment, len(candidates)),
                 len(partitions), indexed=True,
             )
-
-            if service.repeatable_read and not view.immutable:
-                self.attempt.bill(
-                    node_id, node_id + index, duration,
-                    service._lock_rows, execution, step.table, lock_keys,
-                    fetched,
-                )
-            else:
-                self.attempt.bill(node_id, node_id + index, duration,
-                                  fetched)
+            # Known only now, these rows lock after the scanned tables'.
+            then = ((service._lock_rows, execution, step.table, lock_keys,
+                     fetched)
+                    if service.repeatable_read and not view.immutable
+                    else (fetched,))
+            self.attempt.bill(node_id, node_id + index, duration, *then)
 
     def _index_build_and_broadcast(self, index: int, step: JoinFragment,
-                                   surviving: dict[int, list]) -> None:
+                                   surviving: dict[int, ColumnBatch]
+                                   ) -> None:
         execution = self.execution
 
         def assembled() -> None:
-            rights = self._tagged_rights(step, surviving)
-            self.scanned += len(rights)
-            execution.join_build_rows += len(rights)
-            right_columns = collect_right_columns(
-                [row for _tag, row in rights]
-            )
-            build_index, build_error = build_join_index(
-                rights, step.using, step.build, self.context
-            )
-            self._run_broadcast(index, step, surviving, build_index,
-                                build_error, right_columns, len(rights))
+            right = self._side(step.binding, surviving)
+            _routes, build, build_error = self._build(step, right)
+            self._run_broadcast(index, step, right, build, build_error)
 
         senders = sorted(surviving)
         arrived = self.attempt.gather(len(senders), assembled)
         for node_id in senders:
-            nbytes = self._raw_bytes(surviving[node_id])
+            block = surviving[node_id]
+            nbytes = _nbytes(self.costs, len(block), block.width())
             execution.bytes_shipped += nbytes
             self.attempt.send(node_id, execution.entry_node,
                               ("join-inlj", index), nbytes, arrived)
@@ -734,21 +809,20 @@ class _PipelineRunner:
             len(holders), self.attempt.merge, self._finalize, shipped
         )
         for node_id in holders:
-            rows = self.left[node_id]
-            nbytes = self._bound_bytes(rows)
-            execution.rows_shipped += len(rows)
+            tags = self.left[node_id]
+            nbytes = _nbytes(self.costs, len(tags), sum(self._widths(tags)))
+            execution.rows_shipped += len(tags)
             execution.bytes_shipped += nbytes
             self.attempt.send(node_id, execution.entry_node,
                               "join-result", nbytes, arrived)
-            shipped.extend(rows)
+            shipped.extend(tags)
 
     def _finalize(self, shipped: list) -> None:
-        shipped.sort(key=lambda item: item[0])
-        rows = [row for _tag, row in shipped]
+        shipped.sort()
         context = EvalContext(now_ms=self.service.sim.now)
         try:
             result = execute_joined_select(
-                self.join.final_select, rows, context,
+                self.join.final_select, self._gather(shipped), context,
                 scanned=self.scanned,
             )
         except Exception as exc:  # surface SQL errors on the handle
@@ -756,12 +830,41 @@ class _PipelineRunner:
             return
         self.attempt.finish(result, None)
 
+    def _gather(self, tags: list) -> list[dict]:
+        """One merged bound row per order tag, the dict central's
+        left-deep join builds: the right-most table's columns first,
+        each earlier table's values winning."""
+        sides = self.sides
+        if not tags or len(sides) != 2 or any(
+            side.padded or side.layout is None for side in sides
+        ):
+            return [self._merged(tag, len(tag)) for tag in tags]
+        names: tuple = ()
+        columns: list = []
+        for index in (1, 0):  # a column gather, right side first
+            side = sides[index]
+            positions = list(map(itemgetter(index), tags))
+            columns += 2 * [list(map(side.column(name).__getitem__, positions))
+                            for name in side.layout]
+            names += side.qualified(side.layout)
+        return list(map(dict, map(zip, repeat(names), zip(*columns))))
 
-def _shuffle_key(key_of, row: dict, context: EvalContext):
-    """A row's join key for routing — ``None`` for NULL components or
-    evaluation errors (the worker-side probe re-raises those with the
-    right tag, so routing never has to)."""
-    try:
-        return key_of(row, context)
-    except Exception:  # noqa: BLE001 — surfaced by the worker's probe
-        return None
+    def _merged(self, tag: tuple, upto: int) -> dict:
+        """The merged bound row of ``tag``'s first ``upto`` sides; a
+        padded side's NULLs follow the row it pads."""
+        names: tuple = ()
+        values: tuple = ()
+        for index in reversed(range(upto)):
+            position = tag[index]
+            if position < 0:
+                inner = self._merged(tag, index)
+                padded = dict(inner)
+                padded.update(self.sides[index].pad())
+                padded.update(inner)
+                row = dict(zip(names, values))
+                row.update(padded)
+                return row
+            bound_names, bound_values = self.sides[index].bound()
+            names += bound_names[position]
+            values += bound_values[position]
+        return dict(zip(names, values))

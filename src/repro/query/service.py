@@ -34,6 +34,7 @@ hangs regardless of the failure interleaving.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable
@@ -86,7 +87,6 @@ from ..state.rows import ColumnBatch
 from ..state.view import TableView
 from .joins import (
     JoinPlan,
-    _JoinLocalAck,
     explain_join_lines,
     plan_distributed_joins,
     start_join_pipeline,
@@ -289,7 +289,8 @@ class _Attempt:
     """
 
     __slots__ = ("service", "execution", "nodes", "token", "rows",
-                 "scanned", "stripe", "targets", "arrived", "landed")
+                 "scanned", "stripe", "targets", "arrived", "landed",
+                 "unlocked", "waiting")
 
     def __init__(self, service: "QueryService",
                  execution: QueryExecution, tables) -> None:
@@ -304,6 +305,10 @@ class _Attempt:
         #: network arrival order, so pushdown on/off and retry
         #: interleavings all produce identical results.
         self.rows: dict[str, dict] = {name: {} for name in tables}
+        #: Repeatable read: table -> its shards not locked yet, and the
+        #: shards waiting for their table's turn to lock.
+        self.unlocked: dict[str, int] = {}
+        self.waiting: dict[str, list] = {}
         #: Entries scanned, over all attempts.
         self.scanned = 0
         #: table -> store-partition stripe base for chunk spreading.
@@ -401,6 +406,7 @@ class _Attempt:
     def void(self) -> None:
         """Lose everything in flight and everything collected."""
         self.token += 1
+        self.waiting.clear()
         for per_node in self.rows.values():
             per_node.clear()
 
@@ -1004,6 +1010,11 @@ class QueryService:
                     )
         attempt.arrived = attempt.gather(len(shards), self._scans_landed,
                                          record)
+        if self.repeatable_read:
+            attempt.unlocked = Counter(
+                table_name for table_name, _node in shards
+                if not record.views[table_name].immutable
+            )
         for table_name, node_id in shards:
             self._scan_shard(record, table_name, node_id)
 
@@ -1024,6 +1035,7 @@ class QueryService:
             owners.setdefault(owner, []).append(key)
         attempt.arrived = attempt.gather(len(owners), self._scans_landed,
                                          record)
+        attempt.unlocked = {table_name: len(owners)}
         for owner in sorted(owners):
             keys = owners[owner]
             # Index seek + entry read per key: a handful of store ops.
@@ -1043,7 +1055,8 @@ class QueryService:
             self._finish_execution(record.execution, None, exc)
             return
         record.attempt.scanned += len(keys)
-        self._ship_when_locked(record, table_name, owner, rows,
+        self._ship_when_locked(record, table_name, owner,
+                               ColumnBatch(view.table.column_reader, rows),
                                [row["partitionKey"] for row in rows])
 
     # -- approximate (sketch) answering -------------------------------------
@@ -1134,13 +1147,15 @@ class QueryService:
         partition summaries (one probe each, no row touches) and ship a
         marker through the normal result path."""
         attempt = record.attempt
-        partitions = record.views[table_name].partitions_on_node(node_id)
+        view = record.views[table_name]
+        partitions = view.partitions_on_node(node_id)
         record.execution.sketch_probes += len(partitions)
+        marker = {"sketch": table_name, "node": node_id}
         attempt.bill(
             node_id, attempt.stripe[table_name] + node_id,
             sketch_read_ms(self.costs, len(partitions)),
             self._ship_when_locked, record, table_name, node_id,
-            [{"sketch": table_name, "node": node_id}], [],
+            ColumnBatch(view.table.column_reader, [marker]), [],
         )
 
     def _scan_shard(self, record: _InFlight, table_name: str,
@@ -1346,7 +1361,7 @@ class QueryService:
         execution = record.execution
         lock_keys: list | None = None
         if not execution.materialize:
-            payload: list[dict] | int | PartialGroups | _ShardError = (
+            payload: ColumnBatch | int | PartialGroups | _ShardError = (
                 record.views[table_name].row_count_on_node(node_id)
             )
         else:
@@ -1367,17 +1382,9 @@ class QueryService:
                     payload = _ShardError(exc)
                     lock_keys = []
             else:
-                payload = batch.rows()
+                payload = batch  # every entry ships whole
                 lock_keys = batch.keys
         record.attempt.scanned += entries
-        if (
-            record.join is not None
-            and table_name in record.join.local
-            and isinstance(payload, list)
-        ):
-            # Join input that stays node-local: the rows are held for a
-            # later stage and only a framed ack ships to the entry node.
-            payload = _JoinLocalAck(node_id, payload)
         self._ship_when_locked(record, table_name, node_id, payload,
                                lock_keys)
 
@@ -1387,20 +1394,41 @@ class QueryService:
         """Ship a shard's payload, acquiring repeatable-read locks first.
 
         ``lock_keys`` are the keys of the rows the shard observed
-        (``None``: it read none)."""
+        (``None``: it read none).  A query locks its tables in name
+        order: a shard waits until every shard of the tables before its
+        own is locked.  Every query then takes the tables (lockdep's
+        lock classes) in one order, whatever order its shards land in."""
         if (
             self.repeatable_read
             # key locks guard live state; committed versions are immutable
             and not record.views[table_name].immutable
             and lock_keys is not None
         ):
-            self._lock_rows(
-                record.execution, table_name, lock_keys,
-                record.attempt.guard(self._ship, record, table_name,
-                                     node_id, payload),
+            record.attempt.waiting.setdefault(table_name, []).append(
+                (node_id, payload, lock_keys)
             )
+            self._lock_in_turn(record)
         else:
             self._ship(record, table_name, node_id, payload)
+
+    def _lock_in_turn(self, record: _InFlight) -> None:
+        """Lock the waiting shards of the first table, by name, that has
+        shards left to lock."""
+        attempt = record.attempt
+        turn = min(attempt.unlocked, default=None)
+        for node_id, payload, lock_keys in attempt.waiting.pop(turn, ()):
+            self._lock_rows(record.execution, turn, lock_keys, attempt.guard(
+                self._locked, record, turn, node_id, payload
+            ))
+
+    def _locked(self, record: _InFlight, table_name: str, node_id: int,
+                payload) -> None:
+        unlocked = record.attempt.unlocked
+        unlocked[table_name] -= 1
+        if not unlocked[table_name]:
+            del unlocked[table_name]
+            self._lock_in_turn(record)
+        self._ship(record, table_name, node_id, payload)
 
     def _payload_nbytes(self, record: _InFlight, table_name: str,
                         payload) -> int:
@@ -1414,22 +1442,21 @@ class QueryService:
         costs = self.costs
         if isinstance(payload, int):
             return payload * costs.row_bytes
-        if isinstance(payload, _ShardError):
-            # An error marker ships like one framed header-only row.
-            return costs.row_overhead_bytes
-        if isinstance(payload, _JoinLocalAck):
-            # The rows stay on their node for a join stage; only the
-            # "shard done" control frame crosses the wire.
+        if isinstance(payload, _ShardError) or (
+            record.join is not None and table_name in record.join.local
+        ):
+            # An error marker ships like one framed header-only row, and
+            # so does the "shard done" frame of rows a join stage reads
+            # on their node (they stay in-process, dropped with a voided
+            # attempt, and none counts as shipped).
             return costs.row_overhead_bytes
         if isinstance(payload, PartialGroups):
             per_group = (costs.row_overhead_bytes
                          + payload.width() * costs.column_bytes)
             return len(payload) * per_group
         if _pushed_fragment(record.plan, table_name) is not None:
-            return sum(
-                costs.row_overhead_bytes + len(row) * costs.column_bytes
-                for row in payload
-            )
+            return (len(payload) * costs.row_overhead_bytes
+                    + payload.width() * costs.column_bytes)
         return len(payload) * costs.row_bytes
 
     def _ship(self, record: _InFlight, table_name: str, node_id: int,
@@ -1491,7 +1518,9 @@ class QueryService:
             execution.rows_shipped += payload
         else:
             attempt.rows[table_name][node_id] = payload
-            if not isinstance(payload, _ShardError):
+            if not isinstance(payload, _ShardError) and (
+                record.join is None or table_name not in record.join.local
+            ):
                 execution.rows_shipped += len(payload)
         execution.bytes_shipped += nbytes
         attempt.arrived()
@@ -1554,7 +1583,7 @@ class QueryService:
                 for name, per_node in collected.items():
                     rows: list[dict] = []
                     for n in sorted(per_node):
-                        rows.extend(per_node[n])
+                        rows.extend(per_node[n].rows())
                     catalog.add(ListTable(name, tuple(rows)))
                 statement = (plan.final_select if plan is not None
                              else record.select)

@@ -178,6 +178,28 @@ Statement = Select | Union
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
 
 
+def children(expr: Expr | None) -> tuple[Expr, ...]:
+    """The direct subexpressions of ``expr``, in evaluation order."""
+    if isinstance(expr, FuncCall):
+        return expr.args
+    if isinstance(expr, (Unary, IsNull)):
+        return (expr.operand,)
+    if isinstance(expr, Like):
+        return expr.operand, expr.pattern
+    if isinstance(expr, Binary):
+        return expr.left, expr.right
+    if isinstance(expr, InList):
+        return (expr.operand, *expr.items)
+    if isinstance(expr, Between):
+        return expr.operand, expr.low, expr.high
+    if isinstance(expr, CaseWhen):
+        parts = [part for branch in expr.branches for part in branch]
+        if expr.default is not None:
+            parts.append(expr.default)
+        return tuple(parts)
+    return ()
+
+
 def contains_aggregate(expr: Expr) -> bool:
     """True if the expression tree contains an aggregate call."""
     if isinstance(expr, FuncCall):

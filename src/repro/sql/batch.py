@@ -9,7 +9,8 @@ arrays: one value list per declared column.  A term that is a bare
 column reference reads its list; every other expression (the pushed
 conjuncts included) is its :func:`~repro.sql.compiled.compile_expr`
 closure called on a row holding the declared columns only, so there is
-still one evaluator.  Whole rows exist only for what ships.
+still one evaluator.  What ships is the survivors' column batch, not
+rows: rows are shaped where they are merged.
 
 Results are what a row-major sweep (row by row, conjunct by conjunct)
 produces: the same surviving rows in the same order, the same
@@ -107,16 +108,12 @@ class CompiledFragment:
             if term is not None:
                 collect_columns(term.expr, references)
         #: The stored columns a chunk's sweep reads, one list each (the
-        #: projection is read per shipped row, not per scanned one).
+        #: projection is read where shipped rows are shaped).
         self.columns: tuple[str, ...] = tuple(dict.fromkeys(
             [name for column in references
              for name in column_reads(column, binding)]
             + list(self.rep_columns)
         ))
-
-    @property
-    def predicate_count(self) -> int:
-        return len(self.predicates)
 
 
 def compile_fragment(
@@ -231,6 +228,11 @@ class BatchAccumulator:
     every chunk from the held rows followed by the chunk's own first
     ``keep`` — held rows first, so rows that tie stay in scan order and
     the held set does not depend on the chunk size.
+
+    Survivors that ship are kept as entry indexes into the one batch
+    the chunks are runs of: the payload is its
+    :meth:`~repro.state.rows.ColumnBatch.take` of them, so no row is
+    shaped on the shard.
     """
 
     def __init__(self, compiled: CompiledFragment, context: EvalContext,
@@ -238,9 +240,11 @@ class BatchAccumulator:
         self.compiled = compiled
         self.context = context
         self.keep = keep
-        self.rows: list[dict] = []
-        #: top-k stage: ``(order key, projected row)`` of the held rows.
-        self.top: list[tuple[tuple, dict]] = []
+        self.batch: ColumnBatch | None = None
+        #: Entry indexes of the survivors that ship, in row order.
+        self.kept: list[int] = []
+        #: top-k stage: ``(order key, entry index)`` of the held rows.
+        self.top: list[tuple[tuple, int]] = []
         self.groups: dict[tuple, list] = {}
         self.survived = 0
 
@@ -251,6 +255,7 @@ class BatchAccumulator:
         row order: their keys, for repeatable-read lock acquisition."""
         if isinstance(batch, list):
             batch = ColumnBatch(ColumnReader(), batch)
+        self.batch = batch
         if stop is None:
             stop = len(batch)
         compiled = self.compiled
@@ -267,12 +272,9 @@ class BatchAccumulator:
         if compiled.fragment.partial is not None:
             self._fold_groups(sweep, errors)
         elif self.keep is not None:
-            self._keep_top(sweep, batch, start)
+            self._keep_top(sweep, start)
         else:
-            project = batch.projector(compiled.fragment.projection)
-            self.rows.extend(
-                [project(start + index) for index in sweep.survivors]
-            )
+            self.kept.extend(map(start.__add__, sweep.survivors))
         if errors:
             # A row-major sweep stops at the first erroring row; the
             # batch reproduces exactly that error.
@@ -333,8 +335,7 @@ class BatchAccumulator:
                 exc = earlier
         errors[index] = exc
 
-    def _keep_top(self, sweep: _Sweep, batch: ColumnBatch,
-                  start: int) -> None:
+    def _keep_top(self, sweep: _Sweep, start: int) -> None:
         compiled = self.compiled
         order_by = compiled.fragment.top_k.order_by
         try:
@@ -344,25 +345,20 @@ class BatchAccumulator:
             )
             if sweep.failed is not None:
                 raise sweep.failed[2]
-            # The chunk's own first rows (still row indexes) against the
-            # held ones; only a row that is then held is ever shaped.
-            top = order_keyed(
+            # The chunk's own first rows against the held ones.
+            self.top = order_keyed(
                 order_by,
                 self.top + order_keyed(
-                    order_by, list(zip(keys, sweep.survivors)), self.keep
+                    order_by,
+                    list(zip(keys, map(start.__add__, sweep.survivors))),
+                    self.keep,
                 ),
                 self.keep,
             )
-            project = batch.projector(compiled.fragment.projection)
-            self.top = [
-                (key, project(start + held) if isinstance(held, int)
-                 else held)
-                for key, held in top
-            ]
         except Exception:  # noqa: BLE001 — the final ORDER BY raises it
             raise _TopKAbandoned from None
 
-    def payload(self) -> "list[dict] | PartialGroups":
+    def payload(self) -> "ColumnBatch | PartialGroups":
         if self.compiled.fragment.partial is not None:
             return PartialGroups(
                 entries=[
@@ -370,9 +366,9 @@ class BatchAccumulator:
                     for key, (rep, accs) in self.groups.items()
                 ]
             )
-        if self.keep is not None:
-            return [row for _key, row in self.top]
-        return self.rows
+        kept = (self.kept if self.keep is None
+                else [index for _key, index in self.top])
+        return self.batch.take(kept, self.compiled.fragment.projection)
 
 
 def run_fragment_batches(
@@ -381,7 +377,7 @@ def run_fragment_batches(
     context: EvalContext,
     chunk_entries: int,
     keep: int | None = None,
-) -> "tuple[list, list[dict] | PartialGroups, int]":
+) -> "tuple[list, ColumnBatch | PartialGroups, int]":
     """Run a whole shard's entries through the fragment, streamed
     through :class:`BatchAccumulator` in ``chunk_entries``-sized chunks.
 
@@ -394,7 +390,10 @@ def run_fragment_batches(
     Returns ``(survivors, payload, batches)``; see
     :meth:`BatchAccumulator.add_batch` for what names a survivor.
     """
+    if isinstance(batch, list):
+        batch = ColumnBatch(ColumnReader(), batch)
     accumulator = BatchAccumulator(compiled, context, keep)
+    accumulator.batch = batch
     survivors: list = []
     chunk = max(1, chunk_entries)
     batches = 0

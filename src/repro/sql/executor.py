@@ -97,7 +97,7 @@ def _execute_union(union: "Union", catalog: Catalog,
         seen: set[tuple] = set()
         unique = []
         for row in rows:
-            key = tuple(_hashable(row[column]) for column in columns)
+            key = tuple(hashable_key(row[column]) for column in columns)
             if key in seen:
                 continue
             seen.add(key)
@@ -112,7 +112,7 @@ def execute_plan(plan: Plan, context: EvalContext) -> QueryResult:
 
     rows: list[dict] = []
     for raw in plan.base_source.rows():
-        rows.append(_bind_row(raw, plan.base_binding))
+        rows.append(bind_row(raw, plan.base_binding))
         scanned += 1
     for step in plan.joins:
         rows, step_scanned = _execute_join(rows, step, context)
@@ -196,7 +196,7 @@ def execute_grouped_select(select: Select, groups: dict,
 # -- scanning and joins ------------------------------------------------------
 
 
-def _bind_row(raw: dict, binding: str) -> dict:
+def bind_row(raw: dict, binding: str) -> dict:
     """Expose columns both unqualified and as ``binding.column``."""
     row = dict(raw)
     for key, value in raw.items():
@@ -206,7 +206,7 @@ def _bind_row(raw: dict, binding: str) -> dict:
 
 def _execute_join(left_rows: list[dict], step: JoinStep,
                   context: EvalContext) -> tuple[list[dict], int]:
-    right_rows = [_bind_row(raw, step.binding) for raw in step.source.rows()]
+    right_rows = [bind_row(raw, step.binding) for raw in step.source.rows()]
     scanned = len(right_rows)
     right_columns = set()
     for row in right_rows:
@@ -238,38 +238,88 @@ def _merge(left: dict, right: dict) -> dict:
     return merged
 
 
-def compile_join_key(using: "tuple[str, ...]",
-                     expr: "Expr | None") -> CompiledExpr:
-    """One side's hash-join key over bound rows: the ``USING`` column
-    tuple, or the value of that side of an equi-``ON``.  ``None`` means
-    the row cannot match (a NULL key, or any NULL ``USING`` component).
-    """
-    if not using:
-        return compile_expr(expr)
+#: Tags of converted containers in a join key: no stored value holds
+#: one, so a converted key never equals a stored hashable value.
+_LIST, _TUPLE, _DICT = object(), object(), object()
+#: Value types that are their own join key.
+_PLAIN = frozenset({int, str, bool, type(None)})
 
-    def using_key(row: dict, context: EvalContext) -> object:
-        key = tuple(row.get(col) for col in using)
-        return None if any(part is None for part in key) else key
 
-    return using_key
+def _frozen(value: object) -> object:
+    """A hashable stand-in equal to another's exactly when the values
+    are ``==`` (hashable values stand for themselves)."""
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        pass
+    if isinstance(value, list):
+        return _LIST, tuple(map(_frozen, value))
+    if isinstance(value, tuple):
+        return _TUPLE, tuple(map(_frozen, value))
+    if isinstance(value, dict):
+        return _DICT, frozenset(
+            (key, _frozen(item)) for key, item in value.items()
+        )
+    if isinstance(value, set):
+        return frozenset(value)
+    raise SqlExecutionError(
+        f"cannot join on {type(value).__name__} values"
+    )
+
+
+def join_key(value: object) -> object:
+    """The hash-join key of one join column value: two keys are equal
+    exactly when SQL ``=`` holds between the values, and ``None`` means
+    nothing can match (NULL, and NaN, which equals nothing).  A list is
+    its elements tagged as a list, so ``[1]`` matches ``[1.0]`` but not
+    ``(1,)`` or ``'[1]'``."""
+    if isinstance(value, float) and value != value:
+        return None
+    return _frozen(value)
+
+
+def join_keys(values: list) -> list:
+    """:func:`join_key` of each value (the same list when every value
+    is its own key); the first value no hash join can key raises."""
+    if set(map(type, values)) <= _PLAIN:
+        return values
+    return list(map(join_key, values))
+
+
+def using_keys(parts: "list[list]") -> list:
+    """``USING`` keys from one value list per column: the tuple of the
+    join keys, ``None`` when any is.  Columns convert in turn, so the
+    first column holding a value no hash join can key raises."""
+    return [None if None in key else key
+            for key in zip(*map(join_keys, parts))]
+
+
+def _join_keys(rows: list[dict], using: "tuple[str, ...]",
+               expr: "Expr | None", context: EvalContext) -> list:
+    """One side's hash-join key per bound row (``None``: the row cannot
+    match): the ``USING`` columns, or that side of an equi-``ON``,
+    every row evaluated before any value is converted."""
+    if using:
+        return using_keys([[row.get(name) for row in rows]
+                           for name in using])
+    value_of = compile_expr(expr)
+    return join_keys([value_of(row, context) for row in rows])
 
 
 def _hash_join(left_rows: list[dict], right_rows: list[dict],
                step: JoinStep, right_columns: set[str],
                context: EvalContext) -> list[dict]:
     probe_expr, build_expr = step.hash_on or (None, None)
-    build_key = compile_join_key(step.using, build_expr)
-    probe_key = compile_join_key(step.using, probe_expr)
     index: dict[object, list[dict]] = {}
-    for row in right_rows:
-        key = build_key(row, context)
-        if key is None:
-            continue
-        index.setdefault(key, []).append(row)
+    for row, key in zip(right_rows, _join_keys(right_rows, step.using,
+                                               build_expr, context)):
+        if key is not None:
+            index.setdefault(key, []).append(row)
     result = []
-    for left in left_rows:
-        key = probe_key(left, context)
-        matches = index.get(key, []) if key is not None else []
+    for left, key in zip(left_rows, _join_keys(left_rows, step.using,
+                                               probe_expr, context)):
+        matches = index.get(key)
         if matches:
             result.extend(_merge(left, right) for right in matches)
         elif step.kind == "LEFT":
@@ -295,97 +345,6 @@ def _nested_loop_join(left_rows: list[dict], right_rows: list[dict],
 
 
 # -- distributed join support ------------------------------------------------
-#
-# The distributed coordinator (repro.query.joins) executes each join
-# step as per-node build/probe stages over *tagged* rows — ``(tag,
-# bound_row)`` pairs where ``tag`` is a tuple of per-step components
-# that totally orders the merged rows exactly as the central left-deep
-# execution would have emitted them.  The primitives below are the
-# central hash-join loops re-expressed over tagged inputs with an
-# injectable right-column set, so both paths share one set of
-# equality/NULL/error semantics.
-
-
-def collect_right_columns(bound_rows: list[dict]) -> set[str]:
-    """The right-hand column set exactly as ``_execute_join`` builds it.
-
-    The *construction sequence* matters, not just the contents: LEFT
-    null-extension iterates this set, so its internal order decides the
-    column insertion order of padded rows (visible through ``SELECT
-    *``).  Feed the bound rows in canonical order and the per-row
-    ``update`` replays central's resize/insertion history bit for bit.
-    """
-    columns: set[str] = set()
-    for row in bound_rows:
-        columns.update(row.keys())
-    return columns
-
-
-def build_join_index(
-    tagged_rows: "list[tuple[tuple, dict]]",
-    using: "tuple[str, ...]",
-    build_expr: "Expr | None",
-    context: EvalContext,
-) -> "tuple[dict, tuple[tuple, Exception] | None]":
-    """The hash-join build phase over tagged bound rows.
-
-    Mirrors ``_hash_join``: NULL keys (any NULL component for USING)
-    never enter the index.  Instead of raising on a key-evaluation
-    error it records the first one with its row tag — the coordinator
-    surfaces the minimum tag across nodes, which is the row central
-    would have raised on first.
-    """
-    build_key = compile_join_key(using, build_expr)
-    index: dict = {}
-    error: "tuple[tuple, Exception] | None" = None
-    for tag, row in tagged_rows:
-        try:
-            key = build_key(row, context)
-        except Exception as exc:  # noqa: BLE001 - mirrors central raise
-            if error is None:
-                error = (tag, exc)
-            continue
-        if key is None:
-            continue
-        index.setdefault(key, []).append((tag, row))
-    return index, error
-
-
-def probe_join_index(
-    tagged_left: "list[tuple[tuple, dict]]",
-    index: dict,
-    using: "tuple[str, ...]",
-    probe_expr: "Expr | None",
-    kind: str,
-    right_columns: set[str],
-    context: EvalContext,
-) -> "tuple[list[tuple[tuple, dict]], tuple[tuple, Exception] | None]":
-    """The hash-join probe phase over tagged bound rows.
-
-    Matched rows extend the left tag with the matched right row's tag;
-    LEFT-join NULL padding extends it with ``()``, which sorts before
-    any real match but only ever compares against tags of the same
-    left row (a row cannot both match and pad).
-    """
-    probe_key = compile_join_key(using, probe_expr)
-    result: "list[tuple[tuple, dict]]" = []
-    error: "tuple[tuple, Exception] | None" = None
-    for tag, left in tagged_left:
-        try:
-            key = probe_key(left, context)
-        except Exception as exc:  # noqa: BLE001 - mirrors central raise
-            if error is None:
-                error = (tag, exc)
-            continue
-        matches = index.get(key, []) if key is not None else []
-        if matches:
-            result.extend(
-                (tag + (right_tag,), _merge(left, right))
-                for right_tag, right in matches
-            )
-        elif kind == "LEFT":
-            result.append((tag + ((),), _null_extend(left, right_columns)))
-    return result, error
 
 
 def validate_joined_select(select: Select) -> bool:
@@ -415,7 +374,7 @@ def execute_joined_select(select: Select, rows: list[dict],
     """Finalize a SELECT whose joins already ran distributed.
 
     ``rows`` are merged *bound* rows in central emission order (the
-    coordinator sorts by tag before calling).  Re-binding them against
+    coordinator shapes them in order-tag order).  Re-binding them against
     a table would re-resolve unqualified collisions and corrupt the
     left-wins semantics baked in by the join merge, so this runs
     ``execute_plan``'s post-join stages directly.
@@ -427,7 +386,8 @@ def execute_joined_select(select: Select, rows: list[dict],
 # -- projection and aggregation ---------------------------------------------
 
 
-def _output_name(item: SelectItem, position: int) -> str:
+def output_column_name(item: SelectItem, position: int) -> str:
+    """The output column name the executor derives for an item."""
     if item.alias:
         return item.alias
     if isinstance(item.expr, Column):
@@ -450,7 +410,7 @@ def _execute_projection(select: Select, rows: list[dict],
             out.append(projected)
         return out, columns
     columns = [
-        _output_name(item, position)
+        output_column_name(item, position)
         for position, item in enumerate(select.items)
     ]
     items = [compile_expr(item.expr) for item in select.items]
@@ -541,7 +501,7 @@ def compile_group_key(group_by: "tuple[Expr, ...]",
     parts = tuple(compile_expr(expr, binding) for expr in group_by)
 
     def group_key(row: dict, context: EvalContext) -> tuple:
-        return tuple(_hashable(part(row, context)) for part in parts)
+        return tuple(hashable_key(part(row, context)) for part in parts)
 
     return group_key
 
@@ -555,7 +515,7 @@ def group_keys(columns: "list[list]", count: int) -> "list[tuple]":
     for values in columns:
         kinds = set(map(type, values))
         if any(issubclass(kind, (list, dict, set)) for kind in kinds):
-            values = [_hashable(value) for value in values]
+            values = [hashable_key(value) for value in values]
         parts.append(values)
     return list(zip(*parts))
 
@@ -588,7 +548,7 @@ def _finalize_groups(select: Select, unique: list[FuncCall],
         groups[()] = {"row": {}, "accs": new_group_accs(unique)}
 
     columns = [
-        _output_name(item, position)
+        output_column_name(item, position)
         for position, item in enumerate(select.items)
     ]
     having = (
@@ -617,7 +577,7 @@ def _distinct(rows: list[dict], columns: list[str]) -> list[dict]:
     seen: set[tuple] = set()
     out = []
     for row in rows:
-        key = tuple(_hashable(row[col]) for col in columns)
+        key = tuple(hashable_key(row[col]) for col in columns)
         if key in seen:
             continue
         seen.add(key)
@@ -738,33 +698,20 @@ def _execute_order(select: Select, rows: list[dict],
     return [row for _key, row in order_keyed(select.order_by, keyed, limit)]
 
 
-def _hashable(value: object) -> object:
-    if isinstance(value, (list, dict, set)):
-        return repr(value)
-    return value
-
-
 # -- stable entry points for incremental consumers ---------------------------
 #
 # The continuous-query subsystem maintains results per-delta and needs
 # the exact row-binding, naming, and hashing semantics of this executor
-# — exposed here so it never re-implements (and drifts from) batch
-# execution.  (Expression evaluation is :mod:`repro.sql.compiled`.)
-
-
-def bind_row(raw: dict, binding: str) -> dict:
-    """Public form of the scan-time row binding."""
-    return _bind_row(raw, binding)
+# (``bind_row``, ``output_column_name`` and ``hashable_key`` are public
+# for it) so it never re-implements (and drifts from) batch execution.
+# (Expression evaluation is :mod:`repro.sql.compiled`.)
 
 
 def hashable_key(value: object) -> object:
     """The group/distinct key conversion used by aggregation."""
-    return _hashable(value)
-
-
-def output_column_name(item: SelectItem, position: int) -> str:
-    """The output column name the executor would derive."""
-    return _output_name(item, position)
+    if isinstance(value, (list, dict, set)):
+        return repr(value)
+    return value
 
 
 def render_expr(expr: Expr) -> str:

@@ -40,17 +40,14 @@ from dataclasses import dataclass, field, replace
 from .ast import (
     Between,
     Binary,
-    CaseWhen,
     Column,
     Expr,
     FuncCall,
     InList,
-    IsNull,
     Like,
     Literal,
     OrderItem,
     Select,
-    Unary,
     contains_aggregate,
 )
 from .compiled import like_literal_prefix
@@ -437,49 +434,6 @@ class DistributedPlan:
 ROW_IDENTITY_COLUMNS = ("key", "ssid", "partitionKey")
 
 
-def _collect_non_aggregate_columns(expr: Expr | None,
-                                   out: list[Column]) -> None:
-    """Like ``collect_columns`` but skips aggregate-call arguments —
-    those are consumed scan-side by the partial stage."""
-    if expr is None:
-        return
-    if isinstance(expr, FuncCall):
-        if contains_aggregate(expr):
-            for arg in expr.args:
-                if not contains_aggregate(arg):
-                    continue
-                _collect_non_aggregate_columns(arg, out)
-            return
-        for arg in expr.args:
-            _collect_non_aggregate_columns(arg, out)
-    elif isinstance(expr, Column):
-        out.append(expr)
-    elif isinstance(expr, Unary):
-        _collect_non_aggregate_columns(expr.operand, out)
-    elif isinstance(expr, Binary):
-        _collect_non_aggregate_columns(expr.left, out)
-        _collect_non_aggregate_columns(expr.right, out)
-    elif isinstance(expr, InList):
-        _collect_non_aggregate_columns(expr.operand, out)
-        for item in expr.items:
-            _collect_non_aggregate_columns(item, out)
-    elif isinstance(expr, Between):
-        _collect_non_aggregate_columns(expr.operand, out)
-        _collect_non_aggregate_columns(expr.low, out)
-        _collect_non_aggregate_columns(expr.high, out)
-    elif isinstance(expr, Like):
-        _collect_non_aggregate_columns(expr.operand, out)
-        _collect_non_aggregate_columns(expr.pattern, out)
-    elif isinstance(expr, IsNull):
-        _collect_non_aggregate_columns(expr.operand, out)
-    elif isinstance(expr, CaseWhen):
-        for condition, result in expr.branches:
-            _collect_non_aggregate_columns(condition, out)
-            _collect_non_aggregate_columns(result, out)
-        if expr.default is not None:
-            _collect_non_aggregate_columns(expr.default, out)
-
-
 def _referenced_columns(select: Select, residual: Expr | None,
                         joins_central: bool) -> list[Column]:
     """Every column the final fragment can still read."""
@@ -534,12 +488,12 @@ def _partial_aggregate_for(select: Select, pushed: list[Expr],
             return None
     rep: list[Column] = []
     for item in select.items:
-        _collect_non_aggregate_columns(item.expr, rep)
+        collect_columns(item.expr, rep, True)
     for expr in select.group_by:
-        _collect_non_aggregate_columns(expr, rep)
-    _collect_non_aggregate_columns(select.having, rep)
+        collect_columns(expr, rep, True)
+    collect_columns(select.having, rep, True)
     for order in select.order_by:
-        _collect_non_aggregate_columns(order.expr, rep)
+        collect_columns(order.expr, rep, True)
     rep_columns: list[str] = []
     for column in rep:
         if column.name not in rep_columns:

@@ -13,19 +13,14 @@ from typing import Iterable, Protocol
 
 from ..errors import SqlPlanError
 from .ast import (
-    Between,
     Binary,
-    CaseWhen,
     Column,
     Expr,
     FuncCall,
-    InList,
-    IsNull,
     Join,
-    Like,
     LocalTimestamp,
     Select,
-    Unary,
+    children,
     contains_aggregate,
 )
 
@@ -177,38 +172,18 @@ def conjoin(conjuncts: list[Expr]) -> Expr | None:
     return combined
 
 
-def collect_columns(expr: Expr | None, out: list[Column]) -> None:
-    """Append every column reference in ``expr`` to ``out`` (pre-order)."""
-    if expr is None:
-        return
+def collect_columns(expr: Expr | None, out: list[Column],
+                    aggregated: bool = False) -> None:
+    """Append every column reference in ``expr`` to ``out`` (pre-order);
+    with ``aggregated``, not the ones only aggregate arguments read."""
     if isinstance(expr, Column):
         out.append(expr)
-    elif isinstance(expr, FuncCall):
-        for arg in expr.args:
-            collect_columns(arg, out)
-    elif isinstance(expr, Unary):
-        collect_columns(expr.operand, out)
-    elif isinstance(expr, Binary):
-        collect_columns(expr.left, out)
-        collect_columns(expr.right, out)
-    elif isinstance(expr, InList):
-        collect_columns(expr.operand, out)
-        for item in expr.items:
-            collect_columns(item, out)
-    elif isinstance(expr, Between):
-        collect_columns(expr.operand, out)
-        collect_columns(expr.low, out)
-        collect_columns(expr.high, out)
-    elif isinstance(expr, (Like, IsNull)):
-        collect_columns(expr.operand, out)
-        if isinstance(expr, Like):
-            collect_columns(expr.pattern, out)
-    elif isinstance(expr, CaseWhen):
-        for condition, result in expr.branches:
-            collect_columns(condition, out)
-            collect_columns(result, out)
-        if expr.default is not None:
-            collect_columns(expr.default, out)
+        return
+    skip = (aggregated and isinstance(expr, FuncCall)
+            and contains_aggregate(expr))
+    for child in children(expr):
+        if not skip or contains_aggregate(child):
+            collect_columns(child, out, aggregated)
 
 
 def contains_local_timestamp(expr: Expr | None) -> bool:
@@ -216,38 +191,9 @@ def contains_local_timestamp(expr: Expr | None) -> bool:
 
     Such expressions are pinned to the entry node: evaluating them
     scan-side would read the virtual clock at a different instant."""
-    if expr is None:
-        return False
-    if isinstance(expr, LocalTimestamp):
-        return True
-    if isinstance(expr, FuncCall):
-        return any(contains_local_timestamp(arg) for arg in expr.args)
-    if isinstance(expr, Unary):
-        return contains_local_timestamp(expr.operand)
-    if isinstance(expr, Binary):
-        return (contains_local_timestamp(expr.left)
-                or contains_local_timestamp(expr.right))
-    if isinstance(expr, InList):
-        return contains_local_timestamp(expr.operand) or any(
-            contains_local_timestamp(item) for item in expr.items
-        )
-    if isinstance(expr, Between):
-        return (contains_local_timestamp(expr.operand)
-                or contains_local_timestamp(expr.low)
-                or contains_local_timestamp(expr.high))
-    if isinstance(expr, Like):
-        return (contains_local_timestamp(expr.operand)
-                or contains_local_timestamp(expr.pattern))
-    if isinstance(expr, IsNull):
-        return contains_local_timestamp(expr.operand)
-    if isinstance(expr, CaseWhen):
-        for condition, result in expr.branches:
-            if (contains_local_timestamp(condition)
-                    or contains_local_timestamp(result)):
-                return True
-        return (expr.default is not None
-                and contains_local_timestamp(expr.default))
-    return False
+    return isinstance(expr, LocalTimestamp) or any(
+        map(contains_local_timestamp, children(expr))
+    )
 
 
 def extract_hash_keys(

@@ -26,6 +26,8 @@ from ..kvstore.indexes import MISSING
 
 #: Entry-identity columns in the order a row carries them (then ``ssid``).
 KEY_COLUMNS = ("partitionKey", "key")
+#: A batch's layout not worked out yet.
+_UNKNOWN = object()
 
 
 class _FieldShape:
@@ -53,6 +55,9 @@ class _FieldShape:
             tuple(name for name in self.names if name in keep)
         ).columns
 
+    def layout(self, values: list) -> tuple[str, ...]:
+        return self.names
+
 
 class _MappingShape:
     """A ``dict`` (or subclass): each value brings its own columns, in
@@ -73,6 +78,13 @@ class _MappingShape:
             name: column for name, column in value.items() if name in keep
         }
 
+    def layout(self, values: list) -> tuple[str, ...] | None:
+        """The column names of ``values`` when they all have the same
+        ones in the same order (``None`` otherwise)."""
+        layouts = list(map(tuple, values))
+        first = layouts[0]
+        return first if layouts.count(first) == len(layouts) else None
+
 
 class _ScalarShape:
     """Any other object: one ``value`` column holding the object."""
@@ -90,6 +102,9 @@ class _ScalarShape:
 
     def projector(self, keep: frozenset) -> Callable[[object], dict]:
         return self.columns if "value" in keep else lambda value: {}
+
+    def layout(self, values: list) -> tuple[str, ...]:
+        return ("value",)
 
 
 _Shape = _FieldShape | _MappingShape | _ScalarShape
@@ -151,9 +166,13 @@ class ColumnBatch:
     ``None`` on live state); entries append in scan order.  A batch
     made of ``rows`` holds rows that are already shaped and has no
     ``keys``: their columns are their items and they identify themselves.
+
+    What a shard ships is such a batch too (:meth:`take`): its
+    survivors, showing only the projected columns.  Rows are shaped
+    from it where they are needed, or never — a join reads its columns.
     """
 
-    __slots__ = ("reader", "keys", "values", "ssids")
+    __slots__ = ("reader", "keys", "values", "ssids", "keep", "_layout")
 
     def __init__(self, reader: ColumnReader,
                  rows: list[dict] | None = None) -> None:
@@ -161,11 +180,29 @@ class ColumnBatch:
         self.keys: list | None = [] if rows is None else None
         self.values: list = [] if rows is None else rows
         self.ssids: list | None = None
+        #: The only columns an entry shows (``None``: all it has).
+        self.keep: frozenset | None = None
+        self._layout: tuple[str, ...] | None | object = _UNKNOWN
+
+    def take(self, indexes: list[int],
+             columns: tuple[str, ...] | None) -> "ColumnBatch":
+        """The entries at ``indexes``, in that order, showing only
+        ``columns`` (all they have for ``None``)."""
+        taken = ColumnBatch(self.reader, [])
+        taken.values = list(map(self.values.__getitem__, indexes))
+        if self.keys is not None:
+            taken.keys = list(map(self.keys.__getitem__, indexes))
+        if self.ssids is not None:
+            taken.ssids = list(map(self.ssids.__getitem__, indexes))
+        if columns is not None:
+            taken.keep = frozenset(columns)
+        return taken
 
     def load(self, state: dict, ssid: int | None = None,
             keys: list | None = None) -> "ColumnBatch":
         """Append entries of ``state`` (``{key: value}``): all of them
         in its order, or those under ``keys`` in theirs."""
+        self._layout = _UNKNOWN
         if keys is None:
             self.keys.extend(state)
             self.values.extend(state.values())
@@ -179,11 +216,14 @@ class ColumnBatch:
         return self
 
     def extend(self, other: "ColumnBatch") -> None:
-        """Append another run of the same table (a further version)."""
+        """Append another run of the same table (a further version, or
+        another node's shipped survivors)."""
+        self._layout = _UNKNOWN
         self.keys.extend(other.keys)
         self.values.extend(other.values)
         if other.ssids is not None:
             self.ssids = (self.ssids or []) + other.ssids
+        self.keep = other.keep
 
     def __len__(self) -> int:
         return len(self.values)
@@ -203,6 +243,8 @@ class ColumnBatch:
                stop: int | None = None) -> list:
         """Column ``name`` of entries ``[start, stop)``, :data:`MISSING`
         where a row has no such column."""
+        if self.keep is not None and name not in self.keep:
+            return [MISSING] * len(self.values[start:stop])
         if self.keys is not None:
             if name in KEY_COLUMNS:
                 return self.keys[start:stop]
@@ -224,8 +266,77 @@ class ColumnBatch:
             None if self.ssids is None else self.ssids[index],
         )
 
+    def layout(self) -> tuple[str, ...] | None:
+        """The column names of every row, in row order, when all rows
+        have the same ones in the same order (``None`` otherwise)."""
+        if self._layout is not _UNKNOWN:
+            return self._layout
+        values = self.values
+        shape = self._shape(values) if values else None
+        names = None if shape is None else shape.layout(values)
+        if names is not None:
+            keep = self.keep
+            # Identity columns overwrite a value column of the same name
+            # in place, and follow the value's columns otherwise.
+            names = tuple(dict.fromkeys(
+                name for name in names + self._identity()
+                if keep is None or name in keep
+            ))
+        self._layout = names if values else ()
+        return self._layout
+
+    def _identity(self) -> tuple[str, ...]:
+        """The columns an entry takes from the entry, not its value."""
+        if self.keys is None:
+            return ()
+        return KEY_COLUMNS + (() if self.ssids is None else ("ssid",))
+
+    def tuples(self) -> tuple[list[tuple[str, ...]], list[tuple]]:
+        """Every row as a names tuple and a values tuple: ``row(i)`` is
+        ``dict(zip(names[i], values[i]))``.  Rows of one layout share one
+        names tuple."""
+        layout = self.layout()
+        if layout is not None:
+            return [layout] * len(self), self._zipped(layout)
+        layouts: dict[tuple, tuple] = {}
+        rows = self.rows()
+        return (
+            [layouts.setdefault(names, names) for names in map(tuple, rows)],
+            [tuple(row.values()) for row in rows],
+        )
+
+    def _zipped(self, layout: tuple[str, ...]) -> list[tuple]:
+        values = self.values  # all of one shape: the layout says so
+        shape = self._shape(values[:1])
+        columns = [
+            self.column(name) if name in KEY_COLUMNS or name == "ssid"
+            else shape.column(name, values) for name in layout
+        ]
+        return list(zip(*columns)) if columns else [()] * len(self)
+
+    def width(self) -> int:
+        """Columns over all rows, counted without shaping them."""
+        if self.keys is None and self.keep is None:
+            return sum(map(len, self.values))  # rows already shaped
+        layout = self.layout()
+        if layout is not None:
+            return len(layout) * len(self)
+        identity = self._identity()
+        shape = self.reader.shape
+        keep = self.keep
+        return sum(
+            len({name for name in shape(type(value)).layout([value])
+                 + identity if keep is None or name in keep})
+            for value in self.values
+        )
+
     def rows(self) -> list[dict]:
-        """Every entry as a whole row (what a passthrough shard ships)."""
+        """Every entry as a row (what the entry node merges)."""
+        if self.keep is not None:
+            layout = self.layout()
+            if layout is None:
+                return list(map(self.projector(self.keep), range(len(self))))
+            return [dict(zip(layout, row)) for row in self._zipped(layout)]
         if self.keys is None:
             return list(self.values)
         shape = self._shape(self.values)

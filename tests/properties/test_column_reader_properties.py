@@ -218,7 +218,7 @@ def shipped(fragment, batch, chunk, keep):
             for key, rep, accs in payload.entries
         ]
     # Column order is part of what ships.
-    return locks, [list(row.items()) for row in payload]
+    return locks, [list(row.items()) for row in payload.rows()]
 
 
 # -- tables -------------------------------------------------------------------

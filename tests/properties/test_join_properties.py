@@ -11,7 +11,9 @@ double-count anything).
 Integer values keep the comparisons exact, as in the pushdown suite.
 """
 
+import dataclasses
 import random
+from contextlib import contextmanager
 
 import pytest
 
@@ -19,9 +21,27 @@ from repro import Environment
 from repro.chaos import ChaosHarness, assert_invariants
 from repro.config import ClusterConfig, CostModel, QueryRetryPolicy
 from repro.errors import QueryError
-from repro.query import QueryService
+from repro.query import QueryService, joins
+from repro.sql import parse
 from repro.sql.access import JoinCandidate, choose_join_path
+from repro.sql.fragments import split_select
 from repro.state.live import LiveStateTable
+
+#: Every distributed strategy a join step can run with.
+STRATEGIES = ("copartitioned", "broadcast", "shuffle", "index-nested-loop")
+
+
+@contextmanager
+def forced(monkeypatch, strategy: str):
+    """Plan every join step with ``strategy``, whatever it prices at:
+    the data plane never depends on the strategy, only the billing
+    does (``index-nested-loop`` is INNER-only)."""
+    choose = joins.choose_join_path
+    with monkeypatch.context() as patch:
+        patch.setattr(joins, "choose_join_path", lambda candidate, costs:
+                      dataclasses.replace(choose(candidate, costs),
+                                          strategy=strategy))
+        yield
 
 
 def populate(env, seed, orders=300, null_every=0, dup_factor=1):
@@ -361,6 +381,159 @@ def test_join_projection_prunes_unreferenced_columns():
     )
     assert narrow.result.rows != wide.result.rows  # sanity: narrower
     assert narrow.bytes_shipped < wide.bytes_shipped
+
+
+# -- heterogeneous rows ------------------------------------------------------
+
+
+def heterogeneous(env, seed=5):
+    """Dict rows of different shapes: columns some rows lack, extra in
+    others, in different orders, and ``shared`` in two tables — an
+    unqualified name the left side wins where both rows have it."""
+    rng = random.Random(seed)
+    shapes = {
+        "h1": (lambda k: {"grp": k % 5, "a": k, "shared": -k},
+               lambda k: {"shared": k, "grp": k % 5},
+               lambda k: {"grp": k % 5, "a": k, "extra": "x"}),
+        "h2": (lambda k: {"grp": k % 4, "b": k, "shared": k * 10},
+               lambda k: {"b": k, "grp": k % 4},
+               lambda k: {"c": [k % 2], "grp": k % 4}),
+        "h3": (lambda k: {"grp": k % 3, "d": k},
+               lambda k: {"grp": k % 3}),
+    }
+    keys = {"h1": range(48), "h2": range(10, 40), "h3": range(0, 30, 3)}
+    for name, makers in shapes.items():
+        imap = env.store.create_map(name)
+        env.store.register_live_table(name, LiveStateTable(imap))
+        for key in keys[name]:
+            imap.put(key, rng.choice(makers)(key))
+    return env
+
+
+HETEROGENEOUS = [
+    'SELECT * FROM "h1" AS p JOIN "h2" AS q USING (partitionKey)',
+    'SELECT * FROM "h1" AS p LEFT JOIN "h2" AS q USING (partitionKey)',
+    'SELECT * FROM "h1" AS p LEFT JOIN "h2" AS q ON p.grp = q.grp',
+    'SELECT * FROM "h2" AS q LEFT JOIN "h1" AS p ON q.grp = p.grp',
+    'SELECT p.partitionKey AS k, grp, COUNT(*) AS n FROM "h1" AS p '
+    'JOIN "h2" AS q ON p.grp = q.grp GROUP BY p.partitionKey, grp '
+    "ORDER BY k",
+    # an unqualified name only some merged rows have
+    'SELECT p.partitionKey, shared FROM "h1" AS p '
+    'LEFT JOIN "h2" AS q USING (partitionKey)',
+]
+THREE_WAY = ('SELECT * FROM "h1" AS p JOIN "h2" AS q USING (partitionKey) '
+             'LEFT JOIN "h3" AS r ON q.grp = r.grp')
+
+
+def finished(service, sql):
+    """``sql``'s execution run to completion, an error left on it."""
+    execution = service.submit(sql)
+    while not execution.done:
+        service.sim.step()
+    return execution
+
+
+def outcome(execution):
+    if execution.error is not None:
+        return f"{type(execution.error).__name__}: {execution.error}"
+    return execution.result.columns, execution.result.rows
+
+
+def reference_bytes(env, sql: str, strategy: str) -> tuple[int, int, int]:
+    """``(bytes_shipped, join_bytes_shuffled, join_bytes_broadcast)`` of
+    a two-table join run with ``strategy``, billed the way the engine
+    always has: row by row over bound dict rows — a shipped row is a
+    framed header plus one ``column_bytes`` per column, a merged row's
+    columns are its unqualified names."""
+    costs = env.costs
+    select = parse(sql)
+    plan = split_select(select)
+    nodes = len(env.cluster.surviving_node_ids())
+    join = select.joins[0]
+
+    def shipped_rows(ref):
+        keep = plan.fragment(ref.name).projection
+        rows = []
+        for key, value in env.store.get_map(ref.name).entries():
+            row = dict(value, partitionKey=key, key=key)
+            rows.append(row if keep is None else
+                        {name: row[name] for name in row if name in keep})
+        return rows, [{**row, **{f"{ref.binding}.{name}": row[name]
+                                 for name in row}} for row in rows]
+
+    def nbytes(row, bound=False):
+        columns = sum("." not in name for name in row) if bound else len(row)
+        return costs.row_overhead_bytes + columns * costs.column_bytes
+
+    def key(row, column):
+        if join.using:
+            parts = tuple(row.get(name) for name in join.using)
+            return None if None in parts else parts
+        return row[column.display()]
+
+    (_raw, lefts), (raws, rights) = map(shipped_rows,
+                                        (select.table, join.table))
+    probe, build = (None, None) if join.using else (
+        (join.on.left, join.on.right)
+        if join.on.right.table == join.table.binding
+        else (join.on.right, join.on.left))
+    pad = {name: None for row in rights for name in row}
+    merged = []
+    for left in lefts:
+        matches = [{**right, **left} for right in rights
+                   if key(left, probe) is not None
+                   and key(left, probe) == key(right, build)]
+        merged += matches or ([{**pad, **left}] if join.kind == "LEFT"
+                              else [])
+    acks = nodes * costs.row_overhead_bytes
+    build_bytes = sum(map(nbytes, raws))
+    shuffled = broadcast = 0
+    shipped = acks + sum(nbytes(row, bound=True) for row in merged)
+    if strategy in ("copartitioned", "shuffle"):
+        shipped += acks
+    else:  # the build side ships to the entry node, then to every node
+        broadcast = build_bytes * nodes
+        shipped += broadcast + (
+            # a scan that pushes nothing bills the flat row size
+            len(raws) * costs.row_bytes
+            if strategy == "broadcast"
+            and plan.fragment(join.table.name).is_passthrough
+            else build_bytes
+        )
+    if strategy == "shuffle":
+        shuffled = sum(nbytes(raw) for raw, row in zip(raws, rights)
+                       if key(row, build) is not None)
+        shuffled += sum(nbytes(row, bound=True) for row in lefts)
+        shipped += shuffled
+    return shipped, shuffled, broadcast
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_heterogeneous_rows_join_like_central(monkeypatch, strategy):
+    """Rows of one table with different columns: presence, width and
+    column order are per row.  Every forced strategy returns central's
+    rows in central's order and columns (``SELECT *`` takes them in
+    first-seen order), and bills each row's own width."""
+    env = heterogeneous(Environment(ClusterConfig(
+        nodes=4, processing_workers_per_node=1)))
+    central = QueryService(env, distributed_joins=False)
+    statements = HETEROGENEOUS + [THREE_WAY]
+    if strategy == "index-nested-loop":  # INNER-only
+        statements = [sql for sql in statements if "LEFT" not in sql]
+    compared = 0
+    for sql in statements:
+        with forced(monkeypatch, strategy):
+            execution = finished(QueryService(env), sql)
+        assert execution.join_strategies[0] == strategy, sql
+        assert outcome(execution) == outcome(finished(central, sql)), sql
+        compared += execution.error is None
+        if sql == THREE_WAY or execution.error is not None:
+            continue
+        assert (execution.bytes_shipped, execution.join_bytes_shuffled,
+                execution.join_bytes_broadcast) == \
+            reference_bytes(env, sql, strategy), sql
+    assert compared >= len(statements) - 1
 
 
 # -- cost chooser unit tests -------------------------------------------------

@@ -9,10 +9,11 @@ cycle.  ``_lock_rows`` now issues requests in sorted key order.
 import pytest
 
 from repro import Environment
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, SanitizerConfig
 from repro.query import QueryService
 
 from ..conftest import build_average_job, make_squery_backend
+from ..properties.test_join_properties import QUERIES, populate
 
 
 @pytest.fixture
@@ -74,3 +75,23 @@ def test_concurrent_repeatable_read_scans_do_not_deadlock(running_env):
     env.run_for(5_000)
     assert all(e.done and e.error is None for e in executions)
     assert env.sanitizers is None or env.sanitizers.lockdep_violations == 0
+
+
+@pytest.mark.parametrize("distributed_joins", [True, False])
+def test_multi_table_statements_lock_tables_in_one_order(distributed_joins):
+    """A query locks its tables one after another in name order, not
+    in the order its shards land: every query then acquires the lock
+    classes in the same order, and lockdep sees no inversion."""
+    env = Environment(
+        ClusterConfig(nodes=3),
+        sanitizers=SanitizerConfig(enabled=True, fail_fast=False),
+    )
+    populate(env, 1)
+    service = QueryService(env, repeatable_read=True,
+                           distributed_joins=distributed_joins)
+    for sql in QUERIES:
+        execution = service.execute(sql)
+        assert execution.error is None, (sql, execution.error)
+    assert env.sanitizers.lockdep_violations == 0
+    assert env.sanitizers.verify() == []
+    assert env.store.locks.held_keys() == []

@@ -91,7 +91,7 @@ def shard_calls(make_value, sql):
 #: once per value type, when the table's reader first sees it.
 PER_ROW_BEFORE = ("rows_on_node", "live_row", "value_to_columns",
                   "is_dataclass", "fields", "group_key", "order_key",
-                  "_hashable")
+                  "hashable_key")
 
 
 @pytest.mark.parametrize("make_value", [as_dict, as_dataclass])
@@ -112,9 +112,9 @@ def test_top_k_shard_runs_no_frame_per_row(make_value):
     calls, payload = shard_calls(
         make_value, 'SELECT key, pad FROM "t" ORDER BY pad DESC LIMIT 20',
     )
-    assert [row["key"] for row in payload] == \
+    assert [row["key"] for row in payload.rows()] == \
         list(range(ROWS - 1, ROWS - 21, -1))
-    # Only rows that come to be held are shaped: at most LIMIT a chunk.
+    # The shard holds entry indexes: no row is shaped until one ships.
     assert sum(calls.values()) <= SLACK
-    assert calls["project"] <= 20 * CHUNKS
+    assert calls["project"] == 0
     assert [name for name in PER_ROW_BEFORE if calls[name] > 1] == []

@@ -65,7 +65,7 @@ def test_projection_fragment_matches_interpreted(chunk):
     ]
     assert lock_rows == expected_locks
     assert all(got is raw for got, raw in zip(lock_rows, expected_locks))
-    assert payload == [
+    assert payload.rows() == [
         {"key": raw["key"], "value": raw["value"]}
         for raw in expected_locks
     ]
@@ -200,7 +200,7 @@ def test_eliminated_rows_never_error():
     lock_rows, payload, _ = run_fragment_batches(
         compiled, rows[1:], CTX, 10
     )
-    assert lock_rows == [rows[2]] and payload == [{"key": 2}]
+    assert lock_rows == [rows[2]] and payload.rows() == [{"key": 2}]
 
 
 def test_fragment_cache_hits_on_identical_shape():
@@ -278,12 +278,12 @@ def test_top_k_holds_the_first_rows_of_the_stable_order(sql, survives,
         )
         # The held rows — and their order — never depend on the
         # chunking; the lock set stays every survivor.
-        assert [row["key"] for row in payload] == expected, chunk
+        assert [row["key"] for row in payload.rows()] == expected, chunk
         assert lock_rows == survivors
         assert batches == (len(ROWS) + chunk - 1) // chunk
     # Without the stage every survivor ships, in scan order.
     _, payload, _ = run_fragment_batches(compiled, ROWS, CTX, 7)
-    assert [row["key"] for row in payload] == \
+    assert [row["key"] for row in payload.rows()] == \
         [raw["key"] for raw in survivors]
 
 
@@ -300,7 +300,7 @@ def test_top_k_never_originates_an_error():
         )
         # The shard ships every survivor, untruncated and in scan order:
         # the error is the final ORDER BY's to raise.
-        assert [row["key"] for row in payload] == \
+        assert [row["key"] for row in payload.rows()] == \
             [raw["key"] for raw in rows if raw["key"] != 3]
         assert lock_rows == [raw for raw in rows if raw["key"] != 3]
     # A key that fails to evaluate abandons the stage the same way...

@@ -258,7 +258,7 @@ def test_fragment_accumulator_filters_and_projects():
         plan.fragment("t"), ROWS, EvalContext(now_ms=0)
     )
     assert [row["key"] for row in survivors] == [1, 5, 9]
-    assert payload == [
+    assert payload.rows() == [
         {"key": 1, "value": 1}, {"key": 5, "value": 1},
         {"key": 9, "value": 1},
     ]
