@@ -290,17 +290,12 @@ class LockPairingRule:
 
 
 class BillingRule:
-    """Every network shipment and counter must reach the cost model.
+    """Every network shipment must reach the cost model.
 
-    Two checks:
-
-    * every ``<...>.network.send(...)`` (or ``network.send(...)``)
-      call-site must pass an ``nbytes=`` keyword — an unbilled send
-      makes shipped bytes invisible to both the bandwidth model and
-      the pushdown ablation measurements;
-    * every counter field declared on ``ClusterReport`` must be
-      populated inside ``collect_report`` — a counter that never rolls
-      up silently reads as zero in every report.
+    Every ``<...>.network.send(...)`` (or ``network.send(...)``)
+    call-site must pass an ``nbytes=`` keyword — an unbilled send makes
+    shipped bytes invisible to both the bandwidth model and the
+    pushdown ablation measurements.
     """
 
     name = "billing"
@@ -309,7 +304,6 @@ class BillingRule:
         for node in ast.walk(context.tree):
             if isinstance(node, ast.Call):
                 yield from self._check_send(context, node)
-        yield from self._check_report_coverage(context)
 
     def _check_send(self, context: FileContext,
                     node: ast.Call) -> Iterator[Violation]:
@@ -325,43 +319,6 @@ class BillingRule:
                 "network send without nbytes=: every shipment must be "
                 "billed to the cost model",
             )
-
-    def _check_report_coverage(
-        self, context: FileContext
-    ) -> Iterator[Violation]:
-        report_class = None
-        collector = None
-        for node in context.tree.body:
-            if isinstance(node, ast.ClassDef) \
-                    and node.name == "ClusterReport":
-                report_class = node
-            if isinstance(node, ast.FunctionDef) \
-                    and node.name == "collect_report":
-                collector = node
-        if report_class is None or collector is None:
-            return
-        populated: set[str] = set()
-        for node in ast.walk(collector):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets
-                           if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    if isinstance(target, ast.Attribute):
-                        populated.add(target.attr)
-        for stmt in report_class.body:
-            if not isinstance(stmt, ast.AnnAssign) \
-                    or not isinstance(stmt.target, ast.Name):
-                continue
-            field = stmt.target.id
-            if field in ("horizon_ms", "nodes"):
-                continue  # structural fields, assigned at construction
-            if field not in populated:
-                yield Violation(
-                    self.name, context.path, stmt.lineno,
-                    f"ClusterReport.{field} is declared but never "
-                    "populated in collect_report()",
-                )
 
 
 class LockOrderRule:

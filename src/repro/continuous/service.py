@@ -106,7 +106,6 @@ class ContinuousQueryService:
         self.batches_sent = 0
         self.batches_coalesced = 0
         self.rescans_run = 0
-        self.rollback_notifications = 0
         #: Batches merged into a shared network message by the outbox.
         self.coalesced_batches = 0
         self.slow_consumers_evicted = 0
@@ -474,7 +473,6 @@ class ContinuousQueryService:
             else:
                 ssid = subscription.needs_rollback_ssid
                 subscription.needs_rollback_ssid = None
-                self.rollback_notifications += 1
                 self._send(subscription, BATCH_ROLLBACK,
                            self._snapshot_entries(subscription), ssid=ssid)
             return
@@ -690,7 +688,6 @@ class ContinuousQueryService:
             if subscription.needs_rollback_ssid is not None:
                 ssid = subscription.needs_rollback_ssid
                 subscription.needs_rollback_ssid = None
-                self.rollback_notifications += 1
                 self._send(subscription, BATCH_ROLLBACK,
                            self._snapshot_entries(subscription), ssid=ssid)
             elif subscription.tier == TIER_DIGEST \

@@ -146,8 +146,8 @@ class VersionedRegistries:
 
     def add(self, definition, ssids: Iterable[int]):
         """Declare ``definition`` and backfill it into the retained
-        versions ``ssids`` (the store's DDL entry point re-freezes the
-        committed ones)."""
+        versions ``ssids``: the one write a frozen (committed) registry
+        admits, which leaves it frozen."""
         existing = self._registry_class.declared(
             self.definitions, definition
         )
@@ -155,7 +155,10 @@ class VersionedRegistries:
             return existing
         self.definitions[definition.slot] = definition
         for ssid in ssids:
-            self.for_version(ssid).add_definition(definition)
+            registry = self.for_version(ssid)
+            frozen, registry.frozen = registry.frozen, False
+            registry.add_definition(definition)
+            registry.frozen = frozen
         return definition
 
     def rebuild(self, ssid: int, partition: int) -> None:

@@ -6,14 +6,78 @@ how busy the store partition threads are, how much the network carried,
 how often key locks contended.  :func:`collect_report` gathers all of
 that into one structured snapshot, and :func:`format_report` renders it
 as an aligned table.
+
+Every counter of :class:`ClusterReport` is declared once, by
+:func:`counter`: its unit, a one-line help text, the footer section and
+label it renders under, and how to read it from an
+:class:`~repro.env.Environment`.  Collecting, rendering and a JSON dump
+(``dataclasses.asdict(report)`` beside each field's ``metadata``) all
+derive from that declaration.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from operator import attrgetter
+from typing import Callable
 
 from .bench.report import format_table
 from .env import Environment
+from .sql.compiled import like_cache_stats
+
+Reader = Callable[[Environment], "int | float"]
+
+
+def counter(section: str, label: str, unit: str, help: str,
+            read: Reader, default: int | float = 0):
+    """Declare one :class:`ClusterReport` counter: it renders as
+    ``<value> <label>`` on the footer line of ``section``, and
+    :func:`collect_report` sets it to ``read(env)`` (converted to the
+    type of ``default``, its value before anything was read)."""
+    return field(default=default, metadata={
+        "section": section, "label": label, "unit": unit, "help": help,
+        "read": read,
+    })
+
+
+def _queries(name: str) -> Reader:
+    """A per-query counter totalled over every query service's finished
+    queries (``QueryService.totals``)."""
+    return lambda env: sum(
+        service.totals[name] for service in env.query_services
+    )
+
+
+def _services(name: str) -> Reader:
+    return lambda env: sum(
+        getattr(service, name) for service in env.query_services
+    )
+
+
+def _optional(owner: str) -> Callable[["str | Callable"], Reader]:
+    """Readers of ``env.<owner>``, by attribute path or callable.  The
+    owner is ``None`` until it exists (the continuous-query service
+    before the first subscription, the sanitizer runtime when unarmed),
+    and its counters read zero until then."""
+    def reader_of(read: "str | Callable") -> Reader:
+        if isinstance(read, str):
+            read = attrgetter(read)
+
+        def reader(env: Environment):
+            target = getattr(env, owner)
+            return 0 if target is None else read(target)
+
+        return reader
+
+    return reader_of
+
+
+_continuous = _optional("continuous")
+_sanitizers = _optional("sanitizers")
+
+
+def _plan_sizes(continuous) -> list[int]:
+    return [plan.subscriber_count for plan in continuous.plans.values()]
 
 
 @dataclass(frozen=True)
@@ -32,73 +96,233 @@ class NodeReport:
 
 @dataclass
 class ClusterReport:
-    """A point-in-time utilisation snapshot of the whole deployment."""
+    """A point-in-time utilisation snapshot of the whole deployment.
+
+    Counters are cumulative from time 0 unless their help text says
+    "now"; the LIKE-cache pair is cumulative for the process."""
 
     horizon_ms: float
     nodes: list[NodeReport] = field(default_factory=list)
-    network_messages: int = 0
-    network_bytes: int = 0
-    lock_acquisitions: int = 0
-    lock_contentions: int = 0
-    locks_held: int = 0
-    open_channels: int = 0
-    # query fault tolerance (zero when no failures were injected)
-    query_retries: int = 0
-    query_aborts: int = 0
-    query_timeouts: int = 0
-    # distributed query execution (pushdown / pruning effectiveness)
-    query_rows_shipped: int = 0
-    query_bytes_shipped: int = 0
-    query_partitions_pruned: int = 0
-    # secondary indexes (access paths and write-path maintenance)
-    index_probes: int = 0
-    index_rows_read: int = 0
-    rows_skipped_by_index: int = 0
-    index_maintenance_ops: int = 0
-    index_maintenance_cost: float = 0.0
-    # approximate query answering (sketch probes and maintenance)
-    sketch_probes: int = 0
-    approx_queries_answered: int = 0
-    sketch_maintenance_ops: int = 0
-    sketch_maintenance_cost: float = 0.0
-    # columnar scan execution (compile-once fragments)
-    predicates_compiled: int = 0
-    batches_evaluated: int = 0
-    compile_cache_hits: int = 0
-    # distributed joins (steps per chosen physical strategy)
-    joins_copartitioned: int = 0
-    joins_broadcast: int = 0
-    joins_shuffle: int = 0
-    joins_index_nested: int = 0
-    joins_central: int = 0
-    join_build_rows: int = 0
-    join_bytes_broadcast: int = 0
-    join_bytes_shuffled: int = 0
-    # compiled-LIKE pattern cache (process-wide, LRU-bounded)
-    like_cache_hits: int = 0
-    like_cache_misses: int = 0
-    # continuous queries (zero when the subsystem is unused)
-    active_subscriptions: int = 0
-    changes_captured: int = 0
-    deltas_pushed: int = 0
-    push_batches_sent: int = 0
-    push_batches_coalesced: int = 0
-    subscription_rescans: int = 0
-    # continuous-query fan-out (plan dedup + router + tiered delivery)
-    shared_plans: int = 0
-    subscriptions_per_plan_max: int = 0
-    subscriptions_per_plan_mean: float = 0.0
-    router_deltas_routed: int = 0
-    residual_filter_drops: int = 0
-    coalesced_batches: int = 0
-    slow_consumers_evicted: int = 0
-    plan_maintenance_ops: int = 0
-    plan_maintenance_cost: float = 0.0
-    # runtime sanitizers (zero unless armed via SanitizerConfig)
-    sanitizer_violations: int = 0
-    # lockdep: lock-acquisition-order tracking (zero unless armed)
-    lock_order_edges_observed: int = 0
-    lockdep_violations: int = 0
+    network_messages: int = counter(
+        "network", "messages", "count", "Messages sent between nodes.",
+        attrgetter("cluster.network.messages_sent"))
+    network_bytes: int = counter(
+        "network", "bytes", "B", "Payload bytes sent between nodes.",
+        attrgetter("cluster.network.bytes_sent"))
+    lock_acquisitions: int = counter(
+        "locks", "acquisitions", "count", "Key-lock acquisitions.",
+        attrgetter("store.locks.acquisitions"))
+    lock_contentions: int = counter(
+        "locks", "contended", "count",
+        "Key-lock acquisitions that had to queue behind a holder.",
+        attrgetter("store.locks.contentions"))
+    locks_held: int = counter(
+        "locks", "held now", "count",
+        "Key locks held now (a finished query holds none: leak check).",
+        attrgetter("store.locks.held_count"))
+    open_channels: int = counter(
+        "network", "channels open now", "count",
+        "FIFO network channels tracked now (a finished query closes "
+        "its own: leak check).",
+        attrgetter("cluster.network.open_channels"))
+    query_retries: int = counter(
+        "query fault tolerance", "retries", "count",
+        "Node deaths that started an in-flight query over on the "
+        "survivors.",
+        _services("query_retries"))
+    query_aborts: int = counter(
+        "query fault tolerance", "aborts", "count",
+        "Queries failed fast (entry-node death, retry exhaustion, "
+        "timeout) instead of completing.",
+        _services("query_aborts"))
+    query_timeouts: int = counter(
+        "query fault tolerance", "of them by timeout", "count",
+        "Aborts the query watchdog caused.",
+        _services("query_timeouts"))
+    query_rows_shipped: int = counter(
+        "query shipping", "rows", "count",
+        "Scan rows (or partial groups) shipped to entry nodes.",
+        _queries("rows_shipped"))
+    query_bytes_shipped: int = counter(
+        "query shipping", "bytes", "B",
+        "Bytes of those shipments, billed from the surviving shape.",
+        _queries("bytes_shipped"))
+    query_partitions_pruned: int = counter(
+        "query shipping", "partitions pruned", "count",
+        "Store partitions scans skipped by key or zone-map pruning.",
+        _queries("partitions_pruned"))
+    index_probes: int = counter(
+        "indexes", "probes", "count",
+        "Secondary-index probes issued by index-backed shard scans.",
+        _queries("index_probes"))
+    index_rows_read: int = counter(
+        "indexes", "rows read", "count",
+        "Candidate rows fetched through an index instead of swept.",
+        _queries("index_rows_read"))
+    rows_skipped_by_index: int = counter(
+        "indexes", "rows skipped", "count",
+        "Rows index-backed scans never touched.",
+        _queries("rows_skipped_by_index"))
+    index_maintenance_ops: int = counter(
+        "indexes", "maintenance ops", "count",
+        "Index-entry touches on the write path, backfills included.",
+        lambda env: env.store.index_maintenance_ops())
+    index_maintenance_cost: float = counter(
+        "indexes", "ms maintenance billed", "ms",
+        "Virtual ms those touches bill (index_maintain_entry_ms each).",
+        lambda env: (env.store.index_maintenance_ops()
+                     * env.costs.index_maintain_entry_ms),
+        default=0.0)
+    sketch_probes: int = counter(
+        "sketches", "probes", "count",
+        "Sketch probes issued by APPROX aggregates, one per partition "
+        "summarised instead of scanned.",
+        _queries("sketch_probes"))
+    approx_queries_answered: int = counter(
+        "sketches", "APPROX queries answered", "count",
+        "Queries answered from sketches.",
+        _queries("approx_answered"))
+    sketch_maintenance_ops: int = counter(
+        "sketches", "maintenance ops", "count",
+        "Sketch-entry touches on the write path, backfills included.",
+        lambda env: env.store.sketch_maintenance_ops())
+    sketch_maintenance_cost: float = counter(
+        "sketches", "ms maintenance billed", "ms",
+        "Virtual ms those touches bill (sketch_maintain_entry_ms each).",
+        lambda env: (env.store.sketch_maintenance_ops()
+                     * env.costs.sketch_maintain_entry_ms),
+        default=0.0)
+    predicates_compiled: int = counter(
+        "columnar", "predicates compiled", "count",
+        "Pushed conjuncts compiled into closures (fragment-cache "
+        "misses).",
+        _queries("predicates_compiled"))
+    batches_evaluated: int = counter(
+        "columnar", "batches", "count",
+        "Scan chunks evaluated as columnar batches.",
+        _queries("batches_evaluated"))
+    compile_cache_hits: int = counter(
+        "columnar", "fragment-cache hits", "count",
+        "Fragment compilations served by a service's compile cache.",
+        _queries("compile_cache_hits"))
+    joins_copartitioned: int = counter(
+        "joins", "co-partitioned", "count",
+        "Join steps run as a co-partitioned hash join.",
+        _queries("joins_copartitioned"))
+    joins_broadcast: int = counter(
+        "joins", "broadcast", "count",
+        "Join steps run as a broadcast hash join.",
+        _queries("joins_broadcast"))
+    joins_shuffle: int = counter(
+        "joins", "shuffle", "count",
+        "Join steps run as a shuffle hash join.",
+        _queries("joins_shuffle"))
+    joins_index_nested: int = counter(
+        "joins", "index-nested-loop", "count",
+        "Join steps run as an index-nested-loop join.",
+        _queries("joins_index_nested"))
+    joins_central: int = counter(
+        "joins", "central", "count",
+        "Join steps of statements joined on the entry node.",
+        _queries("joins_central"))
+    join_build_rows: int = counter(
+        "joins", "build rows", "count",
+        "Rows fed into distributed join build indexes.",
+        _queries("join_build_rows"))
+    join_bytes_broadcast: int = counter(
+        "joins", "B broadcast", "B",
+        "Build-package bytes replicated by broadcast steps.",
+        _queries("join_bytes_broadcast"))
+    join_bytes_shuffled: int = counter(
+        "joins", "B shuffled", "B",
+        "Bytes repartitioned across the wire by shuffle steps.",
+        _queries("join_bytes_shuffled"))
+    like_cache_hits: int = counter(
+        "LIKE cache", "hits", "count",
+        "Compiled-LIKE pattern cache hits (process-wide).",
+        lambda env: like_cache_stats()[0])
+    like_cache_misses: int = counter(
+        "LIKE cache", "misses", "count",
+        "Compiled-LIKE pattern cache misses (process-wide).",
+        lambda env: like_cache_stats()[1])
+    active_subscriptions: int = counter(
+        "continuous", "subscriptions", "count",
+        "Subscriptions active now.",
+        _continuous("active_subscriptions"))
+    changes_captured: int = counter(
+        "continuous", "changes captured", "count",
+        "Live-table changes captured for standing queries.",
+        _continuous("recorder.changes_captured"))
+    deltas_pushed: int = counter(
+        "continuous", "deltas pushed", "count",
+        "Result deltas sent in delta batches.",
+        _continuous("deltas_pushed"))
+    push_batches_sent: int = counter(
+        "continuous", "batches", "count",
+        "Batches sent to subscribers, of every kind.",
+        _continuous("batches_sent"))
+    push_batches_coalesced: int = counter(
+        "continuous", "backlogs coalesced to snapshots", "count",
+        "Times a slow subscriber's pending deltas were dropped for one "
+        "promised snapshot (per subscriber; unlike coalesced_batches).",
+        _continuous("batches_coalesced"))
+    subscription_rescans: int = counter(
+        "continuous", "rescans", "count",
+        "Full re-executions run for rescan-path standing queries.",
+        _continuous("rescans_run"))
+    shared_plans: int = counter(
+        "fan-out", "shared plans", "count",
+        "Standing plans maintained now.",
+        _continuous("shared_plan_count"))
+    subscriptions_per_plan_max: int = counter(
+        "fan-out", "max subscribers per plan", "count",
+        "Subscribers of the most-shared plan now.",
+        _continuous(lambda continuous: max(_plan_sizes(continuous),
+                                           default=0)))
+    subscriptions_per_plan_mean: float = counter(
+        "fan-out", "mean subscribers per plan", "count",
+        "Mean subscribers per plan now.",
+        _continuous(lambda continuous: sum(_plan_sizes(continuous))
+                    / max(len(continuous.plans), 1)),
+        default=0.0)
+    router_deltas_routed: int = counter(
+        "fan-out", "deltas routed", "count",
+        "Plan result entries the router delivered to subscribers.",
+        _continuous("router.deltas_routed"))
+    residual_filter_drops: int = counter(
+        "fan-out", "residual drops", "count",
+        "Plan result entries a subscriber's residual filter skipped.",
+        _continuous("router.residual_filter_drops"))
+    coalesced_batches: int = counter(
+        "fan-out", "batches sharing a send", "count",
+        "Batches merged into another batch's network message to the "
+        "same node pair (per send; unlike push_batches_coalesced).",
+        _continuous("coalesced_batches"))
+    slow_consumers_evicted: int = counter(
+        "fan-out", "slow consumers evicted", "count",
+        "Subscriptions dropped after a full window outlasted the "
+        "eviction countdown.",
+        _continuous("slow_consumers_evicted"))
+    plan_maintenance_ops: int = counter(
+        "fan-out", "plan updates", "count",
+        "State updates applied to standing plans, once per plan.",
+        _continuous("plan_maintenance_ops"))
+    plan_maintenance_cost: float = counter(
+        "fan-out", "ms plan maintenance billed", "ms",
+        "Virtual ms those plan updates billed to store servers.",
+        _continuous("plan_maintenance_ms"), default=0.0)
+    sanitizer_violations: int = counter(
+        "sanitizers", "invariant violations", "count",
+        "Invariant violations the runtime sanitizers detected.",
+        _sanitizers(lambda sanitizers: len(sanitizers.violations)))
+    lock_order_edges_observed: int = counter(
+        "lockdep", "lock-order edges observed", "count",
+        "Distinct (held, acquired) lock-class pairs lockdep saw.",
+        _sanitizers("lock_order_edges_observed"))
+    lockdep_violations: int = counter(
+        "lockdep", "inversions", "count",
+        "Lock-order inversions lockdep detected.",
+        _sanitizers("lockdep_violations"))
 
     def hottest_pool(self) -> tuple[int, str, float]:
         """(node, pool kind, utilisation) of the busiest worker pool."""
@@ -112,6 +336,12 @@ class ClusterReport:
             if node.store_utilization > best[2]:
                 best = (node.node_id, "store", node.store_utilization)
         return best
+
+
+#: Every counter field of :class:`ClusterReport`, in declaration order.
+COUNTER_FIELDS = tuple(
+    f for f in fields(ClusterReport) if "read" in f.metadata
+)
 
 
 def collect_report(env: Environment) -> ClusterReport:
@@ -133,88 +363,14 @@ def collect_report(env: Environment) -> ClusterReport:
             store_utilization=store_busy / store_capacity,
             store_jobs=sum(s.jobs_served for s in node.store_servers),
         ))
-    report.network_messages = env.cluster.network.messages_sent
-    report.network_bytes = env.cluster.network.bytes_sent
-    report.lock_acquisitions = env.store.locks.acquisitions
-    report.lock_contentions = env.store.locks.contentions
-    report.locks_held = env.store.locks.held_count
-    report.open_channels = env.cluster.network.open_channels
-    for service in getattr(env, "query_services", ()):
-        report.query_retries += service.query_retries
-        report.query_aborts += service.query_aborts
-        report.query_timeouts += service.query_timeouts
-        report.query_rows_shipped += service.rows_shipped_total
-        report.query_bytes_shipped += service.bytes_shipped_total
-        report.query_partitions_pruned += service.partitions_pruned_total
-        report.index_probes += service.index_probes_total
-        report.index_rows_read += service.index_rows_read_total
-        report.rows_skipped_by_index += service.rows_skipped_by_index_total
-        report.sketch_probes += service.sketch_probes_total
-        report.approx_queries_answered += \
-            service.approx_queries_answered_total
-        report.predicates_compiled += service.predicates_compiled_total
-        report.batches_evaluated += service.batches_evaluated_total
-        report.compile_cache_hits += service.compile_cache_hits_total
-        report.joins_copartitioned += service.joins_copartitioned_total
-        report.joins_broadcast += service.joins_broadcast_total
-        report.joins_shuffle += service.joins_shuffle_total
-        report.joins_index_nested += service.joins_index_nested_total
-        report.joins_central += service.joins_central_total
-        report.join_build_rows += service.join_build_rows_total
-        report.join_bytes_broadcast += service.join_bytes_broadcast_total
-        report.join_bytes_shuffled += service.join_bytes_shuffled_total
-    report.index_maintenance_ops = env.store.index_maintenance_ops()
-    report.index_maintenance_cost = (
-        report.index_maintenance_ops * env.costs.index_maintain_entry_ms
-    )
-    report.sketch_maintenance_ops = env.store.sketch_maintenance_ops()
-    report.sketch_maintenance_cost = (
-        report.sketch_maintenance_ops * env.costs.sketch_maintain_entry_ms
-    )
-    continuous = getattr(env, "continuous", None)
-    if continuous is not None:
-        report.active_subscriptions = continuous.active_subscriptions
-        report.changes_captured = continuous.recorder.changes_captured
-        report.deltas_pushed = continuous.deltas_pushed
-        report.push_batches_sent = continuous.batches_sent
-        report.push_batches_coalesced = continuous.batches_coalesced
-        report.subscription_rescans = continuous.rescans_run
-        report.shared_plans = len(continuous.plans)
-        sizes = [
-            plan.subscriber_count
-            for plan in continuous.plans.values()
-        ]
-        if sizes:
-            report.subscriptions_per_plan_max = max(sizes)
-            report.subscriptions_per_plan_mean = sum(sizes) / len(sizes)
-        report.router_deltas_routed = continuous.router.deltas_routed
-        report.residual_filter_drops = \
-            continuous.router.residual_filter_drops
-        report.coalesced_batches = continuous.coalesced_batches
-        report.slow_consumers_evicted = continuous.slow_consumers_evicted
-        report.plan_maintenance_ops = continuous.plan_maintenance_ops
-        report.plan_maintenance_cost = continuous.plan_maintenance_ms
-    # Process-wide cache (shared across environments), documented as
-    # such: the counters are cumulative for the process.
-    from .sql.compiled import like_cache_stats
-
-    like_hits, like_misses = like_cache_stats()
-    report.like_cache_hits = like_hits
-    report.like_cache_misses = like_misses
-    sanitizers = getattr(env, "sanitizers", None)
-    if sanitizers is not None:
-        report.sanitizer_violations = len(sanitizers.violations)
-        report.lock_order_edges_observed = getattr(
-            sanitizers, "lock_order_edges_observed", 0
-        )
-        report.lockdep_violations = getattr(
-            sanitizers, "lockdep_violations", 0
-        )
+    for f in COUNTER_FIELDS:
+        setattr(report, f.name, type(f.default)(f.metadata["read"](env)))
     return report
 
 
 def format_report(report: ClusterReport) -> str:
-    """Render a :class:`ClusterReport` as an aligned text table."""
+    """Render a :class:`ClusterReport` as an aligned text table, with
+    one footer line per counter section that has a non-zero counter."""
     rows = []
     for node in report.nodes:
         rows.append([
@@ -234,90 +390,17 @@ def format_report(report: ClusterReport) -> str:
         title=(f"cluster utilisation over {report.horizon_ms:.0f} ms "
                "virtual"),
     )
-    footer = (
-        f"network: {report.network_messages:,} messages, "
-        f"{report.network_bytes:,} bytes | locks: "
-        f"{report.lock_acquisitions:,} acquisitions, "
-        f"{report.lock_contentions:,} contended"
-    )
-    if report.query_rows_shipped or report.query_partitions_pruned:
-        footer += (
-            f"\nquery shipping: {report.query_rows_shipped:,} rows, "
-            f"{report.query_bytes_shipped:,} bytes | "
-            f"{report.query_partitions_pruned:,} partitions pruned"
+    sections: dict[str, list] = {}
+    for f in COUNTER_FIELDS:
+        sections.setdefault(f.metadata["section"], []).append(
+            (getattr(report, f.name), f.metadata["label"])
         )
-    if report.index_probes or report.index_maintenance_ops:
-        footer += (
-            f"\nindexes: {report.index_probes:,} probes, "
-            f"{report.index_rows_read:,} rows read, "
-            f"{report.rows_skipped_by_index:,} rows skipped | "
-            f"{report.index_maintenance_ops:,} maintenance ops "
-            f"({report.index_maintenance_cost:,.1f} ms billed)"
-        )
-    if report.sketch_probes or report.sketch_maintenance_ops:
-        footer += (
-            f"\nsketches: {report.sketch_probes:,} probes answered "
-            f"{report.approx_queries_answered:,} APPROX queries | "
-            f"{report.sketch_maintenance_ops:,} maintenance ops "
-            f"({report.sketch_maintenance_cost:,.1f} ms billed)"
-        )
-    if report.batches_evaluated or report.predicates_compiled:
-        footer += (
-            f"\ncolumnar: {report.batches_evaluated:,} batches, "
-            f"{report.predicates_compiled:,} predicates compiled "
-            f"({report.compile_cache_hits:,} fragment-cache hits) | "
-            f"LIKE cache: {report.like_cache_hits:,} hits, "
-            f"{report.like_cache_misses:,} misses"
-        )
-    distributed_join_steps = (
-        report.joins_copartitioned + report.joins_broadcast
-        + report.joins_shuffle + report.joins_index_nested
-    )
-    if distributed_join_steps or report.joins_central:
-        footer += (
-            f"\njoins: {report.joins_copartitioned:,} co-partitioned, "
-            f"{report.joins_broadcast:,} broadcast, "
-            f"{report.joins_shuffle:,} shuffle, "
-            f"{report.joins_index_nested:,} index-nested-loop, "
-            f"{report.joins_central:,} central | "
-            f"{report.join_build_rows:,} build rows, "
-            f"{report.join_bytes_broadcast:,} B broadcast, "
-            f"{report.join_bytes_shuffled:,} B shuffled"
-        )
-    if report.query_retries or report.query_aborts:
-        footer += (
-            f"\nquery fault tolerance: {report.query_retries:,} "
-            f"retries, {report.query_aborts:,} aborts "
-            f"({report.query_timeouts:,} by timeout)"
-        )
-    if report.active_subscriptions or report.push_batches_sent:
-        footer += (
-            f"\ncontinuous: {report.active_subscriptions:,} "
-            f"subscriptions, {report.changes_captured:,} changes "
-            f"captured, {report.deltas_pushed:,} deltas pushed in "
-            f"{report.push_batches_sent:,} batches "
-            f"({report.push_batches_coalesced:,} coalesced), "
-            f"{report.subscription_rescans:,} rescans"
-        )
-    if report.shared_plans or report.router_deltas_routed:
-        footer += (
-            f"\nfan-out: {report.shared_plans:,} shared plans "
-            f"(max {report.subscriptions_per_plan_max:,} / mean "
-            f"{report.subscriptions_per_plan_mean:,.1f} subscribers), "
-            f"{report.router_deltas_routed:,} deltas routed, "
-            f"{report.residual_filter_drops:,} residual drops, "
-            f"{report.coalesced_batches:,} batches coalesced, "
-            f"{report.slow_consumers_evicted:,} slow consumers evicted"
-        )
-    if report.sanitizer_violations:
-        footer += (
-            f"\nsanitizers: {report.sanitizer_violations:,} invariant "
-            "violations detected"
-        )
-    if report.lock_order_edges_observed or report.lockdep_violations:
-        footer += (
-            f"\nlockdep: {report.lock_order_edges_observed:,} "
-            f"lock-order edges observed, {report.lockdep_violations:,} "
-            "inversions"
-        )
-    return f"{table}\n{footer}"
+    lines = [table]
+    for section, counters in sections.items():
+        if any(value for value, _label in counters):
+            lines.append(f"{section}: " + ", ".join(
+                f"{value:,.1f} {label}" if isinstance(value, float)
+                else f"{value:,} {label}"
+                for value, label in counters
+            ))
+    return "\n".join(lines)

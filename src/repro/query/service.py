@@ -105,9 +105,29 @@ class _NoPointKey:
 
 NO_POINT_KEY = _NoPointKey()
 
+#: The per-query counters every service also totals over its finished
+#: queries (``QueryService.totals``).  What each one counts is the help
+#: text of the ``ClusterReport`` field that reads the total.
+COUNTERS = (
+    "rows_shipped", "bytes_shipped", "partitions_pruned",
+    "index_probes", "index_rows_read", "rows_skipped_by_index",
+    "sketch_probes", "approx_answered",
+    "predicates_compiled", "batches_evaluated", "compile_cache_hits",
+    "joins_copartitioned", "joins_broadcast", "joins_shuffle",
+    "joins_index_nested", "joins_central",
+    "join_build_rows", "join_bytes_broadcast", "join_bytes_shuffled",
+)
+
 
 class QueryExecution:
-    """Handle for one in-flight or completed query."""
+    """Handle for one in-flight or completed query.
+
+    Each name in :data:`COUNTERS` reads the class-level zero until the
+    query first counts it, so constructing a handle pays nothing for
+    them.  ``approx_answered`` becomes ``True`` when the result came
+    from sketches: the answer carries ``error_bound`` / ``confidence``
+    columns instead of touching any rows.
+    """
 
     def __init__(self, sql: str, submitted_ms: float,
                  isolation: IsolationLevel, qid: int) -> None:
@@ -122,49 +142,6 @@ class QueryExecution:
         self.completed_ms: float | None = None
         self.result: QueryResult | None = None
         self.error: Exception | None = None
-        self.rows_shipped = 0
-        #: Network payload bytes of shipped scan results.  Under
-        #: pushdown this is billed from the actual surviving columns /
-        #: partial-group states; the legacy path bills a flat
-        #: ``row_bytes`` per row.
-        self.bytes_shipped = 0
-        #: Store partitions skipped entirely by key/range pruning
-        #: (across all scan attempts).
-        self.partitions_pruned = 0
-        #: Secondary-index probes issued by index-backed shard scans.
-        self.index_probes = 0
-        #: Candidate rows fetched through an index (instead of swept).
-        self.index_rows_read = 0
-        #: Rows an index-backed scan never touched (scan minus
-        #: candidates, summed over indexed shards).
-        self.rows_skipped_by_index = 0
-        #: Sketch probes issued by an APPROX aggregate (one per
-        #: partition summarised instead of scanned).
-        self.sketch_probes = 0
-        #: True when the result came from sketches: the answer carries
-        #: ``error_bound`` / ``confidence`` columns instead of touching
-        #: any rows.
-        self.approx_answered = False
-        #: Pushed conjuncts compiled into specialized closures for this
-        #: query (compile-cache misses only).
-        self.predicates_compiled = 0
-        #: Scan chunks evaluated as columnar batches.
-        self.batches_evaluated = 0
-        #: Fragment compilations served by the service's compile cache.
-        self.compile_cache_hits = 0
-        #: Per-strategy counts of distributed join steps (a join that
-        #: runs centrally counts every step under ``joins_central``).
-        self.joins_copartitioned = 0
-        self.joins_broadcast = 0
-        self.joins_shuffle = 0
-        self.joins_index_nested = 0
-        self.joins_central = 0
-        #: Rows fed into distributed build indexes across stages.
-        self.join_build_rows = 0
-        #: Build-package bytes replicated by broadcast stages.
-        self.join_bytes_broadcast = 0
-        #: Bytes repartitioned across the wire by shuffle stages.
-        self.join_bytes_shuffled = 0
         #: Chosen strategy per join step (empty until planned;
         #: ``["central", ...]`` when the statement runs centrally).
         self.join_strategies: list[str] = []
@@ -216,6 +193,10 @@ class QueryExecution:
         self.error = error
         if self.on_done is not None:
             self.on_done(self)
+
+
+for _name in COUNTERS:
+    setattr(QueryExecution, _name, 0)
 
 
 @dataclass
@@ -503,40 +484,9 @@ class QueryService:
         self.statement_cache: LruCache = LruCache(256)
         self._entry_rotation = 0
         self.queries_executed = 0
-        #: Rows shipped to entry nodes across all finished queries.
-        self.rows_shipped_total = 0
-        #: Result-shipping bytes across all finished queries.
-        self.bytes_shipped_total = 0
-        #: Store partitions skipped by scan pruning, all queries.
-        self.partitions_pruned_total = 0
-        #: Secondary-index probes across all finished queries.
-        self.index_probes_total = 0
-        #: Rows fetched through indexes across all finished queries.
-        self.index_rows_read_total = 0
-        #: Rows index-backed scans never touched, all finished queries.
-        self.rows_skipped_by_index_total = 0
-        #: Sketch probes across all finished queries.
-        self.sketch_probes_total = 0
-        #: Queries answered from sketches (APPROX fast path).
-        self.approx_queries_answered_total = 0
-        #: Pushed conjuncts compiled into closures, all finished queries.
-        self.predicates_compiled_total = 0
-        #: Columnar scan batches evaluated, all finished queries.
-        self.batches_evaluated_total = 0
-        #: Fragment compile-cache hits, all finished queries.
-        self.compile_cache_hits_total = 0
-        #: Join steps per chosen strategy, all finished queries.
-        self.joins_copartitioned_total = 0
-        self.joins_broadcast_total = 0
-        self.joins_shuffle_total = 0
-        self.joins_index_nested_total = 0
-        self.joins_central_total = 0
-        #: Rows fed into distributed build indexes, all finished queries.
-        self.join_build_rows_total = 0
-        #: Broadcast build-package bytes, all finished queries.
-        self.join_bytes_broadcast_total = 0
-        #: Shuffle repartition bytes, all finished queries.
-        self.join_bytes_shuffled_total = 0
+        #: Each of :data:`COUNTERS` summed over every finished query,
+        #: failed ones included.
+        self.totals = dict.fromkeys(COUNTERS, 0)
         #: Node deaths that started a query over on the survivors.
         self.query_retries = 0
         #: Queries failed fast (entry-node death, retry exhaustion,
@@ -823,26 +773,9 @@ class QueryService:
             network.close_channel(channel)
         execution.channels.clear()
         self._inflight.pop(execution.qid, None)
-        self.rows_shipped_total += execution.rows_shipped
-        self.bytes_shipped_total += execution.bytes_shipped
-        self.partitions_pruned_total += execution.partitions_pruned
-        self.index_probes_total += execution.index_probes
-        self.index_rows_read_total += execution.index_rows_read
-        self.rows_skipped_by_index_total += execution.rows_skipped_by_index
-        self.sketch_probes_total += execution.sketch_probes
-        self.predicates_compiled_total += execution.predicates_compiled
-        self.batches_evaluated_total += execution.batches_evaluated
-        self.compile_cache_hits_total += execution.compile_cache_hits
-        self.joins_copartitioned_total += execution.joins_copartitioned
-        self.joins_broadcast_total += execution.joins_broadcast
-        self.joins_shuffle_total += execution.joins_shuffle
-        self.joins_index_nested_total += execution.joins_index_nested
-        self.joins_central_total += execution.joins_central
-        self.join_build_rows_total += execution.join_build_rows
-        self.join_bytes_broadcast_total += execution.join_bytes_broadcast
-        self.join_bytes_shuffled_total += execution.join_bytes_shuffled
-        if execution.approx_answered and error is None:
-            self.approx_queries_answered_total += 1
+        totals = self.totals
+        for name in COUNTERS:
+            totals[name] += getattr(execution, name)
         if error is None:
             self.queries_executed += 1
         execution._finish(self.sim.now, result, error)

@@ -585,24 +585,38 @@ def _distinct(rows: list[dict], columns: list[str]) -> list[dict]:
     return out
 
 
+#: ``(NULL flag, NaN flag)`` of an ascending and of a descending ORDER
+#: BY term; every other value's flag is ``descending`` (0 / 1).  An
+#: ascending term sorts forward: values, NaN, NULL; a descending one
+#: sorts reversed: NaN, values, NULL.  So NaN ranks above every number
+#: (PostgreSQL's rule) and NULLs sort last both ways.  A NULL or NaN
+#: key carries ``None`` as its value: neither is ever compared with a
+#: value, and two NaNs tie.
+_SPECIAL_FLAGS = ((2, 1), (0, 2))
+
+
 def compile_order_key(order_by: "tuple[OrderItem, ...]") -> CompiledExpr:
     """A closure yielding one bound row's ORDER BY key: a flat native
     tuple ``(flag, value, flag, value, ...)``, one pair per term, which
-    :func:`order_keyed` sorts with C comparisons.  The flag ranks NULLs
-    last in the term's direction (``value is None`` ascending, ``value
-    is not None`` for a descending term, whose pass runs reversed), so
-    a NULL is never compared with a value."""
+    :func:`order_keyed` sorts with C comparisons (flags as in
+    :data:`_SPECIAL_FLAGS`)."""
     terms = tuple(
-        (compile_expr(order.expr), order.descending) for order in order_by
+        (compile_expr(order.expr), order.descending,
+         *_SPECIAL_FLAGS[order.descending])
+        for order in order_by
     )
 
     def order_key(row: dict, context: EvalContext) -> tuple:
-        key: list = []
-        for term, descending in terms:
+        key: tuple = ()
+        for term, descending, null_flag, nan_flag in terms:
             value = term(row, context)
-            key.append((value is None) != descending)
-            key.append(value)
-        return tuple(key)
+            if value is None:
+                key += (null_flag, None)
+            elif value == value:
+                key += (descending, value)
+            else:
+                key += (nan_flag, None)
+        return key
 
     return order_key
 
@@ -614,7 +628,17 @@ def order_keys(order_by: "tuple[OrderItem, ...]",
     flat = []
     for order, values in zip(order_by, columns):
         descending = order.descending
-        flat.append([(value is None) != descending for value in values])
+        null_flag, nan_flag = _SPECIAL_FLAGS[descending]
+        flags = [
+            null_flag if value is None
+            else descending if value == value
+            else nan_flag
+            for value in values
+        ]
+        if nan_flag in flags:
+            values = [None if flag == nan_flag else value
+                      for flag, value in zip(flags, values)]
+        flat.append(flags)
         flat.append(values)
     return list(zip(*flat))
 

@@ -1,4 +1,4 @@
-"""Billing fixture: every send billed, every counter rolled up."""
+"""Billing fixture: every send billed."""
 
 
 def ship_billed(cluster, src, dst, deliver, payload, cost):
@@ -8,16 +8,3 @@ def ship_billed(cluster, src, dst, deliver, payload, cost):
 def not_a_network_send(mailbox, message):
     # ``send`` on a non-network receiver is out of scope for the rule.
     mailbox.send(message)
-
-
-class ClusterReport:
-    horizon_ms: float
-    messages: int = 0
-    bytes_total: int = 0
-
-
-def collect_report(env):
-    report = ClusterReport()
-    report.messages = env.cluster.network.messages_sent
-    report.bytes_total = env.cluster.network.bytes_sent
-    return report

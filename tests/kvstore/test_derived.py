@@ -158,6 +158,32 @@ def test_ddl_on_a_committed_version_freezes_it_at_once(
         assert table.coherence_errors(family, ssid) == []
 
 
+#: family -> DDL of a second structure beside ``FAMILIES``' first.
+SECOND = {"index": {"column": "w", "kind": "sorted"},
+          "sketch": {"column": "w", "kind": "reservoir"}}
+
+
+@pytest.mark.parametrize("family, ddl, _conflicting", FAMILIES)
+def test_second_ddl_backfills_a_committed_version_and_refreezes_it(
+        store, family, ddl, _conflicting):
+    table = snapshot_table(store)
+    write_version(store, table, 1)
+    first = create(store, family, "snapshot_t", ddl)
+    registry = table.derived[family].versions[1]
+    messages = []
+    table.derived[family].set_mutation_hook(messages.append)
+    second = create(store, family, "snapshot_t", SECOND[family])
+    assert registry.defs() == sorted([first, second],
+                                     key=lambda d: d.slot)
+    assert registry.frozen and table.ready(family, 1)
+    assert table.coherence_errors(family, 1) == []
+    assert messages == []
+    # Only DDL may backfill: every other mutation still raises.
+    with pytest.raises(StoreError, match="frozen"):
+        registry.rebuild_partition(0)
+    assert len(messages) == 1
+
+
 @pytest.mark.parametrize("family, ddl, _conflicting", FAMILIES)
 def test_maintenance_ops_stay_monotonic_across_retirement(
         store, family, ddl, _conflicting):

@@ -104,7 +104,7 @@ def test_live_answers_within_reported_bound(seed, pushdown):
                                       "confidence"]
         assert_within_bound(mode, lhs.result.rows[0], column,
                             rhs.result.rows[0][column], approx_sql)
-    assert approx.approx_queries_answered_total == len(QUERIES)
+    assert approx.totals["approx_answered"] == len(QUERIES)
 
 
 def test_sketches_off_falls_back_to_exact_with_zero_bounds():

@@ -130,9 +130,9 @@ def test_join_on_off_equivalence(seed):
             distributed += 1
     assert distributed > 0, "no query exercised the distributed pipeline"
     # The pipeline must actually have chosen both headline strategies.
-    assert on.joins_copartitioned_total > 0
-    assert on.joins_broadcast_total > 0
-    assert off.joins_central_total > 0
+    assert on.totals["joins_copartitioned"] > 0
+    assert on.totals["joins_broadcast"] > 0
+    assert off.totals["joins_central"] > 0
 
 
 @pytest.mark.parametrize("null_every,dup_factor", [(2, 1), (3, 4), (2, 3)])
@@ -175,7 +175,7 @@ def test_shuffle_hash_fallback_equivalence():
     ]:
         lhs = run_pair(on, off, sql)
         assert lhs.join_strategies == ["shuffle"], lhs.join_strategies
-    assert on.join_bytes_shuffled_total > 0
+    assert on.totals["join_bytes_shuffled"] > 0
 
 
 def test_index_nested_loop_equivalence():

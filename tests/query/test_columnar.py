@@ -49,7 +49,7 @@ def test_vectorized_execution_counts_batches_and_compiles():
     assert execution.batches_evaluated > 0
     assert execution.predicates_compiled + execution.compile_cache_hits > 0
     assert execution.scan_ms_billed > 0
-    assert service.batches_evaluated_total == execution.batches_evaluated
+    assert service.totals["batches_evaluated"] == execution.batches_evaluated
 
 
 def test_report_rolls_up_columnar_counters():
@@ -57,7 +57,7 @@ def test_report_rolls_up_columnar_counters():
     service = QueryService(env)
     service.execute('SELECT COUNT(*) AS c FROM "data" WHERE v < 9')
     report = collect_report(env)
-    assert report.batches_evaluated >= service.batches_evaluated_total > 0
+    assert report.batches_evaluated >= service.totals["batches_evaluated"] > 0
     assert "columnar:" in format_report(report)
 
 

@@ -195,14 +195,14 @@ def test_repeatable_read_locks_only_index_candidates(indexed_env):
 def test_counters_roll_up_into_cluster_report(indexed_env):
     service = QueryService(indexed_env, indexes=True)
     service.execute('SELECT key FROM "metrics" WHERE value = 7')
-    assert service.index_probes_total > 0
-    assert service.index_rows_read_total == KEYS // 50
-    assert service.rows_skipped_by_index_total == KEYS - KEYS // 50
+    assert service.totals["index_probes"] > 0
+    assert service.totals["index_rows_read"] == KEYS // 50
+    assert service.totals["rows_skipped_by_index"] == KEYS - KEYS // 50
     report = collect_report(indexed_env)
-    assert report.index_probes == service.index_probes_total
-    assert report.index_rows_read == service.index_rows_read_total
+    assert report.index_probes == service.totals["index_probes"]
+    assert report.index_rows_read == service.totals["index_rows_read"]
     assert report.rows_skipped_by_index == \
-        service.rows_skipped_by_index_total
+        service.totals["rows_skipped_by_index"]
     # Write-path maintenance billed: 1000 puts x 2 indexes (+ builds).
     assert report.index_maintenance_ops >= 2 * KEYS
     assert report.index_maintenance_cost > 0

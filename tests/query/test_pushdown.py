@@ -79,6 +79,35 @@ def test_pushdown_on_off_results_identical(wide_env, sql):
     assert on.result.rows == off.result.rows
 
 
+NAN = float("nan")
+#: ORDER BY -> keys in order.  NaN sorts above every number
+#: (PostgreSQL's rule) and NULLs stay last in both directions.
+NAN_ORDERS = {
+    "v, key": [2, 0, 3, 4, 1, 6, 5],
+    "v DESC, key": [1, 6, 4, 3, 0, 2, 5],
+    "v, key DESC": [2, 0, 3, 4, 6, 1, 5],
+    "v DESC, key DESC": [6, 1, 4, 3, 0, 2, 5],
+}
+
+
+@pytest.mark.parametrize("pushdown", [True, False])
+@pytest.mark.parametrize("limit", [None, 2, 5])
+@pytest.mark.parametrize("order", NAN_ORDERS)
+def test_nan_order_keys_sort_above_every_number(pushdown, limit, order):
+    # The pushed top-k builds its keys column-wise on the shards, the
+    # entry node row-wise: both must place NaN, and break its ties.
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+    imap = env.store.create_map("t")
+    env.store.register_live_table("t", LiveStateTable(imap))
+    for key, value in enumerate([1.0, NAN, 0.5, 2.0, 3.0, None, NAN]):
+        imap.put(key, {"v": value})
+    sql = f'SELECT key, v FROM "t" ORDER BY {order}'
+    if limit is not None:
+        sql += f" LIMIT {limit}"
+    execution = QueryService(env, pushdown=pushdown).execute(sql)
+    assert execution.result.column("key") == NAN_ORDERS[order][:limit]
+
+
 def test_selective_scan_ships_fewer_rows_and_bytes(wide_env):
     sql = 'SELECT key, value FROM "metrics" WHERE value = 0'
     on = QueryService(wide_env, pushdown=True).execute(sql)
@@ -203,14 +232,14 @@ def test_counters_roll_up_into_cluster_report(wide_env):
     service.execute(
         f'SELECT COUNT(*) AS n FROM "metrics" WHERE key IN ({keys})'
     )
-    assert service.rows_shipped_total > 0
-    assert service.bytes_shipped_total > 0
-    assert service.partitions_pruned_total > 0
+    assert service.totals["rows_shipped"] > 0
+    assert service.totals["bytes_shipped"] > 0
+    assert service.totals["partitions_pruned"] > 0
     report = collect_report(wide_env)
-    assert report.query_rows_shipped == service.rows_shipped_total
-    assert report.query_bytes_shipped == service.bytes_shipped_total
+    assert report.query_rows_shipped == service.totals["rows_shipped"]
+    assert report.query_bytes_shipped == service.totals["bytes_shipped"]
     assert report.query_partitions_pruned == \
-        service.partitions_pruned_total
+        service.totals["partitions_pruned"]
     assert "partitions pruned" in format_report(report)
 
 

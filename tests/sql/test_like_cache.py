@@ -129,7 +129,4 @@ def test_report_carries_like_cache_counters():
     report = collect_report(env)
     assert report.like_cache_hits >= 0
     assert report.like_cache_misses >= 1
-    # The footer appears whenever the columnar counters are non-zero;
-    # the LIKE stats ride in the same line.
-    report.batches_evaluated = 1
     assert "LIKE cache:" in format_report(report)

@@ -35,7 +35,8 @@ from repro.state.rows import live_row
 DIALECT_SKIPS = {
     "nan":
         "NaN: sqlite stores it as NULL (and sorts it there); here it is a "
-        "float that poisons `<`, so its position depends on the algorithm",
+        "float that sorts above every number, as in PostgreSQL "
+        "(tests/query/test_pushdown.py)",
     "cross-type-column":
         "a column holding both numbers and text: sqlite orders by storage "
         "class (every number < every text); we raise 'cannot compare'",
