@@ -262,9 +262,7 @@ def _smoke_job(env):
     pipeline.add_operator("sink", SinkOperator)
     pipeline.connect("nums", "average")
     pipeline.connect("average", "sink")
-    backend = SQueryBackend(env.cluster, env.store, SQueryConfig(
-        repeatable_read_locks=True,
-    ))
+    backend = SQueryBackend(env.cluster, env.store, SQueryConfig())
     return Job(env, pipeline, JobConfig(checkpoint_interval_ms=800.0),
                backend)
 

@@ -436,9 +436,6 @@ class SQueryConfig:
     #: Co-partition state and compute (paper's design decision; the
     #: ablation flips this to route mirror writes over the network).
     colocate_state: bool = True
-    #: Hold key locks for the whole query instead of per-access
-    #: (repeatable-read upgrade discussed in §VII; off by default).
-    repeatable_read_locks: bool = False
     #: Active replication (§VII-B "read committed"): every state update
     #: is synchronously applied to a hot-standby replica on another
     #: node.  A failure then promotes the standby instead of rolling

@@ -22,25 +22,17 @@ bit-identical to what a fresh batch execution would return.
 
 from __future__ import annotations
 
-from typing import Callable, Hashable, Iterator
+from typing import Callable, Hashable
 
 from ..sql.ast import (
     AGGREGATE_FUNCTIONS,
-    Between,
-    Binary,
-    CaseWhen,
     Column,
     Expr,
     FuncCall,
-    InList,
-    IsNull,
-    Like,
-    LocalTimestamp,
     Select,
     Star,
-    Unary,
     Union,
-    contains_aggregate,
+    children,
 )
 from ..sql.compiled import EvalContext, compile_expr, compile_predicate
 from ..sql.executor import (
@@ -48,7 +40,9 @@ from ..sql.executor import (
     compile_group_key,
     hashable_key,
     output_column_name,
+    unique_aggregates,
 )
+from ..sql.planner import contains_local_timestamp
 from ..sql.functions import MaxAggregate, MinAggregate, mixed_types
 
 PATH_FILTER_PROJECT = "incremental-filter-project"
@@ -61,62 +55,6 @@ INCREMENTAL_PATHS = (PATH_FILTER_PROJECT, PATH_GROUPED_AGGREGATE)
 # -- expression analysis -----------------------------------------------------
 
 
-def _children(expr: Expr) -> Iterator[Expr]:
-    if isinstance(expr, Unary):
-        yield expr.operand
-    elif isinstance(expr, Binary):
-        yield expr.left
-        yield expr.right
-    elif isinstance(expr, FuncCall):
-        yield from expr.args
-    elif isinstance(expr, InList):
-        yield expr.operand
-        yield from expr.items
-    elif isinstance(expr, Between):
-        yield expr.operand
-        yield expr.low
-        yield expr.high
-    elif isinstance(expr, (Like,)):
-        yield expr.operand
-        yield expr.pattern
-    elif isinstance(expr, IsNull):
-        yield expr.operand
-    elif isinstance(expr, CaseWhen):
-        for condition, result in expr.branches:
-            yield condition
-            yield result
-        if expr.default is not None:
-            yield expr.default
-
-
-def _walk(expr: Expr) -> Iterator[Expr]:
-    yield expr
-    for child in _children(expr):
-        yield from _walk(child)
-
-
-def _contains_localtimestamp(expr: Expr) -> bool:
-    return any(isinstance(node, LocalTimestamp) for node in _walk(expr))
-
-
-def _collect_unique_aggregates(select: Select) -> list[FuncCall]:
-    """Structurally distinct aggregate calls, executor order."""
-    from ..sql.ast import collect_aggregates
-
-    calls: list[FuncCall] = []
-    for item in select.items:
-        collect_aggregates(item.expr, calls)
-    if select.having is not None:
-        collect_aggregates(select.having, calls)
-    unique: list[FuncCall] = []
-    seen: set[FuncCall] = set()
-    for call in calls:
-        if call not in seen:
-            seen.add(call)
-            unique.append(call)
-    return unique
-
-
 def _bare_columns_outside_aggregates(expr: Expr) -> list[Column]:
     """Columns referenced outside any aggregate call's arguments."""
     if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
@@ -124,7 +62,7 @@ def _bare_columns_outside_aggregates(expr: Expr) -> list[Column]:
     if isinstance(expr, Column):
         return [expr]
     out: list[Column] = []
-    for child in _children(expr):
+    for child in children(expr):
         out.extend(_bare_columns_outside_aggregates(child))
     return out
 
@@ -146,8 +84,7 @@ def classify(statement: Select | Union, store) -> tuple[str, str]:
     if not store.has_live_table(table):
         return (PATH_RESCAN,
                 f"table {table!r} is snapshot state: refreshed per commit")
-    if statement.where is not None and \
-            _contains_localtimestamp(statement.where):
+    if contains_local_timestamp(statement.where):
         return (PATH_RESCAN,
                 "WHERE depends on LOCALTIMESTAMP: rows pass/fail over "
                 "time without state changes")
@@ -156,21 +93,18 @@ def classify(statement: Select | Union, store) -> tuple[str, str]:
     if statement.order_by or statement.limit is not None or statement.offset:
         return (PATH_RESCAN,
                 "ORDER BY / LIMIT / OFFSET rank the full result")
-    is_aggregate = bool(statement.group_by) or any(
-        contains_aggregate(item.expr) for item in statement.items
-    )
-    if not is_aggregate:
+    if not statement.aggregates():
         return (PATH_FILTER_PROJECT,
                 "single live table, row-local filter and projection")
     # Aggregate path: every aggregate must support retraction and every
     # bare output column must be a grouping key.
-    for call in _collect_unique_aggregates(statement):
+    for call in unique_aggregates(statement):
         if call.distinct:
             return (PATH_RESCAN,
                     f"{call.name}(DISTINCT ...) cannot retract removed "
                     "values")
         for arg in call.args:
-            if _contains_localtimestamp(arg):
+            if contains_local_timestamp(arg):
                 return (PATH_RESCAN,
                         "aggregate argument depends on LOCALTIMESTAMP")
     group_exprs = list(statement.group_by)
@@ -349,7 +283,7 @@ class StandingQuery:
         if self.path in INCREMENTAL_PATHS:
             select: Select = statement
             binding = select.table.binding
-            self._unique_aggs = _collect_unique_aggregates(select)
+            self._unique_aggs = unique_aggregates(select)
             self._columns = [
                 output_column_name(item, position)
                 for position, item in enumerate(select.items)

@@ -93,43 +93,10 @@ class StateAuditor:
         snapshot version of each snapshot table, all charged to the
         entry node's query workers.
         """
-        report = AuditReport(key=key, submitted_ms=self.sim.now)
-        report.on_done = on_done
-        live_tables = self.store.live_table_names()
-        snapshot_tables = self.store.snapshot_table_names()
         versions = self.store.available_ssids()
-        lookups = len(live_tables) + len(snapshot_tables) * len(versions)
-        duration = (
-            self.costs.direct_fixed_ms
-            + max(1, lookups) * self.costs.direct_key_ms
-        )
-        node = self._next_entry_node()
-        pool = self.cluster.node(node).query_pool
-        pool.submit(("audit", report.aid), duration,
-                    self._complete, report, versions)
-        return report
-
-    def _complete(self, report: AuditReport, versions: list[int]) -> None:
-        key = report.key
-        for name in self.store.live_table_names():
-            audit = report.tables.setdefault(name, TableAudit(name))
-            audit.live_value = self.store.get_live_table(name).get(key)
-        for name in self.store.snapshot_table_names():
-            base = name.removeprefix("snapshot_")
-            audit = report.tables.setdefault(base, TableAudit(base))
-            table = self.store.get_snapshot_table(name)
-            for ssid in versions:
-                if not table.has_snapshot(ssid):
-                    continue
-                for instance in range(table.parallelism):
-                    state = table.instance_state(ssid, instance)
-                    if key in state:
-                        audit.versions[ssid] = state[key]
-                        break
-        report.completed_ms = self.sim.now
-        self.audits_executed += 1
-        if report.on_done is not None:
-            report.on_done(report)
+        lookups = (len(self.store.live_table_names())
+                   + len(self.store.snapshot_table_names()) * len(versions))
+        return self._submit(key, on_done, lookups, versions, None)
 
     # -- state history ------------------------------------------------------
 
@@ -139,42 +106,55 @@ class StateAuditor:
     ) -> AuditReport:
         """How ``key``'s state in one operator evolved across the
         retained snapshot versions (the §III debugging capability)."""
-        snap_name = table if table.startswith("snapshot_") \
-            else f"snapshot_{table}"
-        if not self.store.has_snapshot_table(snap_name):
+        base = table.removeprefix("snapshot_")
+        if not self.store.has_snapshot_table(f"snapshot_{base}"):
             raise QueryError(f"no snapshot table for {table!r}")
+        versions = self.store.available_ssids()
+        return self._submit(key, on_done, len(versions), versions, base)
+
+    def _submit(self, key: Hashable, on_done, lookups: int,
+                versions: list[int], base: str | None) -> AuditReport:
+        """Charge ``lookups`` keyed reads to an entry node's query
+        workers, then collect ``key`` (:meth:`_complete`)."""
         report = AuditReport(key=key, submitted_ms=self.sim.now)
         report.on_done = on_done
-        versions = self.store.available_ssids()
         duration = (
             self.costs.direct_fixed_ms
-            + max(1, len(versions)) * self.costs.direct_key_ms
+            + max(1, lookups) * self.costs.direct_key_ms
         )
-        node = self._next_entry_node()
-        pool = self.cluster.node(node).query_pool
-        pool.submit(
-            ("audit", report.aid), duration,
-            self._complete_history, report, snap_name, versions,
-        )
+        pool = self.cluster.node(self._next_entry_node()).query_pool
+        pool.submit(("audit", report.aid), duration, self._complete,
+                    report, versions, base)
         return report
 
-    def _complete_history(self, report: AuditReport, snap_name: str,
-                          versions: list[int]) -> None:
-        base = snap_name.removeprefix("snapshot_")
-        audit = report.tables.setdefault(base, TableAudit(base))
-        table = self.store.get_snapshot_table(snap_name)
-        if self.store.has_live_table(base):
-            audit.live_value = self.store.get_live_table(base).get(
-                report.key
-            )
-        for ssid in versions:
-            if not table.has_snapshot(ssid):
-                continue
-            for instance in range(table.parallelism):
-                state = table.instance_state(ssid, instance)
-                if report.key in state:
-                    audit.versions[ssid] = state[report.key]
-                    break
+    def _complete(self, report: AuditReport, versions: list[int],
+                  base: str | None) -> None:
+        """Collect the report's key at ``versions`` from every table, or
+        from one operator's (``base``) snapshot table and live table."""
+        store = self.store
+        key = report.key
+        if base is None:
+            live = store.live_table_names()
+            snapshots = store.snapshot_table_names()
+        else:
+            live = [base] if store.has_live_table(base) else []
+            snapshots = [f"snapshot_{base}"]
+        for name in live:
+            audit = report.tables.setdefault(name, TableAudit(name))
+            audit.live_value = store.get_live_table(name).get(key)
+        for name in snapshots:
+            table_name = name.removeprefix("snapshot_")
+            audit = report.tables.setdefault(table_name,
+                                             TableAudit(table_name))
+            table = store.get_snapshot_table(name)
+            for ssid in versions:
+                if not table.has_snapshot(ssid):
+                    continue
+                for instance in range(table.parallelism):
+                    state = table.instance_state(ssid, instance)
+                    if key in state:
+                        audit.versions[ssid] = state[key]
+                        break
         report.completed_ms = self.sim.now
         self.audits_executed += 1
         if report.on_done is not None:

@@ -65,36 +65,35 @@ from ..sql.access import (
     JoinPath,
     choose_join_path,
     join_stage_ms,
-    pushed_stage,
-    shard_read_ms,
+    shipped_bytes,
 )
 from ..sql.ast import Binary, Column, Literal, Select
-from ..sql.batch import compile_fragment, run_fragment_batches
 from ..sql.compiled import column_reads
 from ..sql.executor import (
     execute_joined_select,
     join_key,
     join_keys,
     using_keys,
-    validate_joined_select,
 )
 from ..sql.fragments import JoinFragment, KeySet, join_fragments, partition_aligned_binding
+from ..sql.planner import validate_select
 from ..state.rows import ColumnBatch, ColumnReader
 
 
-@dataclass
+@dataclass(frozen=True)
 class JoinPlan:
-    """Chosen strategies and table roles for one join-mode query."""
+    """Chosen strategies and table roles for one joining statement."""
 
-    steps: tuple[JoinFragment, ...]
-    paths: tuple[JoinPath, ...]
-    final_select: Select
-    base_table: str
-    base_binding: str
+    steps: tuple[JoinFragment, ...] = ()
+    paths: tuple[JoinPath, ...] = ()
+    #: Why the joins run on the entry node (``None``: they run as the
+    #: distributed stages of ``paths``).
+    central: str | None = None
     #: tables whose scan payload stays node-local (ack shipment).
-    local: frozenset
-    #: index-nested-loop build tables — never scanned at all.
-    excluded: frozenset
+    local: frozenset = frozenset()
+    #: index-nested-loop build tables — read through the index mid-join
+    #: instead of scanned.
+    excluded: frozenset = frozenset()
 
 
 # -- strategy selection ------------------------------------------------------
@@ -144,9 +143,8 @@ def _estimate_rows(service, view, fragment) -> tuple[int, str]:
 
 def _row_width_bytes(costs, fragment) -> int:
     if fragment is not None and fragment.projection is not None:
-        return (costs.row_overhead_bytes
-                + len(fragment.projection) * costs.column_bytes)
-    return costs.row_bytes
+        return shipped_bytes(costs, 1, len(fragment.projection))
+    return shipped_bytes(costs, 1)
 
 
 def _index_kind_for(service, step: JoinFragment, view) -> str | None:
@@ -159,25 +157,21 @@ def _index_kind_for(service, step: JoinFragment, view) -> str | None:
         column = step.build.name
     else:
         column = None
-    if column is None:
-        return None
-    if not view.ready("index"):
+    if column is None or not view.ready("index"):
         return None
     return view.index_columns().get(column)
 
 
 def choose_join_strategies(service, select: Select, plan, views):
-    """Per-step strategy choices, or ``None`` when the statement must
-    run its joins centrally (all-versions reads always do: they have no
+    """Per-step strategy choices, or why the statement must run its
+    joins centrally (all-versions reads always do: they have no
     distributed plan).  ``views`` binds every table to the version it
-    reads.  Shared by execution and ``explain``."""
+    reads."""
     if not service.distributed_joins_enabled:
-        return None
-    if plan is None or plan.partial is not None:
-        return None
+        return "distributed joins disabled"
     steps = join_fragments(select)
-    if steps is None:
-        return None
+    if plan is None or plan.partial is not None or steps is None:
+        return "statement not eligible for distributed join execution"
     nodes = service.cluster.surviving_node_ids()
     costs = service.costs
     base_name = select.table.name
@@ -237,7 +231,9 @@ def choose_join_strategies(service, select: Select, plan, views):
 
 
 def plan_distributed_joins(service, record) -> JoinPlan | None:
-    """Decide join mode for one query; updates the strategy counters."""
+    """Decide how a query's joins run — the plan its execution follows
+    and ``explain`` prints — and update the strategy counters; ``None``
+    when the statement joins nothing (or runs as pure load)."""
     execution = record.execution
     select = record.select
     if not isinstance(select, Select) or not select.joins:
@@ -247,15 +243,20 @@ def plan_distributed_joins(service, record) -> JoinPlan | None:
     chosen = choose_join_strategies(
         service, select, record.plan, record.views
     )
-    if chosen is None or any(
-        path.strategy == "central" for path in chosen[1]
-    ):
+    if isinstance(chosen, str):
+        plan = JoinPlan(central=chosen)
+    elif any(path.strategy == "central" for path in chosen[1]):
         # One central step makes the whole statement central: the entry
         # node needs every table's rows anyway, so a mixed pipeline
         # would only add stages without saving shipping.
+        plan = JoinPlan(*chosen, central="a step priced central, so the "
+                        "entry node needs every table anyway")
+    else:
+        plan = None
+    if plan is not None:
         execution.joins_central += len(select.joins)
         execution.join_strategies = ["central"] * len(select.joins)
-        return None
+        return plan
     steps, paths = chosen
     execution.join_strategies = [path.strategy for path in paths]
     local = {select.table.name}
@@ -272,41 +273,8 @@ def plan_distributed_joins(service, record) -> JoinPlan | None:
         elif path.strategy == "index-nested-loop":
             execution.joins_index_nested += 1
             excluded.add(step.table)
-    return JoinPlan(
-        steps=steps,
-        paths=paths,
-        final_select=record.plan.final_select,
-        base_table=select.table.name,
-        base_binding=select.table.binding,
-        local=frozenset(local),
-        excluded=frozenset(excluded),
-    )
-
-
-def explain_join_lines(service, select: Select, plan,
-                       views) -> list[str]:
-    """Per-step strategy lines for ``QueryService.explain``."""
-    if not isinstance(select, Select) or not select.joins:
-        return []
-    if not service.distributed_joins_enabled:
-        return ["  joins: central (distributed joins disabled)"]
-    if any(view.versions == () for view in views.values()):
-        return ["  joins: central (no committed snapshot to price "
-                "against)"]
-    chosen = choose_join_strategies(service, select, plan, views)
-    if chosen is None:
-        return ["  joins: central (statement not eligible for "
-                "distributed join execution)"]
-    steps, paths = chosen
-    lines: list[str] = []
-    central = any(path.strategy == "central" for path in paths)
-    if central:
-        lines.append("  joins: central (a step priced central, so the "
-                     "entry node needs every table anyway)")
-    for step, path in zip(steps, paths):
-        lines.append(f"  join [{step.table}]: {path.describe()}")
-        lines.extend(f"    rejected {reason}" for reason in path.rejected)
-    return lines
+    return JoinPlan(steps, paths, local=frozenset(local),
+                    excluded=frozenset(excluded))
 
 
 # -- the stage pipeline ------------------------------------------------------
@@ -316,7 +284,7 @@ def start_join_pipeline(service, record) -> None:
     """All scans landed without a scan-side error: validate the
     statement shape, then run the per-step stages."""
     try:
-        validate_joined_select(record.join.final_select)
+        validate_select(record.plan.final_select)
     except Exception as exc:  # same errors central plan_select raises
         record.attempt.finish(None, exc)
         return
@@ -381,10 +349,6 @@ class _Side:
                 columns.update(names)
             self._pad = dict.fromkeys(columns)
         return self._pad
-
-
-def _nbytes(costs, rows: int, columns: int) -> int:
-    return rows * costs.row_overhead_bytes + columns * costs.column_bytes
 
 
 def _step_keys(using: tuple[str, ...], expr: Column | None, read,
@@ -487,8 +451,8 @@ class _PipelineRunner:
     # -- pipeline -------------------------------------------------------
 
     def run(self) -> None:
-        base = self._side(self.join.base_binding,
-                          self.attempt.rows[self.join.base_table])
+        table = self.record.select.table
+        base = self._side(table.binding, self.attempt.rows[table.name])
         for node_id, span in base.spans.items():
             self.left[node_id] = list(zip(span))
         self._step(0)
@@ -599,7 +563,8 @@ class _PipelineRunner:
     def _run_broadcast(self, index: int, step: JoinFragment,
                        right: _Side, build: dict, build_error) -> None:
         execution = self.execution
-        build_bytes = _nbytes(self.costs, len(right.rows), right.rows.width())
+        build_bytes = shipped_bytes(self.costs, len(right.rows),
+                                    right.rows.width())
 
         def built() -> None:
             if build_error is not None:
@@ -652,8 +617,8 @@ class _PipelineRunner:
             for (worker, width), rows in tally.items():
                 if worker is not None:
                     counts[side][worker] += rows
-                    transfer[sender, worker] += _nbytes(costs, rows,
-                                                        rows * width)
+                    transfer[sender, worker] += shipped_bytes(
+                        costs, rows, rows * width)
             return went
 
         # Route the build side: one slice per worker, keyed exactly like
@@ -711,15 +676,12 @@ class _PipelineRunner:
     # -- index-nested-loop ----------------------------------------------
 
     def _run_index_nested(self, index: int, step: JoinFragment) -> None:
-        """Index-assisted broadcast: resolve the build side through the
-        index on the join column (only the probe side's keys), filter
-        the candidates through the table's scan fragment, then run the
-        broadcast tail.  INNER-only — the chooser rejects LEFT."""
+        """Index-assisted broadcast: read the build side as index-scan
+        shards of the query over just the keys the probe side holds
+        (``QueryService._scan_selection`` with a lookup), then run the
+        broadcast tail over what they ship.  INNER-only — the chooser
+        rejects LEFT."""
         service = self.service
-        execution = self.execution
-        costs = self.costs
-        view = self.record.views[step.table]
-        column = step.using[0] if step.using else step.build.name
         keys: list = []
         seen: set = set()
         for node_id in sorted(self.left):
@@ -737,67 +699,23 @@ class _PipelineRunner:
                 if marker not in seen:
                     seen.add(marker)
                     keys.append(key)
-        probe = EqProbe(values=tuple(keys))
-        fragment = self.record.fragment(step.table)
-        if fragment is not None:
-            compiled, _hit = compile_fragment(
-                fragment, service.compiled_fragments
-            )
-        nodes = sorted(service.cluster.surviving_node_ids())
-        surviving: dict[int, ColumnBatch] = {}
-        fetched = self.attempt.gather(
-            len(nodes), self._index_build_and_broadcast, index, step,
-            surviving,
-        )
-        context = EvalContext(now_ms=service.sim.now)
-        for node_id in nodes:
-            partitions = view.partitions_on_node(node_id)
-            candidates = view.index_scan(partitions, column, probe)
-            execution.index_probes += len(partitions)
-            execution.index_rows_read += len(candidates)
-            if fragment is not None:
-                try:
-                    lock_keys, payload, _batches = run_fragment_batches(
-                        compiled, candidates, context,
-                        costs.scan_chunk_entries,
-                    )
-                except Exception as exc:  # noqa: BLE001 — ship as the error
-                    self.attempt.finish(None, exc)
-                    return
-            else:
-                lock_keys, payload = candidates.keys, candidates
-            if payload:
-                surviving[node_id] = payload
-            duration = shard_read_ms(
-                costs, len(candidates),
-                pushed_stage(fragment, len(candidates)),
-                len(partitions), indexed=True,
-            )
-            # Known only now, these rows lock after the scanned tables'.
-            then = ((service._lock_rows, execution, step.table, lock_keys,
-                     fetched)
-                    if service.repeatable_read and not view.immutable
-                    else (fetched,))
-            self.attempt.bill(node_id, node_id + index, duration, *then)
+        lookup = (step.using[0] if step.using else step.build.name,
+                  EqProbe(values=tuple(keys)))
+        # Known only now, these rows lock after the scanned tables'.
+        service._read_shards(self.record, [
+            (step.table, node_id, service._scan_selection(
+                self.record, step.table, node_id, lookup=lookup))
+            for node_id in sorted(service.cluster.surviving_node_ids())
+        ], self._index_read, index, step)
 
-    def _index_build_and_broadcast(self, index: int, step: JoinFragment,
-                                   surviving: dict[int, ColumnBatch]
-                                   ) -> None:
-        execution = self.execution
-
-        def assembled() -> None:
-            right = self._side(step.binding, surviving)
-            _routes, build, build_error = self._build(step, right)
-            self._run_broadcast(index, step, right, build, build_error)
-
-        senders = sorted(surviving)
-        arrived = self.attempt.gather(len(senders), assembled)
-        for node_id in senders:
-            block = surviving[node_id]
-            nbytes = _nbytes(self.costs, len(block), block.width())
-            execution.bytes_shipped += nbytes
-            self.attempt.send(node_id, execution.entry_node,
-                              ("join-inlj", index), nbytes, arrived)
+    def _index_read(self, index: int, step: JoinFragment) -> None:
+        error = self.service._first_shard_error(self.record)
+        if error is not None:
+            self.attempt.finish(None, error)
+            return
+        right = self._side(step.binding, self.attempt.rows[step.table])
+        _routes, build, build_error = self._build(step, right)
+        self._run_broadcast(index, step, right, build, build_error)
 
     # -- finalization ---------------------------------------------------
 
@@ -810,7 +728,8 @@ class _PipelineRunner:
         )
         for node_id in holders:
             tags = self.left[node_id]
-            nbytes = _nbytes(self.costs, len(tags), sum(self._widths(tags)))
+            nbytes = shipped_bytes(self.costs, len(tags),
+                                   sum(self._widths(tags)))
             execution.rows_shipped += len(tags)
             execution.bytes_shipped += nbytes
             self.attempt.send(node_id, execution.entry_node,
@@ -822,7 +741,7 @@ class _PipelineRunner:
         context = EvalContext(now_ms=self.service.sim.now)
         try:
             result = execute_joined_select(
-                self.join.final_select, self._gather(shipped), context,
+                self.record.plan.final_select, self._gather(shipped), context,
                 scanned=self.scanned,
             )
         except Exception as exc:  # surface SQL errors on the handle

@@ -37,6 +37,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from ..approx.planning import analyze_approx_select
@@ -66,9 +67,15 @@ from ..sql.access import (
     AccessPath,
     SketchCandidate,
     choose_access_path,
+    index_path,
+    merge_ms,
+    point_read_ms,
     pushed_stage,
     shard_read_ms,
-    sketch_read_ms,
+    shipped_bytes,
+    sketch_path,
+    snapshot_id_read_ms,
+    statement_ms,
 )
 from ..sql.fragments import (
     DistributedPlan,
@@ -85,12 +92,7 @@ from ..sql.statements import parse_cached
 from ..state.isolation import IsolationLevel, isolation_of_query
 from ..state.rows import ColumnBatch
 from ..state.view import TableView
-from .joins import (
-    JoinPlan,
-    explain_join_lines,
-    plan_distributed_joins,
-    start_join_pipeline,
-)
+from .joins import JoinPlan, plan_distributed_joins, start_join_pipeline
 
 #: Beyond this many pinned keys a multi-point get degenerates into a
 #: scan (pruned by partition instead of fetched key-by-key).
@@ -104,6 +106,8 @@ class _NoPointKey:
 
 
 NO_POINT_KEY = _NoPointKey()
+
+_IMMUTABLE = attrgetter("immutable")
 
 #: The per-query counters every service also totals over its finished
 #: queries (``QueryService.totals``).  What each one counts is the help
@@ -201,19 +205,21 @@ for _name in COUNTERS:
 
 @dataclass
 class _ShardPlan:
-    """How one node's shard of one table will be read.
+    """How one node's shard of one table will be read
+    (``QueryService._scan_selection``).
 
-    ``path`` is the priced choice: the scan servers bill its
-    ``candidates`` (candidate rows for an index path,
-    surviving-partition entries otherwise) after its ``probes``;
-    ``fetch`` materialises exactly those rows at scan-completion time.
+    ``path`` is the priced choice — a point get, a sketch probe, a scan
+    or an index read: the store servers bill it (a scan's or index
+    read's ``candidates`` in chunks, after its ``probes``), and
+    ``fetch`` materialises exactly those rows at completion time.
     """
 
     path: AccessPath
-    fetch: Callable[[], ColumnBatch]
+    fetch: Callable[[], ColumnBatch] | None
     pruned: int
     fragment: ScanFragment | None
-    #: Why no index was priced against the scan (``None``: one was).
+    #: Why no index was priced against the scan (``None``: one was, or
+    #: the read is no scan).
     veto: str | None
 
 
@@ -248,9 +254,9 @@ class _SketchAnswer:
     """
 
     table: str
-    description: str
-    columns: tuple[str, ...]
-    row: dict
+    #: The chooser's pick over the whole table, with what it rejected.
+    path: AccessPath
+    result: QueryResult
 
 
 class _Attempt:
@@ -359,14 +365,18 @@ class _Attempt:
         if count == 0:
             done(*args)
             return None
+        token = self.token
+        execution = self.execution
 
-        def one() -> None:
+        def one() -> None:  # guarded like :meth:`_run`, one frame less
             nonlocal count
+            if token != self.token or execution.completed_ms is not None:
+                return
             count -= 1
             if count == 0:
                 done(*args)
 
-        return self.guard(one)
+        return one
 
     def merge(self, finalize: Callable[..., None], *args) -> None:
         """Everything is at the entry node: bill merging the shipped
@@ -374,10 +384,8 @@ class _Attempt:
         execution = self.execution
         self.landed = True
         execution.entries_scanned = self.scanned
-        self.pool(
-            execution.rows_shipped * self.service.costs.merge_row_ms,
-            finalize, *args,
-        )
+        self.pool(merge_ms(self.service.costs, execution.rows_shipped),
+                  finalize, *args)
 
     def finish(self, result: QueryResult | None,
                error: Exception | None) -> None:
@@ -420,11 +428,10 @@ class _InFlight:
         #: Distributed plan (scan fragments + final fragment); ``None``
         #: when pushdown is disabled or the statement is not eligible.
         self.plan: DistributedPlan | None = None
-        #: Sketch answer for an APPROX aggregate; ``None`` on the exact
-        #: path.
-        self.sketch: _SketchAnswer | None = None
-        #: Distributed join plan (strategies + table roles); ``None``
-        #: when the statement's joins run centrally.
+        #: An APPROX aggregate's sketch answer, or why the exact paths
+        #: answer it (``None``: no APPROX aggregate).
+        self.sketch: _SketchAnswer | str | None = None
+        #: How the statement's joins run (``None``: it joins nothing).
         self.join: "JoinPlan | None" = None
 
     def fragment(self, table_name: str) -> ScanFragment | None:
@@ -515,27 +522,40 @@ class QueryService:
         use this to drive sustained query load cheaply while functional
         tests keep the default and check real results.
         """
+        record, snapshot_id = self._record(
+            sql, snapshot_id, materialize, all_versions,
+            next(self.env.query_ids),
+        )
+        execution = record.execution
+        execution.on_done = on_done
+        execution.entry_node = self._next_entry_node()
+        self._inflight[execution.qid] = record
+        execution.watchdog = self.sim.schedule(
+            self.retry_policy.query_timeout_ms, self._watchdog, execution)
+        record.attempt.pool(statement_ms(self.costs), self._after_plan,
+                            record, snapshot_id)
+        return execution
+
+    def _record(self, sql: str, snapshot_id: int | None,
+                materialize: bool, all_versions: bool,
+                qid: int) -> tuple[_InFlight, int | None]:
+        """A statement's execution with what it decides before anything
+        runs — views, isolation, point keys, pushdown plan — for
+        ``submit`` and ``explain`` alike, and the snapshot id it pins
+        (``snapshot_id``, or its ``ssid = n``)."""
         select = parse_cached(sql, self.statement_cache)
         views = self._bind(select, ())
-        targets_snapshot = any(view.immutable for view in views.values())
         isolation = isolation_of_query(
-            targets_snapshot, self.repeatable_read,
+            any(map(_IMMUTABLE, views.values())), self.repeatable_read,
             assume_no_failures=self.ha_mode,
         )
-        execution = QueryExecution(sql, self.sim.now, isolation,
-                                   next(self.env.query_ids))
-        execution.on_done = on_done
+        execution = QueryExecution(sql, self.sim.now, isolation, qid)
         execution.materialize = materialize
         execution.all_versions = all_versions
-        if snapshot_id is None and not all_versions and \
-                not isinstance(select, Union):
+        single = not isinstance(select, Union) and not all_versions
+        if snapshot_id is None and single:
             snapshot_id = _extract_ssid_filter(select.where)
-        if (
-            not isinstance(select, Union)
-            and not all_versions
-            and len(views) == 1
-            and not select.joins
-        ):
+        if single and len(views) == 1 and not select.joins:
             # Point-lookup pushdown: a single-table query pinned to one
             # or a few keys (Fig. 4's ``WHERE key = 1`` pattern, plus
             # ``key IN (...)`` / OR-of-equalities) fetches only those
@@ -546,25 +566,14 @@ class QueryService:
                 execution.point_keys = keys
                 if len(keys) == 1:
                     execution.point_key = keys[0]
-        execution.entry_node = self._next_entry_node()
-        attempt = _Attempt(self, execution, views)
-        record = _InFlight(execution, select, views, attempt)
-        if (
-            self.pushdown_enabled
-            and materialize
-            and not isinstance(select, Union)
-            and not all_versions
-            # Point lookups ship complete rows; the full statement (with
-            # the key predicate) runs centrally.
-            and execution.point_keys is None
-        ):
+        record = _InFlight(execution, select, views,
+                           _Attempt(self, execution, views))
+        # Point lookups ship complete rows; the full statement (with the
+        # key predicate) runs centrally.
+        if self.pushdown_enabled and materialize and single and \
+                execution.point_keys is None:
             record.plan = split_select(select)
-        self._inflight[execution.qid] = record
-        execution.watchdog = self.sim.schedule(
-            self.retry_policy.query_timeout_ms, self._watchdog, execution)
-        attempt.pool(self.costs.sql_fixed_ms, self._after_plan, record,
-                     snapshot_id)
-        return execution
+        return record, snapshot_id
 
     def subscribe(self, sql: str, **kwargs):
         """Register ``sql`` as a standing query pushed to a subscriber.
@@ -591,108 +600,51 @@ class QueryService:
         return self.env.continuous
 
     def explain(self, sql: str) -> str:
-        """How this service would execute ``sql``: the point-lookup or
-        distributed-pushdown strategy with pushed predicates, scan-side
-        projection / partial aggregation and pruning, or the ship-all
-        baseline when pushdown cannot apply."""
+        """How this service would execute ``sql`` now: the decisions
+        ``submit`` makes, by the same calls — point get, pushdown plan,
+        sketch answer, join strategies, every shard's read — over live
+        tables as they are and snapshot tables at the pinned or latest
+        committed snapshot.  Nothing runs, bills or counts."""
         from ..sql.explain import render_distributed
 
-        select = parse_cached(sql, self.statement_cache)
-        # Priced as of now: live tables as they are, snapshot tables at
-        # the latest committed snapshot (no version before the first).
-        committed = self.store.committed_ssid
-        views = self._bind(select,
-                           () if committed is None else (committed,))
-        lines: list[str] = []
-        if (
-            not isinstance(select, Union)
-            and len(views) == 1
-            and not select.joins
-        ):
-            keys = _extract_key_filter(select.where,
-                                       select.table.binding or "")
-            if keys is not NO_POINT_KEY:
-                view = views[select.table.name]
-                owners = sorted({
-                    view.owner_node_of(key) for key in keys
-                })
-                lines.append(
-                    f"point lookup: {len(keys)} key(s) on "
-                    f"{len(owners)} owner node(s)"
-                )
-        if not self.pushdown_enabled:
-            lines.append("distributed: ship all rows "
-                         "(pushdown disabled)")
-            lines.extend(self._explain_approx(select, views))
-            return "\n".join(lines)
-        if isinstance(select, Union):
-            lines.append("distributed: ship all rows "
-                         "(UNION runs centrally)")
-            return "\n".join(lines)
-        plan = split_select(select)
-        lines.append("distributed: pushdown")
-        lines.extend(render_distributed(select, plan))
-        lines.extend(self._explain_access_paths(plan, views))
-        lines.extend(explain_join_lines(self, select, plan, views))
-        lines.extend(self._explain_approx(select, views))
-        return "\n".join(lines)
-
-    def _explain_access_paths(self, plan: DistributedPlan,
-                              views: dict[str, TableView]) -> list[str]:
-        """Per filtered fragment, how its shards would be read right
-        now (live indexes, or the latest committed snapshot): the
-        selection every shard runs when it executes, one line per
-        distinct choice with its numbers summed over the shards that
-        made it, and why the first of them rejected the alternatives."""
-        lines: list[str] = []
-        for table_name, view in views.items():
-            fragment = _pushed_fragment(plan, table_name)
-            if fragment is None or not fragment.pushed:
-                continue
-            prefix = f"  access path [{table_name}]: "
-            chosen: dict[tuple, list[AccessPath]] = {}
-            for node_id in self._scan_targets(view, fragment):
-                shard = self._scan_selection(view, fragment, node_id)
-                if shard.veto is not None:  # the same for every shard
-                    lines.append(prefix + f"full scan ({shard.veto})")
-                    break
-                path = shard.path
-                chosen.setdefault((path.kind, path.column),
-                                  []).append(path)
-            for paths in chosen.values():
-                total = replace(paths[0], **{
-                    name: sum(getattr(path, name) for path in paths)
-                    for name in ("probes", "candidates", "scan_entries",
-                                 "cost_ms", "scan_cost_ms")
-                })
-                lines.append(f"{prefix}{total.describe()} "
-                             f"on {len(paths)} shard(s)")
-                lines.extend(f"    rejected (first shard) {reason}"
-                             for reason in paths[0].rejected)
-        return lines
-
-    def _explain_approx(self, select,
-                        views: dict[str, TableView]) -> list[str]:
-        """How an APPROX aggregate would (or would not) be answered
-        from sketches right now, including why every losing access-path
-        candidate was rejected."""
-        if not isinstance(select, Select) or not select.approx:
-            return []
-        snapshot_id = _extract_ssid_filter(select.where)
-        if snapshot_id is not None:
-            views = self._bind(select, (snapshot_id,))
-        priced = self._price_sketch(select, views)
-        if isinstance(priced, str):
-            return [f"  approx: exact fallback ({priced})"]
-        choice, _answer, _output = priced
-        prefix = f"  approx [{select.table.name}]: "
-        if choice.kind == "sketch":
-            lines = [prefix + choice.describe()]
+        record, snapshot_id = self._record(sql, None, True, False, -1)
+        execution = record.execution
+        if snapshot_id is None:
+            snapshot_id = self.store.committed_ssid
+        self._plan(record, () if snapshot_id is None else (snapshot_id,))
+        shards, _pruned = self._shards(record)
+        sketch = record.sketch
+        if execution.point_keys is not None:
+            lines = [
+                f"point lookup: {len(execution.point_keys)} key(s) on "
+                f"{len(shards)} owner node(s) (est. "
+                f"{sum(shard.path.cost_ms for *_, shard in shards):.3f} ms)"
+            ]
+        elif record.plan is None:
+            lines = ["distributed: ship all rows (" + (
+                "pushdown disabled" if not self.pushdown_enabled
+                else "UNION runs centrally") + ")"]
         else:
-            lines = [prefix + "exact path (sketch priced out)"]
-        lines.extend(f"    rejected {reason}"
-                     for reason in choice.rejected)
-        return lines
+            lines = ["distributed: pushdown",
+                     *render_distributed(record.select, record.plan)]
+        if execution.point_keys is None and \
+                not isinstance(sketch, _SketchAnswer):
+            lines += _explain_shards(shards)
+        if record.join is not None:
+            if record.join.central is not None:
+                lines.append(f"  joins: central ({record.join.central})")
+            for step, path in zip(record.join.steps, record.join.paths):
+                lines.append(f"  join [{step.table}]: {path.describe()}")
+                lines.extend(f"    rejected {reason}"
+                             for reason in path.rejected)
+        if isinstance(sketch, str):
+            lines.append(f"  approx: exact fallback ({sketch})")
+        elif sketch is not None:
+            lines.append(f"  approx [{sketch.table}]: "
+                         f"{sketch.path.describe()}")
+            lines.extend(f"    rejected {reason}"
+                         for reason in sketch.path.rejected)
+        return "\n".join(lines)
 
     def execute(self, sql: str,
                 snapshot_id: int | None = None) -> QueryExecution:
@@ -763,11 +715,12 @@ class QueryService:
         """Complete ``execution`` exactly once: release its locks, close
         its network channels, and drop the in-flight record — on every
         path, success or failure."""
-        if execution.done:
+        if execution.completed_ms is not None:
             return
         if execution.watchdog is not None:
             execution.watchdog.cancel()
-        self._release_locks(execution)
+        if self.repeatable_read:
+            self.store.locks.release_all(execution)
         network = self.cluster.network
         for channel in execution.channels:
             network.close_channel(channel)
@@ -844,188 +797,150 @@ class QueryService:
     def _after_plan(self, record: _InFlight,
                     snapshot_id: int | None) -> None:
         execution = record.execution
-        if not any(view.immutable for view in record.views.values()):
-            self._start_scans(record, ())  # live tables only
-            return
-        if execution.all_versions:
+        if execution.isolation is not IsolationLevel.SERIALIZABLE:
+            self._plan(record, ())  # live tables only
+            self._dispatch(record)
+        elif execution.all_versions:
             versions = self.store.available_ssids()
-            if not versions:
-                self._finish_execution(
-                    execution, None,
-                    NoCommittedSnapshotError("no committed snapshot yet"),
-                )
-                return
-            execution.snapshot_versions = versions
-            self._start_scans(record, tuple(versions))
-            return
-        if snapshot_id is not None:
-            self._validate_and_scan(record, snapshot_id)
-            return
-        # Atomic read of the committed-snapshot pointer.
-        record.attempt.bill(
-            execution.entry_node, 0, self.costs.snapshot_id_read_ms,
-            self._after_ssid_read, record,
-        )
+            if versions:
+                execution.snapshot_versions = versions
+                self._plan(record, tuple(versions))
+                self._dispatch(record)
+            else:
+                self._finish_execution(execution, None,
+                                       NoCommittedSnapshotError(
+                                           "no committed snapshot yet"))
+        elif snapshot_id is not None:
+            self._scan_snapshot(record, snapshot_id)
+        else:  # atomic read of the committed-snapshot pointer
+            record.attempt.bill(
+                execution.entry_node, 0, snapshot_id_read_ms(self.costs),
+                self._scan_snapshot, record, None,
+            )
 
-    def _after_ssid_read(self, record: _InFlight) -> None:
+    def _scan_snapshot(self, record: _InFlight,
+                       snapshot_id: int | None) -> None:
+        """Scan the snapshot the query pins, if it is still available,
+        or (``None``) the committed one."""
         execution = record.execution
-        committed = self.store.committed_ssid
-        if committed is None:
-            self._finish_execution(
-                execution, None,
-                NoCommittedSnapshotError("no committed snapshot yet"),
-            )
+        if snapshot_id is None:
+            snapshot_id = self.store.committed_ssid
+            if snapshot_id is None:
+                self._finish_execution(execution, None,
+                                       NoCommittedSnapshotError(
+                                           "no committed snapshot yet"))
+                return
+        elif snapshot_id not in self.store.available_ssids():
+            self._finish_execution(execution, None,
+                                   SnapshotNotFoundError(snapshot_id))
             return
-        execution.snapshot_id = committed
-        self._start_scans(record, (committed,))
+        execution.snapshot_id = snapshot_id
+        self._plan(record, (snapshot_id,))
+        self._dispatch(record)
 
-    def _validate_and_scan(self, record: _InFlight,
-                           snapshot_id: int) -> None:
-        if snapshot_id not in self.store.available_ssids():
-            self._finish_execution(
-                record.execution, None, SnapshotNotFoundError(snapshot_id)
-            )
-            return
-        record.execution.snapshot_id = snapshot_id
-        self._start_scans(record, (snapshot_id,))
+    # -- read phase ---------------------------------------------------------
 
-    # -- scan phase ---------------------------------------------------------
-
-    def _start_scans(self, record: _InFlight,
-                     versions: tuple[int, ...]) -> None:
-        """Bind the snapshot tables to the resolved ``versions``, choose
-        how the statement runs, and dispatch its first attempt."""
+    def _plan(self, record: _InFlight, versions: tuple[int, ...]) -> None:
+        """Bind the snapshot tables to the resolved ``versions`` (live
+        tables ignore them), then decide between a sketch answer and the
+        exact paths, and how the statement's joins run (a point get
+        needs neither)."""
         if versions:  # live-only queries keep their submit-time views
             record.views = self._bind(record.select, versions)
         if record.execution.point_keys is None:
             record.sketch = self._sketch_plan(record)
-            if record.sketch is None:
+            if not isinstance(record.sketch, _SketchAnswer):
                 record.join = plan_distributed_joins(self, record)
-        self._dispatch(record)
 
     def _dispatch(self, record: _InFlight) -> None:
-        """Dispatch the query's distributed work onto the current
-        survivors under the attempt's current token: the point gets, or
-        one shard per target node of every scanned table (FROM order,
-        each table on its own chunk stripe); with nothing to scan the
-        query moves straight on."""
+        """Dispatch the query's reads onto the current survivors under
+        the attempt's current token, each table on its own chunk stripe;
+        with nothing to read the query moves straight on."""
         execution = record.execution
         attempt = record.attempt
         attempt.targets.clear()
-        if execution.point_keys is not None:
-            self._point_gets(record)
+        try:
+            shards, pruned = self._shards(record)
+        except SnapshotNotFoundError as exc:
+            self._finish_execution(execution, None, exc)
             return
-        alive = self.cluster.surviving_node_ids()
-        width = max(1, len(alive))
-        tables: list[str] = []
-        shards: list[tuple[str, int]] = []
-        for stripe, table_name in enumerate(record.select.table_names()):
-            if table_name in tables:
-                continue  # self-join scans once per node anyway
-            if record.join is not None and \
-                    table_name in record.join.excluded:
-                continue  # index-nested-loop build side: never scanned
-            tables.append(table_name)
-            attempt.stripe[table_name] = stripe * width
+        if execution.point_keys is None:
+            names = record.select.table_names()
+            width = max(1, len(self.cluster.surviving_node_ids()))
+            attempt.stripe = {name: names.index(name) * width
+                              for name in names}
+            if not attempt.token:
+                # Node-level pruning, counted on the first dispatch only
+                # (a re-dispatch skips the same shards again).
+                execution.partitions_pruned += pruned
+        self._read_shards(record, shards, self._scans_landed, record)
+
+    def _shards(self, record: _InFlight
+                ) -> tuple[list[tuple[str, int, _ShardPlan]], int]:
+        """The shards the query reads first, in dispatch order, each with
+        its plan: a point get per owner of the pinned keys, or a shard
+        per target node of every scanned table (FROM order; an
+        index-nested-loop build side is read mid-join) — and the
+        partitions of the untargeted nodes, all pruned."""
+        keys = record.execution.point_keys
+        nodes = self.cluster.surviving_node_ids()
+        shards = []
+        if keys is not None:
+            (table_name, view), = record.views.items()
+            owners: dict[int, list] = {}
+            for key in keys:
+                owner = view.owner_node_of(key)
+                if owner not in nodes:
+                    owner = nodes[0]  # placement mid-recovery: any survivor
+                owners.setdefault(owner, []).append(key)
+            for owner in sorted(owners):
+                shards.append((table_name, owner, self._scan_selection(
+                    record, table_name, owner, owners[owner])))
+            return shards, 0
+        pruned = 0
+        excluded = () if record.join is None else record.join.excluded
+        for table_name in dict.fromkeys(record.select.table_names()):
+            if table_name in excluded:
+                continue
             view = record.views[table_name]
             targets = self._scan_targets(view, record.fragment(table_name))
-            shards.extend((table_name, node_id) for node_id in targets)
-            if attempt.token:
-                continue
-            # Node-level pruning, counted on the first dispatch only (a
-            # re-dispatch skips the same shards again): none of the
-            # pinned keys live on these nodes, so every partition of
-            # the shard is skipped.
-            for node_id in alive:
-                if node_id not in targets:
-                    execution.partitions_pruned += len(
-                        view.partitions_on_node(node_id)
-                    )
-        attempt.arrived = attempt.gather(len(shards), self._scans_landed,
-                                         record)
+            shards.extend(
+                (table_name, node_id,
+                 self._scan_selection(record, table_name, node_id))
+                for node_id in targets
+            )
+            pruned += sum(len(view.partitions_on_node(node_id))
+                          for node_id in nodes if node_id not in targets)
+        return shards, pruned
+
+    def _read_shards(self, record: _InFlight,
+                     shards: list[tuple[str, int, _ShardPlan]],
+                     landed: Callable[..., None], *args) -> None:
+        """Read ``shards`` (:meth:`_read`); once each has shipped, run
+        ``landed(*args)``."""
+        attempt = record.attempt
+        attempt.arrived = attempt.gather(len(shards), landed, *args)
         if self.repeatable_read:
             attempt.unlocked = Counter(
-                table_name for table_name, _node in shards
+                table_name for table_name, _node, _shard in shards
                 if not record.views[table_name].immutable
             )
-        for table_name, node_id in shards:
-            self._scan_shard(record, table_name, node_id)
-
-    def _point_gets(self, record: _InFlight) -> None:
-        """Fetch the pinned key(s) from their owner nodes (point path).
-
-        A single-key lookup touches exactly one node; ``key IN (...)``
-        and OR-of-equality queries fan out one multi-get per distinct
-        owner, each billed per key fetched."""
-        attempt = record.attempt
-        (table_name, view), = record.views.items()
-        nodes = self.cluster.surviving_node_ids()
-        owners: dict[int, list] = {}
-        for key in record.execution.point_keys:
-            owner = view.owner_node_of(key)
-            if owner not in nodes:
-                owner = nodes[0]  # placement mid-recovery: any survivor
-            owners.setdefault(owner, []).append(key)
-        attempt.arrived = attempt.gather(len(owners), self._scans_landed,
-                                         record)
-        attempt.unlocked = {table_name: len(owners)}
-        for owner in sorted(owners):
-            keys = owners[owner]
-            # Index seek + entry read per key: a handful of store ops.
-            attempt.bill(
-                owner, 0, 4 * self.costs.store_entry_ms * len(keys),
-                self._point_fetched, record, table_name, owner, keys,
-            )
-
-    def _point_fetched(self, record: _InFlight, table_name: str,
-                       owner: int, keys: list) -> None:
-        view = record.views[table_name]
-        rows: list[dict] = []
-        try:
-            for key in keys:
-                rows.extend(view.point_rows(key))
-        except SnapshotNotFoundError as exc:
-            self._finish_execution(record.execution, None, exc)
-            return
-        record.attempt.scanned += len(keys)
-        self._ship_when_locked(record, table_name, owner,
-                               ColumnBatch(view.table.column_reader, rows),
-                               [row["partitionKey"] for row in rows])
+        for table_name, node_id, shard in shards:
+            self._read(record, table_name, node_id, shard)
 
     # -- approximate (sketch) answering -------------------------------------
 
-    def _sketch_plan(self, record: _InFlight) -> _SketchAnswer | None:
-        """Sketch answer for an APPROX aggregate, or ``None`` when the
-        query must run on an exact path (the fallback is always sound:
-        anything a sketch cannot answer within its declared bound runs
-        as a normal scan/index query)."""
+    def _sketch_plan(self, record: _InFlight) -> _SketchAnswer | str | None:
+        """Sketch answer for an APPROX aggregate, priced against the
+        exact paths, or why it runs on one (always sound: whatever a
+        sketch cannot answer within its bound runs as a scan/index
+        query); ``None`` for any other statement."""
         select = record.select
         if not record.execution.materialize:
             return None  # pure-load runs exercise the scan path
         if not isinstance(select, Select) or not select.approx:
             return None
-        priced = self._price_sketch(select, record.views)
-        if isinstance(priced, str):
-            return None
-        choice, answer, output = priced
-        if choice.kind != "sketch":
-            return None  # an exact path priced cheaper
-        estimate, bound, confidence = answer
-        return _SketchAnswer(
-            table=select.table.name,
-            description=choice.describe(),
-            columns=(output, "error_bound", "confidence"),
-            row={output: estimate, "error_bound": bound,
-                 "confidence": confidence},
-        )
-
-    def _price_sketch(self, select: Select, views: dict[str, TableView]):
-        """Validate and price answering an APPROX ``select`` from
-        sketches.
-
-        Returns a rejection reason (str) when the sketch cannot answer,
-        or ``(access path, (estimate, bound, confidence), output column
-        name)`` with the sketch priced against the exact paths."""
+        views = record.views
         if not self.sketch_enabled:
             return "sketches disabled"
         if len(views) != 1 or select.joins:
@@ -1060,71 +975,60 @@ class QueryService:
         )
         if answer is None:
             return "sketch cannot answer soundly (degraded partitions)"
-        candidate = SketchCandidate(
-            label=f"{aggregate.kind}({aggregate.column!r})",
-            probes=len(partitions),
-        )
         # The exact alternative is the statement's scan fragment (with
         # pushdown off the scan is the same; what it ships is not priced).
         choice = choose_access_path(
             _pushed_fragment(split_select(select), table_name),
             view, partitions, entries, self.costs,
-            sketch=candidate, indexes=self.index_enabled,
+            sketch=SketchCandidate(
+                label=f"{aggregate.kind}({aggregate.column!r})",
+                probes=len(partitions),
+            ),
+            indexes=self.index_enabled,
         )
+        if choice.kind != "sketch":
+            return f"sketch priced out; exact {choice.describe()}"
         output = output_column_name(select.items[0], 0)
-        return choice, answer, output
+        columns = [output, "error_bound", "confidence"]
+        return _SketchAnswer(table_name, choice, QueryResult(
+            columns=columns, rows=[dict(zip(columns, answer))], scanned=0,
+        ))
 
-    def _sketch_shard(self, record: _InFlight, table_name: str,
-                      node_id: int) -> None:
-        """One node's share of a sketch-answered query: probe the local
-        partition summaries (one probe each, no row touches) and ship a
-        marker through the normal result path."""
-        attempt = record.attempt
-        view = record.views[table_name]
-        partitions = view.partitions_on_node(node_id)
-        record.execution.sketch_probes += len(partitions)
-        marker = {"sketch": table_name, "node": node_id}
-        attempt.bill(
-            node_id, attempt.stripe[table_name] + node_id,
-            sketch_read_ms(self.costs, len(partitions)),
-            self._ship_when_locked, record, table_name, node_id,
-            ColumnBatch(view.table.column_reader, [marker]), [],
-        )
+    # -- the shard read -----------------------------------------------------
 
-    def _scan_shard(self, record: _InFlight, table_name: str,
-                    node_id: int) -> None:
+    def _read(self, record: _InFlight, table_name: str, node_id: int,
+              shard: _ShardPlan) -> None:
+        """Read one node's shard as ``shard`` decided, as every shard is
+        read: count it, bill it on the node's store servers — a point
+        get's seeks on partition 0, a sketch probe on the table's stripe,
+        a scan's chunks on successive partitions — then, at completion,
+        fetch and ship it (:meth:`_shard_read`)."""
         execution = record.execution
         attempt = record.attempt
-        if record.sketch is not None:
-            self._sketch_shard(record, table_name, node_id)
-            return
-        try:
-            shard = self._scan_selection(
-                record.views[table_name], record.fragment(table_name),
-                node_id,
-            )
-        except SnapshotNotFoundError as exc:
-            self._finish_execution(execution, None, exc)
-            return
         path = shard.path
+        kind = path.kind
+        if kind == "point" or kind == "sketch":
+            stripe = 0
+            if kind == "sketch":
+                execution.sketch_probes += path.probes
+                stripe = attempt.stripe[table_name] + node_id
+            attempt.bill(node_id, stripe, path.cost_ms, self._shard_read,
+                         record, table_name, node_id, shard, None)
+            return
         fragment = shard.fragment
         entries = path.candidates
-        fetch = shard.fetch
-        indexed = path.kind != "scan"
+        indexed = kind != "scan"
         execution.partitions_pruned += shard.pruned
         if indexed:
             execution.index_probes += path.probes
             execution.index_rows_read += entries
             execution.rows_skipped_by_index += path.scan_entries - entries
         if entries == 0 and path.probes == 0:
-            # A provably-empty shard (zero stored entries, or a key
-            # filter that eliminated every candidate partition) must not
-            # occupy a store server or bill a chunk: complete it
-            # immediately instead of submitting a zero-entry chunk.  Its
-            # fragment compiles outside the service's cache: what that
-            # cache holds decides what later shards are billed.
-            self._shard_scanned(
-                record, table_name, node_id, entries, fetch,
+            # A provably-empty shard bills no chunk and completes at
+            # once.  Its fragment compiles outside the service's cache:
+            # what that cache holds decides what later shards are billed.
+            self._shard_read(
+                record, table_name, node_id, shard,
                 None if fragment is None else CompiledFragment(fragment),
             )
             return
@@ -1150,8 +1054,8 @@ class QueryService:
 
         def run_chunk(remaining: int) -> None:
             if remaining == 0:
-                self._shard_scanned(record, table_name, node_id,
-                                    entries, fetch, compiled)
+                self._shard_read(record, table_name, node_id, shard,
+                                 compiled)
                 return
             # The final chunk is partial: bill only the entries left.
             done_entries = (chunks - remaining) * chunk
@@ -1180,7 +1084,52 @@ class QueryService:
 
         run_chunk(chunks)
 
-    # -- scan pruning (partition selection) --------------------------------
+    def _shard_read(self, record: _InFlight, table_name: str,
+                    node_id: int, shard: _ShardPlan,
+                    compiled: CompiledFragment | None) -> None:
+        """The shard's reads are billed: fetch its entries *now*, run the
+        ``compiled`` fragment over their columns (``None``: every entry
+        ships whole), and ship what survives with the keys of the rows
+        it observed — a sketch read ships a marker, a pure-load scan its
+        row count, a failed read its :class:`_ShardError`."""
+        execution = record.execution
+        kind = shard.path.kind
+        lock_keys: list | None = None
+        if kind == "sketch":
+            payload: ColumnBatch | int | PartialGroups | _ShardError = (
+                ColumnBatch(record.views[table_name].table.column_reader,
+                            [{"sketch": table_name, "node": node_id}])
+            )
+        elif not execution.materialize and kind != "point":
+            payload = record.views[table_name].row_count_on_node(node_id)
+        else:
+            try:
+                batch = shard.fetch()
+                if compiled is not None:
+                    # Repeatable read locks exactly the rows the query
+                    # observes: the survivors of the pushed predicates
+                    # (all of them — a row a top-k stage cuts still
+                    # decided the answer).
+                    lock_keys, payload, _batches = run_fragment_batches(
+                        compiled, batch,
+                        EvalContext(now_ms=self.sim.now),
+                        self.costs.scan_chunk_entries,
+                        compiled.fragment.top_k_keep(shard.path.candidates),
+                    )
+                else:
+                    payload = batch  # every entry ships whole
+                    lock_keys = batch.keys
+                    if lock_keys is None:  # a point get's shaped rows
+                        lock_keys = [row["partitionKey"]
+                                     for row in batch.values]
+            except Exception as exc:  # ship the error, don't crash
+                payload = _ShardError(exc)
+                lock_keys = []
+        record.attempt.scanned += shard.path.candidates
+        self._ship_when_locked(record, table_name, node_id, payload,
+                               lock_keys)
+
+    # -- shard selection ----------------------------------------------------
 
     def _scan_targets(self, view: TableView,
                       fragment: ScanFragment | None) -> list[int]:
@@ -1200,17 +1149,41 @@ class QueryService:
             return owners
         return list(alive)
 
-    def _scan_selection(self, view: TableView,
-                        fragment: ScanFragment | None,
-                        node_id: int) -> _ShardPlan:
-        """Decide how one node's shard of ``view`` is read — when a
-        query executes, and when ``explain`` says how one would.
-
-        When the fragment pins a key filter, the scan visits only the
-        partitions that can hold matching keys; when a secondary index
-        prices below sweeping the surviving partitions, the shard
-        resolves candidates through the index instead.  ``fetch``
-        reads exactly the chosen entries at scan-completion time."""
+    def _scan_selection(self, record: _InFlight, table_name: str,
+                        node_id: int, keys: list | None = None,
+                        lookup: tuple | None = None) -> _ShardPlan:
+        """Decide how one node's shard of ``table_name`` is read, for
+        execution and ``explain`` alike: a point get of ``keys`` on their
+        owner, one probe per partition for an answering sketch, an index
+        read with an index-nested-loop build side's ``lookup`` —
+        ``(column, probe)`` — or else a scan of the partitions a key
+        filter leaves, unless an index prices below sweeping them."""
+        view = record.views[table_name]
+        if keys is not None:
+            count = len(keys)
+            cost = point_read_ms(self.costs, count)
+            return _ShardPlan(
+                AccessPath("point", None, None, count, count, count, cost,
+                           cost),
+                partial(_point_rows, view, keys), 0, None, None,
+            )
+        if isinstance(record.sketch, _SketchAnswer):
+            return _ShardPlan(
+                sketch_path(self.costs,
+                            len(view.partitions_on_node(node_id))),
+                None, 0, None, None,
+            )
+        fragment = record.fragment(table_name)
+        if lookup is not None:
+            partitions = view.partitions_on_node(node_id)
+            path = index_path(fragment, view, partitions,
+                              view.entries_on_node(node_id), self.costs,
+                              *lookup)
+            if not isinstance(path, int):
+                return _ShardPlan(path, partial(view.index_scan, partitions,
+                                                *lookup), 0, fragment, None)
+            # A partition the index cannot probe soundly: read the
+            # shard as a scan would (what it ships still joins exactly).
         selection = None
         if fragment is not None and fragment.key_filter is not None:
             selection = self._select_partitions(
@@ -1273,53 +1246,9 @@ class QueryService:
             # Live data moves under the scan: a range zone map computed
             # now could hide rows inserted later, so ranges don't prune.
             return None
-        entries = sum(
-            view.partition_entry_count(partition)
-            for partition in selected
-        )
-
-        def fetch() -> ColumnBatch:
-            return view.scan_partitions(selected)
-
-        return entries, fetch, len(partitions) - len(selected), selected
-
-    def _shard_scanned(self, record: _InFlight, table_name: str,
-                       node_id: int, entries: int, fetch,
-                       compiled: CompiledFragment | None) -> None:
-        """Read this shard's entries *now*, run the pushed fragment
-        over their columns, and ship only what survives.
-
-        ``compiled`` is the shard's fragment in compiled form (``None``
-        when nothing is pushed: every entry ships as its whole row)."""
-        execution = record.execution
-        lock_keys: list | None = None
-        if not execution.materialize:
-            payload: ColumnBatch | int | PartialGroups | _ShardError = (
-                record.views[table_name].row_count_on_node(node_id)
-            )
-        else:
-            batch = fetch()
-            if compiled is not None:
-                try:
-                    # Repeatable read locks exactly the rows the query
-                    # observes: the survivors of the pushed predicates
-                    # (all of them — a row a top-k stage cuts still
-                    # decided the answer).
-                    lock_keys, payload, _batches = run_fragment_batches(
-                        compiled, batch,
-                        EvalContext(now_ms=self.sim.now),
-                        self.costs.scan_chunk_entries,
-                        compiled.fragment.top_k_keep(entries),
-                    )
-                except Exception as exc:  # ship the error, don't crash
-                    payload = _ShardError(exc)
-                    lock_keys = []
-            else:
-                payload = batch  # every entry ships whole
-                lock_keys = batch.keys
-        record.attempt.scanned += entries
-        self._ship_when_locked(record, table_name, node_id, payload,
-                               lock_keys)
+        entries = sum(map(view.partition_entry_count, selected))
+        return (entries, partial(view.scan_partitions, selected),
+                len(partitions) - len(selected), selected)
 
     def _ship_when_locked(self, record: _InFlight, table_name: str,
                           node_id: int, payload,
@@ -1327,10 +1256,11 @@ class QueryService:
         """Ship a shard's payload, acquiring repeatable-read locks first.
 
         ``lock_keys`` are the keys of the rows the shard observed
-        (``None``: it read none).  A query locks its tables in name
-        order: a shard waits until every shard of the tables before its
-        own is locked.  Every query then takes the tables (lockdep's
-        lock classes) in one order, whatever order its shards land in."""
+        (``None``: it read none, or holds them already).  A query locks
+        its tables in name order: a shard waits until every shard of the
+        tables before its own is locked.  Every query then takes the
+        tables (lockdep's lock classes) in one order, whatever order its
+        shards land in."""
         if (
             self.repeatable_read
             # key locks guard live state; committed versions are immutable
@@ -1341,8 +1271,14 @@ class QueryService:
                 (node_id, payload, lock_keys)
             )
             self._lock_in_turn(record)
-        else:
-            self._ship(record, table_name, node_id, payload)
+            return
+        nbytes = self._payload_nbytes(record, table_name, payload)
+        record.attempt.send(
+            node_id, record.execution.entry_node,
+            ("query-result", table_name), nbytes,
+            self._shard_arrived, record, table_name, node_id, payload,
+            nbytes,
+        )
 
     def _lock_in_turn(self, record: _InFlight) -> None:
         """Lock the waiting shards of the first table, by name, that has
@@ -1361,20 +1297,17 @@ class QueryService:
         if not unlocked[table_name]:
             del unlocked[table_name]
             self._lock_in_turn(record)
-        self._ship(record, table_name, node_id, payload)
+        self._ship_when_locked(record, table_name, node_id, payload, None)
 
     def _payload_nbytes(self, record: _InFlight, table_name: str,
                         payload) -> int:
-        """Shipping bytes for one shard's payload.
-
-        The legacy path (and point lookups) bills a flat ``row_bytes``
-        per row; pushdown bills the actual surviving shape — projected
-        columns per row, or one fixed-width state per partial group —
-        which is precisely the bytes-on-the-wire saving the distributed
-        plan exists to create."""
+        """Shipping bytes for one shard's payload: whole rows bill a flat
+        ``row_bytes`` each; pushdown bills the shape that survives —
+        projected columns, or one state per partial group — the saving
+        the distributed plan exists to create."""
         costs = self.costs
         if isinstance(payload, int):
-            return payload * costs.row_bytes
+            return shipped_bytes(costs, payload)
         if isinstance(payload, _ShardError) or (
             record.join is not None and table_name in record.join.local
         ):
@@ -1382,46 +1315,28 @@ class QueryService:
             # so does the "shard done" frame of rows a join stage reads
             # on their node (they stay in-process, dropped with a voided
             # attempt, and none counts as shipped).
-            return costs.row_overhead_bytes
+            return shipped_bytes(costs, 1, 0)
         if isinstance(payload, PartialGroups):
-            per_group = (costs.row_overhead_bytes
-                         + payload.width() * costs.column_bytes)
-            return len(payload) * per_group
-        if _pushed_fragment(record.plan, table_name) is not None:
-            return (len(payload) * costs.row_overhead_bytes
-                    + payload.width() * costs.column_bytes)
-        return len(payload) * costs.row_bytes
-
-    def _ship(self, record: _InFlight, table_name: str, node_id: int,
-              payload) -> None:
-        nbytes = self._payload_nbytes(record, table_name, payload)
-        record.attempt.send(
-            node_id, record.execution.entry_node,
-            ("query-result", table_name), nbytes,
-            self._shard_arrived, record, table_name, node_id, payload,
-            nbytes,
-        )
+            return shipped_bytes(costs, len(payload),
+                                 len(payload) * payload.width())
+        if record.plan is not None and \
+                _pushed_fragment(record.plan, table_name) is not None:
+            return shipped_bytes(costs, len(payload), payload.width())
+        return shipped_bytes(costs, len(payload))
 
     def _lock_rows(self, execution: QueryExecution, table_name: str,
                    keys: list, then: Callable[[], None]) -> None:
         """Repeatable read: hold the lock of every read row's key until
         the end.
 
-        Contended keys *block* — the request queues FIFO behind the
-        holder and ``then`` runs once every key is granted — instead of
-        being silently skipped, which would leave the "repeatable" read
-        unprotected exactly when it matters.  A grant that arrives after
-        the query already finished (abort, timeout) releases itself
-        immediately, so nothing leaks.
-
-        Lock requests are issued in canonical (sorted) key order, not
-        row-shipment order: two concurrent queries whose shards land in
-        different orders would otherwise each hold some keys while
-        queued FIFO behind the other's — the hold-and-wait cycle the
-        lockdep sanitizer and the lock-order lint rule exist to catch.
-        With a single global acquisition order the wait-for graph stays
-        acyclic.
-        """
+        Contended keys *block* — queued FIFO behind the holder; ``then``
+        runs once every key is granted — instead of being skipped, which
+        would leave the read unprotected exactly when it matters.  A
+        grant to a query that already finished releases itself at once.
+        Requests go out in one canonical (sorted) key order, never in
+        shipment order, so no two queries each hold keys while queued
+        behind the other's (the cycle lockdep and the lock-order lint
+        catch)."""
         locks = self.store.locks
         pending = {"n": 1}  # sentinel guards against sync completion
 
@@ -1461,7 +1376,7 @@ class QueryService:
     def _scans_landed(self, record: _InFlight) -> None:
         """Every shard's payload is at the entry node: merge there, or
         run the join stages over the rows held on the nodes."""
-        if record.join is None:
+        if record.join is None or record.join.central is not None:
             record.attempt.merge(self._finish, record)
             return
         shard_error = self._first_shard_error(record)
@@ -1474,24 +1389,19 @@ class QueryService:
 
     def _finish(self, record: _InFlight) -> None:
         execution = record.execution
+        shard_error = self._first_shard_error(record)
+        if shard_error is not None:
+            self._finish_execution(execution, None, shard_error)
+            return
         if not execution.materialize:
             self._finish_execution(execution, None, None)
             return
-        if record.sketch is not None:
+        if isinstance(record.sketch, _SketchAnswer):
             # Sketch-answered APPROX: the estimate was computed at plan
             # time (sound — see _SketchAnswer); the shards only billed
             # probe costs and shipped markers.
             execution.approx_answered = True
-            result = QueryResult(
-                columns=list(record.sketch.columns),
-                rows=[dict(record.sketch.row)],
-                scanned=0,
-            )
-            self._finish_execution(execution, result, None)
-            return
-        shard_error = self._first_shard_error(record)
-        if shard_error is not None:
-            self._finish_execution(execution, None, shard_error)
+            self._finish_execution(execution, record.sketch.result, None)
             return
         plan = record.plan
         collected = record.attempt.rows
@@ -1540,9 +1450,43 @@ class QueryService:
                     return payload.error
         return None
 
-    def _release_locks(self, execution: QueryExecution) -> None:
-        if self.repeatable_read:
-            self.store.locks.release_all(execution)
+
+def _point_rows(view: TableView, keys: list) -> ColumnBatch:
+    """The rows of those of ``keys`` that exist: a point get's fetch."""
+    rows: list[dict] = []
+    for key in keys:
+        rows.extend(view.point_rows(key))
+    return ColumnBatch(view.table.column_reader, rows)
+
+
+def _explain_shards(shards: list[tuple[str, int, _ShardPlan]]
+                    ) -> list[str]:
+    """Per scanned table, how its shards are read: one line per choice,
+    summed over the shards that made it, with why the first of them
+    rejected the alternatives — or why no index was priced at all."""
+    tables: dict[str, list[_ShardPlan]] = {}
+    for table_name, _node, shard in shards:
+        tables.setdefault(table_name, []).append(shard)
+    lines: list[str] = []
+    for table_name, plans in tables.items():
+        prefix = f"  access path [{table_name}]: "
+        if plans[0].veto is not None:  # the same for every shard
+            lines.append(prefix + f"full scan ({plans[0].veto})")
+            continue
+        chosen: dict[tuple, list[AccessPath]] = {}
+        for path in (plan.path for plan in plans):
+            chosen.setdefault((path.kind, path.column), []).append(path)
+        for same in chosen.values():
+            total = replace(same[0], **{
+                name: sum(getattr(path, name) for path in same)
+                for name in ("probes", "candidates", "scan_entries",
+                             "cost_ms", "scan_cost_ms")
+            })
+            lines.append(f"{prefix}{total.describe()} "
+                         f"on {len(same)} shard(s)")
+            lines.extend(f"    rejected (first shard) {reason}"
+                         for reason in same[0].rejected)
+    return lines
 
 
 def _lock_grant(locks, key, execution: QueryExecution,
@@ -1572,9 +1516,8 @@ def _extract_key_filter(where: Expr | None, binding: str = "") -> object:
     for column in ("key", "partitionKey"):
         key_filter = extract_key_filter(conjuncts, column, binding)
         if isinstance(key_filter, KeySet):
-            keys = tuple(
-                key for key in key_filter.keys if key is not None
-            )
+            keys = tuple([key for key in key_filter.keys
+                          if key is not None])
             if 0 < len(keys) <= MAX_POINT_KEYS:
                 return keys
     return NO_POINT_KEY

@@ -1,11 +1,13 @@
 """Pricing and cost-based access-path selection for scan fragments.
 
-Everything the query path charges a store server for, or estimates it
-will, is priced here and nowhere else: :func:`shard_read_ms` (a scan
-or index-backed shard read), :func:`sketch_read_ms` and
-:func:`join_stage_ms`.  ``QueryService._scan_shard`` bills each chunk
-with the function the chooser estimated the whole shard with, so what
-``explain`` prints is what a warm execution bills.
+Everything the query path charges a store server, the entry node's
+pool or the network for, or estimates it will, is priced here and
+nowhere else: :func:`shard_read_ms` (a scan or index-backed shard
+read), :func:`point_read_ms`, :func:`sketch_read_ms`,
+:func:`join_stage_ms`, the fixed statement, snapshot-id and merge
+costs, and :func:`shipped_bytes`.  ``QueryService._read`` bills each
+chunk with the function the chooser estimated the whole shard with, so
+what ``explain`` prints is what a warm execution bills.
 
 For each scan fragment the query service must decide *how* to read the
 fragment's partitions: sweep them (the pruned full scan of PR 3),
@@ -101,9 +103,39 @@ def shard_read_ms(costs, entries: int, stage: str | None = None,
     )
 
 
+def point_read_ms(costs, keys: int) -> float:
+    """Store-server time of getting ``keys`` keys from their owner: a
+    seek and an entry read per key, a handful of store operations."""
+    return 4 * costs.store_entry_ms * keys
+
+
 def sketch_read_ms(costs, probes: int) -> float:
     """Store-server time of reading ``probes`` partition sketches."""
     return probes * costs.sketch_probe_ms
+
+
+def statement_ms(costs) -> float:
+    """Entry-pool time of parsing and planning one statement."""
+    return costs.sql_fixed_ms
+
+
+def snapshot_id_read_ms(costs) -> float:
+    """Store-server time of the atomic committed-snapshot pointer read."""
+    return costs.snapshot_id_read_ms
+
+
+def merge_ms(costs, rows: int) -> float:
+    """Entry-pool time of merging ``rows`` shipped rows."""
+    return rows * costs.merge_row_ms
+
+
+def shipped_bytes(costs, rows: int, columns: int | None = None) -> int:
+    """Network bytes of ``rows`` rows: a flat ``row_bytes`` each for
+    whole rows (``columns`` is ``None``), else a framing header each
+    plus ``columns`` column values in all — the shape that ships."""
+    if columns is None:
+        return rows * costs.row_bytes
+    return rows * costs.row_overhead_bytes + columns * costs.column_bytes
 
 
 def join_stage_ms(costs, build_rows: int, probe_rows: int) -> float:
@@ -125,14 +157,14 @@ class SketchCandidate:
 class AccessPath:
     """One priced way of reading a fragment's partitions on one node."""
 
-    kind: str  # "scan" | "index-eq" | "index-range" | "sketch"
+    kind: str  # "scan" | "index-eq" | "index-range" | "sketch" | "point"
     column: str | None
     probe: EqProbe | RangeProbe | None
-    #: index probes issued (one per partition-and-value / range), or
-    #: sketch probes (one per partition).
+    #: index probes issued (one per partition-and-value / range), sketch
+    #: probes (one per partition), or keys a point get seeks.
     probes: int
     #: rows the path touches (== scan_entries for a full scan, 0 for a
-    #: sketch).
+    #: sketch, the keys sought for a point get).
     candidates: int
     scan_entries: int
     cost_ms: float
@@ -197,6 +229,43 @@ def _scan_path(scan_entries: int, scan_cost: float) -> AccessPath:
         scan_entries=scan_entries,
         cost_ms=scan_cost,
         scan_cost_ms=scan_cost,
+    )
+
+
+def sketch_path(costs, probes: int, scan_entries: int = 0,
+                scan_cost: float = 0.0, label=None) -> AccessPath:
+    """Reading ``probes`` partition sketches instead of their rows."""
+    return AccessPath("sketch", None, None, probes, 0, scan_entries,
+                      sketch_read_ms(costs, probes), scan_cost, label)
+
+
+def index_path(fragment: ScanFragment | None, view,
+               partitions: list[int], scan_entries: int, costs,
+               column: str, probe: EqProbe | RangeProbe
+               ) -> AccessPath | int:
+    """Reading ``partitions`` through ``column``'s index with ``probe``,
+    priced on exact counts; else the first partition not soundly
+    probeable."""
+    probes = 0
+    candidates = 0
+    for partition in partitions:
+        counted = view.index_probe_count(partition, column, probe)
+        if counted is None:
+            return partition
+        probes += counted[0]
+        candidates += counted[1]
+    return AccessPath(
+        kind="index-eq" if isinstance(probe, EqProbe) else "index-range",
+        column=column,
+        probe=probe,
+        probes=probes,
+        candidates=candidates,
+        scan_entries=scan_entries,
+        cost_ms=shard_read_ms(costs, candidates,
+                              pushed_stage(fragment, candidates),
+                              probes, indexed=True),
+        scan_cost_ms=shard_read_ms(costs, scan_entries,
+                                   pushed_stage(fragment, scan_entries)),
     )
 
 
@@ -267,46 +336,18 @@ def choose_access_path(fragment: ScanFragment | None, view,
                 "sorted index"
             )
             continue
-        probes = 0
-        candidates = 0
-        unsound: int | None = None
-        for partition in partitions:
-            counted = view.index_probe_count(partition, column, probe)
-            if counted is None:
-                unsound = partition
-                break
-            probes += counted[0]
-            candidates += counted[1]
-        if unsound is not None:
+        path = index_path(fragment, view, partitions, scan_entries, costs,
+                          column, probe)
+        if isinstance(path, int):
             rejected.append(
-                f"index {kind}({column!r}): partition {unsound} not "
+                f"index {kind}({column!r}): partition {path} not "
                 "probeable (missing or mixed-type values)"
             )
             continue
-        offer(f"index {kind}({column!r})", AccessPath(
-            kind=("index-eq" if isinstance(probe, EqProbe)
-                  else "index-range"),
-            column=column,
-            probe=probe,
-            probes=probes,
-            candidates=candidates,
-            scan_entries=scan_entries,
-            cost_ms=shard_read_ms(costs, candidates,
-                                  pushed_stage(fragment, candidates),
-                                  probes, indexed=True),
-            scan_cost_ms=scan_cost,
-        ))
+        offer(f"index {kind}({column!r})", path)
     if sketch is not None:
-        offer(f"sketch {sketch.label}", AccessPath(
-            kind="sketch",
-            column=None,
-            probe=None,
-            probes=sketch.probes,
-            candidates=0,
-            scan_entries=scan_entries,
-            cost_ms=sketch_read_ms(costs, sketch.probes),
-            scan_cost_ms=scan_cost,
-            label=sketch.label,
+        offer(f"sketch {sketch.label}", sketch_path(
+            costs, sketch.probes, scan_entries, scan_cost, sketch.label,
         ))
     if best.kind != "scan":
         rejected.append(

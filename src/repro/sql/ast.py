@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 
 
 class Expr:
@@ -152,8 +153,16 @@ class Select:
     def table_names(self) -> list[str]:
         """All base table names referenced, in FROM order."""
         names = [self.table.name]
-        names.extend(join.table.name for join in self.joins)
+        if self.joins:
+            names.extend(join.table.name for join in self.joins)
         return names
+
+    def aggregates(self) -> bool:
+        """Whether the statement aggregates: a GROUP BY, or an aggregate
+        call in the select list."""
+        return bool(self.group_by) or any(
+            map(contains_aggregate, map(_EXPR, self.items))
+        )
 
 
 @dataclass(frozen=True)
@@ -176,6 +185,7 @@ class Union:
 Statement = Select | Union
 
 AGGREGATE_FUNCTIONS = frozenset({"COUNT", "SUM", "AVG", "MIN", "MAX"})
+_EXPR = attrgetter("expr")
 
 
 def children(expr: Expr | None) -> tuple[Expr, ...]:
@@ -200,68 +210,17 @@ def children(expr: Expr | None) -> tuple[Expr, ...]:
     return ()
 
 
-def contains_aggregate(expr: Expr) -> bool:
+def contains_aggregate(expr: Expr | None) -> bool:
     """True if the expression tree contains an aggregate call."""
-    if isinstance(expr, FuncCall):
-        if expr.name in AGGREGATE_FUNCTIONS:
-            return True
-        return any(contains_aggregate(arg) for arg in expr.args)
-    if isinstance(expr, Unary):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, Binary):
-        return contains_aggregate(expr.left) or contains_aggregate(expr.right)
-    if isinstance(expr, InList):
-        return contains_aggregate(expr.operand) or any(
-            contains_aggregate(item) for item in expr.items
-        )
-    if isinstance(expr, Between):
-        return (
-            contains_aggregate(expr.operand)
-            or contains_aggregate(expr.low)
-            or contains_aggregate(expr.high)
-        )
-    if isinstance(expr, Like):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, IsNull):
-        return contains_aggregate(expr.operand)
-    if isinstance(expr, CaseWhen):
-        parts: list[Expr] = []
-        for condition, result in expr.branches:
-            parts.extend((condition, result))
-        if expr.default is not None:
-            parts.append(expr.default)
-        return any(contains_aggregate(part) for part in parts)
-    return False
+    if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
+        return True
+    return any(map(contains_aggregate, children(expr)))
 
 
-def collect_aggregates(expr: Expr, out: list[FuncCall]) -> None:
+def collect_aggregates(expr: Expr | None, out: list[FuncCall]) -> None:
     """Append every aggregate call in ``expr`` to ``out`` (pre-order)."""
     if isinstance(expr, FuncCall) and expr.name in AGGREGATE_FUNCTIONS:
         out.append(expr)
         return
-    if isinstance(expr, FuncCall):
-        for arg in expr.args:
-            collect_aggregates(arg, out)
-    elif isinstance(expr, Unary):
-        collect_aggregates(expr.operand, out)
-    elif isinstance(expr, Binary):
-        collect_aggregates(expr.left, out)
-        collect_aggregates(expr.right, out)
-    elif isinstance(expr, InList):
-        collect_aggregates(expr.operand, out)
-        for item in expr.items:
-            collect_aggregates(item, out)
-    elif isinstance(expr, Between):
-        collect_aggregates(expr.operand, out)
-        collect_aggregates(expr.low, out)
-        collect_aggregates(expr.high, out)
-    elif isinstance(expr, Like):
-        collect_aggregates(expr.operand, out)
-    elif isinstance(expr, IsNull):
-        collect_aggregates(expr.operand, out)
-    elif isinstance(expr, CaseWhen):
-        for condition, result in expr.branches:
-            collect_aggregates(condition, out)
-            collect_aggregates(result, out)
-        if expr.default is not None:
-            collect_aggregates(expr.default, out)
+    for child in children(expr):
+        collect_aggregates(child, out)

@@ -43,6 +43,7 @@ from .executor import (
     agg_feed_exprs,
     group_keys,
     new_group_accs,
+    incomparable,
     order_keyed,
     order_keys,
 )
@@ -243,8 +244,13 @@ class BatchAccumulator:
         self.batch: ColumnBatch | None = None
         #: Entry indexes of the survivors that ship, in row order.
         self.kept: list[int] = []
-        #: top-k stage: ``(order key, entry index)`` of the held rows.
+        #: top-k stage: ``(order key, entry index)`` of the held rows, and
+        #: per ORDER BY term a value of each type any survivor held.
         self.top: list[tuple[tuple, int]] = []
+        self.order_types: list[dict] = [
+            {} for _term in (compiled.fragment.top_k.order_by
+                             if keep is not None else ())
+        ]
         self.groups: dict[tuple, list] = {}
         self.survived = 0
 
@@ -339,21 +345,23 @@ class BatchAccumulator:
         compiled = self.compiled
         order_by = compiled.fragment.top_k.order_by
         try:
-            keys = order_keys(
-                order_by,
-                [sweep.values(term) for term in compiled.order_terms],
-            )
+            columns = [sweep.values(term) for term in compiled.order_terms]
+            clash = self.keep and incomparable(columns, self.order_types)
+            if clash:
+                raise clash
+            keys = order_keys(order_by, columns)
             if sweep.failed is not None:
                 raise sweep.failed[2]
-            # The chunk's own first rows against the held ones.
+            # The chunk's own first rows against the held ones (every
+            # survivor's types checked above).
             self.top = order_keyed(
                 order_by,
                 self.top + order_keyed(
                     order_by,
                     list(zip(keys, map(start.__add__, sweep.survivors))),
-                    self.keep,
+                    self.keep, checked=True,
                 ),
-                self.keep,
+                self.keep, checked=True,
             )
         except Exception:  # noqa: BLE001 — the final ORDER BY raises it
             raise _TopKAbandoned from None

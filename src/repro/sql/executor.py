@@ -5,8 +5,9 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from operator import itemgetter
+from types import NoneType
 
-from ..errors import SqlExecutionError, SqlPlanError
+from ..errors import SqlExecutionError
 from .ast import (
     Between,
     Binary,
@@ -25,7 +26,6 @@ from .ast import (
     Unary,
     Union,
     collect_aggregates,
-    contains_aggregate,
 )
 from .compiled import (
     CompiledExpr,
@@ -34,7 +34,7 @@ from .compiled import (
     compile_predicate,
 )
 from .functions import make_aggregate
-from .planner import Catalog, JoinStep, Plan, plan_select
+from .planner import Catalog, JoinStep, Plan, plan_select, validate_select
 
 
 @dataclass
@@ -347,27 +347,6 @@ def _nested_loop_join(left_rows: list[dict], right_rows: list[dict],
 # -- distributed join support ------------------------------------------------
 
 
-def validate_joined_select(select: Select) -> bool:
-    """The statement-shape validations of ``plan_select``, re-raised by
-    the distributed join path.  Central queries only hit them at the
-    entry node's final stage (``execute_select`` plans there), so the
-    distributed finalizer must fire the same errors at the same point.
-    Returns ``is_aggregate``.
-    """
-    is_aggregate = bool(select.group_by) or any(
-        contains_aggregate(item.expr) for item in select.items
-    )
-    if select.having is not None and not is_aggregate:
-        raise SqlPlanError("HAVING requires GROUP BY or aggregates")
-    if is_aggregate and select.select_star:
-        raise SqlPlanError("SELECT * cannot be combined with aggregation")
-    if select.approx and not is_aggregate:
-        raise SqlPlanError(
-            "APPROX requires an aggregate query (COUNT/SUM/AVG/...)"
-        )
-    return is_aggregate
-
-
 def execute_joined_select(select: Select, rows: list[dict],
                           context: EvalContext,
                           scanned: int = 0) -> QueryResult:
@@ -379,8 +358,8 @@ def execute_joined_select(select: Select, rows: list[dict],
     left-wins semantics baked in by the join merge, so this runs
     ``execute_plan``'s post-join stages directly.
     """
-    is_aggregate = validate_joined_select(select)
-    return _execute_post_join(select, rows, is_aggregate, context, scanned)
+    return _execute_post_join(select, rows, validate_select(select), context,
+                              scanned)
 
 
 # -- projection and aggregation ---------------------------------------------
@@ -450,13 +429,7 @@ def unique_aggregates(select: Select) -> list[FuncCall]:
     for order in select.order_by:
         collect_aggregates(order.expr, aggregates)
     # De-duplicate structurally identical calls (frozen dataclasses hash).
-    unique: list[FuncCall] = []
-    seen: set[FuncCall] = set()
-    for call in aggregates:
-        if call not in seen:
-            seen.add(call)
-            unique.append(call)
-    return unique
+    return list(dict.fromkeys(aggregates))
 
 
 def new_group_accs(unique: list[FuncCall]) -> list:
@@ -648,7 +621,8 @@ _KEY = itemgetter(0)
 
 def order_keyed(order_by: "tuple[OrderItem, ...]",
                 keyed: "list[tuple[tuple, object]]",
-                limit: int | None = None) -> "list[tuple[tuple, object]]":
+                limit: int | None = None,
+                checked: bool = False) -> "list[tuple[tuple, object]]":
     """``(order key, row)`` pairs in ORDER BY order — only the first
     ``limit`` of them when given — keys from :func:`compile_order_key`.
 
@@ -659,8 +633,15 @@ def order_keyed(order_by: "tuple[OrderItem, ...]",
     ``sorted(...)[:n]``, stability included, and fall back to exactly
     that otherwise).  Mixed directions take one stable pass per term,
     last term first.  Values that do not compare raise
-    :class:`SqlExecutionError`, as they do in a WHERE.
+    :class:`SqlExecutionError` — a term holding two types that do not
+    order always, before any comparison (unless ``checked`` already), so
+    neither the limit, the direction nor the chunking decides it.
     """
+    if limit == 0:
+        return []  # nothing is ranked, so nothing is compared
+    error = None if checked else incomparable(_term_values(order_by, keyed))
+    if error is not None:
+        raise error
     if limit is None:
         limit = len(keyed)
     descending = order_by[0].descending
@@ -676,31 +657,48 @@ def order_keyed(order_by: "tuple[OrderItem, ...]",
                 reverse=order_by[position].descending,
             )
     except TypeError:
-        raise _incomparable(order_by, keyed) from None
+        raise (incomparable(_term_values(order_by, keyed), mixed=False)
+               or SqlExecutionError("cannot compare ORDER BY values")
+               ) from None
     return keyed[:limit]
 
 
-def _incomparable(order_by: "tuple[OrderItem, ...]",
-                  keyed: "list[tuple[tuple, object]]") -> SqlExecutionError:
-    """The typed error of a sort that hit incomparable values: the
-    first term holding two types that do not order, named in sorted
-    order so the text does not depend on which comparison tripped."""
-    for position in range(len(order_by)):
-        samples: dict[str, object] = {}
-        for key, _row in keyed:
-            value = key[2 * position + 1]
-            if value is not None:
-                samples.setdefault(type(value).__name__, value)
-        names = sorted(samples)
-        for index, first in enumerate(names):
-            for second in names[index:]:
+def _term_values(order_by: "tuple[OrderItem, ...]",
+                 keyed: "list[tuple[tuple, object]]") -> "list[list]":
+    """Each ORDER BY term's values (``None`` for NULL and NaN)."""
+    keys = list(map(_KEY, keyed))
+    return [list(map(itemgetter(2 * position + 1), keys))
+            for position in range(len(order_by))]
+
+
+_NULL = {NoneType}
+
+
+def incomparable(columns: "list[list]", samples: "list[dict] | None" = None,
+                 mixed: bool = True) -> SqlExecutionError | None:
+    """The typed error of the first ORDER BY term whose values —
+    ``columns[term]``, plus one per type it held before in ``samples``
+    (updated) — hold two types that do not order (with ``mixed=False``
+    also one that does not order with itself), naming them sorted so the
+    text is the same whichever comparison tripped; else ``None``."""
+    for position, values in enumerate(columns):
+        found = {} if samples is None else samples[position]
+        if not set(map(type, values)) - _NULL <= found.keys():
+            found.update(zip(map(type, values), values))
+            found.pop(NoneType, None)  # NULL and NaN are never compared
+        if mixed and len(found) < 2:
+            continue
+        named = sorted(((kind.__name__, value)
+                        for kind, value in found.items()), key=_KEY)
+        for index, (first, value) in enumerate(named):
+            for second, other in named[index + mixed:]:
                 try:
-                    samples[first] < samples[second]
+                    value < other
                 except TypeError:
                     return SqlExecutionError(
                         f"cannot compare {first} with {second}"
                     )
-    return SqlExecutionError("cannot compare ORDER BY values")
+    return None
 
 
 def _execute_order(select: Select, rows: list[dict],

@@ -36,6 +36,7 @@ Splitting rules (all safety-first; anything unclear stays central):
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 from .ast import (
     Between,
@@ -169,6 +170,16 @@ def _or_equality_keys(expr: Expr, key_column: str,
     return None
 
 
+def _distinct(values: list) -> tuple:
+    """``values`` without repeats, in first-seen order (``1`` repeats
+    ``TRUE``, as the predicate that re-filters the rows sees it)."""
+    unique: list = []
+    for value in values:
+        if value not in unique:
+            unique.append(value)
+    return tuple(unique)
+
+
 def _conjunct_key_filter(expr: Expr, key_column: str,
                          binding: str) -> KeyFilter | None:
     literal = _key_equality(expr, key_column, binding)
@@ -178,20 +189,12 @@ def _conjunct_key_filter(expr: Expr, key_column: str,
         isinstance(expr, InList)
         and not expr.negated
         and _is_key_column(expr.operand, key_column, binding)
-        and all(isinstance(item, Literal) for item in expr.items)
+        and all(map(isinstance, expr.items, repeat(Literal)))
     ):
-        seen: list = []
-        for item in expr.items:
-            if item.value not in seen:
-                seen.append(item.value)
-        return KeySet(tuple(seen))
+        return KeySet(_distinct([item.value for item in expr.items]))
     or_keys = _or_equality_keys(expr, key_column, binding)
     if or_keys is not None:
-        unique: list = []
-        for value in or_keys:
-            if value not in unique:
-                unique.append(value)
-        return KeySet(tuple(unique))
+        return KeySet(_distinct(or_keys))
     if isinstance(expr, Binary) and expr.op in ("<", "<=", ">", ">="):
         left, right = expr.left, expr.right
         op = expr.op
@@ -255,6 +258,9 @@ def _intersect(first: KeyFilter | None,
     return KeyRange(low, high, low_inc, high_inc)
 
 
+_PINNING_TYPES = {int, str}
+
+
 def extract_key_filter(conjuncts: list[Expr], key_column: str,
                        binding: str) -> KeyFilter | None:
     """The tightest key restriction implied by top-level conjuncts.
@@ -270,9 +276,8 @@ def extract_key_filter(conjuncts: list[Expr], key_column: str,
     combined: KeyFilter | None = None
     for conjunct in conjuncts:
         part = _conjunct_key_filter(conjunct, key_column, binding)
-        if isinstance(part, KeySet) and not all(
-            type(key) is int or type(key) is str for key in part.keys
-        ):
+        if isinstance(part, KeySet) and \
+                not set(map(type, part.keys)) <= _PINNING_TYPES:
             continue
         if part is not None:
             combined = _intersect(combined, part)
@@ -472,10 +477,7 @@ def _partial_aggregate_for(select: Select, pushed: list[Expr],
     """Decide scan-side partial aggregation for a single-table SELECT."""
     if select.joins or residual is not None:
         return None
-    is_aggregate = bool(select.group_by) or any(
-        contains_aggregate(item.expr) for item in select.items
-    )
-    if not is_aggregate or select.select_star:
+    if not select.aggregates() or select.select_star:
         return None
     calls = unique_aggregates(select)
     for call in calls:
@@ -518,9 +520,8 @@ def _top_k_for(select: Select, residual: Expr | None) -> TopK | None:
     """
     if (
         select.limit is None or not select.order_by or select.joins
-        or residual is not None or select.group_by or select.distinct
-        or select.select_star
-        or any(contains_aggregate(item.expr) for item in select.items)
+        or residual is not None or select.distinct or select.select_star
+        or select.aggregates()
     ):
         return None
     binding = select.table.binding

@@ -145,12 +145,6 @@ class _Parser:
             return branches[0]
         return Union(tuple(branches), all=bool(union_all))
 
-    def parse_select_statement(self) -> Select:
-        statement = self.parse_statement()
-        if isinstance(statement, Union):
-            raise SqlParseError("expected a single SELECT, found UNION")
-        return statement
-
     def _parse_select(self) -> Select:
         self._expect_keyword("SELECT")
         approx = self._match_keyword("APPROX")

@@ -105,9 +105,21 @@ def plan_select(select: Select, catalog: Catalog) -> Plan:
             raise SqlPlanError(f"duplicate table binding {binding!r}")
         bindings.add(binding)
         steps.append(_plan_join(join, catalog))
-    is_aggregate = bool(select.group_by) or any(
-        contains_aggregate(item.expr) for item in select.items
+    return Plan(
+        select=select,
+        base_source=base_source,
+        base_binding=select.table.binding,
+        joins=tuple(steps),
+        is_aggregate=validate_select(select),
     )
+
+
+def validate_select(select: Select) -> bool:
+    """The statement-shape checks of every SELECT — central, or joined
+    distributed, whose finalizer runs them where central execution
+    plans: at the entry node's final stage.  Returns whether it
+    aggregates."""
+    is_aggregate = select.aggregates()
     if select.having is not None and not is_aggregate:
         raise SqlPlanError("HAVING requires GROUP BY or aggregates")
     if is_aggregate and select.select_star:
@@ -116,13 +128,7 @@ def plan_select(select: Select, catalog: Catalog) -> Plan:
         raise SqlPlanError(
             "APPROX requires an aggregate query (COUNT/SUM/AVG/...)"
         )
-    return Plan(
-        select=select,
-        base_source=base_source,
-        base_binding=select.table.binding,
-        joins=tuple(steps),
-        is_aggregate=is_aggregate,
-    )
+    return is_aggregate
 
 
 def _plan_join(join: Join, catalog: Catalog) -> JoinStep:

@@ -13,7 +13,7 @@ Level                         How S-QUERY provides it
                               setup (not simulated).
 ``REPEATABLE_READ``           Live-state queries that hold every key lock
                               for the whole query duration
-                              (``SQueryConfig.repeatable_read_locks``);
+                              (``QueryService(repeatable_read=True)``);
                               expensive, off by default.
 ``SNAPSHOT`` / ``SERIALIZABLE``  Snapshot-state queries: they execute on an
                               atomically committed snapshot, and because

@@ -213,8 +213,7 @@ def test_index_coherence_check_can_be_disabled(family):
 def test_indexed_workload_under_all_sanitizers_is_clean(family):
     env = armed_env(snapshot_fingerprints=True)
     backend = make_squery_backend(
-        env, repeatable_read_locks=True,
-        **{PLURALS[family.name]: (family.spec,)},
+        env, **{PLURALS[family.name]: (family.spec,)},
     )
     job = build_average_job(env, backend=backend, rate=3000, keys=20,
                             checkpoint_interval_ms=500,

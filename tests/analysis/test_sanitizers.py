@@ -189,7 +189,7 @@ def test_submit_to_live_node_pool_is_fine():
 
 def test_full_workload_under_all_sanitizers_is_clean():
     env = armed_env(snapshot_fingerprints=True)
-    backend = make_squery_backend(env, repeatable_read_locks=True)
+    backend = make_squery_backend(env)
     job = build_average_job(env, backend=backend, rate=3000, keys=20,
                             checkpoint_interval_ms=500,
                             limit_per_instance=400)

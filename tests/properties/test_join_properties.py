@@ -495,10 +495,10 @@ def reference_bytes(env, sql: str, strategy: str) -> tuple[int, int, int]:
     else:  # the build side ships to the entry node, then to every node
         broadcast = build_bytes * nodes
         shipped += broadcast + (
-            # a scan that pushes nothing bills the flat row size
+            # a shard read that pushes nothing bills the flat row size,
+            # the index-nested-loop build side's reads included
             len(raws) * costs.row_bytes
-            if strategy == "broadcast"
-            and plan.fragment(join.table.name).is_passthrough
+            if plan.fragment(join.table.name).is_passthrough
             else build_bytes
         )
     if strategy == "shuffle":

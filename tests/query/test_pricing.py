@@ -2,11 +2,11 @@
 prints are one number.
 
 ``repro.sql.access`` prices a shard read once; the chooser calls it for
-a whole shard, ``QueryService._scan_shard`` per chunk.  For each access
-path — full scan, hash probe, sorted range, sketch answer — the
-estimate of the path the chooser takes, summed over the nodes' shards,
-equals the store-server time the execution bills (compile cache warm:
-an estimate does not know what the cache holds).
+a whole shard, ``QueryService._read`` per chunk.  For each access
+path — point get, full scan, hash probe, sorted range, sketch answer —
+the estimate of the path the chooser takes, summed over the nodes'
+shards, equals the store-server time the execution bills (compile cache
+warm: an estimate does not know what the cache holds).
 """
 
 import re
@@ -17,7 +17,11 @@ from repro import Environment
 from repro.config import ClusterConfig
 from repro.query import QueryService
 from repro.sql import parse
-from repro.sql.access import SketchCandidate, choose_access_path
+from repro.sql.access import (
+    SketchCandidate,
+    choose_access_path,
+    point_read_ms,
+)
 from repro.sql.fragments import split_select
 from repro.state.live import LiveStateTable
 from repro.state.view import TableView
@@ -111,5 +115,22 @@ def test_estimate_equals_bill_equals_explain(env, sql, kind):
     prefix = "approx [" if kind == "sketch" else "access path ["
     line = next(line for line in service.explain(sql).splitlines()
                 if line.lstrip().startswith(prefix))
+    assert re.search(r"est\. ([0-9.]+) ms", line).group(1) == \
+        f"{billed:.3f}", line
+
+
+def test_point_estimate_equals_bill_equals_explain(env):
+    """A point get bills one seek per key on each owner's store server
+    and nothing else; ``explain`` prints that sum."""
+    sql = 'SELECT value FROM "metrics" WHERE key IN (3, 4, 5, 4000)'
+    service = QueryService(env)
+    before = store_busy_ms(env)
+    execution = service.execute(sql)
+    billed = store_busy_ms(env) - before
+    assert execution.point_keys == (3, 4, 5, 4000)
+    assert billed == pytest.approx(point_read_ms(env.costs, 4), abs=1e-12)
+    assert execution.scan_ms_billed == 0  # no scan chunk ran
+    line = service.explain(sql).splitlines()[0]
+    assert line.startswith("point lookup: 4 key(s)"), line
     assert re.search(r"est\. ([0-9.]+) ms", line).group(1) == \
         f"{billed:.3f}", line

@@ -255,7 +255,8 @@ def test_explain_shows_distributed_strategy(wide_env):
         'SELECT value FROM "metrics" WHERE key IN (1, 2)'
     )
     assert "point lookup: 2 key(s)" in point
-    assert "key filter" in point
+    # A point get sweeps no shard: nothing about scans or pushdown.
+    assert "access path" not in point and "distributed" not in point
     off = QueryService(wide_env, pushdown=False).explain(
         'SELECT COUNT(*) FROM "metrics"'
     )

@@ -20,10 +20,12 @@ construct out; every such exclusion is an entry in ``DIALECT_SKIPS``.
 
 import sqlite3
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import Environment
-from repro.config import ClusterConfig
+from repro.config import ClusterConfig, CostModel
+from repro.errors import SqlExecutionError
 from repro.query import QueryService
 from repro.sql import EvalContext, execute_select, parse
 from repro.sql.planner import DictCatalog, ListTable
@@ -116,13 +118,15 @@ def central_rows(sql: str, values: list[dict]) -> list[tuple]:
     return execute_select(parse(sql), catalog, EvalContext()).tuples()
 
 
-def service_rows(sql: str, values: list[dict]) -> list[tuple]:
-    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+def service_rows(sql: str, values: list[dict], pushdown: bool = True,
+                 costs: CostModel | None = None) -> list[tuple]:
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1),
+                      costs=costs)
     imap = env.store.create_map("t")
     env.store.register_live_table("t", LiveStateTable(imap))
     for key, value in enumerate(values):
         imap.put(key, value)
-    return QueryService(env).execute(sql).result.tuples()
+    return QueryService(env, pushdown=pushdown).execute(sql).result.tuples()
 
 
 @settings(max_examples=200, deadline=None)
@@ -140,3 +144,32 @@ def test_the_generated_statements_run_as_a_pushed_top_k():
     for term in TERMS:
         sql = f"SELECT key, a, s FROM t ORDER BY {term} DESC, key LIMIT 3"
         assert split_select(parse(sql)).fragment("t").top_k is not None
+
+
+#: ``b`` holds an int and a str: no total order over its values.
+CROSS_TYPE = [{"a": 5, "b": "x"}, {"a": 5, "b": 2}, {"a": 1, "b": 0},
+              {"a": 0, "b": 1}]
+
+
+@pytest.mark.parametrize("order", ["a, b", "a DESC, b", "b, a",
+                                   "a, b DESC"])
+@pytest.mark.parametrize("tail", ["", " LIMIT 1", " LIMIT 2",
+                                  " LIMIT 1 OFFSET 2"])
+def test_a_cross_type_term_raises_whatever_the_limit(order, tail):
+    """Whether the incomparable pair is ever compared depends on the
+    limit, the direction and which rows share a chunk or shard; the
+    error must not.  ``(0, 1)`` sorts first under ``a, b`` and a bounded
+    selection never reaches ``(5, 'x')`` against ``(5, 2)``.  (``LIMIT
+    0`` ranks nothing and raises nothing: ``test_topk_properties``.)"""
+    sql = f"SELECT a, b FROM t ORDER BY {order}{tail}"
+    runs = [
+        lambda: central_rows(sql, CROSS_TYPE),
+        lambda: service_rows(sql, CROSS_TYPE),
+        lambda: service_rows(sql, CROSS_TYPE, pushdown=False),
+        lambda: service_rows(sql, CROSS_TYPE,
+                             costs=CostModel(scan_chunk_entries=1)),
+    ]
+    for run in runs:
+        with pytest.raises(SqlExecutionError,
+                           match="cannot compare int with str"):
+            run()
