@@ -20,8 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..sql.ast import Binary, Column, FuncCall, Select, Star
-from ..sql.planner import column_equality
+from ..sql.ast import Column, FuncCall, Select, Star
+from ..sql.planner import column_equality, split_conjuncts
 from .registry import MODE_KIND
 
 
@@ -108,7 +108,7 @@ def _classify_where(where, binding):
         return None, None
     eq: tuple[str, object] | None = None
     ssid_eq: int | None = None
-    for conjunct in _conjuncts(where):
+    for conjunct in split_conjuncts(where):
         matched = column_equality(conjunct)
         if matched is None or matched[0].table not in (None, binding):
             raise _Unsupported
@@ -126,12 +126,3 @@ def _classify_where(where, binding):
                 raise _Unsupported
             eq = (column, value)
     return eq, ssid_eq
-
-
-def _conjuncts(expr):
-    if isinstance(expr, Binary) and expr.op == "AND":
-        yield from _conjuncts(expr.left)
-        yield from _conjuncts(expr.right)
-    else:
-        yield expr
-

@@ -52,9 +52,9 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 
-from ..sql.ast import Binary, Column, Expr, Literal, Select, Statement
+from ..sql.ast import Column, Expr, Literal, Select, Statement
 from ..sql.executor import hashable_key, output_column_name
-from ..sql.planner import column_equality
+from ..sql.planner import column_equality, conjoin, split_conjuncts
 from .standing import PATH_FILTER_PROJECT, classify
 
 #: Literal types eligible for residual extraction.  ``None`` (SQL NULL)
@@ -87,23 +87,6 @@ class CanonicalPlan:
     @property
     def has_residual(self) -> bool:
         return self.residual is not None
-
-
-def _and_conjuncts(expr: Expr) -> list[Expr]:
-    """Flatten a top-level AND tree into its conjuncts, in order."""
-    if isinstance(expr, Binary) and expr.op == "AND":
-        return _and_conjuncts(expr.left) + _and_conjuncts(expr.right)
-    return [expr]
-
-
-def _and_fold(conjuncts: list[Expr]) -> Expr | None:
-    """Rebuild a left-associated AND tree (parser shape) from conjuncts."""
-    if not conjuncts:
-        return None
-    folded = conjuncts[0]
-    for conjunct in conjuncts[1:]:
-        folded = Binary("AND", folded, conjunct)
-    return folded
 
 
 def _output_columns(select: Select) -> set[str]:
@@ -161,7 +144,7 @@ def canonicalize(statement: Statement, store,
         visible = _output_columns(statement)
         star = statement.select_star
         kept: list[Expr] = []
-        for conjunct in _and_conjuncts(statement.where):
+        for conjunct in split_conjuncts(statement.where):
             parts = column_equality(conjunct)
             if parts is not None:
                 column, literal = parts
@@ -175,7 +158,7 @@ def canonicalize(statement: Statement, store,
             kept.append(conjunct)
         if extracted:
             shared = dataclasses.replace(
-                statement, where=_and_fold(kept)
+                statement, where=conjoin(kept)
             )
     if not extracted:
         return CanonicalPlan(
@@ -196,7 +179,7 @@ def canonicalize(statement: Statement, store,
     return CanonicalPlan(
         fingerprint=fingerprint_statement(shared),
         statement=shared,
-        residual=_and_fold([c for c, _col, _lit in extracted]),
+        residual=conjoin([c for c, _col, _lit in extracted]),
         residual_columns=tuple(column for column, _value in pairs),
         residual_values=tuple(
             hashable_key(value) for _column, value in pairs

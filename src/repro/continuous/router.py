@@ -36,8 +36,9 @@ from typing import Callable, Iterable
 
 from .plans import CanonicalPlan
 
-#: Values ``hashable_key`` would rewrite to their ``repr``: residual
-#: literals are scalars, so a row holding one matches no residual.
+#: Container values: residual literals are scalars, which no container
+#: equals, so a row holding one matches no residual (and its value,
+#: which may not hash, is never looked up).
 _UNMATCHABLE = (list, dict, set)
 
 

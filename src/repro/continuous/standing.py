@@ -196,34 +196,37 @@ class _MinMaxAcc(_RetractableAggregate):
 
     def __init__(self, is_min: bool) -> None:
         self._is_min = is_min
-        self._counts: dict[object, int] = {}
+        #: equality key -> [a value of that key, its count]
+        self._counts: dict[object, list] = {}
 
     def add(self, value: object) -> None:
         if value is None:
             return
         key = hashable_key(value)
-        self._counts[key] = self._counts.get(key, 0) + 1
+        self._counts.setdefault(key, [value, 0])[1] += 1
 
     def retract(self, value: object) -> None:
         if value is None:
             return
         key = hashable_key(value)
-        remaining = self._counts.get(key, 0) - 1
-        if remaining <= 0:
-            self._counts.pop(key, None)
-        else:
-            self._counts[key] = remaining
+        held = self._counts.get(key)
+        if held is None:
+            return
+        held[1] -= 1
+        if held[1] <= 0:
+            del self._counts[key]
 
     def result(self) -> object:
         if not self._counts:
             return None
+        values = [value for value, _count in self._counts.values()]
         try:
-            return min(self._counts) if self._is_min else max(self._counts)
+            return min(values) if self._is_min else max(values)
         except TypeError:
             # Values that do not order: the one-shot accumulator makes
             # the same comparisons and raises the typed error.
             best = MinAggregate() if self._is_min else MaxAggregate()
-            for value in self._counts:
+            for value in values:
                 best.add(value)
             raise
 

@@ -18,27 +18,13 @@ strategy only decides the stage's *placement* — where its work runs:
 
 One stage runner executes every placement: it pools the entry build,
 sends the transfers, bills each worker once its own inbound transfers
-have landed, and fans in.  The coordinator manipulates the actual rows
-in-process (the data plane), so correctness never depends on the
+have landed, and fans in.  The rows themselves are joined in-process by
+:mod:`repro.sql.join` — the position join the entry node runs for a
+central join, on one worker — so correctness never depends on the
 strategy; the placement only decides where simulated time and network
-bytes are billed (the billing plane) — the split the scan machinery
-uses.
-
-Join inputs stay in the column batches their shards shipped.  Each
-table is one run of rows in canonical order (node id, then scan order),
-and a row is its *position* in that run.  A build maps join keys to
-positions and a probe emits *position tuples*, one position per table
-joined so far (LEFT-join NULL padding appends ``-1``).  A tuple is also
-the row's *order tag*: the entry node sorts the tags, which reproduces
-the central left-deep execution's row order bit for bit, and only then
-shapes each into one merged dict — the row central would have built.
-
-Error precedence mirrors central execution: scan-fragment errors (table
-FROM order, node-sorted) outrank statement-shape validation, which
-outranks each step's key errors in step order.  Within a step, one
-``min`` after the stage picks the first: a build-key error (minimum
-right position) before any probe-key error (minimum left tag).
-Residual/projection errors surface from the sorted merged rows.
+bytes are billed, the split the scan machinery uses.  Scan-fragment
+errors (table FROM order, node-sorted) outrank statement-shape
+validation, which outranks each step's key errors in step order.
 
 Everything bills, ships and fans in through the query's attempt
 (``_Attempt`` in ``service.py``): the death of a node the attempt
@@ -52,13 +38,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import repeat
-from operator import gt, itemgetter
+from operator import gt
 from typing import Callable
 
 from ..cluster.partition import copartitioned_tables, stable_hashes
-from ..errors import SqlExecutionError
-from ..kvstore.indexes import MISSING, EqProbe
+from ..kvstore.indexes import EqProbe
 from ..sql import EvalContext
 from ..sql.access import (
     JoinCandidate,
@@ -68,16 +52,10 @@ from ..sql.access import (
     shipped_bytes,
 )
 from ..sql.ast import Column, Select
-from ..sql.compiled import column_reads
-from ..sql.executor import (
-    execute_joined_select,
-    join_key,
-    join_keys,
-    using_keys,
-)
+from ..sql.executor import execute_joined_select
 from ..sql.fragments import JoinFragment, KeySet, join_fragments, partition_aligned_binding
+from ..sql.join import JoinedRows, Side, first_error, step_keys
 from ..sql.planner import column_equality, validate_select
-from ..state.rows import ColumnBatch, ColumnReader
 
 
 @dataclass(frozen=True)
@@ -269,101 +247,6 @@ def start_join_pipeline(service, record) -> None:
     _PipelineRunner(service, record).run()
 
 
-class _Side:
-    """One join input: the blocks its shards shipped, as one batch in
-    canonical order (node id, then scan order)."""
-
-    def __init__(self, binding: str, blocks: dict[int, ColumnBatch]) -> None:
-        self.binding = binding
-        self.rows = ColumnBatch(ColumnReader())
-        #: node id -> the positions of its block's rows.
-        self.spans: dict[int, range] = {}
-        for node_id in sorted(blocks):
-            start = len(self.rows)
-            self.rows.extend(blocks[node_id])
-            self.spans[node_id] = range(start, len(self.rows))
-        #: The columns of every row, in row order (``None``: rows differ).
-        self.layout = self.rows.layout()
-        #: A LEFT-join probe padded some left row with this side.
-        self.padded = False
-        self._columns: dict = {}
-        self._bound: tuple[list, list] | None = None
-        self._pad: dict | None = None
-
-    def column(self, name) -> list:
-        """A stored column, or (for a :class:`Column`) the column as the
-        rows' bound form reads it; :data:`MISSING` where a row has none."""
-        if name not in self._columns:
-            if isinstance(name, str):
-                self._columns[name] = self.rows.column(name)
-            else:  # the first of the names it reads that a row has
-                first, *fallback = column_reads(name, self.binding)
-                values = self.column(first)
-                if fallback and MISSING in values:
-                    values = [found if value is MISSING else value for
-                              value, found in zip(values,
-                                                  self.column(fallback[0]))]
-                self._columns[name] = values
-        return self._columns[name]
-
-    def bound(self) -> tuple[list, list]:
-        """Each row as ``dict(zip(names, values))`` binds it: its
-        columns, then the same qualified with the binding."""
-        if self._bound is None:
-            layouts, rows = self.rows.tuples()
-            self._bound = ([self.qualified(names) for names in layouts],
-                           [row + row for row in rows])
-        return self._bound
-
-    def qualified(self, names: tuple[str, ...]) -> tuple[str, ...]:
-        return names + tuple(f"{self.binding}.{name}" for name in names)
-
-    def pad(self) -> dict:
-        """LEFT-join NULL padding: every bound column, in the order the
-        central join's right-column set, built row by row, holds them."""
-        if self._pad is None:
-            columns: set = set()
-            for names in dict.fromkeys(self.bound()[0]):
-                columns.update(names)
-            self._pad = dict.fromkeys(columns)
-        return self._pad
-
-
-def _step_keys(using: tuple[str, ...], expr: Column | None, read,
-               order, side: int) -> tuple[list, list, tuple | None]:
-    """One side of a join step, per row in ``order``: the routing key
-    (``None``: the row cannot match), the hash key, and the first key
-    error as ``((side, rank, tag), error)`` — ``side`` 0 builds and 1
-    probes (central raises a build error first), an unknown column ranks
-    0, a value no hash join can key its key column's place (from 1).
-    ``read`` reads a :class:`Column` of the rows; a ``USING`` column a
-    row lacks reads as NULL."""
-    if using:
-        parts = [[None if value is MISSING else value
-                  for value in read(Column(name))] for name in using]
-        routes = [None if None in key else key for key in zip(*parts)]
-    else:
-        parts = [read(expr)]
-        routes = parts[0]
-        if MISSING in routes:
-            error = SqlExecutionError(f"unknown column {expr.display()!r}")
-            tag = min(tag for tag, value in zip(order, routes)
-                      if value is MISSING)
-            return [None if value is MISSING else value for value in routes], \
-                [None] * len(routes), ((side, 0, tag), error)
-    try:
-        return routes, using_keys(parts) if using else join_keys(parts[0]), \
-            None
-    except SqlExecutionError:
-        pass
-    for rank, values in enumerate(parts, start=1):
-        for tag, value in sorted(zip(order, values), key=itemgetter(0)):
-            try:
-                join_key(value)
-            except SqlExecutionError as exc:
-                return routes, [None] * len(routes), ((side, rank, tag), exc)
-
-
 @dataclass
 class _Placement:
     """Where one join stage runs: all its strategy decides.
@@ -400,57 +283,16 @@ class _PipelineRunner:
         self.execution = record.execution
         self.attempt = record.attempt
         self.costs = service.costs
-        #: The base table, then each step's right side; a left row's
-        #: order tag holds one position in each.
-        self.sides: list[_Side] = []
+        #: The base table, then each step's right side.
+        self.joined = JoinedRows()
         #: holder node -> order tags of the left rows it holds, in order.
         self.left: dict[int, list[tuple]] = {}
-        self.scanned = 0
-
-    # -- plumbing -------------------------------------------------------
-
-    def _side(self, binding: str, blocks: dict[int, ColumnBatch]) -> _Side:
-        side = _Side(binding, blocks)
-        self.sides.append(side)
-        self.scanned += len(side.rows)
-        return side
-
-    def _left_values(self, tags: list, column: Column) -> list:
-        """``column`` as each left row's merged row reads it: from the
-        first side, left to right, whose row has it (a padded side has
-        every column it pads, as NULL); :data:`MISSING` where none has."""
-        values: list = []
-        for index, side in enumerate(self.sides[:len(tags[0])] if tags
-                                     else ()):
-            found = side.column(column)
-            if side.padded:  # position -1 reads the padding
-                found = found + [None if column_reads(column, None)[0]
-                                 in side.pad() else MISSING]
-            read = list(map(found.__getitem__, map(itemgetter(index), tags)))
-            values = read if not values else [
-                other if value is MISSING else value
-                for value, other in zip(values, read)
-            ]
-            if MISSING not in values:
-                break
-        return values
-
-    def _widths(self, tags: list) -> list[int]:
-        """Each left row's unqualified column count: the columns a
-        shipped merged row bills."""
-        sides = self.sides[:len(tags[0])] if tags else []
-        if all(side.layout is not None for side in sides):
-            names = {name for side in sides for name in side.layout
-                     if "." not in name}
-            return [len(names)] * len(tags)
-        return [sum("." not in name for name in self._merged(tag, len(tag)))
-                for tag in tags]
 
     # -- pipeline -------------------------------------------------------
 
     def run(self) -> None:
         table = self.record.select.table
-        base = self._side(table.binding, self.attempt.rows[table.name])
+        base = self.joined.side(table.binding, self.attempt.rows[table.name])
         for node_id, span in base.spans.items():
             self.left[node_id] = list(zip(span))
         self._step(0)
@@ -464,9 +306,9 @@ class _PipelineRunner:
             self._final_ship()
             return
         step = self.join.steps[index]
-        probe = {node_id: _step_keys(step.using, step.probe,
-                                     partial(self._left_values, tags), tags,
-                                     1)
+        probe = {node_id: step_keys(step.using, step.probe,
+                                    partial(self.joined.left_values, tags),
+                                    tags, 1)
                  for node_id, tags in sorted(self.left.items())}
         if self.join.paths[index].strategy != "index-nested-loop":
             self._place(index, step, probe)
@@ -504,16 +346,16 @@ class _PipelineRunner:
         """Key the step's right side, place the step by its strategy,
         pick its first key error — one ``min`` over both sides — and run
         the stage."""
-        right = self._side(step.binding, self.attempt.rows[step.table])
+        right = self.joined.side(step.binding, self.attempt.rows[step.table])
         self.execution.join_build_rows += len(right.rows)
-        routes, keys, error = _step_keys(step.using, step.build, right.column,
-                                         range(len(right.rows)), 0)
+        routes, keys, error = step_keys(step.using, step.build, right.column,
+                                        range(len(right.rows)), 0)
         placement = self.PLACEMENTS[self.join.paths[index].strategy](
             self, right, routes, probe)
         errors = [error, *(error for *_, error in probe.values())]
         self._stage(index, placement, partial(
             self._probe, index, step, keys, placement.held,
-            min(filter(None, errors), key=itemgetter(0), default=None),
+            first_error(errors),
         ))
 
     def _stage(self, index: int, placement: _Placement,
@@ -542,30 +384,13 @@ class _PipelineRunner:
             attempt.send(src, dst, ("join", index), nbytes, landed[dst])
 
     def _probe(self, index: int, step: JoinFragment, keys: list,
-               held: dict, error) -> None:
+               held: dict, error: Exception | None) -> None:
         """Every worker is done: fail with the step's first key error, or
-        map the build keys to their positions (a NULL key never enters)
-        and extend each held tag with every matching position — or,
-        LEFT, with ``-1``, which sorts before any match but only ever
-        meets tags of the same left row — and go on."""
+        match each worker's held tags against the build keys and go on."""
         if error is not None:
-            self.attempt.finish(None, error[1])
+            self.attempt.finish(None, error)
             return
-        build: dict = {}
-        for position, key in enumerate(keys):
-            if key is not None:
-                build.setdefault(key, []).append((position,))
-        pad = ((-1,),) if step.kind == "LEFT" else ()
-        get = build.get
-        self.left = {}
-        for worker in sorted(held):
-            tags, hashed = held[worker]
-            matched = [tag + position for tag, key in zip(tags, hashed)
-                       for position in get(key) or pad]
-            if matched:
-                self.left[worker] = matched
-                if pad and any(tag[-1] < 0 for tag in matched):
-                    self.sides[index + 1].padded = True
+        self.left = self.joined.match(keys, held, step.kind)
         self._step(index + 1)
 
     # -- placements -----------------------------------------------------
@@ -575,7 +400,7 @@ class _PipelineRunner:
         return {node_id: (self.left[node_id], keys)
                 for node_id, (_routes, keys, _error) in probe.items()}
 
-    def _copartitioned(self, right: _Side, routes: list,
+    def _copartitioned(self, right: Side, routes: list,
                        probe: dict) -> _Placement:
         """Build and probe on every node where the rows are: matching
         rows are co-located by the partition key, so probing the global
@@ -587,7 +412,7 @@ class _PipelineRunner:
             held=self._held(probe),
         )
 
-    def _broadcast(self, right: _Side, routes: list,
+    def _broadcast(self, right: Side, routes: list,
                    probe: dict) -> _Placement:
         """Build once on the entry node, which the build side reached
         through its shards' shipment, and replicate it to every holder
@@ -602,7 +427,7 @@ class _PipelineRunner:
             entry=len(right.rows),
         )
 
-    def _shuffle(self, right: _Side, routes: list,
+    def _shuffle(self, right: Side, routes: list,
                  probe: dict) -> _Placement:
         """Repartition both sides by join key over the survivors; each
         worker builds and probes its slice."""
@@ -642,7 +467,8 @@ class _PipelineRunner:
         held = {worker: ([], []) for worker in workers}  # tags, keys
         for node_id, (keyed, keys, _error) in probe.items():
             tags = self.left[node_id]
-            went = route(node_id, keyed, self._widths(tags), 1, workers[0])
+            went = route(node_id, keyed, self.joined.widths(tags), 1,
+                         workers[0])
             for worker, tag, key in zip(went, tags, keys):
                 held[worker][0].append(tag)
                 held[worker][1].append(key)
@@ -669,7 +495,7 @@ class _PipelineRunner:
         for node_id in holders:
             tags = self.left[node_id]
             nbytes = shipped_bytes(self.costs, len(tags),
-                                   sum(self._widths(tags)))
+                                   sum(self.joined.widths(tags)))
             execution.rows_shipped += len(tags)
             execution.bytes_shipped += nbytes
             self.attempt.send(node_id, execution.entry_node,
@@ -681,49 +507,10 @@ class _PipelineRunner:
         context = EvalContext(now_ms=self.service.sim.now)
         try:
             result = execute_joined_select(
-                self.record.plan.final_select, self._gather(shipped), context,
-                scanned=self.scanned,
+                self.record.plan.final_select, self.joined.gather(shipped),
+                context, scanned=self.joined.scanned,
             )
         except Exception as exc:  # surface SQL errors on the handle
             self.attempt.finish(None, exc)
             return
         self.attempt.finish(result, None)
-
-    def _gather(self, tags: list) -> list[dict]:
-        """One merged bound row per order tag, the dict central's
-        left-deep join builds: the right-most table's columns first,
-        each earlier table's values winning."""
-        sides = self.sides
-        if not tags or len(sides) != 2 or any(
-            side.padded or side.layout is None for side in sides
-        ):
-            return [self._merged(tag, len(tag)) for tag in tags]
-        names: tuple = ()
-        columns: list = []
-        for index in (1, 0):  # a column gather, right side first
-            side = sides[index]
-            positions = list(map(itemgetter(index), tags))
-            columns += 2 * [list(map(side.column(name).__getitem__, positions))
-                            for name in side.layout]
-            names += side.qualified(side.layout)
-        return list(map(dict, map(zip, repeat(names), zip(*columns))))
-
-    def _merged(self, tag: tuple, upto: int) -> dict:
-        """The merged bound row of ``tag``'s first ``upto`` sides; a
-        padded side's NULLs follow the row it pads."""
-        names: tuple = ()
-        values: tuple = ()
-        for index in reversed(range(upto)):
-            position = tag[index]
-            if position < 0:
-                inner = self._merged(tag, index)
-                padded = dict(inner)
-                padded.update(self.sides[index].pad())
-                padded.update(inner)
-                row = dict(zip(names, values))
-                row.update(padded)
-                return row
-            bound_names, bound_values = self.sides[index].bound()
-            names += bound_names[position]
-            values += bound_values[position]
-        return dict(zip(names, values))

@@ -51,7 +51,7 @@ from ..errors import (
 )
 from ..simtime import EventHandle
 from ..sql import EvalContext
-from ..sql.ast import Binary, Expr, Select, Union
+from ..sql.ast import Expr, Select, Union
 from ..sql.batch import (
     CompiledFragment,
     compile_fragment,
@@ -87,12 +87,7 @@ from ..sql.fragments import (
     split_select,
 )
 from ..sql.lru import LruCache
-from ..sql.planner import (
-    DictCatalog,
-    ListTable,
-    column_equality,
-    split_conjuncts,
-)
+from ..sql.planner import BatchCatalog, column_equality, split_conjuncts
 from ..sql.statements import parse_cached
 from ..state.isolation import IsolationLevel, isolation_of_query
 from ..state.rows import ColumnBatch
@@ -1427,15 +1422,10 @@ class QueryService:
                     scanned=sum(len(p) for p in payloads),
                 )
             else:
-                catalog = DictCatalog()
-                for name, per_node in collected.items():
-                    rows: list[dict] = []
-                    for n in sorted(per_node):
-                        rows.extend(per_node[n].rows())
-                    catalog.add(ListTable(name, tuple(rows)))
                 statement = (plan.final_select if plan is not None
                              else record.select)
-                result = execute_select(statement, catalog, context)
+                result = execute_select(statement, BatchCatalog(collected),
+                                        context)
         except Exception as exc:  # surface SQL errors on the handle
             self._finish_execution(execution, None, exc)
             return
@@ -1529,17 +1519,11 @@ def _extract_key_filter(where: Expr | None, binding: str = "") -> object:
 
 
 def _extract_ssid_filter(where: Expr | None) -> int | None:
-    """Find a top-level ``ssid = <literal>`` conjunct, as in the paper's
-    ``WHERE ssid=9 AND key=2`` example (Fig. 4)."""
-    if where is None:
-        return None
-    if isinstance(where, Binary) and where.op == "AND":
-        left = _extract_ssid_filter(where.left)
-        if left is not None:
-            return left
-        return _extract_ssid_filter(where.right)
-    parts = column_equality(where)
-    if (parts is not None and parts[0].name == "ssid"
-            and isinstance(parts[1].value, int)):
-        return parts[1].value
+    """The first top-level ``ssid = <literal>`` conjunct's snapshot id,
+    as in the paper's ``WHERE ssid=9 AND key=2`` example (Fig. 4)."""
+    for conjunct in split_conjuncts(where):
+        parts = column_equality(conjunct)
+        if (parts is not None and parts[0].name == "ssid"
+                and isinstance(parts[1].value, int)):
+            return parts[1].value
     return None

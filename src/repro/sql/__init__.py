@@ -7,8 +7,8 @@ with ``COUNT/SUM/AVG/MIN/MAX``, ``HAVING``, ``ORDER BY``, ``LIMIT``,
 ``LOCALTIMESTAMP``, quoted identifiers, and ``IN``/``BETWEEN``/``LIKE``.
 
 The engine is pure: it parses SQL into an AST, plans it against a
-:class:`~repro.sql.planner.Catalog`, and executes over iterables of
-``dict`` rows.  Timing/cost accounting happens in
+:class:`~repro.sql.planner.Catalog`, and executes over the column
+batches of its tables' rows.  Timing/cost accounting happens in
 :mod:`repro.query.service`, not here.
 """
 

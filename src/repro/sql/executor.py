@@ -1,4 +1,11 @@
-"""SQL execution over dict rows."""
+"""SQL execution: a plan's rows, then WHERE, aggregation or projection,
+and output shaping over bound dict rows.
+
+A plan without joins binds its table's rows (:func:`bind_row`); a plan
+with joins runs them by row position over column batches
+(:mod:`repro.sql.join`, the one join implementation, which the
+distributed pipeline runs too) and shapes one merged bound row per
+joined row."""
 
 from __future__ import annotations
 
@@ -33,8 +40,9 @@ from .compiled import (
     compile_expr,
     compile_predicate,
 )
-from .functions import make_aggregate
-from .planner import Catalog, JoinStep, Plan, plan_select, validate_select
+from .functions import hashable_key, make_aggregate
+from .join import join_plan
+from .planner import Catalog, Plan, plan_select, validate_select
 
 
 @dataclass
@@ -107,17 +115,18 @@ def _execute_union(union: "Union", catalog: Catalog,
 
 
 def execute_plan(plan: Plan, context: EvalContext) -> QueryResult:
-    select = plan.select
-    scanned = 0
-
-    rows: list[dict] = []
-    for raw in plan.base_source.rows():
-        rows.append(bind_row(raw, plan.base_binding))
-        scanned += 1
-    for step in plan.joins:
-        rows, step_scanned = _execute_join(rows, step, context)
-        scanned += step_scanned
-    return _execute_post_join(select, rows, plan.is_aggregate, context,
+    """Bind the base table's rows, or join the plan's tables by position
+    (:func:`~repro.sql.join.join_plan`), then run the post-join stages."""
+    if plan.joins:
+        rows, scanned = join_plan(plan, context)
+    else:
+        rows = []
+        blocks = plan.base_source.blocks
+        for node_id in sorted(blocks):
+            for raw in blocks[node_id].rows():
+                rows.append(bind_row(raw, plan.base_binding))
+        scanned = len(rows)
+    return _execute_post_join(plan.select, rows, plan.is_aggregate, context,
                               scanned)
 
 
@@ -134,31 +143,15 @@ def _execute_post_join(select: Select, rows: list[dict], is_aggregate: bool,
     else:
         out_rows, columns = _execute_projection(select, rows, context)
 
-    final = _shape_output(select, out_rows, columns, context)
-    if select.approx:
-        columns, final = _approx_exact_output(columns, final)
-    return QueryResult(columns=columns, rows=final, scanned=scanned)
+    return _shape_output(select, out_rows, columns, context, scanned)
 
 
-def _approx_exact_output(
-    columns: list[str], rows: list[dict]
-) -> tuple[list[str], list[dict]]:
-    """Exact fallback of an ``APPROX`` statement: the answer is exact,
-    so it reports a zero error bound at full confidence — keeping the
-    result shape identical to the sketch fast path."""
-    shaped = []
-    for row in rows:
-        out = dict(row)
-        out["error_bound"] = 0.0
-        out["confidence"] = 1.0
-        shaped.append(out)
-    return columns + ["error_bound", "confidence"], shaped
-
-
-def _shape_output(select: Select, out_rows: list[dict],
-                  columns: list[str], context: EvalContext) -> list[dict]:
+def _shape_output(select: Select, out_rows: list[dict], columns: list[str],
+                  context: EvalContext, scanned: int) -> QueryResult:
     """The post-projection stages shared by every execution path:
-    DISTINCT, ORDER BY, OFFSET/LIMIT, and the final column strip."""
+    DISTINCT, ORDER BY, OFFSET/LIMIT, and the final column strip.  The
+    exact answer of an ``APPROX`` statement reports a zero error bound
+    at full confidence, the sketch fast path's result shape."""
     if select.distinct:
         out_rows = _distinct(out_rows, columns)
 
@@ -170,7 +163,12 @@ def _shape_output(select: Select, out_rows: list[dict],
     if select.limit is not None:
         out_rows = out_rows[: select.limit]
 
-    return [{col: row[col] for col in columns} for row in out_rows]
+    rows = [{col: row[col] for col in columns} for row in out_rows]
+    if select.approx:
+        columns = columns + ["error_bound", "confidence"]
+        rows = [{**row, "error_bound": 0.0, "confidence": 1.0}
+                for row in rows]
+    return QueryResult(columns=columns, rows=rows, scanned=scanned)
 
 
 def execute_grouped_select(select: Select, groups: dict,
@@ -187,13 +185,10 @@ def execute_grouped_select(select: Select, groups: dict,
     """
     unique = unique_aggregates(select)
     out_rows, columns = _finalize_groups(select, unique, groups, context)
-    final = _shape_output(select, out_rows, columns, context)
-    if select.approx:
-        columns, final = _approx_exact_output(columns, final)
-    return QueryResult(columns=columns, rows=final, scanned=scanned)
+    return _shape_output(select, out_rows, columns, context, scanned)
 
 
-# -- scanning and joins ------------------------------------------------------
+# -- scanning ---------------------------------------------------------------
 
 
 def bind_row(raw: dict, binding: str) -> dict:
@@ -204,160 +199,14 @@ def bind_row(raw: dict, binding: str) -> dict:
     return row
 
 
-def _execute_join(left_rows: list[dict], step: JoinStep,
-                  context: EvalContext) -> tuple[list[dict], int]:
-    right_rows = [bind_row(raw, step.binding) for raw in step.source.rows()]
-    scanned = len(right_rows)
-    right_columns = set()
-    for row in right_rows:
-        right_columns.update(row.keys())
-
-    if step.using or step.hash_on is not None:
-        result = _hash_join(
-            left_rows, right_rows, step, right_columns, context
-        )
-    else:
-        result = _nested_loop_join(
-            left_rows, right_rows, step, right_columns, context
-        )
-    return result, scanned
-
-
-def _null_extend(left: dict, right_columns: set[str]) -> dict:
-    merged = dict(left)
-    for column in right_columns:
-        merged.setdefault(column, None)
-    return merged
-
-
-def _merge(left: dict, right: dict) -> dict:
-    """Merge join sides; on unqualified collisions the left value wins
-    (matches USING semantics where the shared column is equal anyway)."""
-    merged = dict(right)
-    merged.update(left)
-    return merged
-
-
-#: Tags of converted containers in a join key: no stored value holds
-#: one, so a converted key never equals a stored hashable value.
-_LIST, _TUPLE, _DICT = object(), object(), object()
-#: Value types that are their own join key.
-_PLAIN = frozenset({int, str, bool, type(None)})
-
-
-def _frozen(value: object) -> object:
-    """A hashable stand-in equal to another's exactly when the values
-    are ``==`` (hashable values stand for themselves)."""
-    try:
-        hash(value)
-        return value
-    except TypeError:
-        pass
-    if isinstance(value, list):
-        return _LIST, tuple(map(_frozen, value))
-    if isinstance(value, tuple):
-        return _TUPLE, tuple(map(_frozen, value))
-    if isinstance(value, dict):
-        return _DICT, frozenset(
-            (key, _frozen(item)) for key, item in value.items()
-        )
-    if isinstance(value, set):
-        return frozenset(value)
-    raise SqlExecutionError(
-        f"cannot join on {type(value).__name__} values"
-    )
-
-
-def join_key(value: object) -> object:
-    """The hash-join key of one join column value: two keys are equal
-    exactly when SQL ``=`` holds between the values, and ``None`` means
-    nothing can match (NULL, and NaN, which equals nothing).  A list is
-    its elements tagged as a list, so ``[1]`` matches ``[1.0]`` but not
-    ``(1,)`` or ``'[1]'``."""
-    if isinstance(value, float) and value != value:
-        return None
-    return _frozen(value)
-
-
-def join_keys(values: list) -> list:
-    """:func:`join_key` of each value (the same list when every value
-    is its own key); the first value no hash join can key raises."""
-    if set(map(type, values)) <= _PLAIN:
-        return values
-    return list(map(join_key, values))
-
-
-def using_keys(parts: "list[list]") -> list:
-    """``USING`` keys from one value list per column: the tuple of the
-    join keys, ``None`` when any is.  Columns convert in turn, so the
-    first column holding a value no hash join can key raises."""
-    return [None if None in key else key
-            for key in zip(*map(join_keys, parts))]
-
-
-def _join_keys(rows: list[dict], using: "tuple[str, ...]",
-               expr: "Expr | None", context: EvalContext) -> list:
-    """One side's hash-join key per bound row (``None``: the row cannot
-    match): the ``USING`` columns, or that side of an equi-``ON``,
-    every row evaluated before any value is converted."""
-    if using:
-        return using_keys([[row.get(name) for row in rows]
-                           for name in using])
-    value_of = compile_expr(expr)
-    return join_keys([value_of(row, context) for row in rows])
-
-
-def _hash_join(left_rows: list[dict], right_rows: list[dict],
-               step: JoinStep, right_columns: set[str],
-               context: EvalContext) -> list[dict]:
-    probe_expr, build_expr = step.hash_on or (None, None)
-    index: dict[object, list[dict]] = {}
-    for row, key in zip(right_rows, _join_keys(right_rows, step.using,
-                                               build_expr, context)):
-        if key is not None:
-            index.setdefault(key, []).append(row)
-    result = []
-    for left, key in zip(left_rows, _join_keys(left_rows, step.using,
-                                               probe_expr, context)):
-        matches = index.get(key)
-        if matches:
-            result.extend(_merge(left, right) for right in matches)
-        elif step.kind == "LEFT":
-            result.append(_null_extend(left, right_columns))
-    return result
-
-
-def _nested_loop_join(left_rows: list[dict], right_rows: list[dict],
-                      step: JoinStep, right_columns: set[str],
-                      context: EvalContext) -> list[dict]:
-    on = compile_predicate(step.on) if step.on is not None else None
-    result = []
-    for left in left_rows:
-        matched = False
-        for right in right_rows:
-            merged = _merge(left, right)
-            if on is None or on(merged, context):
-                result.append(merged)
-                matched = True
-        if not matched and step.kind == "LEFT":
-            result.append(_null_extend(left, right_columns))
-    return result
-
-
 # -- distributed join support ------------------------------------------------
 
 
 def execute_joined_select(select: Select, rows: list[dict],
                           context: EvalContext,
                           scanned: int = 0) -> QueryResult:
-    """Finalize a SELECT whose joins already ran distributed.
-
-    ``rows`` are merged *bound* rows in central emission order (the
-    coordinator shapes them in order-tag order).  Re-binding them against
-    a table would re-resolve unqualified collisions and corrupt the
-    left-wins semantics baked in by the join merge, so this runs
-    ``execute_plan``'s post-join stages directly.
-    """
+    """Finalize a SELECT whose joins ran distributed: ``execute_plan``'s
+    post-join stages over the merged bound rows the pipeline gathered."""
     return _execute_post_join(select, rows, validate_select(select), context,
                               scanned)
 
@@ -470,13 +319,18 @@ def compile_agg_feeds(
 
 def compile_group_key(group_by: "tuple[Expr, ...]",
                       binding: str | None = None) -> CompiledExpr:
-    """A closure yielding the hashable GROUP BY key of one row."""
+    """A closure yielding the GROUP BY key of one row: each part's
+    :func:`~repro.sql.functions.hashable_key`."""
     parts = tuple(compile_expr(expr, binding) for expr in group_by)
 
     def group_key(row: dict, context: EvalContext) -> tuple:
         return tuple(hashable_key(part(row, context)) for part in parts)
 
     return group_key
+
+
+#: Value types that are their own :func:`hashable_key`.
+_SCALARS = frozenset({int, float, str, bool, NoneType})
 
 
 def group_keys(columns: "list[list]", count: int) -> "list[tuple]":
@@ -486,9 +340,8 @@ def group_keys(columns: "list[list]", count: int) -> "list[tuple]":
         return [()] * count
     parts = []
     for values in columns:
-        kinds = set(map(type, values))
-        if any(issubclass(kind, (list, dict, set)) for kind in kinds):
-            values = [hashable_key(value) for value in values]
+        if not set(map(type, values)) <= _SCALARS:
+            values = list(map(hashable_key, values))
         parts.append(values)
     return list(zip(*parts))
 
@@ -723,17 +576,10 @@ def _execute_order(select: Select, rows: list[dict],
 # -- stable entry points for incremental consumers ---------------------------
 #
 # The continuous-query subsystem maintains results per-delta and needs
-# the exact row-binding, naming, and hashing semantics of this executor
+# the exact row-binding, naming and keying semantics of this executor
 # (``bind_row``, ``output_column_name`` and ``hashable_key`` are public
 # for it) so it never re-implements (and drifts from) batch execution.
 # (Expression evaluation is :mod:`repro.sql.compiled`.)
-
-
-def hashable_key(value: object) -> object:
-    """The group/distinct key conversion used by aggregation."""
-    if isinstance(value, (list, dict, set)):
-        return repr(value)
-    return value
 
 
 def render_expr(expr: Expr) -> str:

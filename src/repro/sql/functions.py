@@ -119,6 +119,51 @@ def mixed_types(name: str, held: object, value: object) -> SqlExecutionError:
     )
 
 
+def hashable_key(value: object, use: str = "compare") -> object:
+    """The equality key of GROUP BY, DISTINCT, UNION, DISTINCT aggregates
+    and (NaN and NULL aside) hash joins: a hashable stand-in equal to
+    another's exactly when SQL ``=`` holds between the values — save that
+    a NaN equals itself.  A hashable value is its own key; a list, tuple
+    or dict is its elements' keys tagged with its type (so ``[1]``
+    equals ``[1.0]`` but neither ``(1,)`` nor ``'[1]'``, and a dict's
+    item order does not matter), a set its frozenset.  Any other value
+    raises ``cannot <use> <type> values``."""
+    try:
+        hash(value)
+        return value
+    except TypeError:
+        pass
+    if isinstance(value, (list, tuple)):
+        kind = list if isinstance(value, list) else tuple
+        return kind, tuple(hashable_key(item, use) for item in value)
+    if isinstance(value, dict):
+        return dict, frozenset(
+            (key, hashable_key(item, use)) for key, item in value.items()
+        )
+    if isinstance(value, set):
+        return frozenset(value)
+    raise SqlExecutionError(
+        f"cannot {use} {type(value).__name__} values"
+    )
+
+
+def _first_sight(seen: dict, value: object) -> bool:
+    """Record ``value`` in a DISTINCT aggregate's ``seen`` (equality key
+    -> first value); whether it is new."""
+    key = hashable_key(value)
+    if key in seen:
+        return False
+    seen[key] = value
+    return True
+
+
+def _union(seen: dict, other: dict | None) -> None:
+    """Merge another partial's distinct values into ``seen``; a key both
+    hold keeps the value seen first."""
+    for key, value in (other or {}).items():
+        seen.setdefault(key, value)
+
+
 class Aggregate:
     """Base incremental aggregate accumulator.
 
@@ -145,15 +190,13 @@ class CountAggregate(Aggregate):
         self._count_star = count_star
         self._distinct = distinct
         self._count = 0
-        self._seen: set | None = set() if distinct else None
+        self._seen: dict | None = {} if distinct else None
 
     def add(self, value: object) -> None:
         if not self._count_star and value is None:
             return
-        if self._seen is not None:
-            if value in self._seen:
-                return
-            self._seen.add(value)
+        if self._seen is not None and not _first_sight(self._seen, value):
+            return
         self._count += 1
 
     def result(self) -> object:
@@ -161,7 +204,7 @@ class CountAggregate(Aggregate):
 
     def merge(self, other: "CountAggregate") -> None:
         if self._seen is not None:
-            self._seen |= other._seen or set()
+            _union(self._seen, other._seen)
             self._count = len(self._seen)
         else:
             self._count += other._count
@@ -170,15 +213,13 @@ class CountAggregate(Aggregate):
 class SumAggregate(Aggregate):
     def __init__(self, distinct: bool) -> None:
         self._total: float | int | None = None
-        self._seen: set | None = set() if distinct else None
+        self._seen: dict | None = {} if distinct else None
 
     def add(self, value: object) -> None:
         if value is None:
             return
-        if self._seen is not None:
-            if value in self._seen:
-                return
-            self._seen.add(value)
+        if self._seen is not None and not _first_sight(self._seen, value):
+            return
         try:
             self._total = (
                 value if self._total is None else self._total + value
@@ -191,9 +232,9 @@ class SumAggregate(Aggregate):
 
     def merge(self, other: "SumAggregate") -> None:
         if self._seen is not None:
-            self._seen |= other._seen or set()
+            _union(self._seen, other._seen)
             self._total = None
-            for value in self._seen:
+            for value in self._seen.values():
                 self._total = (
                     value if self._total is None else self._total + value
                 )
@@ -205,15 +246,13 @@ class AvgAggregate(Aggregate):
     def __init__(self, distinct: bool) -> None:
         self._total = 0.0
         self._count = 0
-        self._seen: set | None = set() if distinct else None
+        self._seen: dict | None = {} if distinct else None
 
     def add(self, value: object) -> None:
         if value is None:
             return
-        if self._seen is not None:
-            if value in self._seen:
-                return
-            self._seen.add(value)
+        if self._seen is not None and not _first_sight(self._seen, value):
+            return
         try:
             self._total += value
         except TypeError:
@@ -227,8 +266,8 @@ class AvgAggregate(Aggregate):
 
     def merge(self, other: "AvgAggregate") -> None:
         if self._seen is not None:
-            self._seen |= other._seen or set()
-            self._total = float(sum(self._seen))
+            _union(self._seen, other._seen)
+            self._total = float(sum(self._seen.values()))
             self._count = len(self._seen)
         else:
             self._total += other._total

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import Iterable, Protocol
 
 from ..errors import SqlPlanError
+from ..state.rows import ColumnBatch, ColumnReader
 from .ast import (
     Binary,
     Column,
@@ -32,7 +33,10 @@ class TableSource(Protocol):
     @property
     def name(self) -> str: ...
 
-    def rows(self) -> Iterable[dict]: ...
+    @property
+    def blocks(self) -> dict[int, ColumnBatch]:
+        """The table's rows as column batches by node id, in node order."""
+        ...
 
 
 class Catalog(Protocol):
@@ -50,6 +54,10 @@ class ListTable:
 
     def rows(self) -> Iterable[dict]:
         return self.data
+
+    @property
+    def blocks(self) -> dict[int, ColumnBatch]:
+        return {0: ColumnBatch(ColumnReader(), list(self.data))}
 
 
 class DictCatalog:
@@ -69,6 +77,26 @@ class DictCatalog:
 
 
 @dataclass(frozen=True)
+class BatchTable:
+    """A table as the column batches its shards shipped, by node id."""
+
+    name: str
+    blocks: dict[int, ColumnBatch]
+
+
+class BatchCatalog:
+    """Shipped tables: table name -> node id -> column batch."""
+
+    def __init__(self, tables: dict[str, dict[int, ColumnBatch]]) -> None:
+        self._tables = tables
+
+    def table(self, name: str) -> BatchTable:
+        if name not in self._tables:
+            raise SqlPlanError(f"unknown table {name!r}")
+        return BatchTable(name, self._tables[name])
+
+
+@dataclass(frozen=True)
 class JoinStep:
     """One join in the left-deep plan."""
 
@@ -79,8 +107,8 @@ class JoinStep:
     using: tuple[str, ...]
     #: for equality ON joins: (left expr, right expr) hash keys.
     hash_on: tuple[Expr, Expr] | None
-    #: residual ON predicate evaluated on merged rows (nested loop or
-    #: post-hash filter).
+    #: the ON predicate; without ``hash_on``, a nested loop evaluates
+    #: it on each merged row.
     on: Expr | None
 
 
@@ -133,23 +161,13 @@ def validate_select(select: Select) -> bool:
 
 
 def _plan_join(join: Join, catalog: Catalog) -> JoinStep:
-    source = catalog.table(join.table.name)
-    if join.using:
-        return JoinStep(
-            source=source,
-            binding=join.table.binding,
-            kind=join.kind,
-            using=join.using,
-            hash_on=None,
-            on=None,
-        )
-    hash_on = extract_hash_keys(join.on, join.table.binding)
     return JoinStep(
-        source=source,
+        source=catalog.table(join.table.name),
         binding=join.table.binding,
         kind=join.kind,
-        using=(),
-        hash_on=hash_on,
+        using=join.using,
+        hash_on=None if join.using
+        else extract_hash_keys(join.on, join.table.binding),
         on=join.on,
     )
 

@@ -219,7 +219,8 @@ class ColumnBatch:
         """Append another run of the same table (a further version, or
         another node's shipped survivors)."""
         self._layout = _UNKNOWN
-        self.keys.extend(other.keys)
+        if self.keys is not None:
+            self.keys.extend(other.keys)
         self.values.extend(other.values)
         if other.ssids is not None:
             self.ssids = (self.ssids or []) + other.ssids

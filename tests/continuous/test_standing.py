@@ -213,6 +213,22 @@ def test_min_max_retract_falls_back_to_next_extreme():
     assert standing.rescans == 0
 
 
+def test_min_max_over_container_values_matches_executor():
+    """MIN / MAX compare the values themselves, not a stand-in key."""
+    standing = make_standing(
+        'SELECT MIN(x) AS lo, MAX(x) AS hi FROM "orders"'
+    )
+    standing.seed({})
+    rows = drive(standing, [
+        ("a", {"x": [9]}), ("b", {"x": [10]}), ("c", {"x": [2, 1]}),
+    ])
+    assert standing.current_rows() == batch_rows(standing.sql, rows) == [
+        {"lo": [2, 1], "hi": [10]}]
+    standing.on_delta("b", rows.pop("b"), None)
+    assert standing.current_rows() == batch_rows(standing.sql, rows) == [
+        {"lo": [2, 1], "hi": [9]}]
+
+
 def test_global_aggregate_over_empty_input_matches_executor():
     standing = make_standing(
         'SELECT COUNT(*) AS n, SUM(amount) AS total FROM "orders"'

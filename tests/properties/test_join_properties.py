@@ -446,25 +446,29 @@ def outcome(execution):
     return execution.result.columns, execution.result.rows
 
 
-def reference_bytes(env, sql: str, strategy: str) -> tuple[int, int, int]:
+def reference_bytes(env, sql: str,
+                    strategy: str) -> tuple[tuple[int, int, int], list]:
     """``(bytes_shipped, join_bytes_shuffled, join_bytes_broadcast)`` of
     a two-table join run with ``strategy``, billed the way the engine
     always has: row by row over bound dict rows — a shipped row is a
     framed header plus one ``column_bytes`` per column, a merged row's
-    columns are its unqualified names."""
+    columns are its unqualified names — and the merged rows themselves,
+    in plain Python: ``{**right, **left}``, or the left row followed by
+    the right side's bound columns as NULL, in first-seen order."""
     costs = env.costs
     select = parse(sql)
     plan = split_select(select)
-    nodes = len(env.cluster.surviving_node_ids())
+    nodes = sorted(env.cluster.surviving_node_ids())
     join = select.joins[0]
 
     def shipped_rows(ref):
         keep = plan.fragment(ref.name).projection
+        table = env.store.get_live_table(ref.name)
         rows = []
-        for key, value in env.store.get_map(ref.name).entries():
-            row = dict(value, partitionKey=key, key=key)
-            rows.append(row if keep is None else
-                        {name: row[name] for name in row if name in keep})
+        for node_id in nodes:  # the canonical order: node, then scan
+            for row in table.rows_on_node(node_id):
+                rows.append(row if keep is None else
+                            {name: row[name] for name in row if name in keep})
         return rows, [{**row, **{f"{ref.binding}.{name}": row[name]
                                  for name in row}} for row in rows]
 
@@ -490,16 +494,17 @@ def reference_bytes(env, sql: str, strategy: str) -> tuple[int, int, int]:
         matches = [{**right, **left} for right in rights
                    if key(left, probe) is not None
                    and key(left, probe) == key(right, build)]
-        merged += matches or ([{**pad, **left}] if join.kind == "LEFT"
-                              else [])
-    acks = nodes * costs.row_overhead_bytes
+        merged += matches or ([{**left, **{name: None for name in pad
+                                           if name not in left}}]
+                              if join.kind == "LEFT" else [])
+    acks = len(nodes) * costs.row_overhead_bytes
     build_bytes = sum(map(nbytes, raws))
     shuffled = broadcast = 0
     shipped = acks + sum(nbytes(row, bound=True) for row in merged)
     if strategy in ("copartitioned", "shuffle"):
         shipped += acks
     else:  # the build side ships to the entry node, then to every node
-        broadcast = build_bytes * nodes
+        broadcast = build_bytes * len(nodes)
         shipped += broadcast + (
             # a shard read that pushes nothing bills the flat row size,
             # the index-nested-loop build side's reads included
@@ -512,7 +517,16 @@ def reference_bytes(env, sql: str, strategy: str) -> tuple[int, int, int]:
                        if key(row, build) is not None)
         shuffled += sum(nbytes(row, bound=True) for row in lefts)
         shipped += shuffled
-    return shipped, shuffled, broadcast
+    return (shipped, shuffled, broadcast), merged
+
+
+def star_outcome(merged: list) -> tuple[list, list]:
+    """``SELECT *`` over merged rows: the unqualified columns in
+    first-seen order, and each row as those columns."""
+    columns = list(dict.fromkeys(name for row in merged for name in row
+                                 if "." not in name))
+    return columns, [{name: row.get(name) for name in columns}
+                     for row in merged]
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES)
@@ -520,7 +534,8 @@ def test_heterogeneous_rows_join_like_central(monkeypatch, strategy):
     """Rows of one table with different columns: presence, width and
     column order are per row.  Every forced strategy returns central's
     rows in central's order and columns (``SELECT *`` takes them in
-    first-seen order), and bills each row's own width."""
+    first-seen order), and bills each row's own width.  A two-table
+    ``SELECT *`` returns the plain-Python merged rows."""
     env = heterogeneous(Environment(ClusterConfig(
         nodes=4, processing_workers_per_node=1)))
     central = QueryService(env, distributed_joins=False)
@@ -536,9 +551,11 @@ def test_heterogeneous_rows_join_like_central(monkeypatch, strategy):
         compared += execution.error is None
         if sql == THREE_WAY or execution.error is not None:
             continue
+        billed, merged = reference_bytes(env, sql, strategy)
         assert (execution.bytes_shipped, execution.join_bytes_shuffled,
-                execution.join_bytes_broadcast) == \
-            reference_bytes(env, sql, strategy), sql
+                execution.join_bytes_broadcast) == billed, sql
+        if parse(sql).select_star:
+            assert outcome(execution) == star_outcome(merged), sql
     assert compared >= len(statements) - 3  # the three that raise
 
 

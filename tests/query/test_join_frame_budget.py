@@ -18,6 +18,7 @@ import pytest
 from repro import Environment
 from repro.config import ClusterConfig
 from repro.query import QueryService, joins
+from repro.sql import join
 from repro.state.live import LiveStateTable
 
 from ..properties.test_join_properties import forced
@@ -29,8 +30,8 @@ NODES = 8
 #: per row.
 SLACK = 8 * NODES ** 2
 #: Python functions that bind, merge or shape one row each.
-PER_ROW = ("bind_row", "_merge", "_null_extend", "_merged", "project",
-           "columns", "row", "value_to_columns", "live_row")
+PER_ROW = ("bind_row", "_merged", "project", "columns", "row",
+           "value_to_columns", "live_row")
 
 STATEMENTS = {
     "copartitioned": (
@@ -145,7 +146,8 @@ def test_join_shapes_one_dict_per_joined_row(monkeypatch, strategy):
     # One dict per joined row, each its own...
     assert len(handed) == joined_rows(tables, strategy) > NODES
     assert len({id(row) for row in handed}) == len(handed)
-    # ...and no frame of the pipeline runs once per row.
+    # ...and no frame of the pipeline or its data plane runs once per row.
     pipeline = Counter({name: count for (module, name), count
-                        in calls.items() if module == joins.__file__})
+                        in calls.items()
+                        if module in (joins.__file__, join.__file__)})
     assert sum(pipeline.values()) <= SLACK, pipeline.most_common(5)

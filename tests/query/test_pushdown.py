@@ -10,6 +10,7 @@ import pytest
 
 from repro import Environment
 from repro.config import ClusterConfig
+from repro.errors import SqlExecutionError
 from repro.observability import collect_report, format_report
 from repro.query import QueryService
 from repro.state.live import LiveStateTable
@@ -106,6 +107,47 @@ def test_nan_order_keys_sort_above_every_number(pushdown, limit, order):
         sql += f" LIMIT {limit}"
     execution = QueryService(env, pushdown=pushdown).execute(sql)
     assert execution.result.column("key") == NAN_ORDERS[order][:limit]
+
+
+#: ``(values of x, statement, rows)``: GROUP BY, DISTINCT, UNION and
+#: DISTINCT aggregates tell values apart exactly where SQL ``=`` does — a
+#: list is not its text, a dict's item order does not matter, and a
+#: tuple holding a list keys like any other value (an expected error's
+#: text in place of the rows).
+EQUALITY_KEYS = [
+    ([[1], "[1]", [1]], 'SELECT x, COUNT(*) AS n FROM "t" GROUP BY x',
+     [("[1]", 1), ([1], 2)]),
+    ([[1], "[1]", [1]], 'SELECT DISTINCT x FROM "t"', [("[1]",), ([1],)]),
+    ([[1], "[1]"], 'SELECT x FROM "t" UNION SELECT x FROM "t"',
+     [("[1]",), ([1],)]),
+    ([{"a": 1, "b": 2}, {"b": 2, "a": 1}],
+     'SELECT x, COUNT(*) AS n FROM "t" GROUP BY x', [({"a": 1, "b": 2}, 2)]),
+    ([(1, [2]), (1, [2]), (2, [3])],
+     'SELECT x, COUNT(*) AS n FROM "t" GROUP BY x', [((1, [2]), 2),
+                                                     ((2, [3]), 1)]),
+    ([(1, [2]), (1, [2])], 'SELECT DISTINCT x FROM "t"', [((1, [2]),)]),
+    ([[1], [1], [2], [1.0]], 'SELECT COUNT(DISTINCT x) AS n FROM "t"',
+     [(2,)]),
+    # a value no key can hold is a typed error
+    ([[bytearray(b"a")]], 'SELECT x, COUNT(*) AS n FROM "t" GROUP BY x',
+     "cannot compare bytearray values"),
+]
+
+
+@pytest.mark.parametrize("pushdown", [True, False])
+@pytest.mark.parametrize("values, sql, rows", EQUALITY_KEYS)
+def test_container_values_key_by_sql_equality(pushdown, values, sql, rows):
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+    imap = env.store.create_map("t")
+    env.store.register_live_table("t", LiveStateTable(imap))
+    for key, value in enumerate(values):
+        imap.put(key, {"x": value})
+    service = QueryService(env, pushdown=pushdown)
+    if isinstance(rows, str):
+        with pytest.raises(SqlExecutionError, match=rows):
+            service.execute(sql)
+        return
+    assert sorted(service.execute(sql).result.tuples(), key=repr) == rows
 
 
 def test_selective_scan_ships_fewer_rows_and_bytes(wide_env):
