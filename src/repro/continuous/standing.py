@@ -43,7 +43,7 @@ from ..sql.executor import (
     unique_aggregates,
 )
 from ..sql.planner import contains_local_timestamp
-from ..sql.functions import MaxAggregate, MinAggregate, mixed_types
+from ..sql.functions import NUMBERS, MaxAggregate, MinAggregate, addend
 
 PATH_FILTER_PROJECT = "incremental-filter-project"
 PATH_GROUPED_AGGREGATE = "incremental-grouped-aggregate"
@@ -164,10 +164,9 @@ class _SumAcc(_RetractableAggregate):
 
     def add(self, value: object) -> None:
         if value is not None:
-            try:
-                self._total += value
-            except TypeError:
-                raise mixed_types(self.name, self._total, value) from None
+            if type(value) not in NUMBERS:
+                value = addend(self.name, value)
+            self._total += value
             self._n += 1
 
     def retract(self, value: object) -> None:

@@ -6,17 +6,30 @@ term per group key, aggregate feed and order key — and then streams a
 shard's :class:`~repro.state.rows.ColumnBatch` through
 :class:`BatchAccumulator` chunk by chunk.  A chunk is a struct of
 arrays: one value list per declared column.  A term that is a bare
-column reference reads its list; every other expression (the pushed
-conjuncts included) is its :func:`~repro.sql.compiled.compile_expr`
-closure called on a row holding the declared columns only, so there is
-still one evaluator.  What ships is the survivors' column batch, not
-rows: rows are shaped where they are merged.
+column reference reads its list; every other expression is its
+:func:`~repro.sql.compiled.compile_expr` closure called on a row
+holding the declared columns only, so there is still one evaluator.
+What ships is the survivors' column batch, not rows: rows are shaped
+where they are merged.
+
+Three column kernels do per chunk, in a few C-level calls, what that
+per-row code does per row, and hand the chunk back to it whenever they
+cannot give exactly what it gives:
+
+* a pushed ``column <op> literal`` conjunct is its
+  :func:`~repro.sql.compiled.compile_column_test` over the column's
+  list;
+* each group's slice of the chunk folds with one
+  :meth:`~repro.sql.functions.Aggregate.fold` per accumulator, in row
+  order (all of the chunk's folds or none);
+* once the top-k stage holds ``keep`` rows, a chunk keeps only the rows
+  whose first ORDER BY value can still rank before the last of them.
 
 Results are what a row-major sweep (row by row, conjunct by conjunct)
 produces: the same surviving rows in the same order, the same
-partial-group insertion order and accumulator states, the same first
-rows under a pushed ORDER BY, and — when a pushed expression fails — the
-same first error, whatever the chunk size.
+partial-group insertion order and accumulator states (to the bit), the
+same first rows under a pushed ORDER BY, and — when a pushed
+expression fails — the same first error, whatever the chunk size.
 
 Compiled fragments are cached in an LRU keyed by the frozen fragment
 itself, so a query shape recurring across shards, retries, and
@@ -27,15 +40,19 @@ not depend on what another environment in the same process ran before.
 
 from __future__ import annotations
 
-from itertools import repeat
+import operator
+from itertools import compress, repeat
+from math import isqrt
 
 from ..kvstore.indexes import MISSING
 from ..state.rows import ColumnBatch, ColumnReader
 from .ast import Column, Expr
 from .compiled import (
+    ColumnTest,
     CompiledExpr,
     EvalContext,
     column_reads,
+    compile_column_test,
     compile_expr,
     compile_predicate,
 )
@@ -72,8 +89,8 @@ class CompiledFragment:
     """A scan fragment's closures, compiled once and reused per chunk."""
 
     __slots__ = (
-        "fragment", "columns", "predicates", "group_terms", "feed_terms",
-        "calls", "rep_columns", "order_terms",
+        "fragment", "columns", "predicates", "tests", "group_terms",
+        "feed_terms", "calls", "rep_columns", "order_terms",
     )
 
     def __init__(self, fragment: ScanFragment) -> None:
@@ -90,6 +107,11 @@ class CompiledFragment:
         self.fragment = fragment
         self.predicates: tuple[CompiledExpr, ...] = tuple(
             compile_predicate(conjunct, binding)
+            for conjunct in fragment.pushed
+        )
+        #: Per pushed conjunct, its test over a column list, if any.
+        self.tests = tuple(
+            compile_column_test(conjunct, binding)
             for conjunct in fragment.pushed
         )
         self.group_terms = terms(partial.group_by if partial else ())
@@ -159,24 +181,47 @@ class _Sweep:
         #: ``survivors`` is still ``range(len(survivors))``.
         self.dense = True
         self.failed: tuple[int, _Term, Exception] | None = None
-        self._rows: list[dict] | None = None
+        self._rows: list | None = None
 
     @property
-    def rows(self) -> list[dict]:
-        """The chunk's rows as closures read them: the declared columns
-        only, ``MISSING`` where a row lacks one (that reads as absent)."""
+    def rows(self) -> list:
+        """The rows as closures read them, by chunk index: the declared
+        columns only, ``MISSING`` where a row lacks one (that reads as
+        absent).  Built on first use for the rows in play then (later
+        ones are among them), ``None`` for the others."""
         rows = self._rows
         if rows is None:
-            rows = self._rows = [{} for _ in range(self.count)]
+            survivors = self.survivors
+            rows = self._rows = [None] * self.count
+            for index in survivors:
+                rows[index] = {}
             for name, values in self.columns.items():
-                for row, value in zip(rows, values):
-                    row[name] = value
+                for index in survivors:
+                    rows[index][name] = values[index]
         return rows
 
+    def column(self, name: str) -> list:
+        """Column ``name`` over the rows in play, in row order."""
+        values = self.columns[name]
+        survivors = self.survivors
+        if self.dense:
+            return values[:len(survivors)]
+        return list(map(values.__getitem__, survivors))
+
     def keep(self, predicate: CompiledExpr,
+             test: "tuple[str, ColumnTest] | None",
              errors: dict[int, Exception]) -> None:
-        """Drop the rows ``predicate`` does not pass; a row it fails on
-        is dropped with its error recorded."""
+        """Drop the rows ``predicate`` does not pass — with its column
+        ``test`` over the column's list when it has one and that can
+        tell; a row the predicate fails on is dropped with its error
+        recorded."""
+        if test is not None:
+            name, column_test = test
+            passed = column_test(self.column(name))
+            if passed is not None:
+                self.survivors = list(compress(self.survivors, passed))
+                self.dense = False
+                return
         rows = self.rows
         context = self.context
         passed = []
@@ -195,9 +240,7 @@ class _Sweep:
         if term is None:
             return [1] * len(survivors)
         if term.column is not None:
-            values = self.columns[term.column]
-            values = (values[:len(survivors)] if self.dense
-                      else [values[index] for index in survivors])
+            values = self.column(term.column)
             if MISSING not in values:
                 return values
         fn = term.fn
@@ -271,10 +314,10 @@ class BatchAccumulator:
             stop - start, self.context,
         )
         errors: dict[int, Exception] = {}
-        for predicate in compiled.predicates:
+        for predicate, test in zip(compiled.predicates, compiled.tests):
             if not sweep.survivors:
                 break
-            sweep.keep(predicate, errors)
+            sweep.keep(predicate, test, errors)
         if compiled.fragment.partial is not None:
             self._fold_groups(sweep, errors)
         elif self.keep is not None:
@@ -285,19 +328,22 @@ class BatchAccumulator:
             # A row-major sweep stops at the first erroring row; the
             # batch reproduces exactly that error.
             raise errors[min(errors)]
-        self.survived += len(sweep.survivors)
+        survivors = sweep.survivors
+        self.survived += len(survivors)
         ids = batch.ids
-        return [ids[start + index] for index in sweep.survivors]
+        if sweep.dense:
+            return ids[start:start + len(survivors)]
+        return list(map(ids.__getitem__, map(start.__add__, survivors)))
 
-    def _new_group(self, sweep: _Sweep, key: tuple, index: int) -> list:
+    def _group_of(self, sweep: _Sweep, index: int) -> list:
+        """A new group whose representative is row ``index``."""
         columns = sweep.columns
         rep = {
             name: columns[name][index]
             for name in self.compiled.rep_columns
             if columns[name][index] is not MISSING
         }
-        group = self.groups[key] = [rep, new_group_accs(self.compiled.calls)]
-        return group
+        return [rep, new_group_accs(self.compiled.calls)]
 
     def _fold_groups(self, sweep: _Sweep,
                      errors: dict[int, Exception]) -> None:
@@ -308,19 +354,24 @@ class BatchAccumulator:
         count = len(survivors)
         keys = group_keys(key_lists, count)
         groups = self.groups
-        position = 0
-        try:
-            for position, (key, values) in enumerate(zip(
-                keys, zip(*feed_lists) if feed_lists else repeat(()),
-            )):
-                group = groups.get(key)
-                if group is None:
-                    group = self._new_group(sweep, key, survivors[position])
-                for acc, value in zip(group[1], values):
-                    acc.add(value)
-        except Exception as exc:  # noqa: BLE001 — re-raised by caller
-            errors[survivors[position]] = exc
-            return
+        if sweep.failed is not None or not self._fold_slices(
+            sweep, keys, feed_lists,
+        ):
+            position = 0
+            try:
+                for position, (key, values) in enumerate(zip(
+                    keys, zip(*feed_lists) if feed_lists else repeat(()),
+                )):
+                    group = groups.get(key)
+                    if group is None:
+                        group = groups[key] = self._group_of(
+                            sweep, survivors[position]
+                        )
+                    for acc, value in zip(group[1], values):
+                        acc.add(value)
+            except Exception as exc:  # noqa: BLE001 — re-raised by caller
+                errors[survivors[position]] = exc
+                return
         if sweep.failed is None:
             return
         index, term, exc = sweep.failed
@@ -331,7 +382,9 @@ class BatchAccumulator:
                 key, = group_keys(
                     [values[count:count + 1] for values in key_lists], 1
                 )
-                group = groups.get(key) or self._new_group(sweep, key, index)
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = self._group_of(sweep, index)
                 for acc, values in zip(
                     group[1],
                     feed_lists[:compiled.feed_terms.index(term)],
@@ -341,6 +394,51 @@ class BatchAccumulator:
                 exc = earlier
         errors[index] = exc
 
+    def _fold_slices(self, sweep: _Sweep, keys: list[tuple],
+                     feed_lists: list[list]) -> bool:
+        """Fold each group's slice of the chunk — its rows in row order,
+        so the states are the ones one ``add`` per row reaches — with
+        one :meth:`~repro.sql.functions.Aggregate.fold` per accumulator,
+        new groups taking their place in first-seen order.  ``False``,
+        with nothing changed, when the per-row loop must run instead: an
+        accumulator cannot fold, a fold raises (the loop finds the row
+        and the error), or the chunk has more groups than its average
+        group has rows, where bucketing costs more than it saves.  For
+        a chunk whose every term evaluated on every survivor only."""
+        most = isqrt(len(keys))  # groups no more than their mean size
+        buckets: dict[tuple, list[int]] = {}
+        for position, key in enumerate(keys):
+            bucket = buckets.get(key)
+            if bucket is not None:
+                bucket.append(position)
+            elif len(buckets) < most:
+                buckets[key] = [position]
+            else:
+                return False
+        groups = self.groups
+        fresh = []
+        updates = []
+        try:
+            for key, positions in buckets.items():
+                group = groups.get(key)
+                if group is None:
+                    group = self._group_of(
+                        sweep, sweep.survivors[positions[0]]
+                    )
+                    fresh.append((key, group))
+                for acc, values in zip(group[1], feed_lists):
+                    update = acc.fold(list(map(values.__getitem__,
+                                               positions)))
+                    if update is None:
+                        return False
+                    updates.append(update)
+        except Exception:  # noqa: BLE001 — the per-row loop raises it
+            return False
+        groups.update(fresh)
+        for update in updates:
+            update()
+        return True
+
     def _keep_top(self, sweep: _Sweep, start: int) -> None:
         compiled = self.compiled
         order_by = compiled.fragment.top_k.order_by
@@ -349,22 +447,47 @@ class BatchAccumulator:
             clash = self.keep and incomparable(columns, self.order_types)
             if clash:
                 raise clash
-            keys = order_keys(order_by, columns)
             if sweep.failed is not None:
                 raise sweep.failed[2]
+            indexes = map(start.__add__, sweep.survivors)
+            entering = self._may_enter(columns[0])
+            if entering is not None:
+                columns = [list(compress(values, entering))
+                           for values in columns]
+                indexes = compress(indexes, entering)
+            keys = order_keys(order_by, columns)
             # The chunk's own first rows against the held ones (every
             # survivor's types checked above).
             self.top = order_keyed(
                 order_by,
                 self.top + order_keyed(
-                    order_by,
-                    list(zip(keys, map(start.__add__, sweep.survivors))),
+                    order_by, list(zip(keys, indexes)),
                     self.keep, checked=True,
                 ),
                 self.keep, checked=True,
             )
         except Exception:  # noqa: BLE001 — the final ORDER BY raises it
             raise _TopKAbandoned from None
+
+    def _may_enter(self, firsts: list) -> "list[bool] | None":
+        """Once ``keep`` rows are held, the last with an ordinary first
+        ORDER BY value, whether each of the chunk's ``firsts`` (first
+        term values) can still rank before it: NULL, NaN, or not beyond
+        that value in the term's direction.  ``None`` keeps every row
+        (nothing held yet, or the values do not compare)."""
+        top = self.top
+        descending = self.compiled.fragment.top_k.order_by[0].descending
+        if not self.keep or len(top) < self.keep:
+            return None
+        flag, bound = top[-1][0][:2]
+        if flag != descending:
+            return None  # NULL or NaN: nothing ordinary ranks after it
+        beyond = operator.lt if descending else operator.gt
+        try:
+            return [value is None or not beyond(value, bound)
+                    for value in firsts]
+        except TypeError:
+            return None
 
     def payload(self) -> "ColumnBatch | PartialGroups":
         if self.compiled.fragment.partial is not None:

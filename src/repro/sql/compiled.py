@@ -7,7 +7,10 @@ Python closure ``fn(row, context) -> value``; every consumer (scan
 fragments in :mod:`repro.sql.batch`, the central executor's WHERE /
 projection / GROUP BY / HAVING / ORDER BY / join loops, the distributed
 join coordinator, standing queries) compiles once per operator and then
-calls the closure per row, so nothing re-walks the AST.
+calls the closure per row, so nothing re-walks the AST.  A scan's
+``column <op> literal`` conjunct may instead run as
+:func:`compile_column_test`, one comprehension over the column's list
+that steps aside (to the closure) wherever it could differ from it.
 
 Columns resolve in one of two modes, chosen by ``binding``:
 
@@ -38,6 +41,8 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from itertools import repeat
+from types import NoneType
 from typing import Callable
 
 from ..errors import SqlExecutionError
@@ -75,8 +80,18 @@ class EvalContext:
 
 #: A compiled expression: evaluate against one row.
 CompiledExpr = Callable[[dict, EvalContext], object]
+#: A compiled conjunct over one column's value list: whether each value
+#: passes, or ``None`` when the rows are for the per-row closure.
+ColumnTest = Callable[[list], "list[bool] | None"]
 
-_COMPARISONS = frozenset({"=", "<>", "<", "<=", ">", ">="})
+#: Value types that are their own ``hashable_key`` and compare with a
+#: scalar literal in C: ``True``, ``False`` or a ``TypeError``.
+SCALARS = frozenset({int, float, str, bool, NoneType})
+
+_COMPARISONS = {
+    "=": operator.eq, "<>": operator.ne, "<": operator.lt,
+    "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+}
 
 _ARITHMETIC = {
     "+": operator.add, "-": operator.sub, "*": operator.mul,
@@ -113,6 +128,52 @@ def compare(op: str, left: object, right: object) -> bool:
             f"cannot compare {type(left).__name__} with "
             f"{type(right).__name__}"
         ) from None
+
+
+def compile_column_test(
+    expr: Expr, binding: str | None = None,
+) -> "tuple[str, ColumnTest] | None":
+    """A conjunct ``column <op> literal`` (either side, a comparison, a
+    non-NULL scalar literal) as one comprehension over the column's
+    value list: ``(the name the column is read under, test)``, else
+    ``None``.
+
+    ``test(values)`` is what :func:`compile_predicate`'s closure returns
+    on rows holding those values — NULL compares to nothing — as long as
+    every value is one of :data:`SCALARS` (so none is ``MISSING``) and
+    no comparison raises ``TypeError``.  Otherwise it returns ``None``:
+    those rows are for the closure, whose error text and first erroring
+    row decide."""
+    if not isinstance(expr, Binary) or expr.op not in _COMPARISONS:
+        return None
+    column, literal = expr.left, expr.right
+    flipped = isinstance(column, Literal)
+    if flipped:
+        column, literal = literal, column
+    if not (isinstance(column, Column) and isinstance(literal, Literal)
+            and type(literal.value) in SCALARS - {NoneType}):
+        return None
+    op = _COMPARISONS[expr.op]
+    value = literal.value
+
+    def test(values: list) -> "list[bool] | None":
+        kinds = set(map(type, values))
+        if not kinds <= SCALARS:
+            return None
+        try:
+            if NoneType in kinds:
+                if flipped:
+                    return [cell is not None and op(value, cell)
+                            for cell in values]
+                return [cell is not None and op(cell, value)
+                        for cell in values]
+            if flipped:
+                return list(map(op, repeat(value), values))
+            return list(map(op, values, repeat(value)))
+        except TypeError:
+            return None
+
+    return column_reads(column, binding)[0], test
 
 
 def compile_predicate(expr: Expr, binding: str | None = None) -> CompiledExpr:

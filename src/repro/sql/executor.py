@@ -35,6 +35,7 @@ from .ast import (
     collect_aggregates,
 )
 from .compiled import (
+    SCALARS,
     CompiledExpr,
     EvalContext,
     compile_expr,
@@ -329,10 +330,6 @@ def compile_group_key(group_by: "tuple[Expr, ...]",
     return group_key
 
 
-#: Value types that are their own :func:`hashable_key`.
-_SCALARS = frozenset({int, float, str, bool, NoneType})
-
-
 def group_keys(columns: "list[list]", count: int) -> "list[tuple]":
     """Column-wise :func:`compile_group_key`: the GROUP BY keys of
     ``count`` rows from one value list per GROUP BY expression."""
@@ -340,7 +337,7 @@ def group_keys(columns: "list[list]", count: int) -> "list[tuple]":
         return [()] * count
     parts = []
     for values in columns:
-        if not set(map(type, values)) <= _SCALARS:
+        if not set(map(type, values)) <= SCALARS:
             values = list(map(hashable_key, values))
         parts.append(values)
     return list(zip(*parts))

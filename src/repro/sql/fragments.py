@@ -29,8 +29,9 @@ Splitting rules (all safety-first; anything unclear stays central):
   clock-free.
 * ``ORDER BY ... LIMIT`` cuts each shard to its first ``LIMIT + OFFSET``
   rows when the query is single-table, fully pushed, neither aggregate
-  nor DISTINCT nor ``SELECT *``, and every term reads stored columns
-  only (see :func:`_top_k_for`); the final fragment sorts what ships.
+  nor DISTINCT nor ``SELECT *``, and every term — an output alias
+  standing for its item's expression — reads stored columns only (see
+  :func:`_top_k_for`); the final fragment sorts what ships.
 """
 
 from __future__ import annotations
@@ -367,7 +368,8 @@ class TopK:
     """Scan-side stage of a pushed ``ORDER BY ... LIMIT``: a shard ships
     only its first ``keep`` surviving rows in ORDER BY order."""
 
-    #: the statement's ORDER BY, evaluated on the scanned row.
+    #: the statement's ORDER BY, evaluated on the scanned row (an output
+    #: alias replaced by its item's expression).
     order_by: tuple[OrderItem, ...]
     #: ``LIMIT + OFFSET``: no later row of a shard can reach the answer.
     keep: int
@@ -507,9 +509,11 @@ def _top_k_for(select: Select, residual: Expr | None) -> TopK | None:
     ships are the rows the final ORDER BY ranks (no join, aggregation,
     DISTINCT or residual filter in between; ``SELECT *`` derives its
     columns from every shipped row) and each term evaluates on the
-    scanned row to what it evaluates to centrally: clock- and
-    aggregate-free, and every name it reads is the stored column — an
-    output column of that name must be that column unrenamed.
+    scanned row to what it evaluates to centrally.  A term that is an
+    output column's bare name ranks by that item's expression; the
+    term (so substituted) must be clock- and aggregate-free, and every
+    name it reads the stored column — an output column of that name
+    must be that column unrenamed.
     """
     if (
         select.limit is None or not select.order_by or select.joins
@@ -522,13 +526,15 @@ def _top_k_for(select: Select, residual: Expr | None) -> TopK | None:
         output_column_name(item, position): item.expr
         for position, item in enumerate(select.items)
     }
+    order_by = []
     for order in select.order_by:
-        if contains_local_timestamp(order.expr) or contains_aggregate(
-            order.expr
-        ):
+        expr = order.expr
+        if isinstance(expr, Column) and expr.table is None:
+            expr = outputs.get(expr.name, expr)
+        if contains_local_timestamp(expr) or contains_aggregate(expr):
             return None
         columns: list[Column] = []
-        collect_columns(order.expr, columns)
+        collect_columns(expr, columns)
         for column in columns:
             if column.table not in (None, binding):
                 return None
@@ -539,8 +545,12 @@ def _top_k_for(select: Select, residual: Expr | None) -> TopK | None:
                 and shadow.table in (None, binding)
             ):
                 return None
+        order_by.append(
+            order if expr == order.expr
+            else OrderItem(expr, order.descending)
+        )
     return TopK(
-        order_by=select.order_by,
+        order_by=tuple(order_by),
         keep=select.limit + (select.offset or 0),
     )
 

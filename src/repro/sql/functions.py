@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
-from typing import Callable
+from functools import partial, reduce
+from itertools import chain, repeat
+from operator import add, is_not
+from types import NoneType
+from typing import Callable, Iterator
 
 from ..errors import SqlExecutionError
 
@@ -112,11 +116,38 @@ SCALAR_FUNCTIONS: dict[str, Callable[[list[object]], object]] = {
 
 def mixed_types(name: str, held: object, value: object) -> SqlExecutionError:
     """The typed error of an accumulator whose held state and next
-    value do not combine (``SUM`` over an int and a string)."""
+    value do not combine (``MIN`` over an int and a string)."""
     return SqlExecutionError(
         f"cannot apply {name} to {type(held).__name__} and "
         f"{type(value).__name__}"
     )
+
+
+#: The value types SUM and AVG add as they are.
+NUMBERS = frozenset({int, float})
+_NUMBERS_OR_NULL = NUMBERS | {NoneType}
+
+
+def addend(name: str, value: object) -> int | float:
+    """``value`` as SUM / AVG (``name``) adds it: a number as it is, a
+    bool as an int.  Any other type is a typed error naming only that
+    type, so the text does not depend on what was added before it."""
+    if isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (int, float)):
+        return value
+    raise SqlExecutionError(f"cannot apply {name} to {type(value).__name__}")
+
+
+def _numbers(values: list) -> list | None:
+    """``values`` without its NULLs when every value is an int, a float
+    or NULL (so each adds as it is), else ``None``."""
+    kinds = set(map(type, values))
+    if not kinds <= _NUMBERS_OR_NULL:
+        return None
+    if NoneType in kinds:
+        return list(filter(partial(is_not, None), values))
+    return values
 
 
 def hashable_key(value: object, use: str = "compare") -> object:
@@ -174,6 +205,15 @@ class Aggregate:
     def add(self, value: object) -> None:
         raise NotImplementedError
 
+    def fold(self, values: list) -> "Callable[[], None] | None":
+        """What :meth:`add` over ``values``, in order, does — computed
+        with one C-level call over the list and applied when the
+        returned function is called — or ``None`` when one call cannot
+        give exactly what the adds give.  Computing it changes nothing
+        (a fold that raises leaves the accumulator as it was), so a
+        caller can fold several accumulators all or nothing."""
+        return None
+
     def result(self) -> object:
         raise NotImplementedError
 
@@ -199,6 +239,15 @@ class CountAggregate(Aggregate):
             return
         self._count += 1
 
+    def fold(self, values: list) -> "Callable[[], None] | None":
+        if self._seen is not None:
+            return None
+        count = self._count + (
+            len(values) if self._count_star
+            else sum(map(is_not, values, repeat(None)))
+        )
+        return partial(setattr, self, "_count", count)
+
     def result(self) -> object:
         return self._count
 
@@ -218,14 +267,23 @@ class SumAggregate(Aggregate):
     def add(self, value: object) -> None:
         if value is None:
             return
+        if type(value) not in NUMBERS:
+            value = addend("SUM", value)
         if self._seen is not None and not _first_sight(self._seen, value):
             return
-        try:
-            self._total = (
-                value if self._total is None else self._total + value
-            )
-        except TypeError:
-            raise mixed_types("SUM", self._total, value) from None
+        self._total = value if self._total is None else self._total + value
+
+    def fold(self, values: list) -> "Callable[[], None] | None":
+        numbers = None if self._seen is not None else _numbers(values)
+        if numbers is None:
+            return None
+        total = self._total
+        if numbers:
+            # Not builtin sum: from Python 3.12 it adds floats with
+            # compensation, which is not what one add per value gives.
+            total = (reduce(add, numbers) if total is None
+                     else reduce(add, numbers, total))
+        return partial(setattr, self, "_total", total)
 
     def result(self) -> object:
         return self._total
@@ -251,13 +309,23 @@ class AvgAggregate(Aggregate):
     def add(self, value: object) -> None:
         if value is None:
             return
+        if type(value) not in NUMBERS:
+            value = addend("AVG", value)
         if self._seen is not None and not _first_sight(self._seen, value):
             return
-        try:
-            self._total += value
-        except TypeError:
-            raise mixed_types("AVG", self._total, value) from None
+        self._total += value
         self._count += 1
+
+    def fold(self, values: list) -> "Callable[[], None] | None":
+        numbers = None if self._seen is not None else _numbers(values)
+        if numbers is None:
+            return None
+        return partial(self._set, reduce(add, numbers, self._total),
+                       self._count + len(numbers))
+
+    def _set(self, total: float, count: int) -> None:
+        self._total = total
+        self._count = count
 
     def result(self) -> object:
         if self._count == 0:
@@ -287,6 +355,13 @@ class MinAggregate(Aggregate):
         except TypeError:
             raise mixed_types("MIN", self._best, value) from None
 
+    def fold(self, values: list) -> "Callable[[], None] | None":
+        # Builtin min keeps the first of tied values and replaces it
+        # only on ``value < best``: the comparisons add makes.
+        return partial(setattr, self, "_best", min(
+            _with_best(self._best, values), default=None,
+        ))
+
     def result(self) -> object:
         return self._best
 
@@ -307,11 +382,22 @@ class MaxAggregate(Aggregate):
         except TypeError:
             raise mixed_types("MAX", self._best, value) from None
 
+    def fold(self, values: list) -> "Callable[[], None] | None":
+        return partial(setattr, self, "_best", max(
+            _with_best(self._best, values), default=None,
+        ))
+
     def result(self) -> object:
         return self._best
 
     def merge(self, other: "MaxAggregate") -> None:
         self.add(other._best)
+
+
+def _with_best(best: object, values: list) -> Iterator:
+    """The non-NULL ``values`` after the held ``best``, if any."""
+    present = filter(partial(is_not, None), values)
+    return present if best is None else chain((best,), present)
 
 
 def make_aggregate(name: str, count_star: bool, distinct: bool) -> Aggregate:

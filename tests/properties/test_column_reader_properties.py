@@ -18,6 +18,7 @@ the reader or the accumulator under test.
 """
 
 import dataclasses
+import math
 import re
 from collections import namedtuple
 
@@ -61,22 +62,31 @@ Pair = namedtuple("Pair", ["a", "g"])
 
 #: NULLs, numbers that tie across types, text (so SUM / MIN / ORDER BY
 #: meet mixed types) and lists (unhashable as a group key).
-CELLS = st.sampled_from(
-    [None, None, 0, 1, 1, 1.0, 2, 2.5, "x", "y", [1], [1, 2]]
-)
-#: Dict values draw their keys in any order and may lack any column;
-#: "key" and "ssid" collide with the entry's own, "t.a" is what a
-#: binding-qualified reference falls back to.
-DICTS = st.lists(
-    st.tuples(st.sampled_from(["a", "b", "g", "key", "ssid", "t.a"]), CELLS),
-    max_size=5,
-).map(dict)
-VALUES = st.one_of(
-    DICTS, DICTS,
-    st.builds(Reading, CELLS, CELLS),
-    st.builds(Pair, CELLS, CELLS),
-    st.sampled_from([0, 3, 2.5, "x"]),
-)
+EXACT_CELLS = [None, None, 0, 1, 1, 1.0, 2, 2.5, "x", "y", [1], [1, 2]]
+#: ... and floats whose sums depend on the order of the adds, that do
+#: not compare (NaN) or differ only in sign (-0.0), and bools.
+CELLS = EXACT_CELLS + [
+    float("nan"), -0.0, float("inf"), 1e16, 0.1, True, False,
+]
+
+
+def values_of(cells):
+    """Table values whose cells are drawn from ``cells``.  Dict values
+    draw their keys in any order and may lack any column; "key" and
+    "ssid" collide with the entry's own, "t.a" is what a
+    binding-qualified reference falls back to."""
+    cell = st.sampled_from(cells)
+    dicts = st.lists(
+        st.tuples(st.sampled_from(["a", "b", "g", "key", "ssid", "t.a"]),
+                  cell),
+        max_size=5,
+    ).map(dict)
+    return st.one_of(
+        dicts, dicts,
+        st.builds(Reading, cell, cell),
+        st.builds(Pair, cell, cell),
+        st.sampled_from([0, 3, 2.5, "x"]),
+    )
 
 
 def rows_of(**cells):
@@ -93,8 +103,19 @@ CLEAN = rows_of(a=[None, 0, 1, 2], b=[None, "x", "y"],
                 g=[None, 1, 1.0, "u", [1]])
 MIXED = rows_of(a=[None, 0, 1, 2.5, "x"], b=[None, "x", 3],
                 g=[None, 1, "u", [1]])
-TABLES = (st.lists(VALUES, max_size=20) | st.lists(CLEAN, max_size=20)
-          | st.lists(MIXED, max_size=20))
+#: Numbers only, so float sums, averages and extremes fold to the end.
+FLOATS = rows_of(a=[None, 0, 1, 0.1, 2.5, -0.0, 1e16, True, False],
+                 b=[None, 0.1, -1.5, 1e16, float("nan"), float("inf")],
+                 g=[None, 1, 1.0, "u"])
+TABLES = (st.lists(values_of(CELLS), max_size=20)
+          | st.lists(CLEAN, max_size=20) | st.lists(MIXED, max_size=20)
+          | st.lists(FLOATS, max_size=20))
+#: What the answer test draws: no value whose SUM, AVG, MIN or MAX
+#: depends on the order partial states merge in (floats that round,
+#: NaN), which ``pushdown`` changes.
+ANSWER_TABLES = (st.lists(values_of(EXACT_CELLS), max_size=20)
+                 | st.lists(CLEAN, max_size=20)
+                 | st.lists(MIXED, max_size=20))
 
 STATEMENTS = [
     'SELECT key, a FROM "{t}" t WHERE a < 2',
@@ -119,6 +140,28 @@ STATEMENTS = [
     'SELECT key, value FROM "{t}" t ORDER BY value, key DESC LIMIT 4',
     'SELECT a, key FROM "{t}" t ORDER BY a + 1 DESC, key LIMIT 2',
 ]
+#: What the shard computes with one call over a column list: a column
+#: compared with a literal (either side), a group's slice folded.
+KERNEL_STATEMENTS = [
+    'SELECT key, a FROM "{t}" t WHERE a = 1',
+    'SELECT key, b FROM "{t}" t WHERE 1 <> b',
+    'SELECT key, a FROM "{t}" t WHERE a <= 0.1',
+    'SELECT key, g FROM "{t}" t WHERE 2 > t.g',
+    'SELECT key, b FROM "{t}" t WHERE b >= \'x\'',
+    'SELECT key, a FROM "{t}" t WHERE TRUE = a AND 1e16 > b',
+    'SELECT g, COUNT(*) AS c FROM "{t}" t WHERE 0 < a AND a < 1e16 '
+    "GROUP BY g",
+    # Every group a singleton.
+    'SELECT key, SUM(a) AS s, MIN(b) AS lo, COUNT(g) AS n FROM "{t}" t '
+    "GROUP BY key",
+    # Float aggregates, grouped and not.
+    'SELECT g, SUM(a) AS s, AVG(b) AS v, MIN(b) AS lo, MAX(a) AS hi '
+    'FROM "{t}" t GROUP BY g',
+    'SELECT SUM(b) AS s, AVG(a) AS v, MIN(a) AS lo, MAX(b) AS hi '
+    'FROM "{t}" t',
+    'SELECT key, b FROM "{t}" t ORDER BY b DESC, key LIMIT 3',
+]
+STATEMENTS += KERNEL_STATEMENTS
 
 
 # -- the expectation: whole rows, swept one at a time -------------------------
@@ -143,10 +186,16 @@ def shaped(key, value, ssid=None):
 
 
 def order_key_of(order_by, binding, row):
+    """NULL ranks last in either direction; NaN above every number."""
     key = []
     for order in order_by:
         value = compile_expr(order.expr, binding)(row, CTX)
-        key += [(value is None) != order.descending, value]
+        if value is None:
+            key += [0 if order.descending else 2, None]
+        elif value != value:
+            key += [2 if order.descending else 1, None]
+        else:
+            key += [int(order.descending), value]
     return tuple(key)
 
 
@@ -203,9 +252,26 @@ def swept(fragment, rows, keep):
 
 def outcome(function):
     try:
-        return function()
+        return exact(function())
     except SqlExecutionError as exc:
         return f"{type(exc).__name__}: {exc}"
+
+
+def exact(value):
+    """``value`` with each scalar tagged with its type and each float
+    spelled out bit for bit (``float.hex``, and the sign NaN and zero
+    carry), so ``==`` on the result means the same bits were computed:
+    ``True`` is not ``1``, ``-0.0`` is not ``0.0``, a NaN is a NaN."""
+    if isinstance(value, float):
+        return "float", value.hex(), math.copysign(1.0, value)
+    if isinstance(value, (list, tuple)):
+        return type(value).__name__, [exact(item) for item in value]
+    if isinstance(value, dict):
+        return "dict", [(exact(key), exact(item))
+                        for key, item in value.items()]
+    if value is None or isinstance(value, (bool, int, str)):
+        return type(value).__name__, value
+    return value
 
 
 def shipped(fragment, batch, chunk, keep):
@@ -309,6 +375,29 @@ def test_a_shard_ships_what_the_row_sweep_ships(values, statement):
                            (view.versions or (None,)))
 
 
+@settings(max_examples=120, deadline=None)
+@given(st.lists(FLOATS, min_size=9, max_size=40)
+       | st.lists(values_of(CELLS), max_size=40),
+       st.sampled_from(KERNEL_STATEMENTS))
+def test_column_kernels_compute_the_row_sweeps_bits(values, statement):
+    # Longer tables than above, so chunks hold enough rows per group
+    # for their slices to be folded in one call.
+    _env, tables = build(values)
+    view = TableView(tables["data"])
+    fragment = split_select(parse(statement.format(t="data"))).fragment(
+        "data"
+    )
+    for node in range(NODES):
+        rows = list(view.rows_on_node(node))
+        keep = fragment.top_k_keep(len(rows))
+        expected = outcome(lambda: swept(fragment, rows, keep))
+        for chunk in CHUNKS:
+            got = outcome(lambda: shipped(
+                fragment, view.scan_on_node(node), chunk, keep,
+            ))
+            assert got == expected, (node, chunk)
+
+
 #: What an accumulator raises depends on what it held when the value
 #: arrived, and a shard's accumulators start empty: over mixed types
 #: the statement fails either way, but ``pushdown`` decides which
@@ -325,7 +414,7 @@ def same_answer(got, expected):
 
 
 @settings(max_examples=60, deadline=None)
-@given(TABLES, st.sampled_from(STATEMENTS))
+@given(ANSWER_TABLES, st.sampled_from(STATEMENTS))
 def test_the_answer_is_the_one_without_pushdown(values, statement):
     env, tables = build(values)
     central = QueryService(env, pushdown=False)

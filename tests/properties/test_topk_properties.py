@@ -177,12 +177,28 @@ def test_the_generator_draws_pushed_and_central_statements():
         )).fragment("data").top_k is not None
     }
     assert ("key, a AS out, b, f, m", "a + m") in pushed
-    assert ("key, a AS out, b, f, m", "out") not in pushed
-    assert ("key, b AS a, a AS out", "a") not in pushed
+    # An alias ranks by its item's expression over the stored row...
+    assert ("key, a AS out, b, f, m", "out") in pushed
+    assert ("key, a + 1 AS out", "out") in pushed
+    assert ("key, b AS a, a AS out", "a") in pushed
     assert ("key, b AS a, a AS out", "f") in pushed
+    # ...unless that reads a name another item's alias shadows.
+    assert ("key, b AS a, a AS out", "out") not in pushed
     assert not any(items.startswith("DISTINCT") for items, _ in pushed)
     # The qualified name reads the stored column past the alias.
     assert ("key, b AS a, a AS out", "t.a") in pushed
+
+
+def test_pushed_alias_ships_k_rows_per_shard():
+    rows = [{"a": key % 7, "b": None, "f": None, "m": 0}
+            for key in range(40)]
+    env = build(4, rows)
+    sql = 'SELECT key, a AS out FROM "data" ORDER BY out DESC LIMIT 3'
+    on = run(QueryService(env), sql)
+    off = run(QueryService(env, pushdown=False), sql)
+    assert on.result.rows == off.result.rows
+    assert [row["out"] for row in on.result.rows] == [6, 6, 6]
+    assert on.rows_shipped <= 4 * 3 and off.rows_shipped == 40
 
 
 def test_pushed_ordinal_ships_k_rows_per_shard():

@@ -5,8 +5,10 @@ Modelled on ``tests/simtime/test_frame_budget.py``: PR 22 took a
 shaping (``rows_on_node -> live_row -> value_to_columns ->
 is_dataclass``) plus one ``group_key`` closure per row to none, and
 the budget is held by counting frames, which repeats exactly, and not
-by timing.  A shard reads its entries column-wise: what is left per
-row is one ``add`` per aggregate.
+by timing.  A shard reads its entries column-wise, folds each group's
+slice of a chunk with one call per aggregate and tests a
+``column <op> literal`` conjunct over the column's list: no Python
+frame runs once per scanned row.
 """
 
 import sys
@@ -65,7 +67,7 @@ def python_calls(function):
     return calls
 
 
-def shard_calls(make_value, sql):
+def shard_calls(make_value, sql, survive=ROWS):
     table = LiveStateTable(IMap("t", HashPlacement(Partitioner(8, 1, 0))))
     for index in range(ROWS):
         table.apply_update(index, make_value(index))
@@ -83,7 +85,7 @@ def shard_calls(make_value, sql):
 
     calls = python_calls(shard)
     (survivors, payload, batches), = outcome
-    assert len(survivors) == ROWS and batches == CHUNKS
+    assert len(survivors) == survive and batches == CHUNKS
     return calls, payload
 
 
@@ -94,17 +96,41 @@ PER_ROW_BEFORE = ("rows_on_node", "live_row", "value_to_columns",
                   "hashable_key")
 
 
+GROUPS = 7
+AGGREGATES = 3
+
+
 @pytest.mark.parametrize("make_value", [as_dict, as_dataclass])
-def test_group_by_shard_runs_one_frame_per_row_per_aggregate(make_value):
+def test_group_by_shard_folds_group_slices(make_value):
     calls, payload = shard_calls(
         make_value,
         'SELECT weight, SUM(value) AS s, COUNT(*) AS c, MAX(pad) AS m '
         'FROM "t" GROUP BY weight',
     )
-    assert len(payload) == 7
-    assert calls["add"] == 3 * ROWS
-    assert sum(calls.values()) - calls["add"] <= SLACK
+    assert len(payload) == GROUPS
+    folds = CHUNKS * GROUPS * AGGREGATES
+    assert 0 < calls["fold"] <= folds
+    # A chunk shorter than its groups squared (the shard's last one
+    # here) is folded row by row: one add per row per aggregate.
+    assert calls["add"] <= AGGREGATES * (ROWS % CHUNK)
+    assert max(calls.values()) <= folds < ROWS // 10
+    assert sum(calls.values()) - calls["fold"] <= SLACK
     assert [name for name in PER_ROW_BEFORE if calls[name] > 1] == []
+
+
+@pytest.mark.parametrize("make_value", [as_dict, as_dataclass])
+def test_filter_shard_compares_over_the_column(make_value):
+    calls, payload = shard_calls(
+        make_value, 'SELECT key, value FROM "t" WHERE value < 3',
+        survive=sum(1 for index in range(ROWS) if index % 100 < 3),
+    )
+    assert sorted(row["key"] for row in payload.rows()) == [
+        index for index in range(ROWS) if index % 100 < 3
+    ]
+    # The conjunct is one comprehension per chunk: no closure frame.
+    assert calls["predicate"] == calls["comparison"] == 0
+    assert calls["truthy"] == calls["read"] == 0
+    assert sum(calls.values()) <= SLACK
 
 
 @pytest.mark.parametrize("make_value", [as_dict, as_dataclass])

@@ -144,10 +144,11 @@ def test_order_by_over_mixed_types_is_typed_on_every_path(tail):
 
 #: Aggregates whose accumulator meets a number and then text (MIXED
 #: holds ints before the first string on either node, as does its
-#: canonical row order).
+#: canonical row order).  SUM and AVG take numbers only and name the
+#: type they met, whatever they held.
 AGGREGATES = [
-    ("SUM", "cannot apply SUM to int and str"),
-    ("AVG", "cannot apply AVG to float and str"),
+    ("SUM", "cannot apply SUM to str"),
+    ("AVG", "cannot apply AVG to str"),
     ("MIN", "cannot apply MIN to int and str"),
     ("MAX", "cannot apply MAX to int and str"),
 ]
@@ -177,12 +178,58 @@ def test_aggregate_over_mixed_types_is_typed_on_every_path(name, message):
     assert service_error(grouped, MIXED) == message
 
 
+def standing_rows(sql, values):
+    standing = StandingQuery(sql, parse(sql), LiveOnly(), now=lambda: 0.0)
+    for key, value in values.items():
+        standing.on_delta(key, None, live_row(key, value))
+    return standing.current_rows()
+
+
+def service_rows(sql, values, **gates):
+    env = Environment(ClusterConfig(nodes=2, processing_workers_per_node=1))
+    imap = env.store.create_map("data")
+    env.store.register_live_table("data", LiveStateTable(imap))
+    for key, value in values.items():
+        imap.put(key, value)
+    return QueryService(env, **gates).execute(sql).result.rows
+
+
+def test_sum_and_avg_take_numbers_only_on_every_path():
+    # SUM over text used to concatenate in an execution while the
+    # standing query raised, and SUM over one TRUE gave True, over two
+    # 2, where the standing accumulator gave 1.
+    text = {1: {"s": "a"}, 2: {"s": "b"}}
+    for name in ("SUM", "AVG"):
+        sql = f'SELECT {name}(s) AS x FROM "data"'
+        message = f"cannot apply {name} to str"
+        assert central_error(sql, text) == message
+        assert service_error(sql, text) == message
+        assert service_error(sql, text, pushdown=False) == message
+        assert standing_aggregate_error(sql, text) == message
+    sql = 'SELECT SUM(b) AS x, AVG(b) AS v FROM "data"'
+    for count in (1, 2, 3):
+        flags = {key: {"b": True} for key in range(count)}
+        catalog = DictCatalog()
+        catalog.add(ListTable("data", tuple(
+            live_row(key, value) for key, value in flags.items()
+        )))
+        central = execute_select(parse(sql), catalog, EvalContext()).rows
+        for rows in (central, service_rows(sql, flags),
+                     service_rows(sql, flags, pushdown=False),
+                     standing_rows(sql, flags)):
+            assert rows == [{"x": count, "v": 1.0}]
+            assert type(rows[0]["x"]) is int
+
+
 def test_partial_states_that_do_not_merge_are_typed():
     # Each node's shard folds cleanly (numbers on one, text on the
     # other); the entry node's merge of the two partial states is where
     # the types meet.
     split = {key: {"v": key if key % 2 else f"x{key}"}
              for key in range(1, 9)}
-    for name in ("SUM", "MIN", "MAX"):
-        message = service_error(f'SELECT {name}(v) AS a FROM "data"', split)
-        assert message == f"cannot apply {name} to str and int"
+    for name, message in (("SUM", "cannot apply SUM to str"),
+                          ("MIN", "cannot apply MIN to str and int"),
+                          ("MAX", "cannot apply MAX to str and int")):
+        assert service_error(
+            f'SELECT {name}(v) AS a FROM "data"', split
+        ) == message

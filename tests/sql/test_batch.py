@@ -167,7 +167,7 @@ def test_a_rows_first_error_is_the_first_in_evaluation_order(chunk):
         # ... MAX's add fails there too, but MIN comes first ...
         ("unknown column 'pad'", lambda: rows[4].update(tag=7)),
         # ... and SUM's add before either.
-        ("cannot apply SUM to int and str",
+        ("cannot apply SUM to str",
          lambda: rows[4].update(value="text")),
         # An earlier row's later aggregate beats them all.
         ("cannot apply MAX to str and int",
@@ -243,6 +243,11 @@ TOP_K_CASES = [
      lambda raw: True, [("tag", True), ("weight", True)]),
     ('SELECT key FROM "t" WHERE pad > 40 ORDER BY weight LIMIT 3',
      lambda raw: raw["pad"] > 40, [("weight", False)]),
+    # Later rows that tie the held bound on the first term still enter.
+    ('SELECT key FROM "t" ORDER BY weight DESC, key DESC LIMIT 2',
+     lambda raw: True, [("weight", True), ("key", True)]),
+    ('SELECT key FROM "t" ORDER BY weight, pad DESC LIMIT 4',
+     lambda raw: True, [("weight", False), ("pad", True)]),
 ]
 
 
@@ -285,6 +290,48 @@ def test_top_k_holds_the_first_rows_of_the_stable_order(sql, survives,
     _, payload, _ = run_fragment_batches(compiled, ROWS, CTX, 7)
     assert [row["key"] for row in payload.rows()] == \
         [raw["key"] for raw in survivors]
+
+
+def test_a_groups_slice_folds_to_the_bits_of_one_add_per_row():
+    # Float sums depend on the order of the adds (1e16 + 1.0 + 1.0 is
+    # 1e16; 1.0 + 1.0 + 1e16 is not), MIN / MAX keep the first of tied
+    # values (-0.0 and 0.0), and NaN compares to nothing.
+    xs = (1e16, 1.0, 1.0, 0.1, None, 2.5, 3, -0.0, 1.0)
+    ys = (-0.0, 0.0, None, float("nan"), 2.5, -1.5, 0.0)
+    rows = [{"key": k, "partitionKey": k, "g": k % 2, "x": xs[k % 9],
+             "y": ys[k % 7]} for k in range(80)]
+    _, fragment = fragment_of(
+        'SELECT g, SUM(x) AS s, AVG(x) AS a, MIN(y) AS lo, MAX(y) AS hi, '
+        'COUNT(y) AS n FROM "t" GROUP BY g'
+    )
+    expected = {}
+    for g in (0, 1):
+        group = [raw for raw in rows if raw["g"] == g]
+        total, avg_total, count, lo, hi, n = None, 0.0, 0, None, None, 0
+        for raw in group:
+            x, y = raw["x"], raw["y"]
+            if x is not None:
+                total = x if total is None else total + x
+                avg_total += x
+                count += 1
+            if y is not None:
+                lo = y if lo is None or y < lo else lo
+                hi = y if hi is None or y > hi else hi
+                n += 1
+        expected[(g,)] = [total, avg_total / count, lo, hi, n]
+
+    def bits(values):
+        return [(type(value), value.hex() if isinstance(value, float)
+                 else value) for value in values]
+
+    for chunk in (1, 7, 256):
+        _, payload, _ = run_fragment_batches(
+            CompiledFragment(fragment), rows, CTX, chunk
+        )
+        assert {
+            key: bits(acc.result() for acc in accs)
+            for key, _rep, accs in payload.entries
+        } == {key: bits(values) for key, values in expected.items()}, chunk
 
 
 def test_top_k_never_originates_an_error():

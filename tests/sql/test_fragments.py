@@ -1,6 +1,7 @@
 """Tests for distributed plan splitting (repro.sql.fragments)."""
 
 from repro.sql import EvalContext, parse
+from repro.sql.ast import Column
 from repro.sql.batch import CompiledFragment, run_fragment_batches
 from repro.sql.compiled import _LIKE_CACHE, _like_regex
 from repro.sql.fragments import (
@@ -201,6 +202,24 @@ def test_order_by_limit_pushes_a_top_k_stage():
         assert top_k_of(sql) is not None, sql
 
 
+def test_an_output_alias_ranks_by_its_items_expression():
+    # Centrally the term reads the output column, which is the item's
+    # expression over the stored row: a shard ranks by that.
+    for sql, expr in (
+        ('SELECT key, pad2 AS p FROM "t" ORDER BY p DESC LIMIT 20',
+         Column("pad2")),
+        ('SELECT value AS pad, key FROM "t" ORDER BY pad LIMIT 3',
+         Column("value")),
+        ('SELECT pad * 2 AS score FROM "t" ORDER BY score LIMIT 3',
+         parse('SELECT pad * 2 FROM "t"').items[0].expr),
+        ('SELECT key, pad * 2 AS score FROM "t" ORDER BY 2 LIMIT 3',
+         parse('SELECT pad * 2 FROM "t"').items[0].expr),
+    ):
+        top_k = top_k_of(sql)
+        assert top_k is not None, sql
+        assert [order.expr for order in top_k.order_by] == [expr], sql
+
+
 def test_anything_else_sorts_centrally():
     for sql, why in (
         ('SELECT key FROM "t" ORDER BY pad', "no LIMIT"),
@@ -220,12 +239,12 @@ def test_anything_else_sorts_centrally():
          "the term reads the entry node's clock"),
         ('SELECT key FROM "t" ORDER BY SUM(pad) LIMIT 3',
          "aggregate in a term"),
-        ('SELECT value AS pad, key FROM "t" ORDER BY pad LIMIT 3',
-         "the name is an output column of another expression"),
-        ('SELECT pad * 2 AS score FROM "t" ORDER BY score LIMIT 3',
-         "alias of a computed item"),
-        ('SELECT key, pad * 2 AS score FROM "t" ORDER BY 2 LIMIT 3',
-         "ordinal of an aliased computed item"),
+        ('SELECT value AS pad, pad AS p FROM "t" ORDER BY p LIMIT 3',
+         "the alias reads pad, an output column of another expression"),
+        ('SELECT value AS pad, key FROM "t" ORDER BY pad + 1 LIMIT 3',
+         "an alias inside an expression is not substituted"),
+        ('SELECT LOCALTIMESTAMP AS now, key FROM "t" ORDER BY now LIMIT 3',
+         "the alias reads the entry node's clock"),
         ('SELECT key FROM "t" ORDER BY u.pad LIMIT 3',
          "another table's qualifier"),
     ):
