@@ -40,6 +40,7 @@ from typing import Callable
 from ..errors import QueryError
 from ..sql.statements import parse_cached
 from ..sql.executor import hashable_key
+from ..sql.planner import check_output_names
 from .arrangements import Arrangement
 from .changelog import ChangeRecorder
 from .delivery import (
@@ -176,6 +177,8 @@ class ContinuousQueryService:
             )
         statement = self._parse(sql)
         self._validate_tables(statement)
+        for select in getattr(statement, "branches", (statement,)):
+            check_output_names(select)
         canonical = canonicalize(statement, self.store,
                                  extract_residual=self.shared_plans)
         entry_node = self._next_entry_node()

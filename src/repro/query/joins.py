@@ -52,9 +52,9 @@ from ..sql.access import (
     shipped_bytes,
 )
 from ..sql.ast import Column, Select
-from ..sql.executor import execute_joined_select
+from ..sql.batch import finish
 from ..sql.fragments import JoinFragment, KeySet, join_fragments, partition_aligned_binding
-from ..sql.join import JoinedRows, Side, first_error, step_keys
+from ..sql.join import Joined, JoinedRows, Side, first_error, step_keys
 from ..sql.planner import column_equality, validate_select
 
 
@@ -503,13 +503,15 @@ class _PipelineRunner:
             shipped.extend(tags)
 
     def _finalize(self, shipped: list) -> None:
+        """Run the statement's final stage over the shipped order tags,
+        sorted into statement order."""
         shipped.sort()
+        select = self.record.plan.final_select
         context = EvalContext(now_ms=self.service.sim.now)
         try:
-            result = execute_joined_select(
-                self.record.plan.final_select, self.joined.gather(shipped),
-                context, scanned=self.joined.scanned,
-            )
+            result = finish(select, Joined(self.joined, shipped),
+                            select.aggregates(), context,
+                            self.joined.scanned)
         except Exception as exc:  # surface SQL errors on the handle
             self.attempt.finish(None, exc)
             return

@@ -55,11 +55,11 @@ from ..sql.ast import Expr, Select, Union
 from ..sql.batch import (
     CompiledFragment,
     compile_fragment,
+    finish_groups,
     run_fragment_batches,
 )
 from ..sql.executor import (
     QueryResult,
-    execute_grouped_select,
     execute_select,
     output_column_name,
 )
@@ -87,7 +87,12 @@ from ..sql.fragments import (
     split_select,
 )
 from ..sql.lru import LruCache
-from ..sql.planner import BatchCatalog, column_equality, split_conjuncts
+from ..sql.planner import (
+    BatchCatalog,
+    column_equality,
+    split_conjuncts,
+    validate_select,
+)
 from ..sql.statements import parse_cached
 from ..state.isolation import IsolationLevel, isolation_of_query
 from ..state.rows import ColumnBatch
@@ -1411,13 +1416,14 @@ class QueryService:
                 # Partial-aggregate merge: combine the per-node group
                 # states (sorted by node id for determinism), then
                 # finalise HAVING / ORDER BY / LIMIT centrally.
+                validate_select(plan.final_select)
                 table_name = plan.select.table.name
                 per_node = collected[table_name]
                 payloads = [per_node[n] for n in sorted(per_node)]
                 groups = merge_partial_groups(
                     payloads, plan.partial, plan.select.table.binding
                 )
-                result = execute_grouped_select(
+                result = finish_groups(
                     plan.final_select, groups, context,
                     scanned=sum(len(p) for p in payloads),
                 )

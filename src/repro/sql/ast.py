@@ -224,3 +224,57 @@ def collect_aggregates(expr: Expr | None, out: list[FuncCall]) -> None:
         return
     for child in children(expr):
         collect_aggregates(child, out)
+
+
+def output_column_name(item: SelectItem, position: int) -> str:
+    """The output column name the executor derives for an item."""
+    if item.alias:
+        return item.alias
+    if isinstance(item.expr, Column):
+        return item.expr.name
+    if isinstance(item.expr, FuncCall):
+        return render_expr(item.expr)
+    if isinstance(item.expr, LocalTimestamp):
+        return "LOCALTIMESTAMP"
+    return f"expr{position}"
+
+
+def render_expr(expr: Expr) -> str:
+    """Readable rendering used for derived output column names."""
+    if isinstance(expr, Literal):
+        if isinstance(expr.value, str):
+            return f"'{expr.value}'"
+        return str(expr.value)
+    if isinstance(expr, Column):
+        return expr.display()
+    if isinstance(expr, Star):
+        return "*"
+    if isinstance(expr, LocalTimestamp):
+        return "LOCALTIMESTAMP"
+    if isinstance(expr, FuncCall):
+        inner = ", ".join(render_expr(arg) for arg in expr.args)
+        prefix = "DISTINCT " if expr.distinct else ""
+        return f"{expr.name}({prefix}{inner})"
+    if isinstance(expr, Unary):
+        return f"{expr.op} {render_expr(expr.operand)}"
+    if isinstance(expr, Binary):
+        return (
+            f"({render_expr(expr.left)} {expr.op} "
+            f"{render_expr(expr.right)})"
+        )
+    if isinstance(expr, InList):
+        items = ", ".join(render_expr(item) for item in expr.items)
+        negated = "NOT " if expr.negated else ""
+        return f"{render_expr(expr.operand)} {negated}IN ({items})"
+    if isinstance(expr, Between):
+        negated = "NOT " if expr.negated else ""
+        return (f"{render_expr(expr.operand)} {negated}BETWEEN "
+                f"{render_expr(expr.low)} AND {render_expr(expr.high)}")
+    if isinstance(expr, Like):
+        negated = "NOT " if expr.negated else ""
+        return (f"{render_expr(expr.operand)} {negated}LIKE "
+                f"{render_expr(expr.pattern)}")
+    if isinstance(expr, IsNull):
+        negated = "NOT " if expr.negated else ""
+        return f"{render_expr(expr.operand)} IS {negated}NULL"
+    return type(expr).__name__

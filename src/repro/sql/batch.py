@@ -1,4 +1,5 @@
-"""Columnar batch execution of scan fragments.
+"""Columnar batch execution: scan fragments on the shards, and the
+statement's final stage at the entry node.
 
 The scan path compiles a :class:`~repro.sql.fragments.ScanFragment`
 once into :class:`CompiledFragment` — the columns it reads and one
@@ -31,6 +32,13 @@ partial-group insertion order and accumulator states (to the bit), the
 same first rows under a pushed ORDER BY, and — when a pushed
 expression fails — the same first error, whatever the chunk size.
 
+The entry node's final stage (:func:`finish`) is the shard's finish
+run once more, over the joined or shipped rows' columns: residual WHERE
+as the sweep's predicate, groups as an accumulator over a fragment that
+reads bound rows (``binding=None``), then projection, DISTINCT and ORDER
+BY over column lists (:func:`_output`).  It shapes a dict per output
+row only — and per merged row for ``SELECT *``, whose output that is.
+
 Compiled fragments are cached in an LRU keyed by the frozen fragment
 itself, so a query shape recurring across shards, retries, and
 submissions compiles exactly once.  The cache belongs to the caller
@@ -41,12 +49,18 @@ not depend on what another environment in the same process ran before.
 from __future__ import annotations
 
 import operator
-from itertools import compress, repeat
-from math import isqrt
+from itertools import chain, compress, repeat
 
 from ..kvstore.indexes import MISSING
 from ..state.rows import ColumnBatch, ColumnReader
-from .ast import Column, Expr
+from .ast import (
+    AGGREGATE_FUNCTIONS,
+    Column,
+    Expr,
+    FuncCall,
+    Select,
+    output_column_name,
+)
 from .compiled import (
     ColumnTest,
     CompiledExpr,
@@ -57,20 +71,31 @@ from .compiled import (
     compile_predicate,
 )
 from .executor import (
+    QueryResult,
     agg_feed_exprs,
     group_keys,
-    new_group_accs,
     incomparable,
+    keys_until_error,
+    new_group_accs,
     order_keyed,
     order_keys,
 )
-from .fragments import PartialGroups, ScanFragment
+from .fragments import PartialGroups, ScanFragment, partial_aggregate
+from .functions import hashable_key
 from .lru import LruCache
 from .planner import collect_columns
 
 
+#: The fewest rows a chunk's groups may average for their slices to fold:
+#: below it, one :meth:`~repro.sql.functions.Aggregate.fold` per group and
+#: accumulator costs about what the ``add`` calls it saves (measured on
+#: 512-row chunks folding a COUNT(*) and a SUM).
+FOLD_GROUP_ROWS = 6
+
+
 class _Term:
-    """One per-row value a fold or a top-k selection reads."""
+    """One per-row value a fold, a top-k selection or the final stage's
+    projection and ORDER BY reads."""
 
     __slots__ = ("expr", "fn", "column")
 
@@ -78,10 +103,12 @@ class _Term:
         self.expr = expr
         self.fn: CompiledExpr = compile_expr(expr, binding)
         #: Set for a bare column reference: the column whose list is
-        #: the term's values wherever every row has it.
-        self.column: str | None = (
-            column_reads(expr, binding)[0]
-            if isinstance(expr, Column) else None
+        #: the term's values wherever every row has it — or, for an
+        #: aggregate call, the call, under which its results are listed.
+        self.column: str | FuncCall | None = (
+            column_reads(expr, binding)[0] if isinstance(expr, Column)
+            else expr if isinstance(expr, FuncCall)
+            and expr.name in AGGREGATE_FUNCTIONS else None
         )
 
 
@@ -90,7 +117,7 @@ class CompiledFragment:
 
     __slots__ = (
         "fragment", "columns", "predicates", "tests", "group_terms",
-        "feed_terms", "calls", "rep_columns", "order_terms",
+        "feed_terms", "calls", "rep_columns", "order_terms", "shipped",
     )
 
     def __init__(self, fragment: ScanFragment) -> None:
@@ -136,6 +163,15 @@ class CompiledFragment:
             [name for column in references
              for name in column_reads(column, binding)]
             + list(self.rep_columns)
+        ))
+        #: The columns a shipped survivor shows: the projection's, under
+        #: every name a reference to one may read it by.
+        self.shipped: tuple[str, ...] | None = None if (
+            fragment.projection is None
+        ) else tuple(dict.fromkeys(
+            name for column in fragment.projection
+            for reference in (Column(column), Column(column, binding))
+            for name in column_reads(reference, binding)
         ))
 
 
@@ -208,13 +244,14 @@ class _Sweep:
             return values[:len(survivors)]
         return list(map(values.__getitem__, survivors))
 
-    def keep(self, predicate: CompiledExpr,
+    def keep(self, predicate: "CompiledExpr | Expr",
              test: "tuple[str, ColumnTest] | None",
              errors: dict[int, Exception]) -> None:
         """Drop the rows ``predicate`` does not pass — with its column
         ``test`` over the column's list when it has one and that can
         tell; a row the predicate fails on is dropped with its error
-        recorded."""
+        recorded.  A predicate given as its expression compiles (for
+        bound rows) only when the rows need it."""
         if test is not None:
             name, column_test = test
             passed = column_test(self.column(name))
@@ -222,6 +259,8 @@ class _Sweep:
                 self.survivors = list(compress(self.survivors, passed))
                 self.dense = False
                 return
+        if isinstance(predicate, Expr):
+            predicate = compile_predicate(predicate)
         rows = self.rows
         context = self.context
         passed = []
@@ -239,7 +278,7 @@ class _Sweep:
         survivors = self.survivors
         if term is None:
             return [1] * len(survivors)
-        if term.column is not None:
+        if term.column in self.columns:
             values = self.column(term.column)
             if MISSING not in values:
                 return values
@@ -307,12 +346,22 @@ class BatchAccumulator:
         self.batch = batch
         if stop is None:
             stop = len(batch)
-        compiled = self.compiled
         sweep = _Sweep(
             {name: batch.column(name, start, stop)
-             for name in compiled.columns},
+             for name in self.compiled.columns},
             stop - start, self.context,
         )
+        self.run(sweep, start)
+        survivors = sweep.survivors
+        ids = batch.ids
+        if sweep.dense:
+            return ids[start:start + len(survivors)]
+        return list(map(ids.__getitem__, map(start.__add__, survivors)))
+
+    def run(self, sweep: _Sweep, start: int = 0) -> None:
+        """Sweep one chunk, entries ``start`` on, given as its column
+        lists (every column of :attr:`CompiledFragment.columns`)."""
+        compiled = self.compiled
         errors: dict[int, Exception] = {}
         for predicate, test in zip(compiled.predicates, compiled.tests):
             if not sweep.survivors:
@@ -328,12 +377,7 @@ class BatchAccumulator:
             # A row-major sweep stops at the first erroring row; the
             # batch reproduces exactly that error.
             raise errors[min(errors)]
-        survivors = sweep.survivors
-        self.survived += len(survivors)
-        ids = batch.ids
-        if sweep.dense:
-            return ids[start:start + len(survivors)]
-        return list(map(ids.__getitem__, map(start.__add__, survivors)))
+        self.survived += len(sweep.survivors)
 
     def _group_of(self, sweep: _Sweep, index: int) -> list:
         """A new group whose representative is row ``index``."""
@@ -352,33 +396,45 @@ class BatchAccumulator:
         feed_lists = [sweep.values(term) for term in compiled.feed_terms]
         survivors = sweep.survivors
         count = len(survivors)
-        keys = group_keys(key_lists, count)
-        groups = self.groups
-        if sweep.failed is not None or not self._fold_slices(
+        # The keys of the rows every term evaluated on, up to the first
+        # whose key cannot be made: its error comes before a later row's.
+        keys, stop = keys_until_error(
+            [values[:count] for values in key_lists], count
+        )
+        if stop is None and sweep.failed is None and self._fold_slices(
             sweep, keys, feed_lists,
         ):
-            position = 0
-            try:
-                for position, (key, values) in enumerate(zip(
-                    keys, zip(*feed_lists) if feed_lists else repeat(()),
-                )):
-                    group = groups.get(key)
-                    if group is None:
-                        group = groups[key] = self._group_of(
-                            sweep, survivors[position]
-                        )
-                    for acc, value in zip(group[1], values):
-                        acc.add(value)
-            except Exception as exc:  # noqa: BLE001 — re-raised by caller
-                errors[survivors[position]] = exc
-                return
+            return
+        groups = self.groups
+        position = 0
+        try:
+            for position, (key, values) in enumerate(zip(
+                keys, zip(*feed_lists) if feed_lists else repeat(()),
+            )):
+                group = groups.get(key)
+                if group is None:
+                    group = groups[key] = self._group_of(
+                        sweep, survivors[position]
+                    )
+                for acc, value in zip(group[1], values):
+                    acc.add(value)
+        except Exception as exc:  # noqa: BLE001 — re-raised by caller
+            errors[survivors[position]] = exc
+            return
+        if stop is not None:
+            errors[survivors[stop[0]]] = stop[1]
+            return
         if sweep.failed is None:
             return
         index, term, exc = sweep.failed
-        if term in compiled.feed_terms:
-            # A feed failed: the row's group lookup and the adds of the
-            # feeds before it came first, and what they raise wins.
-            try:
+        # What the failed row did before the term failed comes first,
+        # and what it raises wins: the keys of the parts before a group
+        # term; a feed's group lookup and the adds of the feeds before.
+        try:
+            if term in compiled.group_terms:
+                for values in key_lists[:compiled.group_terms.index(term)]:
+                    hashable_key(values[count])
+            else:
                 key, = group_keys(
                     [values[count:count + 1] for values in key_lists], 1
                 )
@@ -390,8 +446,8 @@ class BatchAccumulator:
                     feed_lists[:compiled.feed_terms.index(term)],
                 ):
                     acc.add(values[count])
-            except Exception as earlier:  # noqa: BLE001
-                exc = earlier
+        except Exception as earlier:  # noqa: BLE001
+            exc = earlier
         errors[index] = exc
 
     def _fold_slices(self, sweep: _Sweep, keys: list[tuple],
@@ -402,10 +458,10 @@ class BatchAccumulator:
         new groups taking their place in first-seen order.  ``False``,
         with nothing changed, when the per-row loop must run instead: an
         accumulator cannot fold, a fold raises (the loop finds the row
-        and the error), or the chunk has more groups than its average
-        group has rows, where bucketing costs more than it saves.  For
-        a chunk whose every term evaluated on every survivor only."""
-        most = isqrt(len(keys))  # groups no more than their mean size
+        and the error), or the chunk's groups average fewer than
+        :data:`FOLD_GROUP_ROWS` rows each.  For a chunk whose every term
+        evaluated, and every key was made, on every survivor only."""
+        most = len(keys) // FOLD_GROUP_ROWS
         buckets: dict[tuple, list[int]] = {}
         for position, key in enumerate(keys):
             bucket = buckets.get(key)
@@ -499,7 +555,7 @@ class BatchAccumulator:
             )
         kept = (self.kept if self.keep is None
                 else [index for _key, index in self.top])
-        return self.batch.take(kept, self.compiled.fragment.projection)
+        return self.batch.take(kept, self.compiled.shipped)
 
 
 def run_fragment_batches(
@@ -537,3 +593,170 @@ def run_fragment_batches(
     except _TopKAbandoned:
         return run_fragment_batches(compiled, batch, context, chunk_entries)
     return survivors, accumulator.payload(), batches
+
+
+# -- the entry node's final stage --------------------------------------------
+
+_EXPR = operator.attrgetter("expr")
+
+
+def finish(select: Select, source, is_aggregate: bool,
+           context: EvalContext, scanned: int) -> QueryResult:
+    """A statement's final stage over its rows at the entry node:
+    residual WHERE, aggregation, HAVING, projection, DISTINCT, ORDER BY
+    and OFFSET / LIMIT.
+
+    ``source`` holds ``source.count`` rows in statement order, read by
+    column: ``source.column(column)`` is a :class:`Column` over every
+    row as the row's bound form reads it (:data:`MISSING` where it has
+    none), ``source.shaped(positions)`` those rows as dicts (``SELECT
+    *`` only).  Each column the statement reads is read once.  The
+    stages run one after the other over every row, so each raises what
+    a row-at-a-time pass over bound rows raises first: the WHERE (one
+    predicate, with its column test when it is a single comparison) as
+    :meth:`_Sweep.keep`; the groups as a shard folds them
+    (:class:`BatchAccumulator` over a fragment reading bound rows,
+    ``binding=None``); the rest in :func:`_output`."""
+    items = () if select.select_star else tuple(map(_EXPR, select.items))
+    orders = tuple(map(_EXPR, select.order_by))
+    sweep = _Sweep(_read(source, select.where, *select.group_by, *items,
+                         select.having, *orders),
+                   source.count, context)
+    if select.where is not None:
+        errors: dict[int, Exception] = {}
+        sweep.keep(select.where, compile_column_test(select.where),
+                   errors)
+        if errors:
+            raise errors[min(errors)]
+    if not is_aggregate:
+        star = None
+        if select.select_star:
+            rows = source.shaped(sweep.survivors)
+            names = _star_columns(rows)
+            star = names, list(zip(*[list(map(row.get, names))
+                                     for row in rows]))
+        return _output(select, sweep, context, scanned, star)
+    accumulator = BatchAccumulator(CompiledFragment(ScanFragment(
+        table=select.table.name, binding=None,
+        partial=partial_aggregate(select, None),
+    )), context)
+    accumulator.run(sweep)
+    return finish_groups(select, accumulator.groups, context, scanned)
+
+
+def finish_groups(select: Select, groups: dict, context: EvalContext,
+                  scanned: int = 0) -> QueryResult:
+    """The final stage of an aggregate statement from its groups: group
+    key -> ``[representative bound row, accumulators]``, accumulators in
+    :func:`~repro.sql.executor.unique_aggregates` order, in first-seen
+    order — the entry's own or those merged from shards' partial
+    groups.  HAVING, projection and ORDER BY read the representative's
+    columns and each call's result, one list per name."""
+    partial = partial_aggregate(select, None)
+    if not select.group_by and not groups:
+        # Aggregates over an empty input produce one row (COUNT = 0).
+        groups = {(): [{}, new_group_accs(partial.calls)]}
+    reps = [rep for rep, _accs in groups.values()]
+    columns: dict = {name: [rep.get(name, MISSING) for rep in reps]
+                     for name in partial.rep_columns}
+    for index, call in enumerate(partial.calls):
+        columns[call] = [accs[index].result() for _rep, accs in
+                         groups.values()]
+    return _output(select, _Sweep(columns, len(reps), context), context,
+                   scanned)
+
+
+def _read(source, *exprs: "Expr | None") -> dict[str, list]:
+    """Every column ``exprs`` read, over all of ``source``'s rows, under
+    the name a bound row holds it by."""
+    references: list[Column] = []
+    for expr in exprs:
+        if expr is not None:
+            collect_columns(expr, references)
+    columns: dict[str, list] = {}
+    for column in references:
+        # Column.display(): the name a bound row holds the column by.
+        name = (column.name if column.table is None
+                else f"{column.table}.{column.name}")
+        if name not in columns:
+            columns[name] = source.column(column)
+    return columns
+
+
+def _star_columns(rows: list[dict]) -> list[str]:
+    """Unqualified column names for ``SELECT *``, in first-seen order."""
+    names = dict.fromkeys(chain.from_iterable(rows))
+    return [name for name in names if "." not in name]
+
+
+def _output(select: Select, sweep: _Sweep, context: EvalContext,
+            scanned: int, star: "tuple[list, list] | None" = None
+            ) -> QueryResult:
+    """HAVING, projection, DISTINCT, ORDER BY, OFFSET / LIMIT and the
+    output rows, over the rows ``sweep`` holds in play: a group that
+    HAVING fails on ranks its error with the items' by row; the items
+    read the sweep's columns — or ``star`` holds the ``SELECT *`` names
+    and their values — and the ORDER BY terms the same columns with the
+    output columns in place of theirs."""
+    errors: dict[int, Exception] = {}
+    if select.having is not None:
+        sweep.keep(select.having, None, errors)
+    if star is None:
+        names = [output_column_name(item, position)
+                 for position, item in enumerate(select.items)]
+        outputs = [sweep.values(_Term(item.expr, None))
+                   for item in select.items]
+    else:
+        names, outputs = star
+    if sweep.failed is not None:
+        errors[sweep.failed[0]] = sweep.failed[2]
+    if errors:
+        raise errors[min(errors)]
+    rows: "range | list[int]" = range(len(sweep.survivors))
+    if select.distinct:
+        first: dict = {}
+        for index, key in enumerate(group_keys(outputs, len(rows))):
+            first.setdefault(key, index)
+        rows = list(first.values())
+    if select.order_by:
+        rows = _order(select, sweep, names, outputs, rows, context)
+    if select.offset:
+        rows = rows[select.offset:]
+    if select.limit is not None:
+        rows = rows[:select.limit]
+    if rows != range(len(sweep.survivors)):
+        outputs = [list(map(output.__getitem__, rows)) for output in outputs]
+    shaped = (list(map(dict, map(zip, repeat(names), zip(*outputs))))
+              if outputs else list(map(dict, repeat((), len(rows)))))
+    if select.approx:
+        names = names + ["error_bound", "confidence"]
+        for row in shaped:
+            row.update(error_bound=0.0, confidence=1.0)
+    return QueryResult(columns=names, rows=shaped, scanned=scanned)
+
+
+def _order(select: Select, sweep: _Sweep, names: list, outputs: list,
+           rows: "range | list[int]",
+           context: EvalContext) -> "list[int]":
+    """``rows`` (indexes of the output rows) in ORDER BY order, cut to
+    those OFFSET / LIMIT can still reach.  A term reads the output
+    columns over the columns the items read."""
+    order_by = select.order_by
+    survivors = sweep.survivors
+    columns = {name: list(map(values.__getitem__, survivors))
+               for name, values in sweep.columns.items()}
+    columns.update((name, values) for name, values in zip(names, outputs)
+                   if not name.startswith("__"))
+    terms = _Sweep(columns, len(survivors), context)
+    terms.survivors = list(rows)
+    terms.dense = isinstance(rows, range)
+    values = [terms.values(_Term(order.expr, None)) for order in order_by]
+    if terms.failed is not None:
+        raise terms.failed[2]
+    limit = None
+    if select.limit is not None:
+        limit = select.limit + (select.offset or 0)
+    return [row for _key, row in order_keyed(
+        order_by, list(zip(order_keys(order_by, values), terms.survivors)),
+        limit,
+    )]

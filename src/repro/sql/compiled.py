@@ -4,36 +4,38 @@ What a SQL expression evaluates to — three-valued logic, short-circuit
 order, column resolution, error text — is decided here and nowhere
 else.  :func:`compile_expr` turns one AST expression into a specialized
 Python closure ``fn(row, context) -> value``; every consumer (scan
-fragments in :mod:`repro.sql.batch`, the central executor's WHERE /
-projection / GROUP BY / HAVING / ORDER BY / join loops, the distributed
-join coordinator, standing queries) compiles once per operator and then
-calls the closure per row, so nothing re-walks the AST.  A scan's
+fragments and the entry node's final stage in :mod:`repro.sql.batch`,
+the nested-loop join, standing queries) compiles once per operator and
+then calls the closure per row, so nothing re-walks the AST.  A scan's
 ``column <op> literal`` conjunct may instead run as
 :func:`compile_column_test`, one comprehension over the column's list
 that steps aside (to the closure) wherever it could differ from it.
 
 Columns resolve in one of two modes, chosen by ``binding``:
 
-* **bound rows** (``binding=None``): the row already went through
-  ``bind_row`` (and possibly a join merge), so a reference is looked up
-  as is — ``table.column`` when qualified, ``column`` otherwise.
+* **bound rows** (``binding=None``): the row is what ``bind_row`` (and
+  possibly a join merge) makes, or holds the columns a statement reads
+  under those names, so a reference is looked up as is —
+  ``table.column`` when qualified, ``column`` otherwise.
 * **raw rows** (``binding="t"``): the row is a stored row of the table
   bound as ``t`` and the closure yields exactly what bound-row
   resolution yields on ``bind_row(raw, "t")`` without building that
   copy.  The bound row is ``dict(raw)`` overlaid with
   ``{binding}.{column}`` aliases, so a ``binding``-qualified reference
-  prefers the unqualified raw value (the overlay overwrites any literal
-  ``"binding.column"`` raw key), and a reference qualified with any
-  other table only ever sees literal dotted raw keys.
+  — or a quoted name spelled like one — prefers the unqualified raw
+  value (the overlay overwrites any literal ``"binding.column"`` raw
+  key), and a reference qualified with any other table only ever sees
+  literal dotted raw keys.
 
 A raw row may carry :data:`~repro.kvstore.indexes.MISSING` under a
 name: that reads as the key being absent (``unknown column``), which
 lets a scan hand closures rows zipped straight from column lists.
 
 Aggregate calls read their finished result from the row under the call
-node itself (the executor merges ``{call: result}`` into a group's
-representative row before evaluating HAVING / select items / ORDER BY);
-on any other row they fail as "used outside aggregation".
+node itself (the final stage holds each call's result under it, beside
+a group's representative columns, before evaluating HAVING / select
+items / ORDER BY); on any other row they fail as "used outside
+aggregation".
 """
 
 from __future__ import annotations
@@ -234,6 +236,10 @@ def column_reads(column: Column, binding: str | None) -> tuple[str, ...]:
     """The row keys a compiled reference to ``column`` looks up, in
     order; the first one present is its value."""
     if column.table is None:
+        if binding and column.name.startswith(f"{binding}."):
+            # A quoted dotted name is the bound row's key of that name:
+            # the binding-qualified alias first, as below.
+            return (column.name[len(binding) + 1:], column.name)
         return (column.name,)
     dotted = f"{column.table}.{column.name}"
     if column.table == binding:

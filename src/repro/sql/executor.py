@@ -1,11 +1,16 @@
-"""SQL execution: a plan's rows, then WHERE, aggregation or projection,
-and output shaping over bound dict rows.
+"""SQL execution: plan a statement, read its rows as columns, and run
+the final stage over them.
 
-A plan without joins binds its table's rows (:func:`bind_row`); a plan
-with joins runs them by row position over column batches
-(:mod:`repro.sql.join`, the one join implementation, which the
-distributed pipeline runs too) and shapes one merged bound row per
-joined row."""
+A plan without joins reads its table's column batches in node order
+(:class:`~repro.sql.join.Side`); a plan with joins runs them by row
+position (:mod:`repro.sql.join`, the one join implementation, which the
+distributed pipeline runs too).  Either way the rows are never shaped:
+:func:`~repro.sql.batch.finish` runs residual WHERE, aggregation,
+HAVING, projection, DISTINCT, ORDER BY and OFFSET / LIMIT over their
+columns with the kernels a shard sweep runs, and shapes one dict per
+output row.  This module holds what every stage shares: group and
+order keys, aggregate accumulators and the result type.
+"""
 
 from __future__ import annotations
 
@@ -16,34 +21,20 @@ from types import NoneType
 
 from ..errors import SqlExecutionError
 from .ast import (
-    Between,
-    Binary,
-    Column,
     Expr,
     FuncCall,
-    InList,
-    IsNull,
-    Like,
-    Literal,
-    LocalTimestamp,
     OrderItem,
     Select,
-    SelectItem,
     Star,
-    Unary,
     Union,
     collect_aggregates,
+    output_column_name,  # noqa: F401 — re-exported, as render_expr
+    render_expr,  # noqa: F401
 )
-from .compiled import (
-    SCALARS,
-    CompiledExpr,
-    EvalContext,
-    compile_expr,
-    compile_predicate,
-)
+from .compiled import SCALARS, CompiledExpr, EvalContext, compile_expr
 from .functions import hashable_key, make_aggregate
-from .join import join_plan
-from .planner import Catalog, Plan, plan_select, validate_select
+from .join import Side, join_plan
+from .planner import Catalog, Plan, plan_select
 
 
 @dataclass
@@ -116,154 +107,25 @@ def _execute_union(union: "Union", catalog: Catalog,
 
 
 def execute_plan(plan: Plan, context: EvalContext) -> QueryResult:
-    """Bind the base table's rows, or join the plan's tables by position
-    (:func:`~repro.sql.join.join_plan`), then run the post-join stages."""
+    """Read the base table's batches, or join the plan's tables by
+    position (:func:`~repro.sql.join.join_plan`), then run the final
+    stage over the rows."""
     if plan.joins:
-        rows, scanned = join_plan(plan, context)
+        source, scanned = join_plan(plan, context)
     else:
-        rows = []
-        blocks = plan.base_source.blocks
-        for node_id in sorted(blocks):
-            for raw in blocks[node_id].rows():
-                rows.append(bind_row(raw, plan.base_binding))
-        scanned = len(rows)
-    return _execute_post_join(plan.select, rows, plan.is_aggregate, context,
-                              scanned)
-
-
-def _execute_post_join(select: Select, rows: list[dict], is_aggregate: bool,
-                       context: EvalContext, scanned: int) -> QueryResult:
-    """Everything after the joins, over merged bound rows: residual
-    WHERE, aggregation or projection, and output shaping."""
-    if select.where is not None:
-        where = compile_predicate(select.where)
-        rows = [row for row in rows if where(row, context)]
-
-    if is_aggregate:
-        out_rows, columns = _execute_aggregate(select, rows, context)
-    else:
-        out_rows, columns = _execute_projection(select, rows, context)
-
-    return _shape_output(select, out_rows, columns, context, scanned)
-
-
-def _shape_output(select: Select, out_rows: list[dict], columns: list[str],
-                  context: EvalContext, scanned: int) -> QueryResult:
-    """The post-projection stages shared by every execution path:
-    DISTINCT, ORDER BY, OFFSET/LIMIT, and the final column strip.  The
-    exact answer of an ``APPROX`` statement reports a zero error bound
-    at full confidence, the sketch fast path's result shape."""
-    if select.distinct:
-        out_rows = _distinct(out_rows, columns)
-
-    if select.order_by:
-        out_rows = _execute_order(select, out_rows, context)
-
-    if select.offset:
-        out_rows = out_rows[select.offset:]
-    if select.limit is not None:
-        out_rows = out_rows[: select.limit]
-
-    rows = [{col: row[col] for col in columns} for row in out_rows]
-    if select.approx:
-        columns = columns + ["error_bound", "confidence"]
-        rows = [{**row, "error_bound": 0.0, "confidence": 1.0}
-                for row in rows]
-    return QueryResult(columns=columns, rows=rows, scanned=scanned)
-
-
-def execute_grouped_select(select: Select, groups: dict,
-                           context: EvalContext,
-                           scanned: int = 0) -> QueryResult:
-    """Finalize a pre-aggregated SELECT from merged partial groups.
-
-    ``groups`` maps group-key tuples to ``{"row": representative bound
-    row, "accs": [Aggregate, ...]}`` with accumulators in
-    :func:`unique_aggregates` order — exactly the structure the central
-    aggregation builds, so HAVING/projection/ORDER/LIMIT semantics are
-    shared with :func:`execute_plan`.  Used by the distributed query
-    path after merging scan-side partial aggregates.
-    """
-    unique = unique_aggregates(select)
-    out_rows, columns = _finalize_groups(select, unique, groups, context)
-    return _shape_output(select, out_rows, columns, context, scanned)
-
-
-# -- scanning ---------------------------------------------------------------
+        source = Side(plan.base_binding, plan.base_source.blocks)
+        scanned = source.count
+    return finish(plan.select, source, plan.is_aggregate, context, scanned)
 
 
 def bind_row(raw: dict, binding: str) -> dict:
-    """Expose columns both unqualified and as ``binding.column``."""
+    """Expose columns both unqualified and as ``binding.column``: the
+    bound row a shard's partial group representative, or a standing
+    query's input row, is read as."""
     row = dict(raw)
     for key, value in raw.items():
         row[f"{binding}.{key}"] = value
     return row
-
-
-# -- distributed join support ------------------------------------------------
-
-
-def execute_joined_select(select: Select, rows: list[dict],
-                          context: EvalContext,
-                          scanned: int = 0) -> QueryResult:
-    """Finalize a SELECT whose joins ran distributed: ``execute_plan``'s
-    post-join stages over the merged bound rows the pipeline gathered."""
-    return _execute_post_join(select, rows, validate_select(select), context,
-                              scanned)
-
-
-# -- projection and aggregation ---------------------------------------------
-
-
-def output_column_name(item: SelectItem, position: int) -> str:
-    """The output column name the executor derives for an item."""
-    if item.alias:
-        return item.alias
-    if isinstance(item.expr, Column):
-        return item.expr.name
-    if isinstance(item.expr, FuncCall):
-        return render_expr(item.expr)
-    if isinstance(item.expr, LocalTimestamp):
-        return "LOCALTIMESTAMP"
-    return f"expr{position}"
-
-
-def _execute_projection(select: Select, rows: list[dict],
-                        context: EvalContext) -> tuple[list[dict], list[str]]:
-    if select.select_star:
-        columns = _star_columns(rows)
-        out = []
-        for row in rows:
-            projected = {col: row.get(col) for col in columns}
-            projected["__env__"] = row
-            out.append(projected)
-        return out, columns
-    columns = [
-        output_column_name(item, position)
-        for position, item in enumerate(select.items)
-    ]
-    items = [compile_expr(item.expr) for item in select.items]
-    out = []
-    for row in rows:
-        projected = {}
-        for name, item in zip(columns, items):
-            projected[name] = item(row, context)
-        projected["__env__"] = row
-        out.append(projected)
-    return out, columns
-
-
-def _star_columns(rows: list[dict]) -> list[str]:
-    """Unqualified column names for ``SELECT *``, in first-seen order."""
-    columns: list[str] = []
-    seen: set[str] = set()
-    for row in rows:
-        for key in row:
-            if "." in key or key in seen:
-                continue
-            seen.add(key)
-            columns.append(key)
-    return columns
 
 
 def unique_aggregates(select: Select) -> list[FuncCall]:
@@ -332,80 +194,39 @@ def compile_group_key(group_by: "tuple[Expr, ...]",
 
 def group_keys(columns: "list[list]", count: int) -> "list[tuple]":
     """Column-wise :func:`compile_group_key`: the GROUP BY keys of
-    ``count`` rows from one value list per GROUP BY expression."""
+    ``count`` rows from one value list per GROUP BY expression.  A value
+    no key can be made of raises as a row-by-row pass would: the first
+    row's, the first part's within it."""
+    keys, failed = keys_until_error(columns, count)
+    if failed is not None:
+        raise failed[1]
+    return keys
+
+
+def keys_until_error(
+    columns: "list[list]", count: int,
+) -> "tuple[list[tuple], tuple[int, Exception] | None]":
+    """:func:`group_keys` up to the first row whose key cannot be made,
+    and that row's position and error (``None``: every row's key)."""
     if not columns:
-        return [()] * count
+        return [()] * count, None
     parts = []
     for values in columns:
         if not set(map(type, values)) <= SCALARS:
-            values = list(map(hashable_key, values))
+            try:
+                values = list(map(hashable_key, values))
+            except Exception:  # noqa: BLE001 — found row by row below
+                break
         parts.append(values)
-    return list(zip(*parts))
-
-
-def _execute_aggregate(select: Select, rows: list[dict],
-                       context: EvalContext) -> tuple[list[dict], list[str]]:
-    unique = unique_aggregates(select)
-    group_key = compile_group_key(select.group_by)
-    feeds = compile_agg_feeds(unique)
-
-    groups: dict[tuple, dict] = {}
-    for row in rows:
-        key = group_key(row, context)
-        group = groups.get(key)
-        if group is None:
-            group = {"row": row, "accs": new_group_accs(unique)}
-            groups[key] = group
-        for feed, acc in zip(feeds, group["accs"]):
-            acc.add(1 if feed is None else feed(row, context))
-
-    return _finalize_groups(select, unique, groups, context)
-
-
-def _finalize_groups(select: Select, unique: list[FuncCall],
-                     groups: dict,
-                     context: EvalContext) -> tuple[list[dict], list[str]]:
-    """HAVING filter + projection over accumulated groups."""
-    if not select.group_by and not groups:
-        # Aggregates over an empty input produce one row (COUNT = 0).
-        groups[()] = {"row": {}, "accs": new_group_accs(unique)}
-
-    columns = [
-        output_column_name(item, position)
-        for position, item in enumerate(select.items)
-    ]
-    having = (
-        compile_predicate(select.having)
-        if select.having is not None else None
-    )
-    items = [compile_expr(item.expr) for item in select.items]
-    out = []
-    for group in groups.values():
-        # Compiled aggregate calls read their result from the row,
-        # under the call node, next to the representative's columns.
-        env = dict(group["row"])
-        for call, acc in zip(unique, group["accs"]):
-            env[call] = acc.result()
-        if having is not None and not having(env, context):
-            continue
-        projected = {}
-        for name, item in zip(columns, items):
-            projected[name] = item(env, context)
-        projected["__env__"] = env
-        out.append(projected)
-    return out, columns
-
-
-def _distinct(rows: list[dict], columns: list[str]) -> list[dict]:
-    seen: set[tuple] = set()
-    out = []
-    for row in rows:
-        key = tuple(hashable_key(row[col]) for col in columns)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(row)
-    return out
+    else:
+        return list(zip(*parts)), None
+    keys = []
+    for position, row in enumerate(zip(*columns)):
+        try:
+            keys.append(tuple(map(hashable_key, row)))
+        except Exception as exc:  # noqa: BLE001 — the caller raises it
+            return keys, (position, exc)
+    return keys, None
 
 
 #: ``(NULL flag, NaN flag)`` of an ascending and of a descending ORDER
@@ -418,36 +239,12 @@ def _distinct(rows: list[dict], columns: list[str]) -> list[dict]:
 _SPECIAL_FLAGS = ((2, 1), (0, 2))
 
 
-def compile_order_key(order_by: "tuple[OrderItem, ...]") -> CompiledExpr:
-    """A closure yielding one bound row's ORDER BY key: a flat native
-    tuple ``(flag, value, flag, value, ...)``, one pair per term, which
-    :func:`order_keyed` sorts with C comparisons (flags as in
-    :data:`_SPECIAL_FLAGS`)."""
-    terms = tuple(
-        (compile_expr(order.expr), order.descending,
-         *_SPECIAL_FLAGS[order.descending])
-        for order in order_by
-    )
-
-    def order_key(row: dict, context: EvalContext) -> tuple:
-        key: tuple = ()
-        for term, descending, null_flag, nan_flag in terms:
-            value = term(row, context)
-            if value is None:
-                key += (null_flag, None)
-            elif value == value:
-                key += (descending, value)
-            else:
-                key += (nan_flag, None)
-        return key
-
-    return order_key
-
-
 def order_keys(order_by: "tuple[OrderItem, ...]",
                columns: "list[list]") -> "list[tuple]":
-    """Column-wise :func:`compile_order_key`: the rows' ORDER BY keys
-    from one value list per term."""
+    """The rows' ORDER BY keys from one value list per term: per row a
+    flat native tuple ``(flag, value, flag, value, ...)``, one pair per
+    term, which :func:`order_keyed` sorts with C comparisons (flags as
+    in :data:`_SPECIAL_FLAGS`)."""
     flat = []
     for order, values in zip(order_by, columns):
         descending = order.descending
@@ -474,7 +271,7 @@ def order_keyed(order_by: "tuple[OrderItem, ...]",
                 limit: int | None = None,
                 checked: bool = False) -> "list[tuple[tuple, object]]":
     """``(order key, row)`` pairs in ORDER BY order — only the first
-    ``limit`` of them when given — keys from :func:`compile_order_key`.
+    ``limit`` of them when given — keys from :func:`order_keys`.
 
     The order is the stable one: rows whose keys tie keep their input
     order.  Terms of one direction compare as one flat key, and a
@@ -551,70 +348,6 @@ def incomparable(columns: "list[list]", samples: "list[dict] | None" = None,
     return None
 
 
-def _execute_order(select: Select, rows: list[dict],
-                   context: EvalContext) -> list[dict]:
-    """ORDER BY over projected rows, cut to the rows OFFSET / LIMIT can
-    still reach.  A term sees the output columns over the row the item
-    expressions saw."""
-    order_key = compile_order_key(select.order_by)
-    keyed = []
-    for row in rows:
-        env = dict(row["__env__"])
-        for name, value in row.items():
-            if not name.startswith("__"):
-                env[name] = value
-        keyed.append((order_key(env, context), row))
-    limit = None
-    if select.limit is not None:
-        limit = select.limit + (select.offset or 0)
-    return [row for _key, row in order_keyed(select.order_by, keyed, limit)]
-
-
-# -- stable entry points for incremental consumers ---------------------------
-#
-# The continuous-query subsystem maintains results per-delta and needs
-# the exact row-binding, naming and keying semantics of this executor
-# (``bind_row``, ``output_column_name`` and ``hashable_key`` are public
-# for it) so it never re-implements (and drifts from) batch execution.
-# (Expression evaluation is :mod:`repro.sql.compiled`.)
-
-
-def render_expr(expr: Expr) -> str:
-    """Readable rendering used for derived output column names."""
-    if isinstance(expr, Literal):
-        if isinstance(expr.value, str):
-            return f"'{expr.value}'"
-        return str(expr.value)
-    if isinstance(expr, Column):
-        return expr.display()
-    if isinstance(expr, Star):
-        return "*"
-    if isinstance(expr, LocalTimestamp):
-        return "LOCALTIMESTAMP"
-    if isinstance(expr, FuncCall):
-        inner = ", ".join(render_expr(arg) for arg in expr.args)
-        prefix = "DISTINCT " if expr.distinct else ""
-        return f"{expr.name}({prefix}{inner})"
-    if isinstance(expr, Unary):
-        return f"{expr.op} {render_expr(expr.operand)}"
-    if isinstance(expr, Binary):
-        return (
-            f"({render_expr(expr.left)} {expr.op} "
-            f"{render_expr(expr.right)})"
-        )
-    if isinstance(expr, InList):
-        items = ", ".join(render_expr(item) for item in expr.items)
-        negated = "NOT " if expr.negated else ""
-        return f"{render_expr(expr.operand)} {negated}IN ({items})"
-    if isinstance(expr, Between):
-        negated = "NOT " if expr.negated else ""
-        return (f"{render_expr(expr.operand)} {negated}BETWEEN "
-                f"{render_expr(expr.low)} AND {render_expr(expr.high)}")
-    if isinstance(expr, Like):
-        negated = "NOT " if expr.negated else ""
-        return (f"{render_expr(expr.operand)} {negated}LIKE "
-                f"{render_expr(expr.pattern)}")
-    if isinstance(expr, IsNull):
-        negated = "NOT " if expr.negated else ""
-        return f"{render_expr(expr.operand)} IS {negated}NULL"
-    return type(expr).__name__
+# The final stage builds on the kernels above, so it is imported after
+# them (nothing imports repro.sql.batch before this module).
+from .batch import finish  # noqa: E402

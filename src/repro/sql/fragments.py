@@ -52,7 +52,7 @@ from .ast import (
     Select,
     contains_aggregate,
 )
-from .compiled import like_literal_prefix
+from .compiled import column_reads, like_literal_prefix
 from .executor import (
     bind_row,
     new_group_accs,
@@ -359,7 +359,8 @@ class PartialAggregate:
     #: aggregate calls in :func:`unique_aggregates` order.
     calls: tuple[FuncCall, ...]
     #: raw column names the finalize stage reads outside aggregate args
-    #: (group-key columns, HAVING / ORDER BY references, ...).
+    #: (group-key columns, HAVING / ORDER BY references, ...), under
+    #: every name a reference may read one by.
     rep_columns: tuple[str, ...]
 
 
@@ -380,7 +381,10 @@ class ScanFragment:
     """What one storage node executes against one table's shards."""
 
     table: str
-    binding: str
+    #: Closures read raw rows of the table bound under it; ``None`` reads
+    #: bound rows, as the entry node's final stage does
+    #: (:func:`repro.sql.batch.finish`).
+    binding: str | None
     #: WHERE conjuncts evaluated scan-side (rows failing any are dropped).
     pushed: tuple[Expr, ...] = ()
     #: raw column names to ship; ``None`` ships every column.
@@ -483,6 +487,16 @@ def _partial_aggregate_for(select: Select, pushed: list[Expr],
     for expr in select.group_by:
         if contains_local_timestamp(expr) or contains_aggregate(expr):
             return None
+    return partial_aggregate(select, select.table.binding)
+
+
+def partial_aggregate(select: Select,
+                      binding: str | None) -> PartialAggregate:
+    """``select``'s groups as a fold reads them: its GROUP BY, its
+    aggregate calls, and the columns its finish reads outside their
+    arguments under every name a reference may read one by — raw
+    names of the table bound as ``binding``, or (``None``) the names
+    bound rows hold them under."""
     rep: list[Column] = []
     for item in select.items:
         collect_columns(item.expr, rep, True)
@@ -491,14 +505,12 @@ def _partial_aggregate_for(select: Select, pushed: list[Expr],
     collect_columns(select.having, rep, True)
     for order in select.order_by:
         collect_columns(order.expr, rep, True)
-    rep_columns: list[str] = []
-    for column in rep:
-        if column.name not in rep_columns:
-            rep_columns.append(column.name)
     return PartialAggregate(
         group_by=tuple(select.group_by),
-        calls=tuple(calls),
-        rep_columns=tuple(rep_columns),
+        calls=tuple(unique_aggregates(select)),
+        rep_columns=tuple(dict.fromkeys(
+            name for column in rep for name in column_reads(column, binding)
+        )),
     )
 
 
@@ -769,7 +781,9 @@ class PartialGroups:
 def merge_partial_groups(payloads: list[PartialGroups],
                          partial: PartialAggregate,
                          binding: str) -> dict:
-    """Merge per-node partial groups into the central group structure.
+    """Merge per-node partial groups into the groups the final stage
+    finishes (:func:`repro.sql.batch.finish_groups`): key ->
+    ``[representative bound row, accumulators]``.
 
     ``payloads`` must arrive in canonical (node-id-sorted) order so the
     merged insertion order — and each group's representative row —
@@ -779,16 +793,13 @@ def merge_partial_groups(payloads: list[PartialGroups],
     *different* node cannot corrupt state.
     """
     calls = list(partial.calls)
-    groups: dict[tuple, dict] = {}
+    groups: dict[tuple, list] = {}
     for payload in payloads:
         for key, rep, accs in payload.entries:
             group = groups.get(key)
             if group is None:
-                group = {
-                    "row": bind_row(rep, binding),
-                    "accs": new_group_accs(calls),
-                }
-                groups[key] = group
-            for mine, theirs in zip(group["accs"], accs):
+                group = groups[key] = [bind_row(rep, binding),
+                                       new_group_accs(calls)]
+            for mine, theirs in zip(group[1], accs):
                 mine.merge(theirs)
     return groups

@@ -8,10 +8,13 @@ join padded it with NULLs; sorted tags are the statement's row order.
 A hash step keys both sides column-wise (:func:`step_keys`; the first
 error of either fails it, :func:`first_error`) and
 :meth:`JoinedRows.match` extends each left tag with its matches; a
-non-equi ``ON`` runs :meth:`JoinedRows.nested` instead.
-:meth:`JoinedRows.gather` shapes the final tags into merged bound rows:
-the left-most side with a name gives its value, and a padded side's
-columns read NULL, in :meth:`Side.pad`'s order.
+non-equi ``ON`` runs :meth:`JoinedRows.nested` instead.  The final
+tags, sorted, are what the statement's final stage reads
+(:class:`Joined`): a column by :meth:`JoinedRows.left_values` — the
+left-most side with a name gives its value, and a padded side's columns
+read NULL — and, for ``SELECT *`` only, :meth:`JoinedRows.gather`'s
+merged bound rows, a padded side's columns in :meth:`Side.pad`'s order.
+A single table's final stage reads its :class:`Side` the same way.
 
 The entry node runs every step here on one worker holding every tag
 (:func:`join_plan`); the distributed pipeline (:mod:`repro.query.joins`)
@@ -20,8 +23,7 @@ runs the same steps with their work placed on the nodes.
 
 from __future__ import annotations
 
-from functools import partial
-from itertools import repeat
+from functools import cached_property, partial
 from operator import itemgetter
 
 from ..errors import SqlExecutionError
@@ -68,38 +70,59 @@ class Side:
     def __init__(self, binding: str, blocks: dict[int, ColumnBatch]) -> None:
         self.binding = binding
         ordered = sorted(blocks)
-        # A batch of shaped rows (a catalog table's) has no keys.
-        shaped = bool(ordered) and blocks[ordered[0]].keys is None
-        self.rows = ColumnBatch(ColumnReader(), [] if shaped else None)
         #: node id -> the positions of its block's rows.
         self.spans: dict[int, range] = {}
-        for node_id in ordered:
-            start = len(self.rows)
-            self.rows.extend(blocks[node_id])
-            self.spans[node_id] = range(start, len(self.rows))
-        #: The columns of every row, in row order (``None``: rows differ).
-        self.layout = self.rows.layout()
+        if len(ordered) == 1:  # read as it is, never extended
+            self.rows = blocks[ordered[0]]
+            self.count = len(self.rows.values)
+            self.spans[ordered[0]] = range(self.count)
+        else:
+            # A batch of shaped rows (a catalog table's) has no keys;
+            # every block of a table reads through the table's reader.
+            first = blocks[ordered[0]] if ordered else None
+            self.rows = ColumnBatch(
+                ColumnReader() if first is None else first.reader,
+                [] if first is not None and first.keys is None else None,
+            )
+            values = self.rows.values
+            for node_id in ordered:
+                start = len(values)
+                self.rows.extend(blocks[node_id])
+                self.spans[node_id] = range(start, len(values))
+            self.count = len(values)
         #: A LEFT join padded some left row with this side.
         self.padded = False
         self._columns: dict = {}
         self._bound: tuple[list, list] | None = None
         self._pad: dict | None = None
 
+    @cached_property
+    def layout(self) -> tuple[str, ...] | None:
+        """The columns of every row, in row order (``None``: rows
+        differ)."""
+        return self.rows.layout()
+
     def column(self, name) -> list:
         """A stored column, or (for a :class:`Column`) the column as the
-        rows' bound form reads it; :data:`MISSING` where a row has none."""
-        if name not in self._columns:
-            if isinstance(name, str):
-                self._columns[name] = self.rows.column(name)
-            else:  # the first of the names it reads that a row has
-                first, *fallback = column_reads(name, self.binding)
-                values = self.column(first)
-                if fallback and MISSING in values:
-                    values = [found if value is MISSING else value for
-                              value, found in zip(values,
-                                                  self.column(fallback[0]))]
-                self._columns[name] = values
-        return self._columns[name]
+        rows' bound form reads it — the first of the names it reads that
+        a row has; :data:`MISSING` where a row has none."""
+        names = ((name,) if isinstance(name, str)
+                 else column_reads(name, self.binding))
+        values = self._columns.get(names)
+        if values is None:
+            values = self.rows.column(names[0])
+            if len(names) > 1 and MISSING in values:
+                values = [found if value is MISSING else value for
+                          value, found in zip(values,
+                                              self.rows.column(names[1]))]
+            self._columns[names] = values
+        return values
+
+    def shaped(self, positions) -> list[dict]:
+        """The rows at ``positions`` as they were stored: what ``SELECT
+        *`` over the table shows (its bound aliases are all dotted)."""
+        rows = self.rows.rows()
+        return list(map(rows.__getitem__, positions))
 
     def bound(self) -> tuple[list, list]:
         """Each row as ``dict(zip(names, values))`` binds it: its
@@ -196,6 +219,9 @@ class JoinedRows:
             if side.padded:  # position -1 reads the padding
                 found = found + [None if column_reads(column, None)[0]
                                  in side.pad() else MISSING]
+            elif found and found[0] is MISSING and \
+                    found.count(MISSING) == len(found):
+                continue  # no row of this side has it
             read = list(map(found.__getitem__, map(itemgetter(index), tags)))
             values = read if not values else [
                 other if value is MISSING else value
@@ -203,7 +229,7 @@ class JoinedRows:
             ]
             if MISSING not in values:
                 break
-        return values
+        return values or [MISSING] * len(tags)
 
     def widths(self, tags: list) -> list[int]:
         """Each left row's unqualified column count: the columns a
@@ -265,20 +291,7 @@ class JoinedRows:
     def gather(self, tags: list) -> list[dict]:
         """One merged bound row per order tag: the right-most table's
         columns first, each earlier table's values winning."""
-        sides = self.sides
-        if not tags or len(sides) != 2 or any(
-            side.padded or side.layout is None for side in sides
-        ):
-            return [self._merged(tag, len(tag)) for tag in tags]
-        names: tuple = ()
-        columns: list = []
-        for index in (1, 0):  # a column gather, right side first
-            side = sides[index]
-            positions = list(map(itemgetter(index), tags))
-            columns += 2 * [list(map(side.column(name).__getitem__, positions))
-                            for name in side.layout]
-            names += side.qualified(side.layout)
-        return list(map(dict, map(zip, repeat(names), zip(*columns))))
+        return [self._merged(tag, len(tag)) for tag in tags]
 
     def _merged(self, tag: tuple, upto: int) -> dict:
         """The merged bound row of ``tag``'s first ``upto`` sides; a
@@ -297,9 +310,28 @@ class JoinedRows:
         return dict(zip(names, values))
 
 
-def join_plan(plan: Plan, context: EvalContext) -> tuple[list[dict], int]:
+class Joined:
+    """The joined rows of sorted order ``tags`` as a statement's final
+    stage reads them (:func:`repro.sql.batch.finish`): a column by
+    :meth:`JoinedRows.left_values`, the merged rows only for ``SELECT
+    *``, whose output they are."""
+
+    def __init__(self, joined: JoinedRows, tags: list) -> None:
+        self.joined = joined
+        self.tags = tags
+        self.count = len(tags)
+
+    def column(self, column: Column) -> list:
+        return self.joined.left_values(self.tags, column)
+
+    def shaped(self, positions) -> list[dict]:
+        return self.joined.gather(list(map(self.tags.__getitem__,
+                                           positions)))
+
+
+def join_plan(plan: Plan, context: EvalContext) -> tuple[Joined, int]:
     """Run ``plan``'s joins on one worker that holds every tag: the
-    merged bound rows in statement order, and the rows read."""
+    joined rows in statement order, and the rows read."""
     joined = JoinedRows()
     base = joined.side(plan.base_binding, plan.base_source.blocks)
     tags = list(zip(range(len(base.rows))))
@@ -318,4 +350,4 @@ def join_plan(plan: Plan, context: EvalContext) -> tuple[list[dict], int]:
         if error is not None:
             raise error
         tags = joined.match(keys, {0: (tags, hashed)}, step.kind).get(0, [])
-    return joined.gather(tags), joined.scanned
+    return Joined(joined, tags), joined.scanned

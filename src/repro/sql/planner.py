@@ -24,6 +24,7 @@ from .ast import (
     Select,
     children,
     contains_aggregate,
+    output_column_name,
 )
 
 
@@ -157,7 +158,23 @@ def validate_select(select: Select) -> bool:
         raise SqlPlanError(
             "APPROX requires an aggregate query (COUNT/SUM/AVG/...)"
         )
+    if len(select.items) > 1:
+        check_output_names(select)
     return is_aggregate
+
+
+def check_output_names(select: Select) -> None:
+    """A result row holds one value per output name, so two select items
+    of one name must be the same expression (``SELECT a, a``)."""
+    named: dict[str, Expr] = {}
+    for position, item in enumerate(select.items):
+        name = output_column_name(item, position)
+        first = named.setdefault(name, item.expr)
+        if first is not item.expr and first != item.expr:
+            raise SqlPlanError(
+                f"two different select items are named {name!r}; "
+                "alias one of them"
+            )
 
 
 def _plan_join(join: Join, catalog: Catalog) -> JoinStep:
@@ -220,7 +237,11 @@ def collect_columns(expr: Expr | None, out: list[Column],
     skip = (aggregated and isinstance(expr, FuncCall)
             and contains_aggregate(expr))
     for child in children(expr):
-        if not skip or contains_aggregate(child):
+        if skip and not contains_aggregate(child):
+            continue
+        if isinstance(child, Column):  # the leaves, without a call each
+            out.append(child)
+        elif not isinstance(child, Literal):
             collect_columns(child, out, aggregated)
 
 

@@ -246,11 +246,12 @@ class ColumnBatch:
         where a row has no such column."""
         if self.keep is not None and name not in self.keep:
             return [MISSING] * len(self.values[start:stop])
-        if self.keys is not None:
-            if name in KEY_COLUMNS:
-                return self.keys[start:stop]
-            if name == "ssid" and self.ssids is not None:
-                return self.ssids[start:stop]
+        if self.keys is None:  # shaped rows: dicts
+            return [row.get(name, MISSING) for row in self.values[start:stop]]
+        if name in KEY_COLUMNS:
+            return self.keys[start:stop]
+        if name == "ssid" and self.ssids is not None:
+            return self.ssids[start:stop]
         values = self.values[start:stop]
         shape = self._shape(values)
         if shape is not None:

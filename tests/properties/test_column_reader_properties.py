@@ -243,9 +243,12 @@ def swept(fragment, rows, keep):
             pass  # the stage steps aside: every survivor ships
     if fragment.projection is None:
         return locks, [list(row.items()) for row in survivors]
+    # A projected column ships under every name a reference to it may
+    # read it by: ``t.a`` falls back to a stored "t.a".
+    names = {name for column in fragment.projection
+             for name in (column, f"{binding}.{column}")}
     return locks, [
-        [(name, value) for name, value in row.items()
-         if name in fragment.projection]
+        [(name, value) for name, value in row.items() if name in names]
         for row in survivors
     ]
 

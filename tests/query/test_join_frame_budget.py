@@ -3,10 +3,12 @@
 Modelled on ``tests/sql/test_statement_frame_budget.py``: on each of the
 ``join_orders`` benchmark's statement shapes (co-partitioned, broadcast
 and shuffle-hash) the join pipeline reads its inputs as the column
-batches the shards shipped.  It never binds an input row or merges a
-matched pair into a dict, and it shapes exactly one dict per joined row,
-right before the final select.  Counting frames repeats exactly; timing
-would not.
+batches the shards shipped, and the entry node's final stage reads the
+joined rows' columns by position.  Nothing binds an input row or merges
+a matched pair into a dict, and nothing of the pipeline, its data plane
+or the final stage runs once per joined row: the only dicts shaped are
+the groups' representatives and the output rows.  Counting frames
+repeats exactly; timing would not.
 """
 
 import random
@@ -18,20 +20,22 @@ import pytest
 from repro import Environment
 from repro.config import ClusterConfig
 from repro.query import QueryService, joins
-from repro.sql import join
+from repro.sql import batch, executor, join
 from repro.state.live import LiveStateTable
 
 from ..properties.test_join_properties import forced
 
 ORDERS = 2_000
 NODES = 8
-#: Frames the join pipeline's own code may spend: a fixed number per
-#: pair of nodes (a shuffle bills every sender-worker pair), never one
-#: per row.
+#: Frames the join pipeline, its data plane and the final stage may
+#: spend: a fixed number per pair of nodes (a shuffle bills every
+#: sender-worker pair) and per output group, never one per row.
 SLACK = 8 * NODES ** 2
-#: Python functions that bind, merge or shape one row each.
-PER_ROW = ("bind_row", "_merged", "project", "columns", "row",
-           "value_to_columns", "live_row")
+#: Python functions that bind, merge or shape one row each, and the
+#: per-row closures of a row-at-a-time final stage.
+PER_ROW = ("bind_row", "_merged", "project", "columns", "row", "rows",
+           "value_to_columns", "live_row", "group_key", "add", "order_key",
+           "predicate")
 
 STATEMENTS = {
     "copartitioned": (
@@ -96,58 +100,49 @@ def joined_rows(tables, strategy) -> int:
     return sum(riders[row["riderId"]] for row in state.values())
 
 
-def pipeline_calls(service, sql):
-    """Python frames entered outside the final select, by module and
-    function name, and the rows the final select was handed."""
+def statement_calls(service, sql):
+    """Python frames the statement enters from submission to its result,
+    by module and function name."""
     calls = Counter()
-    handed = []
-    finalizing = []
-    final_select = joins.execute_joined_select
-
-    def capture(select, rows, context, scanned=0):
-        handed.extend(rows)
-        return final_select(select, rows, context, scanned)
 
     def profiler(frame, event, _arg):
-        if event == "call" and not finalizing:
+        if event == "call":
             code = frame.f_code
             calls[code.co_filename, code.co_name] += 1
-        if frame.f_code is final_select.__code__:
-            if event == "call":
-                finalizing.append(frame)
-            elif event == "return":
-                finalizing.pop()
 
-    joins.execute_joined_select = capture
     previous = sys.getprofile()
     sys.setprofile(profiler)
     try:
         execution = service.execute(sql)
     finally:
         sys.setprofile(previous)
-        joins.execute_joined_select = final_select
-    return execution, calls, handed
+    return execution, calls
 
 
 @pytest.mark.parametrize("strategy", list(STATEMENTS))
-def test_join_shapes_one_dict_per_joined_row(monkeypatch, strategy):
+def test_join_shapes_one_dict_per_output_row(monkeypatch, strategy):
     env, tables = orders_environment()
     with forced(monkeypatch, strategy):
         service = QueryService(env)
         service.execute(STATEMENTS[strategy])  # warm the caches
-        execution, calls, handed = pipeline_calls(
-            service, STATEMENTS[strategy]
-        )
+        execution, calls = statement_calls(service, STATEMENTS[strategy])
     assert execution.join_strategies == [strategy]
     names = Counter()
     for (_module, name), count in calls.items():
         names[name] += count
     assert [name for name in PER_ROW if names[name]] == []
-    # One dict per joined row, each its own...
-    assert len(handed) == joined_rows(tables, strategy) > NODES
-    assert len({id(row) for row in handed}) == len(handed)
-    # ...and no frame of the pipeline or its data plane runs once per row.
-    pipeline = Counter({name: count for (module, name), count
-                        in calls.items()
-                        if module in (joins.__file__, join.__file__)})
-    assert sum(pipeline.values()) <= SLACK, pipeline.most_common(5)
+    assert calls[join.__file__, "gather"] == 0  # merged rows: SELECT * only
+    rows = execution.result.rows
+    assert joined_rows(tables, strategy) > NODES
+    # One dict per output row, each its own; a GROUP BY statement also
+    # shapes one representative per group, and its groups are its rows.
+    assert len({id(row) for row in rows}) == len(rows) > 0
+    assert names["_group_of"] == (0 if strategy == "broadcast"
+                                  else len(rows))
+    # No frame of the pipeline, its data plane or the final stage runs
+    # once per joined row.
+    stage = Counter({name: count for (module, name), count
+                     in calls.items()
+                     if module in (joins.__file__, join.__file__,
+                                   batch.__file__, executor.__file__)})
+    assert sum(stage.values()) <= SLACK, stage.most_common(5)

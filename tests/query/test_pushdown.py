@@ -80,6 +80,43 @@ def test_pushdown_on_off_results_identical(wide_env, sql):
     assert on.result.rows == off.result.rows
 
 
+#: Rows whose stored keys contain a dot, read by a binding-qualified
+#: reference (``t.a`` over ``{'t.a': 0}``) or a quoted dotted name
+#: (``"t.a"`` over ``{'a': 5}``), as a bound row reads them: each ships
+#: under every name the reference may read it by.
+DOTTED = {
+    "data": {1: {"t.a": 0, "k": 1}, 2: {"a": 5, "k": 2},
+             3: {"a": 7, "t.a": 9, "k": 3}},
+    "other": {1: {"k": 1, "b": 10}, 2: {"k": 2, "b": 20},
+              3: {"k": 3, "b": 30}},
+}
+DOTTED_SQL = [
+    'SELECT t.a FROM "data" t ORDER BY t.k',
+    'SELECT "t.a" AS x FROM "data" AS t ORDER BY k',
+    'SELECT t.a, COUNT(*) AS n FROM "data" AS t GROUP BY t.a '
+    "ORDER BY t.a",
+    'SELECT t.a AS ta, u.b AS ub FROM "data" AS t '
+    'JOIN "other" AS u ON t.k = u.k ORDER BY u.b',
+    'SELECT t.a AS ta, u.b AS ub FROM "data" AS t '
+    'JOIN "other" AS u USING (k) WHERE u.b > 10 ORDER BY ub',
+]
+
+
+@pytest.mark.parametrize("sql", DOTTED_SQL)
+def test_pushdown_ships_every_name_a_reference_reads(sql):
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+    for name, rows in DOTTED.items():
+        imap = env.store.create_map(name)
+        env.store.register_live_table(name, LiveStateTable(imap))
+        for key, value in rows.items():
+            imap.put(key, value)
+    off = QueryService(env, pushdown=False).execute(sql).result
+    on = QueryService(env, pushdown=True).execute(sql).result
+    assert off.columns == on.columns
+    assert off.rows == on.rows
+    assert len(off.rows) > 1
+
+
 NAN = float("nan")
 #: ORDER BY -> keys in order.  NaN sorts above every number
 #: (PostgreSQL's rule) and NULLs stay last in both directions.

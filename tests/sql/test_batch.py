@@ -20,7 +20,7 @@ from repro.sql.batch import (
     compile_fragment,
     run_fragment_batches,
 )
-from repro.sql.executor import execute_grouped_select
+from repro.sql.batch import finish_groups
 from repro.sql.fragments import (
     PartialGroups,
     merge_partial_groups,
@@ -48,7 +48,7 @@ def first_seen(values):
 
 def groups_as_rows(plan, payload):
     merged = merge_partial_groups([payload], plan.partial, "t")
-    return execute_grouped_select(plan.final_select, merged, CTX).rows
+    return finish_groups(plan.final_select, merged, CTX).rows
 
 
 @pytest.mark.parametrize("chunk", [1, 4, 7, 100])
@@ -175,6 +175,40 @@ def test_a_rows_first_error_is_the_first_in_evaluation_order(chunk):
         ("unknown column 'weight'", lambda: rows[2].pop("weight")),
     ]:
         spoil()
+        with pytest.raises(SqlExecutionError) as error:
+            run_fragment_batches(compiled, rows, CTX, chunk)
+        assert str(error.value) == expected
+
+
+class Unkeyable:
+    """A value no GROUP BY key can be made of."""
+
+    __hash__ = None
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 100])
+def test_a_key_that_cannot_be_made_raises_in_row_order(chunk):
+    # Keys are made column by column, yet what raises is the first
+    # failure of a row-at-a-time pass: an earlier row's second part
+    # before a later row's first, an earlier row's add before a later
+    # row's key, a row's key part before the next part's read.
+    _, fragment = fragment_of(
+        'SELECT weight, tag, SUM(value) AS s FROM "t" GROUP BY weight, tag'
+    )
+    compiled = CompiledFragment(fragment)
+    for expected, spoil in [
+        ("cannot compare bytearray values",
+         lambda rows: rows[4].update(weight=Unkeyable())
+         or rows[2].update(tag=bytearray())),
+        ("cannot apply SUM to str",
+         lambda rows: rows[3].update(tag=bytearray())
+         or rows[1].update(value="text")),
+        ("cannot compare Unkeyable values",
+         lambda rows: rows[2].update(weight=Unkeyable())
+         or rows[2].pop("tag")),
+    ]:
+        rows = [dict(raw) for raw in ROWS[:6]]
+        spoil(rows)
         with pytest.raises(SqlExecutionError) as error:
             run_fragment_batches(compiled, rows, CTX, chunk)
         assert str(error.value) == expected

@@ -1,5 +1,7 @@
 """Tests for SQL execution over dict rows."""
 
+import math
+
 import pytest
 
 from repro.errors import SqlExecutionError, SqlPlanError
@@ -470,3 +472,211 @@ def test_mixed_union_kinds_rejected():
     with pytest.raises(SqlParseError):
         run("SELECT x FROM a UNION SELECT x FROM b "
             "UNION ALL SELECT x FROM c", cat)
+
+# -- the final stage: a deterministic case table -----------------------------
+#
+# Each stage of the entry node's final stage over column lists raises
+# what a row-at-a-time pass over bound rows raises first, and returns
+# its values to the bit.  The rows and texts below are the ones the
+# row-at-a-time executor gave.
+
+FAIL_ROWS = 300
+#: Where a failing row sits: first, past a 256-entry chunk, last.
+FAIL_PLACES = [(0, 257), (257, 0), (299, 257), (257, 299)]
+DIVIDE = "division by zero"
+ADD = "cannot apply + to int and str"
+#: Statement -> its error when ``1 / (a - 2)`` fails first by row order,
+#: and when ``a + s`` does: each stage runs over every row before the
+#: next (WHERE, then groups, then HAVING, then items, then ORDER BY),
+#: and within one the first failing row's error wins.
+FIRST_ERRORS = {
+    "SELECT a + s AS x FROM t WHERE 1 / (a - 2) > 0": (DIVIDE, DIVIDE),
+    "SELECT k FROM t WHERE a + s > 0 AND 1 / (a - 2) > 0": (DIVIDE, ADD),
+    "SELECT SUM(a + s) AS n FROM t GROUP BY 1 / (a - 2)": (DIVIDE, ADD),
+    "SELECT 1 / (a - 2) AS g, SUM(a + s) AS n FROM t "
+    "GROUP BY 1 / (a - 2)": (DIVIDE, ADD),
+    "SELECT SUM(a + s) AS n, MIN(1 / (a - 2)) AS m FROM t": (DIVIDE, ADD),
+    "SELECT 1 / (a - 2) AS x, a + s AS y FROM t": (DIVIDE, ADD),
+    "SELECT k FROM t ORDER BY 1 / (a - 2), a + s": (DIVIDE, ADD),
+    "SELECT k, a + s AS y FROM t ORDER BY 1 / (a - 2)": (ADD, ADD),
+    "SELECT g, COUNT(*) AS n FROM t GROUP BY g "
+    "HAVING 1 / (MIN(a) - 2) > 0 ORDER BY g": (DIVIDE, DIVIDE),
+    "SELECT g, SUM(a + s) AS n FROM t GROUP BY g "
+    "HAVING 1 / (MIN(a) - 2) > 0": (ADD, ADD),
+    "SELECT DISTINCT a + s AS y FROM t ORDER BY 1 / (y - 2)": (ADD, ADD),
+    "SELECT k FROM t WHERE 1 / (a - 2) > 0 LIMIT 1": (DIVIDE, DIVIDE),
+    "SELECT k FROM t ORDER BY a + s LIMIT 2": (ADD, ADD),
+}
+
+
+def failing_rows(divide_at: int, add_at: int) -> list[dict]:
+    """``a`` is 2 (``1 / (a - 2)`` divides by zero) only at
+    ``divide_at``, ``s`` is text (``a + s`` cannot add) only at
+    ``add_at``; ``g`` cycles through three groups."""
+    return [{"k": index, "a": 2 if index == divide_at else 3,
+             "s": "x" if index == add_at else 1, "g": index % 3}
+            for index in range(FAIL_ROWS)]
+
+
+@pytest.mark.parametrize("divide_at, add_at", FAIL_PLACES)
+@pytest.mark.parametrize("sql", FIRST_ERRORS)
+def test_final_stage_raises_the_first_error_by_row(sql, divide_at, add_at):
+    expected = FIRST_ERRORS[sql][divide_at > add_at]
+    with pytest.raises(SqlExecutionError) as raised:
+        run(sql, catalog(t=failing_rows(divide_at, add_at)))
+    assert str(raised.value) == expected
+
+
+NAN = float("nan")
+#: Group and order keys that only compare as SQL does: NaN (one object),
+#: both zeros, a float and an int equal to 1e16, NULL, bools and the
+#: ints they equal.
+SPECIAL = [NAN, -0.0, 1e16, None, True, 0.0, 10 ** 16, 1, False, 2.5, 0,
+           None, NAN, -0.0]
+LAYOUTS = [{"k": 1, "a": 1}, {"k": 2, "b": 2}, {"a": 3, "k": 3, "c": None},
+           {"k": 4, "a": 4, "b": 5}]
+PADDED = [{"k": 1, "b": 10, "d": "p"}, {"k": 3, "b": 30},
+          {"k": 3, "b": 31, "d": "q"}]
+
+
+def exact(value):
+    """``value`` so that equal means the same bits and type: a float as
+    its hex and sign, a bool tagged."""
+    if isinstance(value, float):
+        return ("F", value.hex(), math.copysign(1.0, value))
+    if isinstance(value, bool):
+        return ("B", value)
+    return value
+
+
+SHAPES = [
+    ("SELECT v, COUNT(*) AS n, SUM(w) AS s FROM t GROUP BY v ORDER BY v",
+     (["v", "n", "s"], [
+         (("F", "-0x0.0p+0", -1.0), 5, 7),
+         (("B", True), 2, 2),
+         (("F", "0x1.4000000000000p+1", 1.0), 1, 0),
+         (("F", "0x1.1c37937e08000p+53", 1.0), 2, 2),
+         (("F", "nan", 1.0), 2, 0),
+         (None, 2, 2),
+     ])),
+    ("SELECT v, COUNT(*) AS n FROM t GROUP BY v ORDER BY v DESC",
+     (["v", "n"], [
+         (("F", "nan", 1.0), 2),
+         (("F", "0x1.1c37937e08000p+53", 1.0), 2),
+         (("F", "0x1.4000000000000p+1", 1.0), 1),
+         (("B", True), 2),
+         (("F", "-0x0.0p+0", -1.0), 5),
+         (None, 2),
+     ])),
+    ("SELECT v, w FROM t ORDER BY v DESC, w",
+     (["v", "w"], [
+         (("F", "nan", 1.0), 0),
+         (("F", "nan", 1.0), 0),
+         (10000000000000000, 0),
+         (("F", "0x1.1c37937e08000p+53", 1.0), 2),
+         (("F", "0x1.4000000000000p+1", 1.0), 0),
+         (("B", True), 1),
+         (1, 1),
+         (("F", "-0x0.0p+0", -1.0), 1),
+         (0, 1),
+         (("F", "-0x0.0p+0", -1.0), 1),
+         (("F", "0x0.0p+0", 1.0), 2),
+         (("B", False), 2),
+         (None, 0),
+         (None, 2),
+     ])),
+    ("SELECT v, w FROM t ORDER BY w DESC, v LIMIT 5 OFFSET 2",
+     (["v", "w"], [
+         (("F", "0x1.1c37937e08000p+53", 1.0), 2),
+         (None, 2),
+         (("F", "-0x0.0p+0", -1.0), 1),
+         (0, 1),
+         (("F", "-0x0.0p+0", -1.0), 1),
+     ])),
+    ("SELECT DISTINCT v FROM t",
+     (["v"], [
+         (("F", "nan", 1.0),),
+         (("F", "-0x0.0p+0", -1.0),),
+         (("F", "0x1.1c37937e08000p+53", 1.0),),
+         (None,),
+         (("B", True),),
+         (("F", "0x1.4000000000000p+1", 1.0),),
+     ])),
+    ("SELECT MIN(v) AS lo, MAX(v) AS hi, COUNT(DISTINCT v) AS d FROM t WHERE v"
+     " IS NOT NULL AND v = v",
+     (["lo", "hi", "d"], [
+         (("F", "-0x0.0p+0", -1.0), ("F", "0x1.1c37937e08000p+53", 1.0), 4),
+     ])),
+    ("SELECT * FROM l",
+     (["k", "a", "b", "c"], [
+         (1, 1, None, None),
+         (2, None, 2, None),
+         (3, 3, None, None),
+         (4, 4, 5, None),
+     ])),
+    ("SELECT * FROM l ORDER BY b DESC, k",
+     (["k", "a", "b", "c"], [
+         (4, 4, 5, None),
+         (2, None, 2, None),
+         (1, 1, None, None),
+         (3, 3, None, None),
+     ])),
+    ("SELECT k, b FROM l",
+     "SqlExecutionError: unknown column 'b'"),
+    ("SELECT k, COALESCE(c, 0) AS c FROM l WHERE k > 2",
+     "SqlExecutionError: unknown column 'c'"),
+    ("SELECT x.k, y.b, y.d FROM l AS x LEFT JOIN u AS y ON x.k = y.k ORDER BY "
+     "x.k, y.b",
+     "SqlExecutionError: unknown column 'y.d'"),
+    ("SELECT * FROM l AS x LEFT JOIN u AS y ON x.k = y.k",
+     (["k", "b", "d", "a", "c"], [
+         (1, 10, "p", 1, None),
+         (2, 2, None, None, None),
+         (3, 30, None, 3, None),
+         (3, 31, "q", 3, None),
+         (4, 5, None, 4, None),
+     ])),
+    ("SELECT * FROM u AS y JOIN l AS x USING (k) ORDER BY y.b DESC",
+     (["k", "a", "b", "d", "c"], [
+         (3, 3, 31, "q", None),
+         (3, 3, 30, None, None),
+         (1, 1, 10, "p", None),
+     ])),
+    ("SELECT y.d AS d, COUNT(*) AS n, COUNT(y.b) AS nb FROM l AS x LEFT JOIN u"
+     " AS y ON x.k = y.k GROUP BY y.d ORDER BY y.d",
+     "SqlExecutionError: unknown column 'y.d'"),
+    ("SELECT x.k, y.d FROM l AS x LEFT JOIN u AS y ON x.k = y.k WHERE y.d IS "
+     "NULL",
+     "SqlExecutionError: unknown column 'y.d'"),
+    ("SELECT y.b AS b, COUNT(*) AS n, MAX(x.k) AS m FROM l AS x LEFT JOIN u AS"
+     " y ON x.k = y.k GROUP BY y.b ORDER BY y.b DESC",
+     (["b", "n", "m"], [
+         (31, 1, 3),
+         (30, 1, 3),
+         (10, 1, 1),
+         (None, 2, 4),
+     ])),
+    ("SELECT x.k, y.b FROM l AS x LEFT JOIN u AS y ON x.k = y.k WHERE y.b IS "
+     "NULL OR y.b > 30",
+     (["k", "b"], [
+         (2, None),
+         (3, 31),
+         (4, None),
+     ])),
+]
+
+
+@pytest.mark.parametrize("sql, expected", SHAPES)
+def test_final_stage_case_table(sql, expected):
+    cat = catalog(t=[{"k": index, "v": value, "w": index % 3}
+                     for index, value in enumerate(SPECIAL)],
+                  l=LAYOUTS, u=PADDED)
+    try:
+        result = run(sql, cat)
+    except SqlExecutionError as exc:
+        assert f"SqlExecutionError: {exc}" == expected
+        return
+    columns, rows = expected
+    assert result.columns == columns
+    assert [tuple(exact(row[name]) for name in result.columns)
+            for row in result.rows] == rows

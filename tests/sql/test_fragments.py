@@ -298,8 +298,8 @@ def test_partial_groups_merge_matches_central_execution():
     assert all(isinstance(p, PartialGroups) for p in payloads)
     groups = merge_partial_groups(payloads, plan.partial, "t")
 
-    from repro.sql.executor import execute_grouped_select
-    distributed = execute_grouped_select(plan.final_select, groups,
+    from repro.sql.batch import finish_groups
+    distributed = finish_groups(plan.final_select, groups,
                                          context)
     catalog = DictCatalog()
     catalog.add(ListTable("t", tuple(ROWS)))
@@ -323,9 +323,9 @@ def test_merge_is_idempotent_for_repeated_merges_of_fresh_state():
     payloads = [scan(plan.fragment("t"), ROWS, context)[1]]
     first = merge_partial_groups(payloads, plan.partial, "t")
     second = merge_partial_groups(payloads, plan.partial, "t")
-    from repro.sql.executor import execute_grouped_select
-    one = execute_grouped_select(plan.final_select, first, context)
-    two = execute_grouped_select(plan.final_select, second, context)
+    from repro.sql.batch import finish_groups
+    one = finish_groups(plan.final_select, first, context)
+    two = finish_groups(plan.final_select, second, context)
     assert one.rows == two.rows == [
         {"s": sum(r["value"] for r in ROWS), "c": len(ROWS)}
     ]

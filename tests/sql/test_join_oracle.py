@@ -5,9 +5,12 @@ Third slice of the ROADMAP's independent oracle, beside
 statements.  Hypothesis generates two- and three-table INNER / LEFT
 joins — ``USING``, an equi-``ON``, a non-equi ``ON`` and ``ON ... AND
 ...`` — over int / text / NULL columns, with an ORDER BY on every
-table's unique key.  The rows of the central executor, of a
-``QueryService`` that joins on the entry node, and of one that runs
-every join step with each distributed strategy must all equal sqlite's.
+table's unique key; and the same joins under a GROUP BY of up to two
+columns of different tables, with COUNT / COUNT(DISTINCT) / SUM / MIN /
+MAX, a HAVING, an ORDER BY over the group keys and OFFSET / LIMIT.  The
+rows of the central executor, of a ``QueryService`` that joins on the
+entry node, and of one that runs every join step with each distributed
+strategy must all equal sqlite's.
 sqlite shares no code with any of them, so this is an oracle, not a
 self-comparison.
 
@@ -103,8 +106,9 @@ def condition(draw, earlier: list, binding: str) -> str:
 
 
 @st.composite
-def statements(draw):
-    """``(ours, sqlite's, the tables a LEFT JOIN pads)``."""
+def joins(draw):
+    """``(FROM clause, its bindings, the tables a LEFT JOIN pads)`` of a
+    two- or three-table join."""
     bindings = list(TABLES)[:draw(st.integers(2, 3))]
     sql = f"FROM {TABLES['x']} AS x"
     padded = []
@@ -114,6 +118,13 @@ def statements(draw):
             padded.append(TABLES[binding])
         sql += (f" {kind} {TABLES[binding]} AS {binding} "
                 + draw(condition(bindings[:index], binding)))
+    return sql, bindings, padded
+
+
+@st.composite
+def statements(draw):
+    """``(ours, sqlite's, the tables a LEFT JOIN pads)``."""
+    sql, bindings, padded = draw(joins())
     items = ", ".join(f"{binding}.{column} AS {binding}{column}"
                       for binding in bindings
                       for column in ("key", "a", "b", "s"))
@@ -122,6 +133,64 @@ def statements(draw):
     theirs = ", ".join(f"({binding}.key IS NULL), {binding}.key"
                        for binding in bindings)
     return (f"{head} ORDER BY {ours}", f"{head} ORDER BY {theirs}", padded)
+
+
+#: Aggregate calls over one qualified column (``{c}``); SUM reads int
+#: columns only, the others any.
+AGGREGATES = ["COUNT(*)", "COUNT({c})", "COUNT(DISTINCT {c})", "SUM({i})",
+              "MIN({c})", "MAX({c})"]
+
+
+@st.composite
+def aggregate_call(draw, bindings: list, kinds=("int", "text")) -> str:
+    """One call over a column of ``kinds`` (an int one for SUM)."""
+    binding = draw(st.sampled_from(bindings))
+    columns = [column for kind in kinds for column in TYPED[kind]]
+    return draw(st.sampled_from(AGGREGATES)).format(
+        c=f"{binding}.{draw(st.sampled_from(columns))}",
+        i=f"{binding}.{draw(st.sampled_from(TYPED['int']))}",
+    )
+
+
+@st.composite
+def grouped_statements(draw):
+    """``(ours, sqlite's, the tables a LEFT JOIN pads)`` of a GROUP BY
+    over a join: zero to two keys, each a column of a different table,
+    one to three aliased aggregate calls, maybe a HAVING, and an ORDER
+    BY over every key (a total order over the groups, so OFFSET / LIMIT
+    cut the same rows in both engines)."""
+    sql, bindings, padded = draw(joins())
+    tables = draw(st.permutations(bindings))[:draw(st.integers(0, 2))]
+    keys = [f"{binding}.{draw(st.sampled_from(['a', 'b', 's']))}"
+            for binding in tables]
+    calls = draw(st.lists(aggregate_call(bindings), min_size=1,
+                          max_size=3))
+    items = ", ".join([f"{key} AS g{index}" for index, key in
+                       enumerate(keys)]
+                      + [f"{call} AS v{index}" for index, call in
+                         enumerate(calls)])
+    sql = f"SELECT {items} {sql}"
+    if keys:
+        sql += " GROUP BY " + ", ".join(keys)
+    if draw(st.booleans()):
+        # Compared with an int: the call's value is one, or NULL.
+        sql += (f" HAVING {draw(aggregate_call(bindings, ('int',)))} "
+                f"{draw(st.sampled_from(COMPARE + ['=']))} "
+                f"{draw(st.integers(0, 2))}")
+    ours = theirs = sql
+    if keys:
+        directions = [draw(st.sampled_from(["", " DESC"])) for _key in keys]
+        ours += " ORDER BY " + ", ".join(
+            key + direction for key, direction in zip(keys, directions))
+        theirs += " ORDER BY " + ", ".join(
+            f"({key} IS NULL), {key}{direction}"
+            for key, direction in zip(keys, directions))
+    cut = ""
+    if draw(st.booleans()):
+        cut = f" LIMIT {draw(st.integers(0, 3))}"
+        if draw(st.booleans()):
+            cut += f" OFFSET {draw(st.integers(0, 2))}"
+    return ours + cut, theirs + cut, padded
 
 
 CONNECTION = sqlite3.connect(":memory:")
@@ -166,9 +235,8 @@ def service_rows(service: QueryService, sql: str) -> list[tuple]:
 TABLE = st.lists(VALUES, max_size=5)
 
 
-@settings(max_examples=80, deadline=None)
-@given(statements(), TABLE, TABLE, TABLE)
-def test_joined_rows_agree_with_sqlite(statement, first, second, third):
+def agree_with_sqlite(statement, first, second, third):
+    """The rows of every execution path equal sqlite's."""
     ours, theirs, padded = statement
     data = dict(zip(TABLES.values(), (first, second, third)))
     if "left-join-empty-table" in DIALECT_SKIPS:
@@ -184,3 +252,18 @@ def test_joined_rows_agree_with_sqlite(statement, first, second, third):
         with forced(pytest.MonkeyPatch(), strategy):
             rows = service_rows(QueryService(env), ours)
         assert rows == expected, (strategy, ours)
+
+
+@settings(max_examples=80, deadline=None)
+@given(statements(), TABLE, TABLE, TABLE)
+def test_joined_rows_agree_with_sqlite(statement, first, second, third):
+    agree_with_sqlite(statement, first, second, third)
+
+
+@settings(max_examples=80, deadline=None)
+@given(grouped_statements(), TABLE, TABLE, TABLE)
+def test_grouped_joined_rows_agree_with_sqlite(statement, first, second,
+                                               third):
+    """GROUP BY, aggregates, HAVING and ORDER BY ... OFFSET / LIMIT after
+    the joins: the entry node's final stage over the joined columns."""
+    agree_with_sqlite(statement, first, second, third)
