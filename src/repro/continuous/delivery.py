@@ -21,7 +21,8 @@ memory grows; and a subscriber whose window stays full past
 terminal :data:`BATCH_EVICTED` batch so it can't pin the router's
 state.  Batches bound for the same ``(entry node, subscriber node)``
 pair ship in one network message (see the service's outbox), keeping
-channel count O(nodes²) rather than O(subscriptions).
+channel count O(nodes²) rather than O(subscriptions); the flushes, and
+the consumes one message delivers, run as one simulator event per time.
 """
 
 from __future__ import annotations

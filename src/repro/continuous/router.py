@@ -4,7 +4,7 @@ A :class:`SharedPlan` is one maintained :class:`~repro.continuous.standing.Stand
 serving every subscription whose canonicalized statement fingerprints
 the same (see :mod:`~repro.continuous.plans`).  The
 :class:`SubscriptionRouter` fans the plan's result deltas out to its
-subscribers:
+subscribers, handing the service's sink one *bucket* per call:
 
 * **unfiltered** subscribers (no residual) receive every entry
   verbatim;
@@ -144,9 +144,9 @@ class SubscriptionRouter:
     """Fans shared-plan delta streams out to their subscribers."""
 
     def __init__(self, deliver: Callable) -> None:
-        #: ``deliver(subscription, entry)`` — appends the entry to the
-        #: subscription's pending stream (tier- and flow-control-aware;
-        #: provided by the continuous-query service).
+        #: ``deliver(subscriptions, entry)`` — appends the entry to the
+        #: pending stream of every subscription in one bucket (tier- and
+        #: flow-control-aware; provided by the continuous-query service).
         self._deliver = deliver
         #: Entries handed to subscribers (one per matching subscriber
         #: per delta — the residual work that remains per-subscriber).
@@ -188,17 +188,20 @@ class SubscriptionRouter:
 
     def route(self, plan: SharedPlan, entries: list[dict],
               prev_row: dict | None) -> None:
-        """Fan one delta's result entries out to the plan's subscribers.
+        """Fan one delta's result entries out to the plan's subscribers,
+        one sink call per bucket: the unfiltered list, then per residual
+        group the row's bucket and, on a move, its retraction bucket.
 
         ``prev_row`` is the row the plan published under the delta's out
         key *before* the delta was applied (``None`` if absent) — it is
         what residual-group subscribers may need to retract when the
         update moved the row out of their bucket.
         """
+        deliver = self._deliver
         for entry in entries:
-            for subscription in plan.unfiltered:
-                self._deliver(subscription, entry)
-                self.deltas_routed += 1
+            if plan.unfiltered:
+                deliver(plan.unfiltered, entry)
+                self.deltas_routed += len(plan.unfiltered)
             if not plan.groups:
                 continue
             row = entry["row"]
@@ -209,32 +212,27 @@ class SubscriptionRouter:
                 matched = 0
                 if entry["action"] == "upsert":
                     new_bucket = group.bucket(group.row_values(row))
-                    for subscription in new_bucket:
-                        self._deliver(subscription, entry)
-                        self.deltas_routed += 1
-                        matched += 1
-                    if old_bucket is not new_bucket:
+                    if new_bucket:
+                        deliver(new_bucket, entry)
+                        matched += len(new_bucket)
+                    if old_bucket and old_bucket is not new_bucket:
                         # The update moved the row out of these
                         # subscribers' residual value: retract it.
-                        retraction = {
+                        deliver(old_bucket, {
                             "action": "delete",
                             "key": entry["key"], "row": None,
-                        }
-                        for subscription in old_bucket:
-                            self._deliver(subscription, retraction)
-                            self.deltas_routed += 1
-                            matched += 1
-                else:
-                    for subscription in old_bucket:
-                        self._deliver(subscription, entry)
-                        self.deltas_routed += 1
-                        matched += 1
+                        })
+                        matched += len(old_bucket)
+                elif old_bucket:
+                    deliver(old_bucket, entry)
+                    matched += len(old_bucket)
+                self.deltas_routed += matched
                 self.residual_filter_drops += group.total - matched
 
     def route_all(self, plan: SharedPlan, entries: list[dict]) -> None:
-        """Route entries verbatim to every subscriber (aggregate and
-        rescan plans never carry residuals)."""
+        """Route entries verbatim to every subscriber, one sink call per
+        entry (aggregate and rescan plans never carry residuals)."""
+        subscribers = plan.subscribers.values()
         for entry in entries:
-            for subscription in plan.subscribers.values():
-                self._deliver(subscription, entry)
-                self.deltas_routed += 1
+            self._deliver(subscribers, entry)
+            self.deltas_routed += len(subscribers)

@@ -20,7 +20,9 @@ Glues the subsystem together:
   digest), destination-coalesced messages (one network send per
   ``(entry, subscriber)`` node pair per tick), and the slow-consumer
   ladder: bounded pending queue → coalesce-to-snapshot → eviction with
-  a terminal batch;
+  a terminal batch.  Host work is per bucket: the router's sink takes
+  a whole bucket, and the flushes (or consumes) due at one virtual time
+  run as one simulator event;
 * replays a consistent rollback notification to every live subscriber
   after node-failure recovery (the push analogue of Fig. 5c).
 
@@ -205,7 +207,7 @@ class ContinuousQueryService:
             # Incremental plans are seeded; clean rescan plans already
             # hold a published result — snapshot the newcomer directly.
             subscription.needs_snapshot = True
-        self._schedule_flush(subscription, delay=0.0)
+        self._schedule_flushes((subscription,), delay=0.0)
         return subscription
 
     def unsubscribe(self, subscription: Subscription) -> None:
@@ -230,14 +232,14 @@ class ContinuousQueryService:
                 standing.rebuild(arrangement.rows)
             else:
                 standing.dirty = True
-            for subscription in list(plan.subscribers.values()):
+            for subscription in plan.subscribers.values():
                 subscription.pending.clear()
                 subscription.needs_snapshot = False
                 subscription.digest_dirty = False
                 subscription.needs_rollback_ssid = (
                     committed_ssid if committed_ssid is not None else -1
                 )
-                self._schedule_flush(subscription, delay=0.0)
+            self._schedule_flushes(plan.subscribers.values(), delay=0.0)
 
     # -- wiring ------------------------------------------------------------
 
@@ -325,9 +327,7 @@ class ContinuousQueryService:
                 plan.standing.dirty = True
                 plan.standing.deltas_applied += 1
                 self._charge_plan_maintenance(arrangement, 0)
-                for subscription in plan.subscribers.values():
-                    if subscription.active:
-                        self._schedule_flush(subscription)
+                self._schedule_flushes(plan.subscribers.values())
 
         def on_rollback(event, plan=plan) -> None:
             # Partition bulk-replaced mid-recovery: suppress ordinary
@@ -396,37 +396,45 @@ class ContinuousQueryService:
         for plan in self.plans.values():
             if plan.refresh_on_commit:
                 plan.standing.dirty = True
-                for subscription in plan.subscribers.values():
-                    self._schedule_flush(subscription)
+                self._schedule_flushes(plan.subscribers.values())
 
     # -- routing / tiers ---------------------------------------------------
 
-    def _route_deliver(self, subscription: Subscription,
-                       entry: dict) -> None:
-        """Router sink: queue one result entry for one subscriber,
-        honouring its tier and the pending-queue bound."""
-        if not subscription.active:
-            return
-        if subscription.tier == TIER_DIGEST:
-            subscription.digest_dirty = True
-            self._schedule_digest(subscription)
-            return
-        if subscription.needs_snapshot:
-            # Already coalesced: the snapshot will carry this.
-            subscription.deltas_dropped += 1
-            return
-        if len(subscription.pending) >= self.costs.push_max_pending_deltas:
-            # Slow-consumer ladder step 1: the pending queue is full —
-            # degrade to one snapshot instead of growing it.
-            subscription.deltas_dropped += len(subscription.pending) + 1
-            subscription.pending.clear()
-            subscription.needs_snapshot = True
-            subscription.batches_coalesced += 1
-            self.batches_coalesced += 1
-            self._schedule_flush(subscription)
-            return
-        subscription.pending.append(entry)
-        self._schedule_flush(subscription)
+    def _route_deliver(self, subscriptions, entry: dict) -> None:
+        """Router sink: queue one result entry for every subscriber of
+        one bucket, honouring each one's tier and the pending-queue
+        bound, then schedule the flushes this makes due in one call."""
+        max_pending = self.costs.push_max_pending_deltas
+        due = []
+        for subscription in subscriptions:
+            if not subscription.active:
+                continue
+            if subscription.tier == TIER_DIGEST:
+                subscription.digest_dirty = True
+                if not subscription.digest_scheduled:
+                    # A digest timer cuts the run: the flushes due so
+                    # far are scheduled before it, as they were asked.
+                    self._schedule_flushes(due)
+                    due = []
+                    self._schedule_digest(subscription)
+                continue
+            if subscription.needs_snapshot:
+                # Already coalesced: the snapshot will carry this.
+                subscription.deltas_dropped += 1
+                continue
+            pending = subscription.pending
+            if len(pending) >= max_pending:
+                # Slow-consumer ladder step 1: the pending queue is full
+                # — degrade to one snapshot instead of growing it.
+                subscription.deltas_dropped += len(pending) + 1
+                pending.clear()
+                subscription.needs_snapshot = True
+                subscription.batches_coalesced += 1
+                self.batches_coalesced += 1
+            else:
+                pending.append(entry)
+            due.append(subscription)
+        self._schedule_flushes(due)
 
     def _schedule_digest(self, subscription: Subscription) -> None:
         if subscription.digest_scheduled or not subscription.active:
@@ -451,14 +459,40 @@ class ContinuousQueryService:
 
     # -- flush / delivery --------------------------------------------------
 
-    def _schedule_flush(self, subscription: Subscription,
-                        delay: float | None = None) -> None:
-        if subscription.flush_scheduled or not subscription.active:
-            return
-        subscription.flush_scheduled = True
-        if delay is None:
-            delay = subscription.batch_interval_ms
-        self.sim.schedule(delay, self._flush, subscription)
+    def _schedule_runs(self, callback: Callable, timed: list) -> None:
+        """Schedule ``callback(*args)`` for each ``(time, args)`` of
+        ``timed``: one simulator event per distinct virtual time runs
+        that time's calls in order.  That is exact: one event per call
+        would take consecutive sequence numbers at that time, so nothing
+        else could run between them.  A caller that schedules anything
+        else in between makes two calls."""
+        runs: dict[float, list] = {}
+        for at, args in timed:
+            run = runs.get(at)
+            if run is None:
+                run = runs[at] = []
+                self.sim.schedule_at(at, self._run_each, callback, run)
+            run.append(args)
+
+    @staticmethod
+    def _run_each(callback: Callable, run: list) -> None:
+        for args in run:
+            callback(*args)
+
+    def _schedule_flushes(self, subscriptions,
+                          delay: float | None = None) -> None:
+        """Schedule a flush for each active subscription not already
+        waiting on one, after ``delay`` (default: its batch interval);
+        the flushes due at one time run as one event."""
+        now = self.sim.now
+        timed = []
+        for subscription in subscriptions:
+            if not subscription.flush_scheduled and subscription.active:
+                subscription.flush_scheduled = True
+                timed.append((now + (subscription.batch_interval_ms
+                                     if delay is None else delay),
+                              (subscription,)))
+        self._schedule_runs(self._flush, timed)
 
     def _flush(self, subscription: Subscription) -> None:
         subscription.flush_scheduled = False
@@ -534,7 +568,7 @@ class ContinuousQueryService:
         for subscription in plan.subscribers.values():
             subscription.pending.clear()
             subscription.needs_snapshot = True
-            self._schedule_flush(subscription)
+        self._schedule_flushes(plan.subscribers.values())
 
     def _snapshot_entries(self, subscription: Subscription) -> list[dict]:
         """The subscriber's full current result: its residual bucket of
@@ -626,12 +660,18 @@ class ContinuousQueryService:
 
     def _deliver(self,
                  batches: list[tuple[Subscription, DeltaBatch]]) -> None:
-        for subscription, batch in batches:
-            batch.delivered_ms = self.sim.now
-            consume = (subscription.consume_ms
-                       if subscription.consume_ms is not None
-                       else self.costs.subscriber_consume_ms)
-            self.sim.schedule(consume, self._consumed, subscription, batch)
+        """One message arrives; the batches it carries that are consumed
+        at one time are consumed in one event."""
+        now = self.sim.now
+        default_ms = self.costs.subscriber_consume_ms
+        timed = []
+        for pair in batches:
+            subscription, batch = pair
+            batch.delivered_ms = now
+            timed.append((now + (subscription.consume_ms
+                                 if subscription.consume_ms is not None
+                                 else default_ms), pair))
+        self._schedule_runs(self._consumed, timed)
 
     def _consumed(self, subscription: Subscription,
                   batch: DeltaBatch) -> None:
@@ -649,7 +689,7 @@ class ContinuousQueryService:
         if (subscription.pending or subscription.needs_snapshot
                 or subscription.needs_rollback_ssid is not None
                 or subscription.standing.dirty):
-            self._schedule_flush(subscription)
+            self._schedule_flushes((subscription,))
         if subscription.digest_dirty:
             self._schedule_digest(subscription)
 
@@ -705,5 +745,4 @@ class ContinuousQueryService:
                 self._send(subscription, BATCH_SNAPSHOT,
                            self._snapshot_entries(subscription))
         if standing.dirty:
-            for subscription in plan.subscribers.values():
-                self._schedule_flush(subscription)
+            self._schedule_flushes(plan.subscribers.values())

@@ -68,7 +68,7 @@ from .compiled import (
     column_reads,
     compile_column_test,
     compile_expr,
-    compile_predicate,
+    truthy,
 )
 from .executor import (
     QueryResult,
@@ -133,8 +133,7 @@ class CompiledFragment:
 
         self.fragment = fragment
         self.predicates: tuple[CompiledExpr, ...] = tuple(
-            compile_predicate(conjunct, binding)
-            for conjunct in fragment.pushed
+            compile_expr(conjunct, binding) for conjunct in fragment.pushed
         )
         #: Per pushed conjunct, its test over a column list, if any.
         self.tests = tuple(
@@ -246,30 +245,46 @@ class _Sweep:
 
     def keep(self, predicate: "CompiledExpr | Expr",
              test: "tuple[str, ColumnTest] | None",
-             errors: dict[int, Exception]) -> None:
-        """Drop the rows ``predicate`` does not pass — with its column
-        ``test`` over the column's list when it has one and that can
-        tell; a row the predicate fails on is dropped with its error
-        recorded.  A predicate given as its expression compiles (for
-        bound rows) only when the rows need it."""
+             errors: dict[int, Exception],
+             held: set[int] | None = None) -> None:
+        """Drop the rows ``predicate`` (an expression's closure) is not
+        TRUE on — with its column ``test`` over the column's list when
+        it has one and that can tell; a row the predicate fails on is
+        dropped with its error recorded.  With ``held``, a row it is
+        NULL on stays in play and joins ``held`` instead, as ``AND``
+        still evaluates its next conjunct after a NULL one (not after
+        FALSE); the caller drops those rows at the end.  A predicate
+        given as its expression compiles (for bound rows) only when the
+        rows need it."""
         if test is not None:
             name, column_test = test
-            passed = column_test(self.column(name))
+            values = self.column(name)
+            passed = column_test(values)
             if passed is not None:
+                if held is not None and None in values:
+                    nulls = [value is None for value in values]
+                    held.update(compress(self.survivors, nulls))
+                    passed = list(map(operator.or_, passed, nulls))
                 self.survivors = list(compress(self.survivors, passed))
                 self.dense = False
                 return
         if isinstance(predicate, Expr):
-            predicate = compile_predicate(predicate)
+            predicate = compile_expr(predicate)
         rows = self.rows
         context = self.context
         passed = []
         for index in self.survivors:
             try:
-                if predicate(rows[index], context):
-                    passed.append(index)
+                value = predicate(rows[index], context)
             except Exception as exc:  # noqa: BLE001 — re-raised by caller
                 errors[index] = exc
+                continue
+            if value is None:
+                if held is not None:
+                    held.add(index)
+                    passed.append(index)
+            elif value is True or truthy(value):
+                passed.append(index)
         self.survivors = passed
         self.dense = False
 
@@ -299,8 +314,9 @@ class BatchAccumulator:
     """Per-(table, node, attempt) scan-side state, fed whole chunks.
 
     Predicates run conjunct-major over the chunk (each conjunct only
-    over the survivors of the previous one, so a row eliminated early
-    never evaluates — or errors in — a later conjunct), then survivors
+    over the rows still in play, so a row an earlier conjunct is FALSE
+    on never evaluates — or errors in — a later one; a row it is NULL
+    on does, as ``AND`` does, and is dropped at the end), then survivors
     fold into groups or projected rows in row order, term by term.
     Errors raised by compiled expressions are collected per row and the
     minimal-row error is re-raised at the end of the chunk — the error
@@ -363,10 +379,14 @@ class BatchAccumulator:
         lists (every column of :attr:`CompiledFragment.columns`)."""
         compiled = self.compiled
         errors: dict[int, Exception] = {}
+        held = set() if len(compiled.predicates) > 1 else None
         for predicate, test in zip(compiled.predicates, compiled.tests):
             if not sweep.survivors:
                 break
-            sweep.keep(predicate, test, errors)
+            sweep.keep(predicate, test, errors, held)
+        if held:
+            sweep.survivors = [index for index in sweep.survivors
+                               if index not in held]
         if compiled.fragment.partial is not None:
             self._fold_groups(sweep, errors)
         elif self.keep is not None:

@@ -8,9 +8,13 @@ buckets, and drops counted for every non-matching group subscriber.
 
 from dataclasses import dataclass, field
 
+from repro import ClusterConfig, Environment
+from repro.continuous.delivery import TIER_DIGEST, TIER_REALTIME
 from repro.continuous.plans import canonicalize
 from repro.continuous.router import SharedPlan, SubscriptionRouter
+from repro.query import QueryService
 from repro.sql import parse
+from repro.state.live import LiveStateTable
 
 from .test_plans import FakeStore
 
@@ -36,9 +40,11 @@ def attach(router, plan, sub_id, sql):
 
 def make_router():
     log = []
-    router = SubscriptionRouter(
-        lambda subscription, entry: subscription.received.append(entry)
-    )
+    def deliver(subscriptions, entry):
+        for subscription in subscriptions:
+            subscription.received.append(entry)
+
+    router = SubscriptionRouter(deliver)
     return router, log
 
 
@@ -233,3 +239,51 @@ def test_route_all_reaches_every_subscriber():
     for subscription in subs:
         assert subscription.received == [entry]
     assert router.deltas_routed == 3
+
+
+def test_one_bucket_walks_each_subscriber_down_its_own_ladder_step():
+    """The service's sink takes a whole bucket; each subscriber in it
+    gets what a call for it alone gives: an inactive one nothing, a
+    digest one a dirty digest, one owed a snapshot a counted drop, one
+    whose pending queue is full a coalesce to snapshot, and the rest
+    the entry itself."""
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+    imap = env.store.create_map("t")
+    env.store.register_live_table("t", LiveStateTable(imap))
+    imap.put(1, {"g": 1, "v": 0})
+    service = QueryService(env)
+    sql = 'SELECT * FROM "t" WHERE g = 1'
+    inactive, digest, owed, full, plain = (
+        service.subscribe(sql, tier=TIER_DIGEST if name == "digest"
+                          else TIER_REALTIME)
+        for name in ("inactive", "digest", "owed", "full", "plain"))
+    env.run_for(100.0)
+    continuous = env.continuous
+    plan = plain.plan
+    assert plan.groups[("g",)].bucket((1,)) == [
+        inactive, digest, owed, full, plain]
+    limit = env.costs.push_max_pending_deltas
+    inactive.active = False
+    owed.needs_snapshot = True
+    full.pending = [upsert("old", {"g": 1})] * limit
+    coalesced = continuous.batches_coalesced
+    entry = upsert(1, {"g": 1, "v": 5})
+    continuous.router.route(plan, [entry], prev_row={"g": 1, "v": 0})
+
+    assert continuous.router.deltas_routed == 5
+    assert not inactive.pending and not inactive.flush_scheduled
+    assert not inactive.digest_dirty
+    assert digest.digest_dirty and digest.digest_scheduled
+    assert not digest.pending and not digest.flush_scheduled
+    assert owed.deltas_dropped == 1 and not owed.pending
+    assert full.pending == [] and full.needs_snapshot
+    assert full.deltas_dropped == limit + 1
+    assert full.batches_coalesced == 1
+    assert continuous.batches_coalesced == coalesced + 1
+    assert plain.pending == [entry]
+    assert [sub.flush_scheduled for sub in (owed, full, plain)] == [
+        False, True, True]
+    env.run_for(100.0)
+    assert plain.view[1] == entry["row"]
+    assert full.snapshots_received == 2
+    assert inactive.view[1]["v"] == 0

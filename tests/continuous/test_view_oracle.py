@@ -146,7 +146,7 @@ def mutate(env, table, data: dict, rng) -> None:
 
 
 def run_table_scenario(seed: int, shared: bool = True, steps: int = 25,
-                       check=None):
+                       check=None, population=TABLE_SUBSCRIPTIONS):
     """Seeded mutation steps over table ``t``; ``check(service, subs,
     label)`` runs after every drained step (and after seeding)."""
     rng = random.Random(seed)
@@ -158,7 +158,7 @@ def run_table_scenario(seed: int, shared: bool = True, steps: int = 25,
     for key, value in data.items():
         imap.put(key, dict(value))
     service = QueryService(env, shared_plans=shared)
-    subs = subscribe_all(service, TABLE_SUBSCRIPTIONS)
+    subs = subscribe_all(service, population)
     drain(env)
     if check is not None:
         check(service, subs, "seed")

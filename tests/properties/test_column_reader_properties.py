@@ -13,8 +13,9 @@ answer is the one ``pushdown=False`` gives.
 
 The row-at-a-time sweep and the row shaping it reads are spelled out
 here (they are what ``repro.sql.batch`` and ``repro.state.rows`` did
-before the sweep went columnar), so the expectation shares no code with
-the reader or the accumulator under test.
+before the sweep went columnar, with the pushed conjuncts evaluated as
+the one ``AND`` the entry node evaluates), so the expectation shares no
+code with the reader or the accumulator under test.
 """
 
 import dataclasses
@@ -38,6 +39,7 @@ from repro.sql.executor import (
     order_keyed,
 )
 from repro.sql.fragments import split_select
+from repro.sql.planner import conjoin
 from repro.state.incremental import IncrementalSnapshotTable
 from repro.state.live import LiveStateTable
 from repro.state.lsm_backend import LsmSnapshotTable
@@ -201,10 +203,12 @@ def order_key_of(order_by, binding, row):
 
 def swept(fragment, rows, keep):
     """``(lock keys, payload)`` of a row-major sweep over whole rows,
-    or the error it stops at."""
+    or the error it stops at.  The pushed conjuncts are one ``AND``, as
+    the entry node evaluates the WHERE: past a NULL conjunct, not past
+    a FALSE one."""
     binding = fragment.binding
-    predicates = [compile_predicate(conjunct, binding)
-                  for conjunct in fragment.pushed]
+    predicates = [compile_predicate(conjoin(list(fragment.pushed)), binding)
+                  ] if fragment.pushed else []
     partial = fragment.partial
     if partial is not None:
         group_key = compile_group_key(partial.group_by, binding)

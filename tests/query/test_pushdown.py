@@ -187,6 +187,41 @@ def test_container_values_key_by_sql_equality(pushdown, values, sql, rows):
     assert sorted(service.execute(sql).result.tuples(), key=repr) == rows
 
 
+#: ``(statement, keys or error text)`` over the rows below.  ``AND``
+#: evaluates its next conjunct after a NULL one (but not after FALSE),
+#: so a shard that runs pushed conjuncts one after another keeps a row
+#: whose conjunct is NULL in play for a later conjunct's error, and
+#: drops it only at the end.
+NULL_CONJUNCT_ROWS = [{"a": None, "b": "x"}, {"a": False, "b": 1},
+                      {"a": False, "b": "y"}, {"a": True, "b": 2}]
+NULL_CONJUNCTS = [
+    ('SELECT key FROM "t" WHERE TRUE = a AND 1e16 > b',
+     "cannot compare float with str"),
+    ('SELECT key FROM "t" WHERE (a OR a) AND 1e16 > b',
+     "cannot compare float with str"),
+    ('SELECT key FROM "t" WHERE a = TRUE AND b <> \'q\'', [3]),
+    ('SELECT key FROM "t" WHERE a = TRUE AND b = 2 AND 1e16 > b', [3]),
+    ('SELECT COUNT(*) AS n FROM "t" WHERE a = TRUE AND 1e16 > b',
+     "cannot compare float with str"),
+]
+
+
+@pytest.mark.parametrize("pushdown", [True, False])
+@pytest.mark.parametrize("sql, expected", NULL_CONJUNCTS)
+def test_null_conjunct_keeps_later_conjunct_errors(pushdown, sql, expected):
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+    imap = env.store.create_map("t")
+    env.store.register_live_table("t", LiveStateTable(imap))
+    for key, value in enumerate(NULL_CONJUNCT_ROWS):
+        imap.put(key, value)
+    service = QueryService(env, pushdown=pushdown)
+    if isinstance(expected, str):
+        with pytest.raises(SqlExecutionError, match=expected):
+            service.execute(sql)
+        return
+    assert sorted(service.execute(sql).result.column("key")) == expected
+
+
 def test_selective_scan_ships_fewer_rows_and_bytes(wide_env):
     sql = 'SELECT key, value FROM "metrics" WHERE value = 0'
     on = QueryService(wide_env, pushdown=True).execute(sql)
