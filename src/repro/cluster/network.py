@@ -100,5 +100,5 @@ class NetworkModel:
             if arrival <= floor:
                 arrival = floor + 1e-9
             self._last_delivery[channel] = arrival
-        self._sim.schedule_at(arrival, deliver, *args)
+        self._sim.call_at(arrival, deliver, *args)
         return arrival

@@ -459,40 +459,19 @@ class ContinuousQueryService:
 
     # -- flush / delivery --------------------------------------------------
 
-    def _schedule_runs(self, callback: Callable, timed: list) -> None:
-        """Schedule ``callback(*args)`` for each ``(time, args)`` of
-        ``timed``: one simulator event per distinct virtual time runs
-        that time's calls in order.  That is exact: one event per call
-        would take consecutive sequence numbers at that time, so nothing
-        else could run between them.  A caller that schedules anything
-        else in between makes two calls."""
-        runs: dict[float, list] = {}
-        for at, args in timed:
-            run = runs.get(at)
-            if run is None:
-                run = runs[at] = []
-                self.sim.schedule_at(at, self._run_each, callback, run)
-            run.append(args)
-
-    @staticmethod
-    def _run_each(callback: Callable, run: list) -> None:
-        for args in run:
-            callback(*args)
-
     def _schedule_flushes(self, subscriptions,
                           delay: float | None = None) -> None:
         """Schedule a flush for each active subscription not already
         waiting on one, after ``delay`` (default: its batch interval);
-        the flushes due at one time run as one event."""
+        the queue runs the flushes due at one time as one event."""
         now = self.sim.now
-        timed = []
+        call_at = self.sim.call_at
         for subscription in subscriptions:
             if not subscription.flush_scheduled and subscription.active:
                 subscription.flush_scheduled = True
-                timed.append((now + (subscription.batch_interval_ms
-                                     if delay is None else delay),
-                              (subscription,)))
-        self._schedule_runs(self._flush, timed)
+                call_at(now + (subscription.batch_interval_ms
+                               if delay is None else delay),
+                        self._flush, subscription)
 
     def _flush(self, subscription: Subscription) -> None:
         subscription.flush_scheduled = False
@@ -660,18 +639,17 @@ class ContinuousQueryService:
 
     def _deliver(self,
                  batches: list[tuple[Subscription, DeltaBatch]]) -> None:
-        """One message arrives; the batches it carries that are consumed
-        at one time are consumed in one event."""
+        """One message arrives; the queue runs the batches it carries
+        that are consumed at one time as one event."""
         now = self.sim.now
         default_ms = self.costs.subscriber_consume_ms
-        timed = []
-        for pair in batches:
-            subscription, batch = pair
+        call_at = self.sim.call_at
+        for subscription, batch in batches:
             batch.delivered_ms = now
-            timed.append((now + (subscription.consume_ms
-                                 if subscription.consume_ms is not None
-                                 else default_ms), pair))
-        self._schedule_runs(self._consumed, timed)
+            call_at(now + (subscription.consume_ms
+                           if subscription.consume_ms is not None
+                           else default_ms),
+                    self._consumed, subscription, batch)
 
     def _consumed(self, subscription: Subscription,
                   batch: DeltaBatch) -> None:

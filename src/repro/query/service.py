@@ -268,12 +268,12 @@ class _Attempt:
     """A query's try at its distributed work, and its only door to the
     cluster.
 
-    Every store-server job (:meth:`bill`), entry-pool job (:meth:`pool`)
-    and network message (:meth:`send`) of a query is scheduled here, and
-    every fan-in is a :meth:`gather`.  Each runs its continuation
-    through :meth:`_run`, which drops it once the execution is done or
-    the attempt was voided — so no callback of a lost attempt can
-    collect, count or ship anything, whoever wrote it.
+    Every store-server job (:meth:`bill`, :meth:`scan`), entry-pool job
+    (:meth:`pool`) and network message (:meth:`send`) of a query is
+    scheduled here, and every fan-in is a :meth:`gather`.  Each checks
+    :meth:`_run`'s guard before its continuation, dropping it once the
+    execution is done or the attempt was voided — so no callback of a
+    lost attempt can collect, count or ship anything, whoever wrote it.
 
     A query has one attempt object; :meth:`void` bumps its ``token``
     and drops what it collected, after which the query starts over on
@@ -335,8 +335,37 @@ class _Attempt:
         """Occupy ``node_id``'s store server for partition ``stripe``
         for ``duration`` ms, then run ``then(*args)``."""
         self.targets.add(node_id)
-        server = self.nodes[node_id].store_server(stripe)
-        server.submit(duration, self._run, self.token, then, *args)
+        self.nodes[node_id].store_server(stripe).submit(
+            duration, self._run, self.token, then, *args)
+
+    def scan(self, node_id: int, stripe: int, chunks: int, first, full,
+             last, then: Callable[..., None], *args) -> None:
+        """Bill ``chunks`` chunks in turn on ``node_id``'s store servers,
+        chunk ``remaining`` on partition ``stripe + remaining``, then run
+        ``then(*args)``; ``first``, ``last`` and ``full`` (the others)
+        are ``(entries, ms)``.  One frame a chunk: the chain resolves the
+        servers once and guards itself as :meth:`_run` does."""
+        execution = self.execution
+        servers = self.nodes[node_id].store_servers
+        token = self.token
+        self.targets.add(node_id)  # cleared only under a new token
+
+        def chunk(remaining: int) -> None:
+            if remaining != chunks:  # the first runs in the dispatch
+                if token != self.token or execution.completed_ms is not None:
+                    return
+                if remaining == 0:
+                    then(*args)
+                    return
+            entries, duration = (first if remaining == chunks
+                                 else last if remaining == 1 else full)
+            execution.entries_billed += entries
+            execution.batches_evaluated += entries > 0  # probe-only: none
+            execution.scan_ms_billed += duration
+            servers[(stripe + remaining) % len(servers)].submit(
+                duration, chunk, remaining - 1)
+
+        chunk(chunks)
 
     def pool(self, duration: float, then: Callable[..., None],
              *args) -> None:
@@ -1037,57 +1066,29 @@ class QueryService:
                 None if fragment is None else CompiledFragment(fragment),
             )
             return
-        compiled = None
-        compiles = False
+        compiled, compiles = None, False
         if fragment is not None:
-            compiled, cache_hit = compile_fragment(
-                fragment, self.compiled_fragments
-            )
-            if cache_hit:
+            compiled, hit = compile_fragment(fragment,
+                                             self.compiled_fragments)
+            compiles = not hit
+            if hit:
                 execution.compile_cache_hits += 1
             else:
                 execution.predicates_compiled += len(fragment.pushed)
-                compiles = True
         stage = pushed_stage(fragment, entries)
-        costs = self.costs
-        chunk = costs.scan_chunk_entries
+        chunk = self.costs.scan_chunk_entries
         chunks = max(1, -(-entries // chunk))
-        stripe = attempt.stripe[table_name] + node_id
-        # Every full chunk after the first costs the same: price it once
-        # (a snapshot scan is hundreds of chunk events).
-        full_chunk_ms = shard_read_ms(costs, chunk, stage, indexed=indexed)
-
-        def run_chunk(remaining: int) -> None:
-            if remaining == 0:
-                self._shard_read(record, table_name, node_id, shard,
-                                 compiled)
-                return
-            # The final chunk is partial: bill only the entries left.
-            done_entries = (chunks - remaining) * chunk
-            entries_in_chunk = max(0, min(chunk, entries - done_entries))
-            execution.entries_billed += entries_in_chunk
-            if entries_in_chunk:
-                # Probe-only chunks (index probes with zero candidates)
-                # assemble no batch.
-                execution.batches_evaluated += 1
-            # Index probes run before the first candidate fetch;
-            # fragment compilation (cache misses only) with them.
-            first = remaining == chunks
-            if entries_in_chunk == chunk and not first:
-                duration = full_chunk_ms
-            else:
-                duration = shard_read_ms(
-                    costs, entries_in_chunk, stage,
-                    path.probes if first else 0, indexed,
-                    compiles and first,
-                )
-            execution.scan_ms_billed += duration
-            # Successive chunks visit successive store partitions, so a
-            # scan spreads over (and contends on) all partition threads.
-            attempt.bill(node_id, stripe + remaining, duration,
-                         run_chunk, remaining - 1)
-
-        run_chunk(chunks)
+        head = min(chunk, entries)
+        tail = entries - (chunks - 1) * chunk  # what the final chunk bills
+        # Index probes and a compile-cache miss bill with the first chunk.
+        attempt.scan(
+            node_id, attempt.stripe[table_name] + node_id, chunks,
+            (head, shard_read_ms(self.costs, head, stage, path.probes,
+                                 indexed, compiles)),
+            (chunk, shard_read_ms(self.costs, chunk, stage, indexed=indexed)),
+            (tail, shard_read_ms(self.costs, tail, stage, indexed=indexed)),
+            self._shard_read, record, table_name, node_id, shard, compiled,
+        )
 
     def _shard_read(self, record: _InFlight, table_name: str,
                     node_id: int, shard: _ShardPlan,
@@ -1324,8 +1325,7 @@ class QueryService:
         if isinstance(payload, PartialGroups):
             return shipped_bytes(costs, len(payload),
                                  len(payload) * payload.width())
-        if record.plan is not None and \
-                _pushed_fragment(record.plan, table_name) is not None:
+        if _pushed_fragment(record.plan, table_name) is not None:
             return shipped_bytes(costs, len(payload), payload.width())
         return shipped_bytes(costs, len(payload))
 

@@ -3,7 +3,8 @@
 The whole reproduction runs on virtual time so that latency and
 throughput measurements are deterministic.  The public pieces are:
 
-* :class:`~repro.simtime.simulator.Simulator` — the event loop;
+* :class:`~repro.simtime.simulator.Simulator` — the event loop, where
+  calls due at one time with nothing between them share a queue entry;
 * :class:`~repro.simtime.resources.Server` — a FIFO single-server
   resource (store partitions, coordinator);
 * :class:`~repro.simtime.resources.WorkerPool` — an n-worker pool with

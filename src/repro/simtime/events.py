@@ -1,12 +1,15 @@
 """Queue entries, cancellation handles and the time-ordered event queue.
 
-A scheduled callback is one plain list ``[time, seq, callback, args]``.
+An entry is one plain list ``[time, seq, callback, args]``, then, in a
+run, more ``callback, args`` pairs: members fired in order as one event.
 ``heapq`` orders lists with C comparisons, and ``seq`` is unique, so a
-comparison is decided by ``(time, seq)`` and never reaches the callback
-slot or any Python-level ``__lt__``.  The sequence number breaks ties
-in scheduling order, which keeps simulations reproducible even when
-many events share a timestamp.  A callback slot of ``None`` marks an
-entry that is no longer scheduled: cancelled, or already fired.
+comparison is decided by ``(time, seq)``, never by a callback or a
+Python-level ``__lt__``; it breaks ties in scheduling order.  A callback
+slot of ``None`` marks an entry that was cancelled or has fired.
+
+``joinable`` maps a time to the latest entry at it while ``call_at``
+pushed that entry and it has not fired: a ``call_at`` at that time
+joins its run, as it would have taken the next ``seq`` there anyway.
 """
 
 from __future__ import annotations
@@ -50,16 +53,17 @@ class EventHandle:
 class EventQueue:
     """Binary-heap event queue with lazy deletion of cancelled events.
 
-    ``heap`` and ``dead`` (cancelled entries still on the heap) are what
-    ``Simulator._drain`` works on directly, with no frame per event;
-    ``pop`` and ``peek_time`` are the same steps for callers that drive
-    a queue by hand.
+    ``heap``, ``dead`` (cancelled entries still on the heap), ``seq``
+    and ``joinable`` are what ``Simulator`` works on directly, with no
+    frame per event; ``pop`` and ``peek_time`` are the same steps for
+    callers that drive a queue of ``push`` entries by hand.
     """
 
     def __init__(self) -> None:
         self.heap: list[list] = []
         self.dead = 0
-        self._seq = 0
+        self.seq = 0
+        self.joinable: dict[float, list] = {}
 
     def __len__(self) -> int:
         return len(self.heap) - self.dead
@@ -68,8 +72,9 @@ class EventQueue:
              args: tuple[Any, ...]) -> EventHandle:
         if time != time:  # NaN guard
             raise SimulationError("event time is NaN")
-        entry = [time, self._seq, callback, args]
-        self._seq += 1
+        entry = [time, self.seq, callback, args]
+        self.seq += 1
+        self.joinable.pop(time, None)  # nothing joins across this entry
         heapq.heappush(self.heap, entry)
         return EventHandle(entry, self)
 

@@ -54,7 +54,7 @@ class Server:
         """Queue a job; returns its completion time (virtual ms)."""
         if duration < 0:
             raise SimulationError("job duration must be non-negative")
-        now = self._sim.now
+        now = self._sim._now  # the clock, without the property frame
         start = self._busy_until
         if start < now:
             start = now
@@ -64,7 +64,7 @@ class Server:
         self._busy_time += duration
         self._wait_time += start - now
         if on_complete is not None:
-            self._sim.schedule_at(finish, on_complete, *args)
+            self._sim.call_at(finish, on_complete, *args)
         return finish
 
     def utilization(self, horizon_ms: float) -> float:
@@ -122,7 +122,7 @@ class WorkerPool:
         entry pool each start at the previous one's completion)."""
         if duration < 0:
             raise SimulationError("job duration must be non-negative")
-        now = self._sim.now
+        now = self._sim._now
         busy = self._worker_busy_until
         earliest = min(busy)
         worker = busy.index(earliest)  # ties: the lowest-numbered worker
@@ -140,7 +140,7 @@ class WorkerPool:
         self._busy_time += duration
         self._wait_time += earliest - now
         if on_complete is not None:
-            self._sim.schedule_at(finish, on_complete, *args)
+            self._sim.call_at(finish, on_complete, *args)
         return finish
 
     def key_available_at(self, key: Hashable) -> float:

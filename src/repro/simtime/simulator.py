@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from heapq import heappop
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from ..errors import SimulationError
@@ -16,8 +16,9 @@ class Simulator:
     """Executes scheduled callbacks in virtual-time order.
 
     Components schedule callbacks with :meth:`schedule` (relative delay)
-    or :meth:`schedule_at` (absolute time).  The simulation advances with
-    :meth:`run_until` / :meth:`run`; time never moves backwards.
+    or :meth:`schedule_at` / :meth:`call_at` (absolute time; the last
+    returns no handle).  The simulation advances with :meth:`run_until`
+    / :meth:`run`; time never moves backwards.
     """
 
     def __init__(self, seed: int = 7) -> None:
@@ -34,7 +35,7 @@ class Simulator:
 
     @property
     def processed_events(self) -> int:
-        """Total number of events executed so far."""
+        """Events (queue entries, a run each) executed so far."""
         return self._processed
 
     @property
@@ -57,8 +58,24 @@ class Simulator:
             )
         return self._queue.push(time, callback, args)
 
+    def call_at(self, time: float, callback: Callable[..., None],
+                *args: Any) -> None:
+        """Run ``callback(*args)`` at absolute virtual ``time``, with no
+        handle.  Calls due at one time with nothing scheduled between
+        them share one queue entry (layout in :mod:`.events`)."""
+        queue = self._queue
+        entry = queue.joinable.get(time)
+        if entry is not None:
+            entry += callback, args
+            return
+        if not time >= self._now:  # NaN fails this too
+            raise SimulationError(f"cannot call at {time} before {self._now}")
+        entry = queue.joinable[time] = [time, queue.seq, callback, args]
+        queue.seq += 1
+        heappush(queue.heap, entry)
+
     def step(self) -> bool:
-        """Execute the next event.  Returns ``False`` when none remain."""
+        """Execute the next event, a whole run; ``False`` when none remain."""
         return self._drain(_INF, 1) == 1
 
     def run_until(self, time: float) -> None:
@@ -80,14 +97,15 @@ class Simulator:
 
     def _drain(self, horizon: float, limit: float,
                exclusive: bool = False) -> int:
-        """The one event loop: fire up to ``limit`` live events with
+        """The one event loop: fire up to ``limit`` live entries with
         timestamps ``<= horizon`` in ``(time, seq)`` order; returns how
         many fired.  ``exclusive`` callers (``run``, ``run_until``) may
         not nest; ``step`` may be called from anywhere.
 
         Works on the queue's heap directly (entry layout in
-        :mod:`.events`) so that an event costs no Python frame besides
-        its callback's own.
+        :mod:`.events`): a member costs no Python frame besides its
+        callback's own, and one that raises leaves the rest of its run
+        at the head of its time.
         """
         if exclusive:
             if self._running:
@@ -95,6 +113,7 @@ class Simulator:
             self._running = True
         queue = self._queue
         heap = queue.heap
+        joinable = queue.joinable
         fired = 0
         try:
             while heap and fired < limit:
@@ -110,10 +129,24 @@ class Simulator:
                 if time < self._now:
                     raise SimulationError("event queue produced a past event")
                 entry[2] = None  # fired: the handle goes inactive
+                joined = joinable.pop(time, None)  # one hash, mostly
+                if joined is not entry and joined is not None:
+                    joinable[time] = joined  # a later entry at ``time``
                 self._now = time
                 self._processed += 1
                 fired += 1
-                callback(*entry[3])
+                if len(entry) == 4:
+                    callback(*entry[3])
+                    continue
+                run = iter(entry[4:])
+                try:
+                    callback(*entry[3])
+                    for callback, args in zip(run, run):
+                        callback(*args)
+                except BaseException:
+                    if rest := list(run):
+                        heappush(heap, [time, entry[1], *rest])
+                    raise
         finally:
             if exclusive:
                 self._running = False

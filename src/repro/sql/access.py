@@ -318,6 +318,10 @@ def choose_access_path(fragment: ScanFragment | None, view,
 
     columns = (view.index_columns()
                if indexes and fragment is not None else {})
+    if columns and fragment.nulls_ship:
+        rejected.append("index read: it skips the NULL rows that ship to "
+                        "the residual filter")
+        columns = {}
     for column, kind in columns.items():
         extracted = extract_column_filter(
             list(fragment.pushed), column, fragment.binding

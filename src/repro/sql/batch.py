@@ -379,12 +379,14 @@ class BatchAccumulator:
         lists (every column of :attr:`CompiledFragment.columns`)."""
         compiled = self.compiled
         errors: dict[int, Exception] = {}
-        held = set() if len(compiled.predicates) > 1 else None
+        nulls_ship = compiled.fragment.nulls_ship
+        held = (set() if nulls_ship or len(compiled.predicates) > 1
+                else None)
         for predicate, test in zip(compiled.predicates, compiled.tests):
             if not sweep.survivors:
                 break
             sweep.keep(predicate, test, errors, held)
-        if held:
+        if held and not nulls_ship:
             sweep.survivors = [index for index in sweep.survivors
                                if index not in held]
         if compiled.fragment.partial is not None:

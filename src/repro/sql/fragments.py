@@ -62,7 +62,6 @@ from .executor import (
 from .planner import (
     collect_columns,
     column_equality,
-    conjoin,
     contains_local_timestamp,
     extract_hash_keys,
     split_conjuncts,
@@ -393,6 +392,9 @@ class ScanFragment:
     #: key restriction implied by ``pushed`` (drives partition pruning).
     key_filter: KeyFilter | None = None
     top_k: TopK | None = None
+    #: A conjunct stays at the entry node: a row a pushed conjunct is
+    #: NULL on ships for it, and only a FALSE one drops a row.
+    nulls_ship: bool = False
 
     @property
     def is_passthrough(self) -> bool:
@@ -417,9 +419,11 @@ class DistributedPlan:
 
     select: Select
     #: the entry-node statement: original SELECT with WHERE replaced by
-    #: the residual conjuncts (joins/HAVING/ORDER/LIMIT untouched).
+    #: ``residual`` (joins/HAVING/ORDER/LIMIT untouched).
     final_select: Select
     fragments: dict[str, ScanFragment] = field(default_factory=dict)
+    #: the whole WHERE once any conjunct stays at the entry node, else
+    #: ``None``.
     residual: Expr | None = None
     #: set iff the whole query runs as scan-side partial aggregation.
     partial: PartialAggregate | None = None
@@ -589,9 +593,11 @@ def split_select(select: Select) -> DistributedPlan:
     }
     residual_parts: list[Expr] = []
     for conjunct in split_conjuncts(select.where):
-        if contains_local_timestamp(conjunct) or contains_aggregate(
-            conjunct
-        ):
+        # The entry node's one AND runs its conjuncts in order: one
+        # after a residual conjunct may not drop a row the residual
+        # could have raised on first.
+        if residual_parts or contains_local_timestamp(conjunct) or \
+                contains_aggregate(conjunct):
             residual_parts.append(conjunct)
             continue
         columns: list[Column] = []
@@ -614,7 +620,9 @@ def split_select(select: Select) -> DistributedPlan:
                     continue
         residual_parts.append(conjunct)
 
-    residual = conjoin(residual_parts)
+    # A row a pushed conjunct is NULL on goes on to the residual, so it
+    # ships, and the entry node runs the whole WHERE again.
+    residual = select.where if residual_parts else None
     partial = _partial_aggregate_for(
         select, pushed_by_table.get(select.table.name, []), residual
     )
@@ -642,6 +650,7 @@ def split_select(select: Select) -> DistributedPlan:
             partial=partial if name == select.table.name else None,
             key_filter=key_filter,
             top_k=top_k if name == select.table.name else None,
+            nulls_ship=residual is not None,
         )
 
     final_select = replace(select, where=residual)

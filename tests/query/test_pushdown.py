@@ -222,6 +222,78 @@ def test_null_conjunct_keeps_later_conjunct_errors(pushdown, sql, expected):
     assert sorted(service.execute(sql).result.column("key")) == expected
 
 
+#: ``t`` and ``u`` of the entry-node cases below: row 0's ``a`` is NULL
+#: and its ``b`` compares with no number; row 2's ``a`` is FALSE.
+ENTRY_T = [{"a": None, "b": "x", "k": 1}, {"a": True, "b": 5, "k": 1},
+           {"a": False, "b": "z", "k": 1}]
+ENTRY_U = [{"k": 1, "y": 1}]
+JOIN_TU = 'SELECT t.key FROM "t" AS t JOIN "u" AS u ON t.k = u.k WHERE '
+#: ``(statement, keys or error text)``: a conjunct the entry node keeps
+#: (a residual over both tables, or ``LOCALTIMESTAMP``) runs after a
+#: NULL pushed conjunct, and before a pushed conjunct written after it,
+#: so a shard may drop a row only where a pushed conjunct ahead of
+#: every residual one is FALSE.
+ENTRY_CONJUNCTS = [
+    (JOIN_TU + "t.a = TRUE AND t.b > u.y", "cannot compare str with int"),
+    (JOIN_TU + "TRUE = t.a AND u.y < t.b", "cannot compare int with str"),
+    (JOIN_TU + "t.b > u.y AND t.a = TRUE", "cannot compare str with int"),
+    (JOIN_TU + "t.key > 0 AND t.b > u.y AND t.a = TRUE",
+     "cannot compare str with int"),
+    (JOIN_TU + "t.a = FALSE AND t.key > 1 AND u.y < t.b",
+     "cannot compare int with str"),
+    (JOIN_TU + "t.a = TRUE AND t.k = u.y", [1]),
+    (JOIN_TU + "t.a = TRUE AND u.y = 1 AND t.k = u.y", [1]),
+    (JOIN_TU + "t.key = 1 AND t.b > u.y", [1]),
+    ('SELECT key FROM "t" WHERE a = TRUE AND b < LOCALTIMESTAMP',
+     "cannot compare str with float"),
+    ('SELECT key FROM "t" WHERE b < LOCALTIMESTAMP AND key <> 0',
+     "cannot compare str with float"),
+    ('SELECT COUNT(*) AS n FROM "t" WHERE a = TRUE AND b < LOCALTIMESTAMP',
+     "cannot compare str with float"),
+]
+
+
+def entry_env():
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+    for name, rows in (("t", ENTRY_T), ("u", ENTRY_U)):
+        imap = env.store.create_map(name)
+        env.store.register_live_table(name, LiveStateTable(imap))
+        for key, value in enumerate(rows):
+            imap.put(key, value)
+    return env
+
+
+@pytest.mark.parametrize("pushdown", [True, False])
+@pytest.mark.parametrize("sql, expected", ENTRY_CONJUNCTS)
+def test_entry_node_conjunct_keeps_its_errors(pushdown, sql, expected):
+    service = QueryService(entry_env(), pushdown=pushdown)
+    if isinstance(expected, str):
+        with pytest.raises(SqlExecutionError, match=expected):
+            service.execute(sql)
+        return
+    assert sorted(service.execute(sql).result.column("key")) == expected
+
+
+def test_entry_node_conjunct_vetoes_an_index_that_skips_null_rows():
+    """An index read never returns a row its conjunct is NULL on: with a
+    residual conjunct to follow, the shard scans instead."""
+    env = Environment(ClusterConfig(nodes=NODES, processing_workers_per_node=1,
+                                    partition_count=32))
+    imap = env.store.create_map("t")
+    env.store.register_live_table("t", LiveStateTable(imap))
+    for key in range(3000):
+        imap.put(key, {"a": key % 300, "b": 5})
+    imap.put(3000, {"a": None, "b": "x"})
+    env.store.create_index("t", "a", "hash")
+    service = QueryService(env)
+    assert "index probe on 'a'" in service.explain(
+        'SELECT key FROM "t" WHERE a = 3 AND b < 7')
+    sql = 'SELECT key FROM "t" WHERE a = 3 AND b < LOCALTIMESTAMP'
+    assert "skips the NULL rows that ship" in service.explain(sql)
+    with pytest.raises(SqlExecutionError, match="cannot compare str"):
+        service.execute(sql)
+
+
 def test_selective_scan_ships_fewer_rows_and_bytes(wide_env):
     sql = 'SELECT key, value FROM "metrics" WHERE value = 0'
     on = QueryService(wide_env, pushdown=True).execute(sql)

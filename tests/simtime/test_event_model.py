@@ -7,8 +7,10 @@ promises, ``(time, seq)``.
 """
 
 import bisect
+import gc
 import math
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -172,3 +174,237 @@ def test_every_driver_runs_the_same_simulation(seed):
         outcomes.append((trace, sim.processed_events))
     assert len(outcomes[0][0]) == outcomes[0][1] > 170
     assert all(outcome == outcomes[0] for outcome in outcomes)
+
+
+# -- same-time runs -----------------------------------------------------------
+
+
+class Boom(Exception):
+    pass
+
+
+class RunReference:
+    """Every call its own event, in ``(time, id)`` order, beside the
+    entries the join rule predicts: a ``call_at`` joins the entry of
+    the call before it at its time when that entry was a ``call_at``
+    one and has not fired; anything else opens an entry."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.live = []  # (time, call id)
+        self.calls = []  # call id -> (kind, chain, raises)
+        self.entry_of = []  # call id -> entry id
+        self.entries = 0
+        self.joinable = {}  # time -> entry id
+        self.fired = []
+        self.processed = 0
+
+    def add(self, kind, time, chain, raises):
+        call = len(self.calls)
+        if kind == "call_at" and time in self.joinable:
+            entry = self.joinable[time]
+        else:
+            entry = self.entries
+            self.entries += 1
+            if kind == "call_at":
+                self.joinable[time] = entry
+            else:
+                self.joinable.pop(time, None)
+        bisect.insort(self.live, (time, call))
+        self.calls.append((kind, chain, raises))
+        self.entry_of.append(entry)
+
+    def cancel(self, call):
+        self.live = [item for item in self.live if item[1] != call]
+
+    @property
+    def pending(self):
+        return len({self.entry_of[call] for _, call in self.live})
+
+    def fire_entry(self, horizon=math.inf):
+        """Fire the next entry's calls; raise :class:`Boom` where one of
+        them does, leaving the rest as an entry of their own."""
+        if not self.live or self.live[0][0] > horizon:
+            return False
+        self.now, first = self.live[0]
+        entry = self.entry_of[first]
+        self.processed += 1
+        if self.joinable.get(self.now) == entry:
+            del self.joinable[self.now]
+        while self.live and self.entry_of[self.live[0][1]] == entry:
+            _, call = self.live.pop(0)
+            self.fired.append(call)
+            kind, chain, raises = self.calls[call]
+            if chain:
+                self.add(CHAIN_KINDS[chain % 3], self.now, chain - 1, False)
+            if raises:
+                rest = self.entries
+                self.entries += 1
+                for _, other in self.live:
+                    if self.entry_of[other] == entry:
+                        self.entry_of[other] = rest
+                raise Boom
+        return True
+
+
+#: The kind a call of ``chain`` left schedules its child with (delay 0).
+CHAIN_KINDS = ("call_at", "schedule", "schedule_at")
+
+
+class RunDriven:
+    """The real simulator, making the same calls as a RunReference."""
+
+    def __init__(self):
+        self.sim = Simulator()
+        self.handles = {}  # call id -> handle (schedule / schedule_at)
+        self.calls = 0
+        self.fired = []
+
+    def add(self, kind, time, chain, raises):
+        call = self.calls
+        self.calls += 1
+        if kind == "call_at":
+            self.sim.call_at(time, self._fire, call, chain, raises)
+        elif kind == "schedule":
+            self.handles[call] = self.sim.schedule(
+                time - self.sim.now, self._fire, call, chain, raises)
+        else:
+            self.handles[call] = self.sim.schedule_at(
+                time, self._fire, call, chain, raises)
+
+    def _fire(self, call, chain, raises):
+        self.fired.append(call)
+        if chain:
+            self.add(CHAIN_KINDS[chain % 3], self.sim.now, chain - 1, False)
+        if raises:
+            raise Boom
+
+
+run_operations = st.lists(
+    st.one_of(
+        st.tuples(st.sampled_from(("call_at", "call_at", "schedule",
+                                   "schedule_at")),
+                  st.sampled_from(DELAYS), st.integers(0, 3),
+                  st.sampled_from((False, False, False, True))),
+        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+        st.tuples(st.just("step")),
+        st.tuples(st.just("run"), st.integers(1, 4)),
+        st.tuples(st.just("run_until"), st.sampled_from(DELAYS)),
+    ),
+    max_size=80,
+)
+
+
+def both(model_step, real_step):
+    """Run one driver step on both sides; each raises Boom or neither."""
+    try:
+        expected = model_step()
+    except Boom:
+        with pytest.raises(Boom):
+            real_step()
+        return None
+    return expected, real_step()
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_operations)
+def test_joined_runs_fire_as_one_event_per_call_would(ops):
+    model, real = RunReference(), RunDriven()
+    sim = real.sim
+    for op in ops:
+        if op[0] in ("call_at", "schedule", "schedule_at"):
+            model.add(op[0], model.now + op[1], op[2], op[3])
+            real.add(op[0], sim.now + op[1], op[2], op[3])
+        elif op[0] == "cancel":
+            if real.handles:
+                call = sorted(real.handles)[op[1] % len(real.handles)]
+                model.cancel(call)
+                real.handles[call].cancel()
+        elif op[0] == "step":
+            outcome = both(model.fire_entry, sim.step)
+            if outcome is not None:
+                assert outcome[0] == outcome[1]
+        elif op[0] == "run":
+            def fire_up_to(limit=op[1]):
+                count = 0
+                while count < limit and model.fire_entry():
+                    count += 1
+                return count
+
+            outcome = both(fire_up_to, lambda: sim.run(max_events=op[1]))
+            if outcome is not None:
+                assert outcome[0] == outcome[1]
+        else:
+            horizon = model.now + op[1]
+
+            def fire_until():
+                while model.fire_entry(horizon):
+                    pass
+                model.now = horizon
+
+            both(fire_until, lambda: sim.run_until(horizon))
+        assert real.fired == model.fired
+        assert sim.now == model.now
+        assert sim.processed_events == model.processed
+        assert sim.pending_events == model.pending
+        # The join index holds exactly the entries still open to a join.
+        assert sorted(sim._queue.joinable) == sorted(model.joinable)
+        assert all(entry[2] is not None
+                   for entry in sim._queue.joinable.values())
+        for call, handle in real.handles.items():
+            assert handle.active == any(item[1] == call
+                                        for item in model.live)
+    while True:
+        try:
+            sim.run()
+            break
+        except Boom:
+            pass
+    while True:
+        try:
+            while model.fire_entry():
+                pass
+            break
+        except Boom:
+            pass
+    assert real.fired == model.fired
+    assert sim.processed_events == model.processed
+    assert sim.pending_events == 0 and not sim._queue.joinable
+
+
+class Payload:
+    pass
+
+
+def test_a_fired_run_lets_its_args_go():
+    sim = Simulator()
+    payload = Payload()
+    ref = weakref.ref(payload)
+    for _ in range(3):
+        sim.call_at(1.0, id, payload)
+    del payload
+    assert sim.pending_events == 1
+    assert sim.run() == 1
+    gc.collect()
+    assert ref() is None
+
+
+def test_a_raising_member_leaves_the_rest_at_the_head_of_its_time():
+    sim = Simulator()
+    fired = []
+
+    def fire(tag):
+        fired.append(tag)
+        if tag == "boom":
+            raise Boom
+
+    for tag in ("a", "boom", "c"):
+        sim.call_at(1.0, fire, tag)
+    sim.call_at(2.0, fire, "later")
+    with pytest.raises(Boom):
+        sim.run()
+    assert sim.now == 1.0 and sim.pending_events == 2
+    sim.call_at(1.0, fire, "after")  # joins nothing that has fired
+    assert sim.pending_events == 3
+    assert sim.run() == 3
+    assert fired == ["a", "boom", "c", "after", "later"]

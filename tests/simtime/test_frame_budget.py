@@ -54,3 +54,26 @@ def test_at_most_one_frame_per_event_beside_the_callback(drive):
     assert sum(draining.values()) - EVENTS <= EVENTS
     # Ordering is decided by C comparisons on (time, seq).
     assert loading["__lt__"] == draining["__lt__"] == 0
+
+
+def test_call_at_joins_same_time_calls_into_one_entry():
+    """Calls due at one time share one queue entry: 97 entries for
+    10,000 calls, one frame per call to make it and none to fire a
+    run's member beside the member's own."""
+    sim = Simulator()
+
+    def load():
+        for index in range(EVENTS):
+            sim.call_at(index % 97 * 0.5, noop)
+
+    loading = python_calls(load)
+    assert sim.pending_events == 97
+    draining = python_calls(sim.run)
+    assert sim.processed_events == 97
+    # Hypothesis, when loaded, times garbage collection from a callback.
+    for calls in (loading, draining):
+        del calls["gc_callback"]
+    assert loading["call_at"] == EVENTS
+    assert sum(loading.values()) - loading["load"] == EVENTS
+    assert draining["noop"] == EVENTS
+    assert sum(draining.values()) - EVENTS == 2  # ``run`` and ``_drain``
