@@ -20,6 +20,7 @@ class NetworkModel:
     def __init__(self, sim: Simulator, config: NetworkConfig) -> None:
         self._sim = sim
         self._config = config
+        self._jitter = sim.rng.stream("network")
         self._last_delivery: dict[Any, float] = {}
         self._messages = 0
         self._bytes = 0
@@ -69,9 +70,7 @@ class NetworkModel:
             return self._config.local_delay_ms
         jitter = 0.0
         if self._config.jitter_ms > 0:
-            jitter = self._sim.rng.uniform(
-                "network", 0.0, self._config.jitter_ms
-            )
+            jitter = self._jitter.uniform(0.0, self._config.jitter_ms)
         return (
             self._config.remote_base_ms
             + nbytes / self._config.bytes_per_ms
@@ -89,7 +88,8 @@ class NetworkModel:
         """
         self._messages += 1
         self._bytes += nbytes
-        arrival = self._sim.now + self.delay(src_node, dst_node, nbytes)
+        # The clock without the property frame, as the resources read it.
+        arrival = self._sim._now + self.delay(src_node, dst_node, nbytes)
         if channel is not None:
             if (
                 channel not in self._last_delivery

@@ -29,6 +29,7 @@ from .changelog import (
 from .delivery import (
     BATCH_DELTA,
     BATCH_EVICTED,
+    BATCH_FAILED,
     BATCH_ROLLBACK,
     BATCH_SNAPSHOT,
     TIER_COALESCED,
@@ -53,6 +54,7 @@ __all__ = [
     "Arrangement",
     "BATCH_DELTA",
     "BATCH_EVICTED",
+    "BATCH_FAILED",
     "BATCH_ROLLBACK",
     "BATCH_SNAPSHOT",
     "COMMIT",

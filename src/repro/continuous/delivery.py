@@ -35,6 +35,8 @@ BATCH_DELTA = "delta"        # incremental entries (upsert/delete)
 BATCH_SNAPSHOT = "snapshot"  # full current result (coalesced / rescan)
 BATCH_ROLLBACK = "rollback"  # full post-recovery result (Fig. 5c replay)
 BATCH_EVICTED = "evicted"    # terminal: slow consumer dropped by service
+BATCH_FAILED = "failed"      # terminal: the standing query raised (error)
+TERMINAL_BATCHES = (BATCH_EVICTED, BATCH_FAILED)
 
 #: Delivery tiers.
 TIER_REALTIME = "realtime"
@@ -53,6 +55,7 @@ class DeltaBatch:
     entries: list[dict]            # delta: {action,key,row}; else {key,row}
     sent_ms: float
     ssid: int | None = None        # rollback: the restored snapshot id
+    error: Exception | None = None  # failed: what the statement raised
     delivered_ms: float | None = None
     consumed_ms: float | None = None
 
@@ -157,7 +160,7 @@ class Subscription:
                     self.view.pop(entry["key"], None)
                 else:
                     self.view[entry["key"]] = entry["row"]
-        elif batch.kind == BATCH_EVICTED:
+        elif batch.kind in TERMINAL_BATCHES:
             # Terminal: the view keeps its last consistent contents; the
             # client knows it is no longer being maintained.
             pass

@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from ..errors import QueryError
+from ..errors import QueryError, SqlError
 from ..sql.statements import parse_cached
 from ..sql.executor import hashable_key
 from ..sql.planner import check_output_names
@@ -48,10 +48,12 @@ from .changelog import ChangeRecorder
 from .delivery import (
     BATCH_DELTA,
     BATCH_EVICTED,
+    BATCH_FAILED,
     BATCH_ROLLBACK,
     BATCH_SNAPSHOT,
     DeltaBatch,
     Subscription,
+    TERMINAL_BATCHES,
     TIER_COALESCED,
     TIER_DIGEST,
     TIER_REALTIME,
@@ -310,7 +312,12 @@ class ContinuousQueryService:
                     # routing retracts it from subscribers the update
                     # moved the row away from.
                     prev = standing.published.get(hashable_key(key))
-                entries = standing.on_delta(key, old_row, new_row)
+                try:
+                    entries = standing.on_delta(key, old_row, new_row)
+                except SqlError as error:
+                    for subscription in list(plan.subscribers.values()):
+                        self._terminate(subscription, BATCH_FAILED, error)
+                    return
                 routed = 0
                 if entries:
                     before = self.router.deltas_routed
@@ -576,19 +583,26 @@ class ContinuousQueryService:
         # batch so it can't pin plan/router state forever.
         self.slow_consumers_evicted += 1
         subscription.evicted = True
+        self._terminate(subscription, BATCH_EVICTED)
+
+    def _terminate(self, subscription: Subscription, kind: str,
+                   error: SqlError | None = None) -> None:
+        """Send ``subscription`` its terminal batch and detach it."""
         subscription.pending.clear()
         subscription.needs_snapshot = False
         subscription.digest_dirty = False
-        self._send(subscription, BATCH_EVICTED, [])
+        self._send(subscription, kind, [], error=error)
         subscription.active = False
         self._detach_subscription(subscription)
 
     def _send(self, subscription: Subscription, kind: str,
-              entries: list[dict], ssid: int | None = None) -> None:
+              entries: list[dict], ssid: int | None = None,
+              error: SqlError | None = None) -> None:
         subscription.seq += 1
         batch = DeltaBatch(
             subscription_id=subscription.id, seq=subscription.seq,
             kind=kind, entries=entries, sent_ms=self.sim.now, ssid=ssid,
+            error=error,
         )
         subscription.outstanding += 1
         self.batches_sent += 1
@@ -656,7 +670,7 @@ class ContinuousQueryService:
         batch.consumed_ms = self.sim.now
         subscription.outstanding -= 1
         subscription.stalled_since = None
-        if batch.kind == BATCH_EVICTED:
+        if batch.kind in TERMINAL_BATCHES:
             # Terminal notification: delivered even though the service
             # already dropped the subscription.
             subscription.apply_batch(batch)

@@ -119,7 +119,7 @@ class Job:
                 for dst in dst_instances:
                     dst.add_input_channel(edge_index, src.gid)
                 src.output_edges.append(
-                    OutputEdge(edge_index, edge.routing, dst_instances)
+                    OutputEdge(edge_index, edge.routing, dst_instances, src)
                 )
         for name, instances in self._instances.items():
             if not self.pipeline.out_edges(name):

@@ -10,6 +10,7 @@ job epoch so that in-flight work from before a failure is discarded.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import TYPE_CHECKING
 
 from ..cluster.partition import stable_hash
@@ -22,6 +23,7 @@ from .graph import (
 )
 from .operators import Emitter, Operator
 from .records import CheckpointMarker, Record
+from .sources import RETRY
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .job import Job
@@ -30,38 +32,64 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class InputChannel:
     """One FIFO input from a specific upstream instance."""
 
-    __slots__ = ("queue", "blocked_ssid", "src_gid")
+    __slots__ = ("queue", "blocked_ssid")
 
-    def __init__(self, src_gid: str) -> None:
+    def __init__(self) -> None:
         self.queue: deque = deque()
         self.blocked_ssid: int | None = None
-        self.src_gid = src_gid
 
 
 class OutputEdge:
-    """Routing fan-out from one instance to a downstream vertex."""
+    """Routing fan-out from instance ``src`` to a downstream vertex,
+    with what deployment fixes resolved once: the input key the targets
+    file ``src``'s items under and the FIFO channel to each target."""
 
     def __init__(self, edge_index: int, routing: str,
-                 dst_instances: list["OperatorInstance"]) -> None:
-        self.edge_index = edge_index
+                 dst_instances: list["OperatorInstance"],
+                 src: "_InstanceBase | None" = None) -> None:
         self.routing = routing
         self.dst_instances = dst_instances
+        self.src = src
+        src_gid = None if src is None else src.gid
+        self.input_key = (edge_index, src_gid)
+        self.channels = [(edge_index, src_gid, dst.gid)
+                         for dst in dst_instances]
         self._rebalance_next = 0
 
-    def targets(self, record: Record) -> list["OperatorInstance"]:
+    def _index(self, record: Record) -> int:
+        """Position of ``record``'s target on a one-target routing."""
         parallelism = len(self.dst_instances)
         if self.routing == ROUTE_PARTITIONED:
-            index = stable_hash(record.key) % parallelism
-            return [self.dst_instances[index]]
+            return stable_hash(record.key) % parallelism
         if self.routing == ROUTE_FORWARD:
-            return [self.dst_instances[record.source_instance % parallelism]]
+            return record.source_instance % parallelism
         if self.routing == ROUTE_REBALANCE:
             index = self._rebalance_next % parallelism
             self._rebalance_next += 1
-            return [self.dst_instances[index]]
+            return index
+        raise CheckpointError(f"unknown routing {self.routing!r}")
+
+    def targets(self, record: Record) -> list["OperatorInstance"]:
         if self.routing == ROUTE_BROADCAST:
             return list(self.dst_instances)
-        raise CheckpointError(f"unknown routing {self.routing!r}")
+        return [self.dst_instances[self._index(record)]]
+
+    def send(self, item: Record | CheckpointMarker, nbytes: int) -> None:
+        """A record to its routed target, a marker to every target."""
+        dst = self.dst_instances
+        if type(item) is not Record or self.routing == ROUTE_BROADCAST:
+            indexes = range(len(dst))
+        elif self.routing == ROUTE_PARTITIONED:  # ``_index``, inline
+            indexes = (stable_hash(item.key) % len(dst),)
+        else:
+            indexes = (self._index(item),)
+        src = self.src
+        for index in indexes:
+            target = dst[index]
+            src.job.cluster.network.send(
+                src.node_id, target.node_id, target.deliver_guarded,
+                src.job.epoch, self.input_key, item,
+                nbytes=nbytes, channel=self.channels[index])
 
 
 class _InstanceBase:
@@ -76,33 +104,10 @@ class _InstanceBase:
         self.gid = f"{vertex_name}[{instance}]"
         self.output_edges: list[OutputEdge] = []
 
-    # -- sending ---------------------------------------------------------
-
-    def _send_record(self, record: Record) -> None:
-        network = self.job.cluster.network
-        nbytes = self.job.costs.row_bytes
-        for edge in self.output_edges:
-            for target in edge.targets(record):
-                network.send(
-                    self.node_id, target.node_id,
-                    target.deliver_guarded, self.job.epoch,
-                    (edge.edge_index, self.gid), record,
-                    nbytes=nbytes,
-                    channel=(edge.edge_index, self.gid, target.gid),
-                )
-
     def _broadcast_marker(self, ssid: int) -> None:
-        network = self.job.cluster.network
         marker = CheckpointMarker(ssid)
         for edge in self.output_edges:
-            for target in edge.dst_instances:
-                network.send(
-                    self.node_id, target.node_id,
-                    target.deliver_guarded, self.job.epoch,
-                    (edge.edge_index, self.gid), marker,
-                    nbytes=16,
-                    channel=(edge.edge_index, self.gid, target.gid),
-                )
+            edge.send(marker, 16)
 
     def _ack_snapshot(self, ssid: int) -> None:
         self.job.coordinator.send_ack(self.node_id, ssid, self.gid)
@@ -121,13 +126,19 @@ class OperatorInstance(_InstanceBase):
         self._snapshotting = False
         self._emitter = Emitter()
         self.records_processed = 0
+        costs = job.costs
+        self._service_ms = (costs.record_service_ms + costs.state_update_ms
+                            if operator.stateful else costs.record_service_ms)
+        self._jitter = job.sim.rng.stream("service")
         if operator.state is not None:
-            operator.state.on_update = self._on_state_update
+            # StateAccess mutation hook -> live-state mirroring.
+            operator.state.on_update = partial(
+                job.backend.on_state_update, vertex_name)
 
     # -- wiring -----------------------------------------------------------
 
     def add_input_channel(self, edge_index: int, src_gid: str) -> None:
-        self.input_channels[(edge_index, src_gid)] = InputChannel(src_gid)
+        self.input_channels[(edge_index, src_gid)] = InputChannel()
 
     # -- delivery and pumping ---------------------------------------------
 
@@ -138,6 +149,12 @@ class OperatorInstance(_InstanceBase):
             return
         channel = self.input_channels.get(channel_key)
         if channel is None:
+            return
+        if (type(item) is Record and not channel.queue
+                and channel.blocked_ssid is None and not self._snapshotting):
+            # Between pumps only blocked channels hold items: ``_pump``
+            # would submit just this record, then find a job pending.
+            self._submit_record(item)
             return
         channel.queue.append(item)
         self._pump()
@@ -164,20 +181,16 @@ class OperatorInstance(_InstanceBase):
         self._maybe_align()
 
     def _submit_record(self, record: Record) -> None:
-        duration = self._service_time()
         self._pending_jobs += 1
-        pool = self.job.cluster.node(self.node_id).processing_pool
-        pool.submit(self.gid, duration, self._on_record_done,
-                    self.job.epoch, record)
+        self.job.cluster.nodes[self.node_id].processing_pool.submit(
+            self.gid, self._service_time(), self._on_record_done,
+            self.job.epoch, record)
 
     def _service_time(self) -> float:
-        costs = self.job.costs
-        duration = costs.record_service_ms
+        duration = self._service_ms
         if self.operator.stateful:
-            duration += costs.state_update_ms
             duration += self.job.backend.live_update_cost(self.vertex_name)
-        jitter = self.job.sim.rng.uniform("service", 0.8, 1.2)
-        return duration * jitter
+        return duration * self._jitter.uniform(0.8, 1.2)
 
     def _on_record_done(self, epoch: int, record: Record) -> None:
         if epoch != self.job.epoch:
@@ -185,32 +198,29 @@ class OperatorInstance(_InstanceBase):
         self._pending_jobs -= 1
         self.operator.process(record, self._emitter)
         self.records_processed += 1
+        nbytes = self.job.costs.row_bytes
         for output in self._emitter.drain():
-            self._send_record(output)
+            for edge in self.output_edges:
+                edge.send(output, nbytes)
         if self.is_sink:
             latency = self.job.sim.now - record.created_ms
             self.job.metrics.record_sink_latency(latency)
-        self._maybe_align()
-
-    def _on_state_update(self, key: object, value: object | None) -> None:
-        """StateAccess mutation hook → live-state mirroring."""
-        self.job.backend.on_state_update(self.vertex_name, key, value)
+        if not self._pending_jobs:
+            self._maybe_align()
 
     # -- checkpoint alignment and snapshotting ---------------------------
 
     def _maybe_align(self) -> None:
         if self._snapshotting or self._pending_jobs > 0:
             return
-        if not self.input_channels:
-            return
-        ssids = {
-            channel.blocked_ssid
-            for channel in self.input_channels.values()
-        }
-        if None in ssids or len(ssids) != 1:
-            return
-        ssid = ssids.pop()
-        self._begin_snapshot(ssid)
+        ssid = None
+        for channel in self.input_channels.values():
+            blocked = channel.blocked_ssid
+            if blocked is None or (ssid is not None and blocked != ssid):
+                return
+            ssid = blocked
+        if ssid is not None:
+            self._begin_snapshot(ssid)
 
     def _begin_snapshot(self, ssid: int) -> None:
         self._snapshotting = True
@@ -278,19 +288,19 @@ class SourceInstance(_InstanceBase):
         self.seq = 0
         self.exhausted = False
         self.records_emitted = 0
+        self._parallelism = job.vertex_parallelism(vertex_name)
+        self._arrivals = job.sim.rng.stream(f"arrivals.{self.gid}")
+        self._batch_wait = job.sim.rng.stream("source_batch")
 
     def start(self) -> None:
         self._schedule_next()
 
     def _schedule_next(self) -> None:
-        parallelism = self.job.vertex_parallelism(self.vertex_name)
-        rate = self.source.rate_per_instance(parallelism)
+        rate = self.source.rate_per_instance(self._parallelism)
         if rate <= 0:
             return
         mean_interarrival = 1000.0 / rate
-        delay = self.job.sim.rng.exponential(
-            f"arrivals.{self.gid}", mean_interarrival
-        )
+        delay = self._arrivals.expovariate(1.0 / mean_interarrival)
         self.job.sim.schedule(delay, self._emit, self.job.epoch)
 
     def _emit(self, epoch: int) -> None:
@@ -301,17 +311,14 @@ class SourceInstance(_InstanceBase):
             self.exhausted = True
             self.job.on_source_exhausted(self.gid)
             return
-        from .sources import RETRY
-
         if item is RETRY:
             # Caught up with a live external input: poll again later.
             self._schedule_next()
             return
         key, value = item
         now = self.job.sim.now
-        batch_wait = self.job.sim.rng.uniform(
-            "source_batch", 0.0, self.job.costs.source_batch_ms
-        )
+        batch_wait = self._batch_wait.uniform(
+            0.0, self.job.costs.source_batch_ms)
         record = Record(
             key=key,
             value=value,
@@ -325,9 +332,11 @@ class SourceInstance(_InstanceBase):
         # are cooperative tasklets in Jet); the offered rate is open-loop
         # so emission itself is not delayed, but the CPU time contends
         # with downstream operators on the same node.
-        pool = self.job.cluster.node(self.node_id).processing_pool
+        pool = self.job.cluster.nodes[self.node_id].processing_pool
         pool.submit(self.gid, self.job.costs.record_service_ms)
-        self._send_record(record)
+        nbytes = self.job.costs.row_bytes
+        for edge in self.output_edges:
+            edge.send(record, nbytes)
         self._schedule_next()
 
     # -- checkpointing -----------------------------------------------------

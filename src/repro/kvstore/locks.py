@@ -14,6 +14,7 @@ hold durations in virtual time are modelled by the callers.
 from __future__ import annotations
 
 from collections import deque
+from functools import partial
 from typing import Callable, Hashable
 
 from ..errors import LockError
@@ -78,6 +79,25 @@ class LockManager:
         self._contentions += 1
         self._waiters.setdefault(key, deque()).append((owner, granted))
         return False
+
+    def run_locked(self, key: Hashable, fn: Callable[..., None],
+                   *args: object) -> None:
+        """Call ``fn(*args)`` holding ``key`` as ``fn``, now or when the
+        FIFO hands the key over; release it however ``fn`` ends."""
+        if key in self._holders:
+            self.acquire(key, fn,
+                         granted=partial(self._run_held, key, fn, args))
+            return
+        self._holders[key] = fn
+        self._acquisitions += 1
+        self._run_held(key, fn, args)
+
+    def _run_held(self, key: Hashable, fn: Callable[..., None],
+                  args: tuple) -> None:
+        try:
+            fn(*args)
+        finally:
+            self.release(key, fn)
 
     def release(self, key: Hashable, owner: object) -> None:
         """Release ``key``; hands the lock to the next FIFO waiter."""

@@ -10,6 +10,8 @@ slot of ``None`` marks an entry that was cancelled or has fired.
 ``joinable`` maps a time to the latest entry at it while ``call_at``
 pushed that entry and it has not fired: a ``call_at`` at that time
 joins its run, as it would have taken the next ``seq`` there anyway.
+Cancelled entries beyond ``COMPACT_MIN`` and half the heap are dropped
+at once (asyncio's rule); ``(time, seq)`` keeps the live entries' order.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import heapq
 from typing import Any, Callable
 
 from ..errors import SimulationError
+
+COMPACT_MIN = 128  # cancelled entries a heap keeps, whatever its size
 
 
 class EventHandle:
@@ -42,12 +46,19 @@ class EventHandle:
         """Unschedule the event; a no-op once it has fired or been
         cancelled, so the queue's live count moves at most once.  The
         arguments are dropped at once: the entry stays on the heap
-        until its time comes, and must not keep them alive."""
+        until its time or a compaction, and must not keep them alive."""
         entry = self._entry
         if entry[2] is not None:
             entry[2] = None
             entry[3] = ()
-            self._queue.dead += 1
+            queue = self._queue
+            queue.dead += 1
+            heap = queue.heap
+            if queue.dead > COMPACT_MIN and 2 * queue.dead > len(heap):
+                # In place: the event loop holds the list.
+                heap[:] = [entry for entry in heap if entry[2] is not None]
+                heapq.heapify(heap)
+                queue.dead = 0
 
 
 class EventQueue:

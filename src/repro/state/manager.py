@@ -40,11 +40,14 @@ class SQueryBackend(VanillaBackend):
                  config: SQueryConfig | None = None) -> None:
         super().__init__(cluster)
         self.store = store
+        self._locks = store.locks
         self.config = config or SQueryConfig()
         self.config.validate()
         self.live_tables: dict[str, LiveStateTable] = {}
         self.snapshot_tables: dict[str, SnapshotTableBase] = {}
         self._vertex_table: dict[str, str] = {}
+        #: Vertex -> its live IMap's derived-structure registries.
+        self._registries: dict[str, dict] = {}
         self._node_of: dict[str, Callable[[int], int]] = {}
         self._parallelism: dict[str, int] = {}
         #: Hot-standby replicas, vertex -> instance -> {key: value}.
@@ -52,6 +55,12 @@ class SQueryBackend(VanillaBackend):
         #: ``active_replication`` is on (§VII-B).
         self._standby: dict[str, dict[int, dict]] = {}
         self.live_updates_mirrored = 0
+        #: A mirrored update's cost before index and sketch upkeep.
+        self._mirror_ms = self._costs.live_mirror_ms
+        if not self.config.colocate_state:
+            self._mirror_ms += self._costs.live_mirror_remote_ms
+        if self.config.active_replication:
+            self._mirror_ms += self._costs.replication_sync_ms
 
     @property
     def incremental(self) -> bool:  # type: ignore[override]
@@ -86,6 +95,7 @@ class SQueryBackend(VanillaBackend):
             imap = self.store.create_map(table_name, placement)
             live = LiveStateTable(imap)
             self.live_tables[vertex_name] = live
+            self._registries[vertex_name] = imap.registries
             self.store.register_live_table(table_name, live)
         if self.config.snapshot_state:
             snap_name = snapshot_table_name(vertex_name)
@@ -141,17 +151,14 @@ class SQueryBackend(VanillaBackend):
     # -- live state ---------------------------------------------------------
 
     def live_update_cost(self, vertex_name: str) -> float:
-        if not self.config.live_state:
+        registries = self._registries.get(vertex_name)
+        if registries is None:  # no live table
             return 0.0
-        if vertex_name not in self._vertex_table:
-            return 0.0
-        cost = self._costs.live_mirror_ms
-        if not self.config.colocate_state:
-            cost += self._costs.live_mirror_remote_ms
-        if self.config.active_replication:
-            cost += self._costs.replication_sync_ms
-        live = self.live_tables.get(vertex_name)
-        return cost if live is None else self._with_maintenance(cost, live)
+        # A DDL may add indexes or sketches at run time: look each time.
+        if registries:
+            return self._with_maintenance(
+                self._mirror_ms, self.live_tables[vertex_name])
+        return self._mirror_ms
 
     def on_state_update(self, vertex_name: str, key: Hashable,
                         value: object | None) -> None:
@@ -169,17 +176,11 @@ class SQueryBackend(VanillaBackend):
                 replica.pop(key, None)
             else:
                 replica[key] = value
-        locks = self.store.locks
-        lock_key = (live.name, key)
-        owner = object()
-
-        def apply() -> None:
-            live.apply_update(key, value)
-            locks.release(lock_key, owner)
-
         # Key-level locking (§VII-B): if a repeatable-read query holds
         # the key, the mirror write applies when the lock is released.
-        locks.acquire(lock_key, owner, granted=apply)
+        self._locks.run_locked(
+            (self._vertex_table[vertex_name], key), live.apply_update, key,
+            value)
 
     # -- snapshot state --------------------------------------------------------
 

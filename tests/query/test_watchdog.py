@@ -59,3 +59,26 @@ def test_draining_stops_at_the_last_real_event(service):
     assert execution.done
     assert service.sim.now == execution.completed_ms
     assert service.sim.now < service.retry_policy.query_timeout_ms
+
+
+def test_cancelled_watchdogs_do_not_pile_up_on_the_heap(service):
+    """The heap drops its cancelled entries once they outnumber the live
+    ones (and ``COMPACT_MIN``): 10,000 queries, each finished one
+    leaving a cancelled watchdog behind, end with a heap of about the
+    live events, where it held every watchdog until its 30 s came."""
+    sim = service.sim
+    heap = sim._queue.heap
+    sizes = []
+
+    def submit(index):
+        service.submit(f'SELECT * FROM "metrics" WHERE key = {index % 100}',
+                       on_done=lambda _execution: sizes.append(
+                           len(heap) - 2 * sim.pending_events))
+        if index + 1 < 10_000:
+            sim.schedule(0.01, submit, index + 1)
+
+    submit(0)
+    sim.run_until(60_000.0)
+    assert len(sizes) == 10_000
+    assert max(sizes) <= 128
+    assert len(heap) <= 2 * sim.pending_events + 128

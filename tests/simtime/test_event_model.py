@@ -11,11 +11,12 @@ import gc
 import math
 import random
 import weakref
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simtime import Simulator
+from repro.simtime import Simulator, events
 
 #: Few distinct values, so equal timestamps are the common case.
 DELAYS = (0.0, 0.0, 0.5, 1.0, 1.0, 2.5)
@@ -309,6 +310,19 @@ def both(model_step, real_step):
 @settings(max_examples=300, deadline=None)
 @given(run_operations)
 def test_joined_runs_fire_as_one_event_per_call_would(ops):
+    check_against_run_reference(ops)
+
+
+@settings(max_examples=300, deadline=None)
+@given(run_operations)
+def test_joined_runs_match_the_reference_under_eager_compaction(ops):
+    """The same, with the heap compacted whenever its cancelled
+    entries are more than one and more than half of it."""
+    with mock.patch.object(events, "COMPACT_MIN", 1):
+        check_against_run_reference(ops)
+
+
+def check_against_run_reference(ops):
     model, real = RunReference(), RunDriven()
     sim = real.sim
     for op in ops:
@@ -408,3 +422,91 @@ def test_a_raising_member_leaves_the_rest_at_the_head_of_its_time():
     assert sim.pending_events == 3
     assert sim.run() == 3
     assert fired == ["a", "boom", "c", "after", "later"]
+
+
+# -- compaction ---------------------------------------------------------------
+
+
+def cancel_heavy(seed):
+    """3,000 calls over 60 times, most cancelled: three quarters of
+    the handles before the drain, more by run members as it goes.
+    Returns the simulator, the calls fired, the calls a sorted-list
+    reference fires, and each compaction's ``(time, heap before,
+    heap after, whether a run member made it)``."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    calls = []  # call id -> (time, cancels)
+    handles = {}
+    fired = []
+    compactions = []
+    heap = sim._queue.heap
+
+    def cancel(target, member):
+        """A cancel that shrinks the heap is a compaction."""
+        before = len(heap)
+        handles[target].cancel()
+        if len(heap) < before:
+            compactions.append((sim.now, before, len(heap), member))
+            assert all(entry[2] is not None for entry in heap)
+
+    def fire(call, is_member):
+        fired.append(call)
+        for target in calls[call][1]:
+            cancel(target, is_member)
+
+    for call in range(3000):
+        time = rng.randrange(60) * 0.5
+        if rng.random() < 0.3:
+            calls.append((time, rng.sample(range(3000), 16)))
+            sim.call_at(time, fire, call, True)
+        else:
+            calls.append((time, []))
+            handles[call] = sim.schedule_at(time, fire, call, False)
+    for call in calls:
+        call[1][:] = [target for target in call[1] if target in handles]
+    for target in rng.sample(sorted(handles), 3 * len(handles) // 4):
+        cancel(target, False)
+
+    cancelled = {call for call, handle in handles.items()
+                 if not handle.active}
+    expected = []
+    for _time, call in sorted((time, call)
+                              for call, (time, _) in enumerate(calls)):
+        if call not in cancelled:
+            expected.append(call)
+            cancelled.update(calls[call][1])
+    return sim, fired, expected, compactions
+
+
+@pytest.mark.parametrize("drive", [Simulator.run, by_step,
+                                   by_run_until_slices])
+@pytest.mark.parametrize("seed", [3, 11])
+def test_compaction_mid_drain_keeps_the_reference_order(seed, drive):
+    sim, fired, expected, compactions = cancel_heavy(seed)
+    assert compactions and compactions[0][0] == 0.0  # before the drain
+    drive(sim)
+    assert fired == expected
+    assert sim.pending_events == 0 and not sim._queue.heap
+    assert sim.processed_events < len(expected)  # runs were joined
+    # Some compactions came from inside run members, mid-drain; each
+    # kept less than half of the heap it found.
+    assert any(member and time > 0.0
+               for time, _, _, member in compactions)
+    assert all(2 * after < before for _, before, after, _ in compactions)
+
+
+def test_compaction_waits_for_enough_cancelled_entries():
+    sim = Simulator()
+    handles = [sim.schedule(1.0, noop) for _ in range(2 * events.COMPACT_MIN)]
+    for handle in handles[:events.COMPACT_MIN]:
+        handle.cancel()
+    # Half the heap, and no more than COMPACT_MIN: the entries stay.
+    assert len(sim._queue.heap) == 2 * events.COMPACT_MIN
+    handles[events.COMPACT_MIN].cancel()
+    assert len(sim._queue.heap) == events.COMPACT_MIN - 1
+    assert sim.pending_events == events.COMPACT_MIN - 1
+    assert sim.run() == events.COMPACT_MIN - 1
+
+
+def noop():
+    pass
