@@ -42,7 +42,7 @@ from ..sql.executor import (
     output_column_name,
     unique_aggregates,
 )
-from ..sql.planner import contains_local_timestamp
+from ..sql.planner import contains_local_timestamp, split_conjuncts
 from ..sql.functions import NUMBERS, MaxAggregate, MinAggregate, addend
 
 PATH_FILTER_PROJECT = "incremental-filter-project"
@@ -292,11 +292,10 @@ class StandingQuery:
             ]
             self._groups: dict[tuple, _Group] = {}
             # Every expression compiles here, once, against raw rows of
-            # the table; deltas only call the closures.
-            self._where = (
-                compile_predicate(select.where, binding)
-                if select.where is not None else None
-            )
+            # the table; deltas only call the closures.  The WHERE is
+            # its conjuncts, by the rule of repro.sql.batch.
+            self._where = [compile_predicate(conjunct, binding)
+                           for conjunct in split_conjuncts(select.where)]
             self._items = [
                 compile_expr(item.expr, binding) for item in select.items
             ]
@@ -351,7 +350,12 @@ class StandingQuery:
         return EvalContext(now_ms=self._now())
 
     def _passes(self, row: dict, context: EvalContext) -> bool:
-        return self._where is None or self._where(row, context)
+        """Whether ``row`` is TRUE on every conjunct, each tried only
+        after the ones before it were."""
+        for conjunct in self._where:
+            if not conjunct(row, context):
+                return False
+        return True
 
     def _apply(self, key: Hashable, old_row: dict | None,
                new_row: dict | None) -> list[dict]:

@@ -22,9 +22,8 @@ have landed, and fans in.  The rows themselves are joined in-process by
 :mod:`repro.sql.join` — the position join the entry node runs for a
 central join, on one worker — so correctness never depends on the
 strategy; the placement only decides where simulated time and network
-bytes are billed, the split the scan machinery uses.  Scan-fragment
-errors (table FROM order, node-sorted) outrank statement-shape
-validation, which outranks each step's key errors in step order.
+bytes are billed, the split the scan machinery uses.  Which error a
+statement raises is the contract of :mod:`repro.sql.batch`.
 
 Everything bills, ships and fans in through the query's attempt
 (``_Attempt`` in ``service.py``): the death of a node the attempt
@@ -55,7 +54,7 @@ from ..sql.ast import Column, Select
 from ..sql.batch import finish
 from ..sql.fragments import JoinFragment, KeySet, join_fragments, partition_aligned_binding
 from ..sql.join import Joined, JoinedRows, Side, first_error, step_keys
-from ..sql.planner import column_equality, validate_select
+from ..sql.planner import column_equality
 
 
 @dataclass(frozen=True)
@@ -106,9 +105,13 @@ def _row_width_bytes(costs, fragment) -> int:
     return shipped_bytes(costs, 1)
 
 
-def _index_kind_for(service, step: JoinFragment, view) -> str | None:
-    """Index kind on the build column, for index-nested-loop pricing."""
-    if not service.index_enabled:
+def _index_kind_for(service, step: JoinFragment, view,
+                    fragment) -> str | None:
+    """Index kind on the build column, for index-nested-loop pricing —
+    none when the build side pushes conjuncts: they must see its every
+    row, and the index reads only those the probe keys match."""
+    if not service.index_enabled or (fragment is not None
+                                     and fragment.pushed):
         return None
     if step.using:
         column = step.using[0] if len(step.using) == 1 else None
@@ -173,7 +176,8 @@ def choose_join_strategies(service, select: Select, plan, views):
             partition_key_join=partition_key_join,
             copartitioned=copartitioned,
             left_native=left_native,
-            index_kind=_index_kind_for(service, step, right_view),
+            index_kind=_index_kind_for(service, step, right_view,
+                                       fragment),
             estimate_source=source,
         )
         path = choose_join_path(candidate, costs)
@@ -237,13 +241,8 @@ def plan_distributed_joins(service, record) -> JoinPlan | None:
 
 
 def start_join_pipeline(service, record) -> None:
-    """All scans landed without a scan-side error: validate the
-    statement shape, then run the per-step stages."""
-    try:
-        validate_select(record.plan.final_select)
-    except Exception as exc:  # same errors central plan_select raises
-        record.attempt.finish(None, exc)
-        return
+    """All scans landed, and nothing they shipped raises: run the
+    per-step stages."""
     _PipelineRunner(service, record).run()
 
 
@@ -336,7 +335,7 @@ class _PipelineRunner:
 
     def _index_read(self, index: int, step: JoinFragment,
                     probe: dict) -> None:
-        error = self.service._first_shard_error(self.record)
+        error = self.service._first_error(self.record)
         if error is not None:
             self.attempt.finish(None, error)
             return

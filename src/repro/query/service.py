@@ -53,10 +53,11 @@ from ..simtime import EventHandle
 from ..sql import EvalContext
 from ..sql.ast import Expr, Select, Union
 from ..sql.batch import (
+    WHERE,
     CompiledFragment,
     compile_fragment,
     finish_groups,
-    run_fragment_batches,
+    sweep_shard,
 )
 from ..sql.executor import (
     QueryResult,
@@ -228,23 +229,22 @@ class _ShardPlan:
     veto: str | None
 
 
-@dataclass
 class _ShardError:
-    """A scan-side fragment error, shipped like a payload.
+    """A shard's least error, shipped like a payload (on the attempt,
+    so retry-compatible) instead of raised in a store server's callback.
+    Its ``rank`` is ``(phase, table's FROM position, node id, entry)``
+    (a failed fetch ranks before the shard's rows); the entry node
+    raises the least (:meth:`QueryService._first_error`), as the
+    contract in :mod:`repro.sql.batch` orders errors."""
 
-    A pushed predicate or partial-aggregate expression can fail mid-scan
-    (mixed-type comparison, division by zero, ...).  Instead of blowing
-    up the storage node's simulated server callback — which would leak
-    locks and crash the driver — the error ships through the normal
-    result path (on the attempt, so retry-compatible) and the merge
-    surfaces the error of the minimal ``(table, node id)``.  That choice
-    is timing-independent, and because the central executor sees rows in
-    canonical node-id-sorted order, it is the same first error a fully
-    central evaluation of the pushed conjuncts would raise — so
-    pushdown on/off stays bit-identical on erroring workloads too.
-    """
+    __slots__ = ("rank", "error")
 
-    error: Exception
+    def __init__(self, record: "_InFlight", table_name: str, node_id: int,
+                 error: Exception, phase: int = WHERE,
+                 entry: int = -1) -> None:
+        self.rank = (phase, record.select.table_names().index(table_name),
+                     node_id, entry)
+        self.error = error
 
 
 @dataclass(frozen=True)
@@ -1116,12 +1116,19 @@ class QueryService:
                     # observes: the survivors of the pushed predicates
                     # (all of them — a row a top-k stage cuts still
                     # decided the answer).
-                    lock_keys, payload, _batches = run_fragment_batches(
+                    lock_keys, swept, _batches = sweep_shard(
                         compiled, batch,
                         EvalContext(now_ms=self.sim.now),
                         self.costs.scan_chunk_entries,
                         compiled.fragment.top_k_keep(shard.path.candidates),
                     )
+                    if swept.failed is None:
+                        payload = swept.payload()
+                    else:
+                        phase, entry, error = swept.failed
+                        payload = _ShardError(
+                            record, table_name, node_id, error, phase, entry)
+                        lock_keys = []
                 else:
                     payload = batch  # every entry ships whole
                     lock_keys = batch.keys
@@ -1129,7 +1136,7 @@ class QueryService:
                         lock_keys = [row["partitionKey"]
                                      for row in batch.values]
             except Exception as exc:  # ship the error, don't crash
-                payload = _ShardError(exc)
+                payload = _ShardError(record, table_name, node_id, exc)
                 lock_keys = []
         record.attempt.scanned += shard.path.candidates
         self._ship_when_locked(record, table_name, node_id, payload,
@@ -1384,9 +1391,9 @@ class QueryService:
         if record.join is None or record.join.central is not None:
             record.attempt.merge(self._finish, record)
             return
-        shard_error = self._first_shard_error(record)
-        if shard_error is not None:
-            self._finish_execution(record.execution, None, shard_error)
+        error = self._first_error(record)
+        if error is not None:
+            self._finish_execution(record.execution, None, error)
             return
         start_join_pipeline(self, record)
 
@@ -1394,9 +1401,9 @@ class QueryService:
 
     def _finish(self, record: _InFlight) -> None:
         execution = record.execution
-        shard_error = self._first_shard_error(record)
-        if shard_error is not None:
-            self._finish_execution(execution, None, shard_error)
+        error = self._first_error(record)
+        if error is not None:
+            self._finish_execution(execution, None, error)
             return
         if not execution.materialize:
             self._finish_execution(execution, None, None)
@@ -1416,7 +1423,6 @@ class QueryService:
                 # Partial-aggregate merge: combine the per-node group
                 # states (sorted by node id for determinism), then
                 # finalise HAVING / ORDER BY / LIMIT centrally.
-                validate_select(plan.final_select)
                 table_name = plan.select.table.name
                 per_node = collected[table_name]
                 payloads = [per_node[n] for n in sorted(per_node)]
@@ -1437,19 +1443,23 @@ class QueryService:
             return
         self._finish_execution(execution, result, None)
 
-    def _first_shard_error(self, record: _InFlight) -> Exception | None:
-        """The canonical scan-side error among collected payloads.
-
-        Tables in FROM order, nodes sorted: the same order the merge
-        concatenates rows in, so the surfaced error is the first one a
-        central evaluation of the canonical row stream would hit —
-        independent of shard completion timing."""
+    def _first_error(self, record: _InFlight) -> Exception | None:
+        """What the landed shards leave to raise: a pushed statement's
+        shape error (checked before any row, as central planning does),
+        else the least-ranked :class:`_ShardError` — independent of
+        shard completion timing."""
+        if record.plan is not None:
+            try:
+                validate_select(record.plan.final_select)
+            except Exception as exc:  # noqa: BLE001 — surfaced on the handle
+                return exc
+        first = None
         for per_node in record.attempt.rows.values():
-            for node_id in sorted(per_node):
-                payload = per_node[node_id]
-                if isinstance(payload, _ShardError):
-                    return payload.error
-        return None
+            for payload in per_node.values():
+                if isinstance(payload, _ShardError) and (
+                        first is None or payload.rank < first.rank):
+                    first = payload
+        return None if first is None else first.error
 
 
 def _point_rows(view: TableView, keys: list) -> ColumnBatch:

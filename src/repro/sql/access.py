@@ -27,8 +27,10 @@ entirely and read one probabilistic summary per partition:
   touching rows).
 
 The chooser is strictly conservative: it only considers a column when
-the fragment's pushed conjuncts imply a value restriction on it
-(:func:`~repro.sql.fragments.extract_column_filter`), and it asks the
+the fragment's leading pushed conjuncts imply a value restriction on it
+(:func:`~repro.sql.fragments.extract_column_filter` over
+:func:`~repro.sql.fragments.leading`: a row the index skips leaves at
+one of them, so the read is exact, errors included), and it asks the
 table for exact per-partition candidate counts — a partition that
 cannot be probed soundly (missing columns, mixed types, a degraded
 structure) vetoes the whole index path for this fragment.
@@ -49,6 +51,7 @@ from .fragments import (
     KeySet,
     ScanFragment,
     extract_column_filter,
+    leading,
 )
 
 
@@ -318,18 +321,15 @@ def choose_access_path(fragment: ScanFragment | None, view,
 
     columns = (view.index_columns()
                if indexes and fragment is not None else {})
-    if columns and fragment.nulls_ship:
-        rejected.append("index read: it skips the NULL rows that ship to "
-                        "the residual filter")
-        columns = {}
     for column, kind in columns.items():
         extracted = extract_column_filter(
-            list(fragment.pushed), column, fragment.binding
+            leading(fragment.pushed, column, fragment.binding), column,
+            fragment.binding,
         )
         if extracted is None:
             rejected.append(
-                f"index {kind}({column!r}): no pushed equality/range "
-                "restriction on the column"
+                f"index {kind}({column!r}): no leading pushed "
+                "equality/range restriction on the column"
             )
             continue
         key_filter, needs_str = extracted
@@ -507,7 +507,7 @@ def choose_join_path(candidate: JoinCandidate, costs) -> JoinPath:
     if candidate.index_kind is None:
         rejected.append(
             "index-nested-loop: no hash/sorted index on the build "
-            "column"
+            "column, or build-side conjuncts that must see every row"
         )
     elif candidate.kind != "INNER":
         rejected.append(

@@ -34,10 +34,40 @@ expression fails — the same first error, whatever the chunk size.
 
 The entry node's final stage (:func:`finish`) is the shard's finish
 run once more, over the joined or shipped rows' columns: residual WHERE
-as the sweep's predicate, groups as an accumulator over a fragment that
+conjuncts as the sweep's, groups as an accumulator over a fragment that
 reads bound rows (``binding=None``), then projection, DISTINCT and ORDER
 BY over column lists (:func:`_output`).  It shapes a dict per output
 row only — and per merged row for ``SELECT *``, whose output that is.
+
+The contract every path runs
+----------------------------
+
+*The WHERE rule.*  A WHERE is its top-level conjuncts.  Each conjunct
+over one table's columns alone (:func:`~repro.sql.fragments.split_where`
+says which) runs on that table's rows before any join; the remaining
+conjuncts run the same way over the joined rows; each part in written
+order.  A row leaves at its first conjunct that is not TRUE, so a row
+NULL on one conjunct never evaluates a later one.  A row passes iff
+every conjunct is TRUE, so only errors follow from the rule; ``AND``
+inside an expression stays three-valued.
+
+*The error order.*  A statement raises its least error by (phase, row
+position).  The phases, in order: each table's conjuncts, in FROM
+order; each join step's keys, in step order, build before probe
+(:func:`~repro.sql.join.step_keys`); the remaining WHERE; grouping (key
+and aggregate feeds, row by row); HAVING; projection; ORDER BY.  A
+row's position is (node, entry) in the order a scan without pushdown
+reads it.  A statement whose shape is invalid raises that before any
+row is read.
+
+*One code path.*  A shard (:func:`sweep_shard`) records its least
+``(phase, entry, error)`` instead of raising, and after a failure in a
+phase later chunks run only the phases before it; the entry node raises
+the least its shards ship, then runs the rest.  Without pushdown, and
+for ``execute_select`` over a catalog, the entry node runs the same
+per-table sweep over whole rows, a shard per node (:func:`sweep_tables`).
+Filters that skip rows unread derive from leading conjuncts only
+(:func:`~repro.sql.fragments.leading`), so they are exact too.
 
 Compiled fragments are cached in an LRU keyed by the frozen fragment
 itself, so a query shape recurring across shards, retries, and
@@ -49,12 +79,14 @@ not depend on what another environment in the same process ran before.
 from __future__ import annotations
 
 import operator
+from dataclasses import replace
 from itertools import chain, compress, repeat
 
 from ..kvstore.indexes import MISSING
 from ..state.rows import ColumnBatch, ColumnReader
 from .ast import (
     AGGREGATE_FUNCTIONS,
+    Binary,
     Column,
     Expr,
     FuncCall,
@@ -80,11 +112,20 @@ from .executor import (
     order_keyed,
     order_keys,
 )
-from .fragments import PartialGroups, ScanFragment, partial_aggregate
+from .fragments import (
+    PartialGroups,
+    ScanFragment,
+    partial_aggregate,
+    split_where,
+)
 from .functions import hashable_key
 from .lru import LruCache
-from .planner import collect_columns
+from .planner import BatchTable, Plan, collect_columns, conjoin
 
+
+#: A shard's phases (see the contract above): its table's conjuncts,
+#: then grouping.
+WHERE, GROUPING = 0, 1
 
 #: The fewest rows a chunk's groups may average for their slices to fold:
 #: below it, one :meth:`~repro.sql.functions.Aggregate.fold` per group and
@@ -197,11 +238,11 @@ class _Sweep:
     """One chunk under evaluation: its column lists, the rows closures
     see, and the rows still in play.
 
-    ``survivors`` are chunk-relative row indexes in row order.  The
-    chunk raises its minimum-row error, so a term that fails at a row
-    takes that row and every later one out of play (``failed`` keeps
-    the row, the term and the error): terms evaluated afterwards only
-    see the rows before it.
+    ``survivors`` are chunk-relative row indexes in row order.  Within
+    a phase the chunk's least-row error wins, so a term that fails at a
+    row takes that row and every later one out of play (``failed``
+    keeps the row, the term and the error): terms evaluated afterwards
+    only see the rows before it.
     """
 
     __slots__ = ("columns", "count", "context", "survivors", "dense",
@@ -245,26 +286,17 @@ class _Sweep:
 
     def keep(self, predicate: "CompiledExpr | Expr",
              test: "tuple[str, ColumnTest] | None",
-             errors: dict[int, Exception],
-             held: set[int] | None = None) -> None:
+             errors: dict[int, Exception]) -> None:
         """Drop the rows ``predicate`` (an expression's closure) is not
         TRUE on — with its column ``test`` over the column's list when
         it has one and that can tell; a row the predicate fails on is
-        dropped with its error recorded.  With ``held``, a row it is
-        NULL on stays in play and joins ``held`` instead, as ``AND``
-        still evaluates its next conjunct after a NULL one (not after
-        FALSE); the caller drops those rows at the end.  A predicate
-        given as its expression compiles (for bound rows) only when the
-        rows need it."""
+        dropped with its error recorded.  A predicate given as its
+        expression compiles (for bound rows) only when the rows need
+        it."""
         if test is not None:
             name, column_test = test
-            values = self.column(name)
-            passed = column_test(values)
+            passed = column_test(self.column(name))
             if passed is not None:
-                if held is not None and None in values:
-                    nulls = [value is None for value in values]
-                    held.update(compress(self.survivors, nulls))
-                    passed = list(map(operator.or_, passed, nulls))
                 self.survivors = list(compress(self.survivors, passed))
                 self.dense = False
                 return
@@ -279,11 +311,7 @@ class _Sweep:
             except Exception as exc:  # noqa: BLE001 — re-raised by caller
                 errors[index] = exc
                 continue
-            if value is None:
-                if held is not None:
-                    held.add(index)
-                    passed.append(index)
-            elif value is True or truthy(value):
+            if value is True or truthy(value):
                 passed.append(index)
         self.survivors = passed
         self.dense = False
@@ -314,13 +342,13 @@ class BatchAccumulator:
     """Per-(table, node, attempt) scan-side state, fed whole chunks.
 
     Predicates run conjunct-major over the chunk (each conjunct only
-    over the rows still in play, so a row an earlier conjunct is FALSE
-    on never evaluates — or errors in — a later one; a row it is NULL
-    on does, as ``AND`` does, and is dropped at the end), then survivors
-    fold into groups or projected rows in row order, term by term.
-    Errors raised by compiled expressions are collected per row and the
-    minimal-row error is re-raised at the end of the chunk — the error
-    a row-major sweep would surface first.
+    over the rows still in play, so a row an earlier conjunct is not
+    TRUE on never evaluates — or errors in — a later one), then
+    survivors fold into groups or projected rows in row order, term by
+    term.  Errors raised by compiled expressions are collected per row
+    and the chunk's least-row error of its earliest failing phase is
+    recorded in :attr:`failed` — the error a row-major sweep would
+    surface first.
 
     With ``keep`` the fragment's top-k stage runs: of the survivors only
     the first ``keep`` in ORDER BY order are held, re-selected after
@@ -351,6 +379,9 @@ class BatchAccumulator:
         ]
         self.groups: dict[tuple, list] = {}
         self.survived = 0
+        #: The least failure so far: ``(phase, entry, error)``, phase
+        #: :data:`WHERE` (a pushed conjunct) or :data:`GROUPING`.
+        self.failed: tuple[int, int, Exception] | None = None
 
     def add_batch(self, batch: "ColumnBatch | list[dict]", start: int = 0,
                   stop: int | None = None) -> list:
@@ -376,29 +407,31 @@ class BatchAccumulator:
 
     def run(self, sweep: _Sweep, start: int = 0) -> None:
         """Sweep one chunk, entries ``start`` on, given as its column
-        lists (every column of :attr:`CompiledFragment.columns`)."""
+        lists (every column of :attr:`CompiledFragment.columns`): the
+        pushed conjuncts, then — unless an earlier chunk failed past
+        them — the groups, the top-k stage or the kept survivors."""
         compiled = self.compiled
         errors: dict[int, Exception] = {}
-        nulls_ship = compiled.fragment.nulls_ship
-        held = (set() if nulls_ship or len(compiled.predicates) > 1
-                else None)
         for predicate, test in zip(compiled.predicates, compiled.tests):
-            if not sweep.survivors:
-                break
-            sweep.keep(predicate, test, errors, held)
-        if held and not nulls_ship:
-            sweep.survivors = [index for index in sweep.survivors
-                               if index not in held]
-        if compiled.fragment.partial is not None:
-            self._fold_groups(sweep, errors)
-        elif self.keep is not None:
-            self._keep_top(sweep, start)
-        else:
-            self.kept.extend(map(start.__add__, sweep.survivors))
+            if sweep.survivors:  # the WHERE rule: each over rows left
+                sweep.keep(predicate, test, errors)
+        phase = WHERE
+        if not errors:
+            if self.failed is not None:
+                return  # only the phases before the failed one still run
+            if compiled.fragment.partial is not None:
+                phase = GROUPING
+                self._fold_groups(sweep, errors)
+            elif self.keep is not None:
+                self._keep_top(sweep, start)
+            else:
+                self.kept.extend(map(start.__add__, sweep.survivors))
         if errors:
-            # A row-major sweep stops at the first erroring row; the
-            # batch reproduces exactly that error.
-            raise errors[min(errors)]
+            # Ranks before any failure held: a later chunk's phase is
+            # never later than the held one's.
+            first = min(errors)
+            self.failed = (phase, start + first, errors[first])
+            return
         self.survived += len(sweep.survivors)
 
     def _group_of(self, sweep: _Sweep, index: int) -> list:
@@ -580,25 +613,22 @@ class BatchAccumulator:
         return self.batch.take(kept, self.compiled.shipped)
 
 
-def run_fragment_batches(
+def sweep_shard(
     compiled: CompiledFragment,
     batch: "ColumnBatch | list[dict]",
     context: EvalContext,
     chunk_entries: int,
     keep: int | None = None,
-) -> "tuple[list, ColumnBatch | PartialGroups, int]":
-    """Run a whole shard's entries through the fragment, streamed
-    through :class:`BatchAccumulator` in ``chunk_entries``-sized chunks.
-
-    ``keep`` runs the fragment's top-k stage.  The stage never
+) -> "tuple[list, BatchAccumulator, int]":
+    """Run a whole shard's entries through the fragment in
+    ``chunk_entries``-sized chunks, until every chunk ran or one failed
+    in the first phase.  ``keep`` runs the top-k stage, which never
     originates an error: a shard whose order keys fail to evaluate or
-    compare is swept again without it and ships every survivor, so the
-    final ORDER BY raises what it raises without pushdown — after any
-    WHERE error, as there.
+    compare is swept again without it, and ships every survivor.
 
-    Returns ``(survivors, payload, batches)``; see
-    :meth:`BatchAccumulator.add_batch` for what names a survivor.
-    """
+    Returns ``(survivors, accumulator, batches)``: what names each
+    survivor (:meth:`BatchAccumulator.add_batch`), the accumulator
+    (its ``failed``, else its ``payload()``) and the chunks swept."""
     if isinstance(batch, list):
         batch = ColumnBatch(ColumnReader(), batch)
     accumulator = BatchAccumulator(compiled, context, keep)
@@ -612,9 +642,59 @@ def run_fragment_batches(
                 batch, start, min(start + chunk, len(batch))
             ))
             batches += 1
+            failed = accumulator.failed
+            if failed is not None and failed[0] == WHERE:
+                break
     except _TopKAbandoned:
-        return run_fragment_batches(compiled, batch, context, chunk_entries)
+        return sweep_shard(compiled, batch, context, chunk_entries)
+    return survivors, accumulator, batches
+
+
+def run_fragment_batches(
+    compiled: CompiledFragment,
+    batch: "ColumnBatch | list[dict]",
+    context: EvalContext,
+    chunk_entries: int,
+    keep: int | None = None,
+) -> "tuple[list, ColumnBatch | PartialGroups, int]":
+    """:func:`sweep_shard`, raising the shard's least error: returns
+    ``(survivors, payload, batches)``."""
+    survivors, accumulator, batches = sweep_shard(
+        compiled, batch, context, chunk_entries, keep)
+    if accumulator.failed is not None:
+        raise accumulator.failed[2]
     return survivors, accumulator.payload(), batches
+
+
+def sweep_tables(plan: Plan, context: EvalContext) -> Plan:
+    """The WHERE rule's per-table part at the entry node, over whole
+    rows: each table's conjuncts, in FROM order, over its blocks, each
+    node's block swept as that node's shard sweeps it — the first table
+    and node that fail raising their least error.  Returns ``plan`` over
+    the survivors, its statement holding the remaining conjuncts."""
+    pushed, rest = split_where(plan.select)
+    if not any(pushed.values()):
+        return plan
+
+    def swept(source, binding: str):
+        conjuncts = pushed.get(source.name)
+        if not conjuncts:
+            return source
+        compiled = CompiledFragment(ScanFragment(
+            table=source.name, binding=binding, pushed=tuple(conjuncts)))
+        blocks = source.blocks
+        return BatchTable(source.name, {
+            node_id: run_fragment_batches(
+                compiled, blocks[node_id], context, len(blocks[node_id]))[1]
+            for node_id in sorted(blocks)
+        })
+
+    return replace(
+        plan, select=replace(plan.select, where=conjoin(rest)),
+        base_source=swept(plan.base_source, plan.base_binding),
+        joins=tuple(replace(step, source=swept(step.source, step.binding))
+                    for step in plan.joins),
+    )
 
 
 # -- the entry node's final stage --------------------------------------------
@@ -633,21 +713,27 @@ def finish(select: Select, source, is_aggregate: bool,
     row as the row's bound form reads it (:data:`MISSING` where it has
     none), ``source.shaped(positions)`` those rows as dicts (``SELECT
     *`` only).  Each column the statement reads is read once.  The
-    stages run one after the other over every row, so each raises what
-    a row-at-a-time pass over bound rows raises first: the WHERE (one
-    predicate, with its column test when it is a single comparison) as
-    :meth:`_Sweep.keep`; the groups as a shard folds them
-    (:class:`BatchAccumulator` over a fragment reading bound rows,
-    ``binding=None``); the rest in :func:`_output`."""
+    phases run one after the other over every row, as the contract
+    orders them: the WHERE, each conjunct with its column test when it
+    is a single comparison; the groups as a shard folds them, over
+    bound rows (``binding=None``); the rest in :func:`_output`."""
     items = () if select.select_star else tuple(map(_EXPR, select.items))
     orders = tuple(map(_EXPR, select.order_by))
     sweep = _Sweep(_read(source, select.where, *select.group_by, *items,
                          select.having, *orders),
                    source.count, context)
-    if select.where is not None:
+    where = select.where
+    # The WHERE's phases: the table's own conjuncts, then the rest (a
+    # joined statement's tables swept theirs already).
+    phases: "list | tuple" = () if where is None else ([where],)
+    if isinstance(where, Binary) and where.op == "AND":
+        pushed, rest = split_where(select)
+        phases = [*pushed.values(), rest]
+    for conjuncts in phases:
         errors: dict[int, Exception] = {}
-        sweep.keep(select.where, compile_column_test(select.where),
-                   errors)
+        for conjunct in conjuncts:
+            if sweep.survivors:
+                sweep.keep(conjunct, compile_column_test(conjunct), errors)
         if errors:
             raise errors[min(errors)]
     if not is_aggregate:
@@ -663,6 +749,8 @@ def finish(select: Select, source, is_aggregate: bool,
         partial=partial_aggregate(select, None),
     )), context)
     accumulator.run(sweep)
+    if accumulator.failed is not None:
+        raise accumulator.failed[2]
     return finish_groups(select, accumulator.groups, context, scanned)
 
 
@@ -715,14 +803,16 @@ def _output(select: Select, sweep: _Sweep, context: EvalContext,
             scanned: int, star: "tuple[list, list] | None" = None
             ) -> QueryResult:
     """HAVING, projection, DISTINCT, ORDER BY, OFFSET / LIMIT and the
-    output rows, over the rows ``sweep`` holds in play: a group that
-    HAVING fails on ranks its error with the items' by row; the items
-    read the sweep's columns — or ``star`` holds the ``SELECT *`` names
-    and their values — and the ORDER BY terms the same columns with the
+    output rows, over the rows ``sweep`` holds in play, each phase's
+    least-row error raising before the next phase runs: the items read
+    the sweep's columns — or ``star`` holds the ``SELECT *`` names and
+    their values — and the ORDER BY terms the same columns with the
     output columns in place of theirs."""
-    errors: dict[int, Exception] = {}
     if select.having is not None:
+        errors: dict[int, Exception] = {}
         sweep.keep(select.having, None, errors)
+        if errors:
+            raise errors[min(errors)]
     if star is None:
         names = [output_column_name(item, position)
                  for position, item in enumerate(select.items)]
@@ -731,9 +821,7 @@ def _output(select: Select, sweep: _Sweep, context: EvalContext,
     else:
         names, outputs = star
     if sweep.failed is not None:
-        errors[sweep.failed[0]] = sweep.failed[2]
-    if errors:
-        raise errors[min(errors)]
+        raise sweep.failed[2]
     rows: "range | list[int]" = range(len(sweep.survivors))
     if select.distinct:
         first: dict = {}

@@ -2,7 +2,9 @@
 the final stage over them.
 
 A plan without joins reads its table's column batches in node order
-(:class:`~repro.sql.join.Side`); a plan with joins runs them by row
+(:class:`~repro.sql.join.Side`); a plan with joins first sweeps each
+table's batches by its own WHERE conjuncts, node by node, as a shard
+would (:func:`~repro.sql.batch.sweep_tables`), then joins them by row
 position (:mod:`repro.sql.join`, the one join implementation, which the
 distributed pipeline runs too).  Either way the rows are never shaped:
 :func:`~repro.sql.batch.finish` runs residual WHERE, aggregation,
@@ -107,10 +109,12 @@ def _execute_union(union: "Union", catalog: Catalog,
 
 
 def execute_plan(plan: Plan, context: EvalContext) -> QueryResult:
-    """Read the base table's batches, or join the plan's tables by
-    position (:func:`~repro.sql.join.join_plan`), then run the final
-    stage over the rows."""
+    """Read the base table's batches, or sweep each table by its own
+    conjuncts and join the survivors by position
+    (:func:`~repro.sql.join.join_plan`), then run the final stage over
+    the rows."""
     if plan.joins:
+        plan = sweep_tables(plan, context)
         source, scanned = join_plan(plan, context)
     else:
         source = Side(plan.base_binding, plan.base_source.blocks)
@@ -350,4 +354,4 @@ def incomparable(columns: "list[list]", samples: "list[dict] | None" = None,
 
 # The final stage builds on the kernels above, so it is imported after
 # them (nothing imports repro.sql.batch before this module).
-from .batch import finish  # noqa: E402
+from .batch import finish, sweep_tables  # noqa: E402

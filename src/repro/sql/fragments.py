@@ -16,13 +16,18 @@ Splitting rules (all safety-first; anything unclear stays central):
   belongs to that table unambiguously — any column in a single-table
   query, only binding-qualified columns once joins are involved
   (unqualified names resolve against the merged row, where the left
-  side wins on collisions).
+  side wins on collisions).  What is pushed and what stays is
+  :func:`split_where`, the split the WHERE rule of :mod:`repro.sql.batch`
+  runs by on every path.
 * Only the base table and INNER-joined tables accept pushdown; rows of
   a LEFT join's right side must reach the join un-filtered or the
   null-extension changes.
 * ``LOCALTIMESTAMP`` pins a conjunct (or an aggregate) to the entry
   node: scan-side evaluation would read the virtual clock at a
   different instant.
+* A filter that skips rows unread — partition pruning, an index read —
+  derives from a table's leading conjuncts on its column only
+  (:func:`leading`).
 * Partial aggregation applies when the query is single-table, fully
   pushed (no residual), uses only decomposable aggregates
   (COUNT/SUM/AVG/MIN/MAX without DISTINCT), and group keys are
@@ -62,6 +67,7 @@ from .executor import (
 from .planner import (
     collect_columns,
     column_equality,
+    conjoin,
     contains_local_timestamp,
     extract_hash_keys,
     split_conjuncts,
@@ -347,6 +353,27 @@ def extract_column_filter(conjuncts: list[Expr], column: str,
     return combined, needs_str
 
 
+def leading(conjuncts: "tuple[Expr, ...] | list[Expr]", column: str,
+            binding: str) -> list[Expr]:
+    """The conjuncts on ``column`` before the first conjunct that
+    restricts no value of it and may raise: what a filter that skips
+    rows unread (partition pruning, an index read) may derive from.  A
+    row it skips leaves at one of them, and no conjunct before could
+    raise on it — an equality or IN-list on the key, which every stored
+    row has, raises on none."""
+    found = []
+    for conjunct in conjuncts:
+        if _conjunct_key_filter(conjunct, column, binding) is not None or \
+                _like_conjunct_filter(conjunct, column, binding) is not None:
+            found.append(conjunct)
+        elif not any(
+            isinstance(_conjunct_key_filter(conjunct, name, binding), KeySet)
+            for name in ("key", "partitionKey")
+        ):
+            break
+    return found
+
+
 # -- fragments ---------------------------------------------------------------
 
 
@@ -389,12 +416,10 @@ class ScanFragment:
     #: raw column names to ship; ``None`` ships every column.
     projection: tuple[str, ...] | None = None
     partial: PartialAggregate | None = None
-    #: key restriction implied by ``pushed`` (drives partition pruning).
+    #: key restriction implied by ``pushed``'s leading key conjuncts
+    #: (drives partition pruning).
     key_filter: KeyFilter | None = None
     top_k: TopK | None = None
-    #: A conjunct stays at the entry node: a row a pushed conjunct is
-    #: NULL on ships for it, and only a FALSE one drops a row.
-    nulls_ship: bool = False
 
     @property
     def is_passthrough(self) -> bool:
@@ -422,8 +447,7 @@ class DistributedPlan:
     #: ``residual`` (joins/HAVING/ORDER/LIMIT untouched).
     final_select: Select
     fragments: dict[str, ScanFragment] = field(default_factory=dict)
-    #: the whole WHERE once any conjunct stays at the entry node, else
-    #: ``None``.
+    #: the conjuncts that stay at the entry node, else ``None``.
     residual: Expr | None = None
     #: set iff the whole query runs as scan-side partial aggregation.
     partial: PartialAggregate | None = None
@@ -475,7 +499,7 @@ def _projection_for(select: Select, binding: str,
     return tuple(names)
 
 
-def _partial_aggregate_for(select: Select, pushed: list[Expr],
+def _partial_aggregate_for(select: Select,
                            residual: Expr | None) -> PartialAggregate | None:
     """Decide scan-side partial aggregation for a single-table SELECT."""
     if select.joins or residual is not None:
@@ -571,74 +595,58 @@ def _top_k_for(select: Select, residual: Expr | None) -> TopK | None:
     )
 
 
-def split_select(select: Select) -> DistributedPlan:
-    """Split one SELECT into scan fragments and a final fragment."""
-    base_binding = select.table.binding
-    bindings: dict[str, str] = {select.table.name: base_binding}
-    duplicated: set[str] = set()
-    #: bindings whose scans may be filtered without changing semantics.
-    pushable: dict[str, str] = {base_binding: select.table.name}
-    for join in select.joins:
-        name = join.table.name
-        if name in bindings:
-            duplicated.add(name)
-        else:
-            bindings[name] = join.table.binding
-        if join.kind == "INNER":
-            pushable[join.table.binding] = name
-
-    single_table = not select.joins
-    pushed_by_table: dict[str, list[Expr]] = {
-        name: [] for name in bindings
-    }
-    residual_parts: list[Expr] = []
+def split_where(select: Select) -> tuple[dict[str, list[Expr]], list[Expr]]:
+    """The WHERE rule's split of ``select``'s conjuncts, each part in
+    written order: per table name, the conjuncts over that table's
+    columns alone (a LEFT-joined table takes none; a table joined twice
+    has no entry), and the conjuncts that stay for the rows a join
+    makes."""
+    names = [select.table.name] + [join.table.name for join in select.joins]
+    pushed: dict[str, list[Expr]] = {name: [] for name in names
+                                     if names.count(name) == 1}
+    #: binding -> table, for the tables whose rows may be filtered
+    #: before the join without changing its answer.
+    tables = {select.table.binding: select.table.name}
+    tables.update((join.table.binding, join.table.name)
+                  for join in select.joins if join.kind == "INNER")
+    rest: list[Expr] = []
     for conjunct in split_conjuncts(select.where):
-        # The entry node's one AND runs its conjuncts in order: one
-        # after a residual conjunct may not drop a row the residual
-        # could have raised on first.
-        if residual_parts or contains_local_timestamp(conjunct) or \
-                contains_aggregate(conjunct):
-            residual_parts.append(conjunct)
-            continue
         columns: list[Column] = []
         collect_columns(conjunct, columns)
-        if single_table:
-            if all(
-                column.table in (None, base_binding) for column in columns
-            ):
-                pushed_by_table[select.table.name].append(conjunct)
-            else:
-                residual_parts.append(conjunct)
-            continue
         qualifiers = {column.table for column in columns}
-        if len(qualifiers) == 1:
-            qualifier = next(iter(qualifiers))
-            if qualifier is not None and qualifier in pushable:
-                target = pushable[qualifier]
-                if target not in duplicated:
-                    pushed_by_table[target].append(conjunct)
-                    continue
-        residual_parts.append(conjunct)
+        if not select.joins:  # an unqualified name is the table's
+            qualifiers = ({select.table.binding}
+                          | qualifiers) - {None}
+        target = tables.get(qualifiers.pop()) if len(qualifiers) == 1 \
+            else None
+        if target not in pushed or contains_local_timestamp(conjunct) \
+                or contains_aggregate(conjunct):
+            rest.append(conjunct)
+        else:
+            pushed[target].append(conjunct)
+    return pushed, rest
 
-    # A row a pushed conjunct is NULL on goes on to the residual, so it
-    # ships, and the entry node runs the whole WHERE again.
-    residual = select.where if residual_parts else None
-    partial = _partial_aggregate_for(
-        select, pushed_by_table.get(select.table.name, []), residual
-    )
+
+def split_select(select: Select) -> DistributedPlan:
+    """Split one SELECT into scan fragments and a final fragment."""
+    pushed_by_table, rest = split_where(select)
+    residual = conjoin(rest)
+    partial = _partial_aggregate_for(select, residual)
 
     top_k = _top_k_for(select, residual)
 
     referenced = _referenced_columns(
         select, residual, joins_central=bool(select.joins)
     )
+    bindings = {select.table.name: select.table.binding}
+    for join in select.joins:
+        bindings.setdefault(join.table.name, join.table.binding)
     fragments: dict[str, ScanFragment] = {}
     for name, binding in bindings.items():
-        if name in duplicated:
+        if name not in pushed_by_table:  # joined twice: ships whole rows
             fragments[name] = ScanFragment(table=name, binding=binding)
             continue
         pushed = pushed_by_table[name]
-        key_filter = extract_key_filter(pushed, "key", binding)
         fragments[name] = ScanFragment(
             table=name,
             binding=binding,
@@ -648,9 +656,9 @@ def split_select(select: Select) -> DistributedPlan:
                 else _projection_for(select, binding, referenced)
             ),
             partial=partial if name == select.table.name else None,
-            key_filter=key_filter,
+            key_filter=extract_key_filter(
+                leading(pushed, "key", binding), "key", binding),
             top_k=top_k if name == select.table.name else None,
-            nulls_ship=residual is not None,
         )
 
     final_select = replace(select, where=residual)

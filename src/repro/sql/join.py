@@ -151,12 +151,11 @@ class Side:
 def step_keys(using: tuple[str, ...], expr: Column | None, read,
               order, side: int) -> tuple[list, list, tuple | None]:
     """One side of a join step, per row in ``order``: the routing key
-    (``None``: the row cannot match), the hash key, and the first key
-    error as ``((side, rank, tag), error)`` — ``side`` 0 builds and 1
-    probes (a build error comes first), an unknown column ranks 0, a
-    value no hash join can key its key column's place (from 1).
-    ``read`` reads a :class:`Column` of the rows; a ``USING`` column a
-    row lacks reads as NULL."""
+    (``None``: the row cannot match), the hash key, and the key error
+    of its least tag as ``((side, tag), error)`` — ``side`` 0 builds and
+    1 probes, so a build error comes first.  ``read`` reads a
+    :class:`Column` of the rows; a ``USING`` column a row lacks reads
+    as NULL, an ``ON`` column as an unknown column."""
     if using:
         parts = [[None if value is MISSING else value
                   for value in read(Column(name))] for name in using]
@@ -165,22 +164,22 @@ def step_keys(using: tuple[str, ...], expr: Column | None, read,
         parts = [read(expr)]
         routes = parts[0]
         if MISSING in routes:
-            error = SqlExecutionError(f"unknown column {expr.display()!r}")
-            tag = min(tag for tag, value in zip(order, routes)
-                      if value is MISSING)
-            return [None if value is MISSING else value for value in routes], \
-                [None] * len(routes), ((side, 0, tag), error)
-    try:
-        return routes, using_keys(parts) if using else join_keys(parts[0]), \
-            None
-    except SqlExecutionError:
-        pass
-    for rank, values in enumerate(parts, start=1):
-        for tag, value in sorted(zip(order, values), key=itemgetter(0)):
-            try:
+            routes = [None if value is MISSING else value for value in routes]
+    if using or routes is parts[0]:  # no ON key column is missing
+        try:
+            return routes, using_keys(parts) if using else join_keys(routes), \
+                None
+        except SqlExecutionError:
+            pass
+    for tag, row in sorted(zip(order, zip(*parts)), key=itemgetter(0)):
+        try:
+            for value in row:
+                if value is MISSING:
+                    raise SqlExecutionError(
+                        f"unknown column {expr.display()!r}")
                 join_key(value)
-            except SqlExecutionError as exc:
-                return routes, [None] * len(routes), ((side, rank, tag), exc)
+        except SqlExecutionError as exc:
+            return routes, [None] * len(routes), ((side, tag), exc)
 
 
 def first_error(errors: list) -> Exception | None:

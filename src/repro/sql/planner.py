@@ -125,30 +125,32 @@ class Plan:
 
 
 def plan_select(select: Select, catalog: Catalog) -> Plan:
-    """Resolve and validate ``select`` against ``catalog``."""
+    """Validate ``select`` and resolve it against ``catalog``."""
+    is_aggregate = validate_select(select)
     base_source = catalog.table(select.table.name)
-    bindings = {select.table.binding}
     steps: list[JoinStep] = []
     for join in select.joins:
-        binding = join.table.binding
-        if binding in bindings:
-            raise SqlPlanError(f"duplicate table binding {binding!r}")
-        bindings.add(binding)
         steps.append(_plan_join(join, catalog))
     return Plan(
         select=select,
         base_source=base_source,
         base_binding=select.table.binding,
         joins=tuple(steps),
-        is_aggregate=validate_select(select),
+        is_aggregate=is_aggregate,
     )
 
 
 def validate_select(select: Select) -> bool:
-    """The statement-shape checks of every SELECT — central, or joined
-    distributed, whose finalizer runs them where central execution
-    plans: at the entry node's final stage.  Returns whether it
+    """The statement-shape checks of every SELECT, which raise before
+    any row is read — central planning runs them first, the query
+    service before it ranks what its shards shipped.  Returns whether it
     aggregates."""
+    bindings = {select.table.binding}
+    for join in select.joins:
+        binding = join.table.binding
+        if binding in bindings:
+            raise SqlPlanError(f"duplicate table binding {binding!r}")
+        bindings.add(binding)
     is_aggregate = select.aggregates()
     if select.having is not None and not is_aggregate:
         raise SqlPlanError("HAVING requires GROUP BY or aggregates")

@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import pytest
+from hypothesis import settings
 
 from repro import (
     ClusterConfig,
@@ -20,6 +21,11 @@ from repro.dataflow import Job
 from repro.dataflow.sources import CallableSource
 from repro.analysis.sanitizers import drain_runtimes, set_default_config
 from repro.config import SanitizerConfig
+
+# Simulated runs take real time per example: no property test has a
+# deadline.  Each sets its own example count with ``@settings``.
+settings.register_profile("repro", deadline=None)
+settings.load_profile("repro")
 
 
 @pytest.fixture(autouse=True)

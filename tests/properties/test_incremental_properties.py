@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.state import FullSnapshotTable, IncrementalSnapshotTable
 
-settings.register_profile("repro-incr", max_examples=80, deadline=None)
-settings.load_profile("repro-incr")
 
 #: An operation: (key, value) put, or (key, None) delete.
 operations = st.lists(
@@ -53,6 +51,7 @@ def apply_trace(table, trace, checkpoints):
     return reference
 
 
+@settings(max_examples=80)
 @given(operations, boundaries)
 def test_reconstruction_matches_reference(trace, checkpoints):
     table = IncrementalSnapshotTable("t", 1, lambda i: 0,
@@ -64,6 +63,7 @@ def test_reconstruction_matches_reference(trace, checkpoints):
         assert scanned >= len(expected)
 
 
+@settings(max_examples=80)
 @given(operations, boundaries,
        st.integers(min_value=1, max_value=4))
 def test_pruning_never_changes_answers(trace, checkpoints, prune_at):
@@ -78,6 +78,7 @@ def test_pruning_never_changes_answers(trace, checkpoints, prune_at):
     assert pruned.materialize_instance(last, 0)[0] == reference[last]
 
 
+@settings(max_examples=80)
 @given(operations, boundaries)
 def test_incremental_agrees_with_full_table(trace, checkpoints):
     incremental = IncrementalSnapshotTable("i", 1, lambda i: 0,
@@ -98,6 +99,7 @@ def test_incremental_agrees_with_full_table(trace, checkpoints):
         assert incr_rows == full_rows
 
 
+@settings(max_examples=80)
 @given(operations, boundaries)
 def test_scan_cost_bounded_by_total_entries(trace, checkpoints):
     table = IncrementalSnapshotTable("t", 1, lambda i: 0,

@@ -427,6 +427,14 @@ HETEROGENEOUS = [
     # step 1's probe side errors, step 2's build side too: step 1 wins
     'SELECT * FROM "h1" AS p JOIN "h2" AS q ON p.extra = q.grp '
     'JOIN "h3" AS r ON q.b = r.d',
+    # p's own conjunct runs on every p row before the join, so it raises
+    # on row 45, which joins nothing
+    'SELECT * FROM "h1" AS p JOIN "h2" AS q USING (partitionKey) '
+    "WHERE 1 / (p.partitionKey - 45) <> 0",
+    # q's own conjunct drops every q row without ``b`` before the join
+    # keys them
+    'SELECT * FROM "h1" AS p JOIN "h2" AS q ON p.partitionKey = q.b '
+    "WHERE q.partitionKey BETWEEN 15 AND 26",
 ]
 THREE_WAY = ('SELECT * FROM "h1" AS p JOIN "h2" AS q USING (partitionKey) '
              'LEFT JOIN "h3" AS r ON q.grp = r.grp')
@@ -534,11 +542,13 @@ def test_heterogeneous_rows_join_like_central(monkeypatch, strategy):
     """Rows of one table with different columns: presence, width and
     column order are per row.  Every forced strategy returns central's
     rows in central's order and columns (``SELECT *`` takes them in
-    first-seen order), and bills each row's own width.  A two-table
-    ``SELECT *`` returns the plain-Python merged rows."""
+    first-seen order) — or raises its error, and pushdown off's — and
+    bills each row's own width.  A two-table ``SELECT *`` without a
+    WHERE returns the plain-Python merged rows."""
     env = heterogeneous(Environment(ClusterConfig(
         nodes=4, processing_workers_per_node=1)))
-    central = QueryService(env, distributed_joins=False)
+    references = [QueryService(env, distributed_joins=False),
+                  QueryService(env, pushdown=False)]
     statements = HETEROGENEOUS + [THREE_WAY]
     if strategy == "index-nested-loop":  # INNER-only
         statements = [sql for sql in statements if "LEFT" not in sql]
@@ -547,16 +557,19 @@ def test_heterogeneous_rows_join_like_central(monkeypatch, strategy):
         with forced(monkeypatch, strategy):
             execution = finished(QueryService(env), sql)
         assert execution.join_strategies[0] == strategy, sql
-        assert outcome(execution) == outcome(finished(central, sql)), sql
+        for reference in references:
+            assert outcome(execution) == outcome(finished(reference, sql)), \
+                sql
         compared += execution.error is None
-        if sql == THREE_WAY or execution.error is not None:
+        if sql == THREE_WAY or execution.error is not None or \
+                parse(sql).where is not None:
             continue
         billed, merged = reference_bytes(env, sql, strategy)
         assert (execution.bytes_shipped, execution.join_bytes_shuffled,
                 execution.join_bytes_broadcast) == billed, sql
         if parse(sql).select_star:
             assert outcome(execution) == star_outcome(merged), sql
-    assert compared >= len(statements) - 3  # the three that raise
+    assert compared >= len(statements) - 4  # the four that raise
 
 
 # -- cost chooser unit tests -------------------------------------------------

@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.kvstore import LockManager
 
-settings.register_profile("repro-locks", max_examples=80, deadline=None)
-settings.load_profile("repro-locks")
 
 #: A schedule: sequence of (key, owner) acquire attempts.
 schedules = st.lists(
@@ -17,6 +15,7 @@ schedules = st.lists(
 )
 
 
+@settings(max_examples=80)
 @given(schedules)
 def test_single_holder_and_fifo_grants(schedule):
     locks = LockManager()
@@ -54,6 +53,7 @@ def test_single_holder_and_fifo_grants(schedule):
         assert not locks.is_locked(key)
 
 
+@settings(max_examples=80)
 @given(schedules)
 def test_acquisition_accounting(schedule):
     locks = LockManager()

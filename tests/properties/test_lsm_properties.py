@@ -6,8 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.lsm import LsmStore
 
-settings.register_profile("repro-lsm", max_examples=80, deadline=None)
-settings.load_profile("repro-lsm")
 
 #: Operations: ("put", key, value) / ("del", key) applied at increasing
 #: versions, with occasional flush/compact maintenance.
@@ -58,6 +56,7 @@ def apply(store: LsmStore, reference: Reference, trace) -> None:
             store.compact()
 
 
+@settings(max_examples=80)
 @given(operations)
 def test_every_version_reconstructs(trace):
     store = LsmStore(memtable_limit=5, l0_compaction_threshold=3)
@@ -69,6 +68,7 @@ def test_every_version_reconstructs(trace):
             assert store.get(key, ssid=version) == value
 
 
+@settings(max_examples=80)
 @given(operations, st.integers(min_value=0, max_value=60))
 def test_gc_preserves_versions_at_and_above_watermark(trace, cut):
     store = LsmStore(memtable_limit=4, l0_compaction_threshold=2)
@@ -84,6 +84,7 @@ def test_gc_preserves_versions_at_and_above_watermark(trace, cut):
         assert dict(store.scan_at(version)) == expected
 
 
+@settings(max_examples=80)
 @given(operations)
 def test_compaction_never_increases_entries(trace):
     store = LsmStore(memtable_limit=4, l0_compaction_threshold=1000)
@@ -96,6 +97,7 @@ def test_compaction_never_increases_entries(trace):
     assert store.read_amplification_bound <= 1
 
 
+@settings(max_examples=80)
 @given(operations)
 def test_versions_of_matches_history(trace):
     store = LsmStore(memtable_limit=3, l0_compaction_threshold=2)

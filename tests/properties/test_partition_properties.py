@@ -6,8 +6,6 @@ from repro.cluster import Partitioner
 from repro.cluster.partition import stable_hash
 from repro.kvstore import IMap, InstancePlacement
 
-settings.register_profile("repro-part", max_examples=80, deadline=None)
-settings.load_profile("repro-part")
 
 keys = st.one_of(
     st.integers(min_value=0, max_value=10**9),
@@ -16,12 +14,14 @@ keys = st.one_of(
 )
 
 
+@settings(max_examples=80)
 @given(keys)
 def test_stable_hash_deterministic_and_non_negative(key):
     assert stable_hash(key) == stable_hash(key)
     assert stable_hash(key) >= 0
 
 
+@settings(max_examples=80)
 @given(keys, st.integers(min_value=1, max_value=271),
        st.integers(min_value=1, max_value=9))
 def test_partition_and_owner_in_range(key, partitions, nodes):
@@ -31,6 +31,7 @@ def test_partition_and_owner_in_range(key, partitions, nodes):
     assert 0 <= part.owner_of(key) < nodes
 
 
+@settings(max_examples=80)
 @given(st.integers(min_value=2, max_value=8),
        st.integers(min_value=8, max_value=64))
 def test_every_partition_has_distinct_backup(nodes, partitions):
@@ -41,6 +42,7 @@ def test_every_partition_has_distinct_backup(nodes, partitions):
         assert owner not in backups
 
 
+@settings(max_examples=80)
 @given(st.integers(min_value=2, max_value=6))
 def test_reassignment_leaves_no_partition_on_dead_node(nodes):
     part = Partitioner(32, nodes, backup_count=1)
@@ -50,6 +52,7 @@ def test_reassignment_leaves_no_partition_on_dead_node(nodes):
         assert part.owner_of_partition(partition) != dead
 
 
+@settings(max_examples=80)
 @given(st.lists(st.tuples(keys, st.integers()), max_size=50),
        st.integers(min_value=1, max_value=7))
 def test_imap_matches_plain_dict(entries, parallelism):
@@ -65,6 +68,7 @@ def test_imap_matches_plain_dict(entries, parallelism):
         assert imap.get(key) == value
 
 
+@settings(max_examples=80)
 @given(st.lists(st.integers(min_value=0, max_value=100), max_size=60),
        st.integers(min_value=1, max_value=7))
 def test_imap_node_views_partition_the_data(values, parallelism):

@@ -4,8 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.simtime import Server, Simulator, WorkerPool
 
-settings.register_profile("repro-res", max_examples=60, deadline=None)
-settings.load_profile("repro-res")
 
 durations = st.lists(
     st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
@@ -13,6 +11,7 @@ durations = st.lists(
 )
 
 
+@settings(max_examples=60)
 @given(durations)
 def test_server_completion_times_are_cumulative(jobs):
     sim = Simulator()
@@ -26,6 +25,7 @@ def test_server_completion_times_are_cumulative(jobs):
     assert finishes == expected
 
 
+@settings(max_examples=60)
 @given(durations, st.integers(min_value=1, max_value=8))
 def test_pool_conservation_of_work(jobs, workers):
     """Total busy time equals the sum of durations, and the last
@@ -40,6 +40,7 @@ def test_pool_conservation_of_work(jobs, workers):
     assert max(finishes) <= total + 1e-9
 
 
+@settings(max_examples=60)
 @given(durations)
 def test_pool_single_key_serialises_exactly(jobs):
     sim = Simulator()
@@ -51,6 +52,7 @@ def test_pool_single_key_serialises_exactly(jobs):
         assert abs(finish - acc) < 1e-9
 
 
+@settings(max_examples=60)
 @given(durations, st.integers(min_value=1, max_value=4))
 def test_pool_completions_monotone_per_key(jobs, workers):
     sim = Simulator()
@@ -63,6 +65,7 @@ def test_pool_completions_monotone_per_key(jobs, workers):
         assert finishes == sorted(finishes)
 
 
+@settings(max_examples=60)
 @given(durations)
 def test_callbacks_fire_exactly_once_each(jobs):
     sim = Simulator()

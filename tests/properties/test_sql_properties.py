@@ -5,8 +5,6 @@ from hypothesis import given, settings, strategies as st
 from repro.sql import EvalContext, execute_select, parse
 from repro.sql.planner import DictCatalog, ListTable
 
-settings.register_profile("repro", max_examples=60, deadline=None)
-settings.load_profile("repro")
 
 row_values = st.one_of(
     st.integers(min_value=-1_000, max_value=1_000),
@@ -30,12 +28,14 @@ def run(sql, rows, now_ms=0.0):
     return execute_select(parse(sql), catalog, EvalContext(now_ms))
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_count_star_equals_row_count(rows):
     result = run("SELECT COUNT(*) AS n FROM t", rows)
     assert result.rows[0]["n"] == len(rows)
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_where_partitions_rows(rows):
     above = run("SELECT COUNT(*) AS n FROM t WHERE v >= 0", rows)
@@ -43,6 +43,7 @@ def test_where_partitions_rows(rows):
     assert above.rows[0]["n"] + below.rows[0]["n"] == len(rows)
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_group_by_counts_sum_to_total(rows):
     grouped = run("SELECT tag, COUNT(*) AS n FROM t GROUP BY tag", rows)
@@ -51,6 +52,7 @@ def test_group_by_counts_sum_to_total(rows):
     assert len(tags) == len(set(tags))
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_sum_matches_python(rows):
     result = run("SELECT SUM(v) AS s FROM t", rows)
@@ -58,6 +60,7 @@ def test_sum_matches_python(rows):
     assert result.rows[0]["s"] == expected
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_min_max_bound_every_row(rows):
     result = run("SELECT MIN(v) AS lo, MAX(v) AS hi FROM t", rows).rows[0]
@@ -69,6 +72,7 @@ def test_min_max_bound_every_row(rows):
         assert result["hi"] == max(values)
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_order_by_sorts(rows):
     result = run("SELECT v FROM t ORDER BY v", rows)
@@ -76,12 +80,14 @@ def test_order_by_sorts(rows):
     assert values == sorted(values)
 
 
+@settings(max_examples=60)
 @given(rows_strategy, st.integers(min_value=0, max_value=10))
 def test_limit_truncates(rows, limit):
     result = run(f"SELECT v FROM t LIMIT {limit}", rows)
     assert len(result) == min(limit, len(rows))
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_distinct_removes_duplicates_only(rows):
     result = run("SELECT DISTINCT tag FROM t", rows)
@@ -90,6 +96,7 @@ def test_distinct_removes_duplicates_only(rows):
     assert len(result) == len(expected)
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_self_join_on_key_at_least_row_count(rows):
     catalog = DictCatalog({
@@ -114,6 +121,7 @@ numeric_rows = st.lists(
 )
 
 
+@settings(max_examples=60)
 @given(numeric_rows)
 def test_null_never_satisfies_comparison(rows):
     result = run("SELECT COUNT(*) AS n FROM t "
@@ -124,6 +132,7 @@ def test_null_never_satisfies_comparison(rows):
     assert result.rows[0]["n"] == non_null_numbers
 
 
+@settings(max_examples=60)
 @given(rows_strategy)
 def test_aggregate_with_where_consistent(rows):
     total = run("SELECT COUNT(*) AS n FROM t WHERE tag = 'red'", rows)
@@ -132,6 +141,7 @@ def test_aggregate_with_where_consistent(rows):
     assert total.rows[0]["n"] == red
 
 
+@settings(max_examples=60)
 @given(rows_strategy, rows_strategy)
 def test_union_all_length_is_sum(rows_a, rows_b):
     catalog = DictCatalog({
@@ -145,6 +155,7 @@ def test_union_all_length_is_sum(rows_a, rows_b):
     assert len(result) == len(rows_a) + len(rows_b)
 
 
+@settings(max_examples=60)
 @given(rows_strategy, rows_strategy)
 def test_union_distinct_is_set_union(rows_a, rows_b):
     catalog = DictCatalog({
@@ -160,6 +171,7 @@ def test_union_distinct_is_set_union(rows_a, rows_b):
     assert len(result) == len(expected)
 
 
+@settings(max_examples=60)
 @given(rows_strategy, st.integers(min_value=0, max_value=5),
        st.integers(min_value=0, max_value=5))
 def test_limit_offset_slice_semantics(rows, limit, offset):

@@ -11,8 +11,6 @@ from repro.dataflow.windows import (
     TumblingWindowOperator,
 )
 
-settings.register_profile("repro-win", max_examples=60, deadline=None)
-settings.load_profile("repro-win")
 
 #: (key, value, time-delta) traces; deltas accumulate so event times are
 #: monotone per trace (sources emit in order).
@@ -42,6 +40,7 @@ def total_add(acc, value):
     return count + 1, total + value
 
 
+@settings(max_examples=60)
 @given(traces)
 def test_tumbling_windows_partition_records(trace):
     operator = TumblingWindowOperator(100.0, total_add)
@@ -58,6 +57,7 @@ def test_tumbling_windows_partition_records(trace):
     assert closed_sum + open_sum == sum(v for _, v, _ in trace)
 
 
+@settings(max_examples=60)
 @given(traces)
 def test_tumbling_windows_ordered_per_key(trace):
     operator = TumblingWindowOperator(100.0, total_add)
@@ -70,6 +70,7 @@ def test_tumbling_windows_ordered_per_key(trace):
         assert len(set(starts)) == len(starts)
 
 
+@settings(max_examples=60)
 @given(traces)
 def test_session_windows_account_for_all_records(trace):
     operator = SessionWindowOperator(50.0, total_add)
@@ -81,6 +82,7 @@ def test_session_windows_account_for_all_records(trace):
     assert closed + open_count == len(trace)
 
 
+@settings(max_examples=60)
 @given(traces)
 def test_session_bounds_contain_gap_rule(trace):
     operator = SessionWindowOperator(50.0, total_add)
@@ -89,6 +91,7 @@ def test_session_bounds_contain_gap_rule(trace):
         assert result.window_end >= result.window_start
 
 
+@settings(max_examples=60)
 @given(traces, st.integers(min_value=1, max_value=5))
 def test_sliding_count_window_matches_reference(trace, n):
     operator = SlidingCountWindowOperator(n, lambda k, vs: list(vs))

@@ -166,14 +166,15 @@ def test_index_composes_with_partition_pruning(indexed_env):
     # 65 keys exceed the multi-point budget, so the key set prunes
     # partitions first; the index then resolves candidates only within
     # the surviving ones.  The keys are drawn from a handful of
-    # partitions so the pruning actually bites.
+    # partitions so the pruning actually bites; the key set leads, so
+    # the rows either skips leave before another conjunct reads them.
     from repro.cluster.partition import stable_hash
     keys = [k for k in range(KEYS)
             if stable_hash(k) % PARTITIONS < 8][:65]
     assert len(keys) == 65
     in_list = ", ".join(str(k) for k in keys)
-    sql = ('SELECT COUNT(*) AS n FROM "metrics" WHERE value = 7 '
-           f"AND key IN ({in_list})")
+    sql = (f'SELECT COUNT(*) AS n FROM "metrics" WHERE key IN ({in_list}) '
+           "AND value = 7")
     on = QueryService(indexed_env, indexes=True).execute(sql)
     off = QueryService(indexed_env, indexes=False).execute(sql)
     assert on.result.rows == off.result.rows

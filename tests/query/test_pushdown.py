@@ -187,28 +187,28 @@ def test_container_values_key_by_sql_equality(pushdown, values, sql, rows):
     assert sorted(service.execute(sql).result.tuples(), key=repr) == rows
 
 
-#: ``(statement, keys or error text)`` over the rows below.  ``AND``
-#: evaluates its next conjunct after a NULL one (but not after FALSE),
-#: so a shard that runs pushed conjuncts one after another keeps a row
-#: whose conjunct is NULL in play for a later conjunct's error, and
-#: drops it only at the end.
+#: ``(statement, rows or error text)`` over the rows below.  A row
+#: leaves at its first conjunct that is not TRUE (the WHERE rule of
+#: ``repro.sql.batch``): a row NULL on one conjunct never evaluates —
+#: or raises in — a later one, with pushdown or without.
 NULL_CONJUNCT_ROWS = [{"a": None, "b": "x"}, {"a": False, "b": 1},
                       {"a": False, "b": "y"}, {"a": True, "b": 2}]
 NULL_CONJUNCTS = [
-    ('SELECT key FROM "t" WHERE TRUE = a AND 1e16 > b',
-     "cannot compare float with str"),
-    ('SELECT key FROM "t" WHERE (a OR a) AND 1e16 > b',
-     "cannot compare float with str"),
-    ('SELECT key FROM "t" WHERE a = TRUE AND b <> \'q\'', [3]),
-    ('SELECT key FROM "t" WHERE a = TRUE AND b = 2 AND 1e16 > b', [3]),
-    ('SELECT COUNT(*) AS n FROM "t" WHERE a = TRUE AND 1e16 > b',
+    ('SELECT key FROM "t" WHERE TRUE = a AND 1e16 > b', [(3,)]),
+    ('SELECT key FROM "t" WHERE (a OR a) AND 1e16 > b', [(3,)]),
+    ('SELECT key FROM "t" WHERE a = TRUE AND b <> \'q\'', [(3,)]),
+    ('SELECT key FROM "t" WHERE a = TRUE AND b = 2 AND 1e16 > b', [(3,)]),
+    ('SELECT COUNT(*) AS n FROM "t" WHERE a = TRUE AND 1e16 > b', [(1,)]),
+    # ... while a row TRUE on the first conjunct meets the second
+    ('SELECT key FROM "t" WHERE b IS NOT NULL AND 1e16 > b',
      "cannot compare float with str"),
 ]
 
 
 @pytest.mark.parametrize("pushdown", [True, False])
 @pytest.mark.parametrize("sql, expected", NULL_CONJUNCTS)
-def test_null_conjunct_keeps_later_conjunct_errors(pushdown, sql, expected):
+def test_null_conjunct_drops_its_row_before_later_conjuncts(pushdown, sql,
+                                                            expected):
     env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
     imap = env.store.create_map("t")
     env.store.register_live_table("t", LiveStateTable(imap))
@@ -219,7 +219,7 @@ def test_null_conjunct_keeps_later_conjunct_errors(pushdown, sql, expected):
         with pytest.raises(SqlExecutionError, match=expected):
             service.execute(sql)
         return
-    assert sorted(service.execute(sql).result.column("key")) == expected
+    assert sorted(service.execute(sql).result.tuples()) == expected
 
 
 #: ``t`` and ``u`` of the entry-node cases below: row 0's ``a`` is NULL
@@ -228,28 +228,26 @@ ENTRY_T = [{"a": None, "b": "x", "k": 1}, {"a": True, "b": 5, "k": 1},
            {"a": False, "b": "z", "k": 1}]
 ENTRY_U = [{"k": 1, "y": 1}]
 JOIN_TU = 'SELECT t.key FROM "t" AS t JOIN "u" AS u ON t.k = u.k WHERE '
-#: ``(statement, keys or error text)``: a conjunct the entry node keeps
-#: (a residual over both tables, or ``LOCALTIMESTAMP``) runs after a
-#: NULL pushed conjunct, and before a pushed conjunct written after it,
-#: so a shard may drop a row only where a pushed conjunct ahead of
-#: every residual one is FALSE.
+#: ``(statement, rows or error text)``: a table's own conjuncts run on
+#: its rows before the join, wherever they are written; a conjunct the
+#: entry node keeps (a residual over both tables, or ``LOCALTIMESTAMP``)
+#: runs after them, over the rows they leave, and raises on those.
 ENTRY_CONJUNCTS = [
-    (JOIN_TU + "t.a = TRUE AND t.b > u.y", "cannot compare str with int"),
-    (JOIN_TU + "TRUE = t.a AND u.y < t.b", "cannot compare int with str"),
-    (JOIN_TU + "t.b > u.y AND t.a = TRUE", "cannot compare str with int"),
-    (JOIN_TU + "t.key > 0 AND t.b > u.y AND t.a = TRUE",
-     "cannot compare str with int"),
+    (JOIN_TU + "t.a = TRUE AND t.b > u.y", [(1,)]),
+    (JOIN_TU + "TRUE = t.a AND u.y < t.b", [(1,)]),
+    (JOIN_TU + "t.b > u.y AND t.a = TRUE", [(1,)]),
+    (JOIN_TU + "t.key > 0 AND t.b > u.y AND t.a = TRUE", [(1,)]),
     (JOIN_TU + "t.a = FALSE AND t.key > 1 AND u.y < t.b",
      "cannot compare int with str"),
-    (JOIN_TU + "t.a = TRUE AND t.k = u.y", [1]),
-    (JOIN_TU + "t.a = TRUE AND u.y = 1 AND t.k = u.y", [1]),
-    (JOIN_TU + "t.key = 1 AND t.b > u.y", [1]),
-    ('SELECT key FROM "t" WHERE a = TRUE AND b < LOCALTIMESTAMP',
-     "cannot compare str with float"),
+    (JOIN_TU + "t.a = TRUE AND t.k = u.y", [(1,)]),
+    (JOIN_TU + "t.a = TRUE AND u.y = 1 AND t.k = u.y", [(1,)]),
+    (JOIN_TU + "t.key = 1 AND t.b > u.y", [(1,)]),
+    (JOIN_TU + "t.b > u.y", "cannot compare str with int"),
+    ('SELECT key FROM "t" WHERE a = TRUE AND b < LOCALTIMESTAMP', []),
     ('SELECT key FROM "t" WHERE b < LOCALTIMESTAMP AND key <> 0',
      "cannot compare str with float"),
     ('SELECT COUNT(*) AS n FROM "t" WHERE a = TRUE AND b < LOCALTIMESTAMP',
-     "cannot compare str with float"),
+     [(0,)]),
 ]
 
 
@@ -271,12 +269,14 @@ def test_entry_node_conjunct_keeps_its_errors(pushdown, sql, expected):
         with pytest.raises(SqlExecutionError, match=expected):
             service.execute(sql)
         return
-    assert sorted(service.execute(sql).result.column("key")) == expected
+    assert sorted(service.execute(sql).result.tuples()) == expected
 
 
-def test_entry_node_conjunct_vetoes_an_index_that_skips_null_rows():
-    """An index read never returns a row its conjunct is NULL on: with a
-    residual conjunct to follow, the shard scans instead."""
+def test_index_read_under_an_entry_node_conjunct_is_exact():
+    """An index read skips only rows its leading conjunct is not TRUE
+    on, which leave there on every path: with a residual conjunct to
+    follow it still reads through the index, and answers — or raises —
+    what a scan and pushdown off do."""
     env = Environment(ClusterConfig(nodes=NODES, processing_workers_per_node=1,
                                     partition_count=32))
     imap = env.store.create_map("t")
@@ -284,14 +284,32 @@ def test_entry_node_conjunct_vetoes_an_index_that_skips_null_rows():
     for key in range(3000):
         imap.put(key, {"a": key % 300, "b": 5})
     imap.put(3000, {"a": None, "b": "x"})
+    imap.put(3001, {"a": 3, "b": "x"})
     env.store.create_index("t", "a", "hash")
     service = QueryService(env)
+    references = [QueryService(env, indexes=False),
+                  QueryService(env, pushdown=False)]
+
+    def outcome(service, sql):
+        try:
+            return sorted(service.execute(sql).result.tuples())
+        except SqlExecutionError as exc:
+            return str(exc)
+
     assert "index probe on 'a'" in service.explain(
         'SELECT key FROM "t" WHERE a = 3 AND b < 7')
-    sql = 'SELECT key FROM "t" WHERE a = 3 AND b < LOCALTIMESTAMP'
-    assert "skips the NULL rows that ship" in service.explain(sql)
-    with pytest.raises(SqlExecutionError, match="cannot compare str"):
-        service.execute(sql)
+    for sql, expected in [
+        # row 3000's NULL ``a`` drops it before ``b`` is read
+        ('SELECT key FROM "t" WHERE a = 3 AND b < LOCALTIMESTAMP + 1e9 '
+         "AND key <> 3001", [(key,) for key in range(3, 3000, 300)]),
+        # row 3001 joins the candidates, and raises on every path
+        ('SELECT key FROM "t" WHERE a = 3 AND b < LOCALTIMESTAMP',
+         "cannot compare str with float"),
+    ]:
+        assert "index probe on 'a'" in service.explain(sql)
+        assert outcome(service, sql) == expected
+        for reference in references:
+            assert outcome(reference, sql) == expected
 
 
 def test_selective_scan_ships_fewer_rows_and_bytes(wide_env):

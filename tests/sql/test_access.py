@@ -231,15 +231,25 @@ def test_unrestricted_index_column_is_skipped():
     assert choice.kind == "scan"
 
 
-def test_cheapest_index_wins_across_columns():
-    fragment = fragment_of('SELECT * FROM "t" WHERE v = 5 AND w = 2')
+def test_only_a_leading_conjuncts_column_is_indexed():
+    # ``w``'s index is the cheaper one, but a row it skips could still
+    # raise on ``v = 5`` (a row without ``v``), written first: only the
+    # leading conjunct's column may skip rows unread.
     view = FakeView(
         {"v": "hash", "w": "hash"},
         {(0, "v"): (1, 200), (0, "w"): (1, 4)},
     )
-    choice = choose_access_path(fragment, view, [0], 1000, COSTS)
-    assert choice.kind == "index-eq"
-    assert choice.column == "w"
+    for sql, column in [('SELECT * FROM "t" WHERE v = 5 AND w = 2', "v"),
+                        ('SELECT * FROM "t" WHERE w = 2 AND v = 5', "w"),
+                        # a key equality raises on no row: it leads no one
+                        ('SELECT * FROM "t" WHERE key IN (1, 2) AND w = 2 '
+                         "AND v = 5", "w")]:
+        choice = choose_access_path(fragment_of(sql), view, [0], 1000, COSTS)
+        assert choice.kind == "index-eq"
+        assert choice.column == column
+        other = "w" if column == "v" else "v"
+        assert f"index hash({other!r}): no leading pushed" in \
+            " ".join(choice.rejected)
 
 
 def test_surcharge_prices_both_paths():
