@@ -143,19 +143,19 @@ def canonicalize(statement: Statement, store,
         binding = statement.table.binding
         visible = _output_columns(statement)
         star = statement.select_star
-        kept: list[Expr] = []
-        for conjunct in split_conjuncts(statement.where):
-            parts = column_equality(conjunct)
-            if parts is not None:
-                column, literal = parts
-                if (
-                    (column.table is None or column.table == binding)
-                    and type(literal.value) in _RESIDUAL_LITERALS
-                    and (star or column.name in visible)
-                ):
-                    extracted.append((conjunct, column, literal))
-                    continue
-            kept.append(conjunct)
+        # Only the trailing run of equalities leaves the shared plan: a
+        # row meets them after every kept conjunct, as it does in the
+        # statement, so no row the residual drops could have raised.
+        kept = split_conjuncts(statement.where)
+        while kept and (parts := column_equality(kept[-1])) is not None:
+            column, literal = parts
+            if not (
+                (column.table is None or column.table == binding)
+                and type(literal.value) in _RESIDUAL_LITERALS
+                and (star or column.name in visible)
+            ):
+                break
+            extracted.insert(0, (kept.pop(), column, literal))
         if extracted:
             shared = dataclasses.replace(
                 statement, where=conjoin(kept)

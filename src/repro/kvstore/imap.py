@@ -141,8 +141,10 @@ class IMap:
         return self.registries[family].add_definition(definition)
 
     def partition_state(self, partition: int) -> dict[Hashable, object]:
-        """One partition's ``{key: value}`` as stored (scans read it in
-        place; readers must not mutate it)."""
+        """One partition's ``{key: value}`` as stored: shared and
+        read-only.  Scans read it in place, and a stored value changes
+        only through a write to the map (which moves
+        :attr:`write_count`), never in place."""
         return self._partitions[partition]
 
     # -- single-key operations -------------------------------------------
@@ -188,6 +190,9 @@ class IMap:
 
     @property
     def write_count(self) -> int:
+        """The map's write stamp: it changes on every mutation (each
+        ``put`` and ``delete``, each ``drop_partitions`` and ``clear``),
+        so a reader that saw a stamp unchanged saw the same entries."""
         return self._writes
 
     def keys(self) -> Iterator[Hashable]:
@@ -231,6 +236,7 @@ class IMap:
             self._partitions[partition].clear()
             for registry in self.registries.values():
                 registry.rebuild_partition(partition)
+        self._writes += 1
         return lost
 
 

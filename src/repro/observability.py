@@ -76,6 +76,14 @@ _continuous = _optional("continuous")
 _sanitizers = _optional("sanitizers")
 
 
+def _live_tables(name: str) -> Reader:
+    """A counter of every registered live table, totalled."""
+    return lambda env: sum(
+        getattr(env.store.get_live_table(table), name)
+        for table in env.store.live_table_names()
+    )
+
+
 def _plan_sizes(continuous) -> list[int]:
     return [plan.subscriber_count for plan in continuous.plans.values()]
 
@@ -151,6 +159,15 @@ class ClusterReport:
         "query shipping", "partitions pruned", "count",
         "Store partitions scans skipped by key or zone-map pruning.",
         _queries("partitions_pruned"))
+    scan_batch_reuses: int = counter(
+        "live scans", "node batches reused", "count",
+        "Whole-node live scans answered by the node's previous batch "
+        "(the table unwritten since).",
+        _live_tables("scan_reuses"))
+    scan_batch_rebuilds: int = counter(
+        "live scans", "node batches built", "count",
+        "Whole-node live scans that read the node's entries afresh.",
+        _live_tables("scan_rebuilds"))
     index_probes: int = counter(
         "indexes", "probes", "count",
         "Secondary-index probes issued by index-backed shard scans.",

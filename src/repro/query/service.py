@@ -594,8 +594,9 @@ class QueryService:
             # or a few keys (Fig. 4's ``WHERE key = 1`` pattern, plus
             # ``key IN (...)`` / OR-of-equalities) fetches only those
             # keys from their owner nodes instead of scanning anything.
-            keys = _extract_key_filter(select.where,
-                                       select.table.binding or "")
+            keys = _extract_key_filter(
+                select.where, select.table.binding or "",
+                views[select.table.name].immutable)
             if keys is not NO_POINT_KEY:
                 execution.point_keys = keys
                 if len(keys) == 1:
@@ -1514,16 +1515,30 @@ def _lock_grant(locks, key, execution: QueryExecution,
     return granted
 
 
-def _extract_key_filter(where: Expr | None, binding: str = "") -> object:
+def _extract_key_filter(where: Expr | None, binding: str = "",
+                        snapshot: bool = False) -> object:
     """Keys a single-table query is pinned to.
 
     Returns a non-empty tuple for ``key = <literal>``,
     ``key IN (<literals>)`` or an OR-of-equality conjunct (each becomes
     a multi-point get against the owners), or :data:`NO_POINT_KEY` when
-    the query needs a scan.  ``partitionKey`` works the same way."""
+    the query needs a scan.  ``partitionKey`` works the same way.
+
+    Only the leading conjuncts pin keys
+    (:func:`~repro.sql.fragments.extract_key_filter`): a row the get
+    skips must leave before any conjunct that could raise on it.  On a
+    ``snapshot`` table every row carries ``ssid`` and ``=`` never
+    raises, so an ``ssid = <literal>`` conjunct (Fig. 4's ``WHERE
+    ssid=9 AND key=2``) is passed over."""
     if where is None:
         return NO_POINT_KEY
     conjuncts = split_conjuncts(where)
+    if snapshot:
+        conjuncts = [
+            conjunct for conjunct in conjuncts
+            if (parts := column_equality(conjunct)) is None
+            or parts[0].name != "ssid" or parts[0].table not in (None, binding)
+        ]
     for column in ("key", "partitionKey"):
         key_filter = extract_key_filter(conjuncts, column, binding)
         if isinstance(key_filter, KeySet):

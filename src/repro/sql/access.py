@@ -28,9 +28,9 @@ entirely and read one probabilistic summary per partition:
 
 The chooser is strictly conservative: it only considers a column when
 the fragment's leading pushed conjuncts imply a value restriction on it
-(:func:`~repro.sql.fragments.extract_column_filter` over
-:func:`~repro.sql.fragments.leading`: a row the index skips leaves at
-one of them, so the read is exact, errors included), and it asks the
+(:func:`~repro.sql.fragments.extract_column_filter`, which reads the
+leading ones only: a row the index skips leaves at one of them, so the
+read is exact, errors included), and it asks the
 table for exact per-partition candidate counts — a partition that
 cannot be probed soundly (missing columns, mixed types, a degraded
 structure) vetoes the whole index path for this fragment.
@@ -51,7 +51,6 @@ from .fragments import (
     KeySet,
     ScanFragment,
     extract_column_filter,
-    leading,
 )
 
 
@@ -323,8 +322,7 @@ def choose_access_path(fragment: ScanFragment | None, view,
                if indexes and fragment is not None else {})
     for column, kind in columns.items():
         extracted = extract_column_filter(
-            leading(fragment.pushed, column, fragment.binding), column,
-            fragment.binding,
+            fragment.pushed, column, fragment.binding,
         )
         if extracted is None:
             rejected.append(

@@ -67,7 +67,8 @@ the least its shards ship, then runs the rest.  Without pushdown, and
 for ``execute_select`` over a catalog, the entry node runs the same
 per-table sweep over whole rows, a shard per node (:func:`sweep_tables`).
 Filters that skip rows unread derive from leading conjuncts only
-(:func:`~repro.sql.fragments.leading`), so they are exact too.
+(:func:`~repro.sql.fragments.extract_key_filter`), so they are exact
+too.
 
 Compiled fragments are cached in an LRU keyed by the frozen fragment
 itself, so a query shape recurring across shards, retries, and

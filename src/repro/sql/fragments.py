@@ -27,7 +27,7 @@ Splitting rules (all safety-first; anything unclear stays central):
   different instant.
 * A filter that skips rows unread — partition pruning, an index read —
   derives from a table's leading conjuncts on its column only
-  (:func:`leading`).
+  (:func:`extract_key_filter`, :func:`extract_column_filter`).
 * Partial aggregation applies when the query is single-table, fully
   pushed (no residual), uses only decomposable aggregates
   (COUNT/SUM/AVG/MIN/MAX without DISTINCT), and group keys are
@@ -265,7 +265,8 @@ def extract_key_filter(conjuncts: list[Expr], key_column: str,
     """The tightest key restriction implied by top-level conjuncts.
 
     Only conjuncts that will also be (re-)evaluated against the rows may
-    contribute — the filter is a pruning aid, never the only filter.
+    contribute — the filter is a pruning aid, never the only filter —
+    and only the leading ones (:func:`_ends_leading`).
 
     A key set names the partitions to read by hashing its keys, and
     ``stable_hash`` hashes by type: ``7.0`` and ``TRUE`` equal the key
@@ -273,12 +274,18 @@ def extract_key_filter(conjuncts: list[Expr], key_column: str,
     literals pin keys; any other equality scans.  Ranges compare and
     keep every literal."""
     combined: KeyFilter | None = None
-    for conjunct in conjuncts:
+    last = len(conjuncts) - 1
+    for position, conjunct in enumerate(conjuncts):
         part = _conjunct_key_filter(conjunct, key_column, binding)
-        if isinstance(part, KeySet) and \
-                not set(map(type, part.keys)) <= _PINNING_TYPES:
-            continue
-        if part is not None:
+        if part is None:
+            # Stopping at the last conjunct would change nothing.
+            if position < last and \
+                    _like_conjunct_filter(conjunct, key_column,
+                                          binding) is None and \
+                    _ends_leading(conjunct, key_column, binding):
+                break
+        elif not isinstance(part, KeySet) or \
+                set(map(type, part.keys)) <= _PINNING_TYPES:
             combined = _intersect(combined, part)
     return combined
 
@@ -344,34 +351,29 @@ def extract_column_filter(conjuncts: list[Expr], column: str,
         part = _conjunct_key_filter(conjunct, column, binding)
         if part is None:
             part = _like_conjunct_filter(conjunct, column, binding)
-            if part is not None:
-                needs_str = True
-        if part is not None:
-            combined = _intersect(combined, part)
+            if part is None:
+                if _ends_leading(conjunct, column, binding):
+                    break
+                continue
+            needs_str = True
+        combined = _intersect(combined, part)
     if combined is None:
         return None
     return combined, needs_str
 
 
-def leading(conjuncts: "tuple[Expr, ...] | list[Expr]", column: str,
-            binding: str) -> list[Expr]:
-    """The conjuncts on ``column`` before the first conjunct that
-    restricts no value of it and may raise: what a filter that skips
-    rows unread (partition pruning, an index read) may derive from.  A
-    row it skips leaves at one of them, and no conjunct before could
-    raise on it — an equality or IN-list on the key, which every stored
-    row has, raises on none."""
-    found = []
-    for conjunct in conjuncts:
-        if _conjunct_key_filter(conjunct, column, binding) is not None or \
-                _like_conjunct_filter(conjunct, column, binding) is not None:
-            found.append(conjunct)
-        elif not any(
-            isinstance(_conjunct_key_filter(conjunct, name, binding), KeySet)
-            for name in ("key", "partitionKey")
-        ):
-            break
-    return found
+def _ends_leading(conjunct: Expr, column: str, binding: str) -> bool:
+    """Whether a conjunct that restricts no value of ``column`` ends the
+    run a filter that skips rows unread (a point get, partition pruning,
+    an index read) may derive from.  A row it skips leaves at one of
+    the run's conjuncts, and none before could raise on it: the run
+    passes over only an equality or IN-list on a key column, which
+    every stored row has, so it raises on none."""
+    for name in ("key", "partitionKey"):
+        if name != column and isinstance(
+                _conjunct_key_filter(conjunct, name, binding), KeySet):
+            return False
+    return True
 
 
 # -- fragments ---------------------------------------------------------------
@@ -656,8 +658,7 @@ def split_select(select: Select) -> DistributedPlan:
                 else _projection_for(select, binding, referenced)
             ),
             partial=partial if name == select.table.name else None,
-            key_filter=extract_key_filter(
-                leading(pushed, "key", binding), "key", binding),
+            key_filter=extract_key_filter(pushed, "key", binding),
             top_k=top_k if name == select.table.name else None,
         )
 

@@ -31,6 +31,13 @@ class LiveStateTable:
         #: Continuous-query change capture (None = capture disabled; the
         #: mutation fast path then stays exactly as before).
         self._capture = None
+        #: node id -> (partitions, batch) of its last scan at the map's
+        #: write stamp ``_scan_stamp`` (emptied when the stamp moves).
+        self._scans: dict[int, tuple[list[int], ColumnBatch]] = {}
+        self._scan_stamp = -1
+        #: Node scans answered by the node's last batch / by a new one.
+        self.scan_reuses = 0
+        self.scan_rebuilds = 0
 
     def attach_change_capture(self, recorder) -> None:
         """Route every mutation through ``recorder`` as typed events."""
@@ -60,7 +67,27 @@ class LiveStateTable:
         return batch
 
     def scan_on_node(self, node_id: int) -> ColumnBatch:
-        return self.scan_partitions(self._imap.partitions_on_node(node_id))
+        """The node's entries, column-readable.  The batch is shared and
+        read-only: it answers every scan of the node (and, once reused,
+        remembers the columns they read) until the map's write stamp or
+        the node's partition list changes, then a new one is built.  A
+        moved stamp drops every node's batch, so the table holds the
+        entries of at most one generation of its state."""
+        partitions = self._imap.partitions_on_node(node_id)
+        stamp = self._imap.write_count
+        if stamp != self._scan_stamp:
+            self._scans.clear()
+            self._scan_stamp = stamp
+        last = self._scans.get(node_id)
+        if last is not None and last[0] == partitions:
+            self.scan_reuses += 1
+            batch = last[1]
+            batch.share()
+            return batch
+        self.scan_rebuilds += 1
+        batch = self.scan_partitions(partitions)
+        self._scans[node_id] = (partitions, batch)
+        return batch
 
     def rows_on_node(self, node_id: int) -> Iterator[dict]:
         yield from self.scan_on_node(node_id).rows()

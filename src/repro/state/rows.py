@@ -170,9 +170,17 @@ class ColumnBatch:
     What a shard ships is such a batch too (:meth:`take`): its
     survivors, showing only the projected columns.  Rows are shaped
     from it where they are needed, or never — a join reads its columns.
+
+    A batch read by more than one scan (a live table's node batch, once
+    a second scan reuses it) is marked by :meth:`share`; from then on it
+    reads a value column over every entry on its first read and
+    remembers it until :meth:`load` or :meth:`extend` appends more, so
+    it reads each column once.  A batch read once reads only the chunks
+    asked for, as they are asked for.
     """
 
-    __slots__ = ("reader", "keys", "values", "ssids", "keep", "_layout")
+    __slots__ = ("reader", "keys", "values", "ssids", "keep", "_layout",
+                 "_columns")
 
     def __init__(self, reader: ColumnReader,
                  rows: list[dict] | None = None) -> None:
@@ -183,6 +191,9 @@ class ColumnBatch:
         #: The only columns an entry shows (``None``: all it has).
         self.keep: frozenset | None = None
         self._layout: tuple[str, ...] | None | object = _UNKNOWN
+        #: Value column name -> that column over every entry (``None``:
+        #: not shared, nothing is remembered).
+        self._columns: dict[str, list] | None = None
 
     def take(self, indexes: list[int],
              columns: tuple[str, ...] | None) -> "ColumnBatch":
@@ -203,6 +214,7 @@ class ColumnBatch:
         """Append entries of ``state`` (``{key: value}``): all of them
         in its order, or those under ``keys`` in theirs."""
         self._layout = _UNKNOWN
+        self._columns = None
         if keys is None:
             self.keys.extend(state)
             self.values.extend(state.values())
@@ -219,6 +231,7 @@ class ColumnBatch:
         """Append another run of the same table (a further version, or
         another node's shipped survivors)."""
         self._layout = _UNKNOWN
+        self._columns = None
         if self.keys is not None:
             self.keys.extend(other.keys)
         self.values.extend(other.values)
@@ -252,12 +265,30 @@ class ColumnBatch:
             return self.keys[start:stop]
         if name == "ssid" and self.ssids is not None:
             return self.ssids[start:stop]
-        values = self.values[start:stop]
+        columns = self._columns
+        if columns is None:
+            values = self.values[start:stop]
+        else:
+            whole = columns.get(name)
+            if whole is not None:
+                return whole[start:stop]
+            values = self.values
         shape = self._shape(values)
         if shape is not None:
-            return shape.column(name, values)
-        get = self.reader.get
-        return [get(value, name) for value in values]
+            column = shape.column(name, values)
+        else:
+            get = self.reader.get
+            column = [get(value, name) for value in values]
+        if columns is None:
+            return column
+        columns[name] = column
+        return column[start:stop]
+
+    def share(self) -> None:
+        """Mark the batch as read by more than one scan: remember each
+        value column over every entry from its next read on."""
+        if self._columns is None:
+            self._columns = {}
 
     def row(self, index: int) -> dict:
         """The whole row of one entry."""

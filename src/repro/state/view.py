@@ -61,7 +61,12 @@ class TableView:
 
     def scan_on_node(self, node_id: int) -> ColumnBatch:
         """A node's entries, column-readable through the table's
-        reader (what scan shards run their fragment over)."""
+        reader (what scan shards run their fragment over).  Shared and
+        read-only: a single-version view hands out the table's own
+        batch (a live table's answers every scan until it is next
+        written)."""
+        if self._version is not None:
+            return self.table.scan_on_node(node_id, *self._version)
         batch = ColumnBatch(self.table.column_reader)
         for args in self._args:
             batch.extend(self.table.scan_on_node(node_id, *args))

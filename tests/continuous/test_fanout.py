@@ -155,6 +155,27 @@ def test_row_without_residual_column_matches_nothing_and_never_raises():
         service.execute(tagged.sql)
 
 
+@pytest.mark.parametrize("shared", [True, False])
+def test_an_equality_written_first_stays_in_the_shared_plan(shared):
+    """``u = 1`` written before ``v < 5`` decides first: the row
+    ``{u: 2, v: 'x'}`` leaves at it and never compares ``'x'`` with 5.
+    Pulled out into the residual, it would leave ``v < 5`` to meet that
+    row in the shared plan and raise."""
+    env = Environment(ClusterConfig(nodes=2, processing_workers_per_node=1))
+    imap = env.store.create_map("t")
+    env.store.register_live_table("t", LiveStateTable(imap))
+    imap.put(1, {"u": 1, "v": 2})
+    imap.put(2, {"u": 2, "v": "x"})
+    service = QueryService(env, shared_plans=shared)
+    sql = 'SELECT * FROM "t" WHERE u = 1 AND v < 5'
+    expected = service.execute(sql).result.rows
+    subscription = service.subscribe(sql)
+    env.run_for(50)
+    assert subscription.active
+    assert subscription.rows() == expected == [
+        {"u": 1, "v": 2, "partitionKey": 1, "key": 1}]
+
+
 def test_mixed_residuals_join_the_unfiltered_plan(env):
     _job, service = start(env)
     plain = service.subscribe(STAR)

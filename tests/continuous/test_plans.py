@@ -49,7 +49,7 @@ def test_different_statements_different_fingerprints():
 
 
 def test_residual_constants_collapse_to_one_fingerprint():
-    a = canon('SELECT * FROM "orders" WHERE zone = \'n\' AND amount > 5')
+    a = canon('SELECT * FROM "orders" WHERE amount > 5 AND zone = \'n\'')
     b = canon('SELECT * FROM "orders" WHERE amount > 5 AND zone = \'s\'')
     assert a.fingerprint == b.fingerprint
     assert a.has_residual and b.has_residual
@@ -59,6 +59,20 @@ def test_residual_constants_collapse_to_one_fingerprint():
     plain = canon('SELECT * FROM "orders" WHERE amount > 5')
     assert a.fingerprint == plain.fingerprint
     assert not plain.has_residual
+
+
+def test_only_the_trailing_equalities_leave_the_shared_plan():
+    # ``zone = 'n'`` written before ``amount > 5`` decides first (a row
+    # it drops never reaches the comparison), so it stays shared.
+    first = canon('SELECT * FROM "orders" WHERE zone = \'n\' AND amount > 5')
+    assert not first.has_residual
+    assert first.statement.where is not None
+    mixed = canon('SELECT * FROM "orders" WHERE zone = \'n\' '
+                  "AND amount > 5 AND region = 'eu' AND tier = 2")
+    assert mixed.residual_columns == ("region", "tier")
+    assert mixed.fingerprint == canon(
+        'SELECT * FROM "orders" WHERE zone = \'n\' AND amount > 5'
+    ).fingerprint
 
 
 def test_fully_extracted_where_collapses_to_unfiltered_plan():
@@ -144,7 +158,7 @@ def test_null_equality_is_not_extracted():
 
 def test_non_equality_conjuncts_stay_shared():
     plan = canon('SELECT * FROM "orders" '
-                 "WHERE amount > 5 AND zone = 'n' AND amount < 50")
+                 "WHERE amount > 5 AND amount < 50 AND zone = 'n'")
     assert plan.has_residual
     assert plan.residual_columns == ("zone",)
     # Both range conjuncts survive in the shared statement.

@@ -11,7 +11,11 @@ import pytest
 
 from repro import Environment
 from repro.config import ClusterConfig
+from repro.errors import SqlExecutionError
 from repro.query import QueryService
+from repro.sql import EvalContext, parse
+from repro.sql.executor import execute_select
+from repro.sql.planner import DictCatalog, ListTable
 from repro.state.live import LiveStateTable
 
 from ..conftest import build_average_job, make_squery_backend
@@ -63,3 +67,36 @@ def test_snapshot_key_literal_matches_scan(env, pinned, scanned):
     got = rows(service, f"SELECT * FROM {table} {pinned}")
     assert got == expected
     assert [type(row["key"]) for row in got] == [int] * len(got)
+
+
+@pytest.mark.parametrize("where", [
+    "1e16 > b AND key = 5",
+    "1e16 > b AND key IN (5, 6)",
+    "key = 5 AND 1e16 > b",
+])
+def test_point_get_derives_from_leading_key_conjuncts_only(where):
+    """A key conjunct written after one that may raise pins no point
+    get: every row meets that conjunct first, and key 0's ``'x'``
+    raises as the statement over a catalog does.  Written first, the
+    key conjunct decides before it and the get stays a point get."""
+    env = Environment(ClusterConfig(nodes=2, processing_workers_per_node=1))
+    imap = env.store.create_map("metrics")
+    env.store.register_live_table("metrics", LiveStateTable(imap))
+    for key in range(10):
+        imap.put(key, {"b": "x" if key == 0 else key})
+    sql = f'SELECT key FROM "metrics" WHERE {where}'
+    catalog = DictCatalog({"metrics": ListTable("metrics", tuple(
+        {"b": value["b"], "partitionKey": key, "key": key}
+        for key, value in imap.entries()))})
+    try:
+        expected = execute_select(parse(sql), catalog,
+                                  EvalContext(now_ms=0)).rows
+    except SqlExecutionError as exc:
+        expected = repr(exc)
+    execution = QueryService(env).submit(sql)
+    while execution.completed_ms is None:
+        env.sim.step()
+    got = (repr(execution.error) if execution.error is not None
+           else execution.result.rows)
+    assert got == expected
+    assert (execution.point_keys is not None) == where.startswith("key")

@@ -1,5 +1,9 @@
 """Tests for live-state tables (Table I semantics)."""
 
+import gc
+import weakref
+from dataclasses import dataclass
+
 from repro.kvstore import IMap, InstancePlacement
 from repro.state import LiveStateTable
 
@@ -70,3 +74,28 @@ def test_point_rows_and_owner_live():
         {"partitionKey": 0, "key": 0, "v": 1},
     ]
     assert table.point_rows(12345) == []
+
+
+@dataclass(slots=True, weakref_slot=True)
+class Count:
+    count: int
+
+
+def test_a_rewrite_leaves_no_replaced_state_reachable_after_a_scan():
+    # Every node's batch (and the columns read from it) answers scans
+    # until the table is next written; the first scan after a write
+    # drops them all, not just the scanned node's.
+    table = make_table(parallelism=4, nodes=2)
+    for key in range(40):
+        table.apply_update(key, Count(key))
+    replaced = [weakref.ref(table.get(key)) for key in range(40)]
+    for node in range(2):
+        assert table.scan_on_node(node).column("count")
+        assert table.scan_on_node(node) is table.scan_on_node(node)
+    for key in range(40):
+        table.apply_update(key, Count(key + 1))
+    assert sorted(table.scan_on_node(0).column("count")) == \
+        sorted(key + 1 for key, _ in table.imap.entries_on_node(0))
+    gc.collect()
+    assert [ref for ref in replaced if ref() is not None] == []
+    assert (table.scan_reuses, table.scan_rebuilds) == (4, 3)

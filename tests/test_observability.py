@@ -165,6 +165,7 @@ PERF_FIELDS = {
     "lock_contentions", "locks_held", "open_channels",
     "query_retries", "query_aborts", "query_timeouts",
     "query_rows_shipped", "query_bytes_shipped", "query_partitions_pruned",
+    "scan_batch_reuses", "scan_batch_rebuilds",
     "index_probes", "index_rows_read", "rows_skipped_by_index",
     "index_maintenance_ops", "index_maintenance_cost",
     "sketch_probes", "approx_queries_answered", "sketch_maintenance_ops",
@@ -309,6 +310,11 @@ def test_report_fields_equal_their_sources(scenario):
         assert getattr(report, name) == \
             attrgetter(f"{owner}.{attribute}")(env), name
     assert report.sanitizer_violations == len(env.sanitizers.violations)
+    live = [env.store.get_live_table(name)
+            for name in env.store.live_table_names()]
+    assert report.scan_batch_rebuilds == \
+        sum(table.scan_rebuilds for table in live) > 0
+    assert report.scan_batch_reuses == sum(table.scan_reuses for table in live)
 
 
 def test_footer_prints_a_section_iff_a_counter_of_it_is_nonzero(scenario):
