@@ -222,6 +222,17 @@ class ClusterReport:
         "columnar", "fragment-cache hits", "count",
         "Fragment compilations served by a service's compile cache.",
         _queries("compile_cache_hits"))
+    snapshot_plans_built: int = counter(
+        "snapshot plans", "built", "count",
+        "Shard plans of committed snapshot versions derived afresh: a "
+        "service's first read of a version's node shard under a "
+        "fragment, placement and DDL epoch.",
+        _services("snapshot_plans_built"))
+    snapshot_plans_reused: int = counter(
+        "snapshot plans", "reused", "count",
+        "Shard plans of committed snapshot versions a service reused "
+        "instead of deriving them again.",
+        _services("snapshot_plans_reused"))
     joins_copartitioned: int = counter(
         "joins", "co-partitioned", "count",
         "Join steps run as a co-partitioned hash join.",

@@ -227,6 +227,9 @@ class _ShardPlan:
     #: Why no index was priced against the scan (``None``: one was, or
     #: the read is no scan).
     veto: str | None
+    #: The node's row count, what a pure-load read ships: counted once
+    #: for a snapshot plan (``None``: counted when the read completes).
+    rows: int | None = None
 
 
 class _ShardError:
@@ -282,13 +285,16 @@ class _Attempt:
 
     __slots__ = ("service", "execution", "nodes", "token", "rows",
                  "scanned", "stripe", "targets", "arrived", "landed",
-                 "unlocked", "waiting")
+                 "unlocked", "waiting", "advance")
 
     def __init__(self, service: "QueryService",
                  execution: QueryExecution, tables) -> None:
         self.service = service
         self.execution = execution
         self.nodes = service.cluster.nodes  # indexed by node id
+        #: The chunk chains' callback, bound once: ``call_batched`` joins
+        #: same-time steps by its identity.
+        self.advance = self._advance
         #: The value that detects lost work: callbacks scheduled under
         #: an older token never run.
         self.token = 0
@@ -343,29 +349,50 @@ class _Attempt:
         """Bill ``chunks`` chunks in turn on ``node_id``'s store servers,
         chunk ``remaining`` on partition ``stripe + remaining``, then run
         ``then(*args)``; ``first``, ``last`` and ``full`` (the others)
-        are ``(entries, ms)``.  One frame a chunk: the chain resolves the
-        servers once and guards itself as :meth:`_run` does."""
+        are ``(entries, ms)``.
+
+        The first chunk bills here.  The rest of the chain is one shard
+        record, ``[remaining, token, servers, stripe, full, last, then,
+        args]``, that :meth:`_advance` moves on a chunk at a time: the
+        attempt's shards that finish a chunk at one time wait in one
+        ``call_batched`` list and advance in one call, each at the point
+        where its own event would have fired."""
         execution = self.execution
         servers = self.nodes[node_id].store_servers
-        token = self.token
         self.targets.add(node_id)  # cleared only under a new token
+        entries, duration = first
+        execution.entries_billed += entries
+        execution.batches_evaluated += entries > 0  # probe-only: none
+        execution.scan_ms_billed += duration
+        self.service.sim.call_batched(
+            servers[(stripe + chunks) % len(servers)].submit(duration),
+            self.advance,
+            [chunks - 1, self.token, servers, stripe, full, last, then,
+             args],
+        )
 
-        def chunk(remaining: int) -> None:
-            if remaining != chunks:  # the first runs in the dispatch
-                if token != self.token or execution.completed_ms is not None:
-                    return
-                if remaining == 0:
-                    then(*args)
-                    return
-            entries, duration = (first if remaining == chunks
-                                 else last if remaining == 1 else full)
+    def _advance(self, shards: list) -> None:
+        """Move each of ``shards`` (:meth:`scan`) one step, in order:
+        guarded as :meth:`_run` is, bill its next chunk and come back at
+        that chunk's finish, or with none left run its ``then``."""
+        execution = self.execution
+        call_batched = self.service.sim.call_batched
+        advance = self.advance
+        for shard in shards:
+            remaining, token, servers, stripe, full, last, then, args = shard
+            if token != self.token or execution.completed_ms is not None:
+                continue
+            if remaining == 0:
+                then(*args)
+                continue
+            entries, duration = last if remaining == 1 else full
             execution.entries_billed += entries
-            execution.batches_evaluated += entries > 0  # probe-only: none
+            execution.batches_evaluated += entries > 0
             execution.scan_ms_billed += duration
-            servers[(stripe + remaining) % len(servers)].submit(
-                duration, chunk, remaining - 1)
-
-        chunk(chunks)
+            shard[0] = remaining - 1
+            call_batched(
+                servers[(stripe + remaining) % len(servers)].submit(duration),
+                advance, shard)
 
     def pool(self, duration: float, then: Callable[..., None],
              *args) -> None:
@@ -520,6 +547,11 @@ class QueryService:
         #: Compiled scan fragments, per service: a fresh environment
         #: always bills its first compilation of a fragment shape.
         self.compiled_fragments: LruCache = LruCache(256)
+        #: Shard plans of committed snapshot versions, per service like
+        #: the fragment cache (:meth:`_shard_planner` has the key).
+        self.snapshot_plans: LruCache = LruCache(256)
+        self.snapshot_plans_built = 0
+        self.snapshot_plans_reused = 0
         #: Parsed statement shapes (``repro.sql.statements``), per
         #: service like the fragment cache; parsing is not billed.
         self.statement_cache: LruCache = LruCache(256)
@@ -639,7 +671,8 @@ class QueryService:
         ``submit`` makes, by the same calls — point get, pushdown plan,
         sketch answer, join strategies, every shard's read — over live
         tables as they are and snapshot tables at the pinned or latest
-        committed snapshot.  Nothing runs, bills or counts."""
+        committed snapshot.  Nothing runs, bills or counts on an
+        execution; snapshot plans it builds serve later ``submit``s."""
         from ..sql.explain import render_distributed
 
         record, snapshot_id = self._record(sql, None, True, False, -1)
@@ -939,14 +972,58 @@ class QueryService:
                 continue
             view = record.views[table_name]
             targets = self._scan_targets(view, record.fragment(table_name))
-            shards.extend(
-                (table_name, node_id,
-                 self._scan_selection(record, table_name, node_id))
-                for node_id in targets
-            )
+            plan = self._shard_planner(record, table_name)
+            shards.extend((table_name, node_id, plan(node_id))
+                          for node_id in targets)
             pruned += sum(len(view.partitions_on_node(node_id))
                           for node_id in nodes if node_id not in targets)
         return shards, pruned
+
+    def _shard_planner(self, record: _InFlight,
+                       table_name: str) -> Callable[[int], _ShardPlan]:
+        """How :meth:`_shards` plans each node's shard of ``table_name``:
+        afresh (:meth:`_scan_selection`), or, for committed versions of
+        a table that keeps them as written, once per key in
+        ``snapshot_plans``.  The key is everything such a plan reads:
+        the table, its versions, the pushed fragment (named by the
+        statement that pushes it: fragments that compare equal can
+        differ in a literal's type, and ``key = 1`` prunes other
+        partitions than ``key = 1.0``), the placement of its partitions
+        and its DDL epoch.  Which nodes a query reads stays its own
+        decision, as do sketch answers, point gets and index-nested-loop
+        lookups."""
+        view = record.views[table_name]
+        table = view.table
+        fresh = partial(self._scan_selection, record, table_name)
+        if not (view.immutable and table.stable_versions) \
+                or isinstance(record.sketch, _SketchAnswer):
+            return fresh
+        fragment = record.fragment(table_name)
+        key = (table, view.versions,
+               None if fragment is None else record.execution.sql,
+               table.placement(), table.ddl_epoch)
+        if _retired(key):
+            return fresh  # the read fails as a fresh one does
+        plans = self.snapshot_plans.get(key)
+        if plans is None:
+            # Plans of versions retention has dropped go before any new.
+            self.snapshot_plans.discard_if(_retired)
+            plans = {}
+            self.snapshot_plans.put(key, plans)
+        return partial(self._snapshot_plan, plans, record, table_name)
+
+    def _snapshot_plan(self, plans: dict[int, _ShardPlan],
+                       record: _InFlight, table_name: str,
+                       node_id: int) -> _ShardPlan:
+        plan = plans.get(node_id)
+        if plan is not None:
+            self.snapshot_plans_reused += 1
+            return plan
+        plan = plans[node_id] = self._scan_selection(record, table_name,
+                                                     node_id)
+        plan.rows = record.views[table_name].row_count_on_node(node_id)
+        self.snapshot_plans_built += 1
+        return plan
 
     def _read_shards(self, record: _InFlight,
                      shards: list[tuple[str, int, _ShardPlan]],
@@ -1108,7 +1185,9 @@ class QueryService:
                             [{"sketch": table_name, "node": node_id}])
             )
         elif not execution.materialize and kind != "point":
-            payload = record.views[table_name].row_count_on_node(node_id)
+            payload = shard.rows
+            if payload is None:
+                payload = record.views[table_name].row_count_on_node(node_id)
         else:
             try:
                 batch = shard.fetch()
@@ -1461,6 +1540,13 @@ class QueryService:
                         first is None or payload.rank < first.rank):
                     first = payload
         return None if first is None else first.error
+
+
+def _retired(key: tuple) -> bool:
+    """Whether a ``snapshot_plans`` key names a version retention has
+    dropped."""
+    table, versions = key[:2]
+    return not all(map(table.has_snapshot, versions))
 
 
 def _point_rows(view: TableView, keys: list) -> ColumnBatch:

@@ -10,8 +10,11 @@ slot of ``None`` marks an entry that was cancelled or has fired.
 ``joinable`` maps a time to the latest entry at it while ``call_at``
 pushed that entry and it has not fired: a ``call_at`` at that time
 joins its run, as it would have taken the next ``seq`` there anyway.
-Cancelled entries beyond ``COMPACT_MIN`` and half the heap are dropped
-at once (asyncio's rule); ``(time, seq)`` keeps the live entries' order.
+A ``call_batched`` member's args are ``(items,)``: while it is the last
+member of a joinable entry, a ``call_batched`` of the same callback at
+that time appends to ``items`` instead of adding a member.  Cancelled
+entries beyond ``COMPACT_MIN`` and half the heap are dropped at once
+(asyncio's rule); ``(time, seq)`` keeps the live entries' order.
 """
 
 from __future__ import annotations

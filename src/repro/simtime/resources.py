@@ -52,8 +52,9 @@ class Server:
     def submit(self, duration: float, on_complete: Callback | None = None,
                *args: Any) -> float:
         """Queue a job; returns its completion time (virtual ms)."""
-        if duration < 0:
-            raise SimulationError("job duration must be non-negative")
+        if not duration >= 0:  # NaN fails this too
+            raise SimulationError(
+                f"job duration must be non-negative, not {duration}")
         now = self._sim._now  # the clock, without the property frame
         start = self._busy_until
         if start < now:
@@ -120,8 +121,9 @@ class WorkerPool:
         free worker and leaves no per-key entry behind — for submitters
         that never have two jobs queued at once (a query's steps on its
         entry pool each start at the previous one's completion)."""
-        if duration < 0:
-            raise SimulationError("job duration must be non-negative")
+        if not duration >= 0:  # NaN fails this too
+            raise SimulationError(
+                f"job duration must be non-negative, not {duration}")
         now = self._sim._now
         busy = self._worker_busy_until
         earliest = min(busy)

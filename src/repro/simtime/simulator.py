@@ -16,9 +16,10 @@ class Simulator:
     """Executes scheduled callbacks in virtual-time order.
 
     Components schedule callbacks with :meth:`schedule` (relative delay)
-    or :meth:`schedule_at` / :meth:`call_at` (absolute time; the last
-    returns no handle).  The simulation advances with :meth:`run_until`
-    / :meth:`run`; time never moves backwards.
+    or :meth:`schedule_at` / :meth:`call_at` / :meth:`call_batched`
+    (absolute time; the last two return no handle).  The simulation
+    advances with :meth:`run_until` / :meth:`run`; time never moves
+    backwards.
     """
 
     def __init__(self, seed: int = 7) -> None:
@@ -71,6 +72,29 @@ class Simulator:
         if not time >= self._now:  # NaN fails this too
             raise SimulationError(f"cannot call at {time} before {self._now}")
         entry = queue.joinable[time] = [time, queue.seq, callback, args]
+        queue.seq += 1
+        heappush(queue.heap, entry)
+
+    def call_batched(self, time: float, callback: Callable[[list], None],
+                     item: Any) -> None:
+        """``call_at(time, callback, [item])``, except that when the last
+        call already due at ``time`` is ``callback`` itself (by
+        identity), ``item`` joins that call's list instead: consecutive
+        same-time calls of one callback run as one call over their
+        items, in order.  Exact for a callback that handles its items
+        one by one and does not raise: nothing can run between two
+        items of one list that would not have run between their calls."""
+        queue = self._queue
+        entry = queue.joinable.get(time)
+        if entry is not None:
+            if entry[-2] is callback:
+                entry[-1][0].append(item)
+            else:
+                entry += callback, ([item],)
+            return
+        if not time >= self._now:  # NaN fails this too
+            raise SimulationError(f"cannot call at {time} before {self._now}")
+        entry = queue.joinable[time] = [time, queue.seq, callback, ([item],)]
         queue.seq += 1
         heappush(queue.heap, entry)
 

@@ -15,7 +15,7 @@ the access sequence, so cache behaviour is deterministic.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Generic, TypeVar
+from typing import Callable, Generic, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
@@ -62,6 +62,11 @@ class LruCache(Generic[K, V]):
         self.capacity = capacity
         while len(self._data) > self.capacity:
             self._data.popitem(last=False)  # lint: allow(determinism)
+
+    def discard_if(self, stale: Callable[[K], bool]) -> None:
+        """Drop every entry whose key ``stale`` holds for."""
+        for key in [key for key in self._data if stale(key)]:
+            del self._data[key]
 
     def clear(self) -> None:
         """Drop all entries (hit/miss counters are kept)."""

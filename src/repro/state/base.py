@@ -30,6 +30,12 @@ class SnapshotTableBase:
     #: lifecycle (:mod:`repro.kvstore.derived`): ``add_definition`` and
     #: the ``index_*`` / ``has_sketch`` / ``approx_estimate`` reads.
     supports_derived = False
+    #: A committed version's entries, and what a scan of them costs,
+    #: stay fixed while it is retained (full copies), so what a read of
+    #: it implies may be derived once (``QueryService``'s snapshot
+    #: plans).  Reconstructing backends price a version by a delta
+    #: chain or a compaction state that moves under it.
+    stable_versions = False
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int]) -> None:
@@ -56,6 +62,12 @@ class SnapshotTableBase:
     def ready(self, family: str, ssid: int) -> bool:
         """Reads only serve committed (frozen) versions."""
         return family in self.derived and self.derived[family].ready(ssid)
+
+    @property
+    def ddl_epoch(self) -> int:
+        """Definitions declared so far.  DDL only ever adds one, so the
+        count moves whenever a read may gain an index or sketch."""
+        return sum(map(len, self.derived.values()))
 
     def maintenance_ops(self, family: str) -> int:
         holder = self.derived.get(family)
@@ -87,6 +99,10 @@ class SnapshotTableBase:
             instance for instance in range(self.parallelism)
             if self._node_of_instance(instance) == node_id
         ]
+
+    def placement(self) -> tuple[int, ...]:
+        """The node of every instance partition, by partition."""
+        return tuple(map(self._node_of_instance, range(self.parallelism)))
 
     # -- reads -------------------------------------------------------------
 

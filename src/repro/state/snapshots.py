@@ -25,6 +25,7 @@ class FullSnapshotTable(SnapshotTableBase):
 
     supports_partition_rows = True
     supports_derived = True
+    stable_versions = True
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int]) -> None:

@@ -19,6 +19,7 @@ from repro import (ClusterConfig, Environment, QueryService, SQueryBackend,
                    SQueryConfig)
 from repro.cluster.partition import stable_hash
 from repro.config import SanitizerConfig
+from repro.query.service import _Attempt
 from repro.simtime import Simulator
 from repro.workloads.qcommerce import (ALL_QUERIES, build_qcommerce_job,
                                        order_info_for, order_status_for)
@@ -135,23 +136,28 @@ def test_trace_matches_the_recorded_hash(scenario):
     assert digest == TRACE_SHA256, digest
 
 
-def test_a_chunk_costs_at_most_three_frames_beside_its_callback():
-    """Per event the loop fires, the Python frames it enters; a chunk's
-    event is its closure, ``Server.submit`` and ``Simulator.call_at``
-    (eight frames before the chain became one closure), measured
-    without the sanitizers' wrapper around ``submit``."""
+def test_a_chunk_costs_at_most_two_frames_beside_its_batch_callback():
+    """Per event the loop fires, the Python frames it enters; a run of
+    chunk steps is one ``_Attempt._advance`` call over its shard
+    records, and each step in it costs ``Server.submit`` and
+    ``Simulator.call_batched`` (three frames when each chunk was a
+    closure of its own, eight before the chain became one closure),
+    measured without the sanitizers' wrapper around ``submit``."""
     env = checkpointing_job(SanitizerConfig(enabled=False))
     service = QueryService(env)
     execution = service.submit('SELECT COUNT(*) AS n FROM '
                                '"snapshot_orderstate"')
     events = []
     drain = Simulator._drain.__code__
+    advance = _Attempt._advance.__code__
 
     def profiler(frame, event, _arg):
         if event != "call":
             return
         if frame.f_back is not None and frame.f_back.f_code is drain:
-            events.append((frame.f_code.co_name, Counter()))
+            steps = (len(frame.f_locals["shards"])
+                     if frame.f_code is advance else 0)
+            events.append((steps, Counter()))
         if events:
             events[-1][1][frame.f_code.co_name] += 1
 
@@ -163,9 +169,11 @@ def test_a_chunk_costs_at_most_three_frames_beside_its_callback():
         sys.setprofile(previous)
     assert execution.done and execution.error is None
     # The first chunk runs inside the dispatch, the last ships the read.
-    chunks = [calls for first, calls in events
-              if first == "chunk" and not calls["_shard_read"]]
-    assert len(chunks) >= execution.batches_evaluated - 3 > 3
-    for calls in chunks:  # Hypothesis, when loaded, times GC from Python
+    batches = [(steps, calls) for steps, calls in events
+               if steps and not calls["_shard_read"]]
+    assert sum(steps for steps, _ in batches) \
+        >= execution.batches_evaluated - 3 > 3
+    for _steps, calls in batches:  # Hypothesis, when loaded, times GC
         del calls["gc_callback"]
-    assert max(sum(calls.values()) - 1 for calls in chunks) <= 3
+    assert all(sum(calls.values()) - 1 <= 2 * steps
+               for steps, calls in batches)

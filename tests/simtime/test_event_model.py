@@ -16,6 +16,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.errors import SimulationError
 from repro.simtime import Simulator, events
 
 #: Few distinct values, so equal timestamps are the common case.
@@ -184,11 +185,18 @@ class Boom(Exception):
     pass
 
 
+#: The calls that join an open entry at their time: ``call_at``, and
+#: ``call_batched`` of two callbacks, which the reference models as one
+#: ``call_at`` per item.
+JOINING = ("call_at", "batch_a", "batch_b")
+
+
 class RunReference:
     """Every call its own event, in ``(time, id)`` order, beside the
-    entries the join rule predicts: a ``call_at`` joins the entry of
-    the call before it at its time when that entry was a ``call_at``
-    one and has not fired; anything else opens an entry."""
+    entries the join rule predicts: a ``call_at`` (or ``call_batched``)
+    joins the entry of the call before it at its time when that entry
+    was opened by one and has not fired; anything else opens an
+    entry."""
 
     def __init__(self):
         self.now = 0.0
@@ -202,12 +210,12 @@ class RunReference:
 
     def add(self, kind, time, chain, raises):
         call = len(self.calls)
-        if kind == "call_at" and time in self.joinable:
+        if kind in JOINING and time in self.joinable:
             entry = self.joinable[time]
         else:
             entry = self.entries
             self.entries += 1
-            if kind == "call_at":
+            if kind in JOINING:
                 self.joinable[time] = entry
             else:
                 self.joinable.pop(time, None)
@@ -237,7 +245,7 @@ class RunReference:
             self.fired.append(call)
             kind, chain, raises = self.calls[call]
             if chain:
-                self.add(CHAIN_KINDS[chain % 3], self.now, chain - 1, False)
+                self.add(CHAIN_KINDS[chain % 4], self.now, chain - 1, False)
             if raises:
                 rest = self.entries
                 self.entries += 1
@@ -249,22 +257,27 @@ class RunReference:
 
 
 #: The kind a call of ``chain`` left schedules its child with (delay 0).
-CHAIN_KINDS = ("call_at", "schedule", "schedule_at")
+CHAIN_KINDS = ("call_at", "schedule", "schedule_at", "batch_a")
 
 
 class RunDriven:
-    """The real simulator, making the same calls as a RunReference."""
+    """The real simulator, making the same calls as a RunReference; a
+    batched call's item fires as its own call would."""
 
     def __init__(self):
         self.sim = Simulator()
         self.handles = {}  # call id -> handle (schedule / schedule_at)
         self.calls = 0
         self.fired = []
+        # Bound once each: call_batched joins by the callback's identity.
+        self.batched = {"batch_a": self._batch, "batch_b": self._batch_b}
 
     def add(self, kind, time, chain, raises):
         call = self.calls
         self.calls += 1
-        if kind == "call_at":
+        if kind in self.batched:
+            self.sim.call_batched(time, self.batched[kind], (call, chain))
+        elif kind == "call_at":
             self.sim.call_at(time, self._fire, call, chain, raises)
         elif kind == "schedule":
             self.handles[call] = self.sim.schedule(
@@ -276,17 +289,28 @@ class RunDriven:
     def _fire(self, call, chain, raises):
         self.fired.append(call)
         if chain:
-            self.add(CHAIN_KINDS[chain % 3], self.sim.now, chain - 1, False)
+            self.add(CHAIN_KINDS[chain % 4], self.sim.now, chain - 1, False)
         if raises:
             raise Boom
+
+    def _batch(self, items):
+        for call, chain in items:
+            self._fire(call, chain, False)
+
+    def _batch_b(self, items):
+        self._batch(items)
 
 
 run_operations = st.lists(
     st.one_of(
         st.tuples(st.sampled_from(("call_at", "call_at", "schedule",
                                    "schedule_at")),
-                  st.sampled_from(DELAYS), st.integers(0, 3),
+                  st.sampled_from(DELAYS), st.integers(0, 4),
                   st.sampled_from((False, False, False, True))),
+        # A batched item does not raise (``call_batched``'s contract).
+        st.tuples(st.sampled_from(("batch_a", "batch_a", "batch_b")),
+                  st.sampled_from(DELAYS), st.integers(0, 4),
+                  st.just(False)),
         st.tuples(st.just("cancel"), st.integers(0, 10_000)),
         st.tuples(st.just("step")),
         st.tuples(st.just("run"), st.integers(1, 4)),
@@ -326,7 +350,7 @@ def check_against_run_reference(ops):
     model, real = RunReference(), RunDriven()
     sim = real.sim
     for op in ops:
-        if op[0] in ("call_at", "schedule", "schedule_at"):
+        if op[0] in JOINING + ("schedule", "schedule_at"):
             model.add(op[0], model.now + op[1], op[2], op[3])
             real.add(op[0], sim.now + op[1], op[2], op[3])
         elif op[0] == "cancel":
@@ -422,6 +446,62 @@ def test_a_raising_member_leaves_the_rest_at_the_head_of_its_time():
     assert sim.pending_events == 3
     assert sim.run() == 3
     assert fired == ["a", "boom", "c", "after", "later"]
+
+
+def test_same_time_batched_calls_of_one_callback_run_as_one_call():
+    sim = Simulator()
+    calls = []
+
+    def batch(items):
+        calls.append(list(items))
+
+    for item in "abc":
+        sim.call_batched(1.0, batch, item)
+    sim.call_batched(2.0, batch, "d")
+    assert sim.pending_events == 2
+    assert sim.run() == 2
+    assert calls == [["a", "b", "c"], ["d"]]
+
+
+def test_a_member_between_two_batched_items_splits_them():
+    """A member that runs arbitrary code between two items keeps its
+    place, as it would between one call per item: here it reads what
+    the first item did and adds a same-time item of its own, which
+    fires after the entry, as a call made while a run fires does."""
+    sim = Simulator()
+    fired = []
+
+    def batch(items):
+        fired.append(("batch", list(items)))
+
+    def other(items):
+        fired.append(("other", list(items)))
+
+    def between():
+        fired.append(("between", len(fired)))
+        sim.call_batched(1.0, batch, "late")
+
+    sim.call_batched(1.0, batch, "a")
+    sim.call_at(1.0, between)
+    sim.call_batched(1.0, batch, "b")
+    sim.call_batched(1.0, other, "x")  # another callback splits too
+    sim.call_batched(1.0, batch, "c")
+    sim.call_batched(1.0, batch, "d")
+    assert sim.pending_events == 1
+    assert sim.run() == 2
+    assert fired == [("batch", ["a"]), ("between", 1), ("batch", ["b"]),
+                     ("other", ["x"]), ("batch", ["c", "d"]),
+                     ("batch", ["late"])]
+
+
+def test_call_batched_refuses_a_past_or_nan_time():
+    sim = Simulator()
+    sim.call_at(1.0, noop)
+    sim.run()
+    for time in (0.5, math.nan):
+        with pytest.raises(SimulationError):
+            sim.call_batched(time, len, "item")
+    assert sim.pending_events == 0
 
 
 # -- compaction ---------------------------------------------------------------

@@ -50,6 +50,37 @@ def test_server_rejects_negative_duration():
         Server(sim).submit(-1.0)
 
 
+@pytest.mark.parametrize("make, finish, wait", [
+    (Server, 2.0, 1.0),  # FIFO behind the first job
+    (lambda sim: KeyedPool(sim, None), 1.0, 0.0),  # the second worker
+    (lambda sim: KeyedPool(sim, "k"), 2.0, 1.0),  # behind its key
+])
+def test_a_nan_duration_is_refused_and_leaves_the_resource_as_it_was(
+        make, finish, wait):
+    sim = Simulator()
+    resource = make(sim)
+    resource.submit(1.0)
+    with pytest.raises(SimulationError):
+        resource.submit(float("nan"))
+    with pytest.raises(SimulationError):
+        resource.submit(float("nan"), lambda: None)
+    assert resource.submit(1.0) == finish
+    assert resource.jobs_served == 2 and resource.total_busy_ms == 2.0
+    assert resource.total_wait_ms == wait
+    assert sim.pending_events == 0
+
+
+class KeyedPool(WorkerPool):
+    """A two-worker pool whose jobs all carry one key."""
+
+    def __init__(self, sim, key):
+        super().__init__(sim, workers=2)
+        self.key = key
+
+    def submit(self, duration, *args):
+        return super().submit(self.key, duration, *args)
+
+
 def test_server_utilization():
     sim = Simulator()
     server = Server(sim)

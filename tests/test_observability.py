@@ -171,6 +171,7 @@ PERF_FIELDS = {
     "sketch_probes", "approx_queries_answered", "sketch_maintenance_ops",
     "sketch_maintenance_cost",
     "predicates_compiled", "batches_evaluated", "compile_cache_hits",
+    "snapshot_plans_built", "snapshot_plans_reused",
     "joins_copartitioned", "joins_broadcast", "joins_shuffle",
     "joins_index_nested", "joins_central", "join_build_rows",
     "join_bytes_broadcast", "join_bytes_shuffled",
@@ -235,11 +236,15 @@ STATEMENTS = [
     QUERIES[3],  # broadcast
 ]
 
+#: Read twice: the second read reuses the first one's shard plans.
+SNAPSHOT_STATEMENT = 'SELECT COUNT(*) AS n FROM "snapshot_average"'
+
 
 @pytest.fixture
 def scenario():
     """A running job, pushdown scans, an index path, a sketch answer,
-    distributed joins, a repeatable-read join, a subscription and a node
+    distributed joins, a snapshot read twice, a repeatable-read join, a
+    subscription and a node
     killed under a query, with the sanitizers armed: the environment
     and every execution its queries finished."""
     env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=2),
@@ -257,7 +262,7 @@ def scenario():
     service.subscribe(
         'SELECT COUNT(*) AS n, SUM(count) AS events FROM "average"'
     )
-    for sql in STATEMENTS:
+    for sql in STATEMENTS + [SNAPSHOT_STATEMENT] * 2:
         service.submit(sql, on_done=finished.append)
         env.run_for(100)
     QueryService(env, repeatable_read=True).submit(
@@ -270,7 +275,7 @@ def scenario():
     env.cluster.fail_node(next(n for n in env.cluster.surviving_node_ids()
                                if n != execution.entry_node))
     env.run_for(2_000)
-    assert len(finished) == len(STATEMENTS) + 2
+    assert len(finished) == len(STATEMENTS) + 4
     return env, finished
 
 
@@ -302,7 +307,9 @@ def test_report_fields_equal_their_sources(scenario):
         assert getattr(report, name) == sum(
             getattr(execution, attribute) for execution in finished
         ), name
-    for name in ("query_retries", "query_aborts", "query_timeouts"):
+    assert 0 < report.snapshot_plans_built <= report.snapshot_plans_reused
+    for name in ("query_retries", "query_aborts", "query_timeouts",
+                 "snapshot_plans_built", "snapshot_plans_reused"):
         assert getattr(report, name) == sum(
             getattr(service, name) for service in env.query_services
         ), name
