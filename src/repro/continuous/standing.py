@@ -6,8 +6,9 @@ At registration it is *classified* into one of three maintenance paths:
 * ``incremental-filter-project`` — single live table, no aggregation:
   each changed key maps to at most one result row, maintained in place;
 * ``incremental-grouped-aggregate`` — GROUP BY over one live table with
-  COUNT/SUM/AVG/MIN/MAX: per-group accumulators support add *and*
-  retract, so one state update touches only its group(s);
+  COUNT/SUM/AVG/MIN/MAX: each group holds the states every other path
+  holds (:mod:`repro.sql.functions`), which take ``retract`` beside
+  ``add``, so one state update touches only its group(s);
 * ``full-rescan`` — everything else (joins, UNION, DISTINCT, ORDER BY /
   LIMIT, time-dependent predicates, snapshot tables): the result is
   re-evaluated from scratch on each flush, exactly like a polled query.
@@ -16,8 +17,9 @@ At registration it is *classified* into one of three maintenance paths:
 layer's EXPLAIN.  Incremental paths compile their expressions once, at
 plan construction, with the SQL layer's one evaluator
 (:mod:`repro.sql.compiled`, reading raw stored rows) and reuse the
-executor's naming and hashing helpers, so a standing result is always
-bit-identical to what a fresh batch execution would return.
+executor's naming and hashing helpers and its aggregate states, so a
+standing result is always bit-identical to what a fresh batch
+execution would return.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from ..sql.ast import (
     Expr,
     FuncCall,
     Select,
-    Star,
     Union,
     children,
 )
@@ -39,11 +40,11 @@ from ..sql.executor import (
     compile_agg_feeds,
     compile_group_key,
     hashable_key,
+    new_group_accs,
     output_column_name,
     unique_aggregates,
 )
 from ..sql.planner import contains_local_timestamp, split_conjuncts
-from ..sql.functions import NUMBERS, MaxAggregate, MinAggregate, addend
 
 PATH_FILTER_PROJECT = "incremental-filter-project"
 PATH_GROUPED_AGGREGATE = "incremental-grouped-aggregate"
@@ -122,134 +123,12 @@ def classify(statement: Select | Union, store) -> tuple[str, str]:
             "COUNT/SUM/AVG/MIN/MAX accumulators")
 
 
-# -- retractable aggregate accumulators --------------------------------------
-
-
-class _RetractableAggregate:
-    """Add/retract accounting for one aggregate over one group."""
-
-    def add(self, value: object) -> None:
-        raise NotImplementedError
-
-    def retract(self, value: object) -> None:
-        raise NotImplementedError
-
-    def result(self) -> object:
-        raise NotImplementedError
-
-
-class _CountAcc(_RetractableAggregate):
-    def __init__(self, count_star: bool) -> None:
-        self._star = count_star
-        self._n = 0
-
-    def add(self, value: object) -> None:
-        if self._star or value is not None:
-            self._n += 1
-
-    def retract(self, value: object) -> None:
-        if self._star or value is not None:
-            self._n -= 1
-
-    def result(self) -> object:
-        return self._n
-
-
-class _SumAcc(_RetractableAggregate):
-    name = "SUM"
-
-    def __init__(self) -> None:
-        self._total: float | int = 0
-        self._n = 0
-
-    def add(self, value: object) -> None:
-        if value is not None:
-            if type(value) not in NUMBERS:
-                value = addend(self.name, value)
-            self._total += value
-            self._n += 1
-
-    def retract(self, value: object) -> None:
-        if value is not None:
-            self._total -= value
-            self._n -= 1
-
-    def result(self) -> object:
-        return self._total if self._n else None
-
-
-class _AvgAcc(_SumAcc):
-    name = "AVG"
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._total = 0.0
-
-    def result(self) -> object:
-        return self._total / self._n if self._n else None
-
-
-class _MinMaxAcc(_RetractableAggregate):
-    """MIN/MAX keep a value multiset: retracting the current extreme
-    falls back to the next one instead of forcing a rescan."""
-
-    def __init__(self, is_min: bool) -> None:
-        self._is_min = is_min
-        #: equality key -> [a value of that key, its count]
-        self._counts: dict[object, list] = {}
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
-        key = hashable_key(value)
-        self._counts.setdefault(key, [value, 0])[1] += 1
-
-    def retract(self, value: object) -> None:
-        if value is None:
-            return
-        key = hashable_key(value)
-        held = self._counts.get(key)
-        if held is None:
-            return
-        held[1] -= 1
-        if held[1] <= 0:
-            del self._counts[key]
-
-    def result(self) -> object:
-        if not self._counts:
-            return None
-        values = [value for value, _count in self._counts.values()]
-        try:
-            return min(values) if self._is_min else max(values)
-        except TypeError:
-            # Values that do not order: the one-shot accumulator makes
-            # the same comparisons and raises the typed error.
-            best = MinAggregate() if self._is_min else MaxAggregate()
-            for value in values:
-                best.add(value)
-            raise
-
-
-def _make_retractable(call: FuncCall) -> _RetractableAggregate:
-    if call.name == "COUNT":
-        star = bool(call.args) and isinstance(call.args[0], Star)
-        return _CountAcc(star or not call.args)
-    if call.name == "SUM":
-        return _SumAcc()
-    if call.name == "AVG":
-        return _AvgAcc()
-    if call.name == "MIN":
-        return _MinMaxAcc(is_min=True)
-    return _MinMaxAcc(is_min=False)
-
-
 class _Group:
     """One GROUP BY group: contributions plus running accumulators."""
 
     __slots__ = ("representative", "accs", "contributions")
 
-    def __init__(self, representative: dict,
-                 accs: list[_RetractableAggregate]) -> None:
+    def __init__(self, representative: dict, accs: list) -> None:
         #: Any member's row — group-key expressions evaluate to the
         #: same values on every member, so staleness is harmless.
         self.representative = representative
@@ -415,10 +294,8 @@ class StandingQuery:
             group_key = self._group_key(new_row, context)
             group = self._groups.get(group_key)
             if group is None:
-                group = _Group(dict(new_row), [
-                    _make_retractable(call)
-                    for call in self._unique_aggs
-                ])
+                group = _Group(dict(new_row),
+                               new_group_accs(self._unique_aggs))
                 self._groups[group_key] = group
             values = [
                 1 if feed is None else feed(new_row, context)
@@ -451,7 +328,7 @@ class StandingQuery:
                 return []
             # Global aggregate over empty input: one row (COUNT = 0).
             representative: dict = {}
-            accs = [_make_retractable(call) for call in self._unique_aggs]
+            accs = new_group_accs(self._unique_aggs)
         else:
             representative = group.representative
             accs = group.accs

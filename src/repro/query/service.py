@@ -985,11 +985,10 @@ class QueryService:
         afresh (:meth:`_scan_selection`), or, for committed versions of
         a table that keeps them as written, once per key in
         ``snapshot_plans``.  The key is everything such a plan reads:
-        the table, its versions, the pushed fragment (named by the
-        statement that pushes it: fragments that compare equal can
-        differ in a literal's type, and ``key = 1`` prunes other
-        partitions than ``key = 1.0``), the placement of its partitions
-        and its DDL epoch.  Which nodes a query reads stays its own
+        the table, its versions, the pushed fragment (equal fragments
+        hold literals of one type: ``key = 1`` prunes other partitions
+        than ``key = 1.0``), the placement of its partitions and its
+        DDL epoch.  Which nodes a query reads stays its own
         decision, as do sketch answers, point gets and index-nested-loop
         lookups."""
         view = record.views[table_name]
@@ -998,9 +997,7 @@ class QueryService:
         if not (view.immutable and table.stable_versions) \
                 or isinstance(record.sketch, _SketchAnswer):
             return fresh
-        fragment = record.fragment(table_name)
-        key = (table, view.versions,
-               None if fragment is None else record.execution.sql,
+        key = (table, view.versions, record.fragment(table_name),
                table.placement(), table.ddl_epoch)
         if _retired(key):
             return fresh  # the read fails as a fresh one does

@@ -10,9 +10,23 @@ class Expr:
     """Base class for expression nodes."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Literal(Expr):
+    """A constant.  Literals are equal when their values are of one type
+    and equal, so ``1``, ``1.0`` and ``TRUE`` are three literals, and an
+    expression holding one never stands for one holding another (the
+    aggregate calls a statement de-duplicates, the fragments a service
+    compiles once)."""
+
     value: object  # int | float | str | bool | None
+
+    def __eq__(self, other: object) -> bool:
+        return (type(other) is Literal
+                and type(other.value) is type(self.value)
+                and other.value == self.value)
+
+    def __hash__(self) -> int:
+        return hash((type(self.value), self.value))
 
 
 @dataclass(frozen=True)

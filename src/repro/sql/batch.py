@@ -21,14 +21,17 @@ cannot give exactly what it gives:
   :func:`~repro.sql.compiled.compile_column_test` over the column's
   list;
 * each group's slice of the chunk folds with one
-  :meth:`~repro.sql.functions.Aggregate.fold` per accumulator, in row
-  order (all of the chunk's folds or none);
+  :meth:`~repro.sql.functions.Aggregate.fold` per accumulator (all of
+  the chunk's folds or none);
 * once the top-k stage holds ``keep`` rows, a chunk keeps only the rows
-  whose first ORDER BY value can still rank before the last of them.
+  whose first ORDER BY value can still rank before the last of them;
+  what ships besides them is, per term, a value of each type its
+  survivors held, so the entry node's ORDER BY type check meets every
+  survivor's type.
 
 Results are what a row-major sweep (row by row, conjunct by conjunct)
 produces: the same surviving rows in the same order, the same
-partial-group insertion order and accumulator states (to the bit), the
+partial-group insertion order and equal accumulator states, the
 same first rows under a pushed ORDER BY, and — when a pushed
 expression fails — the same first error, whatever the chunk size.
 
@@ -55,10 +58,14 @@ inside an expression stays three-valued.
 position).  The phases, in order: each table's conjuncts, in FROM
 order; each join step's keys, in step order, build before probe
 (:func:`~repro.sql.join.step_keys`); the remaining WHERE; grouping (key
-and aggregate feeds, row by row); HAVING; projection; ORDER BY.  A
-row's position is (node, entry) in the order a scan without pushdown
-reads it.  A statement whose shape is invalid raises that before any
-row is read.
+and aggregate feeds and adds, row by row); the aggregate results (a
+MIN / MAX over types that do not order, call by call, then group by
+group in first-seen order); HAVING; projection; ORDER BY.  A row's
+position is (node, entry) in the order a scan without pushdown reads
+it.  A statement whose shape is invalid raises that before any row is
+read.  What an aggregate raises, and what it answers, is the contract
+of :mod:`repro.sql.functions`: its states are exact, so neither a
+shard split nor chunking changes a result or an error.
 
 *One code path.*  A shard (:func:`sweep_shard`) records its least
 ``(phase, entry, error)`` instead of raising, and after a failure in a
@@ -378,6 +385,8 @@ class BatchAccumulator:
             {} for _term in (compiled.fragment.top_k.order_by
                              if keep is not None else ())
         ]
+        #: Per term, whether a survivor held a float that is not NaN.
+        self.real_floats = [False] * len(self.order_types)
         self.groups: dict[tuple, list] = {}
         self.survived = 0
         #: The least failure so far: ``(phase, entry, error)``, phase
@@ -561,6 +570,12 @@ class BatchAccumulator:
                 raise clash
             if sweep.failed is not None:
                 raise sweep.failed[2]
+            for term, values in enumerate(columns):
+                if float in self.order_types[term] and \
+                        not self.real_floats[term]:
+                    self.real_floats[term] = any(
+                        value == value for value in values
+                        if type(value) is float)
             indexes = map(start.__add__, sweep.survivors)
             entering = self._may_enter(columns[0])
             if entering is not None:
@@ -609,9 +624,17 @@ class BatchAccumulator:
                     for key, (rep, accs) in self.groups.items()
                 ]
             )
-        kept = (self.kept if self.keep is None
-                else [index for _key, index in self.top])
-        return self.batch.take(kept, self.compiled.shipped)
+        if self.keep is None:
+            return self.batch.take(self.kept, self.compiled.shipped)
+        shipped = self.batch.take([index for _key, index in self.top],
+                                  self.compiled.shipped)
+        # NaN is never compared: a float that is NaN brings no type.
+        shipped.order_types = [
+            {kind: value for kind, value in found.items()
+             if kind is not float or real}
+            for found, real in zip(self.order_types, self.real_floats)
+        ]
+        return shipped
 
 
 def sweep_shard(
@@ -704,7 +727,8 @@ _EXPR = operator.attrgetter("expr")
 
 
 def finish(select: Select, source, is_aggregate: bool,
-           context: EvalContext, scanned: int) -> QueryResult:
+           context: EvalContext, scanned: int,
+           order_types: "list[dict] | None" = None) -> QueryResult:
     """A statement's final stage over its rows at the entry node:
     residual WHERE, aggregation, HAVING, projection, DISTINCT, ORDER BY
     and OFFSET / LIMIT.
@@ -744,7 +768,7 @@ def finish(select: Select, source, is_aggregate: bool,
             names = _star_columns(rows)
             star = names, list(zip(*[list(map(row.get, names))
                                      for row in rows]))
-        return _output(select, sweep, context, scanned, star)
+        return _output(select, sweep, context, scanned, star, order_types)
     accumulator = BatchAccumulator(CompiledFragment(ScanFragment(
         table=select.table.name, binding=None,
         partial=partial_aggregate(select, None),
@@ -801,14 +825,15 @@ def _star_columns(rows: list[dict]) -> list[str]:
 
 
 def _output(select: Select, sweep: _Sweep, context: EvalContext,
-            scanned: int, star: "tuple[list, list] | None" = None
-            ) -> QueryResult:
+            scanned: int, star: "tuple[list, list] | None" = None,
+            order_types: "list[dict] | None" = None) -> QueryResult:
     """HAVING, projection, DISTINCT, ORDER BY, OFFSET / LIMIT and the
     output rows, over the rows ``sweep`` holds in play, each phase's
     least-row error raising before the next phase runs: the items read
     the sweep's columns — or ``star`` holds the ``SELECT *`` names and
     their values — and the ORDER BY terms the same columns with the
-    output columns in place of theirs."""
+    output columns in place of theirs (their types checked with
+    ``order_types``: see :func:`_order`)."""
     if select.having is not None:
         errors: dict[int, Exception] = {}
         sweep.keep(select.having, None, errors)
@@ -830,7 +855,8 @@ def _output(select: Select, sweep: _Sweep, context: EvalContext,
             first.setdefault(key, index)
         rows = list(first.values())
     if select.order_by:
-        rows = _order(select, sweep, names, outputs, rows, context)
+        rows = _order(select, sweep, names, outputs, rows, context,
+                      order_types)
     if select.offset:
         rows = rows[select.offset:]
     if select.limit is not None:
@@ -847,11 +873,14 @@ def _output(select: Select, sweep: _Sweep, context: EvalContext,
 
 
 def _order(select: Select, sweep: _Sweep, names: list, outputs: list,
-           rows: "range | list[int]",
-           context: EvalContext) -> "list[int]":
+           rows: "range | list[int]", context: EvalContext,
+           order_types: "list[dict] | None" = None) -> "list[int]":
     """``rows`` (indexes of the output rows) in ORDER BY order, cut to
     those OFFSET / LIMIT can still reach.  A term reads the output
-    columns over the columns the items read."""
+    columns over the columns the items read.  ``order_types`` holds,
+    per term, a value of each type (NaN aside) that the shards of a
+    pushed top-k met in rows they did not ship: the type check meets
+    every row's type, as it does without the stage."""
     order_by = select.order_by
     survivors = sweep.survivors
     columns = {name: list(map(values.__getitem__, survivors))
@@ -869,5 +898,5 @@ def _order(select: Select, sweep: _Sweep, names: list, outputs: list,
         limit = select.limit + (select.offset or 0)
     return [row for _key, row in order_keyed(
         order_by, list(zip(order_keys(order_by, values), terms.survivors)),
-        limit,
+        limit, samples=order_types,
     )]

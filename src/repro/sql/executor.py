@@ -113,13 +113,16 @@ def execute_plan(plan: Plan, context: EvalContext) -> QueryResult:
     conjuncts and join the survivors by position
     (:func:`~repro.sql.join.join_plan`), then run the final stage over
     the rows."""
+    order_types = None
     if plan.joins:
         plan = sweep_tables(plan, context)
         source, scanned = join_plan(plan, context)
     else:
         source = Side(plan.base_binding, plan.base_source.blocks)
         scanned = source.count
-    return finish(plan.select, source, plan.is_aggregate, context, scanned)
+        order_types = source.rows.order_types
+    return finish(plan.select, source, plan.is_aggregate, context, scanned,
+                  order_types)
 
 
 def bind_row(raw: dict, binding: str) -> dict:
@@ -272,8 +275,9 @@ _KEY = itemgetter(0)
 
 def order_keyed(order_by: "tuple[OrderItem, ...]",
                 keyed: "list[tuple[tuple, object]]",
-                limit: int | None = None,
-                checked: bool = False) -> "list[tuple[tuple, object]]":
+                limit: int | None = None, checked: bool = False,
+                samples: "list[dict] | None" = None,
+                ) -> "list[tuple[tuple, object]]":
     """``(order key, row)`` pairs in ORDER BY order — only the first
     ``limit`` of them when given — keys from :func:`order_keys`.
 
@@ -286,11 +290,14 @@ def order_keyed(order_by: "tuple[OrderItem, ...]",
     last term first.  Values that do not compare raise
     :class:`SqlExecutionError` — a term holding two types that do not
     order always, before any comparison (unless ``checked`` already), so
-    neither the limit, the direction nor the chunking decides it.
+    neither the limit, the direction nor the chunking decides it;
+    ``samples`` adds per term a value of each type rows not given held.
     """
     if limit == 0:
         return []  # nothing is ranked, so nothing is compared
-    error = None if checked else incomparable(_term_values(order_by, keyed))
+    error = None if checked else incomparable(
+        _term_values(order_by, keyed),
+        None if samples is None else list(map(dict, samples)))
     if error is not None:
         raise error
     if limit is None:
@@ -331,7 +338,8 @@ def incomparable(columns: "list[list]", samples: "list[dict] | None" = None,
     ``columns[term]``, plus one per type it held before in ``samples``
     (updated) — hold two types that do not order (with ``mixed=False``
     also one that does not order with itself), naming them sorted so the
-    text is the same whichever comparison tripped; else ``None``."""
+    text is the same whichever comparison tripped; else ``None``.  A
+    MIN / MAX state is checked with it too."""
     for position, values in enumerate(columns):
         found = {} if samples is None else samples[position]
         if not set(map(type, values)) - _NULL <= found.keys():

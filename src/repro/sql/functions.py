@@ -1,13 +1,53 @@
-"""Scalar functions and aggregate accumulators."""
+"""Scalar functions and the aggregate family.
+
+The aggregate contract
+----------------------
+
+One class per aggregate holds a group's state on every path (a shard's
+partial group, the entry node's merge, the central executor's group, a
+standing query's group): ``add`` takes a value, ``retract`` takes one
+back, ``fold`` takes a list, ``merge`` takes another state's values and
+``result`` answers.  Every state is exact: its result depends only on
+the values it holds, never on their order, chunking, shard split or
+what was retracted, so every path gives one answer.
+
+* NULL is skipped by every aggregate but ``COUNT(*)``; over no other
+  value ``COUNT`` is 0 and the rest are NULL.
+* ``SUM`` / ``AVG`` take ints, floats and bools (a bool adds as its
+  int); any other value raises ``cannot apply SUM to <type>`` at its
+  row.  Ints add exactly: ``SUM`` over ints is their int total, ``AVG``
+  that total over the count, rounded once.
+* Floats are held exactly too, as addends (compacted past a length into
+  a few non-overlapping floats by ``math.fsum`` passes).  A ``SUM``
+  holding a float is the exact sum of all it holds, ints included,
+  rounded once to the nearest float; ``AVG`` is that float over the
+  count.  An exactly zero float sum is ``0.0``, never ``-0.0``: it
+  starts from ``+0.0``, as PostgreSQL's does.
+* NaN and the infinities are counted, not added: a sum holding a NaN,
+  or both infinities, is NaN, else one holding an infinity is it.  A
+  finite exact sum beyond the float range is ``±inf``, as IEEE rounding
+  makes it, whatever its intermediate sums (``math.fsum`` raises on an
+  intermediate overflow; the sum is then taken with fractions).
+* ``MIN`` / ``MAX`` compare as ORDER BY does: NaN ranks above every
+  number, and of tied values the first held is the answer.  A state
+  holding two types that do not order raises ``cannot compare <type>
+  with <type>`` (:func:`~repro.sql.executor.incomparable`, the names
+  sorted) when its result is read, after every row is grouped, so
+  neither the split nor the order of the adds decides the error.
+* A ``DISTINCT`` state keeps the first value of each equality key
+  (:func:`hashable_key`) and cannot retract.
+"""
 
 from __future__ import annotations
 
 import math
-from functools import partial, reduce
-from itertools import chain, repeat
-from operator import add, is_not
+from collections import Counter
+from fractions import Fraction
+from functools import partial
+from itertools import chain, compress, filterfalse, repeat
+from operator import is_, is_not
 from types import NoneType
-from typing import Callable, Iterator
+from typing import Callable
 
 from ..errors import SqlExecutionError
 
@@ -114,42 +154,6 @@ SCALAR_FUNCTIONS: dict[str, Callable[[list[object]], object]] = {
 }
 
 
-def mixed_types(name: str, held: object, value: object) -> SqlExecutionError:
-    """The typed error of an accumulator whose held state and next
-    value do not combine (``MIN`` over an int and a string)."""
-    return SqlExecutionError(
-        f"cannot apply {name} to {type(held).__name__} and "
-        f"{type(value).__name__}"
-    )
-
-
-#: The value types SUM and AVG add as they are.
-NUMBERS = frozenset({int, float})
-_NUMBERS_OR_NULL = NUMBERS | {NoneType}
-
-
-def addend(name: str, value: object) -> int | float:
-    """``value`` as SUM / AVG (``name``) adds it: a number as it is, a
-    bool as an int.  Any other type is a typed error naming only that
-    type, so the text does not depend on what was added before it."""
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (int, float)):
-        return value
-    raise SqlExecutionError(f"cannot apply {name} to {type(value).__name__}")
-
-
-def _numbers(values: list) -> list | None:
-    """``values`` without its NULLs when every value is an int, a float
-    or NULL (so each adds as it is), else ``None``."""
-    kinds = set(map(type, values))
-    if not kinds <= _NUMBERS_OR_NULL:
-        return None
-    if NoneType in kinds:
-        return list(filter(partial(is_not, None), values))
-    return values
-
-
 def hashable_key(value: object, use: str = "compare") -> object:
     """The equality key of GROUP BY, DISTINCT, UNION, DISTINCT aggregates
     and (NaN and NULL aside) hash joins: a hashable stand-in equal to
@@ -178,14 +182,10 @@ def hashable_key(value: object, use: str = "compare") -> object:
     )
 
 
-def _first_sight(seen: dict, value: object) -> bool:
+def _first_sight(seen: dict, value: object) -> None:
     """Record ``value`` in a DISTINCT aggregate's ``seen`` (equality key
-    -> first value); whether it is new."""
-    key = hashable_key(value)
-    if key in seen:
-        return False
-    seen[key] = value
-    return True
+    -> first value) unless a value of its key is there."""
+    seen.setdefault(hashable_key(value), value)
 
 
 def _union(seen: dict, other: dict | None) -> None:
@@ -196,208 +196,329 @@ def _union(seen: dict, other: dict | None) -> None:
 
 
 class Aggregate:
-    """Base incremental aggregate accumulator.
-
-    ``add`` receives the evaluated argument for one input row (``None``
-    is ignored per SQL semantics, except for ``COUNT(*)``).
-    """
-
-    def add(self, value: object) -> None:
-        raise NotImplementedError
+    """One aggregate call's state over one group: ``add``, ``retract``,
+    ``fold``, ``merge`` and ``result`` as the module docstring has
+    them."""
 
     def fold(self, values: list) -> "Callable[[], None] | None":
-        """What :meth:`add` over ``values``, in order, does — computed
-        with one C-level call over the list and applied when the
-        returned function is called — or ``None`` when one call cannot
-        give exactly what the adds give.  Computing it changes nothing
-        (a fold that raises leaves the accumulator as it was), so a
-        caller can fold several accumulators all or nothing."""
-        return None
-
-    def result(self) -> object:
+        """What ``add`` over ``values`` does, computed now and applied
+        when the returned function is called — or ``None`` when an add
+        would raise (the caller adds row by row, so the error and its
+        row are the adds').  Computing it changes nothing, so a caller
+        can fold several states all or nothing."""
         raise NotImplementedError
 
-    def merge(self, other: "Aggregate") -> None:
-        """Fold another partial accumulator of the same shape into this
-        one.  Merging is commutative and associative, so scan-side
-        partials can combine in any arrival order; merging a fresh
-        (empty) accumulator is the identity."""
-        raise NotImplementedError
+    def _no_retract(self) -> SqlExecutionError:
+        return SqlExecutionError(
+            f"cannot retract from {self.name}(DISTINCT ...)")
 
 
 class CountAggregate(Aggregate):
-    def __init__(self, count_star: bool, distinct: bool) -> None:
+    name = "COUNT"
+
+    def __init__(self, count_star: bool = False,
+                 distinct: bool = False) -> None:
         self._count_star = count_star
-        self._distinct = distinct
-        self._count = 0
         self._seen: dict | None = {} if distinct else None
+        self._count = 0
 
     def add(self, value: object) -> None:
-        if not self._count_star and value is None:
-            return
-        if self._seen is not None and not _first_sight(self._seen, value):
-            return
-        self._count += 1
+        if value is not None or self._count_star:
+            if self._seen is None:
+                self._count += 1
+            else:
+                _first_sight(self._seen, value)
+
+    def retract(self, value: object) -> None:
+        if self._seen is not None:
+            raise self._no_retract()
+        if value is not None or self._count_star:
+            self._count -= 1
 
     def fold(self, values: list) -> "Callable[[], None] | None":
         if self._seen is not None:
             return None
-        count = self._count + (
-            len(values) if self._count_star
-            else sum(map(is_not, values, repeat(None)))
-        )
-        return partial(setattr, self, "_count", count)
-
-    def result(self) -> object:
-        return self._count
+        count = (len(values) if self._count_star
+                 else sum(map(is_not, values, repeat(None))))
+        return partial(setattr, self, "_count", self._count + count)
 
     def merge(self, other: "CountAggregate") -> None:
-        if self._seen is not None:
-            _union(self._seen, other._seen)
-            self._count = len(self._seen)
-        else:
+        if self._seen is None:
             self._count += other._count
+        else:
+            _union(self._seen, other._seen)
+
+    def result(self) -> object:
+        return self._count if self._seen is None else len(self._seen)
+
+
+#: The value types SUM and AVG take.
+_ADDENDS = frozenset({int, float, bool})
+#: Float addends a state holds before it compacts them: on an add or a
+#: retract (a standing query reads the result after every change), and
+#: on a fold or a merge (a scan reads it once, at the end).
+_ADDED, _FOLDED = 64, 4096
+
+
+def addend(name: str, value: object) -> int | float:
+    """``value`` as SUM / AVG (``name``) adds it: a float as a float,
+    an int or a bool as an int.  Any other type is a typed error naming
+    only that type, so the text does not depend on what is held."""
+    if isinstance(value, float):
+        return float(value)
+    if isinstance(value, int):
+        return int(value)
+    raise SqlExecutionError(f"cannot apply {name} to {type(value).__name__}")
+
+
+def _expansion(addends: list) -> list:
+    """Non-overlapping floats, largest first, whose exact sum is that of
+    the finite ``addends``: each a ``math.fsum`` pass over the addends
+    less the parts before it, until that sum is zero.  ``ValueError``
+    when a NaN or an infinity is among them, ``OverflowError`` when an
+    intermediate sum overflows."""
+    rest = list(addends)
+    parts = [math.fsum(rest)]
+    if not math.isfinite(parts[0]):
+        raise ValueError("a NaN or an infinity among the addends")
+    while parts[-1]:
+        rest.append(-parts[-1])
+        parts.append(math.fsum(rest))
+    return parts[:-1]
 
 
 class SumAggregate(Aggregate):
-    def __init__(self, distinct: bool) -> None:
-        self._total: float | int | None = None
+    """SUM's state, and AVG's: the exact total of the numbers held."""
+
+    name = "SUM"
+
+    def __init__(self, distinct: bool = False) -> None:
         self._seen: dict | None = {} if distinct else None
+        #: numbers held, floats held (NaN and infinities included), and
+        #: the exact total of the ints and bools held
+        self._count = self._floats_held = self._int = 0
+        #: addends whose exact sum is that of the finite floats held (a
+        #: fold's NaN or infinity among them until the next compaction)
+        self._floats: list = []
+        #: NaN, inf and -inf held, by repr, less those still addends
+        self._specials: Counter = Counter()
 
     def add(self, value: object) -> None:
-        if value is None:
+        if value is not None:
+            if type(value) not in _ADDENDS:
+                value = addend(self.name, value)
+            if self._seen is None:
+                self._hold(value, 1)
+            else:
+                _first_sight(self._seen, value)
+
+    def retract(self, value: object) -> None:
+        if self._seen is not None:
+            raise self._no_retract()
+        if value is not None:
+            self._hold(value if type(value) in _ADDENDS
+                       else addend(self.name, value), -1)
+
+    def _hold(self, number: "int | float", sign: int) -> None:
+        self._count += sign
+        if type(number) is not float:
+            self._int += sign * number
             return
-        if type(value) not in NUMBERS:
-            value = addend("SUM", value)
-        if self._seen is not None and not _first_sight(self._seen, value):
+        self._floats_held += sign
+        if not math.isfinite(number):
+            self._specials[repr(number)] += sign
             return
-        self._total = value if self._total is None else self._total + value
+        self._floats.append(sign * number)
+        if len(self._floats) > _ADDED:
+            self._compact()
 
     def fold(self, values: list) -> "Callable[[], None] | None":
-        numbers = None if self._seen is not None else _numbers(values)
-        if numbers is None:
+        kinds = set(map(type, values))
+        if self._seen is not None or not kinds - {NoneType} <= _ADDENDS:
             return None
-        total = self._total
-        if numbers:
-            # Not builtin sum: from Python 3.12 it adds floats with
-            # compensation, which is not what one add per value gives.
-            total = (reduce(add, numbers) if total is None
-                     else reduce(add, numbers, total))
-        return partial(setattr, self, "_total", total)
+        if NoneType in kinds:
+            kinds.discard(NoneType)
+            values = list(filter(partial(is_not, None), values))
+        if float not in kinds:
+            return partial(self._absorb, len(values), sum(values), ())
+        if kinds == {float}:
+            return partial(self._absorb, len(values), 0, values)
+        mask = list(map(is_, map(type, values), repeat(float)))
+        return partial(self._absorb, len(values),
+                       sum(compress(values, map(is_not, mask,
+                                                repeat(True)))),
+                       list(compress(values, mask)))
 
-    def result(self) -> object:
-        return self._total
+    def _absorb(self, count: int, total: int, floats: list) -> None:
+        self._count += count
+        self._int += total
+        self._floats_held += len(floats)
+        self._floats += floats
+        if len(self._floats) > _FOLDED:
+            self._compact()
 
     def merge(self, other: "SumAggregate") -> None:
         if self._seen is not None:
             _union(self._seen, other._seen)
-            self._total = None
-            for value in self._seen.values():
-                self._total = (
-                    value if self._total is None else self._total + value
-                )
-        else:
-            self.add(other._total)
-
-
-class AvgAggregate(Aggregate):
-    def __init__(self, distinct: bool) -> None:
-        self._total = 0.0
-        self._count = 0
-        self._seen: dict | None = {} if distinct else None
-
-    def add(self, value: object) -> None:
-        if value is None:
             return
-        if type(value) not in NUMBERS:
-            value = addend("AVG", value)
-        if self._seen is not None and not _first_sight(self._seen, value):
-            return
-        self._total += value
-        self._count += 1
+        self._specials.update(other._specials)
+        self._absorb(other._count, other._int, other._floats)
+        self._floats_held += other._floats_held - len(other._floats)
 
-    def fold(self, values: list) -> "Callable[[], None] | None":
-        numbers = None if self._seen is not None else _numbers(values)
-        if numbers is None:
-            return None
-        return partial(self._set, reduce(add, numbers, self._total),
-                       self._count + len(numbers))
+    def _compact(self) -> None:
+        """The addends as their expansion; as they are when an
+        intermediate sum overflows (the result sums them exactly)."""
+        try:
+            self._floats = _expansion(self._floats)
+        except ValueError:
+            self._split()
+            self._compact()
+        except OverflowError:
+            pass
 
-    def _set(self, total: float, count: int) -> None:
-        self._total = total
-        self._count = count
+    def _split(self) -> None:
+        """Count the NaN and infinities among the addends apart."""
+        floats = self._floats
+        self._specials.update(map(repr, filterfalse(math.isfinite, floats)))
+        self._floats = list(filter(math.isfinite, floats))
 
     def result(self) -> object:
-        if self._count == 0:
-            return None
-        return self._total / self._count
-
-    def merge(self, other: "AvgAggregate") -> None:
         if self._seen is not None:
-            _union(self._seen, other._seen)
-            self._total = float(sum(self._seen.values()))
-            self._count = len(self._seen)
-        else:
-            self._total += other._total
-            self._count += other._count
-
-
-class MinAggregate(Aggregate):
-    def __init__(self) -> None:
-        self._best: object = None
-
-    def add(self, value: object) -> None:
-        if value is None:
-            return
+            plain = SumAggregate()
+            plain.fold(list(self._seen.values()))()
+            return plain.result()
+        if not self._floats_held:
+            return self._int if self._count else None
+        if not self._int and not any(self._specials.values()):
+            try:
+                total = math.fsum(self._floats)
+                if math.isfinite(total):
+                    return total
+            except (ValueError, OverflowError):
+                pass
+        self._split()
+        self._compact()
+        nans, high, low = map(self._specials.get, ("nan", "inf", "-inf"))
+        if nans or high and low:
+            return math.nan
+        if high or low:
+            return math.inf if high else -math.inf
+        exact = sum(map(Fraction, self._floats), Fraction(self._int))
         try:
-            if self._best is None or value < self._best:
-                self._best = value
-        except TypeError:
-            raise mixed_types("MIN", self._best, value) from None
+            return float(exact)
+        except OverflowError:
+            return math.inf if exact > 0 else -math.inf
 
-    def fold(self, values: list) -> "Callable[[], None] | None":
-        # Builtin min keeps the first of tied values and replaces it
-        # only on ``value < best``: the comparisons add makes.
-        return partial(setattr, self, "_best", min(
-            _with_best(self._best, values), default=None,
-        ))
+
+class AvgAggregate(SumAggregate):
+    name = "AVG"
 
     def result(self) -> object:
-        return self._best
+        total = super().result()
+        count = self._count if self._seen is None else len(self._seen)
+        return None if total is None else total / count
 
-    def merge(self, other: "MinAggregate") -> None:
-        self.add(other._best)
+
+class _Boxed:
+    """An unhashable value a MIN / MAX state holds, one key per object
+    (a retraction takes back the object that was added)."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value: object) -> None:
+        self.value = value
+
+    def __hash__(self) -> int:
+        return id(self.value)
+
+    def __eq__(self, other: object) -> bool:
+        return type(other) is _Boxed and other.value is self.value
 
 
-class MaxAggregate(Aggregate):
+def _held_key(value: object) -> tuple:
+    """``(type, value)``, the key a MIN / MAX state holds ``value``
+    under: values of two types are never one key."""
+    try:
+        hash(value)
+    except TypeError:
+        return type(value), _Boxed(value)
+    return type(value), value
+
+
+class _Extremum(Aggregate):
+    """MIN's and MAX's state: each value held with its copies, in
+    first-held order, so a retracted extremum falls back to the next."""
+
+    pick: Callable = min
+
     def __init__(self) -> None:
-        self._best: object = None
+        #: :func:`_held_key` -> copies (the key is the first value held)
+        self._held: Counter = Counter()
+        #: folded slices not yet counted, as ``(type, value)`` lists: a
+        #: fold costs no Python frame per value nor per call
+        self._pending: list[list] = []
+
+    def _count_pending(self) -> Counter:
+        if self._pending:
+            pending = list(chain.from_iterable(self._pending))
+            self._pending = []
+            try:
+                counts = Counter(pending)
+            except TypeError:  # an unhashable value among them
+                counts = Counter(_held_key(value) for _kind, value in pending)
+            counts.pop((NoneType, None), None)
+            self._held.update(counts)
+        return self._held
 
     def add(self, value: object) -> None:
-        if value is None:
-            return
-        try:
-            if self._best is None or value > self._best:
-                self._best = value
-        except TypeError:
-            raise mixed_types("MAX", self._best, value) from None
+        if value is not None:
+            self._count_pending()[_held_key(value)] += 1
+
+    def retract(self, value: object) -> None:
+        if value is not None:
+            held, key = self._count_pending(), _held_key(value)
+            held[key] -= 1
+            if held[key] <= 0:
+                del held[key]
 
     def fold(self, values: list) -> "Callable[[], None] | None":
-        return partial(setattr, self, "_best", max(
-            _with_best(self._best, values), default=None,
-        ))
+        return partial(self._pending.append,
+                       list(zip(map(type, values), values)))
+
+    def merge(self, other: "_Extremum") -> None:
+        self._count_pending().update(other._count_pending())
+
+    def _values(self) -> list:
+        return [value.value if type(value) is _Boxed else value
+                for _kind, value in self._count_pending()]
 
     def result(self) -> object:
-        return self._best
+        from .executor import incomparable  # ORDER BY's rule; it imports us
 
-    def merge(self, other: "MaxAggregate") -> None:
-        self.add(other._best)
+        values = self._values()
+        error = incomparable([values])
+        if error is not None:
+            raise error
+        # NaN ranks above every number.
+        numbers = [value for value in values
+                   if value == value or type(value) is not float]
+        if len(numbers) < len(values) and (self.pick is max or not numbers):
+            return next(value for value in values if value != value)
+        try:
+            return self.pick(numbers, default=None)
+        except TypeError:
+            raise (incomparable([values], mixed=False) or SqlExecutionError(
+                f"cannot compare {self.name} values")) from None
 
 
-def _with_best(best: object, values: list) -> Iterator:
-    """The non-NULL ``values`` after the held ``best``, if any."""
-    present = filter(partial(is_not, None), values)
-    return present if best is None else chain((best,), present)
+class MinAggregate(_Extremum):
+    name = "MIN"
+    pick = min
+
+
+class MaxAggregate(_Extremum):
+    name = "MAX"
+    pick = max
 
 
 def make_aggregate(name: str, count_star: bool, distinct: bool) -> Aggregate:

@@ -180,7 +180,7 @@ class ColumnBatch:
     """
 
     __slots__ = ("reader", "keys", "values", "ssids", "keep", "_layout",
-                 "_columns")
+                 "_columns", "order_types")
 
     def __init__(self, reader: ColumnReader,
                  rows: list[dict] | None = None) -> None:
@@ -194,6 +194,10 @@ class ColumnBatch:
         #: Value column name -> that column over every entry (``None``:
         #: not shared, nothing is remembered).
         self._columns: dict[str, list] | None = None
+        #: A pushed top-k's shipped survivors: per ORDER BY term, a value
+        #: of each type (NaN aside) the shard's survivors held, shipped
+        #: or not (:func:`repro.sql.batch.finish` checks them).
+        self.order_types: list[dict] | None = None
 
     def take(self, indexes: list[int],
              columns: tuple[str, ...] | None) -> "ColumnBatch":
@@ -238,6 +242,12 @@ class ColumnBatch:
         if other.ssids is not None:
             self.ssids = (self.ssids or []) + other.ssids
         self.keep = other.keep
+        if other.order_types is not None:
+            self.order_types = [
+                {**theirs, **held} for held, theirs in zip(
+                    self.order_types or [{}] * len(other.order_types),
+                    other.order_types)
+            ]
 
     def __len__(self) -> int:
         return len(self.values)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -21,6 +22,7 @@ from repro.dataflow import Job
 from repro.dataflow.sources import CallableSource
 from repro.analysis.sanitizers import drain_runtimes, set_default_config
 from repro.config import SanitizerConfig
+from repro.sql.functions import CountAggregate, SumAggregate
 
 # Simulated runs take real time per example: no property test has a
 # deadline.  Each sets its own example count with ``@settings``.
@@ -120,3 +122,22 @@ def build_average_job(env, backend=None, rate=2000.0, keys=40,
 def make_squery_backend(env, **overrides):
     config = SQueryConfig(**overrides) if overrides else SQueryConfig()
     return SQueryBackend(env.cluster, env.store, config)
+
+
+def aggregate_state(acc):
+    """What an aggregate state holds, comparable between two states: a
+    float total as its exact fraction, NaN and the infinities by count,
+    a MIN / MAX value by type and repr (a NaN is a NaN, -0.0 is not
+    0.0).  States holding equal ones give every later add, fold, merge,
+    retraction and result the same answer."""
+    if isinstance(acc, CountAggregate):
+        return acc.result() if acc._seen is None else list(acc._seen)
+    if isinstance(acc, SumAggregate):
+        if acc._seen is not None:
+            return [(type(value), repr(value))
+                    for value in acc._seen.values()]
+        acc._split()
+        return (acc._count, acc._floats_held, acc._int, acc._specials,
+                sum(map(Fraction, acc._floats), Fraction()))
+    return [(type(value), repr(value), copies)
+            for value, copies in zip(acc._values(), acc._held.values())]

@@ -185,6 +185,54 @@ def test_table_views_equal_fresh_execute_after_every_step(seed, shared):
         assert env.continuous.router.residual_filter_drops > 0
 
 
+# -- float aggregates --------------------------------------------------------
+
+#: name -> (sql, subscribe kwargs) over the hand-driven float table ``f``.
+FLOAT_SUBSCRIPTIONS = {
+    "grouped": ('SELECT g, SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, '
+                'MAX(v) AS hi, COUNT(v) AS n FROM "f" GROUP BY g', {}),
+    "total": ('SELECT SUM(v) AS s, AVG(v) AS a, MIN(v) AS lo, '
+              'MAX(v) AS hi FROM "f"', {"tier": TIER_COALESCED}),
+}
+#: Seed rows, then steps of key -> new value (``None`` deletes): a
+#: large value beside small ones, a NaN, and the large value retracted.
+FLOAT_SEED = {0: 1e16, 1: 1.0, 2: 0.1, 3: 0.1, 4: 0.2, 5: 2.5}
+FLOAT_STEPS = [
+    {0: None},
+    {6: {"g": 0, "v": float("nan")}},
+    {6: None, 7: {"g": 1, "v": -1e16}},
+    {3: {"g": 1, "v": 1e16}},
+    {3: None, 7: None},
+    {8: {"g": 0, "v": float("inf")}, 2: None},
+]
+
+
+def test_float_aggregate_views_equal_fresh_execute_after_every_step():
+    # One add per value would hold 1e16 + 1.0 + 0.1 as 1e16, and take
+    # the 1e16 back to 0.0: the sum is held exactly, and rounded once.
+    env = Environment(ClusterConfig(nodes=3, processing_workers_per_node=1))
+    imap = env.store.create_map("f")
+    table = LiveStateTable(imap)
+    env.store.register_live_table("f", table)
+    for key, value in FLOAT_SEED.items():
+        imap.put(key, {"g": key // 3, "v": value})
+    service = QueryService(env)
+    subs = subscribe_all(service, FLOAT_SUBSCRIPTIONS)
+    drain(env)
+    assert_views_fresh(service, subs, "seed")
+    for index, step in enumerate(FLOAT_STEPS):
+        for key, value in step.items():
+            table.apply_update(key, value)
+        drain(env)
+        assert_views_fresh(service, subs, f"step {index}")
+        group = {row["g"]: row for row in subs["grouped"].rows()}[0]
+        if index == 0:
+            assert (group["s"], group["lo"], group["hi"]) == (1.1, 0.1, 1.0)
+        if index == 1:
+            assert group["hi"] != group["hi"]  # NaN ranks above all
+            assert group["lo"] == 0.1
+
+
 # -- streaming job with one kill ---------------------------------------------
 
 

@@ -11,9 +11,9 @@ sketches), on snapshot tables, and under seeded chaos kills.  Errors
 count too: a pushed predicate that fails must surface the same message
 wherever the batch boundaries fall.
 
-Integer-only values keep aggregate merges exact: float SUM/AVG merge
-order could otherwise introduce rounding noise that has nothing to do
-with correctness.
+Values are ints and floats, some far apart in magnitude, so sums
+added one by one in different orders round differently; aggregate
+states are exact, so the answers are the same bits either way.
 """
 
 import random
@@ -58,6 +58,17 @@ QUERIES = [
 TAGS = ("alpha", "beta", "gamma", None)
 
 
+def number(rng):
+    """An int, a float, or now and then a large float or one that
+    rounds (0.1)."""
+    roll = rng.random()
+    if roll < 0.5:
+        return rng.randrange(0, 200)
+    if roll < 0.95:
+        return rng.uniform(0, 200)
+    return rng.choice((1e16, -1e16, 0.1))
+
+
 def populate(env, seed, keys=600):
     imap = env.store.create_map("data")
     env.store.register_live_table("data", LiveStateTable(imap))
@@ -65,7 +76,7 @@ def populate(env, seed, keys=600):
     for key in range(keys):
         imap.put(key, {
             # NULL-heavy: ~1 in 5 values is a stored NULL.
-            "v": None if rng.random() < 0.2 else rng.randrange(0, 200),
+            "v": None if rng.random() < 0.2 else number(rng),
             "g": rng.randrange(0, 6),
             "s": f"s-{rng.randrange(0, 40):02d}",
             "tag": TAGS[rng.randrange(0, len(TAGS))],

@@ -7,10 +7,10 @@ under seeded chaos kills.  Rollback recovery rewrites live partitions
 wholesale, so the write path must keep every index coherent through
 failures too.
 
-Integer-only aggregates keep merges exact: float SUM/AVG merge order
-could otherwise introduce rounding noise that has nothing to do with
-correctness.  The float column ``f`` — ints and floats mixed, with the
-occasional NaN and ±inf — is only filtered on, counted and listed.
+The float column ``f`` — ints and floats mixed, with the occasional
+NaN and ±inf — is filtered on, counted, listed and aggregated: the
+aggregate states are exact, so a sum does not depend on the order an
+index read and a scan meet its rows in.
 """
 
 import random
@@ -47,6 +47,8 @@ QUERIES = [
     'SELECT key FROM "data" WHERE f > 190 ORDER BY key',
     'SELECT COUNT(*) AS n FROM "data" WHERE f BETWEEN 50 AND 53',
     'SELECT key FROM "data" WHERE f = 17 OR f <= 0.5 ORDER BY key',
+    'SELECT g, SUM(f) AS t, AVG(f) AS a, MIN(f) AS lo, MAX(f) AS hi '
+    'FROM "data" WHERE f < 150 GROUP BY g ORDER BY g',
 ]
 
 NAN, INF = float("nan"), float("inf")

@@ -5,9 +5,9 @@ query the on/off results must be identical — including under node
 kills and restarts, where per-table attempt tokens must keep partial
 aggregates from ever being double-counted.
 
-Integer-only values keep aggregate merges exact: float SUM/AVG merge
-order could otherwise introduce rounding noise that has nothing to do
-with correctness.
+Values are ints and floats, some far apart in magnitude, so sums
+added one by one in different orders round differently; aggregate
+states are exact, so the answers are the same bits either way.
 """
 
 import random
@@ -34,13 +34,24 @@ QUERIES = [
 ]
 
 
+def number(rng):
+    """An int, a float, or now and then a large float or one that
+    rounds (0.1)."""
+    roll = rng.random()
+    if roll < 0.5:
+        return rng.randrange(0, 200)
+    if roll < 0.95:
+        return rng.uniform(0, 200)
+    return rng.choice((1e16, -1e16, 0.1))
+
+
 def populate(env, seed, keys=600):
     imap = env.store.create_map("data")
     env.store.register_live_table("data", LiveStateTable(imap))
     rng = random.Random(seed)
     for key in range(keys):
         imap.put(key, {
-            "v": rng.randrange(0, 200),
+            "v": number(rng),
             "g": rng.randrange(0, 6),
             "pad": rng.randrange(0, 10**6),
         })

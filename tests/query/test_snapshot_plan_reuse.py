@@ -113,10 +113,11 @@ def both(step):
 def test_plans_are_reused_across_statements_and_executions():
     script = both(lambda script: (script.queries(), script.queries()))
     service = script.service
-    # Three nodes, one set of plans per table and fragment: each
-    # materialised statement pushes its own, the pure-load reads push
-    # none, so all of them share theirs.
-    assert service.snapshot_plans_built == 3 * ((4 + 1) + (5 + 1))
+    # Three nodes, one set of plans per table and fragment: Queries 3
+    # and 4 push equal fragments (one projection) and share theirs, each
+    # other materialised statement pushes its own, and the pure-load
+    # reads push none, so all of them share theirs.
+    assert service.snapshot_plans_built == 3 * ((3 + 1) + (4 + 1))
     assert service.snapshot_plans_reused == \
         2 * 3 * (2 * 4 + 2 * 4 + 2) - service.snapshot_plans_built
 
@@ -190,7 +191,7 @@ def test_a_pruned_versions_plans_are_released():
     assert all(first not in key[1] for key in service.snapshot_plans._data)
     gc.collect()
     assert not any(ref() for ref in refs)
-    assert len(service.snapshot_plans) == (4 + 1) + (5 + 1)
+    assert len(service.snapshot_plans) == (3 + 1) + (4 + 1)
 
 
 def test_reuse_matches_fresh_plans_across_prunes():

@@ -9,6 +9,7 @@ no code with the evaluator under test.
 """
 
 import functools
+from fractions import Fraction
 
 import pytest
 
@@ -170,14 +171,37 @@ def test_a_rows_first_error_is_the_first_in_evaluation_order(chunk):
         ("cannot apply SUM to str",
          lambda: rows[4].update(value="text")),
         # An earlier row's later aggregate beats them all.
-        ("cannot apply MAX to str and int",
-         lambda: rows[3].update(tag=7, weight=rows[0]["weight"])),
+        ("unknown column 'tag'", lambda: rows[3].pop("tag")),
         ("unknown column 'weight'", lambda: rows[2].pop("weight")),
     ]:
         spoil()
         with pytest.raises(SqlExecutionError) as error:
             run_fragment_batches(compiled, rows, CTX, chunk)
         assert str(error.value) == expected
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 100])
+def test_extremes_over_types_that_do_not_order_raise_at_the_result(chunk):
+    # MIN / MAX hold every type they meet: a group holding an int and a
+    # string is no row's error, so a later row's still comes first, and
+    # with none the finished groups raise what every path raises.
+    plan, fragment = fragment_of(
+        'SELECT weight, SUM(value) AS s, MAX(tag) AS hi FROM "t" '
+        'GROUP BY weight'
+    )
+    compiled = CompiledFragment(fragment)
+    rows = [dict(raw) for raw in ROWS[:6]]
+    rows[3]["tag"] = 7
+    assert rows[3]["weight"] == rows[0]["weight"]
+    _locks, payload, _batches = run_fragment_batches(
+        compiled, rows, CTX, chunk)
+    with pytest.raises(SqlExecutionError) as error:
+        groups_as_rows(plan, payload)
+    assert str(error.value) == "cannot compare int with str"
+    rows[5]["value"] = "text"
+    with pytest.raises(SqlExecutionError) as error:
+        run_fragment_batches(compiled, rows, CTX, chunk)
+    assert str(error.value) == "cannot apply SUM to str"
 
 
 class Unkeyable:
@@ -327,9 +351,9 @@ def test_top_k_holds_the_first_rows_of_the_stable_order(sql, survives,
 
 
 def test_a_groups_slice_folds_to_the_bits_of_one_add_per_row():
-    # Float sums depend on the order of the adds (1e16 + 1.0 + 1.0 is
-    # 1e16; 1.0 + 1.0 + 1e16 is not), MIN / MAX keep the first of tied
-    # values (-0.0 and 0.0), and NaN compares to nothing.
+    # Float sums are exact, rounded once (1e16 + 1.0 + 1.0 is not 1e16),
+    # MIN / MAX keep the first of tied values (-0.0 and 0.0), and NaN
+    # ranks above every number.
     xs = (1e16, 1.0, 1.0, 0.1, None, 2.5, 3, -0.0, 1.0)
     ys = (-0.0, 0.0, None, float("nan"), 2.5, -1.5, 0.0)
     rows = [{"key": k, "partitionKey": k, "g": k % 2, "x": xs[k % 9],
@@ -341,18 +365,12 @@ def test_a_groups_slice_folds_to_the_bits_of_one_add_per_row():
     expected = {}
     for g in (0, 1):
         group = [raw for raw in rows if raw["g"] == g]
-        total, avg_total, count, lo, hi, n = None, 0.0, 0, None, None, 0
-        for raw in group:
-            x, y = raw["x"], raw["y"]
-            if x is not None:
-                total = x if total is None else total + x
-                avg_total += x
-                count += 1
-            if y is not None:
-                lo = y if lo is None or y < lo else lo
-                hi = y if hi is None or y > hi else hi
-                n += 1
-        expected[(g,)] = [total, avg_total / count, lo, hi, n]
+        present = [raw["x"] for raw in group if raw["x"] is not None]
+        total = float(sum(map(Fraction, present)))
+        held = [raw["y"] for raw in group if raw["y"] is not None]
+        numbers = [y for y in held if y == y]
+        expected[(g,)] = [total, total / len(present), min(numbers),
+                          float("nan"), len(held)]
 
     def bits(values):
         return [(type(value), value.hex() if isinstance(value, float)
