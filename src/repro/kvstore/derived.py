@@ -19,12 +19,14 @@ one the paper's isolation levels rest on, and it is written here once:
   commits.  From then on a maintenance call fires the
   ``on_frozen_mutation`` hook (the runtime sanitizers listen) and
   raises :class:`~repro.errors.StoreError`; reads only serve frozen
-  versions.  The maintenance ops of a retired version stay in the
-  rollup.
+  versions.  The registry goes when the store retires the version;
+  its maintenance ops stay in the rollup.
 
 :class:`DerivedRegistry` is the part of that contract the two
-registries share; holders (``IMap``, ``FullSnapshotTable``) keep
-registries by family name and never ask which family they hold.
+registries share; holders (an ``IMap``, and every snapshot backend
+through :class:`~repro.state.base.SnapshotTableBase`, whatever it
+stores versions as) keep registries by family name and never ask which
+family they hold.
 """
 
 from __future__ import annotations
@@ -178,15 +180,18 @@ class VersionedRegistries:
             self._retired_ops += registry.maintenance_ops
 
     def freeze(self, ssid: int) -> None:
-        """Commit time: the version's registry becomes immutable."""
-        if self.definitions:
-            self.for_version(ssid).freeze()
-
-    def ready(self, ssid: int) -> bool:
-        """Reads only serve committed (frozen) versions."""
+        """Commit time: the version's registry becomes immutable (a
+        version holds one from its first write or backfill on)."""
         registry = self.versions.get(ssid)
-        return bool(self.definitions) and registry is not None \
-            and registry.frozen
+        if registry is not None:
+            registry.freeze()
+
+    def at(self, ssid: int) -> DerivedRegistry | None:
+        """The version's registry once frozen: reads only serve
+        committed versions."""
+        registry = self.versions.get(ssid)
+        return registry if registry is not None and registry.frozen \
+            else None
 
     @property
     def maintenance_ops(self) -> int:
@@ -200,10 +205,6 @@ class VersionedRegistries:
         self._hook = hook
         for registry in self.versions.values():
             registry.on_frozen_mutation = hook
-
-    def coherence_errors(self, ssid: int) -> list[str]:
-        registry = self.versions.get(ssid)
-        return [] if registry is None else registry.coherence_errors()
 
 
 def coherence_findings(

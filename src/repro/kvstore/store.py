@@ -14,7 +14,7 @@ from typing import Hashable
 
 from ..cluster import Cluster
 from ..errors import MapNotFoundError, StoreError
-from .derived import FAMILIES, DerivedRegistry
+from .derived import DerivedRegistry
 from .imap import HashPlacement, IMap, Placement
 from .indexes import IndexDef, IndexRegistry
 from .locks import LockManager
@@ -73,9 +73,9 @@ class StateStore:
     #
     # One lifecycle (:mod:`repro.kvstore.derived`): live tables maintain
     # the structure on their backing map from the write path; snapshot
-    # tables carry it on every retained version, and versions already
-    # committed are frozen immediately.  DDL is idempotent for an
-    # identical definition.
+    # tables, whatever their backend, carry it on every retained version
+    # (and the in-progress one), and versions already committed are
+    # frozen immediately.  DDL is idempotent for an identical definition.
 
     def create_index(self, name: str, column: str,
                      kind: str = "hash") -> IndexDef:
@@ -105,12 +105,11 @@ class StateStore:
             )
         if name in self._snapshot_tables:
             table = self._snapshot_tables[name]
-            if not table.supports_derived:
-                raise StoreError(
-                    f"snapshot table {name!r} backend does not support "
-                    f"{FAMILIES[registry_class.family]}"
-                )
-            created = table.add_definition(registry_class, definition)
+            retained = list(self._available_ssids)
+            if self._in_progress_ssid is not None:
+                retained.append(self._in_progress_ssid)
+            created = table.add_definition(registry_class, definition,
+                                           retained)
             for ssid in self._available_ssids:
                 table.freeze(ssid)
             return created

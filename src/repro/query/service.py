@@ -1061,17 +1061,14 @@ class QueryService:
         view = views[table_name]
         if view.versions == ():
             return "no committed snapshot"
-        if not view.supports_derived:
-            # backend without sketches, or an all-versions read
-            return "table backend has no sketch support"
         if aggregate.ssid_eq is not None \
                 and (aggregate.ssid_eq,) != view.versions:
             if view.immutable:
                 return "ssid filter does not match the resolved snapshot"
             return "ssid filter on a live table"
         if not view.ready("sketch"):
-            return ("no sketches (or the version's sketches are not "
-                    "frozen)")
+            return ("no sketches (none declared, the version's not "
+                    "frozen yet, or an all-versions read)")
         if not view.has_sketch(aggregate.column, aggregate.kind):
             return (f"no {aggregate.kind} sketch on "
                     f"{aggregate.column!r}")
@@ -1293,8 +1290,8 @@ class QueryService:
         elif view.versions == ():
             veto = "no committed snapshot"
         elif not view.ready("index"):
-            # backend (or all-versions view) without index support, no
-            # indexes, or the version is not frozen yet
+            # no indexes, an all-versions view, or the version is not
+            # frozen yet
             veto = "no usable index"
         else:
             veto = None
@@ -1312,8 +1309,7 @@ class QueryService:
                            key_filter):
         """Partition-level pruning; ``None`` when the view or filter
         shape does not support it (whole-shard scan instead)."""
-        if not view.supports_partition_rows:
-            # incremental/LSM backends and all-versions reads
+        if not view.single_version:
             return None
         partitions = view.partitions_on_node(node_id)
         if isinstance(key_filter, KeySet):

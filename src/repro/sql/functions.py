@@ -16,7 +16,8 @@ what was retracted, so every path gives one answer.
 * ``SUM`` / ``AVG`` take ints, floats and bools (a bool adds as its
   int); any other value raises ``cannot apply SUM to <type>`` at its
   row.  Ints add exactly: ``SUM`` over ints is their int total, ``AVG``
-  that total over the count, rounded once.
+  that total over the count, rounded once (``±inf`` beyond the float
+  range, as for a sum below).
 * Floats are held exactly too, as addends (compacted past a length into
   a few non-overlapping floats by ``math.fsum`` passes).  A ``SUM``
   holding a float is the exact sum of all it holds, ints included,
@@ -415,8 +416,13 @@ class AvgAggregate(SumAggregate):
 
     def result(self) -> object:
         total = super().result()
-        count = self._count if self._seen is None else len(self._seen)
-        return None if total is None else total / count
+        if total is None:
+            return None
+        try:
+            return total / (self._count if self._seen is None
+                            else len(self._seen))
+        except OverflowError:  # an int quotient beyond the float range
+            return math.inf if total > 0 else -math.inf
 
 
 class _Boxed:

@@ -1,11 +1,24 @@
-"""What every snapshot-table backend shares.
+"""What every state table shares.
 
-The three backends differ only in how a version of one operator
-instance is stored and reconstructed (full copies, backward delta
-chains, LSM runs).  Placement, the node-local reads on top of
-:meth:`~SnapshotTableBase.materialize_instance` and the defaults of a
-backend without derived structures live here once; what else a
-backend can do it declares through the ``supports_*`` attributes.
+Live tables (Table I) and the three snapshot-table backends (Table II)
+differ only in how a version of one partition is stored and
+reconstructed: a live map's partition dict, full copies, backward delta
+chains, LSM runs.  :class:`StateTable` writes the partition-granular
+read surface — partition scans, zone maps, index and sketch reads —
+once, over two storage hooks every table supplies:
+
+* ``_partition(partition, *version)`` — the partition's ``{key:
+  value}`` at the version and the stored entries visited to produce it
+  (what reading it bills);
+* ``_registry(family, *version)`` — the family's registry that serves
+  reads at the version, or ``None``.
+
+``version`` is empty on live state and ``(ssid,)`` on a snapshot table,
+as :class:`~repro.state.view.TableView` passes it.
+:class:`SnapshotTableBase` adds what the snapshot backends share:
+placement, the node-local reads on top of
+:meth:`~SnapshotTableBase.materialize_instance`, and one
+:class:`~repro.kvstore.derived.VersionedRegistries` per family.
 """
 
 from __future__ import annotations
@@ -13,23 +26,129 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable, Hashable, Iterable, Iterator
 
+from ..approx.registry import SketchRegistry
 from ..cluster.partition import stable_hash
-from ..kvstore.derived import VersionedRegistries
+from ..kvstore.derived import DerivedRegistry, VersionedRegistries
+from ..kvstore.indexes import IndexRegistry
 from .rows import ColumnBatch, ColumnReader
 
 
-class SnapshotTableBase:
-    """Placement, node-local reads and capability defaults of one
+class StateTable:
+    """The partition-granular read surface of one state table."""
+
+    #: The table's definition of "what are this object's columns".
+    column_reader: ColumnReader
+    #: Family name -> the family's holder (a live map's registry, a
+    #: snapshot table's per-version registries); its ``len`` is the
+    #: number of definitions declared.
+    derived: dict
+
+    def _partition(self, partition: int, *version) -> tuple[dict, int]:
+        raise NotImplementedError
+
+    def _registry(self, family: str, *version) -> DerivedRegistry | None:
+        raise NotImplementedError
+
+    # -- partition-granular access (distributed scan pruning) --------------
+
+    def scan_partitions(self, partitions: list[int],
+                        *version) -> ColumnBatch:
+        """The entries of ``partitions``, in that order, column-readable."""
+        batch = ColumnBatch(self.column_reader)
+        for partition in partitions:
+            batch.load(self._partition(partition, *version)[0], *version)
+        return batch
+
+    def partition_entry_count(self, partition: int, *version) -> int:
+        """Stored entries a read of ``partition`` visits."""
+        return self._partition(partition, *version)[1]
+
+    def rows_in_partition(self, partition: int,
+                          *version) -> Iterator[dict]:
+        yield from self.scan_partitions([partition], *version).rows()
+
+    def partition_key_bounds(
+        self, partition: int, *version
+    ) -> tuple[object, object] | None:
+        """(min, max) key of one partition — the zone map that lets a
+        range predicate skip the partition.  ``None`` when empty or the
+        keys are mutually incomparable."""
+        keys = list(self._partition(partition, *version)[0])
+        if not keys:
+            return None
+        try:
+            return min(keys), max(keys)
+        except TypeError:
+            return None
+
+    # -- derived structures: secondary indexes and sketches ----------------
+
+    def definition_count(self, family: str) -> int:
+        return len(self.derived.get(family, ()))
+
+    def ready(self, family: str, *version) -> bool:
+        """Whether ``family`` ("index" / "sketch") serves reads at the
+        version: declared, and for a snapshot version frozen."""
+        registry = self._registry(family, *version)
+        return registry is not None and len(registry) > 0
+
+    def coherence_errors(self, family: str, *version) -> list[str]:
+        registry = self._registry(family, *version)
+        return [] if registry is None else registry.coherence_errors()
+
+    # Probe results come back in partition iteration order — an
+    # index-backed fetch feeds the executor the same surviving rows, in
+    # the same order, as a full scan would.
+
+    def index_columns(self, *version) -> dict[str, str]:
+        registry = self._registry("index", *version)
+        return {} if registry is None else registry.column_kinds()
+
+    def index_probe_count(self, partition: int, column: str, probe,
+                          *version) -> tuple[int, int] | None:
+        registry = self._registry("index", *version)
+        if registry is None:
+            return None
+        return registry.probe_count(partition, column, probe)
+
+    def index_scan(self, partitions: list[int], column: str, probe,
+                   *version) -> ColumnBatch:
+        """Candidate entries of an index probe over ``partitions``.
+
+        A partition that can no longer be probed soundly (it degraded
+        after the access path was chosen) falls back to all of its
+        entries — a superset is safe because the pushed predicates
+        re-filter every candidate."""
+        registry = self._registry("index", *version)
+        batch = ColumnBatch(self.column_reader)
+        for partition in partitions:
+            state = self._partition(partition, *version)[0]
+            keys = (None if registry is None
+                    else registry.probe_keys(partition, column, probe))
+            if keys is not None:
+                keys = [key for key in keys if key in state]
+            batch.load(state, *version, keys=keys)
+        return batch
+
+    def has_sketch(self, column: str, kind: str, *version) -> bool:
+        registry = self._registry("sketch", *version)
+        return registry is not None and registry.has(column, kind)
+
+    def approx_estimate(self, partitions: list[int], mode: str,
+                        column: str, value: object, *version
+                        ) -> tuple[object, float, float] | None:
+        """Merged ``(estimate, bound, confidence)`` or ``None`` when no
+        sound sketch answer exists (degraded or missing sketch)."""
+        registry = self._registry("sketch", *version)
+        if registry is None:
+            return None
+        return registry.estimate(partitions, mode, column, value)
+
+
+class SnapshotTableBase(StateTable):
+    """Placement, node-local reads and derived structures of one
     operator's snapshot table."""
 
-    #: Per-partition row access (``partition_entry_count`` /
-    #: ``rows_in_partition`` / ``partition_key_bounds``), the basis of
-    #: partition-level scan pruning.
-    supports_partition_rows = False
-    #: Derived structures — secondary indexes and sketches, one
-    #: lifecycle (:mod:`repro.kvstore.derived`): ``add_definition`` and
-    #: the ``index_*`` / ``has_sketch`` / ``approx_estimate`` reads.
-    supports_derived = False
     #: A committed version's entries, and what a scan of them costs,
     #: stay fixed while it is retained (full copies), so what a read of
     #: it implies may be derived once (``QueryService``'s snapshot
@@ -42,26 +161,56 @@ class SnapshotTableBase:
         self.name = name
         self.parallelism = parallelism
         self._node_of_instance = node_of_instance
-        #: The table's definition of "what are this object's columns".
         self.column_reader = ColumnReader()
-        #: Family name -> the family's per-version registries; empty on
-        #: a backend without derived structures (nothing to maintain,
-        #: bill or freeze).
-        self.derived: dict[str, VersionedRegistries] = {}
+        #: Family name -> the family's per-version registries: rebuilt
+        #: as a version's instance writes land, frozen at its commit,
+        #: dropped when the store retires it.
+        self.derived: dict[str, VersionedRegistries] = {
+            registry_class.family: VersionedRegistries(
+                registry_class, parallelism, self._entries_of
+            )
+            for registry_class in (IndexRegistry, SketchRegistry)
+        }
 
-    # -- derived structures ------------------------------------------------
+    def _entries_of(self, ssid: int, partition: int):
+        return self.materialize_instance(ssid, partition)[0].items()
+
+    def _partition(self, partition: int, ssid: int) -> tuple[dict, int]:
+        return self.materialize_instance(ssid, partition)
+
+    def _registry(self, family: str, ssid: int) -> DerivedRegistry | None:
+        return self.derived[family].at(ssid)
+
+    # -- writes and retention ----------------------------------------------
+    #
+    # A backend stores an instance write, then calls up here: one
+    # signature for every backend (a full copy ignores ``deleted``).
+
+    def write_instance(self, ssid: int, instance: int,
+                       payload: dict[Hashable, object],
+                       deleted: set[Hashable] | None = None) -> None:
+        """Re-derive ``instance``'s partition of version ``ssid`` once
+        its entries landed."""
+        for holder in self.derived.values():
+            holder.rebuild(ssid, instance)
+
+    def drop_snapshot(self, ssid: int) -> None:
+        """Retention: the version's registries go with it."""
+        for holder in self.derived.values():
+            holder.drop(ssid)
+
+    def add_definition(self, registry_class: type[DerivedRegistry],
+                       definition, retained: Iterable[int] = ()):
+        """Declare ``definition`` and backfill it into those of the
+        store's ``retained`` versions this table holds."""
+        return self.derived[registry_class.family].add(
+            definition, filter(self.has_snapshot, retained)
+        )
 
     def freeze(self, ssid: int) -> None:
         """Commit time: the version's registries become immutable."""
         for holder in self.derived.values():
             holder.freeze(ssid)
-
-    def definition_count(self, family: str) -> int:
-        return len(self.derived.get(family, ()))
-
-    def ready(self, family: str, ssid: int) -> bool:
-        """Reads only serve committed (frozen) versions."""
-        return family in self.derived and self.derived[family].ready(ssid)
 
     @property
     def ddl_epoch(self) -> int:
@@ -70,11 +219,7 @@ class SnapshotTableBase:
         return sum(map(len, self.derived.values()))
 
     def maintenance_ops(self, family: str) -> int:
-        holder = self.derived.get(family)
-        return 0 if holder is None else holder.maintenance_ops
-
-    def coherence_errors(self, family: str, ssid: int) -> list[str]:
-        return self.derived[family].coherence_errors(ssid)
+        return self.derived[family].maintenance_ops
 
     def set_mutation_hook(self, hook: Callable[[str, str], None]) -> None:
         """Observe frozen-registry mutation attempts as ``hook(family,
@@ -180,3 +325,17 @@ class SnapshotTableBase:
 
     def on_node_failure(self, node_id: int) -> None:
         """Committed snapshots survive via synchronous replicas."""
+
+
+def forget_reconstructions(cache: dict, instance: int, ssid: int,
+                           keep: int) -> None:
+    """Drop the memoised ``(instance, version)`` reconstructions a write
+    of ``instance`` at ``ssid`` stales — those at ``ssid`` and later,
+    read before it landed — and those ``keep`` or more ids older."""
+    stale = [
+        cached for cached in cache
+        if cached[0] == instance
+        and (cached[1] >= ssid or cached[1] <= ssid - keep)
+    ]
+    for cached in stale:
+        del cache[cached]

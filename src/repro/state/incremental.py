@@ -24,7 +24,7 @@ from __future__ import annotations
 from typing import Callable, Hashable
 
 from ..errors import SnapshotNotFoundError
-from .base import SnapshotTableBase
+from .base import SnapshotTableBase, forget_reconstructions
 
 
 class _Tombstone:
@@ -56,8 +56,10 @@ class _InstanceChain:
 class IncrementalSnapshotTable(SnapshotTableBase):
     """Snapshot state of one operator, incremental mode.
 
-    Chain reconstruction has no per-partition row API, so partition-
-    level pruning falls back to whole-node scans here."""
+    A partition read reconstructs the instance and bills the entries
+    the walk visits.  Retiring a version drops its registries only:
+    newer versions reconstruct through its deltas, so those go with
+    :meth:`maybe_prune`."""
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int],
@@ -67,8 +69,9 @@ class IncrementalSnapshotTable(SnapshotTableBase):
         self._chains: dict[int, _InstanceChain] = {}
         self._ssids: list[int] = []
         self.compactions = 0
-        # Committed snapshots are immutable, so reconstructions can be
-        # memoised; bounded to the most recent ids per instance.
+        # A version's reconstruction is fixed once its write landed, so
+        # it can be memoised; bounded to the most recent ids per
+        # instance.
         self._cache: dict[tuple[int, int], tuple[dict, int]] = {}
         self._cache_keep = 4
 
@@ -98,15 +101,8 @@ class IncrementalSnapshotTable(SnapshotTableBase):
         chain.coverage[ssid] = len(chain.first_seen)
         if ssid not in self._ssids:
             self._ssids.append(ssid)
-        self._trim_cache(instance, ssid)
-
-    def _trim_cache(self, instance: int, newest_ssid: int) -> None:
-        stale = [
-            key for key in self._cache
-            if key[0] == instance and key[1] <= newest_ssid - self._cache_keep
-        ]
-        for key in stale:
-            del self._cache[key]
+        forget_reconstructions(self._cache, instance, ssid, self._cache_keep)
+        super().write_instance(ssid, instance, payload, deleted)
 
     # -- reconstruction ----------------------------------------------------
 
@@ -213,13 +209,6 @@ class IncrementalSnapshotTable(SnapshotTableBase):
             if committed_ssid not in self._ssids:
                 self._ssids.append(committed_ssid)
         return pruned
-
-    def drop_snapshot(self, ssid: int) -> None:
-        """Retention request from the store.
-
-        Deltas cannot be dropped eagerly — newer snapshots reconstruct
-        through them — so retirement is deferred to :meth:`maybe_prune`.
-        """
 
     def total_entries(self) -> int:
         return sum(

@@ -11,18 +11,21 @@ from __future__ import annotations
 from typing import Hashable, Iterator
 
 from ..kvstore import IMap
+from ..kvstore.derived import DerivedRegistry
+from .base import StateTable
 from .rows import ColumnBatch, ColumnReader
 
 _MISSING = object()
 
 
-class LiveStateTable:
-    """Queryable view over an operator's live IMap."""
+class LiveStateTable(StateTable):
+    """Queryable view over an operator's live IMap.
 
-    #: Declared capabilities, read by :class:`~repro.state.view.TableView`
-    #: (same names as on the snapshot backends).
-    supports_partition_rows = True
-    supports_derived = True
+    Its indexes and sketches are maintained synchronously inside the
+    IMap write path (under the same key-level locks as the mirror
+    writes), so a probe or an estimate at any instant agrees with the
+    partition dicts at that instant — exactly the read-uncommitted
+    contract live queries already have."""
 
     def __init__(self, imap: IMap) -> None:
         self._imap = imap
@@ -54,17 +57,21 @@ class LiveStateTable:
     def __len__(self) -> int:
         return len(self._imap)
 
+    @property
+    def derived(self) -> dict[str, DerivedRegistry]:
+        return self._imap.registries
+
+    def _partition(self, partition: int) -> tuple[dict, int]:
+        state = self._imap.partition_state(partition)
+        return state, len(state)
+
+    def _registry(self, family: str) -> DerivedRegistry | None:
+        return self._imap.registries.get(family)
+
     def rows(self) -> Iterator[dict]:
         row = self.column_reader.row
         for key, value in self._imap.entries():
             yield row(key, value)
-
-    def scan_partitions(self, partitions: list[int]) -> ColumnBatch:
-        """The entries of ``partitions``, in that order, column-readable."""
-        batch = ColumnBatch(self.column_reader)
-        for partition in partitions:
-            batch.load(self._imap.partition_state(partition))
-        return batch
 
     def scan_on_node(self, node_id: int) -> ColumnBatch:
         """The node's entries, column-readable.  The batch is shared and
@@ -104,94 +111,15 @@ class LiveStateTable:
     def get(self, key: Hashable, default: object = None) -> object:
         return self._imap.get(key, default)
 
-    # -- partition-granular access (distributed scan pruning) --------------
-
     def partitions_on_node(self, node_id: int) -> list[int]:
         return self._imap.partitions_on_node(node_id)
-
-    def partition_entry_count(self, partition: int) -> int:
-        return self._imap.partition_size(partition)
 
     def partition_of_key(self, key: Hashable) -> int:
         return self._imap.placement.partition_of(key)
 
-    def rows_in_partition(self, partition: int) -> Iterator[dict]:
-        yield from self.scan_partitions([partition]).rows()
-
-    def partition_key_bounds(
-        self, partition: int
-    ) -> tuple[object, object] | None:
-        """(min, max) key of one partition — the zone map that lets a
-        range predicate skip the partition.  ``None`` when empty or the
-        keys are mutually incomparable."""
-        keys = [key for key, _ in self._imap.partition_entries(partition)]
-        if not keys:
-            return None
-        try:
-            return min(keys), max(keys)
-        except TypeError:
-            return None
-
     def owner_node_of(self, key: Hashable) -> int:
         """Node holding ``key`` (point-lookup routing)."""
         return self._imap.placement.owner_of(key)
-
-    # -- derived structures: secondary indexes and sketches ----------------
-    #
-    # Both are maintained synchronously inside the IMap write path
-    # (under the same key-level locks as the mirror writes), so a probe
-    # or an estimate at any instant agrees with the partition dicts at
-    # that instant — exactly the read-uncommitted contract live queries
-    # already have.
-
-    def definition_count(self, family: str) -> int:
-        registry = self._imap.registries.get(family)
-        return 0 if registry is None else len(registry)
-
-    def ready(self, family: str) -> bool:
-        """Live structures are usable as soon as they exist (no
-        freeze)."""
-        return self.definition_count(family) > 0
-
-    def coherence_errors(self, family: str) -> list[str]:
-        registry = self._imap.registries.get(family)
-        return [] if registry is None else registry.coherence_errors()
-
-    # -- secondary indexes (index-backed scans) ----------------------------
-    #
-    # Probe results come back in partition iteration order — an
-    # index-backed fetch feeds the executor the same surviving rows, in
-    # the same order, as a full scan would.
-
-    def index_columns(self) -> dict[str, str]:
-        registry = self._imap.registries.get("index")
-        return {} if registry is None else registry.column_kinds()
-
-    def index_probe_count(self, partition: int, column: str,
-                          probe) -> tuple[int, int] | None:
-        registry = self._imap.registries.get("index")
-        if registry is None:
-            return None
-        return registry.probe_count(partition, column, probe)
-
-    def index_scan(self, partitions: list[int], column: str,
-                   probe) -> ColumnBatch:
-        """Candidate entries of an index probe over ``partitions``.
-
-        A partition that can no longer be probed soundly (it degraded
-        after the access path was chosen) falls back to all of its
-        entries — a superset is safe because the pushed predicates
-        re-filter every candidate."""
-        registry = self._imap.registries.get("index")
-        batch = ColumnBatch(self.column_reader)
-        for partition in partitions:
-            state = self._imap.partition_state(partition)
-            keys = (None if registry is None
-                    else registry.probe_keys(partition, column, probe))
-            if keys is not None:
-                keys = [key for key in keys if key in state]
-            batch.load(state, keys=keys)
-        return batch
 
     def point_rows(self, key: Hashable) -> list[dict]:
         """The single row for ``key``, or empty (point lookup)."""
@@ -199,22 +127,6 @@ class LiveStateTable:
         if value is _MISSING:
             return []
         return [self.column_reader.row(key, value)]
-
-    # -- sketches (approximate query answering) ----------------------------
-
-    def has_sketch(self, column: str, kind: str) -> bool:
-        registry = self._imap.registries.get("sketch")
-        return registry is not None and registry.has(column, kind)
-
-    def approx_estimate(self, partitions: list[int], mode: str,
-                        column: str, value: object = None
-                        ) -> tuple[object, float, float] | None:
-        """Merged ``(estimate, bound, confidence)`` or ``None`` when no
-        sound sketch answer exists (degraded or missing sketch)."""
-        registry = self._imap.registries.get("sketch")
-        if registry is None:
-            return None
-        return registry.estimate(partitions, mode, column, value)
 
     # -- mutation (called by the S-QUERY backend) --------------------------
 

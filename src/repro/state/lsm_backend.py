@@ -21,15 +21,15 @@ from typing import Callable, Hashable
 
 from ..errors import SnapshotNotFoundError
 from ..lsm import LsmStore
-from .base import SnapshotTableBase
+from .base import SnapshotTableBase, forget_reconstructions
 
 
 class LsmSnapshotTable(SnapshotTableBase):
     """Snapshot state of one operator, stored in per-instance LSM
     stores with MVCC versions keyed by snapshot id.
 
-    LSM reconstruction has no per-partition row API, so partition-level
-    pruning falls back to whole-node scans here."""
+    A partition read reconstructs the instance and bills the stored
+    versions its scan touches, as :meth:`entries_on_node` does."""
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int],
@@ -60,17 +60,13 @@ class LsmSnapshotTable(SnapshotTableBase):
         store.flush()
         if ssid not in self._ssids:
             self._ssids.append(ssid)
-        stale = [
-            cached for cached in self._cache
-            if cached[0] == instance
-            and cached[1] <= ssid - self._cache_keep
-        ]
-        for cached in stale:
-            del self._cache[cached]
+        forget_reconstructions(self._cache, instance, ssid, self._cache_keep)
+        super().write_instance(ssid, instance, payload, deleted)
 
     def drop_snapshot(self, ssid: int) -> None:
         """Retention: retire ``ssid`` and advance the GC watermark so
         the next compactions reclaim versions nothing can read."""
+        super().drop_snapshot(ssid)
         if ssid in self._ssids:
             self._ssids.remove(ssid)
         if self._ssids:
@@ -99,6 +95,10 @@ class LsmSnapshotTable(SnapshotTableBase):
         scanned = store.stats.entries_touched - before
         self._cache[(instance, ssid)] = (dict(state), scanned)
         return state, scanned
+
+    def _partition(self, partition: int, ssid: int) -> tuple[dict, int]:
+        state, _ = self.materialize_instance(ssid, partition)
+        return state, self._stores[partition].scan_cost_at(ssid)
 
     def entries_on_node(self, node_id: int, ssid: int) -> int:
         """Reconstruction cost: stored versions a scan touches (bounded

@@ -131,8 +131,7 @@ class SQueryBackend(VanillaBackend):
                       else self.store.create_sketch)
             if spec.live and self.config.live_state:
                 create(table_name, spec.column, spec.kind)
-            if spec.snapshots and self.config.snapshot_state \
-                    and not self.config.incremental:
+            if spec.snapshots and self.config.snapshot_state:
                 create(snapshot_table_name(vertex_name), spec.column,
                        spec.kind)
 
@@ -207,10 +206,7 @@ class SQueryBackend(VanillaBackend):
         server = self._cluster.node(node_id).store_server(instance)
 
         def finish() -> None:
-            if self.config.incremental:
-                table.write_instance(ssid, instance, payload, deleted)
-            else:
-                table.write_instance(ssid, instance, payload)
+            table.write_instance(ssid, instance, payload, deleted)
             on_done()
 
         submit_chunked_write(

@@ -1,8 +1,7 @@
 """One read interface over live state (Table I), snapshot state
 (Table II) and multi-version result sets (§VI-A): readers call the same
-methods whatever is behind a :class:`TableView` and consult its
-declared capabilities instead of asking which table family or backend
-they hold.
+methods whatever is behind a :class:`TableView`, never asking which
+table family or backend they hold.
 """
 
 from __future__ import annotations
@@ -19,13 +18,13 @@ class TableView:
     ids otherwise (empty when nothing is committed yet: placement still
     answers, reads are empty).  Row reads and counts span every bound
     version (version-major, the §VI-A multi-version order); partition-
-    granular access and derived structures (indexes, sketches) exist
-    only on single-version views of backends that declare them, so
-    all-versions reads always take the whole-shard scan path.
+    granular access and derived structures (indexes, sketches) serve
+    one version at a time, on every backend, so all-versions reads
+    always take the whole-shard scan path.
     """
 
     __slots__ = ("table", "versions", "_args", "_version", "immutable",
-                 "supports_partition_rows", "supports_derived")
+                 "single_version")
 
     def __init__(self, table, versions: tuple[int, ...] | None = None
                  ) -> None:
@@ -40,11 +39,11 @@ class TableView:
         #: Committed snapshot versions never change under a reader; live
         #: state does.
         self.immutable = versions is not None
-        single = len(self._args) == 1
+        #: Live state or one snapshot id: the partition-granular reads
+        #: and derived structures serve it.
+        self.single_version = len(self._args) == 1
         #: Version argument of the single-version methods.
-        self._version = self._args[0] if single else None
-        self.supports_partition_rows = single and table.supports_partition_rows
-        self.supports_derived = single and table.supports_derived
+        self._version = self._args[0] if self.single_version else None
 
     # -- placement ---------------------------------------------------------
 
@@ -95,7 +94,7 @@ class TableView:
             rows.extend(self.table.point_rows(key, *args))
         return rows
 
-    # -- partition-granular access (``supports_partition_rows``) -----------
+    # -- partition-granular access (``single_version``) --------------------
 
     def partition_entry_count(self, partition: int) -> int:
         return self.table.partition_entry_count(partition, *self._version)
@@ -122,16 +121,16 @@ class TableView:
             entries += self.entries_on_node(node_id)
         return partitions, entries
 
-    # -- derived structures (``supports_derived``) -------------------------
+    # -- derived structures (``single_version``) ---------------------------
 
     def ready(self, family: str) -> bool:
         """Whether ``family`` ("index" / "sketch") can serve this view:
         declared, and for a snapshot version frozen."""
-        return self.supports_derived and \
+        return self.single_version and \
             self.table.ready(family, *self._version)
 
     def index_columns(self) -> dict[str, str]:
-        return self.table.index_columns()
+        return self.table.index_columns(*self._version)
 
     def index_probe_count(self, partition: int, column: str,
                           probe) -> tuple[int, int] | None:
@@ -146,7 +145,7 @@ class TableView:
         )
 
     def has_sketch(self, column: str, kind: str) -> bool:
-        return self.table.has_sketch(column, kind)
+        return self.table.has_sketch(column, kind, *self._version)
 
     def approx_estimate(self, partitions: list[int], mode: str,
                         column: str, value: object

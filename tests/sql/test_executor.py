@@ -680,3 +680,11 @@ def test_final_stage_case_table(sql, expected):
     assert result.columns == columns
     assert [tuple(exact(row[name]) for name in result.columns)
             for row in result.rows] == rows
+
+
+def test_avg_beyond_the_float_range_is_an_infinity():
+    cat = catalog(t=[{"g": 1, "v": 10 ** 400}, {"g": 2, "v": 10 ** 400},
+                     {"g": 2, "v": 1.0}, {"g": 3, "v": -10 ** 400}])
+    result = run("SELECT g, AVG(v) AS a FROM t GROUP BY g ORDER BY g", cat)
+    assert result.rows == [{"g": 1, "a": math.inf}, {"g": 2, "a": math.inf},
+                           {"g": 3, "a": -math.inf}]

@@ -246,6 +246,19 @@ def test_special_floats_are_counted_and_retract():
                  [10 ** 400, 0.5, -10 ** 400]).result() == 0.5
 
 
+def test_an_average_beyond_the_float_range_is_an_infinity():
+    # As for a sum: an exact int total over the count, rounded once, is
+    # the infinity of its sign when it leaves the float range.
+    assert added(("AVG", False, False), [10 ** 400]).result() == math.inf
+    assert added(("AVG", False, False),
+                 [-10 ** 400, 1]).result() == -math.inf
+    assert added(("AVG", False, False),
+                 [10 ** 400, 1.0]).result() == math.inf
+    assert added(("AVG", False, True), [10 ** 400]).result() == math.inf
+    assert added(("AVG", False, False),
+                 [10 ** 400, 3 - 10 ** 400]).result() == 1.5
+
+
 def test_extremes_rank_nan_above_every_number():
     values = [2.5, math.nan, -1, True]
     assert added(("MIN", False, False), values).result() == -1

@@ -4,7 +4,7 @@ coverage-based early termination, tombstones, and pruning."""
 import pytest
 
 from repro.errors import SnapshotNotFoundError
-from repro.state import IncrementalSnapshotTable
+from repro.state import IncrementalSnapshotTable, LsmSnapshotTable
 
 
 def make_table(parallelism=1, prune=8):
@@ -229,3 +229,17 @@ def test_cache_result_is_isolated_copy():
     state, _ = table.materialize_instance(1, 0)
     state["a"] = 999
     assert table.materialize_instance(1, 0)[0] == {"a": 1}
+
+
+@pytest.mark.parametrize("backend",
+                         [IncrementalSnapshotTable, LsmSnapshotTable])
+def test_a_write_replaces_what_a_read_before_it_reconstructed(backend):
+    # A version is read while its checkpoint is in flight (an index
+    # backfill does): the instance's later write for it must win.
+    table = backend("snapshot_op", 2, lambda i: 0)
+    table.write_instance(1, 0, {"k0": 1})
+    table.write_instance(1, 1, {"k1": 1})
+    table.write_instance(2, 0, {"k0": 2})
+    assert table.materialize_instance(2, 1)[0] == {"k1": 1}
+    table.write_instance(2, 1, {"k1": 2})
+    assert table.materialize_instance(2, 1)[0] == {"k1": 2}

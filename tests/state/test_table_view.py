@@ -1,7 +1,7 @@
 """Contract of :class:`repro.state.view.TableView`: whatever table family,
 backend and version binding is behind it, reads through the view equal
-the table's own per-version methods, and its declared capabilities say
-what the backend really implements."""
+the table's own per-version methods, and every backend serves the
+partition reads of a single-version view."""
 
 import pytest
 
@@ -98,31 +98,34 @@ def test_reads_equal_the_per_version_table_calls(backend, versions):
 
 @pytest.mark.parametrize("backend, versions", CASES)
 def test_declared_capabilities_match_the_backend(backend, versions):
+    """Whatever the backend, a single-version view serves the partition
+    reads, and a node's partitions bill what a read of the whole node
+    bills."""
     table = build(backend)
     view = TableView(table, versions)
-    single = versions is None or len(versions) == 1
     assert view.immutable is (versions is not None)
-    assert view.supports_partition_rows is (
-        single and hasattr(table, "rows_in_partition")
-    )
-    # One capability covers both derived families: a backend has the
-    # index reads exactly when it has the sketch reads.
-    assert view.supports_derived is (
-        single and hasattr(table, "index_probe_count")
-    ) is (single and hasattr(table, "approx_estimate"))
-    # Nothing was indexed or sketched, whatever the backend could do.
+    assert view.single_version is (versions is None or len(versions) == 1)
+    # Nothing was indexed or sketched.
     for family in FAMILIES:
         assert view.ready(family) is False
-    if not view.supports_partition_rows:
+    if not view.single_version:
         return
     args = () if versions is None else versions
-    for partition in view.partitions_on_node(NODES[0]):
-        assert view.partition_entry_count(partition) == \
-            table.partition_entry_count(partition, *args)
-        assert list(view.rows_in_partition(partition)) == \
-            list(table.rows_in_partition(partition, *args))
-        assert view.partition_key_bounds(partition) == \
-            table.partition_key_bounds(partition, *args)
+    for node in NODES:
+        partitions = view.partitions_on_node(node)
+        assert sum(map(view.partition_entry_count, partitions)) == \
+            view.entries_on_node(node)
+        assert view.scan_partitions(partitions).rows() == \
+            list(view.rows_on_node(node))
+        for partition in partitions:
+            rows = list(view.rows_in_partition(partition))
+            assert rows == list(table.rows_in_partition(partition, *args))
+            assert view.partition_entry_count(partition) == \
+                table.partition_entry_count(partition, *args)
+            keys = [row["key"] for row in rows]
+            assert view.partition_key_bounds(partition) == (
+                (min(keys), max(keys)) if keys else None
+            )
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
