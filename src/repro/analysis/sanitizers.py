@@ -6,9 +6,10 @@ the source; these sanitizers catch what only shows up at run time.
 :class:`~repro.env.Environment` — no behavioural change, pure
 detection:
 
-* **snapshot immutability** — a ``write_instance`` or ``drop_snapshot``
-  against an already-committed, still-queryable snapshot id is the
-  torn-read bug snapshot isolation promises away (§VII); optionally,
+* **snapshot immutability** — a ``write_instance``, ``drop_snapshot``
+  or ``abort`` against an already-committed, still-queryable snapshot
+  id is the torn-read bug snapshot isolation promises away (§VII);
+  optionally,
   content fingerprints taken at commit are re-checked at
   :meth:`SanitizerRuntime.verify` to catch in-place mutation that
   bypasses the store API (the shared-arrangements reader guarantee);
@@ -172,42 +173,41 @@ class SanitizerRuntime:
         if self.config.snapshot_fingerprints:
             store.add_commit_listener(self._fingerprint_commit)
 
+    #: The table calls that must not touch a committed, still
+    #: queryable version, and what each breaks.
+    _SNAPSHOT_MUTATIONS = {
+        "write_instance": "write to snapshot table {name!r} for committed "
+                          "ssid {ssid}: committed versions are immutable",
+        "drop_snapshot": "drop of snapshot {ssid} from {name!r} while it "
+                         "is still queryable (retire it first)",
+        "abort": "abort of snapshot {ssid} in {name!r} after it "
+                 "committed: committed versions are immutable",
+    }
+
     def _wrap_snapshot_table(self, name: str, table: object) -> None:
         # Tolerate partial table APIs (tests register minimal fakes):
         # guard whichever of the mutating methods the table exposes.
-        store = self.env.store
-        original_write = getattr(table, "write_instance", None)
-        original_drop = getattr(table, "drop_snapshot", None)
         set_hook = getattr(table, "set_mutation_hook", None)
         if set_hook is not None:
             set_hook(lambda family, message: self._record(
                 f"frozen-{family}", f"snapshot table {name!r}: {message}"
             ))
+        for method, message in self._SNAPSHOT_MUTATIONS.items():
+            original = getattr(table, method, None)
+            if original is not None:
+                setattr(table, method,
+                        self._guard_committed(original, message, name))
 
-        if original_write is not None:
-            def write_instance(ssid, *args, **kwargs):
-                if ssid in store.available_ssids():
-                    self._record(
-                        "snapshot-mutation",
-                        f"write to snapshot table {name!r} for "
-                        f"committed ssid {ssid}: committed versions "
-                        "are immutable",
-                    )
-                return original_write(ssid, *args, **kwargs)
+    def _guard_committed(self, original, message: str, name: str):
+        store = self.env.store
 
-            table.write_instance = write_instance  # type: ignore
+        def guarded(ssid, *args, **kwargs):
+            if ssid in store.available_ssids():
+                self._record("snapshot-mutation",
+                             message.format(name=name, ssid=ssid))
+            return original(ssid, *args, **kwargs)
 
-        if original_drop is not None:
-            def drop_snapshot(ssid):
-                if ssid in store.available_ssids():
-                    self._record(
-                        "snapshot-mutation",
-                        f"drop of snapshot {ssid} from {name!r} while "
-                        "it is still queryable (retire it first)",
-                    )
-                return original_drop(ssid)
-
-            table.drop_snapshot = drop_snapshot  # type: ignore
+        return guarded
 
     def _fingerprint_commit(self, ssid: int) -> None:
         store = self.env.store

@@ -163,10 +163,12 @@ class VanillaBackend:
         return offset
 
     def drop_snapshot(self, ssid: int) -> None:
-        stale = [key for key in self._blobs if key[1] == ssid]
+        """Retention: the blobs and offsets of ``ssid`` go, with those
+        an aborted older attempt left."""
+        stale = [key for key in self._blobs if key[1] <= ssid]
         for key in stale:
             del self._blobs[key]
-        stale_offsets = [key for key in self._offsets if key[1] == ssid]
+        stale_offsets = [key for key in self._offsets if key[1] <= ssid]
         for key in stale_offsets:
             del self._offsets[key]
 

@@ -178,8 +178,7 @@ class CheckpointCoordinator:
         ))
         self.completed += 1
         self._in_flight = None
-        retired = store.retire_snapshots(self.retained)
-        for old in retired:
+        for old in store.retire_snapshots(self.retained):
             self.job.backend.drop_snapshot(old)
 
     # -- recovery -----------------------------------------------------------
@@ -187,10 +186,9 @@ class CheckpointCoordinator:
     def abort_in_flight(self) -> None:
         """Abort the running checkpoint (node failure mid-protocol)."""
         if self._in_flight is not None:
-            ssid = self._in_flight.ssid
-            self.job.store.abort_snapshot(ssid)
-            # Purge partially-written snapshot data for the aborted id.
-            self.job.backend.drop_snapshot(ssid)
+            # The store has every snapshot table discard what the
+            # attempt wrote; writes landing later are refused.
+            self.job.store.abort_snapshot(self._in_flight.ssid)
             self._in_flight = None
 
     # -- metrics ------------------------------------------------------------

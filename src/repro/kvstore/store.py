@@ -231,15 +231,19 @@ class StateStore:
             listener(ssid)
 
     def abort_snapshot(self, ssid: int) -> None:
+        """The in-progress snapshot will not commit: every table
+        discards what it wrote."""
         if self._in_progress_ssid != ssid:
             raise StoreError(f"snapshot {ssid} was not in progress")
         self._in_progress_ssid = None
+        for table in self._snapshot_tables.values():
+            table.abort(ssid)
 
     def retire_snapshots(self, keep: int) -> list[int]:
         """Drop all but the ``keep`` most recent committed snapshot ids.
 
-        Returns the retired ids; the per-operator snapshot tables are
-        told to drop their data for those ids.
+        Returns the retired ids; every snapshot table stops serving
+        them (``drop_snapshot``).
         """
         if keep < 1:
             raise StoreError("must keep at least one snapshot")

@@ -1,16 +1,16 @@
-"""Immutable sorted runs (SSTables) of multi-versioned entries.
+"""Immutable runs (SSTables) of multi-versioned entries.
 
 An entry is ``(user_key, ssid, value)``; a deletion stores the
-:data:`TOMBSTONE` sentinel.  Entries are sorted by ``(user_key, -ssid)``
-so the newest version of a key comes first within its group — a point
-read at snapshot ``ssid`` is a binary search to the key group followed
-by a short forward walk.  User keys within one table must be mutually
-orderable (operator state keys are homogeneous in practice).
+:data:`TOMBSTONE` sentinel.  A run holds its entries newest version
+first and, within a version, in write order — the order a backward walk
+over per-checkpoint deltas visits them — and indexes each key's
+versions, newest first, so a point read at snapshot ``ssid`` is a dict
+probe followed by a short walk.  User keys need only be hashable.
 """
 
 from __future__ import annotations
 
-import bisect
+from operator import itemgetter
 from typing import Hashable, Iterator
 
 from .bloom import BloomFilter
@@ -30,20 +30,24 @@ Entry = tuple
 
 
 class SSTable:
-    """An immutable sorted run."""
+    """An immutable run."""
 
-    __slots__ = ("_entries", "_keys", "_bloom", "min_key", "max_key")
+    __slots__ = ("_entries", "_versions", "_bloom", "min_key", "max_key")
 
     def __init__(self, entries: list[Entry]) -> None:
-        # Sort by user key ascending, version descending.
-        self._entries = sorted(
-            entries, key=lambda e: (e[0], -e[1])
-        )
-        self._keys = [entry[0] for entry in self._entries]
-        distinct = {entry[0] for entry in self._entries}
-        self._bloom = BloomFilter(distinct)
-        self.min_key = self._entries[0][0] if self._entries else None
-        self.max_key = self._entries[-1][0] if self._entries else None
+        # Newest version first; a stable sort keeps write order within
+        # a version.
+        self._entries = sorted(entries, key=itemgetter(1), reverse=True)
+        #: key -> its (ssid, value) versions, newest first.
+        self._versions: dict[Hashable, list[tuple[int, object]]] = {}
+        for key, version, value in self._entries:
+            self._versions.setdefault(key, []).append((version, value))
+        self._bloom = BloomFilter(self._versions)
+        try:
+            self.min_key = min(self._versions)
+            self.max_key = max(self._versions)
+        except (ValueError, TypeError):  # empty, or keys that do not order
+            self.min_key = self.max_key = None
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -63,16 +67,11 @@ class SSTable:
         ``"newer_only"`` (the key exists here but only with versions
         above ``ssid`` — older runs must be searched), or ``"absent"``.
         """
-        index = bisect.bisect_left(self._keys, key)
         touched = 0
-        while index < len(self._entries):
-            ukey, version, value = self._entries[index]
-            if ukey != key:
-                break
+        for version, value in self._versions.get(key, ()):
             touched += 1
             if version <= ssid:
                 return "found", value, touched
-            index += 1
         if touched:
             return "newer_only", None, touched
         return "absent", None, 0
@@ -82,12 +81,4 @@ class SSTable:
 
     def versions_of(self, key: Hashable) -> list[tuple[int, object]]:
         """All stored (ssid, value) versions of ``key``, newest first."""
-        index = bisect.bisect_left(self._keys, key)
-        out = []
-        while index < len(self._entries):
-            ukey, version, value = self._entries[index]
-            if ukey != key:
-                break
-            out.append((version, value))
-            index += 1
-        return out
+        return list(self._versions.get(key, ()))

@@ -134,31 +134,25 @@ class LsmStore:
         return sorted(versions.items(), reverse=True)
 
     def scan_at(self, ssid: int) -> Iterator[tuple[Hashable, object]]:
-        """All live (key, value) pairs visible at snapshot ``ssid``.
+        """All live (key, value) pairs visible at snapshot ``ssid``, in
+        the order a backward walk over per-checkpoint deltas gives them:
+        newest version first, write order within a version.
 
         Touch accounting covers every version inspected — the read
         amplification a full reconstruction pays.
         """
-        best: dict[Hashable, tuple[int, object]] = {}
-        for (key, version), value in self._memtable.items():
+        by_version: dict[int, dict[Hashable, object]] = {}
+        for key, version, value in self._written():
             self.stats.entries_touched += 1
-            if version > ssid:
-                continue
-            current = best.get(key)
-            if current is None or version > current[0]:
-                best[key] = (version, value)
-        for run in self._runs():
-            for key, version, value in run.scan():
-                self.stats.entries_touched += 1
-                if version > ssid:
-                    continue
-                current = best.get(key)
-                if current is None or version > current[0]:
-                    best[key] = (version, value)
-        for key in sorted(best, key=repr):
-            version, value = best[key]
-            if value is not TOMBSTONE:
-                yield key, value
+            if version <= ssid:
+                by_version.setdefault(version, {})[key] = value
+        seen: set[Hashable] = set()
+        for version in sorted(by_version, reverse=True):
+            for key, value in by_version[version].items():
+                if key not in seen:
+                    seen.add(key)
+                    if value is not TOMBSTONE:
+                        yield key, value
 
     def scan_cost_at(self, ssid: int) -> int:
         """Entries a :meth:`scan_at` would touch (without touching)."""
@@ -172,6 +166,14 @@ class LsmStore:
         if self._l1 is not None:
             yield self._l1
 
+    def _written(self) -> Iterator[tuple[Hashable, int, object]]:
+        """Every stored entry, oldest run first and the memtable last:
+        each version's entries in the order they were written."""
+        for run in reversed(list(self._runs())):
+            yield from run.scan()
+        for (key, ssid), value in self._memtable.items():
+            yield key, ssid, value
+
     # -- compaction and GC ---------------------------------------------------
 
     def set_watermark(self, ssid: int | None) -> None:
@@ -181,49 +183,51 @@ class LsmStore:
 
     def compact(self) -> None:
         """Merge L0 + L1 into a fresh L1, dropping obsolete versions."""
-        sources = list(self._l0)
-        if self._l1 is not None:
-            sources.append(self._l1)
-        if not sources:
+        runs = list(self._runs())
+        if not runs:
             return
-        merged: dict[Hashable, list[tuple[int, object]]] = {}
-        total_in = 0
-        for run in sources:
-            for key, version, value in run.scan():
-                total_in += 1
-                merged.setdefault(key, []).append((version, value))
-        entries = []
-        dropped = 0
-        for key, versions in merged.items():
-            versions.sort(reverse=True)
-            kept = self._gc_versions(versions)
-            dropped += len(versions) - len(kept)
-            entries.extend((key, version, value)
-                           for version, value in kept)
+        # Oldest run first, so each version's entries keep write order.
+        merged = [entry for run in reversed(runs) for entry in run.scan()]
+        entries = self._drop_garbage(merged)
         self._l0 = []
         self._l1 = SSTable(entries)
         self.stats.compactions += 1
         self.stats.entries_rewritten += len(entries)
-        self.stats.entries_dropped += dropped
+        self.stats.entries_dropped += len(merged) - len(entries)
 
-    def _gc_versions(
-        self, versions: list[tuple[int, object]]
-    ) -> list[tuple[int, object]]:
-        """Keep versions above the watermark plus the newest one at or
-        below it (needed to reconstruct the watermark snapshot); a
-        tombstone in that anchor position disappears entirely."""
-        if self._watermark is None:
-            return versions
-        kept = [v for v in versions if v[0] > self._watermark]
-        anchors = [v for v in versions if v[0] <= self._watermark]
-        if anchors:
-            anchor = anchors[0]  # newest at-or-below the watermark
-            if anchor[1] is not TOMBSTONE or kept:
-                # A leading tombstone with nothing newer means the key
-                # is dead everywhere at and below the watermark.
-                if anchor[1] is not TOMBSTONE:
-                    kept.append(anchor)
-        return kept
+    def _drop_garbage(self, entries: list) -> list:
+        """Keep versions above the watermark plus each key's newest one
+        at or below it (needed to reconstruct the watermark snapshot);
+        a tombstone in that anchor position disappears entirely: the
+        key is dead everywhere at and below the watermark."""
+        watermark = self._watermark
+        if watermark is None:
+            return entries
+        anchor: dict[Hashable, int] = {}
+        for key, version, _ in entries:
+            if version <= watermark and version > anchor.get(key, version - 1):
+                anchor[key] = version
+        return [
+            (key, version, value) for key, version, value in entries
+            if version > watermark
+            or (version == anchor[key] and value is not TOMBSTONE)
+        ]
+
+    def discard(self, ssid: int) -> None:
+        """Remove every version written at ``ssid`` (an aborted
+        checkpoint's)."""
+        self._memtable = {
+            entry: value for entry, value in self._memtable.items()
+            if entry[1] != ssid
+        }
+        runs = [
+            SSTable([entry for entry in run.scan() if entry[1] != ssid])
+            for run in self._runs()
+        ]
+        if self._l1 is not None:
+            l1 = runs.pop()
+            self._l1 = l1 if len(l1) else None
+        self._l0 = [run for run in runs if len(run)]
 
     # -- introspection --------------------------------------------------------
 

@@ -17,8 +17,13 @@ once, over two storage hooks every table supplies:
 as :class:`~repro.state.view.TableView` passes it.
 :class:`SnapshotTableBase` adds what the snapshot backends share:
 placement, the node-local reads on top of
-:meth:`~SnapshotTableBase.materialize_instance`, and one
-:class:`~repro.kvstore.derived.VersionedRegistries` per family.
+:meth:`~SnapshotTableBase.materialize_instance`, one
+:class:`~repro.kvstore.derived.VersionedRegistries` per family, and the
+version lifecycle the store drives.  A version is served from its first
+instance write until the store aborts it (:meth:`~SnapshotTableBase.abort`:
+everything the attempt wrote goes) or retires it
+(:meth:`~SnapshotTableBase.drop_snapshot`: it stops being served, and
+the backend keeps what newer versions still read through).
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from typing import Callable, Hashable, Iterable, Iterator
 
 from ..approx.registry import SketchRegistry
 from ..cluster.partition import stable_hash
+from ..errors import SnapshotNotFoundError
 from ..kvstore.derived import DerivedRegistry, VersionedRegistries
 from ..kvstore.indexes import IndexRegistry
 from .rows import ColumnBatch, ColumnReader
@@ -164,13 +170,20 @@ class SnapshotTableBase(StateTable):
         self.column_reader = ColumnReader()
         #: Family name -> the family's per-version registries: rebuilt
         #: as a version's instance writes land, frozen at its commit,
-        #: dropped when the store retires it.
+        #: dropped when the version stops being served.
         self.derived: dict[str, VersionedRegistries] = {
             registry_class.family: VersionedRegistries(
                 registry_class, parallelism, self._entries_of
             )
             for registry_class in (IndexRegistry, SketchRegistry)
         }
+        #: The versions served, from their first instance write until
+        #: the store aborts or retires them.
+        self._served: set[int] = set()
+        #: ``(instance, ssid) -> (state, visited)``: reconstructions of
+        #: served versions, kept until the instance is written at or
+        #: before ``ssid``.
+        self._memo: dict[tuple[int, int], tuple[dict, int]] = {}
 
     def _entries_of(self, ssid: int, partition: int):
         return self.materialize_instance(ssid, partition)[0].items()
@@ -181,23 +194,70 @@ class SnapshotTableBase(StateTable):
     def _registry(self, family: str, ssid: int) -> DerivedRegistry | None:
         return self.derived[family].at(ssid)
 
-    # -- writes and retention ----------------------------------------------
+    # -- storage hooks ------------------------------------------------------
     #
-    # A backend stores an instance write, then calls up here: one
-    # signature for every backend (a full copy ignores ``deleted``).
+    # What a backend supplies: store a write, rebuild an instance (and
+    # what that bills), discard an aborted version, retire a version.
+
+    def _store(self, ssid: int, instance: int,
+               payload: dict[Hashable, object],
+               deleted: set[Hashable] | None) -> None:
+        raise NotImplementedError
+
+    def _rebuild(self, ssid: int, instance: int) -> tuple[dict, int]:
+        raise NotImplementedError
+
+    def _discard(self, ssid: int) -> None:
+        raise NotImplementedError
+
+    def _retire(self, ssid: int) -> None:
+        """Retirement beyond no longer serving ``ssid``: nothing unless
+        the backend reclaims storage."""
+
+    # -- the version lifecycle ----------------------------------------------
 
     def write_instance(self, ssid: int, instance: int,
                        payload: dict[Hashable, object],
                        deleted: set[Hashable] | None = None) -> None:
-        """Re-derive ``instance``'s partition of version ``ssid`` once
-        its entries landed."""
+        """Store ``instance``'s entries of version ``ssid`` (a full copy
+        ignores ``deleted``) and re-derive its partition."""
+        self._store(ssid, instance, payload, deleted)
+        self._served.add(ssid)
+        self._forget(instance, ssid)
         for holder in self.derived.values():
             holder.rebuild(ssid, instance)
 
+    def abort(self, ssid: int) -> None:
+        """The attempt ``ssid`` will not commit: discard what it wrote,
+        so no later version reads through it."""
+        self._leave(ssid)
+        self._discard(ssid)
+
     def drop_snapshot(self, ssid: int) -> None:
-        """Retention: the version's registries go with it."""
+        """Retention: stop serving ``ssid``."""
+        self._leave(ssid)
+        self._retire(ssid)
+
+    def _leave(self, ssid: int) -> None:
+        self._served.discard(ssid)
+        for cached in [cached for cached in self._memo if cached[1] == ssid]:
+            del self._memo[cached]
         for holder in self.derived.values():
             holder.drop(ssid)
+
+    def _forget(self, instance: int, since: int = 0) -> None:
+        """Drop ``instance``'s reconstructions at ``since`` and later:
+        read before a write that changes them landed."""
+        stale = [cached for cached in self._memo
+                 if cached[0] == instance and cached[1] >= since]
+        for cached in stale:
+            del self._memo[cached]
+
+    def available_ssids(self) -> list[int]:
+        return sorted(self._served)
+
+    def has_snapshot(self, ssid: int) -> bool:
+        return ssid in self._served
 
     def add_definition(self, registry_class: type[DerivedRegistry],
                        definition, retained: Iterable[int] = ()):
@@ -255,9 +315,15 @@ class SnapshotTableBase(StateTable):
                              instance: int) -> tuple[dict, int]:
         """One instance's state at ``ssid`` and the stored entries a
         scan visits to produce it; raises
-        :class:`~repro.errors.SnapshotNotFoundError` for an unknown id.
-        Readers must not mutate the returned state."""
-        raise NotImplementedError
+        :class:`~repro.errors.SnapshotNotFoundError` for a version not
+        served.  Readers must not mutate the returned state."""
+        if ssid not in self._served:
+            raise SnapshotNotFoundError(ssid)
+        built = self._memo.get((instance, ssid))
+        if built is None:
+            built = self._memo[(instance, ssid)] = self._rebuild(
+                ssid, instance)
+        return dict(built[0]), built[1]
 
     def _instances_at(self, ssid: int) -> Iterable[int]:
         """Instances a scan of ``ssid`` visits, in scan order."""
@@ -298,10 +364,11 @@ class SnapshotTableBase(StateTable):
 
     def entries_on_node(self, node_id: int, ssid: int) -> int:
         """Stored entries a node-local scan of ``ssid`` must visit."""
-        entries = 0
-        for _, visited in self._on_node(node_id, ssid):
-            entries += visited
-        return entries
+        return sum(
+            self.partition_entry_count(instance, ssid)
+            for instance in self._instances_at(ssid)
+            if self._node_of_instance(instance) == node_id
+        )
 
     def row_count_on_node(self, node_id: int, ssid: int) -> int:
         """Result rows a node-local scan produces (== entries for full
@@ -326,16 +393,3 @@ class SnapshotTableBase(StateTable):
     def on_node_failure(self, node_id: int) -> None:
         """Committed snapshots survive via synchronous replicas."""
 
-
-def forget_reconstructions(cache: dict, instance: int, ssid: int,
-                           keep: int) -> None:
-    """Drop the memoised ``(instance, version)`` reconstructions a write
-    of ``instance`` at ``ssid`` stales — those at ``ssid`` and later,
-    read before it landed — and those ``keep`` or more ids older."""
-    stale = [
-        cached for cached in cache
-        if cached[0] == instance
-        and (cached[1] >= ssid or cached[1] <= ssid - keep)
-    ]
-    for cached in stale:
-        del cache[cached]

@@ -23,8 +23,7 @@ from __future__ import annotations
 
 from typing import Callable, Hashable
 
-from ..errors import SnapshotNotFoundError
-from .base import SnapshotTableBase, forget_reconstructions
+from .base import SnapshotTableBase
 
 
 class _Tombstone:
@@ -47,19 +46,32 @@ class _InstanceChain:
         self.deltas: dict[int, dict[Hashable, object]] = {}
         #: ssids that are compacted bases (full copies).
         self.bases: set[int] = set()
-        #: key -> ssid of first appearance (drives coverage counting).
-        self.first_seen: dict[Hashable, int] = {}
+        #: The keys live after the newest delta (drives coverage).
+        self.keys: set[Hashable] = set()
         #: ssid -> number of distinct keys known at that snapshot.
         self.coverage: dict[int, int] = {}
+
+    def recount(self) -> None:
+        """Recompute the key coverage from the deltas left (after an
+        aborted one is removed)."""
+        self.keys = set()
+        self.coverage = {}
+        for version in sorted(self.deltas):
+            for key, value in self.deltas[version].items():
+                if value is TOMBSTONE:
+                    self.keys.discard(key)
+                else:
+                    self.keys.add(key)
+            self.coverage[version] = len(self.keys)
 
 
 class IncrementalSnapshotTable(SnapshotTableBase):
     """Snapshot state of one operator, incremental mode.
 
     A partition read reconstructs the instance and bills the entries
-    the walk visits.  Retiring a version drops its registries only:
-    newer versions reconstruct through its deltas, so those go with
-    :meth:`maybe_prune`."""
+    the walk visits.  Aborting a version removes its deltas; retiring
+    one keeps them, since newer versions reconstruct through them, so
+    those go with :meth:`maybe_prune`."""
 
     def __init__(self, name: str, parallelism: int,
                  node_of_instance: Callable[[int], int],
@@ -67,13 +79,7 @@ class IncrementalSnapshotTable(SnapshotTableBase):
         super().__init__(name, parallelism, node_of_instance)
         self._prune_chain_length = prune_chain_length
         self._chains: dict[int, _InstanceChain] = {}
-        self._ssids: list[int] = []
         self.compactions = 0
-        # A version's reconstruction is fixed once its write landed, so
-        # it can be memoised; bounded to the most recent ids per
-        # instance.
-        self._cache: dict[tuple[int, int], tuple[dict, int]] = {}
-        self._cache_keep = 4
 
     def _chain(self, instance: int) -> _InstanceChain:
         chain = self._chains.get(instance)
@@ -82,48 +88,36 @@ class IncrementalSnapshotTable(SnapshotTableBase):
             self._chains[instance] = chain
         return chain
 
-    # -- writes ------------------------------------------------------------
+    # -- storage -----------------------------------------------------------
 
-    def write_instance(self, ssid: int, instance: int,
-                       payload: dict[Hashable, object],
-                       deleted: set[Hashable] | None = None) -> None:
+    def _store(self, ssid: int, instance: int,
+               payload: dict[Hashable, object],
+               deleted: set[Hashable] | None) -> None:
         """Record one instance's delta for checkpoint ``ssid``."""
         chain = self._chain(instance)
         delta: dict[Hashable, object] = dict(payload)
         for key in deleted or ():
             delta[key] = TOMBSTONE
         chain.deltas[ssid] = delta
-        for key in payload:
-            chain.first_seen.setdefault(key, ssid)
-        for key in deleted or ():
-            # A deleted key no longer counts towards coverage.
-            chain.first_seen.pop(key, None)
-        chain.coverage[ssid] = len(chain.first_seen)
-        if ssid not in self._ssids:
-            self._ssids.append(ssid)
-        forget_reconstructions(self._cache, instance, ssid, self._cache_keep)
-        super().write_instance(ssid, instance, payload, deleted)
+        chain.keys.update(payload)
+        # A deleted key no longer counts towards coverage.
+        chain.keys.difference_update(deleted or ())
+        chain.coverage[ssid] = len(chain.keys)
+
+    def _discard(self, ssid: int) -> None:
+        for chain in self._chains.values():
+            if chain.deltas.pop(ssid, None) is not None:
+                chain.bases.discard(ssid)
+                chain.recount()
 
     # -- reconstruction ----------------------------------------------------
 
-    def available_ssids(self) -> list[int]:
-        return sorted(self._ssids)
-
-    def has_snapshot(self, ssid: int) -> bool:
-        return ssid in self._ssids
-
-    def materialize_instance(self, ssid: int,
-                             instance: int) -> tuple[dict, int]:
+    def _rebuild(self, ssid: int, instance: int) -> tuple[dict, int]:
         """Reconstruct one instance's state at ``ssid``.
 
         Returns ``(state, entries_scanned)`` where the scan count is the
         true backward-walk cost used for query timing.
         """
-        if ssid not in self._ssids:
-            raise SnapshotNotFoundError(ssid)
-        cached = self._cache.get((instance, ssid))
-        if cached is not None:
-            return dict(cached[0]), cached[1]
         chain = self._chains.get(instance)
         if chain is None:
             return {}, 0
@@ -147,7 +141,6 @@ class IncrementalSnapshotTable(SnapshotTableBase):
                 break
             if len(result) >= target:
                 break
-        self._cache[(instance, ssid)] = (dict(result), scanned)
         return result, scanned
 
     @staticmethod
@@ -194,20 +187,13 @@ class IncrementalSnapshotTable(SnapshotTableBase):
             chain.bases.add(committed_ssid)
             chain.coverage[committed_ssid] = len(state)
             pruned = True
-            # Walk costs changed: drop this instance's memoised results.
-            stale_cache = [
-                key for key in self._cache if key[0] == instance
-            ]
-            for key in stale_cache:
-                del self._cache[key]
+            # Walk costs changed: drop this instance's reconstructions.
+            self._forget(instance)
         if pruned:
             self.compactions += 1
-            live = set()
-            for chain in self._chains.values():
-                live.update(chain.deltas)
-            self._ssids = [s for s in self._ssids if s in live]
-            if committed_ssid not in self._ssids:
-                self._ssids.append(committed_ssid)
+            # Older versions no longer reconstruct.
+            for version in [v for v in self._served if v < committed_ssid]:
+                self._leave(version)
         return pruned
 
     def total_entries(self) -> int:

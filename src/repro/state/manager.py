@@ -67,6 +67,11 @@ class SQueryBackend(VanillaBackend):
         return self.config.snapshot_state and self.config.incremental
 
     @property
+    def _chained(self) -> bool:
+        """Incremental snapshots kept as delta chains (not LSM runs)."""
+        return self.incremental and self.config.incremental_backend == "chain"
+
+    @property
     def retained_snapshots(self) -> int:
         return self.config.retained_snapshots
 
@@ -196,8 +201,7 @@ class SQueryBackend(VanillaBackend):
             )
             return
         per_entry = costs.store_entry_ms + costs.squery_snapshot_entry_ms
-        if self.config.incremental and \
-                self.config.incremental_backend == "chain":
+        if self._chained:
             # Chain maintenance pays per-entry version-index housekeeping
             # up front; the LSM backend amortises it into background
             # compaction instead (append-only writes).
@@ -206,7 +210,10 @@ class SQueryBackend(VanillaBackend):
         server = self._cluster.node(node_id).store_server(instance)
 
         def finish() -> None:
-            table.write_instance(ssid, instance, payload, deleted)
+            # Ssids are never reused: a write for any other id belongs
+            # to an attempt the store aborted.
+            if ssid == self.store.in_progress_ssid:
+                table.write_instance(ssid, instance, payload, deleted)
             on_done()
 
         submit_chunked_write(
@@ -238,13 +245,8 @@ class SQueryBackend(VanillaBackend):
         if live is not None:
             live.replace_partition(instance, {})
 
-    def drop_snapshot(self, ssid: int) -> None:
-        super().drop_snapshot(ssid)
-        for table in self.snapshot_tables.values():
-            table.drop_snapshot(ssid)
-
     def on_commit(self, ssid: int) -> None:
-        if not self.incremental:
+        if not self._chained:
             return
         # Compact only up to the oldest snapshot that retention will
         # keep: every still-queryable id must stay reconstructable, so

@@ -4,8 +4,9 @@ Each stateful operator gets one snapshot table holding complete copies
 of its keyed state per snapshot id.  With the paper's default retention
 of two versions, memory stays constant: a newly committed snapshot
 overwrites the older of the two (the store drives this through
-``drop_snapshot``).  Committed snapshots are replicated synchronously
-during the 2PC, so they survive node failures.
+``drop_snapshot``, and drops an aborted attempt's copies through
+``abort``).  Committed snapshots are replicated synchronously during
+the 2PC, so they survive node failures.
 """
 
 from __future__ import annotations
@@ -27,25 +28,19 @@ class FullSnapshotTable(SnapshotTableBase):
         #: ssid -> instance -> {key: state object}
         self._by_ssid: dict[int, dict[int, dict[Hashable, object]]] = {}
 
-    # -- writes ---------------------------------------------------------
+    # -- storage ----------------------------------------------------------
 
-    def write_instance(self, ssid: int, instance: int,
-                       payload: dict[Hashable, object],
-                       deleted: set[Hashable] | None = None) -> None:
+    def _store(self, ssid: int, instance: int,
+               payload: dict[Hashable, object],
+               deleted: set[Hashable] | None) -> None:
         self._by_ssid.setdefault(ssid, {})[instance] = dict(payload)
-        super().write_instance(ssid, instance, payload, deleted)
 
-    def drop_snapshot(self, ssid: int) -> None:
+    def _discard(self, ssid: int) -> None:
         self._by_ssid.pop(ssid, None)
-        super().drop_snapshot(ssid)
+
+    _retire = _discard
 
     # -- reads ----------------------------------------------------------
-
-    def available_ssids(self) -> list[int]:
-        return sorted(self._by_ssid)
-
-    def has_snapshot(self, ssid: int) -> bool:
-        return ssid in self._by_ssid
 
     def _version(self, ssid: int) -> dict[int, dict[Hashable, object]]:
         snapshot = self._by_ssid.get(ssid)
@@ -59,6 +54,7 @@ class FullSnapshotTable(SnapshotTableBase):
 
     def materialize_instance(self, ssid: int,
                              instance: int) -> tuple[dict, int]:
+        # A full copy needs no rebuild: it is read in place.
         state = self._version(ssid).get(instance, {})
         return state, len(state)
 

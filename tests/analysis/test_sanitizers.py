@@ -57,6 +57,22 @@ def test_drop_of_queryable_snapshot_raises():
         table.drop_snapshot(1)
 
 
+def test_abort_of_committed_snapshot_raises():
+    env = armed_env()
+    table = commit_snapshot_with_table(env)
+    with pytest.raises(SanitizerError, match="after it committed"):
+        table.abort(1)
+
+
+def test_aborting_an_in_progress_snapshot_is_fine():
+    env = armed_env()
+    table = commit_snapshot_with_table(env, ssid=1)
+    env.store.begin_snapshot(2)
+    table.write_instance(2, 0, {"a": 7.0})
+    env.store.abort_snapshot(2)
+    assert table.available_ssids() == [1]
+
+
 def test_retired_snapshot_can_be_dropped():
     env = armed_env()
     table = commit_snapshot_with_table(env, ssid=1)

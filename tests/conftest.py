@@ -119,6 +119,14 @@ def build_average_job(env, backend=None, rate=2000.0, keys=40,
     ), backend)
 
 
+#: ``make_squery_backend`` overrides of each snapshot backend.
+SNAPSHOT_BACKENDS = {
+    "full": {},
+    "chain": {"incremental": True},
+    "lsm": {"incremental": True, "incremental_backend": "lsm"},
+}
+
+
 def make_squery_backend(env, **overrides):
     config = SQueryConfig(**overrides) if overrides else SQueryConfig()
     return SQueryBackend(env.cluster, env.store, config)

@@ -67,3 +67,11 @@ def test_empty_sstable():
     assert len(table) == 0
     assert table.min_key is None
     assert table.get(1, 1) == ("absent", None, 0)
+
+
+def test_sstable_keeps_write_order_within_a_version_for_any_key():
+    table = SSTable([("b", 1, 1), (2, 2, 2), ("a", 1, 3), (2, 1, 4)])
+    assert table.entries == [(2, 2, 2), ("b", 1, 1), ("a", 1, 3),
+                             (2, 1, 4)]
+    assert table.get(2, 1) == ("found", 4, 2)
+    assert table.min_key is None  # 2 and "a" do not order

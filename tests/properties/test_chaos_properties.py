@@ -6,11 +6,15 @@ a mixed stream of live, snapshot, and repeatable-read queries fires
 throughout.  Whatever interleaving the seed produces, the end state
 must satisfy the chaos invariants: every query terminated (result or
 clean error) within the watchdog bound, the lock table drained, and no
-in-flight bookkeeping survived.
+in-flight bookkeeping survived.  The job is bounded, and on every
+snapshot backend its final state must equal a failure-free run's
+(exactly-once through every rollback).
 
 The seeds are fixed — not drawn per run — so CI is deterministic and a
 failure reproduces exactly.
 """
+
+from functools import cache
 
 import pytest
 
@@ -20,7 +24,9 @@ from repro.config import ClusterConfig, CostModel, QueryRetryPolicy
 from repro.errors import QueryError
 from repro.query import QueryService
 
-from ..conftest import build_average_job, make_squery_backend
+from ..conftest import (
+    SNAPSHOT_BACKENDS as BACKENDS, build_average_job, make_squery_backend,
+)
 
 QUERY_TIMEOUT_MS = 2_000.0
 
@@ -31,17 +37,33 @@ SQL_MIX = [
     'SELECT * FROM "average" WHERE key = 3',
 ]
 
+HORIZON_MS = 4_000.0 + QUERY_TIMEOUT_MS + 1_000.0
 
-@pytest.mark.parametrize("seed", [3, 11, 29])
-def test_random_chaos_preserves_invariants(seed):
+
+def start_job(kind):
     env = Environment(
         ClusterConfig(nodes=4, processing_workers_per_node=2),
         costs=CostModel(scan_entry_ms=0.02),
     )
-    backend = make_squery_backend(env)
+    backend = make_squery_backend(env, **BACKENDS[kind])
     job = build_average_job(env, backend=backend, rate=4000, keys=300,
-                            parallelism=4, checkpoint_interval_ms=500)
+                            parallelism=4, checkpoint_interval_ms=500,
+                            limit_per_instance=2_000)
     job.start()
+    return env, job
+
+
+@cache
+def failure_free_state(kind):
+    env, job = start_job(kind)
+    env.run_until(HORIZON_MS)
+    return job.operator_state("average")
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_random_chaos_preserves_invariants(seed, kind):
+    env, job = start_job(kind)
     env.run_until(1_500)  # at least one committed snapshot
 
     services = [
@@ -70,11 +92,13 @@ def test_random_chaos_preserves_invariants(seed):
 
     # Run past the chaos horizon plus a full watchdog period: by then
     # every query must have reached a terminal state.
-    env.run_until(4_000.0 + QUERY_TIMEOUT_MS + 1_000.0)
+    env.run_until(HORIZON_MS)
 
     assert executions, "workload generated no queries"
     assert chaos.kills_executed >= 1
     assert_invariants(env, executions)
+    assert job.all_sources_exhausted()
+    assert job.operator_state("average") == failure_free_state(kind)
 
     for execution in executions:
         assert execution.done

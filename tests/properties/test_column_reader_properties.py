@@ -313,8 +313,8 @@ def build(values):
     """``values`` as live state and, per snapshot backend, as two
     committed versions (the first holds every other entry only), each
     table with a sorted index and a sketch declared before its first
-    write.  An instance writes its entries in the order an LSM run
-    holds them (by ``repr``), so every backend scans one order."""
+    write.  Entries are written in key order; every backend rebuilds
+    an instance in write order, so all of them scan one order."""
     env = Environment(ClusterConfig(nodes=NODES,
                                     processing_workers_per_node=1))
     imap = env.store.create_map("data")
@@ -334,7 +334,7 @@ def build(values):
         for name in SNAPSHOT_BACKENDS:
             table = tables[name]
             instances = {instance: {} for instance in range(parallelism)}
-            for key in sorted(range(0, len(values), step), key=repr):
+            for key in range(0, len(values), step):
                 instances[table.partition_of_key(key)][key] = values[key]
             for instance, entries in instances.items():
                 table.write_instance(ssid, instance, entries)

@@ -4,7 +4,9 @@ puts, deletes, and snapshots."""
 
 from hypothesis import given, settings, strategies as st
 
-from repro.state import FullSnapshotTable, IncrementalSnapshotTable
+from repro.state import (
+    FullSnapshotTable, IncrementalSnapshotTable, LsmSnapshotTable,
+)
 
 
 #: An operation: (key, value) put, or (key, None) delete.
@@ -108,3 +110,63 @@ def test_scan_cost_bounded_by_total_entries(trace, checkpoints):
     for ssid in reference:
         _, scanned = table.materialize_instance(ssid, 0)
         assert scanned <= table.total_entries()
+
+
+@settings(max_examples=80)
+@given(operations, boundaries, st.lists(st.booleans(), max_size=8),
+       st.integers(min_value=1, max_value=4))
+def test_chain_and_lsm_serve_one_history_in_one_order(
+        trace, checkpoints, aborts, prune_at):
+    """Checkpoints commit or abort (after writing a stray delta), keep-2
+    retention retires and prunes as a job does, and the LSM compacts
+    on every flush: both backends serve the committed versions only,
+    each equal to the reference state, in one row order."""
+    chain = IncrementalSnapshotTable("c", 1, lambda i: 0,
+                                     prune_chain_length=prune_at)
+    lsm = LsmSnapshotTable("l", 1, lambda i: 0, memtable_limit=3,
+                           l0_compaction_threshold=1)
+    tables = (chain, lsm)
+    reference = {}
+    state = {}
+    dirty = {}
+    deleted = set()
+    ssid = 0
+    position = 0
+    retained = []
+    for index, chunk in enumerate(checkpoints):
+        for key, value in trace[position:position + chunk]:
+            if value is None:
+                if key in state:
+                    del state[key]
+                    dirty.pop(key, None)
+                    deleted.add(key)
+            else:
+                state[key] = value
+                dirty[key] = value
+                deleted.discard(key)
+        position += chunk
+        ssid += 1
+        if index < len(aborts) and aborts[index]:
+            stray = {key: -1 for key in list(state)[1:]} | {99: -1}
+            for table in tables:
+                table.write_instance(ssid, 0, stray, set(list(state)[:1]))
+                table.abort(ssid)
+            ssid += 1
+        for table in tables:
+            table.write_instance(ssid, 0, dict(dirty), set(deleted))
+        dirty.clear()
+        deleted.clear()
+        reference[ssid] = dict(state)
+        retained.append(ssid)
+        if len(retained) > 2:
+            chain.maybe_prune(retained[-2])
+            for table in tables:
+                table.drop_snapshot(retained[0])
+            del retained[0]
+    for ssid in retained:
+        rebuilt = [list(table.materialize_instance(ssid, 0)[0].items())
+                   for table in tables]
+        assert rebuilt[0] == rebuilt[1]
+        assert dict(rebuilt[0]) == reference[ssid]
+    for table in tables:
+        assert table.available_ssids() == retained

@@ -103,12 +103,6 @@ def test_multi_version_rows():
     assert [(r["ssid"], r["value"]) for r in rows] == [(1, 1), (2, 2)]
 
 
-def test_maybe_prune_is_noop():
-    table = make_table()
-    table.write_instance(1, 0, {"a": 1})
-    assert table.maybe_prune(1) is False
-
-
 def test_job_with_lsm_backend_end_to_end(env):
     backend = make_squery_backend(env, incremental=True,
                                   incremental_backend="lsm")

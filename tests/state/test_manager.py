@@ -61,6 +61,7 @@ def test_colocation_disabled_raises_mirror_cost(env):
 def test_snapshot_write_lands_in_table(env):
     backend = make_squery_backend(env)
     backend.register_vertex("op", 2, lambda i: 0, True)
+    env.store.begin_snapshot(1)
     done = []
     backend.write_snapshot("op", 0, 0, 1, {"a": 1}, set(),
                            lambda: done.append(True))
@@ -73,6 +74,7 @@ def test_snapshot_write_lands_in_table(env):
 def test_restore_refreshes_live_partition(env):
     backend = make_squery_backend(env)
     backend.register_vertex("op", 2, lambda i: 0, True)
+    env.store.begin_snapshot(1)
     backend.write_snapshot("op", 0, 0, 1, {"a": "snap"}, set(),
                            lambda: None)
     env.sim.run()
@@ -93,8 +95,12 @@ def test_incremental_flag_requires_snapshot_state(env):
 def test_incremental_mode_writes_deltas(env):
     backend = make_squery_backend(env, incremental=True)
     backend.register_vertex("op", 1, lambda i: 0, True)
+    env.store.begin_snapshot(1)
     backend.write_snapshot("op", 0, 0, 1, {"a": 1, "b": 1}, set(),
                            lambda: None)
+    env.sim.run()
+    env.store.commit_snapshot(1)
+    env.store.begin_snapshot(2)
     backend.write_snapshot("op", 0, 0, 2, {"a": 2}, {"b"}, lambda: None)
     env.sim.run()
     table = backend.snapshot_table("op")
@@ -110,13 +116,35 @@ def test_snapshot_disabled_falls_back_to_blobs(env):
     assert backend.restore_instance_state("op", 0, 1) == {"a": 1}
 
 
-def test_drop_snapshot_cascades_to_tables(env):
+def commit_one_write(env, backend, ssid):
+    env.store.begin_snapshot(ssid)
+    backend.write_snapshot("op", 0, 0, ssid, {"a": ssid}, set(),
+                           lambda: None)
+    env.sim.run()
+    env.store.commit_snapshot(ssid)
+
+
+def test_store_retirement_drops_table_versions(env):
     backend = make_squery_backend(env)
     backend.register_vertex("op", 1, lambda i: 0, True)
-    backend.write_snapshot("op", 0, 0, 1, {"a": 1}, set(), lambda: None)
+    for ssid in (1, 2):
+        commit_one_write(env, backend, ssid)
+    assert env.store.retire_snapshots(keep=1) == [1]
+    assert backend.snapshot_table("op").available_ssids() == [2]
+
+
+def test_a_write_landing_after_its_abort_is_refused(env):
+    backend = make_squery_backend(env)
+    backend.register_vertex("op", 1, lambda i: 0, True)
+    commit_one_write(env, backend, 1)
+    env.store.begin_snapshot(2)
+    done = []
+    backend.write_snapshot("op", 0, 0, 2, {"a": 2}, set(),
+                           lambda: done.append(True))
+    env.store.abort_snapshot(2)
     env.sim.run()
-    backend.drop_snapshot(1)
-    assert not backend.snapshot_table("op").has_snapshot(1)
+    assert done == [True]
+    assert backend.snapshot_table("op").available_ssids() == [1]
 
 
 def test_retained_snapshots_from_config(env):
