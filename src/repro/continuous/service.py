@@ -26,13 +26,15 @@ Glues the subsystem together:
 * replays a consistent rollback notification to every live subscriber
   after node-failure recovery (the push analogue of Fig. 5c).
 
-``shared_plans=False`` is the ablation baseline: every subscription
-gets a private plan with no residual extraction — exactly the pre-dedup
-per-subscriber maintenance, with bit-identical delivered results.
+A query service built with ``shared_plans=False`` gives the ablation
+baseline: every subscription gets a private plan with no residual
+extraction — exactly the pre-dedup per-subscriber maintenance, with
+bit-identical delivered results.
 
 Usage goes through :meth:`repro.query.service.QueryService.subscribe`,
 which lazily creates one ``ContinuousQueryService`` per environment at
-``env.continuous``.
+``env.continuous``, bound to that query service: its rescans run there,
+and its ``shared_plans_enabled`` is the plan-dedup gate.
 """
 
 from __future__ import annotations
@@ -73,17 +75,15 @@ from .standing import (
 class ContinuousQueryService:
     """Standing SQL subscriptions over one environment's state store."""
 
-    def __init__(self, env, query_service=None,
-                 shared_plans: bool = True) -> None:
+    def __init__(self, env, query_service) -> None:
         self.env = env
         self.sim = env.sim
         self.cluster = env.cluster
         self.store = env.store
         self.costs = env.costs
-        self._query_service = query_service
-        #: Plan-dedup gate; off is the per-subscription ablation
-        #: baseline.
-        self.shared_plans = shared_plans
+        #: Runs the rescans; its ``shared_plans_enabled`` is the
+        #: plan-dedup gate (off: the per-subscription ablation baseline).
+        self.query_service = query_service
         self.recorder = ChangeRecorder(
             clock=lambda: env.sim.now,
             node_count=len(env.cluster.nodes),
@@ -134,19 +134,20 @@ class ContinuousQueryService:
         the shared-plan decision it would make."""
         statement = self._parse(sql)
         self._validate_tables(statement)
+        shared = self.query_service.shared_plans_enabled
         path, reason = classify(statement, self.store)
         canonical = canonicalize(statement, self.store,
-                                 extract_residual=self.shared_plans)
+                                 extract_residual=shared)
         residual = (canonical.residual_display
                     if canonical.has_residual else "none")
         lines = [
             f"path: {path}",
             f"reason: {reason}",
-            f"shared plans: {'on' if self.shared_plans else 'off'}",
+            f"shared plans: {'on' if shared else 'off'}",
             f"plan fingerprint: {canonical.fingerprint}",
             f"residual filter: {residual}",
         ]
-        if self.shared_plans:
+        if shared:
             existing = self.plans.get(canonical.fingerprint)
             if existing is not None:
                 lines.append(
@@ -183,8 +184,9 @@ class ContinuousQueryService:
         self._validate_tables(statement)
         for select in getattr(statement, "branches", (statement,)):
             check_output_names(select)
+        shared = self.query_service.shared_plans_enabled
         canonical = canonicalize(statement, self.store,
-                                 extract_residual=self.shared_plans)
+                                 extract_residual=shared)
         entry_node = self._next_entry_node()
         if subscriber_node is None:
             subscriber_node = entry_node
@@ -246,8 +248,7 @@ class ContinuousQueryService:
     # -- wiring ------------------------------------------------------------
 
     def _parse(self, sql: str):
-        return parse_cached(sql,
-                            self._ensure_query_service().statement_cache)
+        return parse_cached(sql, self.query_service.statement_cache)
 
     def _validate_tables(self, statement) -> None:
         for name in statement.table_names():
@@ -262,7 +263,8 @@ class ContinuousQueryService:
         return node
 
     def _plan_for(self, canonical: CanonicalPlan, sql: str) -> SharedPlan:
-        key = (canonical.fingerprint if self.shared_plans
+        key = (canonical.fingerprint
+               if self.query_service.shared_plans_enabled
                else f"{canonical.fingerprint}/{self._next_id}")
         plan = self.plans.get(key)
         if plan is not None:
@@ -687,12 +689,6 @@ class ContinuousQueryService:
 
     # -- rescan path ---------------------------------------------------------
 
-    def _ensure_query_service(self):
-        if self._query_service is None:
-            from ..query.service import QueryService
-            self._query_service = QueryService(self.env)
-        return self._query_service
-
     def _start_rescan(self, plan: SharedPlan) -> None:
         if plan.rescan_in_flight:
             return
@@ -700,8 +696,7 @@ class ContinuousQueryService:
         plan.standing.dirty = False
         plan.standing.rescans += 1
         self.rescans_run += 1
-        service = self._ensure_query_service()
-        service.submit(
+        self.query_service.submit(
             plan.sql,
             on_done=lambda execution: self._rescan_done(plan, execution),
         )

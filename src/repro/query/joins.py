@@ -71,6 +71,20 @@ class JoinPlan:
     #: index-nested-loop build tables — read through the index mid-join
     #: instead of scanned.
     excluded: frozenset = frozenset()
+    #: What each join of the statement runs as (``"central"`` for every
+    #: one when the statement joins centrally).
+    strategies: tuple[str, ...] = ()
+
+
+#: The ``QueryExecution`` counter of each strategy in
+#: ``JoinPlan.strategies``.
+JOIN_COUNTERS = {
+    "copartitioned": "joins_copartitioned",
+    "broadcast": "joins_broadcast",
+    "shuffle": "joins_shuffle",
+    "index-nested-loop": "joins_index_nested",
+    "central": "joins_central",
+}
 
 
 # -- strategy selection ------------------------------------------------------
@@ -124,21 +138,28 @@ def _index_kind_for(service, step: JoinFragment, view,
     return view.index_columns().get(column)
 
 
-def choose_join_strategies(service, select: Select, plan, views):
-    """Per-step strategy choices, or why the statement must run its
-    joins centrally (all-versions reads always do: they have no
-    distributed plan).  ``views`` binds every table to the version it
-    reads."""
+def plan_distributed_joins(service, select, pushdown,
+                           views) -> JoinPlan | None:
+    """Decide how a statement's joins run — the plan its execution
+    follows and ``explain`` prints: per-step strategy choices, or why
+    the joins run centrally (all-versions reads always do: they have no
+    ``pushdown`` plan); ``None`` when it joins nothing.  ``views`` bind
+    every table to the version it reads."""
+    if not isinstance(select, Select) or not select.joins:
+        return None
+    central = ("central",) * len(select.joins)
     if not service.distributed_joins_enabled:
-        return "distributed joins disabled"
+        return JoinPlan(central="distributed joins disabled",
+                        strategies=central)
     steps = join_fragments(select)
-    if plan is None or plan.partial is not None or steps is None:
-        return "statement not eligible for distributed join execution"
+    if pushdown is None or pushdown.partial is not None or steps is None:
+        return JoinPlan(central="statement not eligible for distributed "
+                        "join execution", strategies=central)
     nodes = service.cluster.surviving_node_ids()
     costs = service.costs
     base_name = select.table.name
     base_binding = select.table.binding
-    base_fragment = plan.fragments.get(base_name)
+    base_fragment = pushdown.fragments.get(base_name)
     base_view = views[base_name]
     left_rows, _ = _estimate_rows(service, base_view, base_fragment)
     left_bytes = _row_width_bytes(costs, base_fragment)
@@ -151,7 +172,7 @@ def choose_join_strategies(service, select: Select, plan, views):
     paths: list[JoinPath] = []
     for step in steps:
         right_view = views[step.table]
-        fragment = plan.fragments.get(step.table)
+        fragment = pushdown.fragments.get(step.table)
         right_rows, source = _estimate_rows(service, right_view,
                                             fragment)
         aligned_binding = partition_aligned_binding(step)
@@ -190,43 +211,15 @@ def choose_join_strategies(service, select: Select, plan, views):
             aligned.clear()
         left_rows = max(left_rows, right_rows)
         left_bytes += _row_width_bytes(costs, fragment)
-    return steps, tuple(paths)
-
-
-def plan_distributed_joins(service, record) -> JoinPlan | None:
-    """Decide how a query's joins run — the plan its execution follows
-    and ``explain`` prints — and update the strategy counters; ``None``
-    when the statement joins nothing (or runs as pure load)."""
-    execution = record.execution
-    select = record.select
-    if not isinstance(select, Select) or not select.joins:
-        return None
-    if not execution.materialize:
-        return None
-    chosen = choose_join_strategies(
-        service, select, record.plan, record.views
-    )
-    if isinstance(chosen, str):
-        plan = JoinPlan(central=chosen)
-    elif any(path.strategy == "central" for path in chosen[1]):
+    paths = tuple(paths)
+    strategies = tuple(path.strategy for path in paths)
+    if "central" in strategies:
         # One central step makes the whole statement central: the entry
         # node needs every table's rows anyway, so a mixed pipeline
         # would only add stages without saving shipping.
-        plan = JoinPlan(*chosen, central="a step priced central, so the "
-                        "entry node needs every table anyway")
-    else:
-        plan = None
-    if plan is not None:
-        execution.joins_central += len(select.joins)
-        execution.join_strategies = ["central"] * len(select.joins)
-        return plan
-    steps, paths = chosen
-    execution.join_strategies = [path.strategy for path in paths]
-    counts = Counter(execution.join_strategies)
-    execution.joins_copartitioned += counts["copartitioned"]
-    execution.joins_broadcast += counts["broadcast"]
-    execution.joins_shuffle += counts["shuffle"]
-    execution.joins_index_nested += counts["index-nested-loop"]
+        return JoinPlan(steps, paths, central="a step priced central, so "
+                        "the entry node needs every table anyway",
+                        strategies=central)
 
     def tables(*strategies: str) -> frozenset:
         return frozenset(step.table for step, path in zip(steps, paths)
@@ -234,7 +227,7 @@ def plan_distributed_joins(service, record) -> JoinPlan | None:
 
     return JoinPlan(steps, paths, excluded=tables("index-nested-loop"),
                     local=tables("copartitioned", "shuffle")
-                    | {select.table.name})
+                    | {select.table.name}, strategies=strategies)
 
 
 # -- the stage pipeline ------------------------------------------------------
@@ -278,7 +271,8 @@ class _PipelineRunner:
     def __init__(self, service, record) -> None:
         self.service = service
         self.record = record
-        self.join = record.join
+        self.plan = record.plan
+        self.join = record.plan.join
         self.execution = record.execution
         self.attempt = record.attempt
         self.costs = service.costs
@@ -290,7 +284,7 @@ class _PipelineRunner:
     # -- pipeline -------------------------------------------------------
 
     def run(self) -> None:
-        table = self.record.select.table
+        table = self.plan.select.table
         base = self.joined.side(table.binding, self.attempt.rows[table.name])
         for node_id, span in base.spans.items():
             self.left[node_id] = list(zip(span))
@@ -326,10 +320,12 @@ class _PipelineRunner:
         lookup = (step.using[0] if step.using else step.build.name,
                   EqProbe(values=tuple(keys.values())))
         service = self.service
+        view = self.plan.views[step.table]
+        fragment = self.plan.fragment(step.table)
         # Known only now, these rows lock after the scanned tables'.
         service._read_shards(self.record, [
             (step.table, node_id, service._scan_selection(
-                self.record, step.table, node_id, lookup=lookup))
+                view, fragment, node_id, lookup=lookup))
             for node_id in sorted(service.cluster.surviving_node_ids())
         ], self._index_read, index, step, probe)
 
@@ -505,7 +501,7 @@ class _PipelineRunner:
         """Run the statement's final stage over the shipped order tags,
         sorted into statement order."""
         shipped.sort()
-        select = self.record.plan.final_select
+        select = self.plan.pushdown.final_select
         context = EvalContext(now_ms=self.service.sim.now)
         try:
             result = finish(select, Joined(self.joined, shipped),

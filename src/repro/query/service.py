@@ -38,7 +38,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from functools import partial
 from operator import attrgetter
-from typing import Callable
+from typing import Callable, Sequence
 
 from ..approx.planning import analyze_approx_select
 from ..config import QueryRetryPolicy
@@ -98,20 +98,16 @@ from ..sql.statements import parse_cached
 from ..state.isolation import IsolationLevel, isolation_of_query
 from ..state.rows import ColumnBatch
 from ..state.view import TableView
-from .joins import JoinPlan, plan_distributed_joins, start_join_pipeline
+from .joins import (
+    JOIN_COUNTERS,
+    JoinPlan,
+    plan_distributed_joins,
+    start_join_pipeline,
+)
 
 #: Beyond this many pinned keys a multi-point get degenerates into a
 #: scan (pruned by partition instead of fetched key-by-key).
 MAX_POINT_KEYS = 64
-
-
-class _NoPointKey:
-    """Sentinel: the query has no single-key pushdown."""
-
-    __slots__ = ()
-
-
-NO_POINT_KEY = _NoPointKey()
 
 _IMMUTABLE = attrgetter("immutable")
 
@@ -176,10 +172,7 @@ class QueryExecution:
         self.retries = 0
         #: FIFO network channels opened for this query; closed on finish.
         self.channels: set = set()
-        #: Key of a point-lookup pushdown (``NO_POINT_KEY`` if none).
-        self.point_key: object = NO_POINT_KEY
-        #: All pinned keys of a (multi-)point get (``None`` if none);
-        #: ``point_key`` stays the single-key convenience view.
+        #: The pinned keys of a (multi-)point get (``None`` if none).
         self.point_keys: tuple | None = None
         self.on_done: Callable[["QueryExecution"], None] | None = None
         #: The timeout backstop, cancelled when the query finishes so
@@ -245,7 +238,8 @@ class _ShardError:
     def __init__(self, record: "_InFlight", table_name: str, node_id: int,
                  error: Exception, phase: int = WHERE,
                  entry: int = -1) -> None:
-        self.rank = (phase, record.select.table_names().index(table_name),
+        self.rank = (phase,
+                     record.plan.select.table_names().index(table_name),
                      node_id, entry)
         self.error = error
 
@@ -265,6 +259,38 @@ class _SketchAnswer:
     #: The chooser's pick over the whole table, with what it rejected.
     path: AccessPath
     result: QueryResult
+
+
+@dataclass(frozen=True)
+class PhysicalPlan:
+    """Everything a query decides before it reads, made once its
+    snapshot versions are resolved (``QueryService._physical_plan``):
+    what ``submit`` runs and ``explain`` renders."""
+
+    select: Select | Union
+    #: table -> its view (FROM order), bound to the resolved versions.
+    views: dict[str, TableView]
+    #: The keys a (multi-)point get fetches (``None``: it reads shards).
+    point_keys: tuple | None
+    #: Scan fragments + final fragment (``None``: pushdown is disabled
+    #: or the statement is not eligible).
+    pushdown: DistributedPlan | None
+    #: An APPROX aggregate's sketch answer, or why the exact paths
+    #: answer it (``None``: no APPROX aggregate).
+    sketch: _SketchAnswer | str | None
+    #: How the statement's joins run (``None``: it joins nothing).
+    join: JoinPlan | None
+    #: The reads dispatched first, in order: a point get per owner of
+    #: the keys, or a shard per target node of every scanned table (an
+    #: index-nested-loop build side is read mid-join).
+    shards: tuple[tuple[str, int, _ShardPlan], ...]
+    #: Partitions on the nodes no shard targets, all skipped.
+    pruned: int
+
+    def fragment(self, table_name: str) -> ScanFragment | None:
+        """What the shards of ``table_name`` execute (``None``: nothing
+        is pushed — they ship whole rows)."""
+        return _pushed_fragment(self.pushdown, table_name)
 
 
 class _Attempt:
@@ -474,33 +500,14 @@ def _pushed_fragment(plan: DistributedPlan | None,
 class _InFlight:
     """Service-side bookkeeping for one running query."""
 
-    __slots__ = ("execution", "select", "views", "attempt", "plan",
-                 "sketch", "join")
+    __slots__ = ("execution", "attempt", "plan")
 
-    def __init__(self, execution: QueryExecution, select: Select,
-                 views: dict[str, TableView],
+    def __init__(self, execution: QueryExecution,
                  attempt: _Attempt) -> None:
         self.execution = execution
-        self.select = select
-        #: table -> its view (FROM order); snapshot tables are rebound
-        #: to the resolved version(s) when scans are dispatched.
-        self.views = views
         self.attempt = attempt
-        #: Distributed plan (scan fragments + final fragment); ``None``
-        #: when pushdown is disabled or the statement is not eligible.
-        self.plan: DistributedPlan | None = None
-        #: An APPROX aggregate's sketch answer, or why the exact paths
-        #: answer it (``None``: no APPROX aggregate).
-        self.sketch: _SketchAnswer | str | None = None
-        #: How the statement's joins run (``None``: it joins nothing).
-        self.join: "JoinPlan | None" = None
-
-    def fragment(self, table_name: str) -> ScanFragment | None:
-        """What this query's shards of ``table_name`` execute (pure-load
-        runs push nothing)."""
-        if not self.execution.materialize:
-            return None
-        return _pushed_fragment(self.plan, table_name)
+        #: What the query runs (``None`` until its first dispatch).
+        self.plan: PhysicalPlan | None = None
 
 
 class QueryService:
@@ -588,27 +595,7 @@ class QueryService:
         use this to drive sustained query load cheaply while functional
         tests keep the default and check real results.
         """
-        record, snapshot_id = self._record(
-            sql, snapshot_id, materialize, all_versions,
-            next(self.env.query_ids),
-        )
-        execution = record.execution
-        execution.on_done = on_done
-        execution.entry_node = self._next_entry_node()
-        self._inflight[execution.qid] = record
-        execution.watchdog = self.sim.schedule(
-            self.retry_policy.query_timeout_ms, self._watchdog, execution)
-        record.attempt.pool(statement_ms(self.costs), self._after_plan,
-                            record, snapshot_id)
-        return execution
-
-    def _record(self, sql: str, snapshot_id: int | None,
-                materialize: bool, all_versions: bool,
-                qid: int) -> tuple[_InFlight, int | None]:
-        """A statement's execution with what it decides before anything
-        runs — views, isolation, point keys, pushdown plan — for
-        ``submit`` and ``explain`` alike, and the snapshot id it pins
-        (``snapshot_id``, or its ``ssid = n``)."""
+        qid = next(self.env.query_ids)
         select = parse_cached(sql, self.statement_cache)
         views = self._bind(select, ())
         isolation = isolation_of_query(
@@ -618,29 +605,17 @@ class QueryService:
         execution = QueryExecution(sql, self.sim.now, isolation, qid)
         execution.materialize = materialize
         execution.all_versions = all_versions
-        single = not isinstance(select, Union) and not all_versions
-        if snapshot_id is None and single:
-            snapshot_id = _extract_ssid_filter(select.where)
-        if single and len(views) == 1 and not select.joins:
-            # Point-lookup pushdown: a single-table query pinned to one
-            # or a few keys (Fig. 4's ``WHERE key = 1`` pattern, plus
-            # ``key IN (...)`` / OR-of-equalities) fetches only those
-            # keys from their owner nodes instead of scanning anything.
-            keys = _extract_key_filter(
-                select.where, select.table.binding or "",
-                views[select.table.name].immutable)
-            if keys is not NO_POINT_KEY:
-                execution.point_keys = keys
-                if len(keys) == 1:
-                    execution.point_key = keys[0]
-        record = _InFlight(execution, select, views,
-                           _Attempt(self, execution, views))
-        # Point lookups ship complete rows; the full statement (with the
-        # key predicate) runs centrally.
-        if self.pushdown_enabled and materialize and single and \
-                execution.point_keys is None:
-            record.plan = split_select(select)
-        return record, snapshot_id
+        if snapshot_id is None and not all_versions:
+            snapshot_id = _pinned_ssid(select)
+        execution.on_done = on_done
+        execution.entry_node = self._next_entry_node()
+        record = _InFlight(execution, _Attempt(self, execution, views))
+        self._inflight[qid] = record
+        execution.watchdog = self.sim.schedule(
+            self.retry_policy.query_timeout_ms, self._watchdog, execution)
+        record.attempt.pool(statement_ms(self.costs), self._after_plan,
+                            record, select, views, snapshot_id)
+        return execution
 
     def subscribe(self, sql: str, **kwargs):
         """Register ``sql`` as a standing query pushed to a subscriber.
@@ -660,48 +635,48 @@ class QueryService:
     def _continuous(self):
         if self.env.continuous is None:
             from ..continuous.service import ContinuousQueryService
-            self.env.continuous = ContinuousQueryService(
-                self.env, query_service=self,
-                shared_plans=self.shared_plans_enabled,
-            )
+            self.env.continuous = ContinuousQueryService(self.env, self)
         return self.env.continuous
 
     def explain(self, sql: str) -> str:
-        """How this service would execute ``sql`` now: the decisions
-        ``submit`` makes, by the same calls — point get, pushdown plan,
-        sketch answer, join strategies, every shard's read — over live
-        tables as they are and snapshot tables at the pinned or latest
-        committed snapshot.  Nothing runs, bills or counts on an
-        execution; snapshot plans it builds serve later ``submit``s."""
+        """How this service would execute ``sql`` now: the physical plan
+        ``submit`` would run — point get, pushdown plan, sketch answer,
+        join strategies, every shard's read — over live tables as they
+        are and snapshot tables at the pinned or latest committed
+        snapshot.  Nothing runs or bills; snapshot plans it builds serve
+        later ``submit``s."""
         from ..sql.explain import render_distributed
 
-        record, snapshot_id = self._record(sql, None, True, False, -1)
-        execution = record.execution
+        select = parse_cached(sql, self.statement_cache)
+        snapshot_id = _pinned_ssid(select)
         if snapshot_id is None:
             snapshot_id = self.store.committed_ssid
-        self._plan(record, () if snapshot_id is None else (snapshot_id,))
-        shards, _pruned = self._shards(record)
-        sketch = record.sketch
-        if execution.point_keys is not None:
+        plan = self._physical_plan(
+            select, self._bind(select, ()),
+            () if snapshot_id is None else (snapshot_id,))
+        shards = plan.shards
+        sketch = plan.sketch
+        if plan.point_keys is not None:
             lines = [
-                f"point lookup: {len(execution.point_keys)} key(s) on "
+                f"point lookup: {len(plan.point_keys)} key(s) on "
                 f"{len(shards)} owner node(s) (est. "
                 f"{sum(shard.path.cost_ms for *_, shard in shards):.3f} ms)"
             ]
-        elif record.plan is None:
+        elif plan.pushdown is None:
             lines = ["distributed: ship all rows (" + (
                 "pushdown disabled" if not self.pushdown_enabled
                 else "UNION runs centrally") + ")"]
         else:
             lines = ["distributed: pushdown",
-                     *render_distributed(record.select, record.plan)]
-        if execution.point_keys is None and \
+                     *render_distributed(select, plan.pushdown)]
+        if plan.point_keys is None and \
                 not isinstance(sketch, _SketchAnswer):
             lines += _explain_shards(shards)
-        if record.join is not None:
-            if record.join.central is not None:
-                lines.append(f"  joins: central ({record.join.central})")
-            for step, path in zip(record.join.steps, record.join.paths):
+        join = plan.join
+        if join is not None:
+            if join.central is not None:
+                lines.append(f"  joins: central ({join.central})")
+            for step, path in zip(join.steps, join.paths):
                 lines.append(f"  join [{step.table}]: {path.describe()}")
                 lines.extend(f"    rejected {reason}"
                              for reason in path.rejected)
@@ -782,7 +757,9 @@ class QueryService:
                           error: Exception | None) -> None:
         """Complete ``execution`` exactly once: release its locks, close
         its network channels, and drop the in-flight record — on every
-        path, success or failure."""
+        path, success or failure.  The record drops its plan: the
+        attempt's fan-in holds the record in a reference cycle, and the
+        plan's shards would otherwise wait for the next collection."""
         if execution.completed_ms is not None:
             return
         if execution.watchdog is not None:
@@ -793,7 +770,9 @@ class QueryService:
         for channel in execution.channels:
             network.close_channel(channel)
         execution.channels.clear()
-        self._inflight.pop(execution.qid, None)
+        record = self._inflight.pop(execution.qid, None)
+        if record is not None:
+            record.plan = None
         totals = self.totals
         for name in COUNTERS:
             totals[name] += getattr(execution, name)
@@ -862,31 +841,31 @@ class QueryService:
 
     # -- plan / snapshot-id resolution ----------------------------------
 
-    def _after_plan(self, record: _InFlight,
+    def _after_plan(self, record: _InFlight, select: Select | Union,
+                    views: dict[str, TableView],
                     snapshot_id: int | None) -> None:
         execution = record.execution
         if execution.isolation is not IsolationLevel.SERIALIZABLE:
-            self._plan(record, ())  # live tables only
-            self._dispatch(record)
+            self._dispatch(record, select, views)  # live tables only
         elif execution.all_versions:
             versions = self.store.available_ssids()
             if versions:
                 execution.snapshot_versions = versions
-                self._plan(record, tuple(versions))
-                self._dispatch(record)
+                self._dispatch(record, select, views, tuple(versions))
             else:
                 self._finish_execution(execution, None,
                                        NoCommittedSnapshotError(
                                            "no committed snapshot yet"))
         elif snapshot_id is not None:
-            self._scan_snapshot(record, snapshot_id)
+            self._scan_snapshot(record, select, views, snapshot_id)
         else:  # atomic read of the committed-snapshot pointer
             record.attempt.bill(
                 execution.entry_node, 0, snapshot_id_read_ms(self.costs),
-                self._scan_snapshot, record, None,
+                self._scan_snapshot, record, select, views, None,
             )
 
-    def _scan_snapshot(self, record: _InFlight,
+    def _scan_snapshot(self, record: _InFlight, select: Select | Union,
+                       views: dict[str, TableView],
                        snapshot_id: int | None) -> None:
         """Scan the snapshot the query pins, if it is still available,
         or (``None``) the committed one."""
@@ -903,58 +882,58 @@ class QueryService:
                                    SnapshotNotFoundError(snapshot_id))
             return
         execution.snapshot_id = snapshot_id
-        self._plan(record, (snapshot_id,))
-        self._dispatch(record)
+        self._dispatch(record, select, views, (snapshot_id,))
 
-    # -- read phase ---------------------------------------------------------
+    # -- planning -----------------------------------------------------------
 
-    def _plan(self, record: _InFlight, versions: tuple[int, ...]) -> None:
-        """Bind the snapshot tables to the resolved ``versions`` (live
-        tables ignore them), then decide between a sketch answer and the
-        exact paths, and how the statement's joins run (a point get
-        needs neither)."""
-        if versions:  # live-only queries keep their submit-time views
-            record.views = self._bind(record.select, versions)
-        if record.execution.point_keys is None:
-            record.sketch = self._sketch_plan(record)
-            if not isinstance(record.sketch, _SketchAnswer):
-                record.join = plan_distributed_joins(self, record)
-
-    def _dispatch(self, record: _InFlight) -> None:
-        """Dispatch the query's reads onto the current survivors under
-        the attempt's current token, each table on its own chunk stripe;
-        with nothing to read the query moves straight on."""
-        execution = record.execution
-        attempt = record.attempt
-        attempt.targets.clear()
-        try:
-            shards, pruned = self._shards(record)
-        except SnapshotNotFoundError as exc:
-            self._finish_execution(execution, None, exc)
-            return
-        if execution.point_keys is None:
-            names = record.select.table_names()
-            width = max(1, len(self.cluster.surviving_node_ids()))
-            attempt.stripe = {name: names.index(name) * width
-                              for name in names}
-            if not attempt.token:
-                # Node-level pruning, counted on the first dispatch only
-                # (a re-dispatch skips the same shards again).
-                execution.partitions_pruned += pruned
-        self._read_shards(record, shards, self._scans_landed, record)
-
-    def _shards(self, record: _InFlight
-                ) -> tuple[list[tuple[str, int, _ShardPlan]], int]:
-        """The shards the query reads first, in dispatch order, each with
-        its plan: a point get per owner of the pinned keys, or a shard
-        per target node of every scanned table (FROM order; an
-        index-nested-loop build side is read mid-join) — and the
-        partitions of the untargeted nodes, all pruned."""
-        keys = record.execution.point_keys
+    def _physical_plan(self, select: Select | Union,
+                       views: dict[str, TableView],
+                       versions: tuple[int, ...] = (),
+                       materialize: bool = True,
+                       all_versions: bool = False,
+                       decided: PhysicalPlan | None = None
+                       ) -> PhysicalPlan:
+        """What ``select`` runs over the current survivors, its ``views``
+        rebound to the resolved ``versions`` (live tables ignore them):
+        a point get, or the statement's pushdown, sketch and join plans
+        and a shard per target node of every scanned table.  A shard of
+        a committed version of a table that keeps its versions as
+        written is planned once per key in ``snapshot_plans``: the
+        table, its versions, the pushed fragment (equal fragments hold
+        literals of one type: ``key = 1`` prunes other partitions than
+        ``key = 1.0``), the placement and the DDL epoch.  A retry passes
+        its first plan as ``decided``, and only the shards are placed
+        again."""
+        if decided is None:
+            if versions:
+                views = self._bind(select, versions)
+            single = not isinstance(select, Union) and not all_versions
+            keys = pushdown = sketch = join = None
+            if single and len(views) == 1 and not select.joins:
+                # Point-lookup pushdown: a single-table query pinned to
+                # one or a few keys (Fig. 4's ``WHERE key = 1`` pattern,
+                # plus ``key IN (...)`` / OR-of-equalities) fetches only
+                # those keys from their owner nodes; the full statement
+                # (with the key predicate) runs centrally.
+                keys = _extract_key_filter(
+                    select.where, select.table.binding or "",
+                    views[select.table.name].immutable)
+            if keys is None:
+                if self.pushdown_enabled and materialize and single:
+                    pushdown = split_select(select)
+                sketch = self._sketch_plan(select, views, materialize)
+                if materialize and not isinstance(sketch, _SketchAnswer):
+                    join = plan_distributed_joins(self, select, pushdown,
+                                                  views)
+        else:
+            select, views, keys, pushdown, sketch, join = (
+                decided.select, decided.views, decided.point_keys,
+                decided.pushdown, decided.sketch, decided.join)
         nodes = self.cluster.surviving_node_ids()
         shards = []
+        pruned = 0
         if keys is not None:
-            (table_name, view), = record.views.items()
+            (table_name, view), = views.items()
             owners: dict[int, list] = {}
             for key in keys:
                 owner = view.owner_node_of(key)
@@ -962,68 +941,95 @@ class QueryService:
                     owner = nodes[0]  # placement mid-recovery: any survivor
                 owners.setdefault(owner, []).append(key)
             for owner in sorted(owners):
-                shards.append((table_name, owner, self._scan_selection(
-                    record, table_name, owner, owners[owner])))
-            return shards, 0
-        pruned = 0
-        excluded = () if record.join is None else record.join.excluded
-        for table_name in dict.fromkeys(record.select.table_names()):
-            if table_name in excluded:
-                continue
-            view = record.views[table_name]
-            targets = self._scan_targets(view, record.fragment(table_name))
-            plan = self._shard_planner(record, table_name)
-            shards.extend((table_name, node_id, plan(node_id))
-                          for node_id in targets)
-            pruned += sum(len(view.partitions_on_node(node_id))
-                          for node_id in nodes if node_id not in targets)
-        return shards, pruned
+                count = len(owners[owner])
+                cost = point_read_ms(self.costs, count)
+                shards.append((table_name, owner, _ShardPlan(
+                    AccessPath("point", None, None, count, count, count,
+                               cost, cost),
+                    partial(_point_rows, view, owners[owner]), 0, None, None,
+                )))
+        else:
+            sketched = isinstance(sketch, _SketchAnswer)
+            excluded = () if join is None else join.excluded
+            for table_name in dict.fromkeys(select.table_names()):
+                if table_name in excluded:
+                    continue
+                view = views[table_name]
+                fragment = _pushed_fragment(pushdown, table_name)
+                targets = self._scan_targets(view, fragment)
+                table = view.table
+                plans = None  # node -> plan, for every read of one key
+                if view.immutable and table.stable_versions and not sketched:
+                    key = (table, view.versions, fragment, table.placement(),
+                           table.ddl_epoch)
+                    if not _retired(key):  # else it fails as a fresh read
+                        plans = self.snapshot_plans.get(key)
+                        if plans is None:
+                            # Plans of versions retention has dropped go
+                            # before any new.
+                            self.snapshot_plans.discard_if(_retired)
+                            plans = {}
+                            self.snapshot_plans.put(key, plans)
+                for node_id in targets:
+                    shard = None if plans is None else plans.get(node_id)
+                    if shard is not None:
+                        self.snapshot_plans_reused += 1
+                    elif sketched:
+                        shard = _ShardPlan(sketch_path(
+                            self.costs, len(view.partitions_on_node(node_id))
+                        ), None, 0, None, None)
+                    else:
+                        shard = self._scan_selection(view, fragment, node_id)
+                        if plans is not None:
+                            plans[node_id] = shard
+                            shard.rows = view.row_count_on_node(node_id)
+                            self.snapshot_plans_built += 1
+                    shards.append((table_name, node_id, shard))
+                pruned += sum(len(view.partitions_on_node(node_id))
+                              for node_id in nodes if node_id not in targets)
+        return PhysicalPlan(select, views, keys, pushdown, sketch, join,
+                            tuple(shards), pruned)
 
-    def _shard_planner(self, record: _InFlight,
-                       table_name: str) -> Callable[[int], _ShardPlan]:
-        """How :meth:`_shards` plans each node's shard of ``table_name``:
-        afresh (:meth:`_scan_selection`), or, for committed versions of
-        a table that keeps them as written, once per key in
-        ``snapshot_plans``.  The key is everything such a plan reads:
-        the table, its versions, the pushed fragment (equal fragments
-        hold literals of one type: ``key = 1`` prunes other partitions
-        than ``key = 1.0``), the placement of its partitions and its
-        DDL epoch.  Which nodes a query reads stays its own
-        decision, as do sketch answers, point gets and index-nested-loop
-        lookups."""
-        view = record.views[table_name]
-        table = view.table
-        fresh = partial(self._scan_selection, record, table_name)
-        if not (view.immutable and table.stable_versions) \
-                or isinstance(record.sketch, _SketchAnswer):
-            return fresh
-        key = (table, view.versions, record.fragment(table_name),
-               table.placement(), table.ddl_epoch)
-        if _retired(key):
-            return fresh  # the read fails as a fresh one does
-        plans = self.snapshot_plans.get(key)
-        if plans is None:
-            # Plans of versions retention has dropped go before any new.
-            self.snapshot_plans.discard_if(_retired)
-            plans = {}
-            self.snapshot_plans.put(key, plans)
-        return partial(self._snapshot_plan, plans, record, table_name)
+    # -- read phase ---------------------------------------------------------
 
-    def _snapshot_plan(self, plans: dict[int, _ShardPlan],
-                       record: _InFlight, table_name: str,
-                       node_id: int) -> _ShardPlan:
-        plan = plans.get(node_id)
-        if plan is not None:
-            self.snapshot_plans_reused += 1
-            return plan
-        plan = plans[node_id] = self._scan_selection(record, table_name,
-                                                     node_id)
-        plan.rows = record.views[table_name].row_count_on_node(node_id)
-        self.snapshot_plans_built += 1
-        return plan
+    def _dispatch(self, record: _InFlight,
+                  select: Select | Union | None = None,
+                  views: dict[str, TableView] | None = None,
+                  versions: tuple[int, ...] = ()) -> None:
+        """Plan the query and dispatch its reads onto the current
+        survivors under the attempt's current token, each table on its
+        own chunk stripe; with nothing to read the query moves straight
+        on.  The first dispatch plans ``select`` over ``views`` at the
+        resolved ``versions`` and counts the plan's decisions; a retry
+        re-places that plan's shards and counts nothing again."""
+        execution = record.execution
+        attempt = record.attempt
+        attempt.targets.clear()
+        first = record.plan is None
+        try:
+            plan = record.plan = self._physical_plan(
+                select, views, versions, execution.materialize,
+                execution.all_versions, record.plan)
+        except SnapshotNotFoundError as exc:
+            self._finish_execution(execution, None, exc)
+            return
+        if first:
+            execution.point_keys = plan.point_keys
+            execution.partitions_pruned += plan.pruned
+            if plan.join is not None:
+                execution.join_strategies = list(plan.join.strategies)
+                for strategy in plan.join.strategies:
+                    name = JOIN_COUNTERS[strategy]
+                    setattr(execution, name, getattr(execution, name) + 1)
+        if plan.point_keys is None:
+            names = plan.select.table_names()
+            width = max(1, len(self.cluster.surviving_node_ids()))
+            attempt.stripe = {name: names.index(name) * width
+                              for name in names}
+        self._read_shards(record, plan.shards, self._scans_landed, record)
 
     def _read_shards(self, record: _InFlight,
-                     shards: list[tuple[str, int, _ShardPlan]],
+                     shards: Sequence[tuple[str, int, _ShardPlan]],
                      landed: Callable[..., None], *args) -> None:
         """Read ``shards`` (:meth:`_read`); once each has shipped, run
         ``landed(*args)``."""
@@ -1032,24 +1038,24 @@ class QueryService:
         if self.repeatable_read:
             attempt.unlocked = Counter(
                 table_name for table_name, _node, _shard in shards
-                if not record.views[table_name].immutable
+                if not record.plan.views[table_name].immutable
             )
         for table_name, node_id, shard in shards:
             self._read(record, table_name, node_id, shard)
 
     # -- approximate (sketch) answering -------------------------------------
 
-    def _sketch_plan(self, record: _InFlight) -> _SketchAnswer | str | None:
+    def _sketch_plan(self, select: Select | Union,
+                     views: dict[str, TableView],
+                     materialize: bool) -> _SketchAnswer | str | None:
         """Sketch answer for an APPROX aggregate, priced against the
         exact paths, or why it runs on one (always sound: whatever a
         sketch cannot answer within its bound runs as a scan/index
         query); ``None`` for any other statement."""
-        select = record.select
-        if not record.execution.materialize:
+        if not materialize:
             return None  # pure-load runs exercise the scan path
         if not isinstance(select, Select) or not select.approx:
             return None
-        views = record.views
         if not self.sketch_enabled:
             return "sketches disabled"
         if len(views) != 1 or select.joins:
@@ -1171,17 +1177,18 @@ class QueryService:
         it observed — a sketch read ships a marker, a pure-load scan its
         row count, a failed read its :class:`_ShardError`."""
         execution = record.execution
+        view = record.plan.views[table_name]
         kind = shard.path.kind
         lock_keys: list | None = None
         if kind == "sketch":
             payload: ColumnBatch | int | PartialGroups | _ShardError = (
-                ColumnBatch(record.views[table_name].table.column_reader,
+                ColumnBatch(view.table.column_reader,
                             [{"sketch": table_name, "node": node_id}])
             )
         elif not execution.materialize and kind != "point":
             payload = shard.rows
             if payload is None:
-                payload = record.views[table_name].row_count_on_node(node_id)
+                payload = view.row_count_on_node(node_id)
         else:
             try:
                 batch = shard.fetch()
@@ -1236,31 +1243,14 @@ class QueryService:
             return owners
         return list(alive)
 
-    def _scan_selection(self, record: _InFlight, table_name: str,
-                        node_id: int, keys: list | None = None,
+    def _scan_selection(self, view: TableView,
+                        fragment: ScanFragment | None, node_id: int,
                         lookup: tuple | None = None) -> _ShardPlan:
-        """Decide how one node's shard of ``table_name`` is read, for
-        execution and ``explain`` alike: a point get of ``keys`` on their
-        owner, one probe per partition for an answering sketch, an index
-        read with an index-nested-loop build side's ``lookup`` —
-        ``(column, probe)`` — or else a scan of the partitions a key
-        filter leaves, unless an index prices below sweeping them."""
-        view = record.views[table_name]
-        if keys is not None:
-            count = len(keys)
-            cost = point_read_ms(self.costs, count)
-            return _ShardPlan(
-                AccessPath("point", None, None, count, count, count, cost,
-                           cost),
-                partial(_point_rows, view, keys), 0, None, None,
-            )
-        if isinstance(record.sketch, _SketchAnswer):
-            return _ShardPlan(
-                sketch_path(self.costs,
-                            len(view.partitions_on_node(node_id))),
-                None, 0, None, None,
-            )
-        fragment = record.fragment(table_name)
+        """Decide how one node's shard of ``view`` is read, running
+        ``fragment``: an index read with an index-nested-loop build
+        side's ``lookup`` — ``(column, probe)`` — or else a scan of the
+        partitions a key filter leaves, unless an index prices below
+        sweeping them."""
         if lookup is not None:
             partitions = view.partitions_on_node(node_id)
             path = index_path(fragment, view, partitions,
@@ -1350,7 +1340,7 @@ class QueryService:
         if (
             self.repeatable_read
             # key locks guard live state; committed versions are immutable
-            and not record.views[table_name].immutable
+            and not record.plan.views[table_name].immutable
             and lock_keys is not None
         ):
             record.attempt.waiting.setdefault(table_name, []).append(
@@ -1392,10 +1382,11 @@ class QueryService:
         projected columns, or one state per partial group — the saving
         the distributed plan exists to create."""
         costs = self.costs
+        plan = record.plan
         if isinstance(payload, int):
             return shipped_bytes(costs, payload)
         if isinstance(payload, _ShardError) or (
-            record.join is not None and table_name in record.join.local
+            plan.join is not None and table_name in plan.join.local
         ):
             # An error marker ships like one framed header-only row, and
             # so does the "shard done" frame of rows a join stage reads
@@ -1405,7 +1396,7 @@ class QueryService:
         if isinstance(payload, PartialGroups):
             return shipped_bytes(costs, len(payload),
                                  len(payload) * payload.width())
-        if _pushed_fragment(record.plan, table_name) is not None:
+        if plan.fragment(table_name) is not None:
             return shipped_bytes(costs, len(payload), payload.width())
         return shipped_bytes(costs, len(payload))
 
@@ -1451,8 +1442,9 @@ class QueryService:
             execution.rows_shipped += payload
         else:
             attempt.rows[table_name][node_id] = payload
+            join = record.plan.join
             if not isinstance(payload, _ShardError) and (
-                record.join is None or table_name not in record.join.local
+                join is None or table_name not in join.local
             ):
                 execution.rows_shipped += len(payload)
         execution.bytes_shipped += nbytes
@@ -1461,7 +1453,8 @@ class QueryService:
     def _scans_landed(self, record: _InFlight) -> None:
         """Every shard's payload is at the entry node: merge there, or
         run the join stages over the rows held on the nodes."""
-        if record.join is None or record.join.central is not None:
+        join = record.plan.join
+        if join is None or join.central is not None:
             record.attempt.merge(self._finish, record)
             return
         error = self._first_error(record)
@@ -1481,14 +1474,15 @@ class QueryService:
         if not execution.materialize:
             self._finish_execution(execution, None, None)
             return
-        if isinstance(record.sketch, _SketchAnswer):
+        sketch = record.plan.sketch
+        if isinstance(sketch, _SketchAnswer):
             # Sketch-answered APPROX: the estimate was computed at plan
             # time (sound — see _SketchAnswer); the shards only billed
             # probe costs and shipped markers.
             execution.approx_answered = True
-            self._finish_execution(execution, record.sketch.result, None)
+            self._finish_execution(execution, sketch.result, None)
             return
-        plan = record.plan
+        plan = record.plan.pushdown
         collected = record.attempt.rows
         context = EvalContext(now_ms=self.sim.now)
         try:
@@ -1508,7 +1502,7 @@ class QueryService:
                 )
             else:
                 statement = (plan.final_select if plan is not None
-                             else record.select)
+                             else record.plan.select)
                 result = execute_select(statement, BatchCatalog(collected),
                                         context)
         except Exception as exc:  # surface SQL errors on the handle
@@ -1521,9 +1515,10 @@ class QueryService:
         shape error (checked before any row, as central planning does),
         else the least-ranked :class:`_ShardError` — independent of
         shard completion timing."""
-        if record.plan is not None:
+        pushdown = record.plan.pushdown
+        if pushdown is not None:
             try:
-                validate_select(record.plan.final_select)
+                validate_select(pushdown.final_select)
             except Exception as exc:  # noqa: BLE001 — surfaced on the handle
                 return exc
         first = None
@@ -1595,13 +1590,13 @@ def _lock_grant(locks, key, execution: QueryExecution,
 
 
 def _extract_key_filter(where: Expr | None, binding: str = "",
-                        snapshot: bool = False) -> object:
+                        snapshot: bool = False) -> tuple | None:
     """Keys a single-table query is pinned to.
 
     Returns a non-empty tuple for ``key = <literal>``,
     ``key IN (<literals>)`` or an OR-of-equality conjunct (each becomes
-    a multi-point get against the owners), or :data:`NO_POINT_KEY` when
-    the query needs a scan.  ``partitionKey`` works the same way.
+    a multi-point get against the owners), or ``None`` when the query
+    needs a scan.  ``partitionKey`` works the same way.
 
     Only the leading conjuncts pin keys
     (:func:`~repro.sql.fragments.extract_key_filter`): a row the get
@@ -1610,7 +1605,7 @@ def _extract_key_filter(where: Expr | None, binding: str = "",
     raises, so an ``ssid = <literal>`` conjunct (Fig. 4's ``WHERE
     ssid=9 AND key=2``) is passed over."""
     if where is None:
-        return NO_POINT_KEY
+        return None
     conjuncts = split_conjuncts(where)
     if snapshot:
         conjuncts = [
@@ -1625,13 +1620,16 @@ def _extract_key_filter(where: Expr | None, binding: str = "",
                           if key is not None])
             if 0 < len(keys) <= MAX_POINT_KEYS:
                 return keys
-    return NO_POINT_KEY
+    return None
 
 
-def _extract_ssid_filter(where: Expr | None) -> int | None:
+def _pinned_ssid(select: Select | Union) -> int | None:
     """The first top-level ``ssid = <literal>`` conjunct's snapshot id,
-    as in the paper's ``WHERE ssid=9 AND key=2`` example (Fig. 4)."""
-    for conjunct in split_conjuncts(where):
+    as in the paper's ``WHERE ssid=9 AND key=2`` example (Fig. 4);
+    ``None`` for a UNION."""
+    if isinstance(select, Union):
+        return None
+    for conjunct in split_conjuncts(select.where):
         parts = column_equality(conjunct)
         if (parts is not None and parts[0].name == "ssid"
                 and isinstance(parts[1].value, int)):

@@ -7,9 +7,10 @@ runs the same query, steps the simulator ``k`` times, kills the victim
 and drains.  The answer must be the undisturbed rows (tables made with
 ``create_map`` keep a backup, so the data survives one death) or a
 clean :class:`~repro.errors.QueryAbortedError` — never a wrong answer
-— at the cost of at most one retry, leaving no lock, channel or
-in-flight record behind.  The autouse fail-fast sanitizers are armed,
-so work scheduled onto the dead node raises at the offending call.
+— at the cost of at most one retry, counting the plan's join decisions
+once, and leaving no lock, channel or in-flight record behind.  The
+autouse fail-fast sanitizers are armed, so work scheduled onto the dead
+node raises at the offending call.
 
 The data is skewed — node 3 holds several times the ``orders`` rows of
 the others — so shards finish at different times.  That opens the
@@ -27,6 +28,7 @@ from repro import Environment
 from repro.config import ClusterConfig, CostModel
 from repro.errors import QueryAbortedError
 from repro.query import QueryService
+from repro.query.joins import JOIN_COUNTERS
 from repro.state.live import LiveStateTable
 
 from ..conftest import build_average_job, make_squery_backend
@@ -159,6 +161,13 @@ def canonical(sql: str, rows: list[dict]) -> list[dict]:
     return rows if "ORDER BY" in sql else sorted(rows, key=repr)
 
 
+def join_decisions(execution) -> tuple:
+    """What the execution counted of its join plan: each step's
+    strategy and the per-strategy counters."""
+    return (execution.join_strategies,
+            *(getattr(execution, name) for name in JOIN_COUNTERS.values()))
+
+
 def run(make_env, sql, gates, kill_after=None, victim=None):
     """Submit ``sql`` on a fresh environment and step until it is done,
     failing ``victim`` after ``kill_after`` steps; returns the
@@ -184,6 +193,7 @@ def test_kill_at_every_event_boundary(shape):
     assert undisturbed.join_strategies == strategies
     expected = canonical(sql, undisturbed.result.rows)
     assert expected, "the shape must return rows to compare"
+    decided = join_decisions(undisturbed)
     static = make_env is not job_env
     victims = [node for node in env.cluster.surviving_node_ids()
                if node != ENTRY_NODE]
@@ -204,6 +214,9 @@ def test_kill_at_every_event_boundary(shape):
                 assert isinstance(execution.error, QueryAbortedError), \
                     (kill_after, victim, execution.error)
             assert execution.retries <= 1, (kill_after, victim)
+            # A retry re-places the plan's shards; the join decisions
+            # are counted once, on the first dispatch.
+            assert join_decisions(execution) == decided, (kill_after, victim)
             retried += execution.retries
             assert service.inflight_queries == 0
             assert not execution.channels

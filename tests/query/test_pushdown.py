@@ -359,7 +359,6 @@ def test_single_key_point_lookup_unchanged(wide_env):
     execution = service.execute(
         'SELECT value FROM "metrics" WHERE key = 42'
     )
-    assert execution.point_key == 42
     assert execution.point_keys == (42,)
     assert execution.entries_scanned == 1
 

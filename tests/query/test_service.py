@@ -298,17 +298,15 @@ def test_repeatable_read_defers_stream_updates_mid_query(env, running_job):
 def test_point_lookup_pushdown_returns_correct_row(env, running_job):
     """Fig. 4's ``WHERE key = K`` pattern resolves as a point lookup
     with identical results to the scan path."""
-    from repro.query.service import NO_POINT_KEY
-
     service = QueryService(env)
     point = service.execute(
         'SELECT count, total FROM "average" WHERE key = 3'
     )
-    assert point.point_key == 3
+    assert point.point_keys == (3,)
     scan = service.execute(
         'SELECT count, total FROM "average" WHERE partitionKey % 100 = 3'
     )
-    assert scan.point_key is NO_POINT_KEY
+    assert scan.point_keys is None
     # Counts advance between the two queries, so compare shape + key.
     assert len(point.result) == 1
     assert len(scan.result) == 1
@@ -336,7 +334,7 @@ def test_point_lookup_snapshot_with_ssid_filter(env, running_job):
         f"WHERE ssid={ssid} AND key=2"
     )
     assert execution.snapshot_id == ssid
-    assert execution.point_key == 2
+    assert execution.point_keys == (2,)
     assert len(execution.result) == 1
     assert execution.result.rows[0]["count"] > 0
 
@@ -358,15 +356,13 @@ def test_point_lookup_respects_residual_predicates(env, running_job):
 
 
 def test_no_pushdown_for_joins(env, running_job):
-    from repro.query.service import NO_POINT_KEY
-
     service = QueryService(env)
     execution = service.execute(
         'SELECT COUNT(*) FROM "average" '
         'JOIN "snapshot_average" USING(partitionKey) '
         "WHERE key = 3"
     )
-    assert execution.point_key is NO_POINT_KEY
+    assert execution.point_keys is None
     assert execution.result.rows[0]["COUNT(*)"] == 1
 
 

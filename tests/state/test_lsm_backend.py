@@ -189,5 +189,5 @@ def test_point_lookup_query_with_lsm_backend(env):
     execution = service.execute(
         'SELECT count FROM "snapshot_average" WHERE key = 4'
     )
-    assert execution.point_key == 4
+    assert execution.point_keys == (4,)
     assert len(execution.result) == 1
