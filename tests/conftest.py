@@ -145,7 +145,11 @@ def aggregate_state(acc):
             return [(type(value), repr(value))
                     for value in acc._seen.values()]
         acc._split()
-        return (acc._count, acc._floats_held, acc._int, acc._specials,
+        # The specials by count, as Counter equality has them (a zero
+        # count is none held): the order a fold, merge or split first
+        # met them in is not read by any result.
+        return (acc._count, acc._floats_held, acc._int,
+                sorted(item for item in acc._specials.items() if item[1]),
                 sum(map(Fraction, acc._floats), Fraction()))
     return [(type(value), repr(value), copies)
             for value, copies in zip(acc._values(), acc._held.values())]
