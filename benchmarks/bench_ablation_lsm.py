@@ -6,7 +6,7 @@ that a RocksDB-style LSM backend — whose "level-based compaction bounds
 read amplification" — "would reduce the search time for historic
 changes per key".  This ablation measures exactly that: the Fig. 13
 query-latency experiment at 100K keys, with the chain backend vs the
-LSM backend of :mod:`repro.lsm`.
+LSM policy of :mod:`repro.state.snapshots`.
 """
 
 from repro.bench.harness import run_query_latency_experiment
@@ -23,14 +23,13 @@ def run_ablation():
     rows = []
     medians = {}
     configs = (
-        ("full (baseline)", False, "chain"),
-        ("incremental, chain", True, "chain"),
-        ("incremental, LSM", True, "lsm"),
+        ("full (baseline)", "full"),
+        ("incremental, chain", "chain"),
+        ("incremental, LSM", "lsm"),
     )
-    for label, incremental, backend in configs:
+    for label, backend in configs:
         result = run_query_latency_experiment(
-            KEYS, incremental, checkpoints=50,
-            incremental_backend=backend, label=label,
+            KEYS, backend, checkpoints=50, label=label,
         )
         summary = result.latency.summary(POINTS)
         rows.append(percentile_row(label, summary, POINTS)

@@ -19,7 +19,7 @@ BOUNDS = (4, 8, 16, 1000)  # 1000 ~ "never prunes" within the run
 
 def run_once(prune_chain_length: int):
     setup = build_delta_job(
-        KEYS, 1.0, incremental=True, records_per_s=2500, block=32,
+        KEYS, 1.0, "chain", records_per_s=2500, block=32,
         prune_chain_length=prune_chain_length, randomized=True,
     )
     setup.job.start()

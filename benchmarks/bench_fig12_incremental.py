@@ -22,14 +22,14 @@ def run_figure12():
     medians = {}
     for fraction in DELTAS:
         result = run_delta_snapshot_experiment(
-            KEYS, fraction, incremental=True, checkpoints=25,
+            KEYS, fraction, "chain", checkpoints=25,
             label=f"{fraction:.0%} delta",
         )
         summary = result.total.summary(POINTS)
         rows.append(percentile_row(result.label, summary, POINTS))
         medians[fraction] = summary[50.0]
     full = run_delta_snapshot_experiment(
-        KEYS, 1.0, incremental=False, checkpoints=25,
+        KEYS, 1.0, "full", checkpoints=25,
         label="Full snapshot",
     )
     summary = full.total.summary(POINTS)

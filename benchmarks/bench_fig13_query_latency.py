@@ -23,7 +23,7 @@ def run_figure13():
     for incremental in (True, False):
         for keys in KEY_COUNTS:
             result = run_query_latency_experiment(
-                keys, incremental, checkpoints=50,
+                keys, "chain" if incremental else "full", checkpoints=50,
             )
             summary = result.latency.summary(POINTS)
             label = "Incremental" if incremental else "Full"

@@ -67,13 +67,13 @@ def paper_rate(sim_rate_per_s: float, config: ClusterConfig) -> float:
 
 
 def make_backend(env: Environment, mode: str,
-                 incremental: bool = False,
+                 snapshot_backend: str = "full",
                  prune_chain_length: int = 8,
-                 colocate_state: bool = True,
-                 incremental_backend: str = "chain"):
+                 colocate_state: bool = True):
     """Backend for one of the figure configurations.
 
-    ``mode``: ``"live+snap"``, ``"live"``, ``"snap"``, or ``"jet"``.
+    ``mode``: ``"live+snap"``, ``"live"``, ``"snap"``, or ``"jet"``;
+    ``snapshot_backend`` as in :class:`~repro.config.SQueryConfig`.
     """
     if mode == "jet":
         return VanillaBackend(env.cluster)
@@ -84,10 +84,9 @@ def make_backend(env: Environment, mode: str,
     config = SQueryConfig(
         live_state=live,
         snapshot_state=snap,
-        incremental=incremental,
+        snapshot_backend=snapshot_backend,
         prune_chain_length=prune_chain_length,
         colocate_state=colocate_state,
-        incremental_backend=incremental_backend,
     )
     return SQueryBackend(env.cluster, env.store, config)
 
@@ -348,21 +347,19 @@ class DeltaExperimentSetup:
 
 
 def build_delta_job(paper_keys: int, delta_fraction: float,
-                    incremental: bool, nodes: int = 7,
+                    snapshot_backend: str, nodes: int = 7,
                     workers_per_node: int = 1,
                     records_per_s: float = 2000.0, block: int = 64,
                     prune_chain_length: int = 8,
                     randomized: bool = False,
                     checkpoint_interval_ms: float = 1000.0,
-                    incremental_backend: str = "chain",
                     seed: int = 7) -> DeltaExperimentSetup:
     """Deploy the delta-ratio workload (operator ``deltastate``)."""
     config = scaled_cluster(nodes, workers_per_node)
     env = Environment(config, seed=seed)
     backend = make_backend(
-        env, "snap", incremental=incremental,
+        env, "snap", snapshot_backend=snapshot_backend,
         prune_chain_length=prune_chain_length,
-        incremental_backend=incremental_backend,
     )
     parallelism = config.total_processing_workers
     keys = paper_keys
@@ -393,19 +390,19 @@ def build_delta_job(paper_keys: int, delta_fraction: float,
 
 
 def run_delta_snapshot_experiment(paper_keys: int, delta_fraction: float,
-                                  incremental: bool,
+                                  snapshot_backend: str,
                                   checkpoints: int = 30,
                                   label: str | None = None,
                                   **kwargs) -> SnapshotResult:
     """One series of Fig. 12: snapshot 2PC latency vs. delta ratio."""
-    setup = build_delta_job(paper_keys, delta_fraction, incremental,
+    setup = build_delta_job(paper_keys, delta_fraction, snapshot_backend,
                             **kwargs)
     setup.job.start()
     interval = setup.job.config.checkpoint_interval_ms
     setup.env.run_until(interval * (checkpoints + 2))
     result = SnapshotResult(
         label=label or (
-            f"{'incr' if incremental else 'full'} "
+            f"{'full' if snapshot_backend == 'full' else 'incr'} "
             f"{delta_fraction:.0%} delta"
         ),
         paper_keys=paper_keys,
@@ -432,14 +429,13 @@ class QueryLatencyResult:
     scan_ms_median: float = 0.0
 
 
-def run_query_latency_experiment(paper_keys: int, incremental: bool,
+def run_query_latency_experiment(paper_keys: int, snapshot_backend: str,
                                  checkpoints: int = 60,
                                  query_concurrency: int = 2,
                                  prune_chain_length: int = 48,
                                  update_rate_per_s: float = 80_000.0,
                                  label: str | None = None,
                                  nodes: int = 7,
-                                 incremental_backend: str = "chain",
                                  seed: int = 7) -> QueryLatencyResult:
     """One series of Fig. 13: SQL query latency, full vs. incremental.
 
@@ -454,11 +450,10 @@ def run_query_latency_experiment(paper_keys: int, incremental: bool,
     block = 32
     records = max(100.0, update_rate_per_s / block)
     setup = build_delta_job(
-        paper_keys, 1.0, incremental,
+        paper_keys, 1.0, snapshot_backend,
         nodes=nodes,
         records_per_s=records, block=block,
         prune_chain_length=prune_chain_length, randomized=True,
-        incremental_backend=incremental_backend,
         seed=seed,
     )
     env, job = setup.env, setup.job
@@ -484,7 +479,7 @@ def run_query_latency_experiment(paper_keys: int, incremental: bool,
     env.run_until(horizon)
     client.stop()
     recorder = LatencyRecorder(label or (
-        f"{'incremental' if incremental else 'full'} "
+        f"{'full' if snapshot_backend == 'full' else 'incremental'} "
         f"{paper_keys // 1000}k"
     ))
     # Measure once incremental chains have reached steady depth.

@@ -4,8 +4,8 @@ Usage::
 
     python -m repro overhead   --mode snap --rate 1000000
     python -m repro snapshot   --keys 100000 --mode snap --queries
-    python -m repro delta      --keys 100000 --fraction 0.1 --incremental
-    python -m repro query-latency --keys 100000 --incremental
+    python -m repro delta      --keys 100000 --snapshot-backend chain
+    python -m repro query-latency --keys 100000 --snapshot-backend lsm
     python -m repro direct     --system tspoon --select 10
     python -m repro scalability --nodes 3 --interval 1000
 
@@ -32,6 +32,7 @@ from .bench.harness import (
 )
 from .bench.latency import PAPER_PERCENTILES
 from .bench.report import format_series
+from .config import SNAPSHOT_BACKENDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,14 +66,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     delta.add_argument("--keys", type=int, default=100_000)
     delta.add_argument("--fraction", type=float, default=0.1)
-    delta.add_argument("--incremental", action="store_true")
+    delta.add_argument("--snapshot-backend", default="full",
+                       choices=SNAPSHOT_BACKENDS)
     delta.add_argument("--checkpoints", type=int, default=20)
 
     qlat = sub.add_parser(
         "query-latency", help="SQL query latency (Fig. 13)"
     )
     qlat.add_argument("--keys", type=int, default=10_000)
-    qlat.add_argument("--incremental", action="store_true")
+    qlat.add_argument("--snapshot-backend", default="full",
+                      choices=SNAPSHOT_BACKENDS)
     qlat.add_argument("--checkpoints", type=int, default=40)
 
     direct = sub.add_parser(
@@ -126,7 +129,7 @@ def cmd_snapshot(args) -> int:
 
 def cmd_delta(args) -> int:
     result = run_delta_snapshot_experiment(
-        args.keys, args.fraction, incremental=args.incremental,
+        args.keys, args.fraction, args.snapshot_backend,
         checkpoints=args.checkpoints,
     )
     print(f"{result.label}, {args.keys} keys "
@@ -137,7 +140,7 @@ def cmd_delta(args) -> int:
 
 def cmd_query_latency(args) -> int:
     result = run_query_latency_experiment(
-        args.keys, args.incremental, checkpoints=args.checkpoints,
+        args.keys, args.snapshot_backend, checkpoints=args.checkpoints,
     )
     print(f"{result.label}: {result.queries} queries")
     _print_latency("query latency", result.latency)

@@ -405,6 +405,10 @@ class SketchSpec:
             )
 
 
+#: The values of ``SQueryConfig.snapshot_backend``.
+SNAPSHOT_BACKENDS = ("full", "chain", "lsm")
+
+
 @dataclass(frozen=True)
 class SQueryConfig:
     """Which S-QUERY features are enabled for a job.
@@ -420,19 +424,17 @@ class SQueryConfig:
     #: How many committed snapshot versions to retain (paper default: 2 —
     #: constant memory, one version always complete and queryable).
     retained_snapshots: int = 2
-    #: Use incremental snapshots (record only changed keys per
-    #: checkpoint) instead of full snapshots.
-    incremental: bool = False
-    #: Prune/compact incremental chains after this many snapshots: the
-    #: oldest deltas are folded into a new base so backward reconstruction
+    #: How snapshot versions are kept (:mod:`repro.state.snapshots`):
+    #: ``"full"`` copies per checkpoint; ``"chain"`` records only the
+    #: changed keys, as per-checkpoint delta chains with backward
+    #: reconstruction (the paper's IMDG implementation); ``"lsm"``
+    #: records them as LSM runs whose compaction bounds read
+    #: amplification (the RocksDB/Cassandra alternative of §VI-B).
+    snapshot_backend: str = "full"
+    #: Prune/compact chains after this many snapshots: the oldest
+    #: deltas are folded into a new base so backward reconstruction
     #: stays bounded.
     prune_chain_length: int = 8
-    #: Storage engine for incremental snapshots: ``"chain"`` keeps
-    #: per-checkpoint delta chains with backward reconstruction (the
-    #: paper's IMDG implementation); ``"lsm"`` stores versions in an
-    #: LSM tree whose compaction bounds read amplification (the
-    #: RocksDB/Cassandra alternative sketched in §VI-B).
-    incremental_backend: str = "chain"
     #: Co-partition state and compute (paper's design decision; the
     #: ablation flips this to route mirror writes over the network).
     colocate_state: bool = True
@@ -466,9 +468,9 @@ class SQueryConfig:
                 "active replication requires live_state (the standby is "
                 "maintained from the live update stream)"
             )
-        if self.incremental_backend not in ("chain", "lsm"):
+        if self.snapshot_backend not in SNAPSHOT_BACKENDS:
             raise ConfigurationError(
-                "incremental_backend must be 'chain' or 'lsm'"
+                "snapshot_backend must be 'full', 'chain' or 'lsm'"
             )
 
 

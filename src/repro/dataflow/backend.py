@@ -81,8 +81,6 @@ class StateBackend(Protocol):
 
     def drop_snapshot(self, ssid: int) -> None: ...
 
-    def on_commit(self, ssid: int) -> None: ...
-
 
 class VanillaBackend:
     """Plain Jet: blob snapshots in the store, no queryable state.
@@ -171,9 +169,6 @@ class VanillaBackend:
         stale_offsets = [key for key in self._offsets if key[1] <= ssid]
         for key in stale_offsets:
             del self._offsets[key]
-
-    def on_commit(self, ssid: int) -> None:
-        """Nothing extra to do for blob snapshots."""
 
     # -- introspection helpers (tests) -----------------------------------
 

@@ -169,7 +169,6 @@ class CheckpointCoordinator:
         now = self.job.sim.now
         store = self.job.store
         store.commit_snapshot(ssid)
-        self.job.backend.on_commit(ssid)
         self.samples.append(CheckpointSample(
             ssid=ssid,
             started_ms=current.started_ms,

@@ -23,8 +23,8 @@ one the paper's isolation levels rest on, and it is written here once:
   its maintenance ops stay in the rollup.
 
 :class:`DerivedRegistry` is the part of that contract the two
-registries share; holders (an ``IMap``, and every snapshot backend
-through :class:`~repro.state.base.SnapshotTableBase`, whatever it
+registries share; holders (an ``IMap``, and every snapshot policy
+through :class:`~repro.state.snapshots.SnapshotTableBase`, whatever it
 stores versions as) keep registries by family name and never ask which
 family they hold.
 """

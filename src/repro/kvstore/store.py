@@ -140,8 +140,8 @@ class StateStore:
     def register_snapshot_table(self, name: str, table: object) -> None:
         """Register an operator's snapshot table (Table II structure).
 
-        ``table`` is a :class:`repro.state.base.SnapshotTableBase`
-        backend (see :mod:`repro.state.snapshots`).
+        ``table`` is a :class:`repro.state.snapshots.SnapshotTableBase`
+        policy (see :mod:`repro.state.snapshots`).
         """
         if name in self._snapshot_tables:
             raise StoreError(f"snapshot table {name!r} already registered")
@@ -240,20 +240,22 @@ class StateStore:
             table.abort(ssid)
 
     def retire_snapshots(self, keep: int) -> list[int]:
-        """Drop all but the ``keep`` most recent committed snapshot ids.
+        """Drop all but the ``keep`` most recent committed snapshot ids
+        (a commit's retention).
 
-        Returns the retired ids; every snapshot table stops serving
-        them (``drop_snapshot``).
+        Returns the retired ids.  Every snapshot table stops serving
+        them (``drop_snapshot``), then compacts up to the oldest id
+        kept (``compact``).
         """
         if keep < 1:
             raise StoreError("must keep at least one snapshot")
-        if len(self._available_ssids) <= keep:
-            return []
         retired = self._available_ssids[:-keep]
         self._available_ssids = self._available_ssids[-keep:]
         for table in self._snapshot_tables.values():
             for ssid in retired:
                 table.drop_snapshot(ssid)
+            if self._available_ssids:
+                table.compact(self._available_ssids[0])
         return retired
 
     # -- failure handling ------------------------------------------------

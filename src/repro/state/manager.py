@@ -9,11 +9,12 @@ features:
   disabled);
 * **snapshot state** — checkpoints write individually queryable rows
   (Table II) instead of only an opaque blob, at an extra per-entry store
-  cost; optionally as incremental deltas.
+  cost; as full copies, delta chains or LSM runs
+  (``SQueryConfig.snapshot_backend``).
 
-Recovery reads back whichever representation is authoritative: full
-snapshot tables, incremental reconstruction, or vanilla blobs when the
-queryable snapshot state is disabled.
+Recovery reads back whichever representation is authoritative: the
+snapshot table's trace, or vanilla blobs when the queryable snapshot
+state is disabled.
 """
 
 from __future__ import annotations
@@ -26,11 +27,12 @@ from ..errors import StateError
 from ..dataflow.backend import VanillaBackend, submit_chunked_write
 from ..kvstore import InstancePlacement, StateStore
 from ..kvstore.derived import FAMILIES
-from .base import SnapshotTableBase
-from .incremental import IncrementalSnapshotTable
 from .live import LiveStateTable
 from .rows import sanitize_table_name, snapshot_table_name
-from .snapshots import FullSnapshotTable
+from .snapshots import (
+    FullSnapshotTable, IncrementalSnapshotTable, LsmSnapshotTable,
+    SnapshotTableBase,
+)
 
 
 class SQueryBackend(VanillaBackend):
@@ -64,12 +66,10 @@ class SQueryBackend(VanillaBackend):
 
     @property
     def incremental(self) -> bool:  # type: ignore[override]
-        return self.config.snapshot_state and self.config.incremental
-
-    @property
-    def _chained(self) -> bool:
-        """Incremental snapshots kept as delta chains (not LSM runs)."""
-        return self.incremental and self.config.incremental_backend == "chain"
+        """Whether checkpoints write deltas (the chain and LSM
+        policies) rather than full copies."""
+        return (self.config.snapshot_state
+                and self.config.snapshot_backend != "full")
 
     @property
     def retained_snapshots(self) -> int:
@@ -104,13 +104,12 @@ class SQueryBackend(VanillaBackend):
             self.store.register_live_table(table_name, live)
         if self.config.snapshot_state:
             snap_name = snapshot_table_name(vertex_name)
-            if not self.config.incremental:
+            backend = self.config.snapshot_backend
+            if backend == "full":
                 table: SnapshotTableBase = FullSnapshotTable(
                     snap_name, parallelism, node_of_instance
                 )
-            elif self.config.incremental_backend == "lsm":
-                from .lsm_backend import LsmSnapshotTable
-
+            elif backend == "lsm":
                 table = LsmSnapshotTable(
                     snap_name, parallelism, node_of_instance
                 )
@@ -201,7 +200,7 @@ class SQueryBackend(VanillaBackend):
             )
             return
         per_entry = costs.store_entry_ms + costs.squery_snapshot_entry_ms
-        if self._chained:
+        if self.config.snapshot_backend == "chain":
             # Chain maintenance pays per-entry version-index housekeeping
             # up front; the LSM backend amortises it into background
             # compaction instead (append-only writes).
@@ -244,21 +243,6 @@ class SQueryBackend(VanillaBackend):
         live = self.live_tables.get(vertex_name)
         if live is not None:
             live.replace_partition(instance, {})
-
-    def on_commit(self, ssid: int) -> None:
-        if not self._chained:
-            return
-        # Compact only up to the oldest snapshot that retention will
-        # keep: every still-queryable id must stay reconstructable, so
-        # in-flight queries pinned to it never lose their target.
-        available = self.store.available_ssids()
-        keep = self.config.retained_snapshots
-        if len(available) >= keep:
-            target = available[-keep]
-        else:
-            target = available[0] if available else ssid
-        for table in self.snapshot_tables.values():
-            table.maybe_prune(target)
 
     # -- active replication (§VII-B, read committed) --------------------
 

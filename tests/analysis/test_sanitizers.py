@@ -97,7 +97,7 @@ def test_fingerprint_catches_in_place_mutation():
     table = commit_snapshot_with_table(env)
     # Reach around the store API and corrupt committed state directly —
     # exactly what the write_instance guard cannot see.
-    table._by_ssid[1][0]["a"] = -123.0
+    table._traces[0][1]["a"] = -123.0
     violations = env.sanitizers.verify()
     assert any(v.kind == "torn-snapshot" for v in violations)
 

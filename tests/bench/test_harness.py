@@ -46,8 +46,8 @@ def test_make_backend_modes():
     assert live_only.config.live_state
     assert not live_only.config.snapshot_state
     env3 = Environment(scaled_cluster())
-    snap_only = make_backend(env3, "snap", incremental=True)
-    assert snap_only.config.incremental
+    snap_only = make_backend(env3, "snap", snapshot_backend="chain")
+    assert snap_only.incremental
     with pytest.raises(ValueError):
         make_backend(env3, "warp")
 
@@ -122,7 +122,7 @@ def test_block_update_operator_writes_local_keys():
 
 def test_delta_job_delta_fraction_bounds_dirty_keys():
     setup = build_delta_job(
-        7_000, delta_fraction=0.1, incremental=True, nodes=7,
+        7_000, delta_fraction=0.1, snapshot_backend="chain", nodes=7,
         records_per_s=2000, block=16,
     )
     setup.job.start()
@@ -131,9 +131,8 @@ def test_delta_job_delta_fraction_bounds_dirty_keys():
     ssid = setup.env.store.committed_ssid
     # Dirty keys per checkpoint stay within the 10% delta subspace
     # (plus the first full snapshot of the warm start).
-    chain = table._chains[0]
     later_deltas = [
-        len(delta) for version, delta in chain.deltas.items()
+        len(delta) for version, delta in table._traces[0].items()
         if version > 1
     ]
     # Block writes may overrun the span by at most one block.

@@ -121,9 +121,7 @@ def build_average_job(env, backend=None, rate=2000.0, keys=40,
 
 #: ``make_squery_backend`` overrides of each snapshot backend.
 SNAPSHOT_BACKENDS = {
-    "full": {},
-    "chain": {"incremental": True},
-    "lsm": {"incremental": True, "incremental_backend": "lsm"},
+    kind: {"snapshot_backend": kind} for kind in ("full", "chain", "lsm")
 }
 
 

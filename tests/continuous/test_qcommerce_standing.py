@@ -80,7 +80,7 @@ def test_subscription_survives_checkpoints_on_incremental_backend():
     env = Environment(
         ClusterConfig(nodes=3, processing_workers_per_node=2)
     )
-    backend = make_squery_backend(env, incremental=True,
+    backend = make_squery_backend(env, snapshot_backend="chain",
                                   prune_chain_length=2)
     job = build_qcommerce_job(env, backend, orders=300,
                               events_per_s=2_000,

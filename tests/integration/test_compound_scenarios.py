@@ -17,8 +17,7 @@ def test_windows_with_incremental_lsm_and_failure():
     multi-version query, all in one run."""
     env = Environment(ClusterConfig(nodes=3,
                                     processing_workers_per_node=2))
-    backend = make_squery_backend(env, incremental=True,
-                                  incremental_backend="lsm",
+    backend = make_squery_backend(env, snapshot_backend="lsm",
                                   retained_snapshots=3)
 
     def add(acc, value):

@@ -77,8 +77,9 @@ def test_incremental_and_full_snapshots_answer_identically():
     answers = {}
     for incremental in (False, True):
         env = fresh_env()
-        backend = make_squery_backend(env, incremental=incremental,
-                                      prune_chain_length=3)
+        backend = make_squery_backend(
+            env, snapshot_backend="chain" if incremental else "full",
+            prune_chain_length=3)
         job = build_average_job(env, backend=backend, rate=2000, keys=12,
                                 limit_per_instance=250,
                                 checkpoint_interval_ms=400)

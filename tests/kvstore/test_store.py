@@ -4,7 +4,7 @@ pointer protocol."""
 import pytest
 
 from repro.errors import MapNotFoundError, StoreError
-from repro.state.base import SnapshotTableBase
+from repro.state.snapshots import SnapshotTableBase
 
 
 def test_create_map_idempotent(env):

@@ -42,10 +42,10 @@ from repro.sql.executor import (
     order_keyed,
 )
 from repro.sql.fragments import split_select
-from repro.state.incremental import IncrementalSnapshotTable
 from repro.state.live import LiveStateTable
-from repro.state.lsm_backend import LsmSnapshotTable
-from repro.state.snapshots import FullSnapshotTable
+from repro.state.snapshots import (
+    FullSnapshotTable, IncrementalSnapshotTable, LsmSnapshotTable,
+)
 from repro.state.view import TableView
 
 from ..conftest import aggregate_state

@@ -19,10 +19,10 @@ from repro.query import QueryService
 from repro.sql import parse
 from repro.sql.access import TOP_K_ENTRY_SHARE
 from repro.sql.fragments import split_select
-from repro.state.incremental import IncrementalSnapshotTable
 from repro.state.live import LiveStateTable
-from repro.state.lsm_backend import LsmSnapshotTable
-from repro.state.snapshots import FullSnapshotTable
+from repro.state.snapshots import (
+    FullSnapshotTable, IncrementalSnapshotTable, LsmSnapshotTable,
+)
 
 VALUES = st.fixed_dictionaries({
     "a": st.none() | st.integers(0, 2),

@@ -14,10 +14,10 @@ from repro import Environment
 from repro.config import ClusterConfig, IndexSpec
 from repro.observability import collect_report, format_report
 from repro.query import QueryService
-from repro.state.incremental import IncrementalSnapshotTable
 from repro.state.live import LiveStateTable
-from repro.state.lsm_backend import LsmSnapshotTable
-from repro.state.snapshots import FullSnapshotTable
+from repro.state.snapshots import (
+    FullSnapshotTable, IncrementalSnapshotTable, LsmSnapshotTable,
+)
 
 from ..conftest import build_average_job, make_squery_backend
 

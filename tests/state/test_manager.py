@@ -3,7 +3,10 @@
 import pytest
 
 from repro.config import SQueryConfig
-from repro.state import SQueryBackend
+from repro.state import (
+    FullSnapshotTable, IncrementalSnapshotTable, LsmSnapshotTable,
+    SQueryBackend,
+)
 
 from ..conftest import build_average_job, make_squery_backend
 
@@ -86,14 +89,25 @@ def test_restore_refreshes_live_partition(env):
     assert live.get("a") == "snap"
 
 
+@pytest.mark.parametrize("kind, policy", [
+    ("full", FullSnapshotTable), ("chain", IncrementalSnapshotTable),
+    ("lsm", LsmSnapshotTable),
+])
+def test_snapshot_backend_names_the_table_policy(env, kind, policy):
+    backend = make_squery_backend(env, snapshot_backend=kind)
+    backend.register_vertex("op", 1, lambda i: 0, True)
+    assert type(backend.snapshot_table("op")) is policy
+    assert backend.incremental is (kind != "full")
+
+
 def test_incremental_flag_requires_snapshot_state(env):
     backend = make_squery_backend(env, snapshot_state=False,
-                                  incremental=True)
+                                  snapshot_backend="chain")
     assert backend.incremental is False
 
 
 def test_incremental_mode_writes_deltas(env):
-    backend = make_squery_backend(env, incremental=True)
+    backend = make_squery_backend(env, snapshot_backend="chain")
     backend.register_vertex("op", 1, lambda i: 0, True)
     env.store.begin_snapshot(1)
     backend.write_snapshot("op", 0, 0, 1, {"a": 1, "b": 1}, set(),

@@ -8,10 +8,10 @@ import pytest
 from repro import ClusterConfig, Environment
 from repro.errors import SnapshotNotFoundError
 from repro.kvstore.derived import FAMILIES
-from repro.state.incremental import IncrementalSnapshotTable
 from repro.state.live import LiveStateTable
-from repro.state.lsm_backend import LsmSnapshotTable
-from repro.state.snapshots import FullSnapshotTable
+from repro.state.snapshots import (
+    FullSnapshotTable, IncrementalSnapshotTable, LsmSnapshotTable,
+)
 from repro.state.view import TableView
 
 NODES = [0, 1]

@@ -42,7 +42,7 @@ def test_snapshot_command_runs(capsys):
 
 def test_delta_command_runs(capsys):
     code = main(["delta", "--keys", "7000", "--fraction", "0.05",
-                 "--incremental", "--checkpoints", "5"])
+                 "--snapshot-backend", "chain", "--checkpoints", "5"])
     assert code == 0
     assert "incr" in capsys.readouterr().out
 

@@ -79,6 +79,16 @@ def test_squery_config_validation():
     with pytest.raises(ConfigurationError):
         SQueryConfig(live_state=False,
                      active_replication=True).validate()
+    with pytest.raises(ConfigurationError):
+        SQueryConfig(snapshot_backend="chains").validate()
+
+
+def test_one_field_names_the_snapshot_policy():
+    # Two fields that could disagree, like an "lsm" backend with
+    # incremental snapshots off, silently built a full table.
+    fields = {field.name for field in dataclasses.fields(SQueryConfig)}
+    assert "snapshot_backend" in fields
+    assert not fields & {"incremental", "incremental_backend"}
 
 
 def test_vanilla_disables_everything():
